@@ -1,35 +1,34 @@
 //! Paged-KV ablation: how many sequences one KV byte budget sustains
-//! concurrently with monolithic full-capacity leases vs fixed-size
-//! pages behind the block allocator — plus the cost (none) and
-//! fidelity (bitwise) of the machinery that makes paging safe:
-//! preemption round trips and zero-copy prefix sharing.
+//! concurrently when admission charges pages actually used, against
+//! the ceiling of reserving a full `max_seq` cache per sequence — plus
+//! the cost (none) and fidelity (bitwise) of the machinery that makes
+//! paging safe: preemption round trips and zero-copy prefix sharing.
 //!
 //! Arms:
-//! * **monolithic** — flat leases (`page_rows = 0`): every admitted
-//!   sequence reserves a whole `max_seq`-capacity cache up front, so
-//!   the pool's byte budget caps concurrency at
-//!   `budget / full_cache_bytes`, however short the requests are.
-//! * **paged** — same byte budget converted to 16-row pages: admission
-//!   charges only the pages a sequence actually grows into, so short
-//!   requests pack ~`max_seq / rows_used` times denser. Both arms run
-//!   the same workload; token streams must match bitwise.
+//! * **paged** — the byte budget of `FLAT_SLOTS` full-capacity caches,
+//!   converted to 16-row pages: admission charges only the pages a
+//!   sequence actually grows into, so short requests pack
+//!   ~`max_seq / rows_used` times denser than the
+//!   `budget / full_cache_bytes` = `FLAT_SLOTS` sequences that
+//!   whole-cache reservation would admit. Its token streams are the
+//!   reference for the pressure arms.
 //! * **pressure** — a pool barely above one full request, forced
 //!   preemption under `AlwaysSwap` and `AlwaysRecompute`: preempt and
 //!   resume round trips must leave the streams bitwise identical to
 //!   the unpressured paged arm.
 //! * **warm prefix** — zero-copy page sharing: a primed 384-token
 //!   shared prefix seeds by reference (CoW on the divergent tail), so
-//!   warm TTFT must hold the copy-on-seed line (`BENCH_prefix.json`:
-//!   2.9 ms) or better.
+//!   warm TTFT must hold the recorded warm-hit line
+//!   (`BENCH_prefix.json`: 2.9 ms) or better.
 //!
 //! Modes:
 //! * default — all arms, writes `BENCH_paged.json` (run from the repo
 //!   root).
-//! * `--smoke` — CI gate: paged arm sustains **>= 2x** the monolithic
-//!   peak concurrency at equal pool bytes, streams bitwise identical
-//!   (preemption arms included), and a single-stream decode guard vs
-//!   the `BENCH_quant.json` f32 hotpath median (0.6x tolerance, the
-//!   repo-wide guard tolerance).
+//! * `--smoke` — CI gate: the paged arm's lease high-water mark is
+//!   **>= 2x** `FLAT_SLOTS` at equal pool bytes, the preemption arms'
+//!   streams are bitwise identical to the unpressured run, and a
+//!   single-stream decode guard vs the `BENCH_quant.json` f32 hotpath
+//!   median (0.6x tolerance, the repo-wide guard tolerance).
 
 use kt_bench::{section, table};
 use kt_core::{BatchSeq, EngineConfig, HybridEngine, SchedMode};
@@ -40,24 +39,25 @@ use kt_serve::{PreemptPolicy, Request, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Rows per KV page in the paged arms.
+/// Rows per KV page in the concurrency and warm-prefix arms.
 const PAGE_ROWS: usize = 16;
-/// Full-capacity caches the byte budget covers (the monolithic arm's
-/// concurrency ceiling).
+/// Full-capacity caches the byte budget covers: the concurrency
+/// ceiling of reserving `max_seq` rows per sequence,
+/// `pool_bytes / full_cache_bytes`.
 const FLAT_SLOTS: usize = 4;
-/// Concurrency offered to both arms.
+/// Concurrency offered.
 const CONCURRENT: usize = 32;
 /// Prompt length of each workload request.
 const PROMPT: usize = 24;
 /// Tokens each request generates.
 const MAX_NEW: usize = 16;
-/// `BENCH_quant.json` `decode_guard.f32_hotpath_median` — the flat-KV
-/// single-stream decode baseline the paged backend must hold.
+/// `BENCH_quant.json` `decode_guard.f32_hotpath_median` — the
+/// single-stream decode baseline the page-table reads must hold.
 const QUANT_F32_HOTPATH_TOK_S: f64 = 1900.1;
 /// Repo-wide guard tolerance (CI containers timeshare cores).
 const GUARD_TOLERANCE: f64 = 0.6;
-/// `BENCH_prefix.json` warm `ttft_ms_median` — the copy-on-seed line
-/// zero-copy sharing must hold or beat.
+/// `BENCH_prefix.json` warm `ttft_ms_median` — the recorded warm-hit
+/// line zero-copy sharing must hold or beat.
 const PREFIX_WARM_TTFT_MS: f64 = 2.9;
 
 fn engine(seed: u64) -> Arc<HybridEngine> {
@@ -69,9 +69,9 @@ fn engine(seed: u64) -> Arc<HybridEngine> {
                 n_cpu_workers: 2,
                 mode: SchedMode::AsyncGraph,
                 n_deferred: 2,
-                // Batch-size-invariant expert GEMMs: the two arms batch
-                // very differently (4-wide vs 32-wide), and the token
-                // streams must still compare bitwise.
+                // Batch-size-invariant expert GEMMs: the arms batch very
+                // differently (32-wide vs 3-wide under pressure), and
+                // the token streams must still compare bitwise.
                 backend: Backend::TiledOnly,
                 seed,
                 ..Default::default()
@@ -111,7 +111,7 @@ fn run_arm(cfg: ServerConfig, n: usize) -> (Vec<Vec<u32>>, u64, f64) {
     (tokens, peak, wall)
 }
 
-/// Pool pages equal in bytes to `FLAT_SLOTS` full flat caches
+/// Pool pages equal in bytes to `FLAT_SLOTS` full-capacity caches
 /// (`max_seq` divides by `PAGE_ROWS`, so the conversion is exact).
 fn equal_byte_pages() -> usize {
     let cfg = ModelPreset::DeepSeekV3.tiny_config();
@@ -128,8 +128,8 @@ fn base_cfg() -> ServerConfig {
     }
 }
 
-/// Single-stream decode throughput through a **paged** pool lease and
-/// the batch API (`ablation_hotpath` methodology: realistic vocab,
+/// Single-stream decode throughput through a pool lease and the batch
+/// API (`ablation_hotpath` methodology: realistic vocab,
 /// 2 warmups, deep timed window). The page-table indirection on every
 /// attention read is the thing under test.
 fn paged_decode_tokens_per_s(steps: usize) -> f64 {
@@ -149,7 +149,6 @@ fn paged_decode_tokens_per_s(steps: usize) -> f64 {
     let fresh = engine.fresh_cache();
     let pool = KvCachePool::for_prototype(&fresh, 1).with_paged(4096, PAGE_ROWS);
     let mut lease = pool.lease().expect("fresh pool leases");
-    assert!(lease.cache.is_paged(), "guard must run on the paged backend");
 
     let forward = |cache: KvCache, tokens: Vec<u32>, prefill: bool| {
         let mut seqs = vec![if prefill {
@@ -183,11 +182,8 @@ fn paged_decode_tokens_per_s(steps: usize) -> f64 {
     steps as f64 / dt
 }
 
-/// Warm prefix-hit TTFT (ms, median of 3). `paged` selects zero-copy
-/// page sharing; `!paged` the flat copy-on-seed path the
-/// `BENCH_prefix.json` 2.9 ms line was recorded on, re-measured here
-/// so the comparison shares one host state.
-fn warm_prefix_ttft_ms(paged: bool) -> f64 {
+/// Warm prefix-hit TTFT (ms, median of 3) with zero-copy page sharing.
+fn warm_prefix_ttft_ms() -> f64 {
     let mut cfg = ModelPreset::DeepSeekV3.tiny_config();
     cfg.max_seq = 1024;
     let engine = Arc::new(
@@ -210,7 +206,7 @@ fn warm_prefix_ttft_ms(paged: bool) -> f64 {
             prefill_chunk: 64,
             step_token_budget: 96,
             prefix_cache_bytes: 32 << 20,
-            page_rows: if paged { PAGE_ROWS } else { 0 },
+            page_rows: PAGE_ROWS,
             ..Default::default()
         },
     )
@@ -229,24 +225,22 @@ fn warm_prefix_ttft_ms(paged: bool) -> f64 {
     let _prime = ttft(&prompt(usize::MAX / 2));
     let mut samples: Vec<f64> = (0..3).map(|r| ttft(&prompt(r))).collect();
     assert_eq!(server.stats().prefix_hits, 3, "every timed request hit");
-    if paged {
-        // `kt_kv_pages_shared` counts pages co-held by a *live* lease,
-        // so it reads 0 between requests. Observe it mid-flight: a
-        // probe with a long generation holds its zero-copy seeded
-        // prefix pages while decoding.
-        let probe = server.submit(Request::greedy(&prompt(1000), 96));
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        let mut seen_shared = false;
-        while Instant::now() < deadline {
-            if server.stats().kv_pages_shared > 0 {
-                seen_shared = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
+    // `kt_kv_pages_shared` counts pages co-held by a *live* lease, so
+    // it reads 0 between requests. Observe it mid-flight: a probe with
+    // a long generation holds its zero-copy seeded prefix pages while
+    // decoding.
+    let probe = server.submit(Request::greedy(&prompt(1000), 96));
+    let deadline = Instant::now() + std::time::Duration::from_secs(10);
+    let mut seen_shared = false;
+    while Instant::now() < deadline {
+        if server.stats().kv_pages_shared > 0 {
+            seen_shared = true;
+            break;
         }
-        assert!(probe.wait().is_completed(), "probe request completes");
-        assert!(seen_shared, "warm seeding shared pages zero-copy");
+        std::thread::sleep(std::time::Duration::from_micros(200));
     }
+    assert!(probe.wait().is_completed(), "probe request completes");
+    assert!(seen_shared, "warm seeding shared pages zero-copy");
     server.shutdown();
     median(&mut samples)
 }
@@ -273,14 +267,6 @@ fn main() {
         PROMPT + MAX_NEW,
     ));
 
-    let (flat_tokens, flat_peak, flat_wall) = run_arm(
-        ServerConfig {
-            max_batch: FLAT_SLOTS,
-            page_rows: 0,
-            ..base_cfg()
-        },
-        CONCURRENT,
-    );
     let (paged_tokens, paged_peak, paged_wall) = run_arm(
         ServerConfig {
             max_batch: CONCURRENT,
@@ -290,21 +276,17 @@ fn main() {
         },
         CONCURRENT,
     );
-    assert_eq!(
-        flat_tokens, paged_tokens,
-        "paged serving diverged from monolithic token streams"
-    );
 
     table(
-        &["Arm", "Peak concurrent seqs", "Wall (s)"],
+        &["Admission", "Peak concurrent seqs", "Wall (s)"],
         &[
-            vec!["monolithic (flat leases)".into(), flat_peak.to_string(), format!("{flat_wall:.2}")],
+            vec!["whole-cache reservation (computed ceiling)".into(), FLAT_SLOTS.to_string(), "-".into()],
             vec![format!("paged ({PAGE_ROWS}-row pages)"), paged_peak.to_string(), format!("{paged_wall:.2}")],
         ],
     );
-    let density = paged_peak as f64 / flat_peak as f64;
+    let density = paged_peak as f64 / FLAT_SLOTS as f64;
     println!();
-    println!("concurrency_gain {density:.1}x at equal KV pool bytes (streams bitwise identical)");
+    println!("concurrency_gain {density:.1}x at equal KV pool bytes");
 
     // Pressure arms: a pool barely above one full request forces
     // preempt/resume round trips; streams must not move.
@@ -371,7 +353,7 @@ fn main() {
     if smoke {
         let mut fail = false;
         if density < 2.0 {
-            eprintln!("SMOKE FAIL: paged sustains only {density:.1}x monolithic concurrency (< 2x)");
+            eprintln!("SMOKE FAIL: paged sustains only {density:.1}x the whole-cache ceiling (< 2x)");
             fail = true;
         }
         if decode_median < GUARD_TOLERANCE * QUANT_F32_HOTPATH_TOK_S {
@@ -387,25 +369,16 @@ fn main() {
         println!();
         println!(
             "SMOKE OK: {density:.1}x concurrency at equal bytes, decode guard \
-             {decode_median:.1} tok/s, all streams bitwise identical"
+             {decode_median:.1} tok/s, preempted streams bitwise identical"
         );
         return;
     }
 
-    section("Warm prefix-hit TTFT (zero-copy page sharing vs copy-on-seed)");
-    // Interleave the arms so host noise hits both alike; the recorded
-    // `BENCH_prefix.json` line rides along for drift context.
-    let mut warm_paged: Vec<f64> = Vec::new();
-    let mut warm_flat: Vec<f64> = Vec::new();
-    for _ in 0..3 {
-        warm_paged.push(warm_prefix_ttft_ms(true));
-        warm_flat.push(warm_prefix_ttft_ms(false));
-    }
-    let warm_ttft = median(&mut warm_paged);
-    let warm_flat_ttft = median(&mut warm_flat);
+    section("Warm prefix-hit TTFT (zero-copy page sharing)");
+    let mut warm: Vec<f64> = (0..3).map(|_| warm_prefix_ttft_ms()).collect();
+    let warm_ttft = median(&mut warm);
     println!(
-        "warm_ttft_ms_median {warm_ttft:.1} (zero-copy) vs {warm_flat_ttft:.1} \
-         (copy-on-seed, same host) vs {PREFIX_WARM_TTFT_MS} recorded line \
+        "warm_ttft_ms_median {warm_ttft:.1} vs {PREFIX_WARM_TTFT_MS} recorded line \
          (BENCH_prefix.json)"
     );
 
@@ -417,11 +390,8 @@ fn main() {
     "engine": "n_cpu_workers=2, mode=AsyncGraph, n_deferred=2, backend=TiledOnly, seed=7",
     "requests": "{CONCURRENT} requests, {PROMPT}-token prompts, {MAX_NEW} new tokens ({rows} rows of {max_seq} capacity)"
   }},
-  "method": "both arms get the byte budget of {FLAT_SLOTS} full flat caches; paged converts it to {pool_pages} {PAGE_ROWS}-row pages; peak concurrency from the lease high-water mark; streams compared bitwise across all arms",
-  "monolithic": {{
-    "peak_concurrent": {flat_peak},
-    "wall_s": {flat_wall:.2}
-  }},
+  "method": "the byte budget of {FLAT_SLOTS} full-capacity caches as {pool_pages} {PAGE_ROWS}-row pages; peak concurrency from the lease high-water mark against the whole-cache ceiling pool_bytes / full_cache_bytes = {FLAT_SLOTS}; preemption-arm streams compared bitwise against the unpressured run",
+  "whole_cache_ceiling": {FLAT_SLOTS},
   "paged": {{
     "page_rows": {PAGE_ROWS},
     "pool_pages": {pool_pages},
@@ -429,7 +399,6 @@ fn main() {
     "wall_s": {paged_wall:.2}
   }},
   "concurrency_gain": {density:.1},
-  "bitwise_identical_streams": true,
   "preemption": {{
     "pool_pages": {tiny_pool},
     "always_swap_preemptions": {swap_n},
@@ -438,11 +407,10 @@ fn main() {
   }},
   "warm_prefix": {{
     "ttft_ms_median": {warm_ttft:.1},
-    "copy_on_seed_same_host_ms_median": {warm_flat_ttft:.1},
-    "copy_on_seed_line_ms": {PREFIX_WARM_TTFT_MS}
+    "bench_prefix_warm_ttft_ms_median": {PREFIX_WARM_TTFT_MS}
   }},
   "decode_guard": {{
-    "method": "single-stream decode through a paged pool lease and forward_batch, vocab=8192, {steps} timed steps, {reps} reps",
+    "method": "single-stream decode through a pool lease and forward_batch, vocab=8192, {steps} timed steps, {reps} reps",
     "decode_tokens_per_s_median": {decode_median:.1},
     "bench_quant_f32_hotpath_median": {QUANT_F32_HOTPATH_TOK_S},
     "tolerance": {GUARD_TOLERANCE}

@@ -128,8 +128,7 @@ pub struct ServeStats {
     /// Heap bytes retained by parked pool caches.
     pub kv_pooled_bytes: u64,
     /// KV pages the block allocator can hand out in total (snapshot of
-    /// the paged pool; see [`ServeStats::set_pages`]). All zero when
-    /// the server runs monolithic (flat) leases.
+    /// the pool; see [`ServeStats::set_pages`]).
     pub kv_pages_total: u64,
     /// KV pages currently free in the allocator.
     pub kv_pages_free: u64,

@@ -7,7 +7,7 @@
 //!
 //! This is the end-to-end contract the serving layer's warm-admission
 //! path stands on. The model-layer proptests next door in `kt-model`
-//! cover every store flavor (flat and offloaded) per attention kind;
+//! cover every page size and unaligned prefix per attention kind;
 //! here the full engine runs — routing, shared/routed experts, expert
 //! deferral, the LM head — over both tiny presets (MLA and GQA) and
 //! every expert weight dtype, with `Backend::TiledOnly` so expert

@@ -21,9 +21,7 @@ use rand::rngs::StdRng;
 
 use crate::config::AttentionKind;
 use crate::error::ModelError;
-use crate::kvcache::KvStore;
-#[cfg(test)]
-use crate::kvcache::LayerCache;
+use crate::paged::PagedKvStore;
 use crate::rope::Rope;
 
 /// Variant-specific projection weights.
@@ -45,44 +43,6 @@ enum KvProj {
         wvb: PackedWeights,
         rank: usize,
     },
-}
-
-/// Where the score loop reads K/V rows from.
-///
-/// Decode used to re-materialize full-head K/V matrices for the whole
-/// visible context every step — O(seq) gemm work and three fresh
-/// allocations per layer per token. Now GQA reads rows straight from
-/// the store, and MLA decodes each position once into the store's
-/// decoded-row memo; only stores without a memo (the offloaded
-/// two-tier cache) still re-materialize.
-enum KvRows<'a> {
-    /// Rows straight from the store (GQA: cached rows are final).
-    Store(&'a dyn KvStore),
-    /// Decoded `key ‖ value` rows from the store's memo (MLA steady
-    /// state); the `usize` is the key width `n_heads * head_dim`.
-    Memo(&'a dyn KvStore, usize),
-    /// Freshly materialized matrices (MLA over a memo-less store).
-    Owned(Matrix, Matrix),
-}
-
-impl KvRows<'_> {
-    #[inline]
-    fn key(&self, pos: usize) -> &[f32] {
-        match self {
-            KvRows::Store(c) => c.k_row(pos),
-            KvRows::Memo(c, qdim) => &c.memo_row(pos)[..*qdim],
-            KvRows::Owned(keys, _) => keys.row(pos),
-        }
-    }
-
-    #[inline]
-    fn val(&self, pos: usize) -> &[f32] {
-        match self {
-            KvRows::Store(c) => c.v_row(pos),
-            KvRows::Memo(c, qdim) => &c.memo_row(pos)[*qdim..],
-            KvRows::Owned(_, values) => values.row(pos),
-        }
-    }
 }
 
 /// One attention block.
@@ -278,7 +238,7 @@ impl Attention {
     pub fn forward(
         &self,
         x: &Matrix,
-        cache: &mut dyn KvStore,
+        cache: &mut PagedKvStore,
         rope: &Rope,
         pool: Option<&ThreadPool>,
     ) -> Result<Matrix, ModelError> {
@@ -338,45 +298,45 @@ impl Attention {
         // prompt into per-step chunks) bit-identical to a monolithic
         // prefill.
         let total = cache.len();
-        let (rows, kv_heads_eff) = match &self.kv {
-            KvProj::Gqa { kv_heads, .. } => (KvRows::Store(&*cache), *kv_heads),
-            KvProj::Mla { wkb, wvb, rank, .. } => {
-                if cache.memo_ensure(2 * qdim) {
-                    let from = cache.memo_len();
-                    if from < total {
-                        let missing = total - from;
-                        let mut lat = Matrix::zeros(missing, *rank)?;
-                        for i in 0..missing {
-                            lat.row_mut(i).copy_from_slice(cache.k_row(from + i));
-                        }
-                        let mut dk = Matrix::zeros(missing, qdim)?;
-                        let mut dv = Matrix::zeros(missing, qdim)?;
-                        gemm_rowwise(&lat, wkb, &mut dk, pool)?;
-                        gemm_rowwise(&lat, wvb, &mut dv, pool)?;
-                        let mut row = vec![0.0f32; 2 * qdim];
-                        for i in 0..missing {
-                            rope.apply_multihead(dk.row_mut(i), from + i);
-                            row[..qdim].copy_from_slice(dk.row(i));
-                            row[qdim..].copy_from_slice(dv.row(i));
-                            cache.memo_push(&row)?;
-                        }
-                    }
-                    (KvRows::Memo(&*cache, qdim), self.n_heads)
-                } else {
-                    let mut lat = Matrix::zeros(total, *rank)?;
-                    for pos in 0..total {
-                        lat.row_mut(pos).copy_from_slice(cache.k_row(pos));
-                    }
-                    let mut keys = Matrix::zeros(total, qdim)?;
-                    let mut values = Matrix::zeros(total, qdim)?;
-                    gemm_rowwise(&lat, wkb, &mut keys, pool)?;
-                    gemm_rowwise(&lat, wvb, &mut values, pool)?;
-                    for pos in 0..total {
-                        rope.apply_multihead(keys.row_mut(pos), pos);
-                    }
-                    (KvRows::Owned(keys, values), self.n_heads)
+        if let KvProj::Mla { wkb, wvb, rank, .. } = &self.kv {
+            cache.memo_ensure(2 * qdim);
+            let from = cache.memo_len();
+            if from < total {
+                let missing = total - from;
+                let mut lat = Matrix::zeros(missing, *rank)?;
+                for i in 0..missing {
+                    lat.row_mut(i).copy_from_slice(cache.k_row(from + i));
+                }
+                let mut dk = Matrix::zeros(missing, qdim)?;
+                let mut dv = Matrix::zeros(missing, qdim)?;
+                gemm_rowwise(&lat, wkb, &mut dk, pool)?;
+                gemm_rowwise(&lat, wvb, &mut dv, pool)?;
+                let mut row = vec![0.0f32; 2 * qdim];
+                for i in 0..missing {
+                    rope.apply_multihead(dk.row_mut(i), from + i);
+                    row[..qdim].copy_from_slice(dk.row(i));
+                    row[qdim..].copy_from_slice(dv.row(i));
+                    cache.memo_push(&row)?;
                 }
             }
+        }
+        // Resolve every visible position's K/V slices once, up front:
+        // the scores loop touches each position `n_heads` times per
+        // query row, and a per-touch lookup would pay a page-table
+        // walk every time. GQA reads cached rows; MLA reads the memo's
+        // decoded `key ‖ value` rows.
+        let cache = &*cache;
+        let (krows, vrows, kv_heads_eff): (Vec<&[f32]>, Vec<&[f32]>, usize) = match &self.kv {
+            KvProj::Gqa { kv_heads, .. } => (
+                (0..total).map(|pos| cache.k_row(pos)).collect(),
+                (0..total).map(|pos| cache.v_row(pos)).collect(),
+                *kv_heads,
+            ),
+            KvProj::Mla { .. } => (
+                (0..total).map(|pos| &cache.memo_row(pos)[..qdim]).collect(),
+                (0..total).map(|pos| &cache.memo_row(pos)[qdim..]).collect(),
+                self.n_heads,
+            ),
         };
 
         // Scaled dot-product attention with causal masking. The score
@@ -386,15 +346,6 @@ impl Attention {
         let group = self.n_heads / kv_heads_eff;
         let mut ctx = Matrix::zeros(t_new, qdim)?;
         let mut scores_buf = vec![0.0f32; total];
-        // Resolve every visible position's K/V slices once, up front:
-        // the scores loop touches each position `n_heads` times per
-        // query row, and a per-touch lookup pays virtual dispatch plus
-        // (on the paged store) a page-table walk every time. The slice
-        // tables make that a flat index regardless of the KV backend —
-        // arithmetic order is untouched, so outputs stay bitwise
-        // identical.
-        let krows: Vec<&[f32]> = (0..total).map(|pos| rows.key(pos)).collect();
-        let vrows: Vec<&[f32]> = (0..total).map(|pos| rows.val(pos)).collect();
         for t in 0..t_new {
             let visible = start + t + 1;
             let qrow = q.row(t);
@@ -437,6 +388,7 @@ impl Attention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paged::BlockAllocator;
     use kt_tensor::rng::seeded;
 
     fn rope() -> Rope {
@@ -469,9 +421,13 @@ mod tests {
         .unwrap()
     }
 
-    fn cache_for(attn: &Attention) -> LayerCache {
+    fn cache_with_pages(attn: &Attention, page_rows: usize) -> PagedKvStore {
         let (kw, vw) = attn.cache_spec();
-        LayerCache::new(kw, vw, 128)
+        PagedKvStore::new(kw, vw, 128, page_rows, &BlockAllocator::new(usize::MAX))
+    }
+
+    fn cache_for(attn: &Attention) -> PagedKvStore {
+        cache_with_pages(attn, crate::paged::DEFAULT_PAGE_ROWS)
     }
 
     #[test]
@@ -611,56 +567,70 @@ mod tests {
     }
 
     #[test]
-    fn offloaded_cache_attends_identically() {
-        // KV-cache offloading is pure placement: attention over a
-        // two-tier cache must equal attention over the flat cache.
-        use crate::kvcache::OffloadedLayerCache;
-        let attn = gqa_attn(21);
-        let (kw, vw) = attn.cache_spec();
-        let mut flat = LayerCache::new(kw, vw, 128);
-        let mut tiered = OffloadedLayerCache::new(kw, vw, 3, 128).unwrap();
-        let mut rng = seeded(22);
-        let rope = rope();
-        let prompt = Matrix::random_uniform(6, 32, 1.0, &mut rng).unwrap();
-        let a = attn.forward(&prompt, &mut flat, &rope, None).unwrap();
-        let b = attn.forward(&prompt, &mut tiered, &rope, None).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-        // Decode steps keep agreeing while evictions happen.
-        for t in 0..4 {
-            let one = Matrix::random_uniform(1, 32, 1.0, &mut rng).unwrap();
-            let ya = attn.forward(&one, &mut flat, &rope, None).unwrap();
-            let yb = attn.forward(&one, &mut tiered, &rope, None).unwrap();
-            assert_eq!(ya.as_slice(), yb.as_slice(), "step {t}");
+    fn page_size_is_pure_placement() {
+        // Attention over 3-row pages must equal attention over one
+        // page holding the whole sequence, bit for bit.
+        for attn in [gqa_attn(21), mla_attn(23)] {
+            let mut small = cache_with_pages(&attn, 3);
+            let mut single = cache_with_pages(&attn, 128);
+            let mut rng = seeded(22);
+            let rope = rope();
+            let prompt = Matrix::random_uniform(6, 32, 1.0, &mut rng).unwrap();
+            let a = attn.forward(&prompt, &mut small, &rope, None).unwrap();
+            let b = attn.forward(&prompt, &mut single, &rope, None).unwrap();
+            assert_eq!(a.as_slice(), b.as_slice());
+            for t in 0..4 {
+                let one = Matrix::random_uniform(1, 32, 1.0, &mut rng).unwrap();
+                let ya = attn.forward(&one, &mut small, &rope, None).unwrap();
+                let yb = attn.forward(&one, &mut single, &rope, None).unwrap();
+                assert_eq!(ya.as_slice(), yb.as_slice(), "step {t}");
+            }
+            assert_eq!(small.pages().len(), 4);
+            assert_eq!(single.pages().len(), 1);
         }
-        assert!(tiered.evicted_bytes() > 0, "evictions must have happened");
     }
 
     #[test]
     fn mla_memo_matches_full_rematerialization() {
-        // The offloaded cache keeps no decoded-row memo, so it takes
-        // the full re-materialization path; the flat cache decodes
-        // each position once into its memo. The two must agree
-        // **bitwise** — per-row decode carries exactly the bits of the
-        // batched decode (independent row accumulators, single
+        // The memo decodes each position once, in whatever batches the
+        // steps happened to bring. Re-materializing the whole context
+        // in one batch from the cached latents must give the same
+        // rows **bitwise** — per-row decode carries exactly the bits
+        // of the batched decode (independent row accumulators, single
         // k-block).
-        use crate::kvcache::OffloadedLayerCache;
         let attn = mla_attn(41);
-        let (kw, vw) = attn.cache_spec();
-        let mut flat = LayerCache::new(kw, vw, 128);
-        let mut tiered = OffloadedLayerCache::new(kw, vw, 64, 128).unwrap();
+        let KvProj::Mla { wkb, wvb, rank, .. } = &attn.kv else {
+            unreachable!("mla_attn builds MLA")
+        };
+        let qdim = attn.n_heads * attn.head_dim;
+        let mut cache = cache_for(&attn);
         let mut rng = seeded(42);
         let rope = rope();
+        let check = |cache: &PagedKvStore| {
+            let total = cache.len();
+            assert_eq!(cache.memo_len(), total, "memo covers every position");
+            let mut lat = Matrix::zeros(total, *rank).unwrap();
+            for pos in 0..total {
+                lat.row_mut(pos).copy_from_slice(cache.k_row(pos));
+            }
+            let mut keys = Matrix::zeros(total, qdim).unwrap();
+            let mut values = Matrix::zeros(total, qdim).unwrap();
+            gemm_rowwise(&lat, wkb, &mut keys, None).unwrap();
+            gemm_rowwise(&lat, wvb, &mut values, None).unwrap();
+            for pos in 0..total {
+                rope.apply_multihead(keys.row_mut(pos), pos);
+                assert_eq!(&cache.memo_row(pos)[..qdim], keys.row(pos), "key {pos}");
+                assert_eq!(&cache.memo_row(pos)[qdim..], values.row(pos), "value {pos}");
+            }
+        };
         let prompt = Matrix::random_uniform(6, 32, 1.0, &mut rng).unwrap();
-        let a = attn.forward(&prompt, &mut flat, &rope, None).unwrap();
-        let b = attn.forward(&prompt, &mut tiered, &rope, None).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-        for t in 0..5 {
+        attn.forward(&prompt, &mut cache, &rope, None).unwrap();
+        check(&cache);
+        for _ in 0..5 {
             let one = Matrix::random_uniform(1, 32, 1.0, &mut rng).unwrap();
-            let ya = attn.forward(&one, &mut flat, &rope, None).unwrap();
-            let yb = attn.forward(&one, &mut tiered, &rope, None).unwrap();
-            assert_eq!(ya.as_slice(), yb.as_slice(), "step {t}");
+            attn.forward(&one, &mut cache, &rope, None).unwrap();
+            check(&cache);
         }
-        assert!(flat.memo_bytes() > 0, "flat cache must have used its memo");
     }
 
     #[test]

@@ -1,522 +1,32 @@
-//! Per-layer KV caches.
+//! Per-sequence KV caches.
 //!
 //! Grouped-query attention caches roped keys and values per position;
 //! MLA caches the compressed per-token latent instead (the memory win
 //! that makes DeepSeek's attention GPU-resident even at long contexts).
+//! Either way one layer's rows live in a [`PagedKvStore`]: a page table
+//! over fixed-size pages from a [`BlockAllocator`].
 
-use crate::error::ModelError;
-use crate::paged::{BlockAllocator, PagedKvStore};
-
-/// Abstract per-layer KV storage: what attention needs from a cache.
-///
-/// Implemented by the flat [`LayerCache`], the two-tier
-/// [`OffloadedLayerCache`] (§5 lists KV-cache offloading among the
-/// techniques the injection framework enables), and the
-/// [`PagedKvStore`] page table.
-pub trait KvStore {
-    /// Number of cached positions.
-    fn len(&self) -> usize;
-    /// Whether no positions are cached.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Key (or latent) row width in floats.
-    fn k_width(&self) -> usize;
-    /// Value row width in floats.
-    fn v_width(&self) -> usize;
-    /// Maximum positions this store will accept.
-    fn capacity(&self) -> usize;
-    /// Bytes of authoritative cached rows (the state that must persist
-    /// or transfer on placement changes; excludes memos and unused
-    /// allocation).
-    fn bytes(&self) -> usize {
-        self.len() * (self.k_width() + self.v_width()) * std::mem::size_of::<f32>()
-    }
-    /// Appends one position.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Exec`] when full or on width mismatch.
-    fn push(&mut self, k_row: &[f32], v_row: &[f32]) -> Result<(), ModelError>;
-    /// Key (or latent) row at `pos`.
-    fn k_row(&self, pos: usize) -> &[f32];
-    /// Value row at `pos`.
-    fn v_row(&self, pos: usize) -> &[f32];
-
-    /// Configures the decoded-row memo to `width` floats per position,
-    /// returning `false` when this store keeps no memo (callers must
-    /// then re-materialize decoded rows from scratch every step).
-    ///
-    /// The memo is an optional acceleration tier for attention variants
-    /// whose cached rows are not directly usable (MLA caches compressed
-    /// latents): rows that are expensive to recompute each step but
-    /// always reconstructible from the authoritative cached rows.
-    /// Implementors must drop memo rows beyond `len()` here so a stale
-    /// memo can never outlive the state it was decoded from.
-    fn memo_ensure(&mut self, width: usize) -> bool {
-        let _ = width;
-        false
-    }
-
-    /// Positions currently present in the decoded-row memo.
-    fn memo_len(&self) -> usize {
-        0
-    }
-
-    /// Decoded-row memo width in floats (0 = memo unconfigured or not
-    /// kept by this store).
-    fn memo_width(&self) -> usize {
-        0
-    }
-
-    /// Appends one decoded row to the memo.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Exec`] on width mismatch, when the memo
-    /// would run ahead of the cache, or when the store keeps no memo.
-    fn memo_push(&mut self, row: &[f32]) -> Result<(), ModelError> {
-        let _ = row;
-        Err(ModelError::exec("this KV store keeps no decoded-row memo"))
-    }
-
-    /// Decoded row at `pos` (must be `< memo_len()`).
-    fn memo_row(&self, pos: usize) -> &[f32] {
-        let _ = pos;
-        &[]
-    }
-}
-
-/// The cache of one attention layer.
-///
-/// Rows are positions; `k_width`/`v_width` depend on the attention kind
-/// (GQA: `kv_heads * head_dim` each; MLA: latent rank and 0).
-#[derive(Debug, Clone)]
-pub struct LayerCache {
-    k: Vec<f32>,
-    v: Vec<f32>,
-    k_width: usize,
-    v_width: usize,
-    len: usize,
-    capacity: usize,
-    /// Decoded-row memo (see [`KvStore::memo_ensure`]): rows decoded
-    /// from the authoritative `k`/`v` state, kept so decode steps do
-    /// not re-materialize the whole context. Scratch, not cache — it
-    /// is excluded from [`LayerCache::bytes`] because it is dropped
-    /// rather than transferred on any placement change and can always
-    /// be rebuilt from the cached rows.
-    memo: Vec<f32>,
-    memo_width: usize,
-}
-
-impl LayerCache {
-    /// Creates an empty cache with row widths and position capacity.
-    pub fn new(k_width: usize, v_width: usize, capacity: usize) -> Self {
-        LayerCache {
-            k: Vec::with_capacity(k_width * capacity.min(64)),
-            v: Vec::with_capacity(v_width * capacity.min(64)),
-            k_width,
-            v_width,
-            len: 0,
-            capacity,
-            memo: Vec::new(),
-            memo_width: 0,
-        }
-    }
-
-    /// Number of cached positions.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no positions are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum positions this cache will accept.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Key (or latent) row width.
-    pub fn k_width(&self) -> usize {
-        self.k_width
-    }
-
-    /// Value row width.
-    pub fn v_width(&self) -> usize {
-        self.v_width
-    }
-
-    /// Appends one position.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Exec`] when full or on width mismatch.
-    pub fn push(&mut self, k_row: &[f32], v_row: &[f32]) -> Result<(), ModelError> {
-        if self.len >= self.capacity {
-            return Err(ModelError::exec(format!(
-                "KV cache full at {} positions",
-                self.capacity
-            )));
-        }
-        if k_row.len() != self.k_width || v_row.len() != self.v_width {
-            return Err(ModelError::exec(format!(
-                "cache row widths {}/{} do not match {}/{}",
-                k_row.len(),
-                v_row.len(),
-                self.k_width,
-                self.v_width
-            )));
-        }
-        self.k.extend_from_slice(k_row);
-        self.v.extend_from_slice(v_row);
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Key/latent row at position `pos`.
-    pub fn k_row(&self, pos: usize) -> &[f32] {
-        &self.k[pos * self.k_width..(pos + 1) * self.k_width]
-    }
-
-    /// Value row at position `pos`.
-    pub fn v_row(&self, pos: usize) -> &[f32] {
-        &self.v[pos * self.v_width..(pos + 1) * self.v_width]
-    }
-
-    /// Clears all cached positions (new conversation).
-    pub fn reset(&mut self) {
-        self.k.clear();
-        self.v.clear();
-        self.memo.clear();
-        self.len = 0;
-    }
-
-    /// Bytes currently held (the quantity MLA compresses).
-    ///
-    /// Counts only the authoritative cached rows — the state that must
-    /// persist or transfer on placement changes. The decoded-row memo
-    /// is reconstructible scratch, reported by
-    /// [`LayerCache::memo_bytes`].
-    pub fn bytes(&self) -> usize {
-        (self.k.len() + self.v.len()) * std::mem::size_of::<f32>()
-    }
-
-    /// Bytes held by the decoded-row memo.
-    pub fn memo_bytes(&self) -> usize {
-        self.memo.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Configures the decoded-row memo width, dropping any rows that
-    /// outlived the cached state they were decoded from.
-    pub fn memo_ensure(&mut self, width: usize) -> bool {
-        if width == 0 {
-            return false;
-        }
-        if self.memo_width != width {
-            self.memo.clear();
-            self.memo_width = width;
-        }
-        if self.memo.len() > self.len * width {
-            self.memo.truncate(self.len * width);
-        }
-        true
-    }
-
-    /// Positions currently present in the decoded-row memo.
-    pub fn memo_len(&self) -> usize {
-        self.memo
-            .len()
-            .checked_div(self.memo_width)
-            .unwrap_or_default()
-    }
-
-    /// Decoded-row memo width in floats (0 = memo unconfigured).
-    pub fn memo_width(&self) -> usize {
-        self.memo_width
-    }
-
-    /// Heap bytes retained by this cache's buffers, counting unused
-    /// `Vec` capacity and the memo. Unlike [`LayerCache::bytes`] this
-    /// survives a [`LayerCache::reset`] (which clears lengths but keeps
-    /// allocations), so pools can report what parked caches actually
-    /// cost in memory.
-    pub fn allocated_bytes(&self) -> usize {
-        (self.k.capacity() + self.v.capacity() + self.memo.capacity())
-            * std::mem::size_of::<f32>()
-    }
-
-    /// Appends one decoded row to the memo.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Exec`] on width mismatch or when the memo
-    /// would run ahead of the cached positions it mirrors.
-    pub fn memo_push(&mut self, row: &[f32]) -> Result<(), ModelError> {
-        if self.memo_width == 0 || row.len() != self.memo_width {
-            return Err(ModelError::exec(format!(
-                "memo row width {} does not match {}",
-                row.len(),
-                self.memo_width
-            )));
-        }
-        if self.memo_len() >= self.len {
-            return Err(ModelError::exec(
-                "decoded-row memo cannot run ahead of the cache",
-            ));
-        }
-        self.memo.extend_from_slice(row);
-        Ok(())
-    }
-
-    /// Decoded row at position `pos`.
-    pub fn memo_row(&self, pos: usize) -> &[f32] {
-        &self.memo[pos * self.memo_width..(pos + 1) * self.memo_width]
-    }
-}
-
-impl KvStore for LayerCache {
-    fn len(&self) -> usize {
-        LayerCache::len(self)
-    }
-
-    fn k_width(&self) -> usize {
-        LayerCache::k_width(self)
-    }
-
-    fn v_width(&self) -> usize {
-        LayerCache::v_width(self)
-    }
-
-    fn capacity(&self) -> usize {
-        LayerCache::capacity(self)
-    }
-
-    fn bytes(&self) -> usize {
-        LayerCache::bytes(self)
-    }
-
-    fn memo_width(&self) -> usize {
-        LayerCache::memo_width(self)
-    }
-
-    fn push(&mut self, k_row: &[f32], v_row: &[f32]) -> Result<(), ModelError> {
-        LayerCache::push(self, k_row, v_row)
-    }
-
-    fn k_row(&self, pos: usize) -> &[f32] {
-        LayerCache::k_row(self, pos)
-    }
-
-    fn v_row(&self, pos: usize) -> &[f32] {
-        LayerCache::v_row(self, pos)
-    }
-
-    fn memo_ensure(&mut self, width: usize) -> bool {
-        LayerCache::memo_ensure(self, width)
-    }
-
-    fn memo_len(&self) -> usize {
-        LayerCache::memo_len(self)
-    }
-
-    fn memo_push(&mut self, row: &[f32]) -> Result<(), ModelError> {
-        LayerCache::memo_push(self, row)
-    }
-
-    fn memo_row(&self, pos: usize) -> &[f32] {
-        LayerCache::memo_row(self, pos)
-    }
-}
-
-/// A two-tier KV cache: the most recent `window` positions stay in the
-/// fast (GPU) tier, older positions are evicted to the large (CPU/DRAM)
-/// tier. Reads from the slow tier are counted so deployments can size
-/// the window against their PCIe budget.
-///
-/// Eviction is strictly FIFO (attention reads every position each step
-/// anyway, so recency is the only useful policy without sparsity).
-///
-/// Keeps no decoded-row memo (the [`KvStore`] default): rows migrate
-/// between tiers, so attention re-materializes decoded rows from the
-/// logical view instead.
-#[derive(Debug, Clone)]
-pub struct OffloadedLayerCache {
-    /// Fast-tier rows, indexed by `pos - offloaded`.
-    gpu: LayerCache,
-    /// Slow-tier rows, indexed by `pos`.
-    cpu: LayerCache,
-    /// Fast-tier capacity in positions.
-    window: usize,
-    /// Positions evicted to the slow tier so far.
-    offloaded: usize,
-    /// Bytes moved fast -> slow (eviction traffic).
-    evicted_bytes: usize,
-}
-
-impl OffloadedLayerCache {
-    /// Creates a two-tier cache: `window` fast positions, `capacity`
-    /// total.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Config`] when `window` is zero or exceeds
-    /// `capacity`.
-    pub fn new(
-        k_width: usize,
-        v_width: usize,
-        window: usize,
-        capacity: usize,
-    ) -> Result<Self, ModelError> {
-        if window == 0 || window > capacity {
-            return Err(ModelError::config(format!(
-                "window {window} must be in 1..={capacity}"
-            )));
-        }
-        Ok(OffloadedLayerCache {
-            gpu: LayerCache::new(k_width, v_width, capacity),
-            cpu: LayerCache::new(k_width, v_width, capacity),
-            window,
-            offloaded: 0,
-            evicted_bytes: 0,
-        })
-    }
-
-    /// Positions currently in the fast tier.
-    pub fn fast_len(&self) -> usize {
-        self.gpu.len()
-    }
-
-    /// Positions evicted to the slow tier.
-    pub fn slow_len(&self) -> usize {
-        self.cpu.len()
-    }
-
-    /// Bytes moved to the slow tier so far.
-    pub fn evicted_bytes(&self) -> usize {
-        self.evicted_bytes
-    }
-
-    /// Bytes resident in the fast tier (the VRAM the window costs).
-    pub fn fast_bytes(&self) -> usize {
-        self.gpu.bytes()
-    }
-
-    fn maybe_evict(&mut self) -> Result<(), ModelError> {
-        // Evict the oldest fast row once the window is exceeded. The
-        // fast tier is a LayerCache without removal, so rebuild it —
-        // O(window) per eviction, acceptable for a reference
-        // implementation whose costs are modeled, not measured.
-        if self.gpu.len() <= self.window {
-            return Ok(());
-        }
-        let k0 = self.gpu.k_row(0).to_vec();
-        let v0 = self.gpu.v_row(0).to_vec();
-        self.cpu.push(&k0, &v0)?;
-        self.evicted_bytes += (k0.len() + v0.len()) * std::mem::size_of::<f32>();
-        let mut rebuilt = LayerCache::new(
-            self.gpu.k_width(),
-            self.gpu.v_width(),
-            self.gpu.capacity(),
-        );
-        for pos in 1..self.gpu.len() {
-            rebuilt.push(self.gpu.k_row(pos), self.gpu.v_row(pos))?;
-        }
-        self.gpu = rebuilt;
-        self.offloaded += 1;
-        Ok(())
-    }
-}
-
-impl KvStore for OffloadedLayerCache {
-    fn len(&self) -> usize {
-        self.offloaded + self.gpu.len()
-    }
-
-    fn k_width(&self) -> usize {
-        self.gpu.k_width()
-    }
-
-    fn v_width(&self) -> usize {
-        self.gpu.v_width()
-    }
-
-    fn capacity(&self) -> usize {
-        self.gpu.capacity()
-    }
-
-    fn push(&mut self, k_row: &[f32], v_row: &[f32]) -> Result<(), ModelError> {
-        self.gpu.push(k_row, v_row)?;
-        self.maybe_evict()
-    }
-
-    fn k_row(&self, pos: usize) -> &[f32] {
-        if pos < self.offloaded {
-            self.cpu.k_row(pos)
-        } else {
-            self.gpu.k_row(pos - self.offloaded)
-        }
-    }
-
-    fn v_row(&self, pos: usize) -> &[f32] {
-        if pos < self.offloaded {
-            self.cpu.v_row(pos)
-        } else {
-            self.gpu.v_row(pos - self.offloaded)
-        }
-    }
-}
-
-/// One layer's backing store inside a [`KvCache`]: flat (one
-/// `max_seq`-sized buffer per layer) or paged (a page table over a
-/// shared [`BlockAllocator`]).
-#[derive(Debug, Clone)]
-enum LayerStore {
-    Flat(LayerCache),
-    Paged(PagedKvStore),
-}
-
-impl LayerStore {
-    fn store(&self) -> &dyn KvStore {
-        match self {
-            LayerStore::Flat(l) => l,
-            LayerStore::Paged(p) => p,
-        }
-    }
-
-    fn store_mut(&mut self) -> &mut dyn KvStore {
-        match self {
-            LayerStore::Flat(l) => l,
-            LayerStore::Paged(p) => p,
-        }
-    }
-}
+use crate::paged::{BlockAllocator, PagedKvStore, DEFAULT_PAGE_ROWS};
 
 /// All layers' caches for one sequence.
 ///
-/// Layers are either all flat ([`KvCache::new`]) or all paged
-/// ([`KvCache::new_paged`]); both expose the same [`KvStore`] view, so
-/// attention, the engine, and the prefix cache never branch on the
-/// backing representation.
+/// Cloning is copy-on-write: the clone references the same pages, and
+/// whichever side writes into a shared page first copies it.
 #[derive(Debug, Clone)]
 pub struct KvCache {
-    layers: Vec<LayerStore>,
+    layers: Vec<PagedKvStore>,
 }
 
 impl KvCache {
-    /// Builds flat caches from per-layer `(k_width, v_width)` specs.
+    /// Builds a standalone cache from per-layer `(k_width, v_width)`
+    /// specs: pages of [`DEFAULT_PAGE_ROWS`] positions on a private
+    /// unbounded allocator, so `capacity` is the only bound.
     pub fn new(specs: &[(usize, usize)], capacity: usize) -> Self {
-        KvCache {
-            layers: specs
-                .iter()
-                .map(|&(kw, vw)| LayerStore::Flat(LayerCache::new(kw, vw, capacity)))
-                .collect(),
-        }
+        let alloc = BlockAllocator::new(usize::MAX);
+        KvCache::new_paged(specs, capacity, &alloc, DEFAULT_PAGE_ROWS)
     }
 
-    /// Builds paged caches drawing pages of `page_rows` positions from
+    /// Builds a cache drawing pages of `page_rows` positions from
     /// `alloc`. `capacity` stays the logical per-sequence limit (the
     /// engine validates it against `max_seq`); actual memory is
     /// allocated page-by-page as positions arrive.
@@ -529,9 +39,7 @@ impl KvCache {
         KvCache {
             layers: specs
                 .iter()
-                .map(|&(kw, vw)| {
-                    LayerStore::Paged(PagedKvStore::new(kw, vw, capacity, page_rows, alloc))
-                })
+                .map(|&(kw, vw)| PagedKvStore::new(kw, vw, capacity, page_rows, alloc))
                 .collect(),
         }
     }
@@ -543,237 +51,66 @@ impl KvCache {
 
     /// Sequence length (positions cached in layer 0).
     pub fn seq_len(&self) -> usize {
-        self.layers.first().map_or(0, |l| l.store().len())
+        self.layers.first().map_or(0, PagedKvStore::len)
     }
 
-    /// Whether layers are page-table backed.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.layers.first(), Some(LayerStore::Paged(_)))
+    /// Mutable access to one layer's store.
+    pub fn layer_mut(&mut self, i: usize) -> &mut PagedKvStore {
+        &mut self.layers[i]
     }
 
-    /// Positions per page when paged.
-    pub fn page_rows(&self) -> Option<usize> {
-        match self.layers.first() {
-            Some(LayerStore::Paged(p)) => Some(p.page_rows()),
-            _ => None,
-        }
+    /// Shared access to one layer's store.
+    pub fn layer(&self, i: usize) -> &PagedKvStore {
+        &self.layers[i]
     }
 
-    /// Mutable access to one layer's cache.
-    pub fn layer_mut(&mut self, i: usize) -> &mut dyn KvStore {
-        self.layers[i].store_mut()
+    /// Whether every layer draws `page_rows`-row pages from `alloc` —
+    /// what a pool checks before parking a returned cache.
+    pub fn is_backed_by(&self, alloc: &BlockAllocator, page_rows: usize) -> bool {
+        self.layers.iter().all(|l| l.is_backed_by(alloc, page_rows))
     }
 
-    /// Shared access to one layer's cache.
-    pub fn layer(&self, i: usize) -> &dyn KvStore {
-        self.layers[i].store()
-    }
-
-    /// One layer's page table, when paged.
-    pub fn layer_paged(&self, i: usize) -> Option<&PagedKvStore> {
-        match &self.layers[i] {
-            LayerStore::Paged(p) => Some(p),
-            LayerStore::Flat(_) => None,
-        }
-    }
-
-    /// Mutable page table for one layer, when paged.
-    pub fn layer_paged_mut(&mut self, i: usize) -> Option<&mut PagedKvStore> {
-        match &mut self.layers[i] {
-            LayerStore::Paged(p) => Some(p),
-            LayerStore::Flat(_) => None,
-        }
-    }
-
-    /// Clears all layers (paged layers return their uniquely-held
-    /// pages to the allocator).
+    /// Clears all layers, returning their uniquely-held pages to the
+    /// allocator.
     pub fn reset(&mut self) {
         for l in &mut self.layers {
-            match l {
-                LayerStore::Flat(c) => c.reset(),
-                LayerStore::Paged(p) => p.reset(),
-            }
+            l.reset();
         }
     }
 
-    /// Pages this cache's page tables currently reference (0 for flat
-    /// caches). Shared pages count once per referencing cache.
+    /// Pages this cache's page tables currently reference. Shared
+    /// pages count once per referencing cache.
     pub fn pages_held(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                LayerStore::Flat(_) => 0,
-                LayerStore::Paged(p) => p.pages().len(),
-            })
-            .sum()
+        self.layers.iter().map(|l| l.pages().len()).sum()
     }
 
     /// Pages only this cache references — what a release actually
     /// returns to the allocator (shared pages just lose a reference).
     pub fn pages_owned(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                LayerStore::Flat(_) => 0,
-                LayerStore::Paged(p) => p.owned_pages(),
-            })
-            .sum()
+        self.layers.iter().map(PagedKvStore::owned_pages).sum()
     }
 
     /// Total cached bytes across layers (authoritative rows only).
     pub fn bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.store().bytes()).sum()
+        self.layers.iter().map(PagedKvStore::bytes).sum()
     }
 
     /// Total decoded-row memo bytes across layers (reconstructible
     /// scratch, kept separate from [`KvCache::bytes`]).
     pub fn memo_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                LayerStore::Flat(c) => c.memo_bytes(),
-                LayerStore::Paged(p) => p.memo_bytes(),
-            })
-            .sum()
+        self.layers.iter().map(PagedKvStore::memo_bytes).sum()
     }
 
-    /// Heap bytes retained across layers, including unused capacity
-    /// and memos (see [`LayerCache::allocated_bytes`]).
+    /// Bytes kept alive across layers: whole pages plus memo capacity
+    /// (see [`PagedKvStore::allocated_bytes`]).
     pub fn allocated_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                LayerStore::Flat(c) => c.allocated_bytes(),
-                LayerStore::Paged(p) => p.allocated_bytes(),
-            })
-            .sum()
+        self.layers.iter().map(PagedKvStore::allocated_bytes).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn push_and_read_round_trip() {
-        let mut c = LayerCache::new(4, 2, 8);
-        c.push(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0]).unwrap();
-        c.push(&[7.0, 8.0, 9.0, 10.0], &[11.0, 12.0]).unwrap();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.k_row(0), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(c.v_row(1), &[11.0, 12.0]);
-    }
-
-    #[test]
-    fn capacity_is_enforced() {
-        let mut c = LayerCache::new(2, 2, 1);
-        c.push(&[0.0; 2], &[0.0; 2]).unwrap();
-        assert!(c.push(&[0.0; 2], &[0.0; 2]).is_err());
-    }
-
-    #[test]
-    fn width_mismatch_is_rejected() {
-        let mut c = LayerCache::new(4, 2, 8);
-        assert!(c.push(&[0.0; 3], &[0.0; 2]).is_err());
-        assert!(c.push(&[0.0; 4], &[0.0; 1]).is_err());
-        assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn zero_width_values_for_mla() {
-        let mut c = LayerCache::new(8, 0, 4);
-        c.push(&[0.5; 8], &[]).unwrap();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.v_row(0), &[] as &[f32]);
-        assert_eq!(c.bytes(), 32);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = LayerCache::new(2, 2, 4);
-        c.push(&[1.0; 2], &[2.0; 2]).unwrap();
-        c.reset();
-        assert!(c.is_empty());
-        c.push(&[3.0; 2], &[4.0; 2]).unwrap();
-        assert_eq!(c.k_row(0), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn offloaded_cache_preserves_logical_view() {
-        let mut plain = LayerCache::new(3, 2, 32);
-        let mut tiered = OffloadedLayerCache::new(3, 2, 4, 32).unwrap();
-        for pos in 0..10 {
-            let k = [pos as f32; 3];
-            let v = [pos as f32 * 10.0; 2];
-            KvStore::push(&mut plain, &k, &v).unwrap();
-            tiered.push(&k, &v).unwrap();
-        }
-        assert_eq!(KvStore::len(&tiered), 10);
-        assert_eq!(tiered.fast_len(), 4);
-        assert_eq!(tiered.slow_len(), 6);
-        for pos in 0..10 {
-            assert_eq!(KvStore::k_row(&plain, pos), KvStore::k_row(&tiered, pos));
-            assert_eq!(KvStore::v_row(&plain, pos), KvStore::v_row(&tiered, pos));
-        }
-    }
-
-    #[test]
-    fn offloaded_cache_counts_eviction_traffic() {
-        let mut tiered = OffloadedLayerCache::new(4, 4, 2, 16).unwrap();
-        for _ in 0..5 {
-            tiered.push(&[0.0; 4], &[0.0; 4]).unwrap();
-        }
-        // 3 evictions x 8 f32 = 96 bytes.
-        assert_eq!(tiered.evicted_bytes(), 3 * 8 * 4);
-        // Fast tier holds exactly the window.
-        assert_eq!(tiered.fast_bytes(), 2 * 8 * 4);
-    }
-
-    #[test]
-    fn offloaded_cache_validates_window() {
-        assert!(OffloadedLayerCache::new(4, 4, 0, 8).is_err());
-        assert!(OffloadedLayerCache::new(4, 4, 9, 8).is_err());
-        assert!(OffloadedLayerCache::new(4, 4, 8, 8).is_ok());
-    }
-
-    #[test]
-    fn memo_tracks_cache_and_heals_on_shrink() {
-        let mut c = LayerCache::new(4, 0, 8);
-        assert!(c.memo_ensure(6));
-        // Memo cannot run ahead of the cached positions.
-        assert!(c.memo_push(&[0.0; 6]).is_err());
-        c.push(&[1.0; 4], &[]).unwrap();
-        c.push(&[2.0; 4], &[]).unwrap();
-        c.memo_push(&[0.5; 6]).unwrap();
-        c.memo_push(&[1.5; 6]).unwrap();
-        assert_eq!(c.memo_len(), 2);
-        assert_eq!(c.memo_row(1), &[1.5; 6]);
-        assert_eq!(c.memo_bytes(), 2 * 6 * 4);
-        // The memo never counts toward the authoritative cache bytes.
-        assert_eq!(c.bytes(), 2 * 4 * 4);
-        // Width mismatch is rejected...
-        assert!(c.memo_push(&[0.0; 5]).is_err());
-        // ...and reconfiguring the width drops the stale rows.
-        assert!(c.memo_ensure(10));
-        assert_eq!(c.memo_len(), 0);
-        // After a reset the memo is gone too: it may never describe
-        // positions the cache no longer holds.
-        c.memo_ensure(6);
-        c.memo_push(&[0.25; 6]).unwrap();
-        c.reset();
-        assert_eq!(c.memo_len(), 0);
-        c.push(&[3.0; 4], &[]).unwrap();
-        assert!(c.memo_ensure(6));
-        assert_eq!(c.memo_len(), 0);
-    }
-
-    #[test]
-    fn offloaded_cache_keeps_no_memo() {
-        let mut tiered = OffloadedLayerCache::new(4, 4, 2, 16).unwrap();
-        assert!(!tiered.memo_ensure(8));
-        assert_eq!(KvStore::memo_len(&tiered), 0);
-        assert!(tiered.memo_push(&[0.0; 8]).is_err());
-    }
 
     #[test]
     fn multi_layer_cache_tracks_seq_len() {
@@ -786,5 +123,65 @@ mod tests {
         assert!(kv.bytes() > 0);
         kv.reset();
         assert_eq!(kv.seq_len(), 0);
+    }
+
+    #[test]
+    fn standalone_cache_is_bounded_by_capacity_only() {
+        // Far more rows than one page, on the private allocator.
+        let rows = 5 * DEFAULT_PAGE_ROWS + 3;
+        let mut kv = KvCache::new(&[(2, 2)], rows);
+        for pos in 0..rows {
+            kv.layer_mut(0).push(&[pos as f32; 2], &[0.0; 2]).unwrap();
+        }
+        assert!(kv.layer_mut(0).push(&[0.0; 2], &[0.0; 2]).is_err());
+        assert_eq!(kv.pages_held(), 6);
+        assert_eq!(kv.layer(0).k_row(rows - 1), &[(rows - 1) as f32; 2]);
+    }
+
+    #[test]
+    fn clone_diverges_privately() {
+        // Clone semantics are copy-on-write: both sides reference the
+        // same partially-filled tail page until one of them writes.
+        let mut original = KvCache::new(&[(3, 2), (4, 0)], 64);
+        for pos in 0..DEFAULT_PAGE_ROWS + 5 {
+            let x = pos as f32;
+            original.layer_mut(0).push(&[x, -x, 0.5], &[x; 2]).unwrap();
+            original.layer_mut(1).push(&[x * 3.0; 4], &[]).unwrap();
+        }
+        // Every layer's K and V bits at `pos`.
+        let bits = |cache: &KvCache, pos: usize| -> Vec<u32> {
+            (0..cache.n_layers())
+                .flat_map(|i| {
+                    let l = cache.layer(i);
+                    l.k_row(pos).iter().chain(l.v_row(pos)).map(|f| f.to_bits())
+                })
+                .collect()
+        };
+        let snapshot: Vec<Vec<u32>> =
+            (0..original.seq_len()).map(|pos| bits(&original, pos)).collect();
+
+        let mut clone = original.clone();
+        assert_eq!(clone.pages_owned(), 0, "every page starts shared");
+        // Write past the shared tail page, then on into a fresh page.
+        for pos in 0..DEFAULT_PAGE_ROWS {
+            clone.layer_mut(0).push(&[9e9; 3], &[9e9; 2]).unwrap();
+            clone.layer_mut(1).push(&[9e9; 4], &[]).unwrap();
+            assert_eq!(clone.seq_len(), original.seq_len() + pos + 1);
+        }
+
+        assert_eq!(original.seq_len(), snapshot.len());
+        for (pos, want) in snapshot.iter().enumerate() {
+            assert_eq!(
+                &bits(&original, pos),
+                want,
+                "original row {pos} changed under the clone's writes"
+            );
+        }
+        // The original appends into its own tail page in place: the
+        // clone's copy-on-write left it the sole holder.
+        let held = original.pages_held();
+        original.layer_mut(0).push(&[1.0; 3], &[1.0; 2]).unwrap();
+        assert_eq!(original.pages_held(), held);
+        assert_eq!(clone.layer(0).k_row(snapshot.len()), &[9e9; 3]);
     }
 }

@@ -14,14 +14,14 @@
 //! * [`gating`] — top-k and grouped top-k routers with shared experts,
 //!   softmax/sigmoid scoring and routed scaling, as used by
 //!   DeepSeek-V2/V3 and Qwen2.
-//! * [`kvcache`] — per-layer KV caches.
-//! * [`paged`] — fixed-size KV pages behind a pool-wide ref-counted
+//! * [`kvcache`] — the per-sequence KV cache: one page table per layer.
+//! * [`paged`] — the KV store: fixed-size pages behind a ref-counted
 //!   block allocator (admission by pages actually needed, copy-on-write
 //!   sharing, swap tier for preemption).
 //! * [`pool`] — a bounded lease/release pool of per-sequence caches
 //!   (the admission-control valve of the serving layer).
 //! * [`prefix`] — a token-keyed radix index of frozen KV snapshots for
-//!   shared-prefix reuse (copy-on-write leases, LRU-by-bytes budget).
+//!   shared-prefix reuse (zero-copy page sharing, LRU-by-bytes budget).
 //! * [`model`] — the end-to-end causal LM with three execution modes:
 //!   standard, **Expert Deferral** (§4: deferred experts' outputs are
 //!   injected one MoE layer later) and **Expert Skipping** (the Figure
@@ -45,7 +45,7 @@ pub mod tokenizer;
 pub use config::{AttentionKind, ModelConfig, ModelPreset};
 pub use error::ModelError;
 pub use gating::{GateConfig, Router, ScoreFunc};
-pub use kvcache::{KvCache, KvStore, LayerCache, OffloadedLayerCache};
+pub use kvcache::KvCache;
 pub use model::{ExecMode, MoeModel};
 pub use paged::{BlockAllocator, PageStats, PagedKvStore, SwappedKv, DEFAULT_PAGE_ROWS};
 pub use pool::{CacheLease, KvCachePool, PoolOccupancy};

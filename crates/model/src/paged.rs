@@ -1,22 +1,20 @@
-//! Paged KV storage: fixed-size pages behind a pool-wide block
-//! allocator.
+//! Paged KV storage: fixed-size pages behind a block allocator.
 //!
-//! The monolithic [`crate::kvcache::LayerCache`] sizes every sequence
-//! for `max_seq` positions, so a pool of them admits by worst case:
-//! concurrency is capped at `pool_bytes / max_seq_bytes` no matter how
-//! short the actual sequences are. This module stores KV state in
-//! fixed-size **pages** of [`PagedKvStore::page_rows`] positions
-//! instead, allocated on demand from a shared [`BlockAllocator`], so a
-//! sequence holds exactly `ceil(len / page_rows)` pages per layer and
-//! admission can count *pages actually needed*.
+//! KV state lives in fixed-size **pages** of
+//! [`PagedKvStore::page_rows`] positions, allocated on demand from a
+//! shared [`BlockAllocator`], so a sequence holds exactly
+//! `ceil(len / page_rows)` pages per layer and admission can count
+//! *pages actually needed* instead of reserving `max_seq` positions
+//! per sequence.
 //!
 //! Pages are ref-counted (`Arc<PageData>`) and immutable-once-shared:
 //!
 //! * a store that uniquely owns a page writes into it in place;
 //! * a page whose `Arc` is held elsewhere (a prefix-cache segment,
-//!   another lease seeded from the same prefix) is **copy-on-write**:
-//!   the first divergent write clones the page into a fresh private
-//!   one from the allocator and replaces the shared reference.
+//!   another lease seeded from the same prefix, a clone of the store)
+//!   is **copy-on-write**: the first divergent write clones the page
+//!   into a fresh private one from the allocator and replaces the
+//!   shared reference.
 //!
 //! Accounting is by construction rather than by convention: every
 //! `PageData` holds a weak handle to its allocator and returns itself
@@ -25,21 +23,20 @@
 //! observable as `allocated > 0` in [`BlockAllocator::stats`] after
 //! every holder is gone.
 //!
-//! The decoded-row memo (MLA) stays a flat per-store scratch buffer,
-//! exactly as in `LayerCache`: it is reconstructible from the
-//! authoritative rows bit-for-bit (the engine proves this), is dropped
-//! on every placement change anyway, and therefore never needs to be
-//! paged, shared, or swapped.
+//! The decoded-row memo (MLA) is a flat per-store scratch buffer, not
+//! page-backed: it is reconstructible from the authoritative rows
+//! bit-for-bit (the engine proves this), is dropped on every placement
+//! change anyway, and therefore never needs to be shared or swapped.
+//! It is excluded from [`PagedKvStore::bytes`].
 //!
 //! [`SwappedKv`] is the preemption tier: a flat, offloaded copy of a
-//! whole cache's authoritative rows. Swap-out reads through the
-//! [`KvStore`] trait and swap-in pushes the rows back, so the round
-//! trip is bitwise exact for flat and paged caches alike.
+//! whole cache's authoritative rows. Swap-out reads the rows and
+//! swap-in pushes them back, so the round trip is bitwise exact.
 
 use std::sync::{Arc, Mutex, Weak};
 
 use crate::error::ModelError;
-use crate::kvcache::{KvCache, KvStore};
+use crate::kvcache::KvCache;
 
 /// Default page size in positions (rows per page).
 pub const DEFAULT_PAGE_ROWS: usize = 16;
@@ -253,11 +250,10 @@ impl std::fmt::Debug for BlockAllocator {
     }
 }
 
-/// One layer's KV state as a page table over allocator pages.
-///
-/// Implements [`KvStore`], so attention reads it exactly like a flat
-/// [`crate::kvcache::LayerCache`]; rows stay contiguous within a page,
-/// which is all the attention kernels need.
+/// One layer's KV state as a page table over allocator pages: what
+/// attention needs from a cache. Rows are positions and stay contiguous
+/// within a page; `k_width`/`v_width` depend on the attention kind
+/// (GQA: `kv_heads * head_dim` each; MLA: latent rank and 0).
 #[derive(Debug, Clone)]
 pub struct PagedKvStore {
     pages: Vec<Arc<PageData>>,
@@ -267,8 +263,8 @@ pub struct PagedKvStore {
     page_rows: usize,
     capacity: usize,
     alloc: BlockAllocator,
-    /// Decoded-row memo: flat scratch, never paged or shared (see the
-    /// module docs).
+    /// Decoded-row memo (see [`PagedKvStore::memo_ensure`]): flat
+    /// scratch, never paged or shared (see the module docs).
     memo: Vec<f32>,
     memo_width: usize,
 }
@@ -319,6 +315,12 @@ impl PagedKvStore {
     /// Pages currently shared with another holder.
     pub fn shared_pages(&self) -> usize {
         self.pages.len() - self.owned_pages()
+    }
+
+    /// Whether this store draws `page_rows`-row pages from `alloc`
+    /// (the same pool, not merely an equal one).
+    pub fn is_backed_by(&self, alloc: &BlockAllocator, page_rows: usize) -> bool {
+        self.page_rows == page_rows && Arc::ptr_eq(&self.alloc.inner, &alloc.inner)
     }
 
     /// Appends one *full* shared page by reference (the zero-copy half
@@ -386,8 +388,9 @@ impl PagedKvStore {
         self.memo.clear();
     }
 
-    /// Bytes of authoritative rows currently cached (by position, as
-    /// in `LayerCache::bytes` — unused page tails excluded).
+    /// Bytes of authoritative rows currently cached — the state that
+    /// must persist or transfer on placement changes. Unused page
+    /// tails and the memo are excluded.
     pub fn bytes(&self) -> usize {
         self.len * (self.k_width + self.v_width) * std::mem::size_of::<f32>()
     }
@@ -403,26 +406,40 @@ impl PagedKvStore {
     pub fn memo_bytes(&self) -> usize {
         self.memo.len() * std::mem::size_of::<f32>()
     }
-}
 
-impl KvStore for PagedKvStore {
-    fn len(&self) -> usize {
+    /// Number of cached positions.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn k_width(&self) -> usize {
+    /// Whether no positions are cached.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Key (or latent) row width in floats.
+    pub fn k_width(&self) -> usize {
         self.k_width
     }
 
-    fn v_width(&self) -> usize {
+    /// Value row width in floats.
+    pub fn v_width(&self) -> usize {
         self.v_width
     }
 
-    fn capacity(&self) -> usize {
+    /// Maximum positions this store will accept.
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    fn push(&mut self, k_row: &[f32], v_row: &[f32]) -> Result<(), ModelError> {
+    /// Appends one position.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Exec`] when full, on width mismatch, or
+    /// when the allocator has no page left; a failed push changes
+    /// nothing.
+    pub fn push(&mut self, k_row: &[f32], v_row: &[f32]) -> Result<(), ModelError> {
         if self.len >= self.capacity {
             return Err(ModelError::exec(format!(
                 "KV cache full at {} positions",
@@ -452,40 +469,53 @@ impl KvStore for PagedKvStore {
         Ok(())
     }
 
-    fn k_row(&self, pos: usize) -> &[f32] {
+    /// Key (or latent) row at `pos`.
+    pub fn k_row(&self, pos: usize) -> &[f32] {
         self.pages[pos / self.page_rows].k_row(pos % self.page_rows)
     }
 
-    fn v_row(&self, pos: usize) -> &[f32] {
+    /// Value row at `pos`.
+    pub fn v_row(&self, pos: usize) -> &[f32] {
         self.pages[pos / self.page_rows].v_row(pos % self.page_rows)
     }
 
-    fn memo_ensure(&mut self, width: usize) -> bool {
-        if width == 0 {
-            return false;
-        }
+    /// Configures the decoded-row memo to `width` floats per position.
+    ///
+    /// The memo is an acceleration tier for attention variants whose
+    /// cached rows are not directly usable (MLA caches compressed
+    /// latents): rows that are expensive to recompute each step but
+    /// always reconstructible from the authoritative cached rows. A
+    /// width change drops every memo row, and rows beyond `len()` are
+    /// dropped here too, so a stale memo can never outlive the state
+    /// it was decoded from.
+    pub fn memo_ensure(&mut self, width: usize) {
         if self.memo_width != width {
             self.memo.clear();
             self.memo_width = width;
         }
-        if self.memo.len() > self.len * width {
-            self.memo.truncate(self.len * width);
-        }
-        true
+        self.memo.truncate(self.len * width);
     }
 
-    fn memo_len(&self) -> usize {
+    /// Positions currently present in the decoded-row memo.
+    pub fn memo_len(&self) -> usize {
         self.memo
             .len()
             .checked_div(self.memo_width)
             .unwrap_or_default()
     }
 
-    fn memo_width(&self) -> usize {
+    /// Decoded-row memo width in floats (0 = memo unconfigured).
+    pub fn memo_width(&self) -> usize {
         self.memo_width
     }
 
-    fn memo_push(&mut self, row: &[f32]) -> Result<(), ModelError> {
+    /// Appends one decoded row to the memo.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Exec`] on width mismatch or when the memo
+    /// would run ahead of the cached positions it mirrors.
+    pub fn memo_push(&mut self, row: &[f32]) -> Result<(), ModelError> {
         if self.memo_width == 0 || row.len() != self.memo_width {
             return Err(ModelError::exec(format!(
                 "memo row width {} does not match {}",
@@ -493,7 +523,7 @@ impl KvStore for PagedKvStore {
                 self.memo_width
             )));
         }
-        if KvStore::memo_len(self) >= self.len {
+        if self.memo_len() >= self.len {
             return Err(ModelError::exec(
                 "decoded-row memo cannot run ahead of the cache",
             ));
@@ -502,8 +532,14 @@ impl KvStore for PagedKvStore {
         Ok(())
     }
 
-    fn memo_row(&self, pos: usize) -> &[f32] {
-        &self.memo[pos * self.memo_width..(pos + 1) * self.memo_width]
+    /// Decoded row at `pos` (must be `< memo_len()`).
+    pub fn memo_row(&self, pos: usize) -> &[f32] {
+        self.memo_rows(pos..pos + 1)
+    }
+
+    /// Decoded rows `range`, contiguous (`range.end <= memo_len()`).
+    pub fn memo_rows(&self, range: std::ops::Range<usize>) -> &[f32] {
+        &self.memo[range.start * self.memo_width..range.end * self.memo_width]
     }
 }
 
@@ -513,11 +549,10 @@ pub fn pages_for_rows(rows: usize, page_rows: usize) -> usize {
 }
 
 /// A flat, offloaded copy of one cache's authoritative KV rows — the
-/// swap tier a preempted sequence's pages move to. Captured through
-/// the [`KvStore`] trait and restored by pushing rows back, so the
-/// round trip is bitwise exact for flat and paged caches alike. The
-/// decoded-row memo is deliberately not captured: it rebuilds
-/// bit-identically from the restored rows.
+/// swap tier a preempted sequence's pages move to. Captured by reading
+/// rows and restored by pushing them back, so the round trip is
+/// bitwise exact. The decoded-row memo is deliberately not captured:
+/// it rebuilds bit-identically from the restored rows.
 #[derive(Debug, Clone)]
 pub struct SwappedKv {
     layers: Vec<SwappedLayer>,
@@ -575,8 +610,8 @@ impl SwappedKv {
     /// # Errors
     ///
     /// Returns [`ModelError::Exec`] when the cache is not empty, its
-    /// layout does not match, or (paged) the allocator runs out of
-    /// pages mid-restore.
+    /// layout does not match, or the allocator runs out of pages
+    /// mid-restore.
     pub fn restore(&self, cache: &mut KvCache) -> Result<(), ModelError> {
         if cache.seq_len() != 0 {
             return Err(ModelError::exec("swap-in requires an empty KV cache"));
@@ -639,25 +674,44 @@ mod tests {
     }
 
     #[test]
-    fn paged_store_matches_flat_reads() {
-        use crate::kvcache::LayerCache;
+    fn push_and_read_round_trip_across_pages() {
         let alloc = BlockAllocator::new(64);
-        let mut flat = LayerCache::new(3, 2, 40);
-        let mut paged = PagedKvStore::new(3, 2, 40, 4, &alloc);
+        let mut s = PagedKvStore::new(3, 2, 40, 4, &alloc);
+        let row = |pos: usize| ([pos as f32, pos as f32 * 2.0, 0.5], [pos as f32 * 10.0, 1.0]);
         for pos in 0..23 {
-            let k = [pos as f32, pos as f32 * 2.0, 0.5];
-            let v = [pos as f32 * 10.0, 1.0];
-            KvStore::push(&mut flat, &k, &v).unwrap();
-            paged.push(&k, &v).unwrap();
+            let (k, v) = row(pos);
+            s.push(&k, &v).unwrap();
         }
-        assert_eq!(KvStore::len(&paged), 23);
-        assert_eq!(paged.pages().len(), 6, "ceil(23/4) pages");
+        assert_eq!(s.len(), 23);
+        assert_eq!(s.pages().len(), 6, "ceil(23/4) pages");
         for pos in 0..23 {
-            assert_eq!(KvStore::k_row(&flat, pos), KvStore::k_row(&paged, pos));
-            assert_eq!(KvStore::v_row(&flat, pos), KvStore::v_row(&paged, pos));
+            let (k, v) = row(pos);
+            assert_eq!(s.k_row(pos), &k);
+            assert_eq!(s.v_row(pos), &v);
         }
-        paged.reset();
+        s.reset();
         assert_eq!(alloc.allocated_pages(), 0, "reset frees every page");
+    }
+
+    #[test]
+    fn zero_width_values_for_mla() {
+        let alloc = BlockAllocator::new(8);
+        let mut s = PagedKvStore::new(8, 0, 4, 4, &alloc);
+        s.push(&[0.5; 8], &[]).unwrap();
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.v_row(0), &[] as &[f32]);
+        assert_eq!(s.bytes(), 32);
+    }
+
+    #[test]
+    fn reset_clears_state() {
+        let alloc = BlockAllocator::new(8);
+        let mut s = PagedKvStore::new(2, 2, 4, 4, &alloc);
+        s.push(&[1.0; 2], &[2.0; 2]).unwrap();
+        s.reset();
+        assert!(s.is_empty());
+        s.push(&[3.0; 2], &[4.0; 2]).unwrap();
+        assert_eq!(s.k_row(0), &[3.0, 3.0]);
     }
 
     #[test]
@@ -669,18 +723,20 @@ mod tests {
         }
         let err = s.push(&[0.0; 2], &[0.0; 2]);
         assert!(err.is_err(), "second page cannot be allocated");
-        assert_eq!(KvStore::len(&s), 4, "failed push changes nothing");
+        assert_eq!(s.len(), 4, "failed push changes nothing");
     }
 
     #[test]
     fn capacity_and_width_checks() {
         let alloc = BlockAllocator::new(8);
-        let mut s = PagedKvStore::new(2, 2, 3, 4, &alloc);
+        let mut s = PagedKvStore::new(4, 2, 3, 4, &alloc);
+        assert!(s.push(&[0.0; 3], &[0.0; 2]).is_err(), "k width");
+        assert!(s.push(&[0.0; 4], &[0.0; 1]).is_err(), "v width");
+        assert_eq!(s.len(), 0, "a rejected push changes nothing");
         for _ in 0..3 {
-            s.push(&[0.0; 2], &[0.0; 2]).unwrap();
+            s.push(&[0.0; 4], &[0.0; 2]).unwrap();
         }
-        assert!(s.push(&[0.0; 2], &[0.0; 2]).is_err(), "capacity enforced");
-        assert!(s.push(&[0.0; 1], &[0.0; 2]).is_err());
+        assert!(s.push(&[0.0; 4], &[0.0; 2]).is_err(), "capacity enforced");
     }
 
     #[test]
@@ -697,10 +753,10 @@ mod tests {
         assert_eq!(alloc.allocated_pages(), 1, "sharing allocates nothing");
 
         // Writing through a (its page is now shared) must CoW.
-        let before_b: Vec<f32> = KvStore::k_row(&b, 1).to_vec();
+        let before_b: Vec<f32> = b.k_row(1).to_vec();
         a.page_mut(0).unwrap().write_row(1, &[99.0, 99.0], &[99.0]);
-        assert_eq!(KvStore::k_row(&a, 1), &[99.0, 99.0]);
-        assert_eq!(KvStore::k_row(&b, 1), before_b.as_slice(), "b unchanged");
+        assert_eq!(a.k_row(1), &[99.0, 99.0]);
+        assert_eq!(b.k_row(1), before_b.as_slice(), "b unchanged");
         assert_eq!(alloc.allocated_pages(), 2, "CoW allocated a private copy");
         assert_eq!(b.shared_pages(), 0, "pages no longer alias");
     }
@@ -723,17 +779,31 @@ mod tests {
     }
 
     #[test]
-    fn memo_behaves_like_layer_cache() {
+    fn memo_tracks_cache_and_heals_on_shrink() {
         let alloc = BlockAllocator::new(8);
-        let mut s = PagedKvStore::new(4, 0, 32, 4, &alloc);
-        assert!(s.memo_ensure(6));
+        let mut s = PagedKvStore::new(4, 0, 8, 4, &alloc);
+        s.memo_ensure(6);
         assert!(s.memo_push(&[0.0; 6]).is_err(), "memo cannot run ahead");
         s.push(&[1.0; 4], &[]).unwrap();
+        s.push(&[2.0; 4], &[]).unwrap();
         s.memo_push(&[0.5; 6]).unwrap();
-        assert_eq!(KvStore::memo_len(&s), 1);
-        assert_eq!(KvStore::memo_row(&s, 0), &[0.5; 6]);
-        assert!(s.memo_ensure(8));
-        assert_eq!(KvStore::memo_len(&s), 0, "width change drops stale rows");
+        s.memo_push(&[1.5; 6]).unwrap();
+        assert_eq!(s.memo_len(), 2);
+        assert_eq!(s.memo_row(1), &[1.5; 6]);
+        assert_eq!(s.memo_bytes(), 2 * 6 * 4);
+        assert_eq!(s.bytes(), 2 * 4 * 4, "memo never counts as cache bytes");
+        assert!(s.memo_push(&[0.0; 5]).is_err(), "width mismatch");
+        s.memo_ensure(10);
+        assert_eq!(s.memo_len(), 0, "width change drops stale rows");
+        // After a reset the memo is gone too: it may never describe
+        // positions the cache no longer holds.
+        s.memo_ensure(6);
+        s.memo_push(&[0.25; 6]).unwrap();
+        s.reset();
+        assert_eq!(s.memo_len(), 0);
+        s.push(&[3.0; 4], &[]).unwrap();
+        s.memo_ensure(6);
+        assert_eq!(s.memo_len(), 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! A pool of per-sequence KV caches for multi-request serving.
 //!
-//! A continuous-batching server admits a request only when a cache is
-//! available, so the pool doubles as the admission-control valve: it
-//! bounds resident KV memory at `max_leases` caches and recycles
-//! released allocations instead of reallocating per request.
+//! A continuous-batching server admits a request only when a cache and
+//! the pages its prompt needs are available, so the pool doubles as the
+//! admission-control valve: one [`BlockAllocator`] bounds resident KV
+//! memory across every lease and the prefix index, and `max_leases`
+//! bounds concurrency.
 //!
 //! Leases are move-only tokens: [`KvCachePool::lease`] hands out a
 //! [`CacheLease`] owning its cache, and only [`KvCachePool::release`]
@@ -17,7 +18,7 @@ use std::sync::Mutex;
 
 use crate::error::ModelError;
 use crate::kvcache::KvCache;
-use crate::paged::{pages_for_rows, BlockAllocator, PageStats};
+use crate::paged::{pages_for_rows, BlockAllocator, PageStats, DEFAULT_PAGE_ROWS};
 use crate::prefix::{PrefixCache, PrefixCacheConfig, PrefixStats};
 
 /// Source of process-unique pool tags, so a lease can never be released
@@ -68,13 +69,15 @@ pub struct PoolOccupancy {
     pub peak: usize,
     /// Caches ever constructed (and still owned) by this pool.
     pub constructed: usize,
-    /// Heap bytes retained by parked caches (buffers survive reset).
+    /// Heap bytes retained by parked caches (reset returns their pages;
+    /// memo buffers survive).
     pub pooled_bytes: usize,
 }
 
-/// A bounded pool of identically-shaped [`KvCache`]s, optionally backed
-/// by a [`PrefixCache`] so leases start pre-seeded with shared-prefix
-/// KV state instead of blank.
+/// A bounded pool of identically-shaped [`KvCache`]s drawing pages from
+/// one shared allocator, optionally backed by a [`PrefixCache`] so
+/// leases start pre-seeded with shared-prefix KV state instead of
+/// blank.
 pub struct KvCachePool {
     specs: Vec<(usize, usize)>,
     capacity: usize,
@@ -82,17 +85,17 @@ pub struct KvCachePool {
     tag: u64,
     state: Mutex<PoolState>,
     prefix: Option<PrefixCache>,
-    /// Page mode: the shared block allocator and rows per page. When
-    /// set, leases are page-table backed and
-    /// [`KvCachePool::lease_for_prompt`] admits by pages actually
-    /// needed instead of reserving `capacity` rows up front.
-    paged: Option<(BlockAllocator, usize)>,
+    /// The allocator every lease (and the prefix index) draws from.
+    alloc: BlockAllocator,
+    page_rows: usize,
 }
 
 impl KvCachePool {
     /// Builds a pool of caches with per-layer `(k_width, v_width)`
     /// `specs` and `capacity` token slots each, allowing at most
-    /// `max_leases` concurrent leases.
+    /// `max_leases` concurrent leases. Pages are [`DEFAULT_PAGE_ROWS`]
+    /// positions from an unbounded allocator — `max_leases` is the only
+    /// valve — until [`KvCachePool::with_paged`] sets a page budget.
     pub fn new(specs: &[(usize, usize)], capacity: usize, max_leases: usize) -> Self {
         KvCachePool {
             specs: specs.to_vec(),
@@ -107,18 +110,20 @@ impl KvCachePool {
                 constructed: 0,
             }),
             prefix: None,
-            paged: None,
+            alloc: BlockAllocator::new(usize::MAX),
+            page_rows: DEFAULT_PAGE_ROWS,
         }
     }
 
-    /// Switches the pool to paged mode: leases draw pages of
-    /// `page_rows` positions from one shared allocator of
-    /// `total_pages` pages (across all layers and leases), and
-    /// admission counts pages actually needed. `max_leases` still
-    /// bounds concurrency, but page supply is the real valve.
+    /// Sets the page budget: leases draw pages of `page_rows`
+    /// positions from one shared allocator of `total_pages` pages
+    /// (across all layers and leases), and admission counts pages
+    /// actually needed. `max_leases` still bounds concurrency, but
+    /// page supply is the real valve.
     pub fn with_paged(mut self, total_pages: usize, page_rows: usize) -> Self {
         assert!(page_rows > 0, "page_rows must be nonzero");
-        self.paged = Some((BlockAllocator::new(total_pages), page_rows));
+        self.alloc = BlockAllocator::new(total_pages);
+        self.page_rows = page_rows;
         self
     }
 
@@ -167,12 +172,7 @@ impl KvCachePool {
         }
         let cache = st.free.pop().unwrap_or_else(|| {
             st.constructed += 1;
-            match &self.paged {
-                Some((alloc, page_rows)) => {
-                    KvCache::new_paged(&self.specs, self.capacity, alloc, *page_rows)
-                }
-                None => KvCache::new(&self.specs, self.capacity),
-            }
+            KvCache::new_paged(&self.specs, self.capacity, &self.alloc, self.page_rows)
         });
         let id = st.next_id;
         st.next_id += 1;
@@ -194,8 +194,8 @@ impl KvCachePool {
     /// position is always left to prefill so the step that feeds it
     /// produces the logits the first sampled token needs.
     ///
-    /// In paged mode admission additionally requires enough free pages
-    /// for the rows the prompt will actually allocate — the whole
+    /// Admission additionally requires enough free pages for the rows
+    /// the prompt will actually allocate — the whole
     /// prompt minus the page-aligned shared region (shared pages are
     /// references, not allocations), plus one row of headroom for the
     /// first sampled token. `None` then means "queue", exactly like
@@ -209,13 +209,11 @@ impl KvCachePool {
         } else {
             None
         };
-        if let Some((alloc, page_rows)) = &self.paged {
-            let shared = m.as_ref().map_or(0, |m| m.page_aligned_len(*page_rows));
-            let new_rows = prompt.len().saturating_sub(shared) + 1;
-            if self.pages_needed(new_rows) > alloc.free_pages() {
-                let _ = self.release(lease);
-                return None;
-            }
+        let shared = m.as_ref().map_or(0, |m| m.page_aligned_len(self.page_rows));
+        let new_rows = prompt.len().saturating_sub(shared) + 1;
+        if self.pages_needed(new_rows) > self.free_pages() {
+            let _ = self.release(lease);
+            return None;
         }
         let Some(m) = m else {
             return Some((lease, 0));
@@ -257,9 +255,9 @@ impl KvCachePool {
         let mut cache = lease.cache;
         cache.reset();
         // Only recycle caches that still match the pool's shape and
-        // backing mode; a cache swapped out for a foreign one is simply
-        // dropped.
-        if cache.n_layers() == self.specs.len() && cache.is_paged() == self.paged.is_some() {
+        // draw from its allocator; a cache swapped out for a foreign
+        // one is simply dropped.
+        if cache.n_layers() == self.specs.len() && cache.is_backed_by(&self.alloc, self.page_rows) {
             st.free.push(cache);
         } else {
             st.constructed = st.constructed.saturating_sub(1);
@@ -354,55 +352,46 @@ impl KvCachePool {
         self.capacity
     }
 
-    /// Rows per page when the pool is in paged mode.
-    pub fn page_rows(&self) -> Option<usize> {
-        self.paged.as_ref().map(|(_, r)| *r)
+    /// Rows per page.
+    pub fn page_rows(&self) -> usize {
+        self.page_rows
     }
 
-    /// The shared block allocator when the pool is in paged mode.
-    pub fn block_allocator(&self) -> Option<&BlockAllocator> {
-        self.paged.as_ref().map(|(a, _)| a)
+    /// The shared block allocator.
+    pub fn block_allocator(&self) -> &BlockAllocator {
+        &self.alloc
     }
 
-    /// Pages required to store `rows` new positions across every layer
-    /// (0 in flat mode, where admission reserves whole caches instead).
+    /// Pages required to store `rows` new positions across every layer.
     pub fn pages_needed(&self, rows: usize) -> usize {
-        match &self.paged {
-            Some((_, page_rows)) => self.specs.len() * pages_for_rows(rows, *page_rows),
-            None => 0,
-        }
+        self.specs.len() * pages_for_rows(rows, self.page_rows)
     }
 
-    /// Pages a paged lease must newly allocate to grow from `rows` to
-    /// `rows + growth` positions, across every layer (0 in flat mode).
-    /// Exact for append-only growth: pushes only allocate when they
-    /// cross a page boundary, and seeding never leaves a partially
-    /// filled *shared* page (the sub-page tail is always row-copied
-    /// into an owned page), so appends never copy-on-write.
+    /// Pages a lease must newly allocate to grow from `rows` to
+    /// `rows + growth` positions, across every layer. Exact for
+    /// append-only growth: pushes only allocate when they cross a page
+    /// boundary, and seeding never leaves a partially filled *shared*
+    /// page (the sub-page tail is always row-copied into an owned
+    /// page), so appends never copy-on-write.
     pub fn pages_needed_growth(&self, rows: usize, growth: usize) -> usize {
-        match &self.paged {
-            Some((_, r)) => {
-                self.specs.len() * (pages_for_rows(rows + growth, *r) - pages_for_rows(rows, *r))
-            }
-            None => 0,
-        }
+        let r = self.page_rows;
+        self.specs.len() * (pages_for_rows(rows + growth, r) - pages_for_rows(rows, r))
     }
 
-    /// Pages still available in the allocator (0 in flat mode).
+    /// Pages still available in the allocator.
     pub fn free_pages(&self) -> usize {
-        self.paged.as_ref().map_or(0, |(a, _)| a.free_pages())
+        self.alloc.free_pages()
     }
 
-    /// Allocator occupancy in paged mode, with the shared gauge filled
-    /// from the prefix index (the allocator itself cannot enumerate
-    /// references — see [`PageStats::shared`]).
-    pub fn page_stats(&self) -> Option<PageStats> {
-        let (alloc, _) = self.paged.as_ref()?;
-        let mut stats = alloc.stats();
+    /// Allocator occupancy, with the shared gauge filled from the
+    /// prefix index (the allocator itself cannot enumerate references
+    /// — see [`PageStats::shared`]).
+    pub fn page_stats(&self) -> PageStats {
+        let mut stats = self.alloc.stats();
         if let Some(px) = &self.prefix {
             stats.shared = px.shared_pages();
         }
-        Some(stats)
+        stats
     }
 
     /// Drops every frozen prefix segment, releasing the index's page
@@ -456,12 +445,27 @@ mod tests {
             .layer_mut(0)
             .push(&[1.0; 4], &[2.0; 4])
             .unwrap();
+        assert_eq!(p.page_stats().allocated, 1);
         p.release(lease).unwrap();
         assert_eq!(p.pooled(), 1);
+        assert_eq!(p.page_stats().allocated, 0, "release returns the pages");
         let again = p.lease().unwrap();
         assert_eq!(p.pooled(), 0, "recycled, not reallocated");
         assert_eq!(again.cache.seq_len(), 0, "recycled cache is reset");
         p.release(again).unwrap();
+    }
+
+    #[test]
+    fn returned_cache_from_another_allocator_is_not_recycled() {
+        let p = pool(1);
+        let mut lease = p.lease().unwrap();
+        lease.cache = KvCache::new(&[(4, 4), (4, 4)], 8);
+        p.release(lease).unwrap();
+        let occ = p.occupancy();
+        assert_eq!((occ.in_use, occ.free, occ.constructed), (0, 0, 0));
+        let fresh = p.lease().unwrap();
+        assert!(fresh.cache.is_backed_by(p.block_allocator(), p.page_rows()));
+        p.release(fresh).unwrap();
     }
 
     #[test]
@@ -478,21 +482,24 @@ mod tests {
     #[test]
     fn foreign_lease_with_colliding_id_is_rejected() {
         // Both pools hand out id 0 first: only the pool tag can tell
-        // the leases apart. Before tags, p1 would have accepted p2's
-        // lease, corrupted its accounting, and parked a foreign cache
-        // in its free list.
+        // the leases apart. Without it p1 would accept p2's lease,
+        // corrupt its accounting, and park a cache drawing from p2's
+        // allocator in its free list.
         let p1 = pool(2);
         let p2 = pool(2);
-        let own = p1.lease().unwrap();
-        let foreign = p2.lease().unwrap();
+        let mut own = p1.lease().unwrap();
+        let mut foreign = p2.lease().unwrap();
         assert_eq!(own.id(), foreign.id(), "ids collide across pools");
+        own.cache.layer_mut(0).push(&[1.0; 4], &[2.0; 4]).unwrap();
+        foreign.cache.layer_mut(0).push(&[3.0; 4], &[4.0; 4]).unwrap();
         assert!(p1.release(foreign).is_err());
         let occ = p1.occupancy();
         assert_eq!((occ.in_use, occ.free, occ.constructed), (1, 0, 1));
+        assert_eq!(p1.page_stats().allocated, 1, "own lease's page untouched");
         p1.release(own).unwrap();
         let occ = p1.occupancy();
         assert_eq!((occ.in_use, occ.free, occ.constructed), (0, 1, 1));
-        assert!(occ.pooled_bytes > 0, "parked cache keeps its buffers");
+        assert_eq!(p1.page_stats().allocated, 0);
     }
 
     #[test]
@@ -532,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn paged_pool_admits_by_pages_needed() {
+    fn pool_admits_by_pages_needed() {
         use crate::prefix::PrefixCacheConfig;
         // 2 layers, page_rows 4, 8 pages total. A 6-token prompt needs
         // ceil(7/4)=2 pages per layer = 4 pages.
@@ -542,13 +549,12 @@ mod tests {
                 min_prefix_len: 2,
             })
             .with_paged(8, 4);
-        assert_eq!(p.page_rows(), Some(4));
+        assert_eq!(p.page_rows(), 4);
         assert_eq!(p.pages_needed(7), 4);
         let prompt = [1u32, 2, 3, 4, 5, 6];
 
         let (mut a, seeded) = p.lease_for_prompt(&prompt).unwrap();
         assert_eq!(seeded, 0);
-        assert!(a.cache.is_paged());
         for (pos, &t) in prompt.iter().enumerate() {
             let row = [pos as f32, t as f32, 0.0, 0.0];
             a.cache.layer_mut(0).push(&row, &row).unwrap();
@@ -570,7 +576,7 @@ mod tests {
         let (b, seeded) = p.lease_for_prompt(&prompt).unwrap();
         assert_eq!(seeded, prompt.len() - 1);
         assert_eq!(p.free_pages(), 2);
-        let stats = p.page_stats().unwrap();
+        let stats = p.page_stats();
         assert_eq!(stats.total, 8);
         assert_eq!(stats.shared, 2, "one aligned page per layer shared");
         p.release(b).unwrap();

@@ -5,33 +5,30 @@
 //! prompts, few-shot templates, multi-turn history — yet a blank lease
 //! recomputes identical KV state for every request. This module caches
 //! that state once: completed prefixes are frozen into immutable
-//! [`Segment`]s (per-layer K/V rows plus, when present, the MLA
+//! [`Segment`]s (per-layer page references plus, when present, the MLA
 //! decoded-row memo) keyed by their token sequence in a radix tree, and
 //! admission seeds a fresh lease from the longest cached prefix so the
 //! scheduler only prefills the uncached suffix.
 //!
-//! Copy-on-write contract: snapshot rows are immutable and shared
-//! (`Arc<Segment>`); a lease either *copies* the matched rows into its
-//! own private cache (flat caches) or — when both donor and target are
-//! page-table backed — takes *references* to whole frozen pages and
-//! appends privately from the first page boundary past the match
-//! ([`PrefixMatch::seed_into`]'s paged path). Either way the snapshot
-//! stays immutable: a paged lease that must overwrite a shared page
-//! copies it first ([`crate::paged::PagedKvStore`]'s copy-on-write).
-//! Eviction can therefore drop any segment at any time — in-flight
-//! seedings hold their own `Arc` and finish safely.
+//! Copy-on-write contract: snapshot pages are immutable and shared
+//! (`Arc<Segment>` holding `Arc<PageData>`); a lease takes *references*
+//! to whole frozen pages and appends privately from the first page
+//! boundary past the match ([`PrefixMatch::seed_into`]). A lease that
+//! must overwrite a shared page copies it first
+//! ([`crate::paged::PagedKvStore`]'s copy-on-write). Eviction can
+//! therefore drop any segment at any time — in-flight seedings hold
+//! their own `Arc` and finish safely.
 //!
 //! Page-alignment invariant: shared pages are taken whole or not at
 //! all. [`PrefixMatch::page_aligned_len`] rounds the match down to a
 //! page boundary, seeding shares exactly that many rows by reference,
 //! and the remaining matched rows (fewer than one page) are row-copied
 //! — so sharing never splits mid-page, and
-//! [`crate::paged::PagedKvStore::share_page`] enforces it. This also
-//! resolves the historical lookup asymmetry: admission probes
-//! `prompt[..len-1]` (at least one token must be prefilled to produce
-//! logits) while inserts freeze full fed sequences, so a match length
-//! is rarely page-aligned on its own; rounding down, not up, keeps the
-//! shared region independent of that off-by-one.
+//! [`crate::paged::PagedKvStore::share_page`] enforces it. Admission
+//! probes `prompt[..len-1]` (at least one token must be prefilled to
+//! produce logits) while inserts freeze full fed sequences, so a match
+//! length is rarely page-aligned on its own; rounding down, not up,
+//! keeps the shared region independent of that off-by-one.
 //!
 //! Bitwise equality: cached K/V rows are position-dependent only on the
 //! tokens at or before them (causal attention; RoPE is applied at push
@@ -52,8 +49,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::error::ModelError;
-use crate::kvcache::{KvCache, KvStore};
-use crate::paged::PageData;
+use crate::kvcache::KvCache;
+use crate::paged::{PageData, PagedKvStore};
 
 /// Configuration for a [`PrefixCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,124 +71,95 @@ impl Default for PrefixCacheConfig {
     }
 }
 
-/// One layer's frozen rows for a radix-edge token span.
-///
-/// Flat donors freeze into owned row buffers (`Rows`); paged donors
-/// freeze into references to the donor's immutable pages (`Pages`) —
-/// zero bytes copied, and the pages become sharable with later leases.
+/// One layer's frozen rows for a radix-edge token span: references to
+/// the donor's immutable pages — zero bytes copied, and the pages
+/// become sharable with later leases.
 #[derive(Debug)]
-enum LayerSeg {
-    Rows {
-        k: Vec<f32>,
-        v: Vec<f32>,
-        /// Decoded-row memo for the span — captured only when the donor
-        /// memo covered every position of the span, empty otherwise, so
-        /// a present memo is always contiguous from the span start.
-        memo: Vec<f32>,
-        k_width: usize,
-        v_width: usize,
-        memo_width: usize,
-    },
-    Pages {
-        /// Pages covering the span, in order. The first and last may
-        /// extend beyond the span (a span rarely starts or ends on a
-        /// page boundary); `start` is the span's row offset within
-        /// `pages[0]`. The offset always equals the span's absolute
-        /// position mod `page_rows`, because segments are frozen at
-        /// their absolute positions and splits preserve them — that is
-        /// what lets a later lease share these pages at the same
-        /// absolute positions.
-        pages: Vec<Arc<PageData>>,
-        start: usize,
-        k_width: usize,
-        v_width: usize,
-        page_rows: usize,
-        /// Decoded-row memo for the span (same capture rule as `Rows`).
-        /// The memo is per-store flat scratch, never page-backed, so it
-        /// is the one part of a paged span that still freezes by copy:
-        /// reseeding it costs O(span bytes) but saves the seeded lease
-        /// from re-decoding every shared position through the MLA
-        /// up-projections on its first forward — bit-identical either
-        /// way (`gemm_rowwise` row invariance), so this is purely a
-        /// latency trade.
-        memo: Vec<f32>,
-        memo_width: usize,
-    },
+struct LayerSeg {
+    /// Pages covering the span, in order. The first and last may
+    /// extend beyond the span (a span rarely starts or ends on a page
+    /// boundary); `start` is the span's row offset within `pages[0]`.
+    /// The offset always equals the span's absolute position mod
+    /// `page_rows`, because segments are frozen at their absolute
+    /// positions and splits preserve them — that is what lets a later
+    /// lease share these pages at the same absolute positions.
+    pages: Vec<Arc<PageData>>,
+    start: usize,
+    page_rows: usize,
+    /// Decoded-row memo for the span — captured only when the donor
+    /// memo covered every position of the span, empty otherwise, so a
+    /// present memo is always contiguous from the span start. The memo
+    /// is per-store flat scratch, never page-backed, so it is the one
+    /// part of a span that freezes by copy: reseeding it costs O(span
+    /// bytes) but saves the seeded lease from re-decoding every shared
+    /// position through the MLA up-projections on its first forward —
+    /// bit-identical either way (`gemm_rowwise` row invariance), so
+    /// this is purely a latency trade.
+    memo: Vec<f32>,
+    memo_width: usize,
 }
 
 impl LayerSeg {
-    fn k_row(&self, r: usize) -> &[f32] {
-        match self {
-            LayerSeg::Rows { k, k_width, .. } => &k[r * k_width..(r + 1) * k_width],
-            LayerSeg::Pages {
-                pages,
-                start,
-                page_rows,
-                ..
-            } => pages[(start + r) / page_rows].k_row((start + r) % page_rows),
+    /// Freezes span rows `range` of a page table whose row 0 is
+    /// `pages[0]`'s row 0, with the matching window of `memo` (the
+    /// memo of span rows `0..`, or empty).
+    fn window(
+        pages: &[Arc<PageData>],
+        page_rows: usize,
+        range: std::ops::Range<usize>,
+        memo: &[f32],
+        memo_width: usize,
+    ) -> LayerSeg {
+        let first = range.start / page_rows;
+        let last = (range.end - 1) / page_rows;
+        LayerSeg {
+            pages: pages[first..=last].to_vec(),
+            start: range.start % page_rows,
+            page_rows,
+            memo: memo.to_vec(),
+            memo_width: if memo.is_empty() { 0 } else { memo_width },
         }
+    }
+
+    fn page_row(&self, r: usize) -> (&PageData, usize) {
+        let at = self.start + r;
+        (&self.pages[at / self.page_rows], at % self.page_rows)
+    }
+
+    fn k_row(&self, r: usize) -> &[f32] {
+        let (page, row) = self.page_row(r);
+        page.k_row(row)
     }
 
     fn v_row(&self, r: usize) -> &[f32] {
-        match self {
-            LayerSeg::Rows { v, v_width, .. } => &v[r * v_width..(r + 1) * v_width],
-            LayerSeg::Pages {
-                pages,
-                start,
-                page_rows,
-                ..
-            } => pages[(start + r) / page_rows].v_row((start + r) % page_rows),
-        }
-    }
-
-    fn memo_width(&self) -> usize {
-        match self {
-            LayerSeg::Rows { memo_width, .. } | LayerSeg::Pages { memo_width, .. } => *memo_width,
-        }
+        let (page, row) = self.page_row(r);
+        page.v_row(row)
     }
 
     fn memo_row(&self, r: usize) -> &[f32] {
-        match self {
-            LayerSeg::Rows {
-                memo, memo_width, ..
-            }
-            | LayerSeg::Pages {
-                memo, memo_width, ..
-            } => &memo[r * memo_width..(r + 1) * memo_width],
-        }
+        &self.memo[r * self.memo_width..(r + 1) * self.memo_width]
     }
 
     fn memo_rows(&self) -> usize {
-        match self {
-            LayerSeg::Rows {
-                memo, memo_width, ..
-            }
-            | LayerSeg::Pages {
-                memo, memo_width, ..
-            } => memo.len().checked_div(*memo_width).unwrap_or_default(),
-        }
+        self.memo
+            .len()
+            .checked_div(self.memo_width)
+            .unwrap_or_default()
     }
 
+    /// Whole pages, conservatively: that is what holding these
+    /// references keeps alive in the allocator (a page straddling a
+    /// split boundary is counted by both halves). The memo rides on
+    /// top: it is copied, not page-backed.
     fn bytes(&self) -> usize {
-        match self {
-            LayerSeg::Rows { k, v, memo, .. } => {
-                (k.len() + v.len() + memo.len()) * std::mem::size_of::<f32>()
-            }
-            // Whole pages, conservatively: that is what holding these
-            // references keeps alive in the allocator (a page straddling
-            // a split boundary is counted by both halves). The memo
-            // rides on top: it is copied, not page-backed.
-            LayerSeg::Pages { pages, memo, .. } => {
-                pages.iter().map(|p| p.bytes()).sum::<usize>()
-                    + memo.len() * std::mem::size_of::<f32>()
-            }
-        }
+        self.pages.iter().map(|p| p.bytes()).sum::<usize>()
+            + self.memo.len() * std::mem::size_of::<f32>()
     }
 }
 
 /// A frozen, immutable KV snapshot for one radix-edge token span:
-/// per-layer K/V rows (and the MLA decoded-row memo where the donor
-/// had one) for `rows` consecutive positions.
+/// per-layer page references (and the MLA decoded-row memo where the
+/// donor had one) for `rows` consecutive positions.
 ///
 /// Segments are shared by reference between the index and in-flight
 /// seedings; they are never mutated after construction.
@@ -203,140 +171,58 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Freezes positions `start..end` of every layer of `cache` —
-    /// copying rows out of flat caches, taking page references from
-    /// paged ones (zero copy; the donor's pages are immutable once it
-    /// releases, and any still-active writer copies-on-write).
-    fn from_cache(cache: &KvCache, start: usize, end: usize) -> Segment {
-        let rows = end - start;
-        let layers: Vec<LayerSeg> = (0..cache.n_layers())
-            .map(|i| {
-                let lc = cache.layer(i);
-                // Memo capture (both variants): only when the donor's
-                // memo covered every position of the span, so a present
-                // memo is always contiguous from the span start.
-                let mw = lc.memo_width();
-                let memo = if mw > 0 && lc.memo_len() >= end {
-                    let mut m = Vec::with_capacity(rows * mw);
-                    for pos in start..end {
-                        m.extend_from_slice(lc.memo_row(pos));
-                    }
-                    m
-                } else {
-                    Vec::new()
-                };
-                let memo_width = if memo.is_empty() { 0 } else { mw };
-                if let Some(ps) = cache.layer_paged(i) {
-                    let pr = ps.page_rows();
-                    let first = start / pr;
-                    let last = (end - 1) / pr;
-                    return LayerSeg::Pages {
-                        pages: ps.pages()[first..=last].to_vec(),
-                        start: start % pr,
-                        k_width: ps.k_width(),
-                        v_width: ps.v_width(),
-                        page_rows: pr,
-                        memo,
-                        memo_width,
-                    };
-                }
-                let (kw, vw) = (lc.k_width(), lc.v_width());
-                let mut k = Vec::with_capacity(rows * kw);
-                let mut v = Vec::with_capacity(rows * vw);
-                for pos in start..end {
-                    k.extend_from_slice(lc.k_row(pos));
-                    v.extend_from_slice(lc.v_row(pos));
-                }
-                LayerSeg::Rows {
-                    k,
-                    v,
-                    memo_width,
-                    memo,
-                    k_width: kw,
-                    v_width: vw,
-                }
-            })
-            .collect();
+    fn from_layers(layers: Vec<LayerSeg>, rows: usize) -> Segment {
         let bytes = layers.iter().map(LayerSeg::bytes).sum();
         Segment { layers, rows, bytes }
     }
 
-    /// Splits into the first `m` rows and the rest (for edge splits).
-    /// Page-backed layers split zero-copy: both halves reference the
-    /// same immutable pages (a page straddling the boundary appears in
-    /// both halves' tables), with adjusted row windows.
+    /// Freezes positions `start..end` of every layer of `cache` by
+    /// taking page references (zero copy; the donor's pages are
+    /// immutable once it releases, and any still-active writer
+    /// copies-on-write).
+    fn from_cache(cache: &KvCache, start: usize, end: usize) -> Segment {
+        let layers = (0..cache.n_layers())
+            .map(|i| {
+                let store = cache.layer(i);
+                let memo = if store.memo_len() >= end {
+                    store.memo_rows(start..end)
+                } else {
+                    &[]
+                };
+                LayerSeg::window(
+                    store.pages(),
+                    store.page_rows(),
+                    start..end,
+                    memo,
+                    store.memo_width(),
+                )
+            })
+            .collect();
+        Segment::from_layers(layers, end - start)
+    }
+
+    /// Splits into the first `m` rows and the rest (for edge splits),
+    /// zero-copy: both halves reference the same immutable pages (a
+    /// page straddling the boundary appears in both halves' tables),
+    /// with adjusted row windows. Both halves inherit the memo (it
+    /// covered the whole span, so it covers each half contiguously).
     fn split(&self, m: usize) -> (Segment, Segment) {
         let part = |range: std::ops::Range<usize>| -> Segment {
-            let layers: Vec<LayerSeg> = self
+            let layers = self
                 .layers
                 .iter()
-                .map(|ls| match ls {
-                    LayerSeg::Rows {
-                        k,
-                        v,
-                        memo,
-                        k_width,
-                        v_width,
-                        memo_width,
-                    } => {
-                        let memo_rows = ls.memo_rows();
-                        // Both halves inherit the memo (it covered the
-                        // whole span, so it covers each half
-                        // contiguously).
-                        let memo = if memo_rows >= self.rows && *memo_width > 0 {
-                            memo[range.start * memo_width..range.end * memo_width].to_vec()
-                        } else {
-                            Vec::new()
-                        };
-                        LayerSeg::Rows {
-                            k: k[range.start * k_width..range.end * k_width].to_vec(),
-                            v: v[range.start * v_width..range.end * v_width].to_vec(),
-                            memo_width: if memo.is_empty() { 0 } else { *memo_width },
-                            memo,
-                            k_width: *k_width,
-                            v_width: *v_width,
-                        }
-                    }
-                    LayerSeg::Pages {
-                        pages,
-                        start,
-                        k_width,
-                        v_width,
-                        page_rows,
-                        memo,
-                        memo_width,
-                    } => {
-                        // Span row r lives at page-table row `start + r`.
-                        let lo = start + range.start;
-                        let hi = start + range.end; // exclusive
-                        let first = lo / page_rows;
-                        let last = (hi - 1) / page_rows;
-                        // Both halves inherit the memo (it covered the
-                        // whole span, so it covers each half
-                        // contiguously).
-                        let memo = if ls.memo_rows() >= self.rows && *memo_width > 0 {
-                            memo[range.start * memo_width..range.end * memo_width].to_vec()
-                        } else {
-                            Vec::new()
-                        };
-                        LayerSeg::Pages {
-                            pages: pages[first..=last].to_vec(),
-                            start: lo % page_rows,
-                            k_width: *k_width,
-                            v_width: *v_width,
-                            page_rows: *page_rows,
-                            memo_width: if memo.is_empty() { 0 } else { *memo_width },
-                            memo,
-                        }
-                    }
+                .map(|ls| {
+                    let mw = ls.memo_width;
+                    LayerSeg::window(
+                        &ls.pages,
+                        ls.page_rows,
+                        ls.start + range.start..ls.start + range.end,
+                        &ls.memo[range.start * mw..range.end * mw],
+                        mw,
+                    )
                 })
                 .collect();
-            let bytes = layers.iter().map(LayerSeg::bytes).sum();
-            Segment {
-                layers,
-                rows: range.len(),
-                bytes,
-            }
+            Segment::from_layers(layers, range.len())
         };
         (part(0..m), part(m..self.rows))
     }
@@ -346,7 +232,7 @@ impl Segment {
         self.rows
     }
 
-    /// Resident bytes (K/V rows plus memo across layers).
+    /// Resident bytes (whole referenced pages plus memo across layers).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -373,48 +259,22 @@ impl PrefixMatch {
         self.len == 0
     }
 
-    /// Copies the matched rows of one layer into `store` (which must be
-    /// empty), including the decoded-row memo while it is contiguous
-    /// from position 0 — a memo gap simply stops memo seeding; the
-    /// attention memo rebuilds the rest incrementally.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Exec`] when the store is not empty or its
-    /// row widths do not match the snapshot.
-    pub fn seed_layer(&self, layer: usize, store: &mut dyn KvStore) -> Result<(), ModelError> {
-        if !store.is_empty() {
-            return Err(ModelError::exec(
-                "prefix seeding requires an empty KV store",
-            ));
-        }
-        for (seg, rows) in &self.parts {
-            let ls = &seg.layers[layer];
-            for r in 0..*rows {
-                store.push(ls.k_row(r), ls.v_row(r))?;
-            }
-        }
-        self.seed_memo(layer, store)
-    }
-
     /// Seeds the decoded-row memo for one layer. The memo must stay
     /// contiguous from position 0, so seeding stops at the first part
     /// without one (or with a different width); the attention memo
     /// rebuilds the rest incrementally.
-    fn seed_memo(&self, layer: usize, store: &mut dyn KvStore) -> Result<(), ModelError> {
-        let Some(width) = self
+    fn seed_memo(&self, layer: usize, store: &mut PagedKvStore) -> Result<(), ModelError> {
+        let width = self
             .parts
             .first()
-            .map(|(seg, _)| seg.layers[layer].memo_width())
-        else {
-            return Ok(());
-        };
-        if width == 0 || !store.memo_ensure(width) {
+            .map_or(0, |(seg, _)| seg.layers[layer].memo_width);
+        if width == 0 {
             return Ok(());
         }
+        store.memo_ensure(width);
         for (seg, rows) in &self.parts {
             let ls = &seg.layers[layer];
-            if ls.memo_width() != width || ls.memo_rows() < *rows {
+            if ls.memo_width != width || ls.memo_rows() < *rows {
                 break;
             }
             for r in 0..*rows {
@@ -447,45 +307,31 @@ impl PrefixMatch {
     /// boundary are bitwise identical across donors by the prefix
     /// determinism argument in the module docs. A full page assigned by
     /// the last part touching it therefore carries exactly the matched
-    /// bits. Rows-backed or misaligned parts poison the pages they
-    /// touch, and the map is cut at the first unsharable page.
+    /// bits. A snapshot frozen at another page size shares nothing (its
+    /// pages cannot join this store's table); everything is row-copied.
     fn shared_page_map(&self, layer: usize, page_rows: usize) -> Vec<Arc<PageData>> {
-        let n_full = self.page_aligned_len(page_rows) / page_rows.max(1);
-        if n_full == 0 {
+        let n_full = self.page_aligned_len(page_rows) / page_rows;
+        if self
+            .parts
+            .iter()
+            .any(|(seg, _)| seg.layers[layer].page_rows != page_rows)
+        {
             return Vec::new();
         }
         let mut map: Vec<Option<Arc<PageData>>> = vec![None; n_full];
         let mut abs = 0usize;
         for (seg, used) in &self.parts {
-            match &seg.layers[layer] {
-                LayerSeg::Pages {
-                    pages,
-                    start,
-                    page_rows: pr,
-                    ..
-                } if *pr == page_rows && *start == abs % page_rows => {
-                    // Absolute row of pages[0]'s row 0 (a multiple of
-                    // page_rows by the alignment guard above).
-                    let base = abs - start;
-                    for (pi, page) in pages.iter().enumerate() {
-                        let page_lo = base + pi * page_rows;
-                        if page_lo >= abs + used {
-                            break;
-                        }
-                        let g = page_lo / page_rows;
-                        if g < n_full {
-                            map[g] = Some(Arc::clone(page));
-                        }
-                    }
+            let ls = &seg.layers[layer];
+            // Absolute row of pages[0]'s row 0 (a multiple of page_rows:
+            // `start == abs % page_rows`, see `LayerSeg::pages`).
+            let base = abs - ls.start;
+            for (pi, page) in ls.pages.iter().enumerate() {
+                let page_lo = base + pi * page_rows;
+                if page_lo >= abs + used {
+                    break;
                 }
-                _ => {
-                    // Not page-sharable: poison every page this part
-                    // touches.
-                    let g0 = abs / page_rows;
-                    let g1 = (abs + used - 1) / page_rows;
-                    for slot in map.iter_mut().take(n_full.min(g1 + 1)).skip(g0) {
-                        *slot = None;
-                    }
+                if let Some(slot) = map.get_mut(page_lo / page_rows) {
+                    *slot = Some(Arc::clone(page));
                 }
             }
             abs += used;
@@ -493,20 +339,16 @@ impl PrefixMatch {
         map.into_iter().map_while(|p| p).collect()
     }
 
-    /// Seeds one paged layer: shares the maximal aligned run of whole
-    /// pages by reference, then row-copies the remaining matched rows.
-    fn seed_layer_paged(
-        &self,
-        layer: usize,
-        store: &mut crate::paged::PagedKvStore,
-    ) -> Result<usize, ModelError> {
+    /// Seeds one layer (which must be empty): shares the maximal
+    /// aligned run of whole pages by reference, then row-copies the
+    /// remaining matched rows. Returns the rows shared by reference.
+    fn seed_layer(&self, layer: usize, store: &mut PagedKvStore) -> Result<usize, ModelError> {
         if !store.is_empty() {
             return Err(ModelError::exec(
                 "prefix seeding requires an empty KV store",
             ));
         }
-        let map = self.shared_page_map(layer, store.page_rows());
-        for page in &map {
+        for page in &self.shared_page_map(layer, store.page_rows()) {
             store.share_page(page)?;
         }
         let shared_rows = store.len();
@@ -515,36 +357,30 @@ impl PrefixMatch {
         let mut abs = 0usize;
         for (seg, used) in &self.parts {
             let ls = &seg.layers[layer];
-            for r in 0..*used {
-                if abs + r >= shared_rows {
-                    store.push(ls.k_row(r), ls.v_row(r))?;
-                }
+            for r in shared_rows.saturating_sub(abs)..*used {
+                store.push(ls.k_row(r), ls.v_row(r))?;
             }
             abs += used;
         }
         // The memo is flat scratch, never page-backed, so it seeds by
-        // copy even here — without it the lease would re-decode every
-        // shared position through the MLA up-projections on its first
+        // copy — without it the lease would re-decode every shared
+        // position through the MLA up-projections on its first
         // forward, which costs far more than the copy.
         self.seed_memo(layer, store)?;
         Ok(shared_rows)
     }
 
-    /// Seeds every layer of an empty `cache` from the snapshot chain.
-    ///
-    /// Flat caches get the copy half of copy-on-write: the lease owns
-    /// the copied rows and appends privately; the snapshot stays
-    /// frozen and shared. Paged caches share whole frozen pages by
-    /// reference — O(1) per page instead of O(bytes) — and row-copy
-    /// only the sub-page remainder; the lease appends privately from
-    /// there, copying a shared page first if it ever must overwrite
-    /// one.
+    /// Seeds every layer of an empty `cache` from the snapshot chain:
+    /// whole frozen pages are shared by reference — O(1) per page
+    /// instead of O(bytes) — and only the sub-page remainder is
+    /// row-copied; the lease appends privately from there, copying a
+    /// shared page first if it ever must overwrite one.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Exec`] when the cache is not empty, its
-    /// layout does not match the snapshot, or (paged) the page
-    /// allocator is exhausted mid-seed.
+    /// layout does not match the snapshot, or the page allocator is
+    /// exhausted mid-seed.
     pub fn seed_into(&self, cache: &mut KvCache) -> Result<(), ModelError> {
         let n_layers = self.parts.first().map_or(0, |(s, _)| s.layers.len());
         if cache.n_layers() != n_layers {
@@ -559,23 +395,14 @@ impl PrefixMatch {
             self.len.min(u32::MAX as usize) as u32,
             n_layers.min(u32::MAX as usize) as u32,
         );
-        if cache.is_paged() {
-            let mut shared_rows = 0usize;
-            for i in 0..n_layers {
-                let store = cache
-                    .layer_paged_mut(i)
-                    .expect("is_paged checked above");
-                shared_rows = self.seed_layer_paged(i, store)?;
-            }
-            kt_trace::counter_add(
-                kt_trace::CounterKind::PrefixSharedRows,
-                shared_rows as u64,
-            );
-            return Ok(());
-        }
+        let mut shared_rows = 0usize;
         for i in 0..n_layers {
-            self.seed_layer(i, cache.layer_mut(i))?;
+            shared_rows = self.seed_layer(i, cache.layer_mut(i))?;
         }
+        kt_trace::counter_add(
+            kt_trace::CounterKind::PrefixSharedRows,
+            shared_rows as u64,
+        );
         Ok(())
     }
 }
@@ -627,8 +454,8 @@ struct Inner {
 /// snapshots, with LRU-by-bytes eviction under a configurable budget.
 ///
 /// Thread-safe: lookups and inserts serialize on an interior lock;
-/// matched segments are returned by `Arc` so the (comparatively
-/// expensive) row copying happens outside it.
+/// matched segments are returned by `Arc` so seeding happens outside
+/// it.
 #[derive(Debug)]
 pub struct PrefixCache {
     cfg: PrefixCacheConfig,
@@ -851,15 +678,11 @@ impl PrefixCache {
         let mut occurrences: HashMap<usize, (usize, usize)> = HashMap::new();
         fn walk(nodes: &[Node], occ: &mut HashMap<usize, (usize, usize)>) {
             for n in nodes {
-                for ls in &n.seg.layers {
-                    if let LayerSeg::Pages { pages, .. } = ls {
-                        for p in pages {
-                            let e = occ
-                                .entry(Arc::as_ptr(p) as usize)
-                                .or_insert((0, Arc::strong_count(p)));
-                            e.0 += 1;
-                        }
-                    }
+                for p in n.seg.layers.iter().flat_map(|ls| &ls.pages) {
+                    let e = occ
+                        .entry(Arc::as_ptr(p) as usize)
+                        .or_insert((0, Arc::strong_count(p)));
+                    e.0 += 1;
                 }
             }
             for n in nodes {
@@ -925,8 +748,8 @@ mod tests {
     use super::*;
     use crate::kvcache::KvCache;
 
-    /// A single-layer cache whose rows encode their position, plus a
-    /// memo when `memo_width > 0`.
+    /// A standalone single-layer cache whose rows encode their position
+    /// and token, plus a memo when `memo_width > 0`.
     fn donor(tokens: &[u32], memo_width: usize) -> KvCache {
         let mut c = KvCache::new(&[(3, 2)], 64);
         for (pos, &t) in tokens.iter().enumerate() {
@@ -1019,12 +842,18 @@ mod tests {
 
     #[test]
     fn eviction_respects_budget_and_lru_order() {
-        // Each 4-token single-layer segment costs 4 * (3+2) * 4 = 80
-        // bytes; budget fits two.
-        let px = PrefixCache::new(cfg(170, 1));
         let a = [1u32, 11, 12, 13];
         let b = [2u32, 21, 22, 23];
         let c = [3u32, 31, 32, 33];
+        // What one 4-token single-layer segment costs, measured.
+        let seg = {
+            let probe = PrefixCache::new(cfg(1 << 20, 1));
+            probe.insert(&a, &donor(&a, 0));
+            probe.stats().resident_bytes
+        };
+        // Budget fits two segments, not three.
+        let budget = 2 * seg + seg / 2;
+        let px = PrefixCache::new(cfg(budget as usize, 1));
         px.insert(&a, &donor(&a, 0));
         px.insert(&b, &donor(&b, 0));
         assert_eq!(px.stats().entries, 2);
@@ -1032,9 +861,9 @@ mod tests {
         assert!(px.lookup(&a).is_some());
         px.insert(&c, &donor(&c, 0));
         let s = px.stats();
-        assert!(s.resident_bytes <= 170, "budget respected: {s:?}");
+        assert!(s.resident_bytes <= budget, "budget respected: {s:?}");
         assert_eq!(s.evictions, 1);
-        assert_eq!(s.evicted_bytes, 80);
+        assert_eq!(s.evicted_bytes, seg);
         assert!(px.lookup(&a).is_some(), "recently used survives");
         assert!(px.lookup(&c).is_some(), "newest survives");
         assert!(px.lookup(&b).is_none(), "LRU leaf evicted");
@@ -1068,8 +897,8 @@ mod tests {
         assert!(m.seed_into(&mut wrong).is_err(), "layer-count mismatch");
     }
 
-    /// A paged single-layer cache whose rows encode their position and
-    /// token, mirroring `donor` bit for bit.
+    /// `donor` without a memo, on 64-row-capacity pages of `page_rows`
+    /// from `alloc`.
     fn paged_donor(
         tokens: &[u32],
         alloc: &crate::paged::BlockAllocator,
@@ -1103,7 +932,7 @@ mod tests {
         assert_eq!(seeded.seq_len(), 10);
         // Two pages shared by reference, one fresh page for the 2-row tail.
         assert_eq!(alloc.allocated_pages(), before + 1);
-        assert_eq!(seeded.layer_paged(0).unwrap().shared_pages(), 2);
+        assert_eq!(seeded.layer(0).shared_pages(), 2);
         assert_eq!(px.shared_pages(), 2);
 
         let reference = donor(&tokens, 0);
@@ -1114,7 +943,7 @@ mod tests {
 
         // Appending past the seed lands in private pages.
         seeded.layer_mut(0).push(&[9.0; 3], &[9.0; 2]).unwrap();
-        assert_eq!(seeded.layer_paged(0).unwrap().shared_pages(), 2);
+        assert_eq!(seeded.layer(0).shared_pages(), 2);
     }
 
     #[test]
@@ -1153,22 +982,22 @@ mod tests {
     }
 
     #[test]
-    fn flat_snapshots_row_copy_into_paged_leases() {
-        // Mixed mode: a flat donor's snapshot seeds a paged lease by
-        // row copy (nothing sharable), still bit-exact.
+    fn snapshots_frozen_at_another_page_size_row_copy() {
+        // The donor froze 16-row pages; a 4-row lease cannot adopt
+        // them, so it seeds by row copy (nothing shared), bit-exact.
         let alloc = crate::paged::BlockAllocator::new(64);
         let px = PrefixCache::new(cfg(1 << 20, 1));
         let tokens: Vec<u32> = (7..16).collect();
-        let flat = donor(&tokens, 0);
-        px.insert(&tokens, &flat);
+        let wide = donor(&tokens, 0);
+        px.insert(&tokens, &wide);
         let m = px.lookup(&tokens).expect("hit");
         let mut seeded = KvCache::new_paged(&[(3, 2)], 64, &alloc, 4);
         m.seed_into(&mut seeded).unwrap();
         assert_eq!(seeded.seq_len(), tokens.len());
-        assert_eq!(seeded.layer_paged(0).unwrap().shared_pages(), 0);
+        assert_eq!(seeded.layer(0).shared_pages(), 0);
         for pos in 0..tokens.len() {
-            assert_eq!(seeded.layer(0).k_row(pos), flat.layer(0).k_row(pos));
-            assert_eq!(seeded.layer(0).v_row(pos), flat.layer(0).v_row(pos));
+            assert_eq!(seeded.layer(0).k_row(pos), wide.layer(0).k_row(pos));
+            assert_eq!(seeded.layer(0).v_row(pos), wide.layer(0).v_row(pos));
         }
     }
 

@@ -8,13 +8,13 @@
 //! projection goes through the row-stable `gemm_rowwise`, attention
 //! scores are per-token loops, and cache appends happen in position
 //! order regardless of chunking. Checked for GQA and MLA, for every
-//! weight dtype, and for both the flat in-memory cache and the
-//! two-tier offloaded cache (with windows small enough that evictions
-//! happen mid-prefill).
+//! weight dtype, and for page sizes from one row (every append opens a
+//! page) to a single page holding the whole sequence, so chunk and
+//! page boundaries fall in every relative position.
 
 use kt_model::attention::Attention;
 use kt_model::config::AttentionKind;
-use kt_model::kvcache::{KvStore, LayerCache, OffloadedLayerCache};
+use kt_model::paged::{BlockAllocator, PagedKvStore};
 use kt_model::rope::Rope;
 use kt_tensor::rng::seeded;
 use kt_tensor::{Matrix, WeightDtype};
@@ -32,6 +32,11 @@ fn dtype_strategy() -> impl Strategy<Value = WeightDtype> {
         Just(WeightDtype::Int8 { group: 8 }),
         Just(WeightDtype::Int4 { group: 8 }),
     ]
+}
+
+fn page_rows_strategy() -> impl Strategy<Value = usize> {
+    // The last is the single-page case: one contiguous buffer.
+    prop_oneof![Just(1), Just(2), Just(3), Just(16), Just(MAX_SEQ)]
 }
 
 fn kind_strategy() -> impl Strategy<Value = AttentionKind> {
@@ -66,7 +71,7 @@ fn chunks_covering(total: usize, raw: &[usize]) -> Vec<usize> {
 fn forward_chunked(
     attn: &Attention,
     x: &Matrix,
-    cache: &mut impl KvStore,
+    cache: &mut PagedKvStore,
     rope: &Rope,
     chunks: &[usize],
 ) -> Matrix {
@@ -85,12 +90,16 @@ fn forward_chunked(
     out
 }
 
-/// Asserts two KV stores hold bitwise-identical state.
-fn assert_same_cache(a: &impl KvStore, b: &impl KvStore) {
+/// Asserts two KV stores hold bitwise-identical rows and memo.
+fn assert_same_cache(a: &PagedKvStore, b: &PagedKvStore) {
     assert_eq!(a.len(), b.len(), "cache lengths diverged");
     for pos in 0..a.len() {
         assert_eq!(a.k_row(pos), b.k_row(pos), "k row {pos} diverged");
         assert_eq!(a.v_row(pos), b.v_row(pos), "v row {pos} diverged");
+    }
+    assert_eq!(a.memo_len(), b.memo_len(), "memo lengths diverged");
+    for pos in 0..a.memo_len() {
+        assert_eq!(a.memo_row(pos), b.memo_row(pos), "memo row {pos} diverged");
     }
 }
 
@@ -98,12 +107,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn chunked_prefill_is_bitwise_identical_in_memory_and_offloaded(
+    fn chunked_prefill_is_bitwise_identical_at_every_page_size(
         seed in 0u64..1000,
         t_total in 1usize..20,
         raw_chunks in proptest::collection::vec(1usize..7, 0..12),
         dtype in dtype_strategy(),
         kind in kind_strategy(),
+        page_rows in page_rows_strategy(),
     ) {
         let mut rng = seeded(seed);
         let attn =
@@ -112,49 +122,31 @@ proptest! {
         let x = Matrix::random_uniform(t_total, HIDDEN, 1.0, &mut rng).unwrap();
         let chunks = chunks_covering(t_total, &raw_chunks);
         let (kw, vw) = attn.cache_spec();
+        let alloc = BlockAllocator::new(4 * MAX_SEQ);
 
-        // Monolithic reference on the flat cache.
-        let mut mono_cache = LayerCache::new(kw, vw, MAX_SEQ);
+        // Monolithic reference on a single page.
+        let mut mono_cache = PagedKvStore::new(kw, vw, MAX_SEQ, MAX_SEQ, &alloc);
         let mono = attn.forward(&x, &mut mono_cache, &rope, None).unwrap();
 
-        // Chunked, flat in-memory cache: outputs and KV state bitwise.
-        let mut cache = LayerCache::new(kw, vw, MAX_SEQ);
+        // Monolithic at the drawn page size: paging alone changes
+        // nothing.
+        let mut paged_mono = PagedKvStore::new(kw, vw, MAX_SEQ, page_rows, &alloc);
+        let paged = attn.forward(&x, &mut paged_mono, &rope, None).unwrap();
+        prop_assert_eq!(mono.as_slice(), paged.as_slice(), "page size {} diverged", page_rows);
+        assert_same_cache(&mono_cache, &paged_mono);
+
+        // Chunked at the drawn page size: outputs, KV state and (MLA)
+        // the incrementally built memo, all bitwise.
+        let mut cache = PagedKvStore::new(kw, vw, MAX_SEQ, page_rows, &alloc);
         let chunked = forward_chunked(&attn, &x, &mut cache, &rope, &chunks);
         prop_assert_eq!(
             mono.as_slice(),
             chunked.as_slice(),
-            "in-memory outputs diverged for chunks {:?}",
-            &chunks
+            "outputs diverged for chunks {:?} at page size {}",
+            &chunks,
+            page_rows
         );
         assert_same_cache(&mono_cache, &cache);
-
-        // Chunked, offloaded cache with a window small enough that
-        // evictions interleave with the chunked appends. MLA caches a
-        // zero-width value row; the offloaded tiers store it fine.
-        let window = 1 + (t_total / 3);
-        let mut off_mono = OffloadedLayerCache::new(kw, vw, window, MAX_SEQ).unwrap();
-        let off_ref = attn.forward(&x, &mut off_mono, &rope, None).unwrap();
-        let mut off = OffloadedLayerCache::new(kw, vw, window, MAX_SEQ).unwrap();
-        let off_chunked = forward_chunked(&attn, &x, &mut off, &rope, &chunks);
-        prop_assert_eq!(
-            off_ref.as_slice(),
-            off_chunked.as_slice(),
-            "offloaded outputs diverged for chunks {:?}",
-            &chunks
-        );
-        assert_same_cache(&off_mono, &off);
-        // The offloaded view agrees with the flat one, and chunking
-        // did not change what got evicted.
-        assert_same_cache(&mono_cache, &off);
-        if t_total > window {
-            prop_assert!(off.slow_len() > 0, "window never overflowed");
-            prop_assert_eq!(off.slow_len(), off_mono.slow_len());
-        }
-
-        // The memo-accelerated decode path (engaged on the flat cache
-        // by MLA) must agree with the memo-free offloaded path — both
-        // stores already matched `mono` above, so here we only pin the
-        // final-row agreement explicitly for clarity.
-        prop_assert_eq!(mono.row(t_total - 1), off_ref.row(t_total - 1));
+        prop_assert_eq!(cache.pages().len(), t_total.div_ceil(page_rows));
     }
 }

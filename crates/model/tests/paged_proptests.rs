@@ -1,4 +1,4 @@
-//! Property tests for the paged KV backend: the block allocator's
+//! Property tests for the paged KV store: the block allocator's
 //! page accounting must stay exact under arbitrary allocate / clone /
 //! drop churn (no double-free, no leak — a page returns to the pool
 //! exactly when its last reference drops), stores sharing pages must
@@ -8,7 +8,6 @@
 //! equal to an independently tracked shadow model.
 
 use kt_model::paged::{BlockAllocator, PageData, PagedKvStore};
-use kt_model::KvStore;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;

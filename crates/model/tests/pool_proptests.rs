@@ -112,9 +112,13 @@ proptest! {
             // tell a foreign lease apart.
             let a = KvCachePool::new(&[(4, 4)], 8, 2);
             let b = KvCachePool::new(&[(4, 4)], 8, 2);
-            let la = a.lease().unwrap();
-            let lb = b.lease().unwrap();
+            let mut la = a.lease().unwrap();
+            let mut lb = b.lease().unwrap();
             prop_assert_eq!(la.id(), lb.id(), "ids collide by construction");
+            // Both hold a page, so a misparked cache would show up in
+            // the wrong allocator's accounting.
+            la.cache.layer_mut(0).push(&[1.0; 4], &[2.0; 4]).unwrap();
+            lb.cache.layer_mut(0).push(&[3.0; 4], &[4.0; 4]).unwrap();
             if misroute {
                 // Misrouted releases error; the foreign cache never
                 // lands in the wrong pool's free list. The consumed
@@ -143,19 +147,22 @@ proptest! {
             }
             let o = a.occupancy();
             prop_assert_eq!(o.in_use + o.free, o.constructed, "free list corrupted");
+            for p in [&a, &b] {
+                prop_assert_eq!(p.page_stats().allocated, 0, "pages stranded");
+            }
         }
     }
 
     #[test]
     fn concurrent_prefix_churn_preserves_construction_invariant(
         thread_rounds in proptest::collection::vec(2usize..8, 2..4),
-        budget in 200usize..1200,
+        budget in 400usize..2400,
     ) {
-        // A tight prefix budget forces insert/evict churn while
-        // several threads lease, seed, extend and release. The pool's
-        // construction invariant must hold at every sampled instant
-        // (occupancy() reads all fields under one lock, so samples are
-        // consistent snapshots).
+        // A tight prefix budget (a frozen page of this shape is 320
+        // bytes) forces insert/evict churn while several threads lease,
+        // seed, extend and release. The pool's construction invariant
+        // must hold at every sampled instant (occupancy() reads all
+        // fields under one lock, so samples are consistent snapshots).
         let pool = std::sync::Arc::new(
             KvCachePool::new(&[(3, 2)], 16, 3).with_prefix_cache(PrefixCacheConfig {
                 capacity_bytes: budget,

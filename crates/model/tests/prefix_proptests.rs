@@ -9,15 +9,18 @@
 //! sequence is exactly a cold prefill chunked at the seed boundary,
 //! where the first chunk's rows came out of the snapshot instead of
 //! being recomputed. Checked for GQA and MLA, for every weight dtype,
-//! and for both the flat in-memory cache and the two-tier offloaded
-//! cache (which keeps no memo — seeding degrades gracefully).
+//! for page sizes from one row to a single page holding the whole
+//! sequence, with prefix lengths that are not page-aligned, and for a
+//! lease whose page size differs from the snapshot's (nothing can be
+//! shared; every row is copied).
 //!
 //! A second property pins the eviction policy: whatever insert/lookup
 //! sequence runs, resident bytes never exceed the configured budget.
 
 use kt_model::attention::Attention;
 use kt_model::config::AttentionKind;
-use kt_model::kvcache::{KvCache, KvStore, OffloadedLayerCache};
+use kt_model::paged::{BlockAllocator, PagedKvStore};
+use kt_model::KvCache;
 use kt_model::prefix::{PrefixCache, PrefixCacheConfig};
 use kt_model::rope::Rope;
 use kt_tensor::rng::seeded;
@@ -38,6 +41,11 @@ fn dtype_strategy() -> impl Strategy<Value = WeightDtype> {
     ]
 }
 
+fn page_rows_strategy() -> impl Strategy<Value = usize> {
+    // The last is the single-page case: one contiguous buffer.
+    prop_oneof![Just(1), Just(2), Just(3), Just(16), Just(MAX_SEQ)]
+}
+
 fn kind_strategy() -> impl Strategy<Value = AttentionKind> {
     prop_oneof![
         Just(AttentionKind::Gqa { kv_heads: 2 }),
@@ -48,7 +56,7 @@ fn kind_strategy() -> impl Strategy<Value = AttentionKind> {
 }
 
 /// Asserts two KV stores hold bitwise-identical K/V rows.
-fn assert_same_cache(a: &(impl KvStore + ?Sized), b: &(impl KvStore + ?Sized)) {
+fn assert_same_cache(a: &PagedKvStore, b: &PagedKvStore) {
     assert_eq!(a.len(), b.len(), "cache lengths diverged");
     for pos in 0..a.len() {
         assert_eq!(a.k_row(pos), b.k_row(pos), "k row {pos} diverged");
@@ -66,7 +74,9 @@ proptest! {
         split_raw in 1usize..64,
         dtype in dtype_strategy(),
         kind in kind_strategy(),
+        page_sizes in (page_rows_strategy(), page_rows_strategy()),
     ) {
+        let (page_rows, lease_page_rows) = page_sizes;
         let m = 1 + split_raw % (t_total - 1); // cached prefix length, 1..t_total
         let mut rng = seeded(seed);
         let attn =
@@ -76,9 +86,10 @@ proptest! {
         let spec = attn.cache_spec();
         let tokens: Vec<u32> = (0..t_total).map(|i| ((i as u64 * 13 + seed) % 50) as u32).collect();
 
-        // Cold reference: the whole prompt through a fresh flat cache.
-        // For MLA this also builds the decoded-row memo to full length.
-        let mut donor = KvCache::new(&[spec], MAX_SEQ);
+        // Cold reference: the whole prompt through a fresh cache. For
+        // MLA this also builds the decoded-row memo to full length.
+        let alloc = BlockAllocator::new(8 * MAX_SEQ);
+        let mut donor = KvCache::new_paged(&[spec], MAX_SEQ, &alloc, page_rows);
         let cold = attn.forward(&x, donor.layer_mut(0), &rope, None).unwrap();
 
         // Freeze the first m positions and look the prompt back up.
@@ -94,24 +105,31 @@ proptest! {
         )
         .unwrap();
 
-        // Flat in-memory cache: seed, prefill the suffix, compare
-        // outputs, K/V rows and memo bitwise against the cold run.
-        let mut fresh = KvCache::new(&[spec], MAX_SEQ);
-        mat.seed_into(&mut fresh).unwrap();
-        prop_assert_eq!(fresh.seq_len(), m);
-        let warm = attn.forward(&suffix, fresh.layer_mut(0), &rope, None).unwrap();
-        for t in 0..t_total - m {
-            prop_assert_eq!(
-                warm.row(t),
-                cold.row(m + t),
-                "suffix output row {} diverged (split {}/{})", t, m, t_total
-            );
-        }
-        assert_same_cache(donor.layer(0), fresh.layer(0));
-        let dl = donor.layer(0);
-        let fl = fresh.layer(0);
-        prop_assert_eq!(dl.memo_width(), fl.memo_width(), "memo layout diverged");
-        if dl.memo_width() > 0 {
+        for rows in [page_rows, lease_page_rows] {
+            // Seed, prefill the suffix, compare outputs, K/V rows and
+            // memo bitwise against the cold run.
+            let mut fresh = KvCache::new_paged(&[spec], MAX_SEQ, &alloc, rows);
+            mat.seed_into(&mut fresh).unwrap();
+            prop_assert_eq!(fresh.seq_len(), m);
+            // Whole pages below the (rarely aligned) match length join
+            // by reference when the page sizes agree; otherwise, and
+            // for the sub-page tail, rows are copied.
+            let shared = if rows == page_rows { m / rows } else { 0 };
+            prop_assert_eq!(fresh.layer(0).shared_pages(), shared);
+            let warm = attn.forward(&suffix, fresh.layer_mut(0), &rope, None).unwrap();
+            for t in 0..t_total - m {
+                prop_assert_eq!(
+                    warm.row(t),
+                    cold.row(m + t),
+                    "suffix output row {} diverged (split {}/{}, pages {}->{})",
+                    t, m, t_total, page_rows, rows
+                );
+            }
+            prop_assert_eq!(fresh.layer(0).shared_pages(), shared, "suffix wrote a shared page");
+            assert_same_cache(donor.layer(0), fresh.layer(0));
+            let dl = donor.layer(0);
+            let fl = fresh.layer(0);
+            prop_assert_eq!(dl.memo_width(), fl.memo_width(), "memo layout diverged");
             // The seeded memo (m snapshot rows + incrementally decoded
             // suffix rows) matches the cold memo bit for bit.
             prop_assert_eq!(fl.memo_len(), dl.memo_len());
@@ -119,28 +137,6 @@ proptest! {
                 prop_assert_eq!(dl.memo_row(pos), fl.memo_row(pos), "memo row {} diverged", pos);
             }
         }
-
-        // Offloaded two-tier cache: it keeps no memo (memo_ensure
-        // refuses), so seeding copies K/V rows only and attention
-        // re-materializes — still bitwise identical, with the same
-        // eviction pattern as a cold offloaded prefill.
-        let window = 1 + t_total / 3;
-        let mut off_mono = OffloadedLayerCache::new(spec.0, spec.1, window, MAX_SEQ).unwrap();
-        let off_cold = attn.forward(&x, &mut off_mono, &rope, None).unwrap();
-        let mut off = OffloadedLayerCache::new(spec.0, spec.1, window, MAX_SEQ).unwrap();
-        mat.seed_layer(0, &mut off).unwrap();
-        prop_assert_eq!(off.len(), m);
-        let off_warm = attn.forward(&suffix, &mut off, &rope, None).unwrap();
-        for t in 0..t_total - m {
-            prop_assert_eq!(
-                off_warm.row(t),
-                off_cold.row(m + t),
-                "offloaded suffix row {} diverged (split {}/{})", t, m, t_total
-            );
-        }
-        assert_same_cache(&off_mono, &off);
-        // And the offloaded path agrees with the flat path exactly.
-        prop_assert_eq!(off_cold.as_slice(), cold.as_slice());
     }
 
     #[test]
@@ -152,14 +148,16 @@ proptest! {
         ),
     ) {
         // A tiny alphabet forces shared prefixes, edge splits and
-        // promotions; the tight budget forces eviction churn.
+        // promotions; the tight budget forces eviction churn (a 2-row
+        // page of this shape is 40 bytes).
+        let alloc = BlockAllocator::new(1 << 16);
         let px = PrefixCache::new(PrefixCacheConfig {
             capacity_bytes: capacity,
             min_prefix_len: 1,
         });
         for (tokens, is_insert) in &ops {
             if *is_insert {
-                let mut donor = KvCache::new(&[(3, 2)], MAX_SEQ);
+                let mut donor = KvCache::new_paged(&[(3, 2)], MAX_SEQ, &alloc, 2);
                 for (pos, &t) in tokens.iter().enumerate() {
                     let k = [pos as f32, t as f32, 0.5];
                     let v = [t as f32, pos as f32];
@@ -179,5 +177,9 @@ proptest! {
             prop_assert_eq!(s.lookups, s.hits + s.misses);
             prop_assert_eq!(s.entries == 0, s.resident_bytes == 0);
         }
+        // Every page the index still holds is accounted; dropping the
+        // index returns them all.
+        px.clear();
+        prop_assert_eq!(alloc.allocated_pages(), 0, "pages leaked past the index");
     }
 }

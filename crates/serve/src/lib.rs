@@ -272,6 +272,7 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected_at_start() {
+        let max_seq = ModelPreset::DeepSeekV3.tiny_config().max_seq;
         for (bad, field) in [
             (
                 ServerConfig {
@@ -295,6 +296,28 @@ mod tests {
                 },
                 "step_token_budget",
             ),
+            (
+                ServerConfig {
+                    page_rows: 0,
+                    ..Default::default()
+                },
+                "page_rows",
+            ),
+            (
+                ServerConfig {
+                    page_rows: max_seq + 1,
+                    ..Default::default()
+                },
+                "page_rows",
+            ),
+            (
+                // Would overflow the pool auto-sizing if it got that far.
+                ServerConfig {
+                    page_rows: usize::MAX,
+                    ..Default::default()
+                },
+                "page_rows",
+            ),
         ] {
             let err = Server::start(engine(7), bad).expect_err("config must be rejected");
             assert!(
@@ -302,6 +325,14 @@ mod tests {
                 "error should name the offending field: {err}"
             );
         }
+        // The upper bound itself (one page per layer) is a valid size.
+        let single_page = ServerConfig {
+            page_rows: max_seq,
+            ..Default::default()
+        };
+        Server::start(engine(7), single_page)
+            .expect("page_rows == max_seq is accepted")
+            .shutdown();
         // Dynamic placement whose expert cache cannot hold even one
         // routed expert is rejected too, naming the engine field.
         let model = ModelPreset::DeepSeekV3.tiny_config();

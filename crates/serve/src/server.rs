@@ -112,18 +112,17 @@ pub struct ServerConfig {
     /// composition. Each class's targets must be nonzero with
     /// `ttft >= itl` (the first token needs at least one full step).
     pub slo: Option<SloPolicy>,
-    /// Rows per KV page. Nonzero turns on the paged KV backend: leases
-    /// allocate fixed-size pages on demand from a pool-wide block
-    /// allocator, admission charges the pages a prompt actually needs
-    /// instead of reserving a whole `max_seq` cache, warm prefix hits
-    /// share frozen pages zero-copy (copy-on-write at the first
+    /// Rows per KV page, in `1..=max_seq` of the engine's model.
+    /// Leases allocate fixed-size pages on demand from a pool-wide
+    /// block allocator, admission charges the pages a prompt actually
+    /// needs instead of reserving a whole `max_seq` cache, warm prefix
+    /// hits share frozen pages zero-copy (copy-on-write at the first
     /// divergence), and page pressure preempts running sequences
-    /// (swap-or-recompute) instead of failing the step. `0` keeps the
-    /// legacy monolithic (flat) leases. Outputs are bitwise identical
-    /// either way.
+    /// (swap-or-recompute) instead of failing the step. Outputs are
+    /// bitwise identical at every page size.
     pub page_rows: usize,
-    /// Total pages in the block allocator (paged mode only). `0` sizes
-    /// it automatically: `max_batch` full-capacity sequences plus an
+    /// Total pages in the block allocator. `0` sizes it
+    /// automatically: `max_batch` full-capacity sequences plus an
     /// allowance covering the prefix cache's byte budget. Pages are
     /// admission accounting units — page memory is allocated lazily —
     /// so a generous total costs nothing up front.
@@ -545,8 +544,9 @@ impl Server {
     /// # Errors
     ///
     /// Rejects an invalid configuration (`max_batch == 0`,
-    /// `prefill_chunk == 0`, `step_token_budget < prefill_chunk`, or
-    /// an [`SloPolicy`] with an unmeetable class target — zero, or a
+    /// `prefill_chunk == 0`, `step_token_budget < prefill_chunk`,
+    /// `page_rows` outside `1..=max_seq` of the engine's model, or an
+    /// [`SloPolicy`] with an unmeetable class target — zero, or a
     /// TTFT target below the class's ITL target, i.e. below one step's
     /// worth of budget, or a precision policy whose quantization groups
     /// do not divide the model dimensions) instead of papering over it.
@@ -565,6 +565,13 @@ impl Server {
         }
         if cfg.min_prefix_len == 0 {
             return Err(EngineError::config("ServerConfig.min_prefix_len must be nonzero"));
+        }
+        let max_seq = engine.config().max_seq;
+        if cfg.page_rows == 0 || cfg.page_rows > max_seq {
+            return Err(EngineError::config(format!(
+                "ServerConfig.page_rows ({}) must be in 1..={max_seq} (the model's max_seq)",
+                cfg.page_rows
+            )));
         }
         // A precision policy whose group sizes do not divide the model
         // dimensions could never have packed these weights; reject the
@@ -620,32 +627,30 @@ impl Server {
                 min_prefix_len: cfg.min_prefix_len,
             });
         }
-        if cfg.page_rows > 0 {
-            let total = if cfg.kv_pool_pages > 0 {
-                cfg.kv_pool_pages
-            } else {
-                // Auto: every batch slot at full capacity, plus pages
-                // for the prefix index's byte budget (frozen segments
-                // hold page references, so index residency competes
-                // with leases for the allocator). Pages are lazily
-                // materialized, so generosity here reserves no memory.
-                let capacity = if fresh.n_layers() > 0 { fresh.layer(0).capacity() } else { 0 };
-                let per_seq = fresh.n_layers() * capacity.div_ceil(cfg.page_rows);
-                let min_row_bytes = (0..fresh.n_layers())
-                    .map(|i| {
-                        let l = fresh.layer(i);
-                        (l.k_width() + l.v_width()) * std::mem::size_of::<f32>()
-                    })
-                    .min()
-                    .unwrap_or(1)
-                    .max(1);
-                let prefix_pages = cfg
-                    .prefix_cache_bytes
-                    .div_ceil(cfg.page_rows * min_row_bytes);
-                cfg.max_batch * per_seq + prefix_pages
-            };
-            pool = pool.with_paged(total, cfg.page_rows);
-        }
+        let total_pages = if cfg.kv_pool_pages > 0 {
+            cfg.kv_pool_pages
+        } else {
+            // Auto: every batch slot at full capacity, plus pages for
+            // the prefix index's byte budget (frozen segments hold
+            // page references, so index residency competes with
+            // leases for the allocator). Pages are lazily
+            // materialized, so generosity here reserves no memory.
+            let capacity = if fresh.n_layers() > 0 { fresh.layer(0).capacity() } else { 0 };
+            let per_seq = fresh.n_layers() * capacity.div_ceil(cfg.page_rows);
+            let min_row_bytes = (0..fresh.n_layers())
+                .map(|i| {
+                    let l = fresh.layer(i);
+                    (l.k_width() + l.v_width()) * std::mem::size_of::<f32>()
+                })
+                .min()
+                .unwrap_or(1)
+                .max(1);
+            let prefix_pages = cfg
+                .prefix_cache_bytes
+                .div_ceil(cfg.page_rows * min_row_bytes);
+            cfg.max_batch * per_seq + prefix_pages
+        };
+        pool = pool.with_paged(total_pages, cfg.page_rows);
         // Swap-vs-recompute pricing from the model shape and the hwsim
         // calibration (same anchors as dynamic placement's CostModel).
         let preempt_cost = {
@@ -753,9 +758,7 @@ impl Server {
         if let Some(px) = self.inner.pool.prefix_stats() {
             s.set_prefix(&px);
         }
-        if let Some(pages) = self.inner.pool.page_stats() {
-            s.set_pages(&pages);
-        }
+        s.set_pages(&self.inner.pool.page_stats());
         if let Some(x) = self.inner.engine.expert_cache_stats() {
             s.set_expert_cache(&x);
         }
@@ -904,8 +907,7 @@ impl Server {
                 s.expert_weight_bytes,
             );
         }
-        // Paged-KV allocator gauges and preemption counters (all zero
-        // when the server runs monolithic flat leases).
+        // KV page allocator gauges and preemption counters.
         push_gauge(&mut out, "kt_kv_pages_total", "KV pages the block allocator can hand out in total.", s.kv_pages_total as f64);
         push_gauge(&mut out, "kt_kv_pages_free", "KV pages currently free in the allocator.", s.kv_pages_free as f64);
         push_gauge(&mut out, "kt_kv_pages_shared", "Allocated KV pages referenced by more than one holder (prefix sharing).", s.kv_pages_shared as f64);
@@ -1093,21 +1095,19 @@ impl Server {
                 req.max_new
             ));
         }
-        // Paged admission: the request must fit the page pool even
-        // with every other sequence preempted, or it could never run
-        // to completion (preemption keeps at least one survivor, so a
-        // too-big request would wedge the scheduler, not just fail).
-        if let Some(alloc) = self.inner.pool.block_allocator() {
-            let needed = self.inner.pool.pages_needed(req.prompt.len() + req.max_new);
-            if needed > alloc.total_pages() {
-                return Err(format!(
-                    "prompt ({}) + max_new ({}) needs {needed} KV pages but the pool \
-                     holds {}",
-                    req.prompt.len(),
-                    req.max_new,
-                    alloc.total_pages()
-                ));
-            }
+        // The request must fit the page pool even with every other
+        // sequence preempted, or it could never run to completion
+        // (preemption keeps at least one survivor, so a too-big
+        // request would wedge the scheduler, not just fail).
+        let total = self.inner.pool.block_allocator().total_pages();
+        let needed = self.inner.pool.pages_needed(req.prompt.len() + req.max_new);
+        if needed > total {
+            return Err(format!(
+                "prompt ({}) + max_new ({}) needs {needed} KV pages but the pool \
+                 holds {total}",
+                req.prompt.len(),
+                req.max_new,
+            ));
         }
         Ok(())
     }
@@ -1378,9 +1378,7 @@ fn resume_preempted(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted:
                 // Swap-in: the captured rows restore bit-for-bit into
                 // a fresh lease; the sequence continues exactly where
                 // it stopped.
-                if inner.pool.page_rows().is_some()
-                    && inner.pool.pages_needed(rows) > inner.pool.free_pages()
-                {
+                if inner.pool.pages_needed(rows) > inner.pool.free_pages() {
                     return;
                 }
                 let Some(mut lease) = inner.pool.lease() else { return };
@@ -1613,9 +1611,6 @@ fn relieve_pressure(
     preempted: &mut Vec<PreemptedSeq>,
 ) -> Vec<Option<Work>> {
     let mut plan = compose(inner, active);
-    if inner.pool.page_rows().is_none() {
-        return plan;
-    }
     loop {
         let needed: usize = plan
             .iter()
