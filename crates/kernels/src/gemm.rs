@@ -1,27 +1,36 @@
 //! Tiled ("AMX-class") GEMM and lightweight ("AVX-512-class") GEMV.
 //!
-//! Both kernels consume the packed tile-major weight layout from
+//! Both kernel classes consume the packed tile-major weight layout from
 //! `kt-tensor` and implement the execution process of Figure 6:
 //!
-//! 1. The weight matrix is vertically partitioned into **panel tasks**
-//!    ([`kt_tensor::NR`] output neurons each) that are dynamically
-//!    scheduled across threads.
-//! 2. Each task walks the reduction dimension in **L2-sized blocks**
-//!    ([`KC`] K-steps), staging (dequantizing) the packed weights for
-//!    the block exactly once.
-//! 3. Within a block, a register-blocked **microkernel** processes
-//!    [`MR`] activation rows at a time against the 16-wide panel,
-//!    accumulating into local tiles before spilling to the output.
-//!
-//! The vector kernel reuses the identical packed bytes but decodes them
-//! inline per K-step with no staging or M-padding — the paper's
-//! "lightweight AVX-512 kernel fully compatible with the AMX memory
-//! layout", which wins whenever tokens-per-expert is small (Figure 7).
+//! 1. The weight matrix is vertically partitioned into tasks that are
+//!    dynamically scheduled across threads.
+//! 2. **Tiled class** — a task is one panel ([`kt_tensor::NR`] output
+//!    neurons). It walks the reduction dimension in **L2-sized blocks**
+//!    ([`KC`] K-steps), stages (dequantizes) the packed weights of the
+//!    block exactly once, and a register-blocked **microkernel**
+//!    processes [`MR`] activation rows at a time against the staged
+//!    panel, accumulating into local tiles before spilling to the
+//!    output.
+//! 3. **Vector class** — a task is one block of up to
+//!    [`simd::BLOCK_ROWS`] activation rows × [`simd::BLOCK_PANELS`]
+//!    adjacent panels, handed to the fused-dequant block kernel of
+//!    [`crate::simd`]: the packed bytes are decoded inline per K-step
+//!    with no staging or M-padding, once for all rows of the block, and
+//!    every (row, panel) pair has its own accumulator. This is the
+//!    paper's "lightweight AVX-512 kernel fully compatible with the AMX
+//!    memory layout", which wins whenever tokens-per-expert is small
+//!    (Figure 7). A row's output bits do not depend on the block it
+//!    rides in, so [`gemv_vector`], [`gemm_rowwise`] and the fused MoE
+//!    operator's vector tasks all go through the same task loop and an
+//!    M-row call is one pool dispatch.
 
 use kt_tensor::{Matrix, PackedWeights, WeightDtype, NR};
 
+use crate::dispatch::KernelClass;
 use crate::error::KernelError;
 use crate::schedule::ThreadPool;
+use crate::simd::{self, microkernel, BLOCK_PANELS, BLOCK_ROWS};
 
 /// Activation rows processed per microkernel invocation.
 pub const MR: usize = 4;
@@ -31,14 +40,15 @@ pub const MR: usize = 4;
 /// a per-core L2.
 pub const KC: usize = 256;
 
-/// Shared mutable output pointer for disjoint-column panel writes.
+/// Shared mutable output pointer for disjoint task writes.
 ///
-/// Panels write non-overlapping column ranges of the output matrix, so
-/// concurrent use is race-free by construction.
+/// Tasks write non-overlapping (row range, column range) rectangles of
+/// the output matrix, so concurrent use is race-free by construction.
 #[derive(Clone, Copy)]
 pub(crate) struct OutPtr(pub(crate) *mut f32);
-// SAFETY: Each panel task touches a disjoint set of output columns (its
-// own `p * NR ..` lanes), so no two threads write the same element.
+// SAFETY: A tiled task owns all rows of its panel's columns; a vector
+// task owns its row block of its panel group's columns. No two tasks of
+// one product share an element, so no two threads write the same one.
 unsafe impl Send for OutPtr {}
 unsafe impl Sync for OutPtr {}
 
@@ -66,38 +76,110 @@ fn stage_panel(w: &PackedWeights, p: usize, k0: usize, k1: usize, buf: &mut [f32
     }
 }
 
-use crate::simd::{self, microkernel};
+/// Tasks an `m`-row product against `w` splits into under `class`:
+/// panels for the tiled class, (row-block, panel-group) pairs for the
+/// vector class.
+pub(crate) fn n_tasks(class: KernelClass, m: usize, w: &PackedWeights) -> usize {
+    match class {
+        KernelClass::Tiled => w.n_panels(),
+        KernelClass::Vector => m.div_ceil(BLOCK_ROWS) * w.n_panels().div_ceil(BLOCK_PANELS),
+    }
+}
 
-/// Executes panel `p` with the given kernel class, writing output
-/// columns `p*NR .. p*NR+valid` of an `a.rows() x out_cols` output.
+/// Executes task `task < n_tasks(class, a.rows(), w)` of `a * w^T`,
+/// writing its share of an `a.rows() x out_cols` output whose column 0
+/// is `out`.
 ///
-/// This is the task granule of the fused MoE operator: one (expert
-/// matrix, panel) pair, dispatched dynamically across worker threads.
-#[allow(clippy::needless_range_loop)]
-pub(crate) fn run_panel(
+/// This is the task granule of the fused MoE operator, dispatched
+/// dynamically across worker threads.
+pub(crate) fn run_task(
     a: &Matrix,
     w: &PackedWeights,
     out: OutPtr,
     out_cols: usize,
-    p: usize,
-    class: crate::dispatch::KernelClass,
+    task: usize,
+    class: KernelClass,
 ) {
     match class {
-        crate::dispatch::KernelClass::Tiled => panel_task(a, w, out, out_cols, p),
-        crate::dispatch::KernelClass::Vector => {
-            let valid = NR.min(w.n() - p * NR);
-            for i in 0..a.rows() {
-                let acc = gemv_panel(a.row(i), w, p);
-                // SAFETY: Panel tasks own disjoint output columns; row
-                // `i < a.rows()` is in bounds of the output matrix.
-                unsafe {
-                    let dst = out.0.add(i * out_cols + p * NR);
-                    for j in 0..valid {
-                        *dst.add(j) = acc[j];
-                    }
-                }
+        KernelClass::Tiled => panel_task(a, w, out, out_cols, task),
+        KernelClass::Vector => vector_task(a.as_slice(), a.rows(), w, out, out_cols, task),
+    }
+}
+
+/// Executes one vector-class task over the `m` rows of row-major `a`
+/// (`m x w.k()`): tasks are panel-group major, so consecutive tasks
+/// re-read the same panels against different rows.
+fn vector_task(a: &[f32], m: usize, w: &PackedWeights, out: OutPtr, out_cols: usize, task: usize) {
+    let row_blocks = m.div_ceil(BLOCK_ROWS);
+    let i0 = (task % row_blocks) * BLOCK_ROWS;
+    let p0 = (task / row_blocks) * BLOCK_PANELS;
+    let nr = BLOCK_ROWS.min(m - i0);
+    let np = BLOCK_PANELS.min(w.n_panels() - p0);
+    let k = w.k();
+    // Unused slots repeat the last row/panel so the arrays need no
+    // placeholder value; only the first `nr` / `np` entries are passed on.
+    let row = |r: usize| {
+        let i = i0 + r.min(nr - 1);
+        &a[i * k..(i + 1) * k]
+    };
+    let panel = |p: usize| p0 + p.min(np - 1);
+    let x: [&[f32]; BLOCK_ROWS] = std::array::from_fn(row);
+    let x = &x[..nr];
+
+    let mut tiles = [[0.0f32; NR]; BLOCK_ROWS * BLOCK_PANELS];
+    let acc = &mut tiles[..nr * np];
+    match w.dtype() {
+        WeightDtype::F32 => {
+            let panels: [&[f32]; BLOCK_PANELS] = std::array::from_fn(|p| w.panel_f32(panel(p)));
+            simd::gemv_f32(x, &panels[..np], acc);
+        }
+        WeightDtype::Bf16 => {
+            let panels: [_; BLOCK_PANELS] = std::array::from_fn(|p| w.panel_bf16(panel(p)));
+            simd::gemv_bf16(x, &panels[..np], acc);
+        }
+        dtype @ (WeightDtype::Int8 { group } | WeightDtype::Int4 { group }) => {
+            let bytes: [&[u8]; BLOCK_PANELS] = std::array::from_fn(|p| w.panel_bytes(panel(p)));
+            let scales: [&[f32]; BLOCK_PANELS] = std::array::from_fn(|p| w.panel_scales(panel(p)));
+            let kernel = match dtype {
+                WeightDtype::Int8 { .. } => simd::gemv_int8,
+                _ => simd::gemv_int4,
+            };
+            kernel(x, &bytes[..np], &scales[..np], group, acc);
+        }
+    }
+
+    for r in 0..nr {
+        for p in 0..np {
+            let col = (p0 + p) * NR;
+            let valid = NR.min(w.n() - col);
+            // SAFETY: `out` points to an `m x out_cols` matrix that
+            // outlives this call; row `i0 + r < m`, and this task
+            // exclusively owns rows `i0..i0+nr` of columns
+            // `p0*NR .. (p0+np)*NR` (see `OutPtr`).
+            unsafe {
+                let dst = out.0.add((i0 + r) * out_cols + col);
+                std::ptr::copy_nonoverlapping(acc[r * np + p].as_ptr(), dst, valid);
             }
         }
+    }
+}
+
+/// Runs every vector-class task of `a * w^T` (`a`: `m` rows, row-major)
+/// in one pool dispatch — the one task loop behind [`gemv_vector`],
+/// [`gemm_rowwise`] and [`gemm_auto`]'s small-M branch.
+fn gemm_vector(
+    a: &[f32],
+    m: usize,
+    w: &PackedWeights,
+    out: OutPtr,
+    out_cols: usize,
+    pool: Option<&ThreadPool>,
+) {
+    let n = n_tasks(KernelClass::Vector, m, w);
+    let task = |t: usize| vector_task(a, m, w, out, out_cols, t);
+    match pool {
+        Some(pool) => pool.run_dynamic(n, task),
+        None => (0..n).for_each(task),
     }
 }
 
@@ -217,7 +299,6 @@ pub fn gemm_tiled(
 ///
 /// Returns [`KernelError::Shape`] when `x.len() != w.k()` or
 /// `y.len() != w.n()`.
-#[allow(clippy::needless_range_loop)] // raw-pointer writes, see SAFETY
 pub fn gemv_vector(
     x: &[f32],
     w: &PackedWeights,
@@ -238,62 +319,8 @@ pub fn gemv_vector(
             w.n()
         )));
     }
-    let yp = OutPtr(y.as_mut_ptr());
-    let n = w.n();
-    let task = |p: usize| {
-        // Force-capture the whole OutPtr (which is Sync) rather than its
-        // raw `*mut f32` field — edition-2021 closures capture disjoint
-        // fields otherwise, and a bare `*mut` is not Sync.
-        #[allow(clippy::redundant_locals)]
-        let yp = yp;
-        let acc = gemv_panel(x, w, p);
-        let valid = NR.min(n - p * NR);
-        // SAFETY: Panel tasks own disjoint `y` ranges (`p*NR..`).
-        unsafe {
-            let dst = yp.0.add(p * NR);
-            for j in 0..valid {
-                *dst.add(j) = acc[j];
-            }
-        }
-    };
-    match pool {
-        Some(pool) => pool.run_dynamic(w.n_panels(), task),
-        None => {
-            for p in 0..w.n_panels() {
-                task(p);
-            }
-        }
-    }
+    gemm_vector(x, 1, w, OutPtr(y.as_mut_ptr()), y.len(), pool);
     Ok(())
-}
-
-/// Computes the 16 partial outputs of panel `p` for activation `x`,
-/// fusing per-dtype weight decode into the SIMD accumulation.
-///
-/// Bf16/Int8/Int4 use the fused-dequant kernels from [`crate::simd`]
-/// (codes widened in-register, group scale folded into the FMA), which
-/// are bitwise identical across SIMD levels; F32 reuses the staged-form
-/// microkernel directly.
-fn gemv_panel(x: &[f32], w: &PackedWeights, p: usize) -> [f32; NR] {
-    let mut acc = [0.0f32; NR];
-    match w.dtype() {
-        WeightDtype::F32 => {
-            // The f32 panel is already in staged (K-major) form, so the
-            // SIMD microkernel applies directly with M = 1.
-            let panel = w.panel_f32(p);
-            let mut tile = [[0.0f32; NR]; 1];
-            microkernel::<1>([x], panel, x.len(), &mut tile);
-            acc = tile[0];
-        }
-        WeightDtype::Bf16 => simd::gemv_bf16(x, w.panel_bf16(p), &mut acc),
-        WeightDtype::Int8 { group } => {
-            simd::gemv_int8(x, w.panel_bytes(p), w.panel_scales(p), group, &mut acc);
-        }
-        WeightDtype::Int4 { group } => {
-            simd::gemv_int4(x, w.panel_bytes(p), w.panel_scales(p), group, &mut acc);
-        }
-    }
-    acc
 }
 
 /// Hybrid dispatch: uses the vector kernel when `a.rows()` is at or
@@ -323,16 +350,8 @@ pub fn gemm_auto(
     out: &mut Matrix,
     pool: Option<&ThreadPool>,
 ) -> Result<(), KernelError> {
-    check_shapes(a, w, out)?;
     if a.rows() <= crate::dispatch::ARI_CROSSOVER {
-        for i in 0..a.rows() {
-            // Borrow-splitting: rows of `out` are disjoint.
-            let out_cols = out.cols();
-            let row =
-                &mut out.as_mut_slice()[i * out_cols..(i + 1) * out_cols];
-            gemv_vector(a.row(i), w, row, pool)?;
-        }
-        Ok(())
+        gemm_rowwise(a, w, out, pool)
     } else {
         gemm_tiled(a, w, out, pool)
     }
@@ -343,7 +362,14 @@ pub fn gemm_auto(
 /// a function of row `i` of `a` **only** — bit-for-bit independent of
 /// the batch composition, for every dtype and every `k`.
 ///
-/// `gemm_auto` cannot promise this in general: its gemv/tiled dispatch
+/// Rows are processed in blocks that share each panel's decode, which
+/// preserves the contract: the block kernel gives every (row, panel)
+/// pair its own accumulator and feeds it the same operation sequence
+/// (`fma(x[kk], widen(code) * scale, acc)`, ascending `kk`) whatever the
+/// block's shape, so a row's bits are those of [`gemv_vector`] on that
+/// row alone.
+///
+/// `gemm_auto` cannot promise this in general: its vector/tiled dispatch
 /// flips at the arithmetic-intensity crossover, and the two kernel
 /// classes only agree bitwise for f32 weights whose `k` fits a single
 /// tiled k-block. Position-dependent computations that must be
@@ -363,11 +389,8 @@ pub fn gemm_rowwise(
 ) -> Result<(), KernelError> {
     check_shapes(a, w, out)?;
     let out_cols = out.cols();
-    for i in 0..a.rows() {
-        // Borrow-splitting: rows of `out` are disjoint.
-        let row = &mut out.as_mut_slice()[i * out_cols..(i + 1) * out_cols];
-        gemv_vector(a.row(i), w, row, pool)?;
-    }
+    let outp = OutPtr(out.as_mut_slice().as_mut_ptr());
+    gemm_vector(a.as_slice(), a.rows(), w, outp, out_cols, pool);
     Ok(())
 }
 

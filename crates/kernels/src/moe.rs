@@ -13,9 +13,11 @@
 //!   dependency).
 //! * **Batch 2** — Down projections of all experts.
 //!
-//! Task granularity is one (expert matrix, output panel) pair, matching
-//! Figure 6 step ① ("expert weight matrices are vertically partitioned
-//! into tasks dynamically scheduled across threads"). Tasks of the same
+//! Task granularity is one (expert matrix, output panel) pair for the
+//! tiled kernel class and one (expert matrix, row block, panel group)
+//! block for the vector class (see [`crate::gemm`]), matching Figure 6
+//! step ① ("expert weight matrices are vertically partitioned into
+//! tasks dynamically scheduled across threads"). Tasks of the same
 //! expert are adjacent in the queue, so dynamic scheduling naturally
 //! co-schedules them — the paper's cache-reuse heuristic.
 
@@ -25,7 +27,7 @@ use rand::rngs::StdRng;
 use crate::act::swiglu_combine;
 use crate::dispatch::Backend;
 use crate::error::KernelError;
-use crate::gemm::{run_panel, OutPtr};
+use crate::gemm::{n_tasks, run_task, OutPtr};
 use crate::schedule::{SchedulePolicy, ThreadPool};
 
 /// The three projection matrices of one expert, packed for the hybrid
@@ -712,45 +714,49 @@ impl FusedMoE {
         buckets: &mut [Bucket],
         descs: &mut Vec<PanelDesc>,
     ) {
-        // Task batch 1: fused Gate+Up for all experts. Task id encodes
-        // (bucket, projection, panel): gate panels first, then up panels
-        // per bucket, keeping same-expert tasks adjacent in the queue.
-        let inter_panels = self.experts[0].gate.n_panels();
-        let tasks_per_bucket = 2 * inter_panels;
-        let n_tasks1 = buckets.len() * tasks_per_bucket;
+        // Task batch 1: fused Gate+Up for all experts. A bucket's tasks
+        // are its gate tasks, then its up tasks, keeping same-expert
+        // tasks adjacent in the queue; how many that is depends on the
+        // bucket's kernel class, so descriptors carry their first id.
         {
             descs.clear();
+            let mut n_tasks1 = 0;
             for b in buckets.iter_mut() {
+                let t_e = b.token_ids.len();
                 descs.push(PanelDesc {
                     expert: b.expert,
                     input: &b.x,
                     out: OutPtr(b.gu.as_mut_slice().as_mut_ptr()),
-                    t_e: b.token_ids.len(),
+                    t_e,
+                    first_task: n_tasks1,
                 });
+                let gate = &self.experts[b.expert].gate;
+                n_tasks1 += 2 * n_tasks(self.backend.kernel_for(t_e), t_e, gate);
             }
             let descs = &*descs;
             let run = |task: usize| {
-                let b = &descs[task / tasks_per_bucket];
+                let b = PanelDesc::owning(descs, task);
                 // SAFETY: descriptors are filled immediately above from
                 // live buckets and consumed before the buckets move.
                 let input = unsafe { &*b.input };
-                let slot = task % tasks_per_bucket;
-                let (proj, panel) = if slot < inter_panels {
-                    (&self.experts[b.expert].gate, slot)
-                } else {
-                    (&self.experts[b.expert].up, slot - inter_panels)
-                };
                 let class = self.backend.kernel_for(b.t_e);
-                // Gate writes columns [panel*NR ..], Up writes columns
-                // [inter + panel*NR ..] of the fused `gu` buffer.
-                let col_off = if slot < inter_panels { 0 } else { self.inter };
+                let expert = &self.experts[b.expert];
+                let per_proj = n_tasks(class, b.t_e, &expert.gate);
+                let slot = task - b.first_task;
+                // Gate writes columns [0 ..], Up writes columns
+                // [inter ..] of the fused `gu` buffer.
+                let (proj, col_off) = if slot < per_proj {
+                    (&expert.gate, 0)
+                } else {
+                    (&expert.up, self.inter)
+                };
                 let shifted = OutPtr(
                     // SAFETY: `gu` is `t_e x 2*inter`; offsetting by
-                    // `col_off <= inter` keeps all panel writes
-                    // (`col_off + panel*NR + NR <= 2*inter`) in bounds.
+                    // `col_off <= inter` keeps all of a projection's
+                    // writes (`col_off + n <= 2*inter`) in bounds.
                     unsafe { b.out.0.add(col_off) },
                 );
-                run_panel(input, proj, shifted, 2 * self.inter, panel, class);
+                run_task(input, proj, shifted, 2 * self.inter, slot % per_proj, class);
             };
             match pool {
                 Some(p) => p.run(n_tasks1, policy, run),
@@ -782,26 +788,29 @@ impl FusedMoE {
         }
 
         // Task batch 2: Down projections of all experts.
-        let hidden_panels = self.experts[0].down.n_panels();
-        let n_tasks2 = buckets.len() * hidden_panels;
         {
             descs.clear();
+            let mut n_tasks2 = 0;
             for b in buckets.iter_mut() {
+                let t_e = b.token_ids.len();
                 descs.push(PanelDesc {
                     expert: b.expert,
                     input: &b.h,
                     out: OutPtr(b.d.as_mut_slice().as_mut_ptr()),
-                    t_e: b.token_ids.len(),
+                    t_e,
+                    first_task: n_tasks2,
                 });
+                let down = &self.experts[b.expert].down;
+                n_tasks2 += n_tasks(self.backend.kernel_for(t_e), t_e, down);
             }
             let descs = &*descs;
             let run = |task: usize| {
-                let b = &descs[task / hidden_panels];
+                let b = PanelDesc::owning(descs, task);
                 // SAFETY: as for phase 1.
                 let input = unsafe { &*b.input };
-                let panel = task % hidden_panels;
                 let class = self.backend.kernel_for(b.t_e);
-                run_panel(input, &self.experts[b.expert].down, b.out, self.hidden, panel, class);
+                let down = &self.experts[b.expert].down;
+                run_task(input, down, b.out, self.hidden, task - b.first_task, class);
             };
             match pool {
                 Some(p) => p.run(n_tasks2, policy, run),
@@ -972,10 +981,20 @@ struct PanelDesc {
     /// Phase output base pointer (`gu` or `d`).
     out: OutPtr,
     t_e: usize,
+    /// Id of this bucket's first task within the phase.
+    first_task: usize,
+}
+
+impl PanelDesc {
+    /// The descriptor whose task range contains `task` (`descs` is in
+    /// ascending `first_task` order and starts at 0).
+    fn owning(descs: &[PanelDesc], task: usize) -> &PanelDesc {
+        &descs[descs.partition_point(|d| d.first_task <= task) - 1]
+    }
 }
 // SAFETY: descriptors are filled from live buckets at the start of each
 // phase and consumed within it; `OutPtr` targets are written at disjoint
-// panels per task (see `run_panel`), shared reads of `input` are safe.
+// rectangles per task (see `run_task`), shared reads of `input` are safe.
 unsafe impl Send for PanelDesc {}
 unsafe impl Sync for PanelDesc {}
 
@@ -1244,6 +1263,40 @@ mod tests {
             .forward_with(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
             .unwrap();
         assert_eq!(again.as_slice(), warm.as_slice());
+    }
+
+    #[test]
+    fn vector_backend_batch_equals_single_row_forwards_bitwise() {
+        // The vector class schedules (bucket, projection, row-block,
+        // panel-group) tasks; a token's output must not depend on which
+        // other tokens share its expert's row block. inter = 72 is 5
+        // panels with a 8-lane tail (panel-group tail), and buckets grow
+        // past one row block at the larger M.
+        let (hidden, inter, n_experts, top_k) = (32, 72, 6, 3);
+        for dtype in [WeightDtype::Int4 { group: 8 }, WeightDtype::Int8 { group: 8 }] {
+            let mut rng = seeded(70);
+            let moe =
+                FusedMoE::random(n_experts, hidden, inter, dtype, Backend::VectorOnly, &mut rng)
+                    .unwrap();
+            let mut ws = MoeWorkspace::new();
+            for m in 1..=8 {
+                let x = Matrix::random_uniform(m, hidden, 1.0, &mut rng).unwrap();
+                let routing = topk_routing(m, n_experts, top_k, 71 + m as u64);
+                let batch = moe
+                    .forward_with(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
+                    .unwrap();
+                for t in 0..m {
+                    let xt = Matrix::from_rows(1, hidden, x.row(t)).unwrap();
+                    let rt = MoeRouting::new(vec![routing.assignments[t].clone()]);
+                    let alone = moe
+                        .forward_with(&xt, &rt, None, SchedulePolicy::Dynamic, &mut ws)
+                        .unwrap();
+                    assert_eq!(batch.row(t), alone.row(0), "{dtype:?} M={m} token {t}");
+                    ws.restore(alone);
+                }
+                ws.restore(batch);
+            }
+        }
     }
 
     #[test]
