@@ -1,7 +1,7 @@
 //! Dynamic expert placement ablation: the live cost-model-driven
-//! placement policy (`PlacementPolicy::Dynamic` + the value-aware
-//! VRAM expert cache) versus the paper's static all-CPU expert split,
-//! on the real engine.
+//! placement (a nonzero `expert_cache_bytes` budget for the value-aware
+//! VRAM expert cache) versus the paper's static all-CPU expert split
+//! (the zero-byte cache), on the real engine.
 //!
 //! Routing is imposed through the engine's routing-override hook so
 //! both arms of a pair see the *identical* deterministic token→expert
@@ -44,14 +44,13 @@
 //! Modes:
 //! * default — all arms, writes `BENCH_placement.json` (run from the
 //!   repo root).
-//! * `--smoke` — CI gate: skewed-routing expert-critical-path speedup
-//!   ≥ 1.2x the static split, uniform-arm critical-path regression
-//!   ≤ 3%, and the plain (no-hook) static decode path within the
-//!   cross-container tolerance of BENCH_slo.json's recorded 2183.4
-//!   tok/s median; exits nonzero otherwise.
+//! * `--smoke` — CI gate: the bitwise check above, skewed-routing
+//!   expert-critical-path speedup ≥ 1.2x the static split, and
+//!   uniform-arm critical-path regression ≤ 3%; exits nonzero
+//!   otherwise.
 
 use kt_bench::{section, table};
-use kt_core::{EngineConfig, HybridEngine, PlacementPolicy, SchedMode};
+use kt_core::{EngineConfig, HybridEngine, SchedMode};
 use kt_kernels::moe::MoeRouting;
 use kt_model::ModelPreset;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,30 +63,22 @@ const SKEW: f64 = 1.2;
 /// layers, so 24 slots ≈ 6 hot experts per layer — 19% of the 128
 /// (layer, expert) pairs.
 const CACHE_EXPERTS: usize = 24;
-/// Timed decode steps of the placement arms (expert-heavy config,
-/// ~1-2 ms/step) and of the decode guard (hotpath config).
+/// Timed decode steps of the wall-clock arms (expert-heavy config,
+/// ~1-2 ms/step).
 const N_DECODE: usize = 192;
-const N_DECODE_GUARD: usize = 448;
 const REPS: usize = 5;
 /// Decode steps of one traced (span-measured) rep.
 const N_TRACED: usize = 96;
 const TRACED_REPS: usize = 3;
-/// Decode-guard baseline: BENCH_slo.json's recorded median. That
-/// baseline was recorded on a different container shape (this bench
-/// records the core count it observed); the guard exists to catch
-/// hot-path regressions from code changes, not cross-box drift, so
-/// the tolerance is wide enough to absorb a 1-core container
-/// timesharing the control, worker, and device threads.
-const SLO_BASELINE_TOK_S: f64 = 2183.4;
-const GUARD_TOLERANCE: f64 = 0.6;
 
 /// Placement-arm model: the DS-3 tiny preset scaled so routed-expert
 /// compute dominates the decode step (moe_inter 48 → 512, 16 → 32
 /// experts, vocab 8192 → 512). With the tiny preset as-is the LM head
 /// GEMM rivals total expert work, the device thread is never idle, and
 /// no placement policy could buy anything — the interesting regime is
-/// the paper's: CPU expert time on the critical path.
-fn mk_engine(policy: PlacementPolicy, cache_bytes: usize) -> HybridEngine {
+/// the paper's: CPU expert time on the critical path. `cache_bytes = 0`
+/// is the static split.
+fn mk_engine(cache_bytes: usize) -> HybridEngine {
     let mut cfg = ModelPreset::DeepSeekV3.tiny_config();
     cfg.vocab = 512;
     cfg.moe_inter = 512;
@@ -98,27 +89,7 @@ fn mk_engine(policy: PlacementPolicy, cache_bytes: usize) -> HybridEngine {
             n_cpu_workers: 1,
             mode: SchedMode::AsyncGraph,
             n_deferred: 2,
-            placement: policy,
             expert_cache_bytes: cache_bytes,
-            seed: 17,
-            ..Default::default()
-        },
-    )
-    .expect("engine")
-}
-
-/// Decode-guard model: exactly the `ablation_hotpath` configuration
-/// BENCH_slo.json's baseline was recorded on (tiny preset, vocab 8192,
-/// natural router, static placement).
-fn mk_guard_engine() -> HybridEngine {
-    let mut cfg = ModelPreset::DeepSeekV3.tiny_config();
-    cfg.vocab = 8192;
-    HybridEngine::random(
-        &cfg,
-        EngineConfig {
-            n_cpu_workers: 1,
-            mode: SchedMode::AsyncGraph,
-            n_deferred: 2,
             seed: 17,
             ..Default::default()
         },
@@ -181,8 +152,8 @@ fn install_hook(engine: &HybridEngine, s: f64) {
 
 /// Prefill + `steps` greedy decode steps, every logits matrix as raw
 /// bits (bitwise identity, not float equality).
-fn logits_bits(policy: PlacementPolicy, cache_bytes: usize, s: f64, steps: usize) -> Vec<Vec<u32>> {
-    let engine = mk_engine(policy, cache_bytes);
+fn logits_bits(cache_bytes: usize, s: f64, steps: usize) -> Vec<Vec<u32>> {
+    let engine = mk_engine(cache_bytes);
     install_hook(&engine, s);
     let mut out = Vec::with_capacity(steps + 1);
     let l = engine.forward(&[1, 2, 3]).expect("prefill");
@@ -199,13 +170,10 @@ fn logits_bits(policy: PlacementPolicy, cache_bytes: usize, s: f64, steps: usize
 }
 
 /// Single-stream decode throughput, `ablation_hotpath` methodology
-/// (prefill, 2 warmups, `steps` timed steps), with the given routing
-/// skew imposed; `hook: None` leaves the natural router in place
-/// (the plain decode-guard configuration BENCH_slo.json records).
-fn decode_tokens_per_s(engine: HybridEngine, hook: Option<f64>, steps: usize) -> f64 {
-    if let Some(s) = hook {
-        install_hook(&engine, s);
-    }
+/// (prefill, 2 warmups, `steps` timed steps), with Zipf(`s`) routing
+/// imposed.
+fn decode_tokens_per_s(engine: HybridEngine, s: f64, steps: usize) -> f64 {
+    install_hook(&engine, s);
     let logits = engine.forward(&[1, 2, 3]).expect("prefill");
     let mut next = kt_model::model::argmax(logits.row(logits.rows() - 1));
     engine.recycle_logits(logits);
@@ -256,9 +224,9 @@ impl ExpertPhase {
 /// Runs `steps` decode steps with kt-trace enabled and aggregates the
 /// expert-phase spans. Durations are real measured host kernel times;
 /// only the *aggregation* assumes the two tracks overlap.
-fn expert_phase(policy: PlacementPolicy, cache_bytes: usize, s: f64, steps: usize) -> ExpertPhase {
+fn expert_phase(cache_bytes: usize, s: f64, steps: usize) -> ExpertPhase {
     use kt_trace::SpanKind;
-    let engine = mk_engine(policy, cache_bytes);
+    let engine = mk_engine(cache_bytes);
     install_hook(&engine, s);
     let logits = engine.forward(&[1, 2, 3]).expect("prefill");
     let mut next = kt_model::model::argmax(logits.row(logits.rows() - 1));
@@ -296,9 +264,9 @@ fn expert_phase(policy: PlacementPolicy, cache_bytes: usize, s: f64, steps: usiz
 }
 
 /// Median-by-critical-path of `TRACED_REPS` traced runs.
-fn traced_arm(policy: PlacementPolicy, cache_bytes: usize, s: f64) -> ExpertPhase {
+fn traced_arm(cache_bytes: usize, s: f64) -> ExpertPhase {
     let mut reps: Vec<ExpertPhase> = (0..TRACED_REPS)
-        .map(|_| expert_phase(policy, cache_bytes, s, N_TRACED))
+        .map(|_| expert_phase(cache_bytes, s, N_TRACED))
         .collect();
     reps.sort_by_key(|p| p.critical_ns());
     reps[reps.len() / 2]
@@ -320,20 +288,12 @@ struct Arm {
     median: f64,
 }
 
-fn run_arm(label: &'static str, policy: PlacementPolicy, cache_bytes: usize, hook: Option<f64>) -> Arm {
+fn run_arm(label: &'static str, cache_bytes: usize, s: f64) -> Arm {
     let mut samples: Vec<f64> = (0..REPS)
-        .map(|_| decode_tokens_per_s(mk_engine(policy, cache_bytes), hook, N_DECODE))
+        .map(|_| decode_tokens_per_s(mk_engine(cache_bytes), s, N_DECODE))
         .collect();
     let median = median(&mut samples);
     Arm { label, samples, median }
-}
-
-fn run_guard_arm() -> Arm {
-    let mut samples: Vec<f64> = (0..REPS)
-        .map(|_| decode_tokens_per_s(mk_guard_engine(), None, N_DECODE_GUARD))
-        .collect();
-    let median = median(&mut samples);
-    Arm { label: "static_no_hook", samples, median }
 }
 
 fn arm_json(a: &Arm) -> String {
@@ -349,7 +309,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
     // Cache budgets in bytes, probed from the live expert weights.
-    let expert_bytes = mk_engine(PlacementPolicy::Static, 0)
+    let expert_bytes = mk_engine(0)
         .expert_weight_bytes()
         .expect("model has routed experts");
     let bounded = CACHE_EXPERTS * expert_bytes;
@@ -368,8 +328,8 @@ fn main() {
         (0.0, bounded, "uniform/bounded"),
         (SKEW, cold, "skewed/cold"),
     ] {
-        let want = logits_bits(PlacementPolicy::Static, 0, s, 48);
-        let got = logits_bits(PlacementPolicy::Dynamic, cache, s, 48);
+        let want = logits_bits(0, s, 48);
+        let got = logits_bits(cache, s, 48);
         assert_eq!(want, got, "{what}: dynamic placement changed the bits");
     }
     println!("bitwise check: dynamic == static over 48 decode steps (skewed, uniform, cold cache)");
@@ -377,10 +337,10 @@ fn main() {
     // Span-measured expert-phase critical paths (the headline metric:
     // see the module docs for why wall-clock cannot move on a 1-core
     // container).
-    let tr_static_skew = traced_arm(PlacementPolicy::Static, 0, SKEW);
-    let tr_dyn_skew = traced_arm(PlacementPolicy::Dynamic, bounded, SKEW);
-    let tr_static_uni = traced_arm(PlacementPolicy::Static, 0, 0.0);
-    let tr_dyn_uni = traced_arm(PlacementPolicy::Dynamic, bounded, 0.0);
+    let tr_static_skew = traced_arm(0, SKEW);
+    let tr_dyn_skew = traced_arm(bounded, SKEW);
+    let tr_static_uni = traced_arm(0, 0.0);
+    let tr_dyn_uni = traced_arm(bounded, 0.0);
     let speedup = tr_static_skew.critical_ns() as f64 / tr_dyn_skew.critical_ns() as f64;
     let uniform_ratio = tr_static_uni.critical_ns() as f64 / tr_dyn_uni.critical_ns() as f64;
 
@@ -416,16 +376,14 @@ fn main() {
         &rows,
     );
 
-    // Wall-clock arms (reported for transparency; gated only through
-    // the decode guard below).
-    let static_skew = run_arm("static_skewed", PlacementPolicy::Static, 0, Some(SKEW));
-    let dyn_skew = run_arm("dynamic_skewed", PlacementPolicy::Dynamic, bounded, Some(SKEW));
-    let static_uni = run_arm("static_uniform", PlacementPolicy::Static, 0, Some(0.0));
-    let dyn_uni = run_arm("dynamic_uniform", PlacementPolicy::Dynamic, bounded, Some(0.0));
-    let dyn_cold = run_arm("dynamic_skewed_cold_cache", PlacementPolicy::Dynamic, cold, Some(SKEW));
-    let guard = run_guard_arm();
+    // Wall-clock arms (reported for transparency, not gated).
+    let static_skew = run_arm("static_skewed", 0, SKEW);
+    let dyn_skew = run_arm("dynamic_skewed", bounded, SKEW);
+    let static_uni = run_arm("static_uniform", 0, 0.0);
+    let dyn_uni = run_arm("dynamic_uniform", bounded, 0.0);
+    let dyn_cold = run_arm("dynamic_skewed_cold_cache", cold, SKEW);
 
-    let arms = [&static_skew, &dyn_skew, &static_uni, &dyn_uni, &dyn_cold, &guard];
+    let arms = [&static_skew, &dyn_skew, &static_uni, &dyn_uni, &dyn_cold];
     let rows: Vec<Vec<String>> = arms
         .iter()
         .map(|a| vec![a.label.into(), format!("{:.1}", a.median), fmt_samples(&a.samples)])
@@ -440,11 +398,6 @@ fn main() {
         us(tr_dyn_skew.critical_ns()),
     );
     println!("uniform_ratio {uniform_ratio:.3} (critical-path regression beyond 3% fails the gate)");
-    println!(
-        "decode_guard {:.1} tok/s vs BENCH_slo.json median {SLO_BASELINE_TOK_S} (tolerance {GUARD_TOLERANCE}x, {} core(s) observed)",
-        guard.median,
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
-    );
 
     let mut failures = Vec::new();
     if speedup < 1.2 {
@@ -458,20 +411,10 @@ fn main() {
             (1.0 - uniform_ratio) * 100.0
         ));
     }
-    if guard.median < GUARD_TOLERANCE * SLO_BASELINE_TOK_S {
-        failures.push(format!(
-            "decode guard {:.1} tok/s below {GUARD_TOLERANCE}x of the {SLO_BASELINE_TOK_S} baseline",
-            guard.median
-        ));
-    }
 
     if smoke {
         if failures.is_empty() {
-            println!(
-                "SMOKE OK: skewed {speedup:.2}x >= 1.2x, uniform ratio {uniform_ratio:.3}, \
-                 guard {:.1} tok/s",
-                guard.median
-            );
+            println!("SMOKE OK: skewed {speedup:.2}x >= 1.2x, uniform ratio {uniform_ratio:.3}");
         } else {
             for f in &failures {
                 eprintln!("SMOKE FAIL: {f}");
@@ -488,12 +431,12 @@ fn main() {
         r#"{{
   "bench": "ablation_placement",
   "workload": {{
-    "model": "DeepSeekV3 tiny preset scaled expert-heavy: moe_inter=512, n_routed_experts=32, vocab=512 (guard arm: unscaled tiny preset, vocab=8192)",
-    "engine": "n_cpu_workers=1, mode=AsyncGraph, n_deferred=2, seed=17",
+    "model": "DeepSeekV3 tiny preset scaled expert-heavy: moe_inter=512, n_routed_experts=32, vocab=512",
+    "engine": "n_cpu_workers=1, mode=AsyncGraph, n_deferred=2, seed=17; static = expert_cache_bytes 0",
     "routing": "deterministic Zipf routing override shared by both arms of each pair; s={SKEW} skewed, s=0 uniform",
     "expert_cache": "bounded = {CACHE_EXPERTS} experts ({bounded} B), cold = 1 expert ({cold} B)"
   }},
-  "method": "headline: expert-phase critical path from kt-trace spans (max(cpu expert ns, vgpu expert ns) + merge ns; measured host kernel durations over {N_TRACED} decode steps, median of {TRACED_REPS} reps); wall-clock: single-stream decode, ablation_hotpath methodology (2 warmups, {N_DECODE} timed steps; guard arm {N_DECODE_GUARD}), {REPS} reps, median; dynamic-vs-static logits checked bitwise over 48 decode steps (skewed, uniform, and cold-cache) before timing",
+  "method": "headline: expert-phase critical path from kt-trace spans (max(cpu expert ns, vgpu expert ns) + merge ns; measured host kernel durations over {N_TRACED} decode steps, median of {TRACED_REPS} reps); wall-clock: single-stream decode, ablation_hotpath methodology (2 warmups, {N_DECODE} timed steps), {REPS} reps, median; dynamic-vs-static logits checked bitwise over 48 decode steps (skewed, uniform, and cold-cache) before timing",
   "cores_observed": {cores},
   "expert_critical_path_us_per_step": {{
 {traced_json}
@@ -503,12 +446,7 @@ fn main() {
   "wall_clock_arms": {{
 {arms_json}
   }},
-  "bitwise_identical": true,
-  "decode_guard": {{
-    "static_no_hook_median": {guard_median:.1},
-    "bench_slo_baseline_median": {SLO_BASELINE_TOK_S},
-    "tolerance": {GUARD_TOLERANCE}
-  }}
+  "bitwise_identical": true
 }}
 "#,
         cores = std::thread::available_parallelism().map_or(0, |n| n.get()),
@@ -527,7 +465,6 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n"),
         arms_json = arms.iter().map(|a| arm_json(a)).collect::<Vec<_>>().join(",\n"),
-        guard_median = guard.median,
     );
     std::fs::write("BENCH_placement.json", &json).expect("write BENCH_placement.json");
     println!();

@@ -5,10 +5,14 @@
 //! scheduling structure:
 //!
 //! * The whole decode step is expressed as a fixed op sequence on one
-//!   stream: `embed → [attn → submit → shared → merge]* → head`.
+//!   stream: `embed → [attn → submit → device experts → merge]* → head`,
+//!   the same op kinds whatever the expert-cache budget.
 //! * `submit` is an in-stream host callback: it routes the token,
 //!   arms per-layer completion counters and pushes expert tasks into
 //!   the lock-free CPU queue (§3.3).
+//! * `device experts` runs the routed experts dynamic placement moved
+//!   to the vGPU this step (none under a zero-byte expert cache — the
+//!   paper's static split), then the shared experts.
 //! * `merge` is a **spinning kernel**: it waits on the immediate
 //!   counter of its own layer and the deferred counter of the previous
 //!   MoE layer, then folds both contributions into the residual stream
@@ -27,9 +31,10 @@
 use kt_kernels::dispatch::Backend;
 use kt_kernels::gemm::gemm_rowwise;
 use kt_kernels::moe::{
-    scatter_bucket_outs, BucketOut, ExpertWeights, FusedMoE, MoeRouting, MoeWorkspace,
+    scatter_bucket_streams, BucketOut, ExpertWeights, FusedMoE, MoeRouting, MoeWorkspace,
 };
 use kt_kernels::schedule::{SchedulePolicy, ThreadPool};
+use kt_kernels::KernelError;
 use kt_model::config::ModelConfig;
 use kt_model::gating::{GateConfig, Router};
 use kt_model::kvcache::KvCache;
@@ -48,7 +53,7 @@ use std::time::{Duration, Instant};
 use crate::cpu_backend::CpuBackend;
 use crate::error::EngineError;
 use crate::placement::dynamic::{
-    partition_experts, split_routing, CostModel, ExpertCache, ExpertCacheStats, PlacementPolicy,
+    partition_experts, split_routing, CostModel, ExpertCache, ExpertCacheStats,
 };
 use crate::profiling::ExpertProfile;
 use crate::vgpu::{GraphHandle, LaunchStats, VgpuConfig, VirtualGpu};
@@ -57,13 +62,6 @@ use crate::vgpu::{GraphHandle, LaunchStats, VgpuConfig, VirtualGpu};
 /// The layer-boundary marker (`usize::MAX` = none) tells sync mode
 /// where to break the stream.
 type OpEntry = (bool, Arc<dyn Fn() + Send + Sync>, usize);
-
-/// Result payload of the immediate CPU expert task: a scattered sum
-/// (static placement) or unscattered bucket outputs (dynamic).
-enum ImmOut {
-    Scattered(Matrix),
-    Buckets(Vec<BucketOut>),
-}
 
 /// Measured utilization over a [`HybridEngine::measure_utilization`]
 /// window.
@@ -99,10 +97,6 @@ pub struct EngineConfig {
     pub mode: SchedMode,
     /// Deferred experts per MoE layer during decode (0 disables).
     pub n_deferred: usize,
-    /// Hot routed experts per layer pinned to the GPU after
-    /// [`HybridEngine::refresh_placement`] (0 = shared experts only,
-    /// the paper's default for shared-expert models).
-    pub n_gpu_experts: usize,
     /// Per-role weight precision (attention, dense FFN, shared experts,
     /// routed experts, LM head). Replaces the old single global
     /// `expert_dtype` knob; use [`PrecisionPolicy::experts`] for the
@@ -118,14 +112,14 @@ pub struct EngineConfig {
     pub backend: Backend,
     /// Weight initialization seed.
     pub seed: u64,
-    /// Expert placement policy. [`PlacementPolicy::Dynamic`] partitions
-    /// each MoE layer's immediate routing per expert between CPU and
-    /// vGPU by calibrated cost, with a value-aware VRAM expert cache;
-    /// outputs stay bitwise identical to the static all-CPU split.
-    pub placement: PlacementPolicy,
-    /// Byte budget of the simulated-VRAM expert cache used by the
-    /// dynamic placement policy (0 = nothing ever resident: every
-    /// GPU-placed expert pays the PCIe upload term).
+    /// Byte budget of the simulated-VRAM expert cache — the one knob of
+    /// expert placement. `0` is the paper's static split (§3.1): every
+    /// routed expert runs on the CPU backend. A nonzero budget (for a
+    /// model with routed experts) turns on dynamic placement: each MoE
+    /// layer's immediate routing is partitioned per expert between CPU
+    /// and vGPU by calibrated cost, with a value-aware expert cache
+    /// deciding residency; outputs stay bitwise identical to the
+    /// zero-byte split.
     pub expert_cache_bytes: usize,
 }
 
@@ -136,11 +130,9 @@ impl Default for EngineConfig {
             vgpu: VgpuConfig::default(),
             mode: SchedMode::AsyncGraph,
             n_deferred: 0,
-            n_gpu_experts: 0,
             precision: PrecisionPolicy::default(),
             backend: Backend::HybridAmxAvx512,
             seed: 0,
-            placement: PlacementPolicy::Static,
             expert_cache_bytes: 0,
         }
     }
@@ -199,11 +191,8 @@ struct StepState {
     imm_out: Vec<Option<Matrix>>,
     /// Deferred routed-expert outputs per layer (from `ws_def`).
     def_out: Vec<Option<Matrix>>,
-    /// Routing of GPU-pinned hot experts per layer (consumed by the
-    /// shared-experts op of the same layer).
-    gpu_routing: Vec<Option<MoeRouting>>,
     /// Dynamic placement: the immediate-routing slice assigned to the
-    /// vGPU this step, per layer (consumed by the GPU-experts op).
+    /// vGPU this step, per layer (consumed by the device-experts op).
     dyn_routing: Vec<Option<MoeRouting>>,
     /// Dynamic placement: unscattered bucket outputs of the CPU
     /// immediate task, per layer (from `ws_imm`).
@@ -225,7 +214,7 @@ struct StepState {
 /// Device-thread step workspace: an arena for engine temporaries
 /// (residual stream, normed activations, per-sequence logits) plus a
 /// MoE workspace for device-executed expert GEMMs (dense MLP, shared
-/// experts, GPU-pinned hot experts).
+/// experts, cache-placed routed experts).
 struct GpuWorkspace {
     arena: ScratchArena,
     moe: MoeWorkspace,
@@ -265,8 +254,6 @@ struct EngineShared {
     def_pending: Vec<AtomicUsize>,
     /// Expert activation statistics (recorded by every submit).
     profile: Mutex<ExpertProfile>,
-    /// Per-layer GPU-pinned expert masks (empty vec = none pinned).
-    gpu_masks: Mutex<Vec<Vec<bool>>>,
     /// Optional fault injector consulted on the expert-submission
     /// path; returning `true` for a layer path fails that forward.
     fault: Mutex<Option<FaultHook>>,
@@ -285,9 +272,9 @@ struct EngineShared {
     /// layer's immediate task, hence its own workspace).
     ws_def: Mutex<MoeWorkspace>,
     /// Dynamic-placement state: the value-aware expert cache plus the
-    /// calibrated cost model. `None` under the static policy — the
-    /// static op sequence and task bodies are then byte-for-byte the
-    /// pre-dynamic ones.
+    /// calibrated cost model. `None` for a zero-byte budget (the static
+    /// split): no partition is computed, no routed expert reaches the
+    /// device, and every immediate task scatters on the CPU.
     dynamic: Option<DynamicState>,
     /// Optional routing override consulted before the router on every
     /// MoE submit (benchmarks impose synthetic routing skew this way).
@@ -322,7 +309,6 @@ impl EngineShared {
                 ffn_in: vec![None; cfg.n_layers],
                 imm_out: vec![None; cfg.n_layers],
                 def_out: vec![None; cfg.n_layers],
-                gpu_routing: vec![None; cfg.n_layers],
                 dyn_routing: vec![None; cfg.n_layers],
                 cpu_buckets: (0..cfg.n_layers).map(|_| None).collect(),
                 gpu_buckets: (0..cfg.n_layers).map(|_| None).collect(),
@@ -333,7 +319,6 @@ impl EngineShared {
             imm_pending: (0..cfg.n_layers).map(|_| AtomicUsize::new(0)).collect(),
             def_pending: (0..cfg.n_layers).map(|_| AtomicUsize::new(0)).collect(),
             profile: Mutex::new(ExpertProfile::new(cfg.n_layers, cfg.n_routed_experts)),
-            gpu_masks: Mutex::new(vec![Vec::new(); cfg.n_layers]),
             fault: Mutex::new(None),
             ws_gpu: Mutex::new(GpuWorkspace::new()),
             ws_imm: Mutex::new(MoeWorkspace::new()),
@@ -355,13 +340,14 @@ pub type FaultHook = Arc<dyn Fn(&str) -> bool + Send + Sync>;
 pub type RoutingHook = Arc<dyn Fn(usize, usize) -> Option<MoeRouting> + Send + Sync>;
 
 /// Builds the dynamic-placement state (cost model + expert cache) when
-/// the policy asks for it and the model has routed experts.
+/// the expert cache has a nonzero budget and the model has routed
+/// experts; `None` is the static split.
 fn dynamic_state(
     cfg: &ModelConfig,
     econfig: &EngineConfig,
     layers: &[Arc<EngineLayer>],
 ) -> Option<DynamicState> {
-    if econfig.placement != PlacementPolicy::Dynamic {
+    if econfig.expert_cache_bytes == 0 {
         return None;
     }
     let expert_bytes: Vec<usize> = layers
@@ -551,6 +537,38 @@ fn spin_until_zero(counter: &AtomicUsize, what: &str) {
             panic!("spin wait on {what} timed out — CPU backend stalled");
         }
     }
+}
+
+/// Body of every CPU expert task, immediate or deferred: records a
+/// `kind` span for layer `li`, runs `compute` under the task's own
+/// workspace lock — dropped before `state` is taken (see the
+/// `EngineShared::ws_gpu` lock discipline) — publishes the output into
+/// `slot` (or the step error), then clears `pending`. The counter
+/// clears even if `compute` panics: a poisoned request must fail, not
+/// wedge the merge spin. `compute` owns the task's `ffn_in` clone, so
+/// the buffer is released before completion is signalled and the merge
+/// op can usually reclaim it right away.
+fn run_expert_task<T>(
+    shared: &EngineShared,
+    kind: SpanKind,
+    li: usize,
+    ws: &Mutex<MoeWorkspace>,
+    pending: &AtomicUsize,
+    slot: impl FnOnce(&mut StepState) -> &mut Option<T>,
+    compute: impl FnOnce(&mut MoeWorkspace) -> Result<T, KernelError>,
+) {
+    let result = {
+        let _span = kt_trace::span_ab(kind, li as u32, 0);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| compute(&mut ws.lock())))
+    };
+    let mut st = shared.state.lock();
+    match result {
+        Ok(Ok(out)) => *slot(&mut st) = Some(out),
+        Ok(Err(e)) => st.error = Some(e.to_string()),
+        Err(_) => st.error = Some("expert task panicked".into()),
+    }
+    drop(st);
+    pending.store(0, Ordering::Release);
 }
 
 impl HybridEngine {
@@ -947,29 +965,6 @@ impl HybridEngine {
         self.shared.profile.lock().clone()
     }
 
-    /// Recomputes the hot-expert GPU placement from the recorded
-    /// profile: the `n_gpu_experts` most-activated routed experts of
-    /// every MoE layer move to the GPU op. Returns the number of
-    /// pinned experts. Placement is pure scheduling — outputs do not
-    /// change.
-    pub fn refresh_placement(&self) -> usize {
-        let n = self.econfig.n_gpu_experts;
-        let masks = self.shared.profile.lock().placement_masks(n);
-        let pinned = masks
-            .iter()
-            .map(|m| m.iter().filter(|&&b| b).count())
-            .sum();
-        *self.shared.gpu_masks.lock() = masks;
-        pinned
-    }
-
-    /// Clears any hot-expert placement (all routed experts back to the
-    /// CPU backend).
-    pub fn clear_placement(&self) {
-        let n_layers = self.cfg.n_layers;
-        *self.shared.gpu_masks.lock() = vec![Vec::new(); n_layers];
-    }
-
     /// Stored weight bytes of one routed expert — the minimum viable
     /// `expert_cache_bytes`. Read from the packed weights themselves,
     /// so quantized experts report their post-quantization footprint.
@@ -993,7 +988,7 @@ impl HybridEngine {
     }
 
     /// Snapshot of the dynamic-placement expert-cache counters; `None`
-    /// under the static policy.
+    /// under the static split (zero-byte budget, or no routed experts).
     pub fn expert_cache_stats(&self) -> Option<ExpertCacheStats> {
         self.shared
             .dynamic
@@ -1169,7 +1164,7 @@ impl HybridEngine {
                 ));
             }
 
-            if layer.ffn.as_moe().is_none() {
+            if let EngineFfn::Dense(_) = layer.ffn {
                 continue;
             }
 
@@ -1218,37 +1213,14 @@ impl HybridEngine {
                                 return;
                             }
                         }
-                        // Record activation statistics for popularity
-                        // profiling (§1's Fiddler-style placement path)
-                        // and, under dynamic placement, fold this step's
-                        // gating mass into the cache's EWMA value model.
+                        // Record activation statistics (the per-expert
+                        // hit counters) and, under dynamic placement,
+                        // fold this step's gating mass into the cache's
+                        // EWMA value model.
                         shared.profile.lock().record(li, &routing);
                         if let Some(dy) = &shared.dynamic {
                             dy.cache.lock().record_gating(li, &routing);
                         }
-
-                        // Partition off GPU-pinned hot experts; they run
-                        // in this layer's shared-experts op instead of
-                        // the CPU queue.
-                        let routing = {
-                            let masks = shared.gpu_masks.lock();
-                            if masks[li].is_empty() {
-                                routing
-                            } else {
-                                let mask = &masks[li];
-                                let mut cpu = Vec::with_capacity(routing.assignments.len());
-                                let mut gpu = Vec::with_capacity(routing.assignments.len());
-                                for a in &routing.assignments {
-                                    let (g, c): (Vec<_>, Vec<_>) =
-                                        a.iter().partition(|&&(e, _)| mask.get(e).copied().unwrap_or(false));
-                                    cpu.push(c);
-                                    gpu.push(g);
-                                }
-                                shared.state.lock().gpu_routing[li] =
-                                    Some(MoeRouting::new(gpu));
-                                MoeRouting::new(cpu)
-                            }
-                        };
 
                         // Expert Deferral gates per ROW: only decode
                         // rows defer (§4.1 — decode-only), so a
@@ -1355,130 +1327,86 @@ impl HybridEngine {
                             shared.def_pending[li].store(1, Ordering::Release);
                         }
 
-                        // Immediate experts. The counter clears even if
-                        // the expert computation panics — a poisoned
-                        // request must fail, not wedge the merge spin.
-                        // When dynamic placement sent experts to the
-                        // device this step, the task produces
-                        // unscattered bucket outputs (the merge op
-                        // scatters both devices' buckets in canonical
-                        // expert order); otherwise — static policy OR a
+                        // Immediate experts. When dynamic placement sent
+                        // experts to the device this step, the task
+                        // produces unscattered bucket outputs (the merge
+                        // op scatters both devices' buckets in canonical
+                        // expert order); otherwise — zero-byte cache OR a
                         // step whose partition kept everything on CPU —
-                        // the scattered-sum fast path runs untouched.
+                        // it produces the scattered sum.
                         {
                             let shared = Arc::clone(&shared);
                             let layer = Arc::clone(&layer);
                             let ffn_in = Arc::clone(&ffn_in);
                             cpu.submit(Box::new(move || {
-                                let result = {
-                                    let _span = kt_trace::span_ab(
-                                        SpanKind::CpuExpertImmediate,
-                                        li as u32,
-                                        0,
-                                    );
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                        || {
-                                            let EngineFfn::Moe { routed, .. } = &layer.ffn
-                                            else {
-                                                return Err(
-                                                    kt_kernels::KernelError::config(
-                                                        "not a MoE layer",
-                                                    ),
-                                                );
-                                            };
-                                            // Workspace lock is DROPPED
-                                            // before the state lock below
-                                            // (see `EngineShared::ws_gpu`
-                                            // lock discipline).
-                                            let mut ws = shared.ws_imm.lock();
-                                            if use_buckets {
-                                                routed
-                                                    .forward_buckets(
-                                                        &ffn_in,
-                                                        &imm,
-                                                        None,
-                                                        SchedulePolicy::Dynamic,
-                                                        &mut ws,
-                                                    )
-                                                    .map(ImmOut::Buckets)
-                                            } else {
-                                                routed
-                                                    .forward_with(
-                                                        &ffn_in,
-                                                        &imm,
-                                                        None,
-                                                        SchedulePolicy::Dynamic,
-                                                        &mut ws,
-                                                    )
-                                                    .map(ImmOut::Scattered)
-                                            }
+                                let (kind, ws, pending) = (
+                                    SpanKind::CpuExpertImmediate,
+                                    &shared.ws_imm,
+                                    &shared.imm_pending[li],
+                                );
+                                if use_buckets {
+                                    run_expert_task(
+                                        &shared,
+                                        kind,
+                                        li,
+                                        ws,
+                                        pending,
+                                        |st| &mut st.cpu_buckets[li],
+                                        move |ws| {
+                                            layer.ffn.routed()?.forward_buckets(
+                                                &ffn_in,
+                                                &imm,
+                                                None,
+                                                SchedulePolicy::Dynamic,
+                                                ws,
+                                            )
                                         },
-                                    ))
-                                };
-                                // Release the shared FFN input before
-                                // signalling completion, so the merge
-                                // op can usually reclaim it right away.
-                                drop(ffn_in);
-                                let mut st = shared.state.lock();
-                                match result {
-                                    Ok(Ok(ImmOut::Scattered(m))) => st.imm_out[li] = Some(m),
-                                    Ok(Ok(ImmOut::Buckets(b))) => {
-                                        st.cpu_buckets[li] = Some(b)
-                                    }
-                                    Ok(Err(e)) => st.error = Some(e.to_string()),
-                                    Err(_) => {
-                                        st.error = Some("expert task panicked".into())
-                                    }
+                                    );
+                                } else {
+                                    run_expert_task(
+                                        &shared,
+                                        kind,
+                                        li,
+                                        ws,
+                                        pending,
+                                        |st| &mut st.imm_out[li],
+                                        move |ws| {
+                                            layer.ffn.routed()?.forward_with(
+                                                &ffn_in,
+                                                &imm,
+                                                None,
+                                                SchedulePolicy::Dynamic,
+                                                ws,
+                                            )
+                                        },
+                                    );
                                 }
-                                drop(st);
-                                shared.imm_pending[li].store(0, Ordering::Release);
                             }));
                         }
 
                         // Deferred experts (same input, merged one MoE
-                        // layer later); same panic discipline.
+                        // layer later).
                         if has_def {
                             let shared = Arc::clone(&shared);
                             let layer = Arc::clone(&layer);
                             cpu.submit(Box::new(move || {
-                                let result = {
-                                    let _span = kt_trace::span_ab(
-                                        SpanKind::CpuExpertDeferred,
-                                        li as u32,
-                                        0,
-                                    );
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                        || {
-                                            let EngineFfn::Moe { routed, .. } = &layer.ffn
-                                            else {
-                                                return Err(
-                                                    kt_kernels::KernelError::config(
-                                                        "not a MoE layer",
-                                                    ),
-                                                );
-                                            };
-                                            let mut ws = shared.ws_def.lock();
-                                            routed.forward_with(
-                                                &ffn_in,
-                                                &def,
-                                                None,
-                                                SchedulePolicy::Dynamic,
-                                                &mut ws,
-                                            )
-                                        },
-                                    ))
-                                };
-                                drop(ffn_in);
-                                let mut st = shared.state.lock();
-                                match result {
-                                    Ok(Ok(m)) => st.def_out[li] = Some(m),
-                                    Ok(Err(e)) => st.error = Some(e.to_string()),
-                                    Err(_) => {
-                                        st.error = Some("expert task panicked".into())
-                                    }
-                                }
-                                drop(st);
-                                shared.def_pending[li].store(0, Ordering::Release);
+                                run_expert_task(
+                                    &shared,
+                                    SpanKind::CpuExpertDeferred,
+                                    li,
+                                    &shared.ws_def,
+                                    &shared.def_pending[li],
+                                    |st| &mut st.def_out[li],
+                                    move |ws| {
+                                        layer.ffn.routed()?.forward_with(
+                                            &ffn_in,
+                                            &def,
+                                            None,
+                                            SchedulePolicy::Dynamic,
+                                            ws,
+                                        )
+                                    },
+                                );
                             }));
                         }
                     }),
@@ -1486,58 +1414,18 @@ impl HybridEngine {
                 ));
             }
 
-            // Op: cache-resident routed experts on the vGPU (dynamic
-            // placement only). Runs right after submit, so it overlaps
-            // the CPU immediate task exactly like the shared experts
-            // do; results stay as unscattered bucket outputs until the
-            // merge op folds both devices' buckets in canonical expert
-            // order. Elided entirely under the static policy — the op
-            // sequence (and captured graph) is then unchanged.
-            if self.shared.dynamic.is_some() {
-                let shared = Arc::clone(&self.shared);
-                let layer = Arc::clone(layer);
-                ops.push((
-                    false,
-                    Arc::new(move || {
-                        let mut guard = shared.state.lock();
-                        if guard.error.is_some() {
-                            return;
-                        }
-                        let Some(gr) = guard.dyn_routing[li].take() else {
-                            return;
-                        };
-                        let Some(ffn_in) = guard.ffn_in[li].clone() else {
-                            return;
-                        };
-                        let EngineFfn::Moe { routed, .. } = &layer.ffn else {
-                            return;
-                        };
-                        let _span = kt_trace::span_ab(SpanKind::GpuExperts, li as u32, 0);
-                        let mut ws = shared.ws_gpu.lock();
-                        let st = &mut *guard;
-                        match routed.forward_buckets(
-                            &ffn_in,
-                            &gr,
-                            None,
-                            SchedulePolicy::Dynamic,
-                            &mut ws.moe,
-                        ) {
-                            Ok(b) => st.gpu_buckets[li] = Some(b),
-                            Err(e) => st.error = Some(e.to_string()),
-                        }
-                    }),
-                    usize::MAX,
-                ));
-            }
-
-            // Op: shared experts on the GPU, overlapping the CPU work.
+            // Op: device experts, overlapping the CPU work — first the
+            // routed experts dynamic placement assigned to the vGPU
+            // this step (unscattered bucket outputs, folded by the merge
+            // op in canonical expert order; nothing under a zero-byte
+            // cache), then the shared experts into the residual. The
+            // two keep sibling spans: phase tables sum both.
             {
                 let shared = Arc::clone(&self.shared);
                 let layer = Arc::clone(layer);
                 ops.push((
                     false,
                     Arc::new(move || {
-                        let _span = kt_trace::span_ab(SpanKind::SharedExperts, li as u32, 0);
                         let mut guard = shared.state.lock();
                         if guard.error.is_some() {
                             return;
@@ -1555,40 +1443,40 @@ impl HybridEngine {
                         let Some(ffn_in) = guard.ffn_in[li].clone() else {
                             return;
                         };
-                        let t_new = ffn_in.rows();
-                        let gpu_routing = guard.gpu_routing[li].take();
+                        let dyn_routing = guard.dyn_routing[li].take();
                         let mut ws = shared.ws_gpu.lock();
                         let st = &mut *guard;
-                        let mut result = Ok(());
-                        if let Some(sh) = sh {
-                            let all: Vec<(usize, f32)> =
-                                (0..sh.n_experts()).map(|e| (e, 1.0)).collect();
-                            let all = MoeRouting::new(vec![all; t_new]);
-                            result = sh.forward_accumulate_with(
+                        if let Some(gr) = dyn_routing {
+                            let _span = kt_trace::span_ab(SpanKind::GpuExperts, li as u32, 0);
+                            match routed.forward_buckets(
                                 &ffn_in,
-                                &all,
-                                &mut st.x,
+                                &gr,
                                 None,
                                 SchedulePolicy::Dynamic,
                                 &mut ws.moe,
-                            );
-                        }
-                        // GPU-pinned hot routed experts execute here,
-                        // overlapping the CPU backend like the shared
-                        // experts do.
-                        if result.is_ok() {
-                            if let Some(gr) = gpu_routing {
-                                result = routed.forward_accumulate_with(
-                                    &ffn_in,
-                                    &gr,
-                                    &mut st.x,
-                                    None,
-                                    SchedulePolicy::Dynamic,
-                                    &mut ws.moe,
-                                );
+                            ) {
+                                Ok(b) => st.gpu_buckets[li] = Some(b),
+                                Err(e) => {
+                                    st.error = Some(e.to_string());
+                                    return;
+                                }
                             }
                         }
-                        if let Err(e) = result {
+                        let _span = kt_trace::span_ab(SpanKind::SharedExperts, li as u32, 0);
+                        let Some(sh) = sh else {
+                            return;
+                        };
+                        let all: Vec<(usize, f32)> =
+                            (0..sh.n_experts()).map(|e| (e, 1.0)).collect();
+                        let all = MoeRouting::new(vec![all; ffn_in.rows()]);
+                        if let Err(e) = sh.forward_accumulate_with(
+                            &ffn_in,
+                            &all,
+                            &mut st.x,
+                            None,
+                            SchedulePolicy::Dynamic,
+                            &mut ws.moe,
+                        ) {
                             st.error = Some(e.to_string());
                         }
                     }),
@@ -1631,10 +1519,9 @@ impl HybridEngine {
                         // Dynamic placement: scatter both devices'
                         // bucket outputs in ascending expert order into
                         // a zeroed scratch buffer — the identical
-                        // serial order the static path uses inside
-                        // `forward_with` — then fold elementwise,
-                        // keeping outputs bitwise equal to the all-CPU
-                        // split.
+                        // serial order `forward_with` uses on the CPU —
+                        // then fold elementwise, keeping outputs bitwise
+                        // equal to the zero-byte split.
                         let mut buckets: Option<(
                             Vec<BucketOut>,
                             Vec<BucketOut>,
@@ -1653,39 +1540,10 @@ impl HybridEngine {
                                 // counter reached zero above.
                                 let checkout =
                                     shared.ws_imm.lock().checkout(st.x.rows(), st.x.cols());
-                                match checkout {
+                                let buf = match checkout {
                                     Ok(mut buf) => {
-                                        // Two-pointer merge of the two
-                                        // ascending, disjoint expert
-                                        // streams.
-                                        let (mut i, mut j) = (0, 0);
-                                        let mut err = None;
-                                        while i < cpu_b.len() || j < gpu_b.len() {
-                                            let from_cpu =
-                                                match (cpu_b.get(i), gpu_b.get(j)) {
-                                                    (Some(c), Some(g)) => {
-                                                        c.expert < g.expert
-                                                    }
-                                                    (Some(_), None) => true,
-                                                    _ => false,
-                                                };
-                                            let b = if from_cpu {
-                                                i += 1;
-                                                &cpu_b[i - 1]
-                                            } else {
-                                                j += 1;
-                                                &gpu_b[j - 1]
-                                            };
-                                            if let Err(e) = scatter_bucket_outs(
-                                                std::slice::from_ref(b),
-                                                &mut buf,
-                                            ) {
-                                                err = Some(e.to_string());
-                                                break;
-                                            }
-                                        }
-                                        match err {
-                                            None => {
+                                        match scatter_bucket_streams(&cpu_b, &gpu_b, &mut buf) {
+                                            Ok(()) => {
                                                 for (o, v) in st
                                                     .x
                                                     .as_mut_slice()
@@ -1695,15 +1553,16 @@ impl HybridEngine {
                                                     *o += v;
                                                 }
                                             }
-                                            Some(e) => st.error = Some(e),
+                                            Err(e) => st.error = Some(e.to_string()),
                                         }
-                                        buckets = Some((cpu_b, gpu_b, Some(buf)));
+                                        Some(buf)
                                     }
                                     Err(e) => {
                                         st.error = Some(e.to_string());
-                                        buckets = Some((cpu_b, gpu_b, None));
+                                        None
                                     }
-                                }
+                                };
+                                buckets = Some((cpu_b, gpu_b, buf));
                             }
                         }
                         let def_m = prev_moe.and_then(|p| st.def_out[p].take());
@@ -2068,7 +1927,6 @@ impl HybridEngine {
                 .flatten()
                 .collect();
             let logits = st.logits.take();
-            st.gpu_routing.iter_mut().for_each(|s| *s = None);
             st.dyn_routing.iter_mut().for_each(|s| *s = None);
             drop(st);
             {
@@ -2176,10 +2034,11 @@ impl HybridEngine {
 }
 
 impl EngineFfn {
-    fn as_moe(&self) -> Option<()> {
+    /// The routed-expert pool of a MoE layer.
+    fn routed(&self) -> Result<&FusedMoE, KernelError> {
         match self {
-            EngineFfn::Moe { .. } => Some(()),
-            EngineFfn::Dense(_) => None,
+            EngineFfn::Moe { routed, .. } => Ok(routed),
+            EngineFfn::Dense(_) => Err(KernelError::config("not a MoE layer")),
         }
     }
 }
@@ -2710,18 +2569,21 @@ mod tests {
 }
 
 #[cfg(test)]
-mod placement_tests {
+mod dynamic_placement_tests {
     use super::*;
     use kt_model::ModelPreset;
 
-    fn engine_with_gpu_experts(n_gpu: usize, seed: u64) -> HybridEngine {
-        let cfg = ModelPreset::DeepSeekV3.tiny_config();
+    /// `cache_bytes = 0` is the static split the dynamic engines are
+    /// compared against.
+    fn build(preset: ModelPreset, cache_bytes: usize, seed: u64) -> HybridEngine {
+        let cfg = preset.tiny_config();
         HybridEngine::random(
             &cfg,
             EngineConfig {
                 n_cpu_workers: 2,
                 mode: SchedMode::AsyncGraph,
-                n_gpu_experts: n_gpu,
+                n_deferred: 2,
+                expert_cache_bytes: cache_bytes,
                 seed,
                 ..Default::default()
             },
@@ -2731,7 +2593,7 @@ mod placement_tests {
 
     #[test]
     fn profile_records_activations() {
-        let e = engine_with_gpu_experts(0, 41);
+        let e = build(ModelPreset::DeepSeekV3, 0, 41);
         let _ = e.forward(&[1, 2, 3, 4]).unwrap();
         let profile = e.expert_profile();
         let cfg = e.config().clone();
@@ -2744,101 +2606,6 @@ mod placement_tests {
             };
             assert_eq!(profile.total(layer), expect, "layer {layer}");
         }
-    }
-
-    #[test]
-    fn placement_does_not_change_outputs() {
-        // Hot-expert pinning is pure scheduling: generation must be
-        // bit-identical with and without it.
-        let baseline = engine_with_gpu_experts(0, 43);
-        let expect = baseline.generate_greedy(&[5, 6, 7], 8).unwrap();
-
-        let pinned = engine_with_gpu_experts(4, 43);
-        // Profile on some traffic, then pin the hottest experts.
-        let _ = pinned.generate_greedy(&[5, 6, 7], 4).unwrap();
-        let n = pinned.refresh_placement();
-        assert!(n > 0, "some experts must be pinned");
-        pinned.reset();
-        let got = pinned.generate_greedy(&[5, 6, 7], 8).unwrap();
-        assert_eq!(expect, got);
-
-        // And clearing the placement also preserves outputs.
-        pinned.clear_placement();
-        pinned.reset();
-        let cleared = pinned.generate_greedy(&[5, 6, 7], 8).unwrap();
-        assert_eq!(expect, cleared);
-    }
-
-    #[test]
-    fn placement_combines_with_deferral() {
-        let cfg = ModelPreset::DeepSeekV3.tiny_config();
-        let mk = |n_gpu: usize| {
-            HybridEngine::random(
-                &cfg,
-                EngineConfig {
-                    n_cpu_workers: 2,
-                    mode: SchedMode::AsyncGraph,
-                    n_gpu_experts: n_gpu,
-                    n_deferred: 2,
-                    seed: 47,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let plain = mk(0);
-        let expect = plain.generate_greedy(&[9, 8], 6).unwrap();
-
-        let pinned = mk(3);
-        let _ = pinned.forward(&[9, 8]).unwrap();
-        pinned.refresh_placement();
-        pinned.reset();
-        let got = pinned.generate_greedy(&[9, 8], 6).unwrap();
-        // Deferral splits only the CPU-resident routing, so moving
-        // experts to the GPU changes WHICH experts defer — outputs stay
-        // finite and close but need not be identical.
-        assert_eq!(got.len(), expect.len());
-    }
-
-    #[test]
-    fn refresh_placement_picks_hottest() {
-        let e = engine_with_gpu_experts(2, 53);
-        let _ = e.forward(&[1, 2, 3, 4, 5, 6]).unwrap();
-        e.refresh_placement();
-        let profile = e.expert_profile();
-        let cfg = e.config().clone();
-        let layer = cfg.n_dense_layers; // first MoE layer
-        let hottest = profile.hottest(layer, 2);
-        assert_eq!(hottest.len(), 2);
-        assert!(profile.count(layer, hottest[0]) >= profile.count(layer, hottest[1]));
-    }
-}
-
-#[cfg(test)]
-mod dynamic_placement_tests {
-    use super::*;
-    use kt_model::ModelPreset;
-
-    fn build(
-        preset: ModelPreset,
-        policy: PlacementPolicy,
-        cache_bytes: usize,
-        seed: u64,
-    ) -> HybridEngine {
-        let cfg = preset.tiny_config();
-        HybridEngine::random(
-            &cfg,
-            EngineConfig {
-                n_cpu_workers: 2,
-                mode: SchedMode::AsyncGraph,
-                n_deferred: 2,
-                placement: policy,
-                expert_cache_bytes: cache_bytes,
-                seed,
-                ..Default::default()
-            },
-        )
-        .unwrap()
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
@@ -2868,10 +2635,10 @@ mod dynamic_placement_tests {
         // immediate routing by whole expert keeps every per-expert
         // token count (hence kernel class) identical, and the merge
         // folds buckets in the same serial expert order the CPU path
-        // uses. Logits must match the static split bit for bit.
+        // uses. Logits must match the zero-byte split bit for bit.
         for preset in ModelPreset::all() {
-            let st = build(preset, PlacementPolicy::Static, 0, 71);
-            let dy = build(preset, PlacementPolicy::Dynamic, 64 << 20, 71);
+            let st = build(preset, 0, 71);
+            let dy = build(preset, 64 << 20, 71);
             let want = run_trace(&st, &[1, 2, 3], 6);
             let got = run_trace(&dy, &[1, 2, 3], 6);
             assert_eq!(want, got, "{preset:?}");
@@ -2886,9 +2653,9 @@ mod dynamic_placement_tests {
         // A budget of exactly one expert forces constant
         // admission-decline / eviction churn mid-sequence; outputs
         // must not care which experts happen to be resident.
-        let st = build(ModelPreset::DeepSeekV3, PlacementPolicy::Static, 0, 73);
+        let st = build(ModelPreset::DeepSeekV3, 0, 73);
         let bytes = st.expert_weight_bytes().expect("model has routed experts");
-        let dy = build(ModelPreset::DeepSeekV3, PlacementPolicy::Dynamic, bytes, 73);
+        let dy = build(ModelPreset::DeepSeekV3, bytes, 73);
         let want = run_trace(&st, &[4, 5, 6, 7], 8);
         let got = run_trace(&dy, &[4, 5, 6, 7], 8);
         assert_eq!(want, got);
@@ -2905,7 +2672,7 @@ mod dynamic_placement_tests {
         // smaller than F32, so a byte budget far below one F32 expert
         // still admits quantized experts — and outputs stay bitwise
         // identical to the static split at the same precision.
-        let build_q = |policy: PlacementPolicy, cache_bytes: usize| {
+        let build_q = |cache_bytes: usize| {
             HybridEngine::random(
                 &ModelPreset::DeepSeekV3.tiny_config(),
                 EngineConfig {
@@ -2915,7 +2682,6 @@ mod dynamic_placement_tests {
                     precision: PrecisionPolicy::experts(kt_tensor::WeightDtype::Int4 {
                         group: 8,
                     }),
-                    placement: policy,
                     expert_cache_bytes: cache_bytes,
                     seed: 91,
                     ..Default::default()
@@ -2923,9 +2689,9 @@ mod dynamic_placement_tests {
             )
             .unwrap()
         };
-        let f32_engine = build(ModelPreset::DeepSeekV3, PlacementPolicy::Static, 0, 91);
+        let f32_engine = build(ModelPreset::DeepSeekV3, 0, 91);
         let f32_bytes = f32_engine.expert_weight_bytes().unwrap();
-        let st = build_q(PlacementPolicy::Static, 0);
+        let st = build_q(0);
         let q_bytes = st.expert_weight_bytes().unwrap();
         // Group 8 is the largest group dividing the tiny dims, so the
         // scale overhead is maximal: 4 code bits + 4 scale bits per
@@ -2939,7 +2705,7 @@ mod dynamic_placement_tests {
         // Two quantized experts fit; not even one F32 expert would.
         let budget = 2 * q_bytes;
         assert!(budget < f32_bytes);
-        let dy = build_q(PlacementPolicy::Dynamic, budget);
+        let dy = build_q(budget);
         let want = run_trace(&st, &[4, 5, 6], 8);
         let got = run_trace(&dy, &[4, 5, 6], 8);
         assert_eq!(want, got);
@@ -2992,8 +2758,8 @@ mod dynamic_placement_tests {
             out
         };
         for preset in [ModelPreset::DeepSeekV3, ModelPreset::Qwen2Moe] {
-            let st = build(preset, PlacementPolicy::Static, 0, 79);
-            let dy = build(preset, PlacementPolicy::Dynamic, 48 << 20, 79);
+            let st = build(preset, 0, 79);
+            let dy = build(preset, 48 << 20, 79);
             assert_eq!(run(&st), run(&dy), "{preset:?}");
         }
     }
@@ -3002,7 +2768,7 @@ mod dynamic_placement_tests {
     fn routing_override_redirects_gating() {
         // The override hook (used by the placement bench to impose
         // skew) replaces the router's decision wholesale.
-        let e = build(ModelPreset::DeepSeekV3, PlacementPolicy::Dynamic, 64 << 20, 83);
+        let e = build(ModelPreset::DeepSeekV3, 64 << 20, 83);
         let cfg = e.config().clone();
         let top_k = cfg.top_k;
         e.set_routing_override(move |_, rows| {

@@ -1,8 +1,10 @@
-//! Cost-model-driven dynamic expert placement (ROADMAP item 1).
+//! Cost-model-driven dynamic expert placement — the only way a routed
+//! expert runs on the vGPU.
 //!
 //! The static split (§3.1) leaves simulated VRAM idle as expert
 //! storage even though gating statistics are heavily skewed. This
-//! module treats VRAM as a byte-budgeted [`ExpertCache`] and, per step
+//! module treats VRAM as a byte-budgeted [`ExpertCache`] (the engine's
+//! `expert_cache_bytes`; a zero budget *is* the static split) and, per step
 //! and per MoE layer, partitions the routed (immediate) token→expert
 //! assignment between CPU and vGPU execution by comparing calibrated
 //! costs from `kt_hwsim::cost`:
@@ -28,24 +30,13 @@
 //! Everything here is pure bookkeeping — execution happens in the
 //! engine, which keeps outputs bitwise identical to the all-CPU static
 //! split by merging per-expert bucket outputs through the canonical
-//! serial scatter-add order (see `kt_kernels::scatter_bucket_outs`).
+//! serial scatter-add order (see `kt_kernels::moe::scatter_bucket_streams`).
 
 use std::collections::HashMap;
 
 use kt_hwsim::{Calibration, Platform};
 use kt_kernels::MoeRouting;
 use kt_trace::{counter_add, CounterKind};
-
-/// Which expert placement policy the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// The paper's static split: all routed experts execute on CPU.
-    #[default]
-    Static,
-    /// Per-step cost-model-driven CPU/vGPU partitioning with a
-    /// value-aware VRAM expert cache (`EngineConfig.expert_cache_bytes`).
-    Dynamic,
-}
 
 /// EWMA smoothing factor for per-expert gating mass. Small enough to
 /// remember a few hundred steps of history, large enough to adapt when

@@ -1,13 +1,13 @@
-//! Expert-popularity profiling, hot-expert placement, and serving
-//! metrics.
+//! Expert-activation profiling and serving metrics.
 //!
-//! §1: "for models without shared experts, popular experts can still be
-//! identified via offline profiling, as done in Fiddler". The engine
-//! records which routed experts each layer activates; a placement pass
-//! then pins the hottest experts of every layer to the GPU, where they
-//! execute alongside the shared experts instead of travelling to the
-//! CPU backend. Placement is a pure scheduling decision — outputs are
-//! bit-identical regardless of where an expert runs.
+//! The engine records which routed experts each layer activates
+//! ([`ExpertProfile`]); the serving layer exposes the counts as
+//! `kt_expert_hits_total{layer,expert}`. Placement does not read them:
+//! which experts reach the device is the value-aware expert cache's
+//! decision (`crate::placement::dynamic`), whose outputs are bitwise
+//! identical to the all-CPU split. (An earlier Fiddler-style path that
+//! pinned the profile's hottest experts to the GPU was not bit-identical
+//! and was deleted; see EXPERIMENTS.md.)
 //!
 //! The serving layer records per-request latency ([`RequestMetrics`]:
 //! queue wait, TTFT, inter-token gaps) and aggregate scheduler
@@ -165,7 +165,7 @@ pub struct ServeStats {
     /// Expert-cache lookups that found the expert resident in vGPU
     /// memory (snapshot of the dynamic-placement expert cache; see
     /// [`ServeStats::set_expert_cache`]). All zero when the engine
-    /// runs the static placement policy.
+    /// runs the static split (`expert_cache_bytes == 0`).
     pub expert_cache_hits: u64,
     /// Lookups for experts not resident (cold or evicted).
     pub expert_cache_misses: u64,
@@ -354,61 +354,6 @@ impl ExpertProfile {
     pub fn total(&self, layer: usize) -> u64 {
         self.counts[layer].iter().sum()
     }
-
-    /// The `n` most-activated experts of `layer`, hottest first (ties
-    /// broken by expert index for determinism).
-    pub fn hottest(&self, layer: usize, n: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.counts[layer].len()).collect();
-        idx.sort_by_key(|&e| (std::cmp::Reverse(self.counts[layer][e]), e));
-        idx.truncate(n);
-        idx
-    }
-
-    /// Herfindahl index of `layer`'s activation distribution: 1/E for a
-    /// perfectly balanced router, approaching 1 under collapse. Useful
-    /// for deciding whether popularity pinning is worthwhile.
-    pub fn concentration(&self, layer: usize) -> f64 {
-        let total = self.total(layer) as f64;
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.counts[layer]
-            .iter()
-            .map(|&c| {
-                let f = c as f64 / total;
-                f * f
-            })
-            .sum()
-    }
-
-    /// Merges another profile (e.g. from a second profiling shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched shapes (programming error).
-    pub fn merge(&mut self, other: &ExpertProfile) {
-        assert_eq!(self.counts.len(), other.counts.len(), "layer count");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            assert_eq!(a.len(), b.len(), "expert count");
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-    }
-
-    /// Builds a per-layer hot-expert placement: the `n_gpu` hottest
-    /// experts of each layer, as membership masks.
-    pub fn placement_masks(&self, n_gpu: usize) -> Vec<Vec<bool>> {
-        (0..self.counts.len())
-            .map(|layer| {
-                let mut mask = vec![false; self.counts[layer].len()];
-                for e in self.hottest(layer, n_gpu) {
-                    mask[e] = true;
-                }
-                mask
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -437,42 +382,6 @@ mod tests {
         p.record(0, &routing(&[7]));
         p.record(5, &routing(&[0]));
         assert_eq!(p.total(0), 0);
-    }
-
-    #[test]
-    fn hottest_orders_by_count_then_index() {
-        let mut p = ExpertProfile::new(1, 4);
-        p.record(0, &routing(&[3, 3, 1, 2]));
-        p.record(0, &routing(&[3, 1]));
-        assert_eq!(p.hottest(0, 2), vec![3, 1]);
-        // Ties (experts 0 and 2 after another record) break by index.
-        let mut q = ExpertProfile::new(1, 3);
-        q.record(0, &routing(&[2, 0]));
-        assert_eq!(q.hottest(0, 3), vec![0, 2, 1]);
-    }
-
-    #[test]
-    fn concentration_detects_skew() {
-        let mut balanced = ExpertProfile::new(1, 4);
-        balanced.record(0, &routing(&[0, 1, 2, 3]));
-        let mut skewed = ExpertProfile::new(1, 4);
-        for _ in 0..4 {
-            skewed.record(0, &routing(&[0]));
-        }
-        assert!((balanced.concentration(0) - 0.25).abs() < 1e-9);
-        assert!((skewed.concentration(0) - 1.0).abs() < 1e-9);
-        assert_eq!(ExpertProfile::new(1, 4).concentration(0), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = ExpertProfile::new(1, 3);
-        a.record(0, &routing(&[0]));
-        let mut b = ExpertProfile::new(1, 3);
-        b.record(0, &routing(&[0, 1]));
-        a.merge(&b);
-        assert_eq!(a.count(0, 0), 2);
-        assert_eq!(a.count(0, 1), 1);
     }
 
     #[test]
@@ -654,17 +563,5 @@ mod tests {
         assert_eq!(s.expert_cache_evicted_bytes, 512);
         assert_eq!(s.expert_cache_resident_bytes, 1024);
         assert_eq!(s.expert_cache_entries, 4);
-    }
-
-    #[test]
-    fn placement_masks_mark_hot_experts() {
-        let mut p = ExpertProfile::new(2, 4);
-        p.record(0, &routing(&[1, 1, 3]));
-        p.record(1, &routing(&[0]));
-        let masks = p.placement_masks(1);
-        assert_eq!(masks[0], vec![false, true, false, false]);
-        assert_eq!(masks[1], vec![true, false, false, false]);
-        let none = p.placement_masks(0);
-        assert!(none.iter().all(|m| m.iter().all(|&b| !b)));
     }
 }

@@ -255,6 +255,32 @@ pub fn scatter_bucket_outs(outs: &[BucketOut], out: &mut Matrix) -> Result<(), K
     Ok(())
 }
 
+/// Scatter-adds two ascending, expert-disjoint bucket streams (one per
+/// device) into `out`, interleaved in ascending expert order — the
+/// canonical order of [`scatter_bucket_outs`] over the combined stream,
+/// so the result is bitwise identical to one device computing every
+/// expert.
+///
+/// # Errors
+///
+/// Returns the first [`KernelError::Shape`] [`scatter_bucket_outs`]
+/// hits; buckets after it are not scattered.
+pub fn scatter_bucket_streams(
+    a: &[BucketOut],
+    b: &[BucketOut],
+    out: &mut Matrix,
+) -> Result<(), KernelError> {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while let Some(next) = match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y.expert < x.expert => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    } {
+        scatter_bucket_outs(std::slice::from_ref(next), out)?;
+    }
+    Ok(())
+}
+
 /// Per-expert gathered workspace used inside one forward call.
 struct Bucket {
     expert: usize,
@@ -622,8 +648,8 @@ impl FusedMoE {
     ///
     /// This is the dual-device building block: partition a routing
     /// table by expert, run each partition on its own device with its
-    /// own workspace, then fold every bucket through one
-    /// [`scatter_bucket_outs`] call — bitwise identical to a
+    /// own workspace, then fold both devices' buckets through one
+    /// [`scatter_bucket_streams`] call — bitwise identical to a
     /// single-device forward over the unpartitioned routing, because
     /// each expert's bucket contents and the global scatter order are
     /// unchanged. Retire each returned bucket to the workspace that
@@ -1301,36 +1327,53 @@ mod tests {
 
     #[test]
     fn partitioned_buckets_across_workspaces_match_unpartitioned() {
-        // Split the routing by expert parity across two workspaces (the
-        // dual-device pattern), merge in ascending-expert order: must be
-        // bitwise identical to the single-workspace forward.
+        // Split the routing by expert across two workspaces (the
+        // dual-device pattern) — every expert on one side, every expert
+        // on the other, parity, and random splits — then merge the two
+        // streams: must be bitwise identical to the single-workspace
+        // forward over the unsplit routing.
+        use rand::Rng;
         let (_, moe) = setup(6, 32, 40, 50);
         let mut rng = seeded(51);
         let x = Matrix::random_uniform(9, 32, 1.0, &mut rng).unwrap();
         let routing = topk_routing(9, 6, 3, 52);
-        let expect = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
-
-        let split = |keep: &dyn Fn(usize) -> bool| {
-            MoeRouting::new(
-                routing
-                    .assignments
-                    .iter()
-                    .map(|a| a.iter().copied().filter(|&(e, _)| keep(e)).collect())
-                    .collect(),
-            )
-        };
-        let (mut ws_a, mut ws_b) = (MoeWorkspace::new(), MoeWorkspace::new());
-        let mut outs = moe
-            .forward_buckets(&x, &split(&|e| e % 2 == 0), None, SchedulePolicy::Dynamic, &mut ws_a)
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut ws = MoeWorkspace::new();
+        let expect = moe
+            .forward_with(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
             .unwrap();
-        outs.extend(
-            moe.forward_buckets(&x, &split(&|e| e % 2 == 1), None, SchedulePolicy::Dynamic, &mut ws_b)
-                .unwrap(),
-        );
-        outs.sort_by_key(|b| b.expert);
-        let mut got = Matrix::zeros(9, 32).unwrap();
-        scatter_bucket_outs(&outs, &mut got).unwrap();
-        assert_eq!(expect.as_slice(), got.as_slice(), "bit-exact across devices");
+
+        let (mut ws_a, mut ws_b) = (MoeWorkspace::new(), MoeWorkspace::new());
+        // Bit e set = expert e runs on side b.
+        let mut masks = vec![0u32, 0b11_1111, 0b10_1010];
+        masks.extend((0..16).map(|_| rng.gen_range(0u32..64)));
+        for mask in masks {
+            let side = |on_b: bool| {
+                MoeRouting::new(
+                    routing
+                        .assignments
+                        .iter()
+                        .map(|a| {
+                            a.iter()
+                                .copied()
+                                .filter(|&(e, _)| (mask >> e & 1 == 1) == on_b)
+                                .collect()
+                        })
+                        .collect(),
+                )
+            };
+            let outs_a = moe
+                .forward_buckets(&x, &side(false), None, SchedulePolicy::Dynamic, &mut ws_a)
+                .unwrap();
+            let outs_b = moe
+                .forward_buckets(&x, &side(true), None, SchedulePolicy::Dynamic, &mut ws_b)
+                .unwrap();
+            let mut got = Matrix::zeros(9, 32).unwrap();
+            scatter_bucket_streams(&outs_a, &outs_b, &mut got).unwrap();
+            assert_eq!(bits(&expect), bits(&got), "split mask {mask:06b}");
+            outs_a.into_iter().for_each(|b| ws_a.retire_bucket_out(b));
+            outs_b.into_iter().for_each(|b| ws_b.retire_bucket_out(b));
+        }
     }
 
     #[test]
@@ -1343,9 +1386,10 @@ mod tests {
         let outs = moe
             .forward_buckets(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
             .unwrap();
-        // Wrong column count.
+        // Wrong column count (also through the two-stream merge).
         let mut narrow = Matrix::zeros(2, 8).unwrap();
         assert!(scatter_bucket_outs(&outs, &mut narrow).is_err());
+        assert!(scatter_bucket_streams(&[], &outs, &mut narrow).is_err());
         // Token id out of range.
         let mut short = Matrix::zeros(1, 16).unwrap();
         assert!(scatter_bucket_outs(&outs, &mut short).is_err());

@@ -333,15 +333,14 @@ mod tests {
         Server::start(engine(7), single_page)
             .expect("page_rows == max_seq is accepted")
             .shutdown();
-        // Dynamic placement whose expert cache cannot hold even one
-        // routed expert is rejected too, naming the engine field.
+        // A nonzero expert cache that cannot hold even one routed
+        // expert is rejected too, naming the engine field.
         let model = ModelPreset::DeepSeekV3.tiny_config();
         let tiny_cache = Arc::new(
             HybridEngine::random(
                 &model,
                 EngineConfig {
                     n_cpu_workers: 2,
-                    placement: kt_core::PlacementPolicy::Dynamic,
                     expert_cache_bytes: 1,
                     seed: 7,
                     ..Default::default()
@@ -356,10 +355,12 @@ mod tests {
 
     #[test]
     fn dynamic_placement_serves_identical_tokens_and_exposes_cache_stats() {
-        // Same workload on a static-split engine and a dynamic-placement
-        // engine (identical weights/seed otherwise): every served token
-        // must match, and the expert-cache counters must surface in
-        // both ServeStats and the Prometheus exposition.
+        // Same workload on a zero-byte-cache engine (the static split)
+        // and a dynamic-placement engine (identical weights/seed
+        // otherwise): every served token must match, the expert-cache
+        // counters must surface in both ServeStats and the Prometheus
+        // exposition, and afterwards — cache warm — both engines must
+        // still produce the same logits bit for bit.
         let prompts: Vec<Vec<u32>> = (0..4).map(|i| vec![i + 1, 2 * i + 3, 11]).collect();
         let serve_all = |server: &Server| -> Vec<Vec<u32>> {
             prompts
@@ -370,8 +371,22 @@ mod tests {
                 .map(|h| h.wait().tokens)
                 .collect()
         };
+        // Prefill + 6 greedy decode steps, every logits matrix as raw
+        // bits.
+        let logits_bits = |e: &HybridEngine| -> Vec<Vec<u32>> {
+            e.reset();
+            let mut l = e.forward(&[5, 6, 7]).unwrap();
+            let mut out = Vec::new();
+            for _ in 0..6 {
+                out.push(l.as_slice().iter().map(|v| v.to_bits()).collect());
+                let next = kt_model::model::argmax(l.row(l.rows() - 1));
+                l = e.forward(&[next]).unwrap();
+            }
+            out
+        };
 
-        let fifo = Server::start(engine(30), cfg(3)).unwrap();
+        let static_engine = engine(30);
+        let fifo = Server::start(Arc::clone(&static_engine), cfg(3)).unwrap();
         let base = serve_all(&fifo);
         assert_eq!(fifo.stats().expert_cache_hits, 0, "static engine has no cache");
         fifo.shutdown();
@@ -385,7 +400,6 @@ mod tests {
                     mode: SchedMode::AsyncGraph,
                     n_deferred: 2,
                     backend: kt_kernels::dispatch::Backend::TiledOnly,
-                    placement: kt_core::PlacementPolicy::Dynamic,
                     expert_cache_bytes: 48 << 20,
                     seed: 30,
                     ..Default::default()
@@ -393,7 +407,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let server = Server::start(dynamic, cfg(3)).unwrap();
+        let server = Server::start(Arc::clone(&dynamic), cfg(3)).unwrap();
         let got = serve_all(&server);
         assert_eq!(base, got, "dynamic placement must not change any bits");
         let stats = server.stats();
@@ -408,7 +422,9 @@ mod tests {
             text.contains("kt_expert_hits_total{layer=\""),
             "per-expert exposition missing:\n{text}"
         );
+        assert!(text.contains("placement=\"dynamic\""), "{text}");
         server.shutdown();
+        assert_eq!(logits_bits(&static_engine), logits_bits(&dynamic));
     }
 
     #[test]

@@ -57,9 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use kt_core::{
-    BatchSeq, EngineError, HybridEngine, PlacementPolicy, RequestMetrics, ServeStats, SimdLevel,
-};
+use kt_core::{BatchSeq, EngineError, HybridEngine, RequestMetrics, ServeStats, SimdLevel};
 use kt_model::kvcache::KvCache;
 use kt_model::paged::{SwappedKv, DEFAULT_PAGE_ROWS};
 use kt_model::pool::{CacheLease, KvCachePool};
@@ -584,13 +582,13 @@ impl Server {
                 .validate(mcfg.hidden, mcfg.dense_inter, mcfg.moe_inter)
                 .map_err(|e| EngineError::config(e.to_string()))?;
         }
-        // Under dynamic placement the expert cache must at least hold
-        // one routed expert, or it can never admit anything and every
-        // step pays miss bookkeeping for a cache that stays empty.
-        if engine.engine_config().placement == PlacementPolicy::Dynamic {
+        // A nonzero expert cache must at least hold one routed expert,
+        // or it can never admit anything and every step pays miss
+        // bookkeeping for a cache that stays empty.
+        {
             let expert = engine.expert_weight_bytes().unwrap_or(0);
             let budget = engine.engine_config().expert_cache_bytes;
-            if budget < expert {
+            if budget > 0 && budget < expert {
                 return Err(EngineError::config(format!(
                     "EngineConfig.expert_cache_bytes ({budget}) cannot hold a single \
                      routed expert ({expert} bytes): the dynamic-placement cache could \
@@ -950,9 +948,9 @@ impl Server {
                 SimdLevel::Avx2Fma => "avx2_fma",
                 SimdLevel::Avx512 => "avx512",
             };
-            let placement = match self.inner.engine.engine_config().placement {
-                PlacementPolicy::Static => "static",
-                PlacementPolicy::Dynamic => "dynamic",
+            let placement = match self.inner.engine.expert_cache_stats() {
+                None => "static",
+                Some(_) => "dynamic",
             };
             push_sample(
                 &mut out,

@@ -1,73 +1,102 @@
-//! Expert-popularity profiling and hot-expert GPU placement — the
-//! Fiddler-style path the paper describes for models *without* shared
-//! experts (§1): profile routing on real traffic, pin the hottest
-//! experts to the GPU, and verify outputs are unchanged (placement is
-//! pure scheduling).
+//! Dynamic expert placement — the one way a routed expert reaches the
+//! (virtual) GPU. A nonzero `expert_cache_bytes` budget lets the engine
+//! split each MoE layer's experts between CPU and vGPU per step by
+//! calibrated cost, with a value-aware cache deciding which experts
+//! are device-resident; `0` is the paper's static all-CPU split.
+//! Placement is pure scheduling: logits are bitwise identical to the
+//! zero-byte run.
 //!
 //! Run with: `cargo run --release --example expert_placement`
 
 use ktransformers::core::{EngineConfig, HybridEngine, SchedMode};
-use ktransformers::model::ModelPreset;
+use ktransformers::model::{ModelConfig, ModelPreset};
 
-fn main() {
-    // Qwen2-style architecture: its popularity-based placement story is
-    // the interesting one (DeepSeek's shared experts are always-hot by
-    // construction).
-    let cfg = ModelPreset::Qwen2Moe.tiny_config();
-    let engine = HybridEngine::random(
-        &cfg,
+/// Routed experts per MoE layer the cache budget holds.
+const CACHED_PER_LAYER: usize = 4;
+
+fn engine(cfg: &ModelConfig, expert_cache_bytes: usize) -> HybridEngine {
+    HybridEngine::random(
+        cfg,
         EngineConfig {
             n_cpu_workers: 2,
             mode: SchedMode::AsyncGraph,
-            n_gpu_experts: 4,
+            expert_cache_bytes,
             seed: 77,
             ..Default::default()
         },
     )
-    .expect("engine");
+    .expect("engine")
+}
 
-    // 1. Profile: run representative traffic.
+/// Prefill + 12 greedy decode steps; every logits matrix as raw bits.
+fn logits_bits(engine: &HybridEngine, prompt: &[u32]) -> Vec<Vec<u32>> {
+    engine.reset();
+    let mut logits = engine.forward(prompt).expect("prefill");
+    let mut out = Vec::new();
+    for _ in 0..12 {
+        out.push(logits.as_slice().iter().map(|v| v.to_bits()).collect());
+        let next = ktransformers::model::model::argmax(logits.row(logits.rows() - 1));
+        logits = engine.forward(&[next]).expect("decode");
+    }
+    out
+}
+
+fn main() {
+    // Qwen2-style architecture: without shared experts, routed-expert
+    // popularity is the whole placement story.
+    let cfg = ModelPreset::Qwen2Moe.tiny_config();
+    let static_split = engine(&cfg, 0);
+    let one = static_split
+        .expert_weight_bytes()
+        .expect("model has routed experts");
+    let budget = CACHED_PER_LAYER * cfg.n_moe_layers() * one;
+    let dynamic = engine(&cfg, budget);
+    println!(
+        "expert cache budget: {budget} B = {CACHED_PER_LAYER} experts x {} MoE layers x {one} B",
+        cfg.n_moe_layers()
+    );
+
+    // 1. Same traffic through both engines: identical logits, bit for bit.
     let prompts: [&[u32]; 3] = [&[1, 2, 3, 4, 5], &[90, 12, 44], &[200, 201, 202, 203]];
     for p in prompts {
-        let _ = engine.generate_greedy(p, 6).expect("profiling traffic");
-        engine.reset();
+        assert_eq!(
+            logits_bits(&static_split, p),
+            logits_bits(&dynamic, p),
+            "placement must not change a single bit"
+        );
     }
-    let profile = engine.expert_profile();
-    let layer = cfg.n_dense_layers;
     println!(
-        "layer {layer}: {} activations recorded, concentration {:.3} (1/E = {:.3})",
-        profile.total(layer),
-        profile.concentration(layer),
-        1.0 / cfg.n_routed_experts as f64
+        "logits bitwise identical to the zero-byte (all-CPU) run over {} prompts",
+        prompts.len()
     );
-    println!("hottest experts of layer {layer}: {:?}", profile.hottest(layer, 4));
 
-    // 2. Place: pin the 4 hottest experts per layer onto the GPU.
-    let before = engine.generate_greedy(&[7, 8, 9], 8).expect("baseline");
-    engine.reset();
-    let pinned = engine.refresh_placement();
-    println!("pinned {pinned} experts to the GPU across {} MoE layers", cfg.n_moe_layers());
-
-    // 3. Verify: same tokens, different schedule.
-    let after = engine.generate_greedy(&[7, 8, 9], 8).expect("pinned run");
-    assert_eq!(before, after, "placement must not change outputs");
-    println!("outputs identical with and without placement: {after:?}");
-
-    // 4. Measure real utilization over a decode burst.
-    engine.reset();
-    let _ = engine.forward(&[7, 8, 9]).expect("prefill");
-    let report = engine
-        .measure_utilization(|| {
-            for _ in 0..16 {
-                engine.forward(&[11])?;
-            }
-            Ok(())
-        })
-        .expect("measurement");
+    // 2. The routing skew the cache feeds on: share of one layer's
+    //    activations taken by its hottest experts.
+    let profile = dynamic.expert_profile();
+    let layer = cfg.n_dense_layers;
+    let mut counts: Vec<u64> = (0..profile.n_experts())
+        .map(|e| profile.count(layer, e))
+        .collect();
+    counts.sort_unstable_by(|a, b| b.cmp(a));
+    let hot: u64 = counts.iter().take(CACHED_PER_LAYER).sum();
     println!(
-        "decode window: CPU workers {:.0}% busy, device {:.0}% busy, {:.1}% of device time on launches",
-        report.cpu_util * 100.0,
-        report.gpu_util * 100.0,
-        report.gpu_overhead_frac * 100.0
+        "layer {layer}: hottest {CACHED_PER_LAYER} of {} experts take {:.0}% of {} activations (uniform: {:.0}%)",
+        counts.len(),
+        100.0 * hot as f64 / profile.total(layer).max(1) as f64,
+        profile.total(layer),
+        100.0 * CACHED_PER_LAYER as f64 / counts.len() as f64,
+    );
+
+    // 3. What the cache did with it.
+    let s = dynamic
+        .expert_cache_stats()
+        .expect("a nonzero budget runs the cache");
+    println!(
+        "expert cache: {} hits, {} misses, {} insertions, {} evictions; {} experts ({} B) resident",
+        s.hits, s.misses, s.insertions, s.evictions, s.resident_entries, s.resident_bytes
+    );
+    assert!(
+        static_split.expert_cache_stats().is_none(),
+        "zero bytes = no cache"
     );
 }
