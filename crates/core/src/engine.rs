@@ -30,18 +30,13 @@
 
 use kt_kernels::dispatch::Backend;
 use kt_kernels::gemm::gemm_rowwise;
-use kt_kernels::moe::{
-    scatter_bucket_streams, BucketOut, ExpertWeights, FusedMoE, MoeRouting, MoeWorkspace,
-};
+use kt_kernels::moe::{scatter_bucket_streams, BucketOut, FusedMoE, MoeRouting, MoeWorkspace};
 use kt_kernels::schedule::{SchedulePolicy, ThreadPool};
 use kt_kernels::KernelError;
 use kt_model::config::ModelConfig;
-use kt_model::gating::{GateConfig, Router};
 use kt_model::kvcache::KvCache;
-use kt_model::norm::RmsNorm;
-use kt_model::rope::Rope;
-use kt_model::attention::Attention;
-use kt_tensor::{ArenaStats, Matrix, PackedWeights, PrecisionPolicy, ScratchArena};
+use kt_model::model::{Ffn, MoeModel};
+use kt_tensor::{ArenaStats, Matrix, PrecisionPolicy, ScratchArena};
 use kt_trace::SpanKind;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -136,28 +131,6 @@ impl Default for EngineConfig {
             expert_cache_bytes: 0,
         }
     }
-}
-
-/// Feed-forward flavor of one engine layer.
-enum EngineFfn {
-    Dense(FusedMoE),
-    Moe {
-        router: Router,
-        shared: Option<FusedMoE>,
-        routed: FusedMoE,
-    },
-}
-
-/// One layer's weights (shared with device/worker threads).
-struct EngineLayer {
-    attn_norm: RmsNorm,
-    attn: Attention,
-    ffn_norm: RmsNorm,
-    ffn: EngineFfn,
-    /// Index of the previous MoE layer (deferred outputs land here).
-    prev_moe: Option<usize>,
-    /// Whether this is the final MoE layer (never defers).
-    last_moe: bool,
 }
 
 /// Mutable per-step state shared by control, device and worker threads.
@@ -285,17 +258,12 @@ struct EngineShared {
 struct DynamicState {
     cache: Mutex<ExpertCache>,
     cost: CostModel,
-    /// Stored bytes of one routed expert, per layer (0 for dense
-    /// layers). Taken from [`kt_tensor::PackedWeights::stored_bytes`],
-    /// so quantized experts earn their smaller footprint in both cache
-    /// residency sizing and the PCIe upload pricing term.
-    expert_bytes: Vec<usize>,
 }
 
 impl EngineShared {
     fn new(
         cfg: &ModelConfig,
-        cache_specs: &[(usize, usize)],
+        cache: KvCache,
         dynamic: Option<DynamicState>,
     ) -> Result<Arc<Self>, EngineError> {
         Ok(Arc::new(EngineShared {
@@ -312,7 +280,7 @@ impl EngineShared {
                 dyn_routing: vec![None; cfg.n_layers],
                 cpu_buckets: (0..cfg.n_layers).map(|_| None).collect(),
                 gpu_buckets: (0..cfg.n_layers).map(|_| None).collect(),
-                caches: vec![KvCache::new(cache_specs, cfg.max_seq)],
+                caches: vec![cache],
                 logits: None,
                 error: None,
             }),
@@ -342,24 +310,11 @@ pub type RoutingHook = Arc<dyn Fn(usize, usize) -> Option<MoeRouting> + Send + S
 /// Builds the dynamic-placement state (cost model + expert cache) when
 /// the expert cache has a nonzero budget and the model has routed
 /// experts; `None` is the static split.
-fn dynamic_state(
-    cfg: &ModelConfig,
-    econfig: &EngineConfig,
-    layers: &[Arc<EngineLayer>],
-) -> Option<DynamicState> {
-    if econfig.expert_cache_bytes == 0 {
+fn dynamic_state(model: &MoeModel, econfig: &EngineConfig) -> Option<DynamicState> {
+    if econfig.expert_cache_bytes == 0 || model.blocks().iter().all(|b| b.ffn.routed().is_none()) {
         return None;
     }
-    let expert_bytes: Vec<usize> = layers
-        .iter()
-        .map(|l| match &l.ffn {
-            EngineFfn::Moe { routed, .. } => routed.expert(0).stored_bytes(),
-            EngineFfn::Dense(_) => 0,
-        })
-        .collect();
-    if !expert_bytes.iter().any(|&b| b > 0) {
-        return None;
-    }
+    let cfg = model.config();
     Some(DynamicState {
         cache: Mutex::new(ExpertCache::new(
             econfig.expert_cache_bytes,
@@ -371,7 +326,6 @@ fn dynamic_state(
             platform: kt_hwsim::Platform::a100_dual_xeon(),
             flops_per_token: 2.0 * 3.0 * cfg.hidden as f64 * cfg.moe_inter as f64,
         },
-        expert_bytes,
     })
 }
 
@@ -465,9 +419,8 @@ impl BatchSeq {
     }
 }
 
-/// The hybrid engine.
+/// The hybrid engine: a scheduler over one [`MoeModel`]'s weights.
 pub struct HybridEngine {
-    cfg: ModelConfig,
     econfig: EngineConfig,
     /// Serializes whole forwards: the engine processes one request at a
     /// time (batch-1 local serving, §6.1); concurrent callers queue
@@ -480,11 +433,9 @@ pub struct HybridEngine {
     /// [`head_pool_lanes`]); the head runs after the final merge, when
     /// every expert worker is idle, so the two pools never compete.
     head_pool: Arc<ThreadPool>,
-    layers: Vec<Arc<EngineLayer>>,
-    embed: Arc<Matrix>,
-    lm_head: Arc<PackedWeights>,
-    final_norm: Arc<RmsNorm>,
-    rope: Arc<Rope>,
+    /// The weights, shared with the device and worker threads: step ops
+    /// capture this `Arc` plus a layer index.
+    model: Arc<MoeModel>,
     shared: Arc<EngineShared>,
     decode_graph: Mutex<Option<GraphHandle>>,
 }
@@ -572,127 +523,58 @@ fn run_expert_task<T>(
 }
 
 impl HybridEngine {
-    /// Builds an engine with seeded random weights for `cfg`.
+    /// Builds an engine that schedules `model`'s weights. The model is
+    /// moved in, never copied; `econfig.backend` replaces the kernel
+    /// backend of every expert pool (a runtime setting), and
+    /// `econfig.precision` / `econfig.seed` are not consulted — the
+    /// weights are already drawn and packed.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Config`] on invalid configs and propagates
-    /// construction failures.
-    pub fn random(cfg: &ModelConfig, econfig: EngineConfig) -> Result<Self, EngineError> {
+    /// Propagates device, worker-pool and workspace construction
+    /// failures.
+    pub fn from_model(mut model: MoeModel, econfig: EngineConfig) -> Result<Self, EngineError> {
         install_trace_hooks();
-        cfg.validate().map_err(EngineError::config)?;
-        econfig
-            .precision
-            .validate(cfg.hidden, cfg.dense_inter, cfg.moe_inter)
-            .map_err(|e| EngineError::config(e.to_string()))?;
-        let mut rng = StdRng::seed_from_u64(econfig.seed);
-        let mut embed = Matrix::zeros(cfg.vocab, cfg.hidden)?;
-        kt_tensor::rng::fill_normal(&mut rng, embed.as_mut_slice(), 0.1);
-
-        // Identify MoE layer chain for deferral bookkeeping.
-        let mut layers = Vec::with_capacity(cfg.n_layers);
-        let moe_layers: Vec<usize> = (cfg.n_dense_layers..cfg.n_layers).collect();
-        for layer in 0..cfg.n_layers {
-            let attn = Attention::random(
-                cfg.hidden,
-                cfg.n_heads,
-                cfg.head_dim,
-                cfg.attention,
-                econfig.precision.attention,
-                &mut rng,
-            )?;
-            let ffn = if layer < cfg.n_dense_layers {
-                let dense = ExpertWeights::random(
-                    cfg.hidden,
-                    cfg.dense_inter,
-                    econfig.precision.dense,
-                    &mut rng,
-                )?;
-                EngineFfn::Dense(FusedMoE::new(vec![dense], econfig.backend)?)
-            } else {
-                let gate_cfg = GateConfig {
-                    n_experts: cfg.n_routed_experts,
-                    top_k: cfg.top_k,
-                    n_groups: cfg.n_groups,
-                    topk_groups: cfg.topk_groups,
-                    score: cfg.score,
-                    routed_scaling: cfg.routed_scaling,
-                    norm_topk_prob: cfg.norm_topk_prob,
-                };
-                let router = Router::random(gate_cfg, cfg.hidden, &mut rng)?;
-                let shared = if cfg.n_shared_experts > 0 {
-                    let experts = (0..cfg.n_shared_experts)
-                        .map(|_| {
-                            ExpertWeights::random(
-                                cfg.hidden,
-                                cfg.moe_inter,
-                                econfig.precision.shared,
-                                &mut rng,
-                            )
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Some(FusedMoE::new(experts, econfig.backend)?)
-                } else {
-                    None
-                };
-                let experts = (0..cfg.n_routed_experts)
-                    .map(|_| {
-                        ExpertWeights::random(
-                            cfg.hidden,
-                            cfg.moe_inter,
-                            econfig.precision.routed,
-                            &mut rng,
-                        )
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                EngineFfn::Moe {
-                    router,
-                    shared,
-                    routed: FusedMoE::new(experts, econfig.backend)?,
-                }
-            };
-            let my_moe_pos = moe_layers.iter().position(|&l| l == layer);
-            let prev_moe = my_moe_pos.and_then(|p| p.checked_sub(1)).map(|p| moe_layers[p]);
-            let last_moe = my_moe_pos == Some(moe_layers.len().saturating_sub(1));
-            layers.push(Arc::new(EngineLayer {
-                attn_norm: RmsNorm::random(cfg.hidden, &mut rng),
-                attn,
-                ffn_norm: RmsNorm::random(cfg.hidden, &mut rng),
-                ffn,
-                prev_moe,
-                last_moe,
-            }));
-        }
-
-        let mut head = Matrix::zeros(cfg.vocab, cfg.hidden)?;
-        kt_tensor::rng::fill_normal(&mut rng, head.as_mut_slice(), 0.05);
-        let lm_head = Arc::new(PackedWeights::pack(&head, econfig.precision.lm_head)?);
-        let rope = Arc::new(Rope::new(cfg.head_dim, cfg.max_seq, cfg.rope_theta));
-
-        let cache_specs: Vec<(usize, usize)> =
-            layers.iter().map(|l| l.attn.cache_spec()).collect();
-        let shared = EngineShared::new(cfg, &cache_specs, dynamic_state(cfg, &econfig, &layers))?;
-
+        model.set_backend(econfig.backend);
+        let shared = EngineShared::new(
+            model.config(),
+            model.new_cache(),
+            dynamic_state(&model, &econfig),
+        )?;
         Ok(HybridEngine {
-            cfg: cfg.clone(),
             inference_lock: Mutex::new(()),
             vgpu: VirtualGpu::new(econfig.vgpu)?,
             cpu: Arc::new(CpuBackend::new(econfig.n_cpu_workers)?),
             head_pool: Arc::new(ThreadPool::new(head_pool_lanes(econfig.n_cpu_workers))?),
-            layers,
-            embed: Arc::new(embed),
-            lm_head,
-            final_norm: Arc::new(RmsNorm::ones(cfg.hidden)),
-            rope,
+            model: Arc::new(model),
             shared,
             decode_graph: Mutex::new(None),
             econfig,
         })
     }
 
+    /// Builds an engine over [`MoeModel::random_with`] weights drawn
+    /// from `econfig.seed` at `econfig.precision`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Config`] on invalid configs and propagates
+    /// construction failures.
+    pub fn random(cfg: &ModelConfig, econfig: EngineConfig) -> Result<Self, EngineError> {
+        let model = MoeModel::random_with(cfg, &econfig.precision, econfig.seed)?;
+        Self::from_model(model, econfig)
+    }
+
+    /// The model whose weights this engine schedules — the bitwise
+    /// oracle of every logit it serves (see the `kt_model::model`
+    /// module doc).
+    pub fn model(&self) -> &MoeModel {
+        &self.model
+    }
+
     /// Model configuration.
     pub fn config(&self) -> &ModelConfig {
-        &self.cfg
+        self.model.config()
     }
 
     /// Engine configuration.
@@ -705,125 +587,36 @@ impl HybridEngine {
         self.vgpu.stats()
     }
 
-    /// Serializes the engine's weights (config + layers + head) — the
-    /// deployment checkpoint. Engine *settings* (scheduling mode,
-    /// deferral, workers) are not stored; they are supplied at load.
+    /// Serializes the weights as a [`MoeModel`] checkpoint (`KTMDL`).
+    /// Engine *settings* (scheduling mode, deferral, workers) are not
+    /// stored, and the kernel backend stored with each expert pool is
+    /// replaced by the one supplied at load.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn save(&self, w: &mut impl std::io::Write) -> Result<(), EngineError> {
-        kt_tensor::serial::write_magic(w, b"KTENG")?;
-        self.cfg.write_to(w)?;
-        self.embed.write_to(w)?;
-        for layer in &self.layers {
-            layer.attn_norm.write_to(w)?;
-            layer.attn.write_to(w)?;
-            layer.ffn_norm.write_to(w)?;
-            match &layer.ffn {
-                EngineFfn::Dense(mlp) => {
-                    kt_tensor::serial::write_u64(w, 0)?;
-                    mlp.write_to(w)?;
-                }
-                EngineFfn::Moe {
-                    router,
-                    shared,
-                    routed,
-                } => {
-                    kt_tensor::serial::write_u64(w, 1)?;
-                    router.write_to(w)?;
-                    kt_tensor::serial::write_u64(w, shared.is_some() as u64)?;
-                    if let Some(sh) = shared {
-                        sh.write_to(w)?;
-                    }
-                    routed.write_to(w)?;
-                }
-            }
-        }
-        self.final_norm.write_to(w)?;
-        self.lm_head.write_to(w).map_err(EngineError::from)
+        Ok(self.model.save(w)?)
     }
 
-    /// Loads an engine from a checkpoint written by
-    /// [`HybridEngine::save`], with fresh runtime settings. Each packed
-    /// weight carries its own dtype in the checkpoint, so per-role
-    /// precision round-trips as saved; `econfig.precision` is ignored.
+    /// Loads an engine from a [`MoeModel`] checkpoint (written by
+    /// [`HybridEngine::save`] or [`MoeModel::save`]) with fresh runtime
+    /// settings, `econfig.backend` included. Each packed weight carries
+    /// its own dtype in the checkpoint, so per-role precision
+    /// round-trips as saved; `econfig.precision` is ignored.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Exec`] on corrupt checkpoints.
+    /// Returns [`EngineError::Exec`] on corrupt checkpoints, including
+    /// one whose weights disagree with its config.
     pub fn load(r: &mut impl std::io::Read, econfig: EngineConfig) -> Result<Self, EngineError> {
-        install_trace_hooks();
-        kt_tensor::serial::expect_magic(r, b"KTENG").map_err(kt_model::ModelError::from)?;
-        let cfg = ModelConfig::read_from(r).map_err(kt_model::ModelError::from)?;
-        let embed = Matrix::read_from(r).map_err(kt_model::ModelError::from)?;
-        let moe_layers: Vec<usize> = (cfg.n_dense_layers..cfg.n_layers).collect();
-        let mut layers = Vec::with_capacity(cfg.n_layers);
-        for layer in 0..cfg.n_layers {
-            let attn_norm = RmsNorm::read_from(r)?;
-            let attn = Attention::read_from(r)?;
-            let ffn_norm = RmsNorm::read_from(r)?;
-            let ffn = match kt_tensor::serial::read_u64(r).map_err(kt_model::ModelError::from)? {
-                0 => EngineFfn::Dense(FusedMoE::read_from(r)?),
-                1 => {
-                    let router = Router::read_from(r)?;
-                    let shared =
-                        if kt_tensor::serial::read_u64(r).map_err(kt_model::ModelError::from)? != 0 {
-                            Some(FusedMoE::read_from(r)?)
-                        } else {
-                            None
-                        };
-                    EngineFfn::Moe {
-                        router,
-                        shared,
-                        routed: FusedMoE::read_from(r)?,
-                    }
-                }
-                other => return Err(EngineError::exec(format!("unknown ffn tag {other}"))),
-            };
-            let my_moe_pos = moe_layers.iter().position(|&l| l == layer);
-            let prev_moe = my_moe_pos.and_then(|p| p.checked_sub(1)).map(|p| moe_layers[p]);
-            let last_moe = my_moe_pos == Some(moe_layers.len().saturating_sub(1));
-            layers.push(Arc::new(EngineLayer {
-                attn_norm,
-                attn,
-                ffn_norm,
-                ffn,
-                prev_moe,
-                last_moe,
-            }));
-        }
-        let final_norm = Arc::new(RmsNorm::read_from(r)?);
-        let lm_head =
-            Arc::new(PackedWeights::read_from(r).map_err(kt_model::ModelError::from)?);
-        let rope = Arc::new(Rope::new(cfg.head_dim, cfg.max_seq, cfg.rope_theta));
-        let cache_specs: Vec<(usize, usize)> =
-            layers.iter().map(|l| l.attn.cache_spec()).collect();
-        let shared =
-            EngineShared::new(&cfg, &cache_specs, dynamic_state(&cfg, &econfig, &layers))?;
-        Ok(HybridEngine {
-            inference_lock: Mutex::new(()),
-            vgpu: VirtualGpu::new(econfig.vgpu)?,
-            cpu: Arc::new(CpuBackend::new(econfig.n_cpu_workers)?),
-            head_pool: Arc::new(ThreadPool::new(head_pool_lanes(econfig.n_cpu_workers))?),
-            layers,
-            embed: Arc::new(embed),
-            lm_head,
-            final_norm,
-            rope,
-            shared,
-            decode_graph: Mutex::new(None),
-            cfg,
-            econfig,
-        })
+        Self::from_model(MoeModel::load(r)?, econfig)
     }
 
     /// Creates a fresh, empty KV cache sized for this engine (one per
     /// conversation in a multi-session server).
     pub fn fresh_cache(&self) -> KvCache {
-        let specs: Vec<(usize, usize)> =
-            self.layers.iter().map(|l| l.attn.cache_spec()).collect();
-        KvCache::new(&specs, self.cfg.max_seq)
+        self.model.new_cache()
     }
 
     /// Checks that `cache` matches this engine's layout and holds a
@@ -838,16 +631,17 @@ impl HybridEngine {
     /// Returns [`EngineError::Exec`] naming the first violated
     /// invariant.
     pub fn validate_cache(&self, cache: &KvCache) -> Result<(), EngineError> {
-        if cache.n_layers() != self.layers.len() {
+        let blocks = self.model.blocks();
+        if cache.n_layers() != blocks.len() {
             return Err(EngineError::exec(format!(
                 "cache has {} layers, engine has {}",
                 cache.n_layers(),
-                self.layers.len()
+                blocks.len()
             )));
         }
         let len = cache.seq_len();
-        for (i, l) in self.layers.iter().enumerate() {
-            let (kw, vw) = l.attn.cache_spec();
+        for (i, b) in blocks.iter().enumerate() {
+            let (kw, vw) = b.attn.cache_spec();
             let lc = cache.layer(i);
             if lc.k_width() != kw || lc.v_width() != vw {
                 return Err(EngineError::exec(format!(
@@ -856,11 +650,11 @@ impl HybridEngine {
                     lc.v_width()
                 )));
             }
-            if lc.capacity() != self.cfg.max_seq {
+            if lc.capacity() != self.config().max_seq {
                 return Err(EngineError::exec(format!(
                     "layer {i} cache capacity {} does not match max_seq {}",
                     lc.capacity(),
-                    self.cfg.max_seq
+                    self.config().max_seq
                 )));
             }
             if lc.len() != len {
@@ -970,10 +764,7 @@ impl HybridEngine {
     /// so quantized experts report their post-quantization footprint.
     /// `None` for models without routed experts.
     pub fn expert_weight_bytes(&self) -> Option<usize> {
-        self.layers.iter().find_map(|l| match &l.ffn {
-            EngineFfn::Moe { routed, .. } => Some(routed.expert(0).stored_bytes()),
-            EngineFfn::Dense(_) => None,
-        })
+        self.routed_pool().map(|r| r.expert(0).stored_bytes())
     }
 
     /// Storage dtype of the routed expert weights, read from the packed
@@ -981,10 +772,12 @@ impl HybridEngine {
     /// `econfig.precision` is ignored). `None` for models without
     /// routed experts.
     pub fn expert_weight_dtype(&self) -> Option<kt_tensor::WeightDtype> {
-        self.layers.iter().find_map(|l| match &l.ffn {
-            EngineFfn::Moe { routed, .. } => Some(routed.expert(0).gate.dtype()),
-            EngineFfn::Dense(_) => None,
-        })
+        self.routed_pool().map(|r| r.expert(0).gate.dtype())
+    }
+
+    /// The first MoE layer's routed-expert pool.
+    fn routed_pool(&self) -> Option<&FusedMoE> {
+        self.model.blocks().iter().find_map(|b| b.ffn.routed())
     }
 
     /// Snapshot of the dynamic-placement expert-cache counters; `None`
@@ -1024,8 +817,9 @@ impl HybridEngine {
     fn build_ops(&self) -> Vec<OpEntry> {
         let mut ops: Vec<OpEntry> = Vec::new();
         let shared = Arc::clone(&self.shared);
-        let embed = Arc::clone(&self.embed);
-        let hidden = self.cfg.hidden;
+        let model = Arc::clone(&self.model);
+        let cfg = self.model.config();
+        let hidden = cfg.hidden;
 
         // Op: embedding lookup. Also the step's workspace turnover
         // point: last step's residual stream (and any unclaimed logits)
@@ -1055,7 +849,8 @@ impl HybridEngine {
                         drop(ws);
                         let st = &mut *st;
                         for (i, &t) in st.tokens.iter().enumerate() {
-                            st.x.row_mut(i).copy_from_slice(embed.row(t as usize));
+                            st.x.row_mut(i)
+                                .copy_from_slice(model.embed().row(t as usize));
                         }
                     }
                     Err(e) => st.error = Some(e.to_string()),
@@ -1064,9 +859,15 @@ impl HybridEngine {
             usize::MAX,
         ));
 
-        for (li, layer) in self.layers.iter().enumerate() {
-            let n_def = if !layer.last_moe {
-                self.econfig.n_deferred.min(self.cfg.top_k.saturating_sub(1))
+        // Dense layers lead and every later layer is MoE (`MoeModel`
+        // guarantees it), so a MoE layer's merge folds in the deferred
+        // outputs of the layer just before it, and the final layer never
+        // defers.
+        for li in 0..cfg.n_layers {
+            let is_moe = li >= cfg.n_dense_layers;
+            let prev_moe = (li > cfg.n_dense_layers).then(|| li - 1);
+            let n_def = if li + 1 < cfg.n_layers {
+                self.econfig.n_deferred.min(cfg.top_k.saturating_sub(1))
             } else {
                 0
             };
@@ -1074,12 +875,12 @@ impl HybridEngine {
             // Op: attention (+ dense MLP for dense layers) on the GPU.
             {
                 let shared = Arc::clone(&self.shared);
-                let layer = Arc::clone(layer);
-                let rope = Arc::clone(&self.rope);
+                let model = Arc::clone(&self.model);
                 ops.push((
                     false,
                     Arc::new(move || {
                         let _span = kt_trace::span_ab(SpanKind::Attention, li as u32, 0);
+                        let layer = &model.blocks()[li];
                         let mut guard = shared.state.lock();
                         if guard.error.is_some() {
                             return;
@@ -1117,16 +918,13 @@ impl HybridEngine {
                                 &normed.as_slice()[start * cols..(start + len) * cols],
                             );
                             let cache = st.caches[s].layer_mut(li);
-                            let r = layer.attn.forward(&sub, cache, &rope, None);
+                            let r = layer.attn.forward(&sub, cache, model.rope(), None);
                             ws.arena.restore(sub);
                             match r {
-                                Ok(attn_out) => {
-                                    let dst = &mut st.x.as_mut_slice()
-                                        [start * cols..(start + len) * cols];
-                                    for (o, a) in dst.iter_mut().zip(attn_out.as_slice()) {
-                                        *o += a;
-                                    }
-                                }
+                                Ok(attn_out) => add_assign(
+                                    &mut st.x.as_mut_slice()[start * cols..(start + len) * cols],
+                                    attn_out.as_slice(),
+                                ),
                                 Err(e) => {
                                     st.error = Some(e.to_string());
                                     break;
@@ -1141,7 +939,7 @@ impl HybridEngine {
                         // attention residual is already folded into x.
                         let mut ffn_in = normed;
                         layer.ffn_norm.forward_into(&st.x, &mut ffn_in);
-                        if let EngineFfn::Dense(mlp) = &layer.ffn {
+                        if let Ffn::Dense(mlp) = &layer.ffn {
                             let t_new = ffn_in.rows();
                             let all = MoeRouting::new(vec![vec![(0, 1.0)]; t_new]);
                             let r = mlp.forward_accumulate_with(
@@ -1164,7 +962,7 @@ impl HybridEngine {
                 ));
             }
 
-            if let EngineFfn::Dense(_) = layer.ffn {
+            if !is_moe {
                 continue;
             }
 
@@ -1172,7 +970,7 @@ impl HybridEngine {
             // token(s), arms counters, enqueues CPU expert tasks.
             {
                 let shared = Arc::clone(&self.shared);
-                let layer = Arc::clone(layer);
+                let model = Arc::clone(&self.model);
                 let cpu = Arc::clone(&self.cpu);
                 ops.push((
                     true,
@@ -1189,7 +987,7 @@ impl HybridEngine {
                                 Some(m) => Arc::clone(m),
                                 None => return,
                             };
-                            let EngineFfn::Moe { router, .. } = &layer.ffn else {
+                            let Ffn::Moe { router, .. } = &model.blocks()[li].ffn else {
                                 return;
                             };
                             let routing = {
@@ -1276,7 +1074,10 @@ impl HybridEngine {
                             }
                             if !tokens.is_empty() {
                                 let mut cache = dy.cache.lock();
-                                let bytes = dy.expert_bytes[li];
+                                // Stored (post-quantization) bytes: they
+                                // size residency and price the upload.
+                                let bytes =
+                                    routed(&model, li).map_or(0, |r| r.expert(0).stored_bytes());
                                 let choices: Vec<_> = tokens
                                     .iter()
                                     .map(|(&e, &t)| {
@@ -1336,7 +1137,7 @@ impl HybridEngine {
                         // it produces the scattered sum.
                         {
                             let shared = Arc::clone(&shared);
-                            let layer = Arc::clone(&layer);
+                            let model = Arc::clone(&model);
                             let ffn_in = Arc::clone(&ffn_in);
                             cpu.submit(Box::new(move || {
                                 let (kind, ws, pending) = (
@@ -1353,7 +1154,7 @@ impl HybridEngine {
                                         pending,
                                         |st| &mut st.cpu_buckets[li],
                                         move |ws| {
-                                            layer.ffn.routed()?.forward_buckets(
+                                            routed(&model, li)?.forward_buckets(
                                                 &ffn_in,
                                                 &imm,
                                                 None,
@@ -1371,7 +1172,7 @@ impl HybridEngine {
                                         pending,
                                         |st| &mut st.imm_out[li],
                                         move |ws| {
-                                            layer.ffn.routed()?.forward_with(
+                                            routed(&model, li)?.forward_with(
                                                 &ffn_in,
                                                 &imm,
                                                 None,
@@ -1388,7 +1189,7 @@ impl HybridEngine {
                         // layer later).
                         if has_def {
                             let shared = Arc::clone(&shared);
-                            let layer = Arc::clone(&layer);
+                            let model = Arc::clone(&model);
                             cpu.submit(Box::new(move || {
                                 run_expert_task(
                                     &shared,
@@ -1398,7 +1199,7 @@ impl HybridEngine {
                                     &shared.def_pending[li],
                                     |st| &mut st.def_out[li],
                                     move |ws| {
-                                        layer.ffn.routed()?.forward_with(
+                                        routed(&model, li)?.forward_with(
                                             &ffn_in,
                                             &def,
                                             None,
@@ -1422,7 +1223,7 @@ impl HybridEngine {
             // two keep sibling spans: phase tables sum both.
             {
                 let shared = Arc::clone(&self.shared);
-                let layer = Arc::clone(layer);
+                let model = Arc::clone(&self.model);
                 ops.push((
                     false,
                     Arc::new(move || {
@@ -1430,11 +1231,9 @@ impl HybridEngine {
                         if guard.error.is_some() {
                             return;
                         }
-                        let EngineFfn::Moe {
-                            shared: sh,
-                            routed,
-                            ..
-                        } = &layer.ffn
+                        let Ffn::Moe {
+                            shared: sh, routed, ..
+                        } = &model.blocks()[li].ffn
                         else {
                             return;
                         };
@@ -1489,7 +1288,6 @@ impl HybridEngine {
             // experts, then folds both into the residual stream.
             {
                 let shared = Arc::clone(&self.shared);
-                let prev_moe = layer.prev_moe;
                 ops.push((
                     false,
                     Arc::new(move || {
@@ -1512,9 +1310,7 @@ impl HybridEngine {
                         let imm = st.imm_out[li].take();
                         if let Some(m) = &imm {
                             let _span = kt_trace::span_ab(SpanKind::ScatterAdd, li as u32, 0);
-                            for (o, v) in st.x.as_mut_slice().iter_mut().zip(m.as_slice()) {
-                                *o += v;
-                            }
+                            add_assign(st.x.as_mut_slice(), m.as_slice());
                         }
                         // Dynamic placement: scatter both devices'
                         // bucket outputs in ascending expert order into
@@ -1543,16 +1339,7 @@ impl HybridEngine {
                                 let buf = match checkout {
                                     Ok(mut buf) => {
                                         match scatter_bucket_streams(&cpu_b, &gpu_b, &mut buf) {
-                                            Ok(()) => {
-                                                for (o, v) in st
-                                                    .x
-                                                    .as_mut_slice()
-                                                    .iter_mut()
-                                                    .zip(buf.as_slice())
-                                                {
-                                                    *o += v;
-                                                }
-                                            }
+                                            Ok(()) => add_assign(st.x.as_mut_slice(), buf.as_slice()),
                                             Err(e) => st.error = Some(e.to_string()),
                                         }
                                         Some(buf)
@@ -1572,9 +1359,7 @@ impl HybridEngine {
                                 prev_moe.unwrap_or(0) as u32,
                                 0,
                             );
-                            for (o, v) in st.x.as_mut_slice().iter_mut().zip(m.as_slice()) {
-                                *o += v;
-                            }
+                            add_assign(st.x.as_mut_slice(), m.as_slice());
                         }
                         let ffn_arc = st.ffn_in[li].take();
                         // Return scratch buffers OUTSIDE the state lock:
@@ -1625,10 +1410,9 @@ impl HybridEngine {
         // the last MoE layer (none is produced there by construction).
         {
             let shared = Arc::clone(&self.shared);
-            let final_norm = Arc::clone(&self.final_norm);
-            let lm_head = Arc::clone(&self.lm_head);
+            let model = Arc::clone(&self.model);
             let head_pool = Arc::clone(&self.head_pool);
-            let vocab = self.cfg.vocab;
+            let vocab = cfg.vocab;
             ops.push((
                 false,
                 Arc::new(move || {
@@ -1649,7 +1433,7 @@ impl HybridEngine {
                             .arena
                             .checkout(st.x.rows(), st.x.cols())
                             .map_err(|e| e.to_string())?;
-                        final_norm.forward_into(&st.x, &mut normed);
+                        model.final_norm().forward_into(&st.x, &mut normed);
                         let cols = normed.cols();
                         // The head GEMM runs per sequence through the
                         // row-stable kernel: every position's logits
@@ -1680,7 +1464,7 @@ impl HybridEngine {
                                     .map_err(|e| e.to_string())?;
                                 let r = gemm_rowwise(
                                     &sub,
-                                    &lm_head,
+                                    model.lm_head(),
                                     &mut out,
                                     Some(&head_pool),
                                 );
@@ -1733,7 +1517,7 @@ impl HybridEngine {
     /// Returns [`EngineError::Exec`] on invalid tokens or any failure
     /// raised by device/worker ops.
     pub fn forward(&self, tokens: &[u32]) -> Result<Matrix, EngineError> {
-        self.validate_tokens(tokens)?;
+        self.model.validate_tokens(tokens)?;
         // One forward at a time: the step state is per-request.
         let _serialized = self.inference_lock.lock();
         let decode = tokens.len() == 1;
@@ -1782,7 +1566,7 @@ impl HybridEngine {
             return Err(EngineError::exec("forward_batch requires at least one sequence"));
         }
         for s in seqs.iter() {
-            self.validate_tokens(&s.tokens)?;
+            self.model.validate_tokens(&s.tokens)?;
         }
         let _serialized = self.inference_lock.lock();
         let mut seq_rows = Vec::with_capacity(seqs.len());
@@ -1830,21 +1614,6 @@ impl HybridEngine {
         })
     }
 
-    fn validate_tokens(&self, tokens: &[u32]) -> Result<(), EngineError> {
-        if tokens.is_empty() {
-            return Err(EngineError::exec("forward requires at least one token"));
-        }
-        for &t in tokens {
-            if t as usize >= self.cfg.vocab {
-                return Err(EngineError::exec(format!(
-                    "token {t} outside vocab {}",
-                    self.cfg.vocab
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Executes one step over the tokens/spans already staged in the
     /// step state. Callers must hold the inference lock. Returns one
     /// logits matrix per sequence (in `seq_rows` order); callers should
@@ -1857,7 +1626,18 @@ impl HybridEngine {
             step_span.set_labels(st.tokens.len() as u32, st.seq_rows.len() as u32);
         }
         let use_graph = all_decode && self.econfig.mode == SchedMode::AsyncGraph;
-        if use_graph {
+        let launch = |is_host: bool, f: &Arc<dyn Fn() + Send + Sync>| {
+            let f = Arc::clone(f);
+            if is_host {
+                self.vgpu.launch_host_func(0, move || f());
+            } else {
+                self.vgpu.launch_kernel(0, move || f());
+            }
+        };
+        // A device op that panicked comes back as a stream fault: the
+        // rest of its stream was skipped, and the step fails below like
+        // any op error — the engine stays usable.
+        let device = if use_graph {
             // Capture once, replay every decode step. Ops read the
             // batch shape from the step state, so the same graph
             // serves any all-decode batch.
@@ -1866,36 +1646,33 @@ impl HybridEngine {
                 let ops = self.build_ops();
                 self.vgpu.begin_capture()?;
                 for (is_host, f, _) in &ops {
-                    let f = Arc::clone(f);
-                    if *is_host {
-                        self.vgpu.launch_host_func(0, move || f());
-                    } else {
-                        self.vgpu.launch_kernel(0, move || f());
-                    }
+                    launch(*is_host, f);
                 }
                 *graph_slot = Some(self.vgpu.end_capture()?);
             }
             let graph = graph_slot.as_ref().expect("captured above").clone();
             drop(graph_slot);
             self.vgpu.launch_graph(0, &graph);
-            self.vgpu.synchronize(0);
+            self.vgpu.synchronize(0)
         } else {
             // Per-op launches with per-layer synchronization (prefill,
             // or the sync-mode decode baseline).
             let ops = self.build_ops();
+            let mut device = Ok(());
             for (is_host, f, layer_boundary) in &ops {
-                let f = Arc::clone(f);
-                if *is_host {
-                    self.vgpu.launch_host_func(0, move || f());
-                } else {
-                    self.vgpu.launch_kernel(0, move || f());
-                }
+                launch(*is_host, f);
                 if *layer_boundary != usize::MAX && self.econfig.mode == SchedMode::Sync {
                     // The baseline breaks the stream at every layer.
-                    self.vgpu.synchronize(0);
+                    device = self.vgpu.synchronize(0);
+                    if device.is_err() {
+                        break;
+                    }
                 }
             }
-            self.vgpu.synchronize(0);
+            device.and(self.vgpu.synchronize(0))
+        };
+        if let Err(e) = device {
+            self.shared.state.lock().error.get_or_insert(e.to_string());
         }
 
         // Drain: if an op errored mid-stream, the merge kernels skipped
@@ -2033,20 +1810,26 @@ impl HybridEngine {
     }
 }
 
-impl EngineFfn {
-    /// The routed-expert pool of a MoE layer.
-    fn routed(&self) -> Result<&FusedMoE, KernelError> {
-        match self {
-            EngineFfn::Moe { routed, .. } => Ok(routed),
-            EngineFfn::Dense(_) => Err(KernelError::config("not a MoE layer")),
-        }
+/// `dst += src`, elementwise: every fold into the residual stream.
+fn add_assign(dst: &mut [f32], src: &[f32]) {
+    for (o, v) in dst.iter_mut().zip(src) {
+        *o += v;
     }
+}
+
+/// The routed-expert pool of MoE layer `li` (for CPU expert tasks,
+/// which report errors as kernel errors).
+fn routed(model: &MoeModel, li: usize) -> Result<&FusedMoE, KernelError> {
+    model.blocks()[li]
+        .ffn
+        .routed()
+        .ok_or_else(|| KernelError::config("not a MoE layer"))
 }
 
 impl std::fmt::Debug for HybridEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HybridEngine")
-            .field("model", &self.cfg.name)
+            .field("model", &self.config().name)
             .field("mode", &self.econfig.mode)
             .field("n_deferred", &self.econfig.n_deferred)
             .finish_non_exhaustive()
@@ -2205,15 +1988,14 @@ mod tests {
 
     #[test]
     fn incremental_decode_matches_model_semantics() {
-        // Full prefill vs prefill + step-by-step decode consistency.
+        // Full prefill vs prefill + step-by-step decode: bit for bit.
         let e = engine(SchedMode::AsyncGraph, 0, 19);
         let full = e.forward(&[5, 6, 7, 8]).unwrap();
         e.reset();
         let _ = e.forward(&[5, 6, 7]).unwrap();
         let last = e.forward(&[8]).unwrap();
-        for (a, b) in full.row(3).iter().zip(last.row(0)) {
-            assert!((a - b).abs() < 2e-3, "full={a} inc={b}");
-        }
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(full.row(3)), bits(last.row(0)));
     }
 
     #[test]
@@ -2319,9 +2101,86 @@ mod tests {
         .unwrap();
         let got = loaded.generate_greedy(&[4, 5, 6], 8).unwrap();
         assert_eq!(expect, got, "checkpointed weights decode identically");
+        // One format: an engine checkpoint is a model checkpoint, and the
+        // backend is a runtime setting the loader's config decides.
+        let model = MoeModel::load(&mut buf.as_slice()).unwrap();
+        assert_eq!(model.config(), e.config());
+        let tiled = EngineConfig {
+            backend: Backend::TiledOnly,
+            ..Default::default()
+        };
+        let tiled = HybridEngine::load(&mut buf.as_slice(), tiled).unwrap();
+        let blocks = tiled.model().blocks();
+        assert!(blocks.iter().all(|b| match &b.ffn {
+            Ffn::Dense(mlp) => mlp.backend() == Backend::TiledOnly,
+            Ffn::Moe { routed, .. } => routed.backend() == Backend::TiledOnly,
+        }));
         // Corrupt checkpoints fail loudly.
         buf[2] ^= 0xFF;
         assert!(HybridEngine::load(&mut buf.as_slice(), EngineConfig::default()).is_err());
+    }
+
+    #[test]
+    fn checkpoint_disagreeing_with_its_config_is_rejected() {
+        // The stored config is rewritten (same serialized length) over
+        // valid weights. Vocab 512 over a 256-row embedding would let
+        // token 300 pass `validate_tokens` and index out of bounds on the
+        // device thread; every mismatch must fail both loaders up front.
+        let e = engine(SchedMode::Sync, 0, 87);
+        let cfg = e.config().clone();
+        let mut buf = Vec::new();
+        e.save(&mut buf).unwrap();
+        let header = |c: &ModelConfig| {
+            let mut h = kt_model::model::CHECKPOINT_MAGIC.to_vec();
+            c.write_to(&mut h).unwrap();
+            h
+        };
+        let body = buf.split_off(header(&cfg).len());
+        let loads = |c: &ModelConfig| {
+            let mut ckpt = header(c);
+            ckpt.extend_from_slice(&body);
+            let engine = HybridEngine::load(&mut ckpt.as_slice(), EngineConfig::default());
+            (MoeModel::load(&mut ckpt.as_slice()).is_ok(), engine.is_ok())
+        };
+        assert_eq!(loads(&cfg), (true, true));
+        let edits: [fn(&mut ModelConfig); 10] = [
+            |c| c.vocab = 512,
+            |c| c.n_heads = 8,
+            |c| c.head_dim = 18,
+            |c| c.attention = kt_model::AttentionKind::Mla { kv_lora_rank: 3 },
+            |c| c.n_dense_layers = 2,
+            |c| c.dense_inter = 136,
+            |c| c.moe_inter = 56,
+            |c| c.n_shared_experts += 1,
+            |c| c.top_k -= 1,
+            // Fails `ModelConfig::validate` before any weight is read.
+            |c| c.top_k = c.n_routed_experts + 1,
+        ];
+        for edit in edits {
+            let mut c = cfg.clone();
+            edit(&mut c);
+            assert_eq!(loads(&c), (false, false), "{c:?}");
+        }
+    }
+
+    #[test]
+    fn device_op_panic_fails_the_step_then_recovers() {
+        // A panicking hook runs inside the submit op on the device
+        // thread: the step must fail with the panic's message, not wedge
+        // `synchronize`, and the engine must serve cleanly afterwards.
+        for mode in [SchedMode::Sync, SchedMode::AsyncGraph] {
+            let e = engine(mode, 2, 89);
+            let want = e.generate_greedy(&[1, 2, 3], 4).unwrap();
+            for prompt in [&[1u32, 2][..], &[7][..]] {
+                e.reset();
+                e.set_fault_injector(|_| panic!("hook exploded"));
+                let err = e.forward(prompt).unwrap_err();
+                assert!(err.to_string().contains("hook exploded"), "{mode:?}: {err}");
+                e.clear_fault_injector();
+            }
+            e.reset();
+            assert_eq!(e.generate_greedy(&[1, 2, 3], 4).unwrap(), want, "{mode:?}");
+        }
     }
 
     #[test]

@@ -43,7 +43,10 @@ impl std::error::Error for EngineError {}
 
 impl From<kt_model::ModelError> for EngineError {
     fn from(e: kt_model::ModelError) -> Self {
-        EngineError::exec(e.to_string())
+        match e {
+            kt_model::ModelError::Config { .. } => EngineError::config(e.to_string()),
+            kt_model::ModelError::Exec { .. } => EngineError::exec(e.to_string()),
+        }
     }
 }
 

@@ -14,6 +14,11 @@
 //! * **Graph capture/replay** — a captured op sequence replays with a
 //!   single launch cost, which is how KTransformers fits the entire
 //!   decode path into one CUDA Graph.
+//! * **Sticky stream faults** — an op that panics is caught on the
+//!   device thread and counted complete; it poisons its stream, whose
+//!   later ops are skipped (and counted complete) until
+//!   [`VirtualGpu::synchronize`] reports the panic as an error. The
+//!   device thread survives, so the stream is usable again afterwards.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -116,6 +121,9 @@ struct DeviceState {
     /// Per-stream (submitted, completed) op counts.
     submitted: Vec<u64>,
     completed: Vec<u64>,
+    /// Per-stream panic message of the first op that panicked since the
+    /// last `synchronize` (a poisoned stream skips its ops).
+    fault: Vec<Option<String>>,
     shutdown: bool,
 }
 
@@ -155,6 +163,7 @@ impl VirtualGpu {
                 queue: VecDeque::new(),
                 submitted: vec![0; cfg.n_streams],
                 completed: vec![0; cfg.n_streams],
+                fault: vec![None; cfg.n_streams],
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -293,18 +302,22 @@ impl VirtualGpu {
         }
     }
 
-    /// Blocks until every op submitted to `stream` has executed.
-    pub fn synchronize(&self, stream: StreamId) {
+    /// Blocks until every op submitted to `stream` has executed (or
+    /// been skipped behind a panicked op), then clears the stream's
+    /// fault.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Exec`] carrying the panic message when an
+    /// op on `stream` panicked since the last synchronization.
+    pub fn synchronize(&self, stream: StreamId) -> Result<(), EngineError> {
         let mut st = self.shared.state.lock();
         while st.completed[stream] < st.submitted[stream] {
             self.shared.done_cv.wait(&mut st);
         }
-    }
-
-    /// Blocks until all streams drain.
-    pub fn synchronize_all(&self) {
-        for s in 0..self.cfg.n_streams {
-            self.synchronize(s);
+        match st.fault[stream].take() {
+            Some(msg) => Err(EngineError::exec(format!("device op panicked: {msg}"))),
+            None => Ok(()),
         }
     }
 
@@ -354,11 +367,12 @@ impl std::fmt::Debug for VirtualGpu {
 
 fn device_loop(shared: Arc<Shared>) {
     loop {
-        let item = {
+        let (item, poisoned) = {
             let mut st = shared.state.lock();
             loop {
                 if let Some(item) = st.queue.pop_front() {
-                    break item;
+                    let poisoned = st.fault[item.stream].is_some();
+                    break (item, poisoned);
                 }
                 if st.shutdown {
                     return;
@@ -389,9 +403,14 @@ fn device_loop(shared: Arc<Shared>) {
         }
         let t0 = if tracing { kt_trace::now_ns() } else { 0 };
         let op_start = std::time::Instant::now();
-        match &item.op {
-            Op::Kernel(f) | Op::HostFunc(f) => f(),
-        }
+        let panicked = if poisoned {
+            None
+        } else {
+            let (Op::Kernel(f) | Op::HostFunc(f)) = &item.op;
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f()))
+                .err()
+                .map(|p| panic_message(&*p))
+        };
         shared
             .busy_ns
             .fetch_add(op_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -404,9 +423,21 @@ fn device_loop(shared: Arc<Shared>) {
             kt_trace::record_on(track, kind, t0, t1.saturating_sub(t0), item.stream as u32, 0);
         }
         let mut st = shared.state.lock();
+        if let Some(msg) = panicked {
+            st.fault[item.stream].get_or_insert(msg);
+        }
         st.completed[item.stream] += 1;
         shared.done_cv.notify_all();
     }
+}
+
+/// The message a panic was raised with, if it carried one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// Busy-waits for `d` (sleep granularity on Linux is too coarse for
@@ -444,7 +475,7 @@ mod tests {
             let log = Arc::clone(&log);
             g.launch_kernel(0, move || log.lock().push(i));
         }
-        g.synchronize(0);
+        g.synchronize(0).unwrap();
         assert_eq!(*log.lock(), (0..20).collect::<Vec<_>>());
     }
 
@@ -458,7 +489,7 @@ mod tests {
         g.launch_kernel(0, move || l1.lock().push("k1"));
         g.launch_host_func(0, move || l2.lock().push("host"));
         g.launch_kernel(0, move || l3.lock().push("k2"));
-        g.synchronize(0);
+        g.synchronize(0).unwrap();
         assert_eq!(*log.lock(), vec!["k1", "host", "k2"]);
     }
 
@@ -471,7 +502,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             f.store(true, Ordering::Release);
         });
-        g.synchronize(0);
+        g.synchronize(0).unwrap();
         assert!(flag.load(Ordering::Acquire));
     }
 
@@ -488,12 +519,12 @@ mod tests {
         }
         let graph = g.end_capture().unwrap();
         assert_eq!(graph.len(), 5);
-        g.synchronize(0);
+        g.synchronize(0).unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 0, "capture must not execute");
 
         g.launch_graph(0, &graph);
         g.launch_graph(0, &graph);
-        g.synchronize(0);
+        g.synchronize(0).unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 10);
         let stats = g.stats();
         assert_eq!(stats.graph_replays, 2);
@@ -523,7 +554,7 @@ mod tests {
         for _ in 0..10 {
             g.launch_kernel(0, || {});
         }
-        g.synchronize(0);
+        g.synchronize(0).unwrap();
         let individual = g.stats().launch_overhead_ns;
         assert!(individual >= 10 * 500_000, "individual={individual}");
 
@@ -535,7 +566,7 @@ mod tests {
         }
         let graph = g.end_capture().unwrap();
         g.launch_graph(0, &graph);
-        g.synchronize(0);
+        g.synchronize(0).unwrap();
         let graphed = g.stats().launch_overhead_ns;
         assert!(
             graphed < individual / 5,
@@ -555,7 +586,8 @@ mod tests {
         g.launch_kernel(1, move || {
             h2.fetch_add(1, Ordering::Relaxed);
         });
-        g.synchronize_all();
+        g.synchronize(0).unwrap();
+        g.synchronize(1).unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 2);
     }
 
@@ -576,8 +608,35 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(10));
         flag.store(true, Ordering::Release);
-        g.synchronize(0);
+        g.synchronize(0).unwrap();
         assert!(observed.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn panicking_op_poisons_its_stream_until_synchronize() {
+        let g = gpu(VgpuConfig::default());
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r1 = Arc::clone(&ran);
+        let r2 = Arc::clone(&ran);
+        g.launch_kernel(0, || panic!("bad op"));
+        g.launch_kernel(0, move || {
+            r1.fetch_add(1, Ordering::Relaxed);
+        });
+        g.launch_kernel(1, move || {
+            r2.fetch_add(1, Ordering::Relaxed);
+        });
+        let err = g.synchronize(0).unwrap_err();
+        assert!(err.to_string().contains("bad op"), "{err}");
+        g.synchronize(1).unwrap();
+        // Stream 0 skipped the op behind the panic; stream 1 ran its own.
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        // The device thread survived and the fault was cleared.
+        let r3 = Arc::clone(&ran);
+        g.launch_kernel(0, move || {
+            r3.fetch_add(1, Ordering::Relaxed);
+        });
+        g.synchronize(0).unwrap();
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -585,7 +644,7 @@ mod tests {
         let g = gpu(VgpuConfig::default());
         g.launch_kernel(0, || {});
         g.launch_host_func(0, || {});
-        g.synchronize(0);
+        g.synchronize(0).unwrap();
         assert_eq!(g.stats().kernel_launches, 1);
         assert_eq!(g.stats().host_funcs, 1);
         g.reset_stats();

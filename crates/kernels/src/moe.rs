@@ -467,6 +467,17 @@ impl FusedMoE {
         &self.experts[i]
     }
 
+    /// Kernel backend the expert GEMMs dispatch through.
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
+
+    /// Replaces the kernel backend (a runtime setting: the weights are
+    /// untouched, only the kernel class each bucket runs on changes).
+    pub fn set_backend(&mut self, backend: Backend) {
+        self.backend = backend;
+    }
+
     /// Computes the MoE output for `x` (`tokens x hidden`) under
     /// `routing` and returns it as a fresh matrix (no residual).
     ///

@@ -374,6 +374,11 @@ impl Attention {
         Ok(out)
     }
 
+    /// Model (input/output) width.
+    pub fn hidden(&self) -> usize {
+        self.hidden
+    }
+
     /// Number of query heads.
     pub fn n_heads(&self) -> usize {
         self.n_heads

@@ -122,6 +122,11 @@ impl Router {
         &self.cfg
     }
 
+    /// Input width the gate projection expects.
+    pub fn hidden(&self) -> usize {
+        self.w.cols()
+    }
+
     /// Serializes the router (config + gate weights).
     ///
     /// # Errors
