@@ -621,10 +621,9 @@ impl HybridEngine {
 
     /// Checks that `cache` matches this engine's layout and holds a
     /// self-consistent sequence: layer count, per-layer row widths and
-    /// capacity, uniform length across layers, and a decoded-row memo
-    /// that never runs ahead of the cached positions. The serving
-    /// layer calls this after seeding a lease from a prefix snapshot,
-    /// before trusting the seeded state in a batch.
+    /// capacity, and uniform length across layers. The serving layer
+    /// calls this after seeding a lease from a prefix snapshot, before
+    /// trusting the seeded state in a batch.
     ///
     /// # Errors
     ///
@@ -660,13 +659,6 @@ impl HybridEngine {
             if lc.len() != len {
                 return Err(EngineError::exec(format!(
                     "layer {i} holds {} positions, layer 0 holds {len}",
-                    lc.len()
-                )));
-            }
-            if lc.memo_len() > lc.len() {
-                return Err(EngineError::exec(format!(
-                    "layer {i} memo runs ahead of the cache ({} > {})",
-                    lc.memo_len(),
                     lc.len()
                 )));
             }
@@ -1509,8 +1501,10 @@ impl HybridEngine {
     /// Runs one forward over `tokens` (appended to the cache) and
     /// returns logits for every new position.
     ///
-    /// Deferral applies only to single-token forwards (decode), as in
-    /// the paper.
+    /// Deferral applies only to single-token forwards past the prompt
+    /// (decode), as in the paper: a forward on an empty cache is the
+    /// prompt's prefill whatever its length, exactly as the serving
+    /// scheduler runs it.
     ///
     /// # Errors
     ///
@@ -1520,9 +1514,10 @@ impl HybridEngine {
         self.model.validate_tokens(tokens)?;
         // One forward at a time: the step state is per-request.
         let _serialized = self.inference_lock.lock();
-        let decode = tokens.len() == 1;
+        let decode;
         {
             let mut st = self.shared.state.lock();
+            decode = tokens.len() == 1 && st.caches[0].seq_len() > 0;
             st.tokens = tokens.to_vec();
             st.seq_rows = vec![(0, tokens.len())];
             st.decode_row = vec![decode; tokens.len()];
@@ -1999,6 +1994,37 @@ mod tests {
     }
 
     #[test]
+    fn one_token_prompt_is_a_standard_prefill_then_decode_defers() {
+        // A forward on an empty cache is the prompt's prefill whatever
+        // its length (as the server runs it); the next 1-token forward
+        // is a deferred decode. Both on a GQA and an MLA preset.
+        use kt_model::model::ExecMode;
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for preset in [ModelPreset::Qwen2Moe, ModelPreset::DeepSeekV3] {
+            let e = HybridEngine::random(
+                &preset.tiny_config(),
+                EngineConfig {
+                    n_cpu_workers: 2,
+                    n_deferred: 2,
+                    seed: 41,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let model = e.model();
+            let mut cache = model.new_cache();
+            let deferred = ExecMode::Deferred {
+                n_immediate: e.config().top_k - 2,
+            };
+            for (tok, mode) in [(9u32, ExecMode::Standard), (4, deferred)] {
+                let got = e.forward(&[tok]).unwrap();
+                let want = model.forward(&[tok], &mut cache, mode, None).unwrap();
+                assert_eq!(bits(got.row(0)), bits(want.row(0)), "{preset:?} {mode:?}");
+            }
+        }
+    }
+
+    #[test]
     fn reset_clears_cache() {
         let e = engine(SchedMode::Sync, 0, 23);
         let _ = e.forward(&[1, 2, 3]).unwrap();
@@ -2143,11 +2169,17 @@ mod tests {
             (MoeModel::load(&mut ckpt.as_slice()).is_ok(), engine.is_ok())
         };
         assert_eq!(loads(&cfg), (true, true));
-        let edits: [fn(&mut ModelConfig); 10] = [
+        // The attention edits each move the expected shape of the MLA
+        // projections: n_heads the widened query and the number of
+        // per-head up-projections, head_dim the query halves, the
+        // RoPE-key projection and every up-projection, the rank the
+        // latent side of the up-projections, the kind all of them.
+        let edits: [fn(&mut ModelConfig); 11] = [
             |c| c.vocab = 512,
             |c| c.n_heads = 8,
             |c| c.head_dim = 18,
             |c| c.attention = kt_model::AttentionKind::Mla { kv_lora_rank: 3 },
+            |c| c.attention = kt_model::AttentionKind::Gqa { kv_heads: 2 },
             |c| c.n_dense_layers = 2,
             |c| c.dense_inter = 136,
             |c| c.moe_inter = 56,

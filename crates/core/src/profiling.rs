@@ -125,8 +125,6 @@ pub struct ServeStats {
     pub kv_leases_free: u64,
     /// High-water mark of concurrent KV-cache leases.
     pub kv_leases_peak: u64,
-    /// Heap bytes retained by parked pool caches.
-    pub kv_pooled_bytes: u64,
     /// KV pages the block allocator can hand out in total (snapshot of
     /// the pool; see [`ServeStats::set_pages`]).
     pub kv_pages_total: u64,
@@ -154,7 +152,7 @@ pub struct ServeStats {
     pub prefix_hit_tokens: u64,
     /// Prefix segments frozen into the index.
     pub prefix_insertions: u64,
-    /// Prefix segments evicted by the byte budget.
+    /// Prefix segments evicted, by the byte budget or the page valve.
     pub prefix_evictions: u64,
     /// Bytes freed by prefix eviction.
     pub prefix_evicted_bytes: u64,
@@ -244,7 +242,6 @@ impl ServeStats {
         self.kv_leases_in_use = o.in_use as u64;
         self.kv_leases_free = o.free as u64;
         self.kv_leases_peak = o.peak as u64;
-        self.kv_pooled_bytes = o.pooled_bytes as u64;
     }
 
     /// Overwrites the page-allocator gauges from a paged-pool snapshot
@@ -488,14 +485,12 @@ mod tests {
             free: 3,
             peak: 4,
             constructed: 5,
-            pooled_bytes: 4096,
         };
         s.set_pool(&occ);
         s.set_pool(&occ); // replace, not accumulate
         assert_eq!(s.kv_leases_in_use, 2);
         assert_eq!(s.kv_leases_free, 3);
         assert_eq!(s.kv_leases_peak, 4);
-        assert_eq!(s.kv_pooled_bytes, 4096);
 
         let px = kt_model::prefix::PrefixStats {
             lookups: 10,

@@ -1,8 +1,7 @@
 //! Engine-level property test for shared-prefix KV reuse: a batch that
 //! prefills only the *uncached suffix* of a prompt on a prefix-seeded
 //! cache must produce **bitwise** the same logits and final cache state
-//! (including the MLA decoded-row memo) as a batch that cold-prefills
-//! the whole prompt — while a concurrent decode row rides in both
+//! as a batch that cold-prefills the whole prompt — while a concurrent decode row rides in both
 //! batches, pinning that seeding one sequence cannot perturb another.
 //!
 //! This is the end-to-end contract the serving layer's warm-admission
@@ -29,7 +28,7 @@ fn dtype_strategy() -> impl Strategy<Value = WeightDtype> {
     ]
 }
 
-/// Asserts two multi-layer caches are bitwise identical, memo included.
+/// Asserts two multi-layer caches are bitwise identical.
 fn assert_same_cache(a: &KvCache, b: &KvCache) {
     assert_eq!(a.n_layers(), b.n_layers());
     for i in 0..a.n_layers() {
@@ -38,10 +37,6 @@ fn assert_same_cache(a: &KvCache, b: &KvCache) {
         for pos in 0..la.len() {
             assert_eq!(la.k_row(pos), lb.k_row(pos), "layer {i} k row {pos}");
             assert_eq!(la.v_row(pos), lb.v_row(pos), "layer {i} v row {pos}");
-        }
-        assert_eq!(la.memo_len(), lb.memo_len(), "layer {i} memo length");
-        for pos in 0..la.memo_len() {
-            assert_eq!(la.memo_row(pos), lb.memo_row(pos), "layer {i} memo row {pos}");
         }
     }
 }
@@ -132,7 +127,7 @@ proptest! {
         // was seeded.
         prop_assert_eq!(warm_decode.as_slice(), cold_decode.as_slice());
 
-        // Final KV state (rows and memo) is bitwise identical, for the
+        // Final KV state is bitwise identical, for the
         // seeded sequence and the decode row alike.
         assert_same_cache(&cold_cache, &warm_batch[0].cache);
         assert_same_cache(&cold_d_cache, &warm_batch[1].cache);

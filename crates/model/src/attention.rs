@@ -8,10 +8,25 @@
 //!
 //! * **GQA** — `kv_heads` key/value heads shared by `n_heads` query
 //!   heads; roped keys and values are cached per position.
-//! * **MLA (latent)** — queries are full-rank, but keys and values are
-//!   reconstructed from a per-token compressed latent `c = W_a x` of
-//!   rank `kv_lora_rank`; only the latent is cached, shrinking the KV
-//!   cache by `2 * n_heads * head_dim / rank`.
+//! * **MLA (latent)** — DeepSeek-V2/V3's decoupled-RoPE form. Each
+//!   position caches one row `[c ; k_rope]`: the compressed latent
+//!   `c = W_a x` of rank `kv_lora_rank` and a head-shared key
+//!   `k_rope = RoPE(W_kr x)` of width `head_dim`. The query is
+//!   `[q_nope ; q_rope]` per head. Because RoPE touches only the
+//!   separate `k_rope`, the key up-projection folds into the query and
+//!   the value up-projection into the output: head `h` scores a row
+//!   with `[W_UK[h]ᵀ q_nope ; q_rope]`, accumulates softmax-weighted
+//!   *latents*, and applies `W_UV[h]` once per query row. Attention
+//!   runs in latent space — what FlashInfer's MLA kernel computes — and
+//!   the cache row is everything MLA ever keeps per position.
+//!
+//! The absorption happens on activations, never on weights: `W_UK[h]`
+//! and `W_UV[h]` stay separate packed matrices, applied through the
+//! row-stable `gemm_rowwise`, so quantized weights are never
+//! re-rounded and a row's bits never depend on its batch-mates. That,
+//! plus per-query-row score loops, is what makes chunked prefill (any
+//! split of a prompt into per-step chunks) and prefix seeding bitwise
+//! identical to a monolithic prefill.
 
 use kt_kernels::act::softmax_inplace;
 use kt_kernels::gemm::gemm_rowwise;
@@ -23,6 +38,14 @@ use crate::config::AttentionKind;
 use crate::error::ModelError;
 use crate::paged::PagedKvStore;
 use crate::rope::Rope;
+
+/// Serialization tag of a GQA block.
+const TAG_GQA: u64 = 0;
+/// Tag of the retired MLA format that roped the decoded key (no
+/// RoPE-key projection); rejected on read.
+const TAG_MLA_DECODED_ROPE: u64 = 1;
+/// Tag of a decoupled-RoPE MLA block.
+const TAG_MLA: u64 = 2;
 
 /// Variant-specific projection weights.
 #[derive(Debug, Clone)]
@@ -37,10 +60,14 @@ enum KvProj {
     Mla {
         /// Latent down-projection, `rank x hidden`.
         wa: PackedWeights,
-        /// Key up-projection, `n_heads * head_dim x rank`.
-        wkb: PackedWeights,
-        /// Value up-projection, `n_heads * head_dim x rank`.
-        wvb: PackedWeights,
+        /// Head-shared RoPE-key projection, `head_dim x hidden`.
+        wkr: PackedWeights,
+        /// Per-head key up-projections in absorbed form, `rank x
+        /// head_dim` each: `W_UK[h]ᵀ`, mapping `q_nope` into latent space.
+        wkb: Vec<PackedWeights>,
+        /// Per-head value up-projections `W_UV[h]`, `head_dim x rank`
+        /// each, mapping a latent context to the head's output.
+        wvb: Vec<PackedWeights>,
         rank: usize,
     },
 }
@@ -51,7 +78,9 @@ pub struct Attention {
     hidden: usize,
     n_heads: usize,
     head_dim: usize,
-    /// Query projection, `n_heads * head_dim x hidden`.
+    /// Query projection, `n_heads * head_dim x hidden` (GQA) or
+    /// `n_heads * 2 * head_dim x hidden` (MLA: `[q_nope ; q_rope]` per
+    /// head).
     wq: PackedWeights,
     /// Output projection, `hidden x n_heads * head_dim`.
     wo: PackedWeights,
@@ -77,35 +106,57 @@ impl Attention {
             return Err(ModelError::config("attention dims must be nonzero"));
         }
         let qdim = n_heads * head_dim;
-        let pack = |rows: usize, cols: usize, rng: &mut StdRng| -> Result<PackedWeights, ModelError> {
-            let m = Matrix::random_kaiming(rows, cols, rng)?;
-            Ok(PackedWeights::pack(&m, dtype)?)
-        };
-        let wq = pack(qdim, hidden, rng)?;
-        let wo = pack(hidden, qdim, rng)?;
-        let kv = match kind {
+        let pack =
+            |rows: usize, cols: usize, rng: &mut StdRng| -> Result<PackedWeights, ModelError> {
+                let m = Matrix::random_kaiming(rows, cols, rng)?;
+                Ok(PackedWeights::pack(&m, dtype)?)
+            };
+        let (wq, wo, kv) = match kind {
             AttentionKind::Gqa { kv_heads } => {
                 if kv_heads == 0 || !n_heads.is_multiple_of(kv_heads) {
                     return Err(ModelError::config(format!(
                         "kv_heads {kv_heads} must divide n_heads {n_heads}"
                     )));
                 }
-                KvProj::Gqa {
+                let wq = pack(qdim, hidden, rng)?;
+                let wo = pack(hidden, qdim, rng)?;
+                let kv = KvProj::Gqa {
                     wk: pack(kv_heads * head_dim, hidden, rng)?,
                     wv: pack(kv_heads * head_dim, hidden, rng)?,
                     kv_heads,
-                }
+                };
+                (wq, wo, kv)
             }
-            AttentionKind::Mla { kv_lora_rank } => {
-                if kv_lora_rank == 0 {
+            AttentionKind::Mla { kv_lora_rank: rank } => {
+                if rank == 0 {
                     return Err(ModelError::config("kv_lora_rank must be nonzero"));
                 }
-                KvProj::Mla {
-                    wa: pack(kv_lora_rank, hidden, rng)?,
-                    wkb: pack(qdim, kv_lora_rank, rng)?,
-                    wvb: pack(qdim, kv_lora_rank, rng)?,
-                    rank: kv_lora_rank,
-                }
+                // W_UK[h] is drawn as the `head_dim x rank` map it is (the
+                // decoded key reads `rank` latents) and stored transposed.
+                let absorbed_uk = |rng: &mut StdRng| -> Result<PackedWeights, ModelError> {
+                    let uk = Matrix::random_kaiming(head_dim, rank, rng)?;
+                    let mut ukt = Matrix::zeros(rank, head_dim)?;
+                    for i in 0..rank {
+                        for (j, w) in ukt.row_mut(i).iter_mut().enumerate() {
+                            *w = uk.row(j)[i];
+                        }
+                    }
+                    Ok(PackedWeights::pack(&ukt, dtype)?)
+                };
+                let wq = pack(2 * qdim, hidden, rng)?;
+                let wo = pack(hidden, qdim, rng)?;
+                let kv = KvProj::Mla {
+                    wa: pack(rank, hidden, rng)?,
+                    wkr: pack(head_dim, hidden, rng)?,
+                    wkb: (0..n_heads)
+                        .map(|_| absorbed_uk(rng))
+                        .collect::<Result<_, _>>()?,
+                    wvb: (0..n_heads)
+                        .map(|_| pack(head_dim, rank, rng))
+                        .collect::<Result<_, _>>()?,
+                    rank,
+                };
+                (wq, wo, kv)
             }
         };
         Ok(Attention {
@@ -132,17 +183,25 @@ impl Attention {
         self.wo.write_to(w)?;
         match &self.kv {
             KvProj::Gqa { wk, wv, kv_heads } => {
-                write_u64(w, 0)?;
+                write_u64(w, TAG_GQA)?;
                 write_u64(w, *kv_heads as u64)?;
                 wk.write_to(w)?;
                 wv.write_to(w)?;
             }
-            KvProj::Mla { wa, wkb, wvb, rank } => {
-                write_u64(w, 1)?;
+            KvProj::Mla {
+                wa,
+                wkr,
+                wkb,
+                wvb,
+                rank,
+            } => {
+                write_u64(w, TAG_MLA)?;
                 write_u64(w, *rank as u64)?;
                 wa.write_to(w)?;
-                wkb.write_to(w)?;
-                wvb.write_to(w)?;
+                wkr.write_to(w)?;
+                for p in wkb.iter().chain(wvb) {
+                    p.write_to(w)?;
+                }
             }
         }
         Ok(())
@@ -152,7 +211,8 @@ impl Attention {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Exec`] on corrupt input.
+    /// Returns [`ModelError::Exec`] on corrupt input, and on an MLA
+    /// block in the retired decoded-key-RoPE format (tag 1).
     pub fn read_from(r: &mut impl std::io::Read) -> Result<Self, ModelError> {
         use kt_tensor::serial::{read_len, read_u64, MAX_ELEMS};
         let hidden = read_len(r, MAX_ELEMS)?;
@@ -161,7 +221,7 @@ impl Attention {
         let wq = PackedWeights::read_from(r)?;
         let wo = PackedWeights::read_from(r)?;
         let kv = match read_u64(r)? {
-            0 => {
+            TAG_GQA => {
                 let kv_heads = read_len(r, MAX_ELEMS)?;
                 if kv_heads == 0 || n_heads % kv_heads != 0 {
                     return Err(ModelError::exec("corrupt GQA kv_heads"));
@@ -172,35 +232,60 @@ impl Attention {
                     kv_heads,
                 }
             }
-            1 => {
+            TAG_MLA_DECODED_ROPE => {
+                return Err(ModelError::exec(
+                    "MLA attention tag 1 is the retired decoded-key-RoPE format (no RoPE-key \
+                     projection); only decoupled-RoPE MLA (tag 2) loads — regenerate the checkpoint",
+                ))
+            }
+            TAG_MLA => {
                 let rank = read_len(r, MAX_ELEMS)?;
+                let wa = PackedWeights::read_from(r)?;
+                let wkr = PackedWeights::read_from(r)?;
+                let mut heads = || -> Result<Vec<PackedWeights>, ModelError> {
+                    (0..n_heads)
+                        .map(|_| Ok(PackedWeights::read_from(r)?))
+                        .collect()
+                };
+                let wkb = heads()?;
+                let wvb = heads()?;
                 KvProj::Mla {
-                    wa: PackedWeights::read_from(r)?,
-                    wkb: PackedWeights::read_from(r)?,
-                    wvb: PackedWeights::read_from(r)?,
+                    wa,
+                    wkr,
+                    wkb,
+                    wvb,
                     rank,
                 }
             }
             other => return Err(ModelError::exec(format!("unknown attention tag {other}"))),
         };
         let qdim = n_heads * head_dim;
-        if wq.n() != qdim || wq.k() != hidden || wo.n() != hidden || wo.k() != qdim {
+        let shape = |p: &PackedWeights, n: usize, k: usize| p.n() == n && p.k() == k;
+        let q_rows = match kv {
+            KvProj::Gqa { .. } => qdim,
+            KvProj::Mla { .. } => 2 * qdim,
+        };
+        if !shape(&wq, q_rows, hidden) || !shape(&wo, hidden, qdim) {
             return Err(ModelError::exec("corrupt attention projection shapes"));
         }
         match &kv {
             KvProj::Gqa { wk, wv, kv_heads } => {
                 let kvdim = kv_heads * head_dim;
-                if wk.n() != kvdim || wk.k() != hidden || wv.n() != kvdim || wv.k() != hidden {
+                if !shape(wk, kvdim, hidden) || !shape(wv, kvdim, hidden) {
                     return Err(ModelError::exec("corrupt GQA projection shapes"));
                 }
             }
-            KvProj::Mla { wa, wkb, wvb, rank } => {
-                if wa.n() != *rank
-                    || wa.k() != hidden
-                    || wkb.n() != qdim
-                    || wkb.k() != *rank
-                    || wvb.n() != qdim
-                    || wvb.k() != *rank
+            KvProj::Mla {
+                wa,
+                wkr,
+                wkb,
+                wvb,
+                rank,
+            } => {
+                if !shape(wa, *rank, hidden)
+                    || !shape(wkr, head_dim, hidden)
+                    || !wkb.iter().all(|p| shape(p, *rank, head_dim))
+                    || !wvb.iter().all(|p| shape(p, head_dim, *rank))
                 {
                     return Err(ModelError::exec("corrupt MLA projection shapes"));
                 }
@@ -216,13 +301,13 @@ impl Attention {
         })
     }
 
-    /// `(k_width, v_width)` the layer cache must be built with.
+    /// `(k_width, v_width)` the layer cache must be built with: GQA
+    /// caches `kv_heads * head_dim` keys and values, MLA one
+    /// `[c ; k_rope]` row of `rank + head_dim` floats and no values.
     pub fn cache_spec(&self) -> (usize, usize) {
         match &self.kv {
-            KvProj::Gqa { kv_heads, .. } => {
-                (kv_heads * self.head_dim, kv_heads * self.head_dim)
-            }
-            KvProj::Mla { rank, .. } => (*rank, 0),
+            KvProj::Gqa { kv_heads, .. } => (kv_heads * self.head_dim, kv_heads * self.head_dim),
+            KvProj::Mla { rank, .. } => (rank + self.head_dim, 0),
         }
     }
 
@@ -254,119 +339,124 @@ impl Attention {
         }
         let t_new = x.rows();
         let start = cache.len();
-        let qdim = self.n_heads * self.head_dim;
+        let d = self.head_dim;
+        let qdim = self.n_heads * d;
 
-        // Project queries for all new tokens and rope them.
-        let mut q = Matrix::zeros(t_new, qdim)?;
+        let mut q = Matrix::zeros(t_new, self.wq.n())?;
         gemm_rowwise(x, &self.wq, &mut q, pool)?;
-        for t in 0..t_new {
-            rope.apply_multihead(q.row_mut(t), start + t);
-        }
 
-        // Append new positions to the cache.
-        match &self.kv {
+        // Rope the new positions, append their cache rows, and build
+        // `qk`: each head's query in the coordinates of a cached key row.
+        let qk = match &self.kv {
             KvProj::Gqa { wk, wv, kv_heads } => {
-                let kvdim = kv_heads * self.head_dim;
+                let kvdim = kv_heads * d;
                 let mut k = Matrix::zeros(t_new, kvdim)?;
                 let mut v = Matrix::zeros(t_new, kvdim)?;
                 gemm_rowwise(x, wk, &mut k, pool)?;
                 gemm_rowwise(x, wv, &mut v, pool)?;
                 for t in 0..t_new {
+                    rope.apply_multihead(q.row_mut(t), start + t);
                     rope.apply_multihead(k.row_mut(t), start + t);
                     cache.push(k.row(t), v.row(t))?;
                 }
+                q
             }
-            KvProj::Mla { wa, rank, .. } => {
+            KvProj::Mla {
+                wa, wkr, wkb, rank, ..
+            } => {
                 let mut c = Matrix::zeros(t_new, *rank)?;
+                let mut k_rope = Matrix::zeros(t_new, d)?;
                 gemm_rowwise(x, wa, &mut c, pool)?;
+                gemm_rowwise(x, wkr, &mut k_rope, pool)?;
+                let mut row = vec![0.0f32; rank + d];
                 for t in 0..t_new {
-                    cache.push(c.row(t), &[])?;
+                    for head in q.row_mut(t).chunks_mut(2 * d) {
+                        rope.apply(&mut head[d..], start + t);
+                    }
+                    rope.apply(k_rope.row_mut(t), start + t);
+                    row[..*rank].copy_from_slice(c.row(t));
+                    row[*rank..].copy_from_slice(k_rope.row(t));
+                    cache.push(&row, &[])?;
                 }
+                // Absorb W_UK: head h's query is [W_UK[h]ᵀ q_nope ; q_rope].
+                let kw = rank + d;
+                let mut qk = Matrix::zeros(t_new, self.n_heads * kw)?;
+                for (h, wkb) in wkb.iter().enumerate() {
+                    let mut q_lat = Matrix::zeros(t_new, *rank)?;
+                    gemm_rowwise(&columns(&q, 2 * h * d, d)?, wkb, &mut q_lat, pool)?;
+                    for t in 0..t_new {
+                        let dst = &mut qk.row_mut(t)[h * kw..(h + 1) * kw];
+                        dst[..*rank].copy_from_slice(q_lat.row(t));
+                        dst[*rank..].copy_from_slice(&q.row(t)[(2 * h + 1) * d..(2 * h + 2) * d]);
+                    }
+                }
+                qk
             }
-        }
+        };
 
-        // K/V rows for the whole visible context. GQA rows are cached
-        // in final form; MLA reconstructs full-head K/V from cached
-        // latents (the non-absorbed path) and ropes keys at their
-        // original positions — but each position is decoded **once**,
-        // into the store's decoded-row memo, instead of the whole
-        // context being re-materialized every step. Per-position
-        // results are bitwise identical either way: every projection
-        // here goes through `gemm_rowwise`, so a row decoded alone
-        // carries exactly the bits it would carry inside any batch —
-        // the invariant that makes chunked prefill (any split of the
-        // prompt into per-step chunks) bit-identical to a monolithic
-        // prefill.
+        // Per KV head: key width, value width and the softmax scale. MLA
+        // is one head-shared KV head whose value is the latent prefix
+        // of its key row; one dot over the row is its logit
+        // q_nope·k_nope + q_rope·k_rope, scaled as 2 * head_dim wide.
+        let (kv_heads, kw, vw, scale) = match &self.kv {
+            KvProj::Gqa { kv_heads, .. } => (*kv_heads, d, d, 1.0 / (d as f32).sqrt()),
+            KvProj::Mla { rank, .. } => (1, rank + d, *rank, 1.0 / ((2 * d) as f32).sqrt()),
+        };
+        // Resolve every visible position's rows once, up front: the
+        // scores loop touches each position `n_heads` times per query
+        // row, and a per-touch lookup would pay a page-table walk every
+        // time.
         let total = cache.len();
-        if let KvProj::Mla { wkb, wvb, rank, .. } = &self.kv {
-            cache.memo_ensure(2 * qdim);
-            let from = cache.memo_len();
-            if from < total {
-                let missing = total - from;
-                let mut lat = Matrix::zeros(missing, *rank)?;
-                for i in 0..missing {
-                    lat.row_mut(i).copy_from_slice(cache.k_row(from + i));
-                }
-                let mut dk = Matrix::zeros(missing, qdim)?;
-                let mut dv = Matrix::zeros(missing, qdim)?;
-                gemm_rowwise(&lat, wkb, &mut dk, pool)?;
-                gemm_rowwise(&lat, wvb, &mut dv, pool)?;
-                let mut row = vec![0.0f32; 2 * qdim];
-                for i in 0..missing {
-                    rope.apply_multihead(dk.row_mut(i), from + i);
-                    row[..qdim].copy_from_slice(dk.row(i));
-                    row[qdim..].copy_from_slice(dv.row(i));
-                    cache.memo_push(&row)?;
-                }
-            }
-        }
-        // Resolve every visible position's K/V slices once, up front:
-        // the scores loop touches each position `n_heads` times per
-        // query row, and a per-touch lookup would pay a page-table
-        // walk every time. GQA reads cached rows; MLA reads the memo's
-        // decoded `key ‖ value` rows.
         let cache = &*cache;
-        let (krows, vrows, kv_heads_eff): (Vec<&[f32]>, Vec<&[f32]>, usize) = match &self.kv {
-            KvProj::Gqa { kv_heads, .. } => (
-                (0..total).map(|pos| cache.k_row(pos)).collect(),
-                (0..total).map(|pos| cache.v_row(pos)).collect(),
-                *kv_heads,
-            ),
-            KvProj::Mla { .. } => (
-                (0..total).map(|pos| &cache.memo_row(pos)[..qdim]).collect(),
-                (0..total).map(|pos| &cache.memo_row(pos)[qdim..]).collect(),
-                self.n_heads,
-            ),
+        let krows: Vec<&[f32]> = (0..total).map(|pos| cache.k_row(pos)).collect();
+        let vrows: Vec<&[f32]> = match &self.kv {
+            KvProj::Gqa { .. } => (0..total).map(|pos| cache.v_row(pos)).collect(),
+            KvProj::Mla { .. } => krows.iter().map(|k| &k[..vw]).collect(),
         };
 
         // Scaled dot-product attention with causal masking. The score
         // buffer is sized once for the longest visible prefix and
         // sliced per token.
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let group = self.n_heads / kv_heads_eff;
-        let mut ctx = Matrix::zeros(t_new, qdim)?;
+        let group = self.n_heads / kv_heads;
+        let mut ctx = Matrix::zeros(t_new, self.n_heads * vw)?;
         let mut scores_buf = vec![0.0f32; total];
         for t in 0..t_new {
             let visible = start + t + 1;
-            let qrow = q.row(t);
+            let qrow = qk.row(t);
             let scores = &mut scores_buf[..visible];
             for h in 0..self.n_heads {
                 let kvh = h / group;
-                let qh = &qrow[h * self.head_dim..(h + 1) * self.head_dim];
+                let qh = &qrow[h * kw..(h + 1) * kw];
                 for (pos, s) in scores.iter_mut().enumerate() {
-                    let kh = &krows[pos][kvh * self.head_dim..(kvh + 1) * self.head_dim];
-                    *s = qh.iter().zip(kh).map(|(a, b)| a * b).sum::<f32>() * scale;
+                    let kh = &krows[pos][kvh * kw..(kvh + 1) * kw];
+                    *s = dot(qh, kh) * scale;
                 }
                 softmax_inplace(scores);
-                let out = &mut ctx.row_mut(t)[h * self.head_dim..(h + 1) * self.head_dim];
+                let out = &mut ctx.row_mut(t)[h * vw..(h + 1) * vw];
                 for (pos, &w) in scores.iter().enumerate() {
-                    let vh = &vrows[pos][kvh * self.head_dim..(kvh + 1) * self.head_dim];
+                    let vh = &vrows[pos][kvh * vw..(kvh + 1) * vw];
                     for (o, &vv) in out.iter_mut().zip(vh) {
                         *o += w * vv;
                     }
                 }
             }
         }
+
+        // MLA's context is a latent per head: apply W_UV[h] once per row.
+        let ctx = match &self.kv {
+            KvProj::Gqa { .. } => ctx,
+            KvProj::Mla { wvb, .. } => {
+                let mut heads = Matrix::zeros(t_new, qdim)?;
+                let mut out = Matrix::zeros(t_new, d)?;
+                for (h, wvb) in wvb.iter().enumerate() {
+                    gemm_rowwise(&columns(&ctx, h * vw, vw)?, wvb, &mut out, pool)?;
+                    for t in 0..t_new {
+                        heads.row_mut(t)[h * d..(h + 1) * d].copy_from_slice(out.row(t));
+                    }
+                }
+                heads
+            }
+        };
 
         // Output projection.
         let mut out = Matrix::zeros(t_new, self.hidden)?;
@@ -388,6 +478,33 @@ impl Attention {
     pub fn head_dim(&self) -> usize {
         self.head_dim
     }
+
+    /// The attention variant these weights implement.
+    pub(crate) fn kind(&self) -> AttentionKind {
+        match &self.kv {
+            KvProj::Gqa { kv_heads, .. } => AttentionKind::Gqa {
+                kv_heads: *kv_heads,
+            },
+            KvProj::Mla { rank, .. } => AttentionKind::Mla {
+                kv_lora_rank: *rank,
+            },
+        }
+    }
+}
+
+/// Strict-order dot product: one reduction order however a prompt is
+/// chunked.
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Columns `lo..lo + width` of `m`, as a matrix of their own.
+fn columns(m: &Matrix, lo: usize, width: usize) -> Result<Matrix, ModelError> {
+    let mut out = Matrix::zeros(m.rows(), width)?;
+    for t in 0..m.rows() {
+        out.row_mut(t).copy_from_slice(&m.row(t)[lo..lo + width]);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -413,17 +530,21 @@ mod tests {
         .unwrap()
     }
 
-    fn mla_attn(seed: u64) -> Attention {
+    fn mla_attn_with(seed: u64, n_heads: usize, rank: usize) -> Attention {
         let mut rng = seeded(seed);
         Attention::random(
             32,
-            4,
+            n_heads,
             16,
-            AttentionKind::Mla { kv_lora_rank: 8 },
+            AttentionKind::Mla { kv_lora_rank: rank },
             WeightDtype::F32,
             &mut rng,
         )
         .unwrap()
+    }
+
+    fn mla_attn(seed: u64) -> Attention {
+        mla_attn_with(seed, 4, 8)
     }
 
     fn cache_with_pages(attn: &Attention, page_rows: usize) -> PagedKvStore {
@@ -535,8 +656,10 @@ mod tests {
         let mut cm = cache_for(&mla);
         gqa.forward(&x, &mut cg, &rope, None).unwrap();
         mla.forward(&x, &mut cm, &rope, None).unwrap();
-        // GQA: 2 sides x 2 kv_heads x 16 dims; MLA: rank 8 latent only.
-        assert!(cm.bytes() < cg.bytes() / 4);
+        // GQA: 2 sides x 2 kv_heads x 16 dims = 64 floats per position;
+        // MLA: an 8-float latent beside a 16-float RoPE key = 24.
+        assert_eq!(cm.k_width() + cm.v_width(), 24);
+        assert!(2 * cm.bytes() < cg.bytes());
     }
 
     #[test]
@@ -595,68 +718,134 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mla_memo_matches_full_rematerialization() {
-        // The memo decodes each position once, in whatever batches the
-        // steps happened to bring. Re-materializing the whole context
-        // in one batch from the cached latents must give the same
-        // rows **bitwise** — per-row decode carries exactly the bits
-        // of the batched decode (independent row accumulators, single
-        // k-block).
-        let attn = mla_attn(41);
-        let KvProj::Mla { wkb, wvb, rank, .. } = &attn.kv else {
-            unreachable!("mla_attn builds MLA")
+    /// MLA without absorption, in f64: decode every position's per-head
+    /// key and value from its latent, rope the query's and key's RoPE
+    /// halves at their positions, and run full-head softmax attention.
+    /// Returns one output row per position of `x`.
+    fn mla_reference(attn: &Attention, x: &Matrix, rope: &Rope) -> Vec<Vec<f64>> {
+        let KvProj::Mla {
+            wa,
+            wkr,
+            wkb,
+            wvb,
+            rank,
+        } = &attn.kv
+        else {
+            unreachable!("an MLA block")
         };
-        let qdim = attn.n_heads * attn.head_dim;
-        let mut cache = cache_for(&attn);
-        let mut rng = seeded(42);
-        let rope = rope();
-        let check = |cache: &PagedKvStore| {
-            let total = cache.len();
-            assert_eq!(cache.memo_len(), total, "memo covers every position");
-            let mut lat = Matrix::zeros(total, *rank).unwrap();
-            for pos in 0..total {
-                lat.row_mut(pos).copy_from_slice(cache.k_row(pos));
-            }
-            let mut keys = Matrix::zeros(total, qdim).unwrap();
-            let mut values = Matrix::zeros(total, qdim).unwrap();
-            gemm_rowwise(&lat, wkb, &mut keys, None).unwrap();
-            gemm_rowwise(&lat, wvb, &mut values, None).unwrap();
-            for pos in 0..total {
-                rope.apply_multihead(keys.row_mut(pos), pos);
-                assert_eq!(&cache.memo_row(pos)[..qdim], keys.row(pos), "key {pos}");
-                assert_eq!(&cache.memo_row(pos)[qdim..], values.row(pos), "value {pos}");
-            }
+        let (d, n_heads, rank) = (attn.head_dim, attn.n_heads, *rank);
+        let matvec = |w: &PackedWeights, v: &[f64]| -> Vec<f64> {
+            let w = w.unpack();
+            (0..w.rows())
+                .map(|r| w.row(r).iter().zip(v).map(|(&a, b)| a as f64 * b).sum())
+                .collect()
         };
-        let prompt = Matrix::random_uniform(6, 32, 1.0, &mut rng).unwrap();
-        attn.forward(&prompt, &mut cache, &rope, None).unwrap();
-        check(&cache);
-        for _ in 0..5 {
-            let one = Matrix::random_uniform(1, 32, 1.0, &mut rng).unwrap();
-            attn.forward(&one, &mut cache, &rope, None).unwrap();
-            check(&cache);
+        let roped = |v: &[f64], pos: usize| -> Vec<f64> {
+            let mut f: Vec<f32> = v.iter().map(|&a| a as f32).collect();
+            rope.apply(&mut f, pos);
+            f.iter().map(|&a| a as f64).collect()
+        };
+        // `wkb[h]` stores W_UK[h]ᵀ, so the decoded key is its transpose.
+        let decode_key = |h: usize, c: &[f64]| -> Vec<f64> {
+            let w = wkb[h].unpack();
+            (0..d)
+                .map(|i| (0..rank).map(|r| w.get(r, i) as f64 * c[r]).sum())
+                .collect()
+        };
+        let (mut keys, mut values, mut queries) = (Vec::new(), Vec::new(), Vec::new());
+        for pos in 0..x.rows() {
+            let xr: Vec<f64> = x.row(pos).iter().map(|&a| a as f64).collect();
+            let c = matvec(wa, &xr);
+            let k_rope = roped(&matvec(wkr, &xr), pos);
+            let q = matvec(&attn.wq, &xr);
+            let mut kh = Vec::new();
+            let mut vh = Vec::new();
+            let mut qh = Vec::new();
+            for h in 0..n_heads {
+                kh.push([decode_key(h, &c), k_rope.clone()].concat());
+                vh.push(matvec(&wvb[h], &c));
+                let head = &q[2 * h * d..(2 * h + 2) * d];
+                qh.push([head[..d].to_vec(), roped(&head[d..], pos)].concat());
+            }
+            keys.push(kh);
+            values.push(vh);
+            queries.push(qh);
         }
+        let scale = 1.0 / ((2 * d) as f64).sqrt();
+        (0..x.rows())
+            .map(|t| {
+                let mut ctx = Vec::new();
+                for h in 0..n_heads {
+                    let s: Vec<f64> = (0..=t)
+                        .map(|p| {
+                            let dot: f64 = queries[t][h]
+                                .iter()
+                                .zip(&keys[p][h])
+                                .map(|(a, b)| a * b)
+                                .sum();
+                            dot * scale
+                        })
+                        .collect();
+                    let max = s.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                    let e: Vec<f64> = s.iter().map(|v| (v - max).exp()).collect();
+                    let sum: f64 = e.iter().sum();
+                    ctx.extend(
+                        (0..d).map(|i| (0..=t).map(|p| e[p] / sum * values[p][h][i]).sum::<f64>()),
+                    );
+                }
+                matvec(&attn.wo, &ctx)
+            })
+            .collect()
     }
 
     #[test]
-    fn mla_memo_rebuild_after_drop_is_bit_identical() {
-        // A cache whose memo was dropped (placement changes discard
-        // scratch) is healed in one batched decode that must produce
-        // exactly the bits the incremental per-step decode produced.
-        let attn = mla_attn(43);
-        let mut rng = seeded(44);
+    fn mla_absorbed_form_matches_non_absorbed_reference() {
+        // The absorbed latent-space attention must compute what MLA
+        // means: decoded per-head keys and values, full-head softmax.
         let rope = rope();
-        let x = Matrix::random_uniform(5, 32, 1.0, &mut rng).unwrap();
-        let mut c1 = cache_for(&attn);
-        attn.forward(&x, &mut c1, &rope, None).unwrap();
-        let mut c2 = c1.clone();
-        // Reconfiguring the width clears the decoded rows; the next
-        // forward rebuilds all positions in one batch.
-        c2.memo_ensure(1);
-        let step = Matrix::random_uniform(1, 32, 1.0, &mut rng).unwrap();
-        let y1 = attn.forward(&step, &mut c1, &rope, None).unwrap();
-        let y2 = attn.forward(&step, &mut c2, &rope, None).unwrap();
-        assert_eq!(y1.as_slice(), y2.as_slice());
+        let rel = |got: &[f32], want: &[f64]| {
+            let diff: f64 = got
+                .iter()
+                .zip(want)
+                .map(|(&g, w)| (g as f64 - w).powi(2))
+                .sum();
+            let norm: f64 = want.iter().map(|w| w * w).sum();
+            (diff / norm).sqrt()
+        };
+        for (seed, (n_heads, rank)) in [(4, 8), (2, 4), (1, 16), (4, 32)].into_iter().enumerate() {
+            let attn = mla_attn_with(60 + seed as u64, n_heads, rank);
+            let mut rng = seeded(70 + seed as u64);
+            let x = Matrix::random_uniform(9, 32, 1.0, &mut rng).unwrap();
+            let want = mla_reference(&attn, &x, &rope);
+            for page_rows in [1, 3, 16] {
+                let what = format!("heads {n_heads} rank {rank} pages {page_rows}");
+                // One-shot prefill.
+                let mut cache = cache_with_pages(&attn, page_rows);
+                let y = attn.forward(&x, &mut cache, &rope, None).unwrap();
+                for (t, w) in want.iter().enumerate() {
+                    let err = rel(y.row(t), w);
+                    assert!(err < 1e-5, "{what} one-shot row {t}: {err}");
+                }
+                // Incremental: a 4-row chunk, then one row at a time.
+                let mut cache = cache_with_pages(&attn, page_rows);
+                let head = Matrix::from_rows(4, 32, &x.as_slice()[..4 * 32]).unwrap();
+                let y = attn.forward(&head, &mut cache, &rope, None).unwrap();
+                for (t, w) in want.iter().enumerate() {
+                    let got = if t < 4 {
+                        y.row(t).to_vec()
+                    } else {
+                        let one = Matrix::from_rows(1, 32, x.row(t)).unwrap();
+                        attn.forward(&one, &mut cache, &rope, None)
+                            .unwrap()
+                            .row(0)
+                            .to_vec()
+                    };
+                    let err = rel(&got, w);
+                    assert!(err < 1e-5, "{what} incremental row {t}: {err}");
+                }
+                assert_eq!(cache.len(), x.rows());
+            }
+        }
     }
 
     #[test]
@@ -665,6 +854,7 @@ mod tests {
             let mut buf = Vec::new();
             attn.write_to(&mut buf).unwrap();
             let loaded = Attention::read_from(&mut buf.as_slice()).unwrap();
+            assert_eq!(loaded.kind(), attn.kind());
             let mut rng = seeded(33);
             let x = Matrix::random_uniform(3, 32, 1.0, &mut rng).unwrap();
             let rope = rope();
@@ -673,6 +863,87 @@ mod tests {
             let a = attn.forward(&x, &mut c1, &rope, None).unwrap();
             let b = loaded.forward(&x, &mut c2, &rope, None).unwrap();
             assert_eq!(a.as_slice(), b.as_slice());
+        }
+    }
+
+    #[test]
+    fn retired_and_misshapen_mla_blocks_are_rejected() {
+        use kt_tensor::serial::write_u64;
+        let mut rng = seeded(34);
+        let mut pack = |rows: usize, cols: usize| {
+            PackedWeights::pack(
+                &Matrix::random_kaiming(rows, cols, &mut rng).unwrap(),
+                WeightDtype::F32,
+            )
+            .unwrap()
+        };
+        let (hidden, n_heads, d, rank) = (32usize, 2usize, 16usize, 8usize);
+        let (wq_old, wq, wo) = (
+            pack(n_heads * d, hidden),
+            pack(2 * n_heads * d, hidden),
+            pack(hidden, n_heads * d),
+        );
+        let (wa, wkr) = (pack(rank, hidden), pack(d, hidden));
+        let wkb: Vec<_> = (0..n_heads).map(|_| pack(rank, d)).collect();
+        let wvb: Vec<_> = (0..n_heads).map(|_| pack(d, rank)).collect();
+        let header = |wq: &PackedWeights, tag: u64| {
+            let mut buf = Vec::new();
+            for v in [hidden, n_heads, d] {
+                write_u64(&mut buf, v as u64).unwrap();
+            }
+            wq.write_to(&mut buf).unwrap();
+            wo.write_to(&mut buf).unwrap();
+            write_u64(&mut buf, tag).unwrap();
+            write_u64(&mut buf, rank as u64).unwrap();
+            buf
+        };
+        let err_of = |buf: Vec<u8>| {
+            Attention::read_from(&mut buf.as_slice())
+                .unwrap_err()
+                .to_string()
+        };
+
+        // Tag 1, written the way the decoded-key-RoPE format laid it
+        // out: q of n_heads * head_dim rows, latent down, then one
+        // stacked key and one stacked value up-projection.
+        let mut old = header(&wq_old, 1);
+        for p in [&wa, &pack(n_heads * d, rank), &pack(n_heads * d, rank)] {
+            p.write_to(&mut old).unwrap();
+        }
+        let err = err_of(old);
+        assert!(
+            err.contains("tag 1") && err.contains("RoPE-key projection"),
+            "{err}"
+        );
+
+        // Tag 2 with one projection of the wrong shape at a time.
+        let block = |wq: &PackedWeights,
+                     wkr: &PackedWeights,
+                     wkb0: &PackedWeights,
+                     wvb1: &PackedWeights| {
+            let mut buf = header(wq, 2);
+            wa.write_to(&mut buf).unwrap();
+            wkr.write_to(&mut buf).unwrap();
+            for p in [wkb0, &wkb[1], &wvb[0], wvb1] {
+                p.write_to(&mut buf).unwrap();
+            }
+            buf
+        };
+        assert!(Attention::read_from(&mut block(&wq, &wkr, &wkb[0], &wvb[1]).as_slice()).is_ok());
+        let wrong = pack(d, d);
+        for (what, buf) in [
+            (
+                "query without its RoPE half",
+                block(&wq_old, &wkr, &wkb[0], &wvb[1]),
+            ),
+            (
+                "RoPE-key projection",
+                block(&wq, &pack(d / 2, hidden), &wkb[0], &wvb[1]),
+            ),
+            ("key up-projection", block(&wq, &wkr, &wrong, &wvb[1])),
+            ("value up-projection", block(&wq, &wkr, &wkb[0], &wrong)),
+        ] {
+            assert!(err_of(buf).contains("shapes"), "{what} accepted");
         }
     }
 

@@ -1,10 +1,12 @@
 //! Per-sequence KV caches.
 //!
 //! Grouped-query attention caches roped keys and values per position;
-//! MLA caches the compressed per-token latent instead (the memory win
-//! that makes DeepSeek's attention GPU-resident even at long contexts).
-//! Either way one layer's rows live in a [`PagedKvStore`]: a page table
-//! over fixed-size pages from a [`BlockAllocator`].
+//! MLA caches one `[c ; k_rope]` row instead — the compressed latent and
+//! the head-shared RoPE key, the memory win that makes DeepSeek's
+//! attention GPU-resident even at long contexts. Either way one layer's
+//! rows live in a [`PagedKvStore`]: a page table over fixed-size pages
+//! from a [`BlockAllocator`], and those pages are all the KV state a
+//! cache holds.
 
 use crate::paged::{BlockAllocator, PagedKvStore, DEFAULT_PAGE_ROWS};
 
@@ -90,21 +92,9 @@ impl KvCache {
         self.layers.iter().map(PagedKvStore::owned_pages).sum()
     }
 
-    /// Total cached bytes across layers (authoritative rows only).
+    /// Total cached bytes across layers.
     pub fn bytes(&self) -> usize {
         self.layers.iter().map(PagedKvStore::bytes).sum()
-    }
-
-    /// Total decoded-row memo bytes across layers (reconstructible
-    /// scratch, kept separate from [`KvCache::bytes`]).
-    pub fn memo_bytes(&self) -> usize {
-        self.layers.iter().map(PagedKvStore::memo_bytes).sum()
-    }
-
-    /// Bytes kept alive across layers: whole pages plus memo capacity
-    /// (see [`PagedKvStore::allocated_bytes`]).
-    pub fn allocated_bytes(&self) -> usize {
-        self.layers.iter().map(PagedKvStore::allocated_bytes).sum()
     }
 }
 

@@ -48,7 +48,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::attention::Attention;
-use crate::config::{AttentionKind, ModelConfig};
+use crate::config::ModelConfig;
 use crate::error::ModelError;
 use crate::gating::{GateConfig, Router};
 use crate::kvcache::KvCache;
@@ -612,10 +612,6 @@ impl MoeModel {
         let pool_ok = |p: &FusedMoE, n: usize, inter: usize| {
             (p.n_experts(), p.hidden(), p.inter()) == (n, cfg.hidden, inter)
         };
-        let kv_spec = match cfg.attention {
-            AttentionKind::Gqa { kv_heads } => (kv_heads * cfg.head_dim, kv_heads * cfg.head_dim),
-            AttentionKind::Mla { kv_lora_rank } => (kv_lora_rank, 0),
-        };
         let block_ok = |i: usize, b: &Block| {
             let ffn_ok = match &b.ffn {
                 Ffn::Dense(mlp) => i < cfg.n_dense_layers && pool_ok(mlp, 1, cfg.dense_inter),
@@ -633,11 +629,19 @@ impl MoeModel {
                         }
                 }
             };
-            let attn = (b.attn.hidden(), b.attn.n_heads(), b.attn.head_dim());
+            // `Attention::read_from` checks every projection (the
+            // widened MLA query, the RoPE-key projection, each head's
+            // up-projections) against the block's own dims and kind;
+            // these must be the config's.
+            let attn = (
+                b.attn.hidden(),
+                b.attn.n_heads(),
+                b.attn.head_dim(),
+                b.attn.kind(),
+            );
             ffn_ok
                 && (b.attn_norm.dim(), b.ffn_norm.dim()) == (cfg.hidden, cfg.hidden)
-                && attn == (cfg.hidden, cfg.n_heads, cfg.head_dim)
-                && b.attn.cache_spec() == kv_spec
+                && attn == (cfg.hidden, cfg.n_heads, cfg.head_dim, cfg.attention)
         };
         let vocab_by_hidden = (cfg.vocab, cfg.hidden);
         let what = if (self.embed.rows(), self.embed.cols()) != vocab_by_hidden {

@@ -23,15 +23,14 @@
 //! observable as `allocated > 0` in [`BlockAllocator::stats`] after
 //! every holder is gone.
 //!
-//! The decoded-row memo (MLA) is a flat per-store scratch buffer, not
-//! page-backed: it is reconstructible from the authoritative rows
-//! bit-for-bit (the engine proves this), is dropped on every placement
-//! change anyway, and therefore never needs to be shared or swapped.
-//! It is excluded from [`PagedKvStore::bytes`].
+//! Pages hold every byte of KV state a store keeps: GQA's roped keys
+//! and values, MLA's `[c ; k_rope]` rows. Nothing is cached beside
+//! them, so sharing a page shares all of a position's state, and page
+//! accounting sees all of the KV memory held.
 //!
 //! [`SwappedKv`] is the preemption tier: a flat, offloaded copy of a
-//! whole cache's authoritative rows. Swap-out reads the rows and
-//! swap-in pushes them back, so the round trip is bitwise exact.
+//! whole cache's rows. Swap-out reads the rows and swap-in pushes them
+//! back, so the round trip is bitwise exact.
 
 use std::sync::{Arc, Mutex, Weak};
 
@@ -253,7 +252,7 @@ impl std::fmt::Debug for BlockAllocator {
 /// One layer's KV state as a page table over allocator pages: what
 /// attention needs from a cache. Rows are positions and stay contiguous
 /// within a page; `k_width`/`v_width` depend on the attention kind
-/// (GQA: `kv_heads * head_dim` each; MLA: latent rank and 0).
+/// (GQA: `kv_heads * head_dim` each; MLA: `rank + head_dim` and 0).
 #[derive(Debug, Clone)]
 pub struct PagedKvStore {
     pages: Vec<Arc<PageData>>,
@@ -263,10 +262,6 @@ pub struct PagedKvStore {
     page_rows: usize,
     capacity: usize,
     alloc: BlockAllocator,
-    /// Decoded-row memo (see [`PagedKvStore::memo_ensure`]): flat
-    /// scratch, never paged or shared (see the module docs).
-    memo: Vec<f32>,
-    memo_width: usize,
 }
 
 impl PagedKvStore {
@@ -287,8 +282,6 @@ impl PagedKvStore {
             page_rows,
             capacity,
             alloc: alloc.clone(),
-            memo: Vec::new(),
-            memo_width: 0,
         }
     }
 
@@ -385,26 +378,12 @@ impl PagedKvStore {
     pub fn reset(&mut self) {
         self.pages.clear();
         self.len = 0;
-        self.memo.clear();
     }
 
-    /// Bytes of authoritative rows currently cached — the state that
-    /// must persist or transfer on placement changes. Unused page
-    /// tails and the memo are excluded.
+    /// Bytes of rows currently cached — the state that must persist or
+    /// transfer on placement changes. Unused page tails are excluded.
     pub fn bytes(&self) -> usize {
         self.len * (self.k_width + self.v_width) * std::mem::size_of::<f32>()
-    }
-
-    /// Bytes held by this store's page references and memo, counting
-    /// whole pages (what the store keeps alive in the pool).
-    pub fn allocated_bytes(&self) -> usize {
-        self.pages.iter().map(|p| p.bytes()).sum::<usize>()
-            + self.memo.capacity() * std::mem::size_of::<f32>()
-    }
-
-    /// Bytes held by the decoded-row memo.
-    pub fn memo_bytes(&self) -> usize {
-        self.memo.len() * std::mem::size_of::<f32>()
     }
 
     /// Number of cached positions.
@@ -417,7 +396,7 @@ impl PagedKvStore {
         self.len == 0
     }
 
-    /// Key (or latent) row width in floats.
+    /// Key row width in floats (MLA: the `[c ; k_rope]` row).
     pub fn k_width(&self) -> usize {
         self.k_width
     }
@@ -469,7 +448,7 @@ impl PagedKvStore {
         Ok(())
     }
 
-    /// Key (or latent) row at `pos`.
+    /// Key row at `pos` (MLA: the `[c ; k_rope]` row).
     pub fn k_row(&self, pos: usize) -> &[f32] {
         self.pages[pos / self.page_rows].k_row(pos % self.page_rows)
     }
@@ -478,69 +457,6 @@ impl PagedKvStore {
     pub fn v_row(&self, pos: usize) -> &[f32] {
         self.pages[pos / self.page_rows].v_row(pos % self.page_rows)
     }
-
-    /// Configures the decoded-row memo to `width` floats per position.
-    ///
-    /// The memo is an acceleration tier for attention variants whose
-    /// cached rows are not directly usable (MLA caches compressed
-    /// latents): rows that are expensive to recompute each step but
-    /// always reconstructible from the authoritative cached rows. A
-    /// width change drops every memo row, and rows beyond `len()` are
-    /// dropped here too, so a stale memo can never outlive the state
-    /// it was decoded from.
-    pub fn memo_ensure(&mut self, width: usize) {
-        if self.memo_width != width {
-            self.memo.clear();
-            self.memo_width = width;
-        }
-        self.memo.truncate(self.len * width);
-    }
-
-    /// Positions currently present in the decoded-row memo.
-    pub fn memo_len(&self) -> usize {
-        self.memo
-            .len()
-            .checked_div(self.memo_width)
-            .unwrap_or_default()
-    }
-
-    /// Decoded-row memo width in floats (0 = memo unconfigured).
-    pub fn memo_width(&self) -> usize {
-        self.memo_width
-    }
-
-    /// Appends one decoded row to the memo.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Exec`] on width mismatch or when the memo
-    /// would run ahead of the cached positions it mirrors.
-    pub fn memo_push(&mut self, row: &[f32]) -> Result<(), ModelError> {
-        if self.memo_width == 0 || row.len() != self.memo_width {
-            return Err(ModelError::exec(format!(
-                "memo row width {} does not match {}",
-                row.len(),
-                self.memo_width
-            )));
-        }
-        if self.memo_len() >= self.len {
-            return Err(ModelError::exec(
-                "decoded-row memo cannot run ahead of the cache",
-            ));
-        }
-        self.memo.extend_from_slice(row);
-        Ok(())
-    }
-
-    /// Decoded row at `pos` (must be `< memo_len()`).
-    pub fn memo_row(&self, pos: usize) -> &[f32] {
-        self.memo_rows(pos..pos + 1)
-    }
-
-    /// Decoded rows `range`, contiguous (`range.end <= memo_len()`).
-    pub fn memo_rows(&self, range: std::ops::Range<usize>) -> &[f32] {
-        &self.memo[range.start * self.memo_width..range.end * self.memo_width]
-    }
 }
 
 /// Pages needed to hold `rows` positions at `page_rows` per page.
@@ -548,11 +464,10 @@ pub fn pages_for_rows(rows: usize, page_rows: usize) -> usize {
     rows.div_ceil(page_rows.max(1))
 }
 
-/// A flat, offloaded copy of one cache's authoritative KV rows — the
+/// A flat, offloaded copy of one cache's KV rows — the
 /// swap tier a preempted sequence's pages move to. Captured by reading
 /// rows and restored by pushing them back, so the round trip is
-/// bitwise exact. The decoded-row memo is deliberately not captured:
-/// it rebuilds bit-identically from the restored rows.
+/// bitwise exact.
 #[derive(Debug, Clone)]
 pub struct SwappedKv {
     layers: Vec<SwappedLayer>,
@@ -776,34 +691,6 @@ mod tests {
         assert!(wrong.share_page(&page).is_err(), "shape mismatch rejected");
         let mut tiny = PagedKvStore::new(2, 1, 2, 4, &alloc);
         assert!(tiny.share_page(&page).is_err(), "capacity enforced");
-    }
-
-    #[test]
-    fn memo_tracks_cache_and_heals_on_shrink() {
-        let alloc = BlockAllocator::new(8);
-        let mut s = PagedKvStore::new(4, 0, 8, 4, &alloc);
-        s.memo_ensure(6);
-        assert!(s.memo_push(&[0.0; 6]).is_err(), "memo cannot run ahead");
-        s.push(&[1.0; 4], &[]).unwrap();
-        s.push(&[2.0; 4], &[]).unwrap();
-        s.memo_push(&[0.5; 6]).unwrap();
-        s.memo_push(&[1.5; 6]).unwrap();
-        assert_eq!(s.memo_len(), 2);
-        assert_eq!(s.memo_row(1), &[1.5; 6]);
-        assert_eq!(s.memo_bytes(), 2 * 6 * 4);
-        assert_eq!(s.bytes(), 2 * 4 * 4, "memo never counts as cache bytes");
-        assert!(s.memo_push(&[0.0; 5]).is_err(), "width mismatch");
-        s.memo_ensure(10);
-        assert_eq!(s.memo_len(), 0, "width change drops stale rows");
-        // After a reset the memo is gone too: it may never describe
-        // positions the cache no longer holds.
-        s.memo_ensure(6);
-        s.memo_push(&[0.25; 6]).unwrap();
-        s.reset();
-        assert_eq!(s.memo_len(), 0);
-        s.push(&[3.0; 4], &[]).unwrap();
-        s.memo_ensure(6);
-        assert_eq!(s.memo_len(), 0);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! memory across every lease and the prefix index, and `max_leases`
 //! bounds concurrency.
 //!
+//! The prefix index fills whatever pages its byte budget allows, and
+//! gives them back on demand: [`KvCachePool::reclaim_pages`] evicts its
+//! least-recently-touched leaves until enough pages are free, passing
+//! over leaves whose pages a running lease still shares. Admission
+//! ([`KvCachePool::lease_for_prompt`]) calls it before refusing a lease,
+//! and the serving scheduler calls it before preempting anyone.
+//!
 //! Leases are move-only tokens: [`KvCachePool::lease`] hands out a
 //! [`CacheLease`] owning its cache, and only [`KvCachePool::release`]
 //! takes it back. The pool tracks outstanding lease ids, so a cache can
@@ -69,9 +76,6 @@ pub struct PoolOccupancy {
     pub peak: usize,
     /// Caches ever constructed (and still owned) by this pool.
     pub constructed: usize,
-    /// Heap bytes retained by parked caches (reset returns their pages;
-    /// memo buffers survive).
-    pub pooled_bytes: usize,
 }
 
 /// A bounded pool of identically-shaped [`KvCache`]s drawing pages from
@@ -198,11 +202,18 @@ impl KvCachePool {
     /// the prompt will actually allocate — the whole
     /// prompt minus the page-aligned shared region (shared pages are
     /// references, not allocations), plus one row of headroom for the
-    /// first sampled token. `None` then means "queue", exactly like
-    /// lease exhaustion.
+    /// first sampled token — evicting least-recently-touched prefix
+    /// leaves to free them ([`KvCachePool::reclaim_pages`]; the held
+    /// match pins the matched path, so it is never what goes). A match
+    /// pins its whole last edge, not just the rows it shares, so when
+    /// that is not enough and no other lease is out, the match is
+    /// dropped and the prompt admitted cold if the valve can then free
+    /// its pages (with leases out, queueing keeps the hot prefix).
+    /// `None` means "queue", exactly like lease exhaustion; with no
+    /// other lease out it only happens to a prompt larger than the pool.
     pub fn lease_for_prompt(&self, prompt: &[u32]) -> Option<(CacheLease, usize)> {
         let mut lease = self.lease()?;
-        let m = if prompt.len() >= 2 {
+        let mut m = if prompt.len() >= 2 {
             self.prefix
                 .as_ref()
                 .and_then(|px| px.lookup(&prompt[..prompt.len() - 1]))
@@ -211,9 +222,13 @@ impl KvCachePool {
         };
         let shared = m.as_ref().map_or(0, |m| m.page_aligned_len(self.page_rows));
         let new_rows = prompt.len().saturating_sub(shared) + 1;
-        if self.pages_needed(new_rows) > self.free_pages() {
-            let _ = self.release(lease);
-            return None;
+        if !self.reclaim_pages(self.pages_needed(new_rows)) {
+            let alone = self.in_use() == 1;
+            let matched = m.take().is_some();
+            if !(alone && matched && self.reclaim_pages(self.pages_needed(prompt.len() + 1))) {
+                let _ = self.release(lease);
+                return None;
+            }
         }
         let Some(m) = m else {
             return Some((lease, 0));
@@ -338,7 +353,6 @@ impl KvCachePool {
             free: st.free.len(),
             peak: st.peak,
             constructed: st.constructed,
-            pooled_bytes: st.free.iter().map(KvCache::allocated_bytes).sum(),
         }
     }
 
@@ -394,12 +408,19 @@ impl KvCachePool {
         stats
     }
 
-    /// Drops every frozen prefix segment, releasing the index's page
-    /// references (pressure relief: the allocator reclaims each page
-    /// as soon as no lease still shares it). Returns the bytes
-    /// released, 0 when no prefix cache is attached.
-    pub fn clear_prefix(&self) -> u64 {
-        self.prefix.as_ref().map_or(0, PrefixCache::clear)
+    /// The page valve: makes `pages` pages free if the prefix index can
+    /// give them back, evicting its least-recently-touched leaves one
+    /// at a time and stopping as soon as enough are free. A leaf whose
+    /// pages a lease still shares would free nothing and stays cached.
+    /// Returns whether `pages` pages are free; `false` means leases
+    /// (alone or together with the index) hold the rest.
+    pub fn reclaim_pages(&self, pages: usize) -> bool {
+        let enough = || self.alloc.free_pages() >= pages;
+        enough()
+            || self
+                .prefix
+                .as_ref()
+                .is_some_and(|px| px.evict_until(enough))
     }
 }
 
@@ -581,9 +602,111 @@ mod tests {
         assert_eq!(stats.shared, 2, "one aligned page per layer shared");
         p.release(b).unwrap();
 
-        // Pressure relief: clearing the prefix index frees its pages.
-        assert!(p.clear_prefix() > 0);
+        // Pressure relief: the index gives its pages back on demand.
+        assert!(p.reclaim_pages(8));
         assert_eq!(p.free_pages(), 8);
+        assert_eq!(p.prefix_stats().unwrap().entries, 0);
+    }
+
+    #[test]
+    fn leases_take_index_pages_lru_leaf_first() {
+        use crate::prefix::PrefixCacheConfig;
+        // One layer, 4-row pages, 8 pages: three frozen 8-token prompts
+        // leave the index holding 6 of them.
+        let p = KvCachePool::new(&[(4, 4)], 32, 4)
+            .with_prefix_cache(PrefixCacheConfig {
+                capacity_bytes: 1 << 20,
+                min_prefix_len: 2,
+            })
+            .with_paged(8, 4);
+        let px = p.prefix_cache().unwrap();
+        let prompt = |first: u32, len: u32| -> Vec<u32> { (first..first + len).collect() };
+        for first in [10, 20, 30] {
+            let tokens = prompt(first, 8);
+            let (mut lease, _) = p.lease_for_prompt(&tokens).unwrap();
+            for &t in &tokens {
+                lease
+                    .cache
+                    .layer_mut(0)
+                    .push(&[t as f32; 4], &[t as f32; 4])
+                    .unwrap();
+            }
+            p.release_with_prefix(lease, &tokens).unwrap();
+        }
+        assert_eq!(p.free_pages(), 2);
+        // Touch the oldest entry: the least recently touched leaf is
+        // now the 20.. prompt.
+        assert!(px.lookup(&prompt(10, 8)).is_some());
+
+        // A cold 12-token prompt needs ceil(13 / 4) = 4 pages: one
+        // evicted leaf (two pages) is enough, and eviction stops there.
+        let (cold, seeded) = p
+            .lease_for_prompt(&prompt(40, 12))
+            .expect("index gives pages back");
+        assert_eq!(seeded, 0);
+        assert_eq!(p.free_pages(), 4);
+        let s = p.prefix_stats().unwrap();
+        assert_eq!((s.evictions, s.entries), (1, 2));
+        assert!(px.lookup(&prompt(20, 8)).is_none(), "LRU leaf went first");
+
+        // A warm 24-token prompt over the 30.. prefix shares its two
+        // pages and needs ceil((24 - 8 + 1) / 4) = 5 more: the lookup
+        // touched its own prefix, so the other leaf goes instead.
+        let mut warm_prompt = prompt(30, 8);
+        warm_prompt.extend(prompt(60, 16));
+        let (warm, seeded) = p.lease_for_prompt(&warm_prompt).expect("second eviction");
+        assert_eq!(seeded, 8);
+        assert_eq!(p.prefix_stats().unwrap().entries, 1);
+        assert!(px.lookup(&prompt(10, 8)).is_none());
+        assert!(px.lookup(&prompt(30, 8)).is_some(), "the hit stays cached");
+
+        // The only leaf left is one the warm lease shares: evicting it
+        // would free nothing, so a failed reclaim leaves it cached.
+        assert!(!p.reclaim_pages(8));
+        assert_eq!(p.prefix_stats().unwrap().evictions, 2);
+        assert_eq!(p.free_pages(), 6);
+        assert!(px.lookup(&prompt(30, 8)).is_some(), "a shared leaf survives");
+        p.release(warm).unwrap();
+        p.release(cold).unwrap();
+        // Once no lease shares it, the same leaf gives its pages back.
+        assert!(p.reclaim_pages(8));
+        assert_eq!(p.prefix_stats().unwrap().entries, 0);
+        assert_eq!(p.free_pages(), 8);
+    }
+
+    #[test]
+    fn a_match_pinning_the_pages_a_prompt_needs_admits_it_cold() {
+        use crate::prefix::PrefixCacheConfig;
+        // One layer, 4-row pages, 8 pages; a frozen 24-token prompt
+        // holds 6 of them in one leaf.
+        let p = KvCachePool::new(&[(4, 4)], 32, 4)
+            .with_prefix_cache(PrefixCacheConfig {
+                capacity_bytes: 1 << 20,
+                min_prefix_len: 2,
+            })
+            .with_paged(8, 4);
+        let frozen: Vec<u32> = (0..24).collect();
+        let (mut lease, _) = p.lease_for_prompt(&frozen).unwrap();
+        for &t in &frozen {
+            lease.cache.layer_mut(0).push(&[t as f32; 4], &[t as f32; 4]).unwrap();
+        }
+        p.release_with_prefix(lease, &frozen).unwrap();
+        assert_eq!(p.free_pages(), 2);
+        // A 27-token prompt sharing one page of it needs 6 more, but its
+        // own match pins the whole leaf. Cold it needs 7 of the 8: with
+        // another lease out it queues and the prefix stays; alone it is
+        // admitted cold.
+        let mut prompt: Vec<u32> = (0..4).collect();
+        prompt.extend(100..123);
+        let other = p.lease().unwrap();
+        assert!(p.lease_for_prompt(&prompt).is_none());
+        assert_eq!(p.prefix_stats().unwrap().entries, 1);
+        p.release(other).unwrap();
+        let (lease, seeded) = p.lease_for_prompt(&prompt).expect("admitted cold");
+        assert_eq!(seeded, 0);
+        assert_eq!(p.prefix_stats().unwrap().entries, 0);
+        assert_eq!(p.free_pages(), 8);
+        p.release(lease).unwrap();
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! prompts, few-shot templates, multi-turn history — yet a blank lease
 //! recomputes identical KV state for every request. This module caches
 //! that state once: completed prefixes are frozen into immutable
-//! [`Segment`]s (per-layer page references plus, when present, the MLA
-//! decoded-row memo) keyed by their token sequence in a radix tree, and
+//! [`Segment`]s (per-layer page references — pages are all the KV state
+//! a cache holds) keyed by their token sequence in a radix tree, and
 //! admission seeds a fresh lease from the longest cached prefix so the
-//! scheduler only prefills the uncached suffix.
+//! scheduler only prefills the uncached suffix. A hit is pure page
+//! sharing: nothing is copied but the sub-page tail.
 //!
 //! Copy-on-write contract: snapshot pages are immutable and shared
 //! (`Arc<Segment>` holding `Arc<PageData>`); a lease takes *references*
@@ -39,11 +40,16 @@
 //! sequence is indistinguishable — bit for bit — from a cold full
 //! prefill chunked at the seed boundary.
 //!
-//! Eviction is LRU-by-bytes: every lookup/insert touches the nodes on
-//! its path, and when resident bytes exceed the budget the
-//! least-recently-touched *leaf* is dropped (leaves first keeps every
-//! interior prefix valid: a parent's rows never reference its
-//! children).
+//! Eviction is LRU by leaf: every lookup/insert touches the nodes on
+//! its path, and the least-recently-touched *leaf* goes first (leaves
+//! first keeps every interior prefix valid: a parent's rows never
+//! reference its children). Two stop conditions share that loop:
+//! resident bytes back under the budget after an insert, and — through
+//! [`crate::pool::KvCachePool::reclaim_pages`] — enough free pages for a
+//! lease that needs them, so the index gives pages back one leaf at a
+//! time under pressure instead of being dropped whole. The page valve
+//! passes over leaves whose pages a running lease still shares:
+//! evicting them would return nothing.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -86,29 +92,15 @@ struct LayerSeg {
     pages: Vec<Arc<PageData>>,
     start: usize,
     page_rows: usize,
-    /// Decoded-row memo for the span — captured only when the donor
-    /// memo covered every position of the span, empty otherwise, so a
-    /// present memo is always contiguous from the span start. The memo
-    /// is per-store flat scratch, never page-backed, so it is the one
-    /// part of a span that freezes by copy: reseeding it costs O(span
-    /// bytes) but saves the seeded lease from re-decoding every shared
-    /// position through the MLA up-projections on its first forward —
-    /// bit-identical either way (`gemm_rowwise` row invariance), so
-    /// this is purely a latency trade.
-    memo: Vec<f32>,
-    memo_width: usize,
 }
 
 impl LayerSeg {
     /// Freezes span rows `range` of a page table whose row 0 is
-    /// `pages[0]`'s row 0, with the matching window of `memo` (the
-    /// memo of span rows `0..`, or empty).
+    /// `pages[0]`'s row 0.
     fn window(
         pages: &[Arc<PageData>],
         page_rows: usize,
         range: std::ops::Range<usize>,
-        memo: &[f32],
-        memo_width: usize,
     ) -> LayerSeg {
         let first = range.start / page_rows;
         let last = (range.end - 1) / page_rows;
@@ -116,8 +108,6 @@ impl LayerSeg {
             pages: pages[first..=last].to_vec(),
             start: range.start % page_rows,
             page_rows,
-            memo: memo.to_vec(),
-            memo_width: if memo.is_empty() { 0 } else { memo_width },
         }
     }
 
@@ -136,30 +126,16 @@ impl LayerSeg {
         page.v_row(row)
     }
 
-    fn memo_row(&self, r: usize) -> &[f32] {
-        &self.memo[r * self.memo_width..(r + 1) * self.memo_width]
-    }
-
-    fn memo_rows(&self) -> usize {
-        self.memo
-            .len()
-            .checked_div(self.memo_width)
-            .unwrap_or_default()
-    }
-
     /// Whole pages, conservatively: that is what holding these
     /// references keeps alive in the allocator (a page straddling a
-    /// split boundary is counted by both halves). The memo rides on
-    /// top: it is copied, not page-backed.
+    /// split boundary is counted by both halves).
     fn bytes(&self) -> usize {
-        self.pages.iter().map(|p| p.bytes()).sum::<usize>()
-            + self.memo.len() * std::mem::size_of::<f32>()
+        self.pages.iter().map(|p| p.bytes()).sum()
     }
 }
 
 /// A frozen, immutable KV snapshot for one radix-edge token span:
-/// per-layer page references (and the MLA decoded-row memo where the
-/// donor had one) for `rows` consecutive positions.
+/// per-layer page references for `rows` consecutive positions.
 ///
 /// Segments are shared by reference between the index and in-flight
 /// seedings; they are never mutated after construction.
@@ -184,18 +160,7 @@ impl Segment {
         let layers = (0..cache.n_layers())
             .map(|i| {
                 let store = cache.layer(i);
-                let memo = if store.memo_len() >= end {
-                    store.memo_rows(start..end)
-                } else {
-                    &[]
-                };
-                LayerSeg::window(
-                    store.pages(),
-                    store.page_rows(),
-                    start..end,
-                    memo,
-                    store.memo_width(),
-                )
+                LayerSeg::window(store.pages(), store.page_rows(), start..end)
             })
             .collect();
         Segment::from_layers(layers, end - start)
@@ -204,21 +169,17 @@ impl Segment {
     /// Splits into the first `m` rows and the rest (for edge splits),
     /// zero-copy: both halves reference the same immutable pages (a
     /// page straddling the boundary appears in both halves' tables),
-    /// with adjusted row windows. Both halves inherit the memo (it
-    /// covered the whole span, so it covers each half contiguously).
+    /// with adjusted row windows.
     fn split(&self, m: usize) -> (Segment, Segment) {
         let part = |range: std::ops::Range<usize>| -> Segment {
             let layers = self
                 .layers
                 .iter()
                 .map(|ls| {
-                    let mw = ls.memo_width;
                     LayerSeg::window(
                         &ls.pages,
                         ls.page_rows,
                         ls.start + range.start..ls.start + range.end,
-                        &ls.memo[range.start * mw..range.end * mw],
-                        mw,
                     )
                 })
                 .collect();
@@ -232,7 +193,7 @@ impl Segment {
         self.rows
     }
 
-    /// Resident bytes (whole referenced pages plus memo across layers).
+    /// Resident bytes (whole referenced pages across layers).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -257,31 +218,6 @@ impl PrefixMatch {
     /// Whether the match covers no tokens.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Seeds the decoded-row memo for one layer. The memo must stay
-    /// contiguous from position 0, so seeding stops at the first part
-    /// without one (or with a different width); the attention memo
-    /// rebuilds the rest incrementally.
-    fn seed_memo(&self, layer: usize, store: &mut PagedKvStore) -> Result<(), ModelError> {
-        let width = self
-            .parts
-            .first()
-            .map_or(0, |(seg, _)| seg.layers[layer].memo_width);
-        if width == 0 {
-            return Ok(());
-        }
-        store.memo_ensure(width);
-        for (seg, rows) in &self.parts {
-            let ls = &seg.layers[layer];
-            if ls.memo_width != width || ls.memo_rows() < *rows {
-                break;
-            }
-            for r in 0..*rows {
-                store.memo_push(ls.memo_row(r))?;
-            }
-        }
-        Ok(())
     }
 
     /// The match length rounded down to a page boundary — the longest
@@ -362,11 +298,6 @@ impl PrefixMatch {
             }
             abs += used;
         }
-        // The memo is flat scratch, never page-backed, so it seeds by
-        // copy — without it the lease would re-decode every shared
-        // position through the MLA up-projections on its first
-        // forward, which costs far more than the copy.
-        self.seed_memo(layer, store)?;
         Ok(shared_rows)
     }
 
@@ -433,7 +364,7 @@ pub struct PrefixStats {
     pub hit_tokens: u64,
     /// Segments frozen into the index.
     pub insertions: u64,
-    /// Segments evicted by the byte budget.
+    /// Segments evicted, by the byte budget or the page valve.
     pub evictions: u64,
     /// Bytes freed by eviction.
     pub evicted_bytes: u64,
@@ -450,8 +381,64 @@ struct Inner {
     stats: PrefixStats,
 }
 
+impl Node {
+    /// Whether dropping this node now returns a page to the allocator:
+    /// no in-flight seeding holds its segment, and some page has no
+    /// holder but it (no lease shares it, no other segment straddles it).
+    fn frees_pages(&self) -> bool {
+        Arc::strong_count(&self.seg) == 1
+            && self
+                .seg
+                .layers
+                .iter()
+                .flat_map(|ls| &ls.pages)
+                .any(|p| Arc::strong_count(p) == 1)
+    }
+}
+
+impl Inner {
+    /// Drops least-recently-touched leaves that pass `evictable` until
+    /// `done` holds or no such leaf is left, returning whether `done`
+    /// holds. Leaves only: every interior prefix stays valid, and
+    /// in-flight seedings hold their own `Arc` so dropping is safe.
+    fn evict_lru(
+        &mut self,
+        evictable: fn(&Node) -> bool,
+        mut done: impl FnMut(&Inner) -> bool,
+    ) -> bool {
+        let mut freed = 0usize;
+        let mut evicted = 0u64;
+        let held = loop {
+            if done(self) {
+                break true;
+            }
+            let Some(bytes) = min_leaf_touch(&self.children, evictable)
+                .and_then(|touch| remove_leaf(&mut self.children, touch, evictable))
+            else {
+                break false;
+            };
+            freed += bytes;
+            evicted += 1;
+            self.stats.resident_bytes -= bytes as u64;
+            self.stats.entries -= 1;
+        };
+        if evicted > 0 {
+            self.stats.evictions += evicted;
+            self.stats.evicted_bytes += freed as u64;
+            kt_trace::counter_add(kt_trace::CounterKind::PrefixEvictedBytes, freed as u64);
+            kt_trace::instant(
+                kt_trace::SpanKind::PrefixEvict,
+                freed.min(u32::MAX as usize) as u32,
+                evicted.min(u64::from(u32::MAX)) as u32,
+            );
+        }
+        held
+    }
+}
+
 /// A token-keyed radix index mapping prompt prefixes to frozen KV
-/// snapshots, with LRU-by-bytes eviction under a configurable budget.
+/// snapshots, evicting least-recently-touched leaves under a byte
+/// budget and when the page pool needs pages back.
 ///
 /// Thread-safe: lookups and inserts serialize on an interior lock;
 /// matched segments are returned by `Arc` so seeding happens outside
@@ -630,37 +617,19 @@ impl PrefixCache {
         inner.stats.insertions += insertions;
         inner.stats.resident_bytes += delta_bytes as u64;
         inner.stats.entries += delta_entries;
-        self.evict_to_budget(&mut inner);
+        let budget = self.cfg.capacity_bytes as u64;
+        inner.evict_lru(|_| true, |inner| inner.stats.resident_bytes <= budget);
     }
 
-    /// Drops least-recently-touched leaves until residency fits the
-    /// budget. Leaves only: every interior prefix stays valid, and
-    /// in-flight seedings hold their own `Arc` so dropping is safe.
-    fn evict_to_budget(&self, inner: &mut Inner) {
-        let mut freed = 0usize;
-        let mut evicted = 0u64;
-        while inner.stats.resident_bytes > self.cfg.capacity_bytes as u64 {
-            let Some(touch) = min_leaf_touch(&inner.children) else {
-                break;
-            };
-            let Some(bytes) = remove_leaf(&mut inner.children, touch) else {
-                break;
-            };
-            freed += bytes;
-            evicted += 1;
-            inner.stats.resident_bytes -= bytes as u64;
-            inner.stats.entries -= 1;
-        }
-        if evicted > 0 {
-            inner.stats.evictions += evicted;
-            inner.stats.evicted_bytes += freed as u64;
-            kt_trace::counter_add(kt_trace::CounterKind::PrefixEvictedBytes, freed as u64);
-            kt_trace::instant(
-                kt_trace::SpanKind::PrefixEvict,
-                freed.min(u32::MAX as usize) as u32,
-                evicted.min(u64::from(u32::MAX)) as u32,
-            );
-        }
+    /// Drops least-recently-touched leaves until `enough()` holds —
+    /// the page valve: a caller short of pages passes "the allocator has
+    /// N free", and the index gives its pages back one leaf at a time.
+    /// Only leaves whose eviction returns a page are taken: a leaf whose
+    /// pages a running lease (or an in-flight seeding) still shares
+    /// frees nothing and stays cached. Returns whether `enough()` holds
+    /// at the end; `false` means no such leaf was left first.
+    pub(crate) fn evict_until(&self, mut enough: impl FnMut() -> bool) -> bool {
+        self.lock().evict_lru(Node::frees_pages, |_| enough())
     }
 
     /// Current counters and occupancy.
@@ -696,10 +665,11 @@ impl PrefixCache {
             .count()
     }
 
-    /// Drops every frozen segment, returning the bytes released. Used
-    /// under page pressure: prefix residency is an optimization, and
-    /// releasing the index's page references lets the allocator
-    /// reclaim them as soon as no lease shares them.
+    /// Drops every frozen segment, returning the bytes released (the
+    /// index's page references go; the allocator reclaims each page as
+    /// soon as no lease shares it). Pressure relief uses
+    /// [`crate::pool::KvCachePool::reclaim_pages`] instead, which stops
+    /// as soon as enough pages are free.
     pub fn clear(&self) -> u64 {
         let mut inner = self.lock();
         inner.children.clear();
@@ -715,28 +685,29 @@ impl PrefixCache {
     }
 }
 
-/// Smallest `last_touch` over every leaf in the forest.
-fn min_leaf_touch(nodes: &[Node]) -> Option<u64> {
+/// Smallest `last_touch` over every `evictable` leaf in the forest.
+fn min_leaf_touch(nodes: &[Node], evictable: fn(&Node) -> bool) -> Option<u64> {
     nodes
         .iter()
         .filter_map(|n| {
             if n.children.is_empty() {
-                Some(n.last_touch)
+                evictable(n).then_some(n.last_touch)
             } else {
-                min_leaf_touch(&n.children)
+                min_leaf_touch(&n.children, evictable)
             }
         })
         .min()
 }
 
-/// Removes the first leaf stamped `touch`, returning its bytes.
-fn remove_leaf(nodes: &mut Vec<Node>, touch: u64) -> Option<usize> {
+/// Removes the first `evictable` leaf stamped `touch`, returning its
+/// bytes.
+fn remove_leaf(nodes: &mut Vec<Node>, touch: u64, evictable: fn(&Node) -> bool) -> Option<usize> {
     for i in 0..nodes.len() {
         if nodes[i].children.is_empty() {
-            if nodes[i].last_touch == touch {
+            if nodes[i].last_touch == touch && evictable(&nodes[i]) {
                 return Some(nodes.remove(i).seg.bytes());
             }
-        } else if let Some(b) = remove_leaf(&mut nodes[i].children, touch) {
+        } else if let Some(b) = remove_leaf(&mut nodes[i].children, touch, evictable) {
             return Some(b);
         }
     }
@@ -749,19 +720,13 @@ mod tests {
     use crate::kvcache::KvCache;
 
     /// A standalone single-layer cache whose rows encode their position
-    /// and token, plus a memo when `memo_width > 0`.
-    fn donor(tokens: &[u32], memo_width: usize) -> KvCache {
+    /// and token.
+    fn donor(tokens: &[u32]) -> KvCache {
         let mut c = KvCache::new(&[(3, 2)], 64);
         for (pos, &t) in tokens.iter().enumerate() {
             let k = [pos as f32, t as f32, 0.25];
             let v = [pos as f32 * 10.0, t as f32 * 10.0];
             c.layer_mut(0).push(&k, &v).unwrap();
-            if memo_width > 0 {
-                c.layer_mut(0).memo_ensure(memo_width);
-                c.layer_mut(0)
-                    .memo_push(&vec![pos as f32 + 0.5; memo_width])
-                    .unwrap();
-            }
         }
         c
     }
@@ -774,10 +739,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_lookup_seed_round_trip_with_memo() {
+    fn insert_lookup_seed_round_trip() {
         let px = PrefixCache::new(cfg(1 << 20, 1));
         let tokens = [5u32, 6, 7, 8];
-        let cache = donor(&tokens, 4);
+        let cache = donor(&tokens);
         px.insert(&tokens, &cache);
 
         let m = px.lookup(&[5, 6, 7, 8, 9]).expect("prefix hit");
@@ -788,13 +753,7 @@ mod tests {
         for pos in 0..4 {
             assert_eq!(seeded.layer(0).k_row(pos), cache.layer(0).k_row(pos));
             assert_eq!(seeded.layer(0).v_row(pos), cache.layer(0).v_row(pos));
-            assert_eq!(
-                seeded.layer(0).memo_row(pos),
-                cache.layer(0).memo_row(pos),
-                "memo rides along"
-            );
         }
-        assert_eq!(seeded.layer(0).memo_len(), 4);
 
         let s = px.stats();
         assert_eq!((s.lookups, s.hits, s.misses), (1, 1, 0));
@@ -808,8 +767,8 @@ mod tests {
         let px = PrefixCache::new(cfg(1 << 20, 1));
         let a = [1u32, 2, 3, 4];
         let b = [1u32, 2, 9, 9];
-        px.insert(&a, &donor(&a, 0));
-        px.insert(&b, &donor(&b, 0));
+        px.insert(&a, &donor(&a));
+        px.insert(&b, &donor(&b));
         assert_eq!(px.stats().entries, 3, "head + two branches");
 
         for want in [&a[..], &b[..]] {
@@ -817,7 +776,7 @@ mod tests {
             assert_eq!(m.len(), 4);
             let mut seeded = KvCache::new(&[(3, 2)], 64);
             m.seed_into(&mut seeded).unwrap();
-            let reference = donor(want, 0);
+            let reference = donor(want);
             for pos in 0..4 {
                 assert_eq!(seeded.layer(0).k_row(pos), reference.layer(0).k_row(pos));
                 assert_eq!(seeded.layer(0).v_row(pos), reference.layer(0).v_row(pos));
@@ -831,9 +790,9 @@ mod tests {
     #[test]
     fn min_prefix_len_gates_both_sides() {
         let px = PrefixCache::new(cfg(1 << 20, 3));
-        px.insert(&[1, 2], &donor(&[1, 2], 0));
+        px.insert(&[1, 2], &donor(&[1, 2]));
         assert_eq!(px.stats().entries, 0, "too short to insert");
-        px.insert(&[1, 2, 3, 4], &donor(&[1, 2, 3, 4], 0));
+        px.insert(&[1, 2, 3, 4], &donor(&[1, 2, 3, 4]));
         assert!(px.lookup(&[1, 2]).is_none(), "match below threshold");
         assert_eq!(px.lookup(&[1, 2, 3]).unwrap().len(), 3);
         let s = px.stats();
@@ -848,18 +807,18 @@ mod tests {
         // What one 4-token single-layer segment costs, measured.
         let seg = {
             let probe = PrefixCache::new(cfg(1 << 20, 1));
-            probe.insert(&a, &donor(&a, 0));
+            probe.insert(&a, &donor(&a));
             probe.stats().resident_bytes
         };
         // Budget fits two segments, not three.
         let budget = 2 * seg + seg / 2;
         let px = PrefixCache::new(cfg(budget as usize, 1));
-        px.insert(&a, &donor(&a, 0));
-        px.insert(&b, &donor(&b, 0));
+        px.insert(&a, &donor(&a));
+        px.insert(&b, &donor(&b));
         assert_eq!(px.stats().entries, 2);
         // Touch `a` so `b` is the LRU leaf, then overflow.
         assert!(px.lookup(&a).is_some());
-        px.insert(&c, &donor(&c, 0));
+        px.insert(&c, &donor(&c));
         let s = px.stats();
         assert!(s.resident_bytes <= budget, "budget respected: {s:?}");
         assert_eq!(s.evictions, 1);
@@ -872,7 +831,7 @@ mod tests {
     #[test]
     fn zero_budget_caches_nothing() {
         let px = PrefixCache::new(cfg(0, 1));
-        px.insert(&[1, 2, 3], &donor(&[1, 2, 3], 0));
+        px.insert(&[1, 2, 3], &donor(&[1, 2, 3]));
         assert_eq!(px.stats().entries, 0);
         assert!(px.lookup(&[1, 2, 3]).is_none());
     }
@@ -880,7 +839,7 @@ mod tests {
     #[test]
     fn insert_longer_than_cache_is_ignored() {
         let px = PrefixCache::new(cfg(1 << 20, 1));
-        let cache = donor(&[1, 2], 0);
+        let cache = donor(&[1, 2]);
         px.insert(&[1, 2, 3], &cache);
         assert_eq!(px.stats().entries, 0);
     }
@@ -889,16 +848,15 @@ mod tests {
     fn seeding_requires_an_empty_matching_cache() {
         let px = PrefixCache::new(cfg(1 << 20, 1));
         let tokens = [5u32, 6, 7];
-        px.insert(&tokens, &donor(&tokens, 0));
+        px.insert(&tokens, &donor(&tokens));
         let m = px.lookup(&tokens).unwrap();
-        let mut busy = donor(&[9], 0);
+        let mut busy = donor(&[9]);
         assert!(m.seed_into(&mut busy).is_err(), "non-empty cache");
         let mut wrong = KvCache::new(&[(3, 2), (3, 2)], 64);
         assert!(m.seed_into(&mut wrong).is_err(), "layer-count mismatch");
     }
 
-    /// `donor` without a memo, on 64-row-capacity pages of `page_rows`
-    /// from `alloc`.
+    /// `donor` on 64-row-capacity pages of `page_rows` from `alloc`.
     fn paged_donor(
         tokens: &[u32],
         alloc: &crate::paged::BlockAllocator,
@@ -935,7 +893,7 @@ mod tests {
         assert_eq!(seeded.layer(0).shared_pages(), 2);
         assert_eq!(px.shared_pages(), 2);
 
-        let reference = donor(&tokens, 0);
+        let reference = donor(&tokens);
         for pos in 0..10 {
             assert_eq!(seeded.layer(0).k_row(pos), reference.layer(0).k_row(pos));
             assert_eq!(seeded.layer(0).v_row(pos), reference.layer(0).v_row(pos));
@@ -965,7 +923,7 @@ mod tests {
             assert_eq!(m.len(), 10);
             let mut seeded = KvCache::new_paged(&[(3, 2)], 64, &alloc, 4);
             m.seed_into(&mut seeded).unwrap();
-            let reference = donor(want, 0);
+            let reference = donor(want);
             for pos in 0..10 {
                 assert_eq!(
                     seeded.layer(0).k_row(pos),
@@ -988,7 +946,7 @@ mod tests {
         let alloc = crate::paged::BlockAllocator::new(64);
         let px = PrefixCache::new(cfg(1 << 20, 1));
         let tokens: Vec<u32> = (7..16).collect();
-        let wide = donor(&tokens, 0);
+        let wide = donor(&tokens);
         px.insert(&tokens, &wide);
         let m = px.lookup(&tokens).expect("hit");
         let mut seeded = KvCache::new_paged(&[(3, 2)], 64, &alloc, 4);
@@ -1019,7 +977,7 @@ mod tests {
     fn promotion_of_cached_prefix_adds_nothing() {
         let px = PrefixCache::new(cfg(1 << 20, 1));
         let tokens = [4u32, 5, 6, 7];
-        let cache = donor(&tokens, 0);
+        let cache = donor(&tokens);
         px.insert(&tokens, &cache);
         let before = px.stats();
         px.insert(&tokens, &cache);

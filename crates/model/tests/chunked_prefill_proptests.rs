@@ -43,7 +43,7 @@ fn kind_strategy() -> impl Strategy<Value = AttentionKind> {
     prop_oneof![
         Just(AttentionKind::Gqa { kv_heads: 2 }),
         // Rank a multiple of the quant group so Int8/Int4 packing of
-        // the rank-k decompression weights is valid.
+        // the per-head value up-projections (k = rank) is valid.
         Just(AttentionKind::Mla { kv_lora_rank: 8 }),
     ]
 }
@@ -90,16 +90,12 @@ fn forward_chunked(
     out
 }
 
-/// Asserts two KV stores hold bitwise-identical rows and memo.
+/// Asserts two KV stores hold bitwise-identical rows.
 fn assert_same_cache(a: &PagedKvStore, b: &PagedKvStore) {
     assert_eq!(a.len(), b.len(), "cache lengths diverged");
     for pos in 0..a.len() {
         assert_eq!(a.k_row(pos), b.k_row(pos), "k row {pos} diverged");
         assert_eq!(a.v_row(pos), b.v_row(pos), "v row {pos} diverged");
-    }
-    assert_eq!(a.memo_len(), b.memo_len(), "memo lengths diverged");
-    for pos in 0..a.memo_len() {
-        assert_eq!(a.memo_row(pos), b.memo_row(pos), "memo row {pos} diverged");
     }
 }
 
@@ -135,8 +131,7 @@ proptest! {
         prop_assert_eq!(mono.as_slice(), paged.as_slice(), "page size {} diverged", page_rows);
         assert_same_cache(&mono_cache, &paged_mono);
 
-        // Chunked at the drawn page size: outputs, KV state and (MLA)
-        // the incrementally built memo, all bitwise.
+        // Chunked at the drawn page size: outputs and KV state, bitwise.
         let mut cache = PagedKvStore::new(kw, vw, MAX_SEQ, page_rows, &alloc);
         let chunked = forward_chunked(&attn, &x, &mut cache, &rope, &chunks);
         prop_assert_eq!(

@@ -1,7 +1,7 @@
 //! Property tests for shared-prefix KV reuse: seeding a fresh cache
 //! from a frozen prefix snapshot and prefilling only the suffix must
-//! produce **bitwise** the same outputs and cache state (including the
-//! MLA decoded-row memo) as a cold full prefill.
+//! produce **bitwise** the same outputs and cache state as a cold full
+//! prefill.
 //!
 //! This is the model-layer contract the serving layer's prefix cache
 //! stands on, and it composes with the chunk-invariance contract next
@@ -50,7 +50,7 @@ fn kind_strategy() -> impl Strategy<Value = AttentionKind> {
     prop_oneof![
         Just(AttentionKind::Gqa { kv_heads: 2 }),
         // Rank a multiple of the quant group so Int8/Int4 packing of
-        // the rank-k decompression weights is valid.
+        // the per-head value up-projections (k = rank) is valid.
         Just(AttentionKind::Mla { kv_lora_rank: 8 }),
     ]
 }
@@ -86,8 +86,7 @@ proptest! {
         let spec = attn.cache_spec();
         let tokens: Vec<u32> = (0..t_total).map(|i| ((i as u64 * 13 + seed) % 50) as u32).collect();
 
-        // Cold reference: the whole prompt through a fresh cache. For
-        // MLA this also builds the decoded-row memo to full length.
+        // Cold reference: the whole prompt through a fresh cache.
         let alloc = BlockAllocator::new(8 * MAX_SEQ);
         let mut donor = KvCache::new_paged(&[spec], MAX_SEQ, &alloc, page_rows);
         let cold = attn.forward(&x, donor.layer_mut(0), &rope, None).unwrap();
@@ -106,8 +105,8 @@ proptest! {
         .unwrap();
 
         for rows in [page_rows, lease_page_rows] {
-            // Seed, prefill the suffix, compare outputs, K/V rows and
-            // memo bitwise against the cold run.
+            // Seed, prefill the suffix, compare outputs and K/V rows
+            // bitwise against the cold run.
             let mut fresh = KvCache::new_paged(&[spec], MAX_SEQ, &alloc, rows);
             mat.seed_into(&mut fresh).unwrap();
             prop_assert_eq!(fresh.seq_len(), m);
@@ -127,15 +126,6 @@ proptest! {
             }
             prop_assert_eq!(fresh.layer(0).shared_pages(), shared, "suffix wrote a shared page");
             assert_same_cache(donor.layer(0), fresh.layer(0));
-            let dl = donor.layer(0);
-            let fl = fresh.layer(0);
-            prop_assert_eq!(dl.memo_width(), fl.memo_width(), "memo layout diverged");
-            // The seeded memo (m snapshot rows + incrementally decoded
-            // suffix rows) matches the cold memo bit for bit.
-            prop_assert_eq!(fl.memo_len(), dl.memo_len());
-            for pos in 0..dl.memo_len() {
-                prop_assert_eq!(dl.memo_row(pos), fl.memo_row(pos), "memo row {} diverged", pos);
-            }
         }
     }
 

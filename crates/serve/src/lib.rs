@@ -157,6 +157,35 @@ mod tests {
     }
 
     #[test]
+    fn request_the_empty_pool_cannot_admit_fails_at_submit() {
+        // An 8-token prompt with max_new 0 fills 2 pages per layer, but
+        // admission also charges the first sampled token's row: 3 pages
+        // per layer, more than the pool. Submit counts the same rows.
+        let layers = ModelPreset::DeepSeekV3.tiny_config().n_layers;
+        let server = Server::start(
+            engine(15),
+            ServerConfig {
+                page_rows: 4,
+                kv_pool_pages: 2 * layers,
+                prefix_cache_bytes: 0,
+                ..cfg(2)
+            },
+        )
+        .unwrap();
+        let stuck = server.submit(Request::greedy(&[1; 8], 0)).wait();
+        let needs = format!("needs {} KV pages", 3 * layers);
+        assert!(
+            matches!(&stuck.outcome, RequestOutcome::Failed { error } if error.contains(&needs)),
+            "{:?}",
+            stuck.outcome
+        );
+        assert_eq!(server.stats().steps, 0, "refused before it reached the engine");
+        let fits = server.submit(Request::greedy(&[1, 2, 3], 2)).wait();
+        assert!(fits.is_completed(), "{:?}", fits.outcome);
+        server.shutdown();
+    }
+
+    #[test]
     fn stop_token_ends_generation_early() {
         let server = Server::start(engine(3), ServerConfig::default()).unwrap();
         // Learn what greedy emits first, then replay with it as stop.

@@ -813,7 +813,7 @@ impl Server {
         push_counter(&mut out,"kt_prefix_misses_total", "Lookups that matched nothing reusable.", s.prefix_misses);
         push_counter(&mut out,"kt_prefix_hit_tokens_total", "Prompt tokens seeded from cached prefixes instead of prefilled.", s.prefix_hit_tokens);
         push_counter(&mut out,"kt_prefix_insertions_total", "Prefix segments frozen into the cache.", s.prefix_insertions);
-        push_counter(&mut out,"kt_prefix_evictions_total", "Prefix segments evicted by the byte budget.", s.prefix_evictions);
+        push_counter(&mut out,"kt_prefix_evictions_total", "Prefix segments evicted, by the byte budget or the page valve.", s.prefix_evictions);
         push_counter(&mut out,"kt_prefix_evicted_bytes_total", "Bytes freed by prefix eviction.", s.prefix_evicted_bytes);
         push_counter(&mut out,"kt_expert_cache_hits_total", "Expert-cache lookups that found the expert resident on the vGPU.", s.expert_cache_hits);
         push_counter(&mut out,"kt_expert_cache_misses_total", "Expert-cache lookups for non-resident experts.", s.expert_cache_misses);
@@ -927,7 +927,6 @@ impl Server {
         push_gauge(&mut out,"kt_kv_leases_in_use", "KV caches currently leased to sequences.", s.kv_leases_in_use as f64);
         push_gauge(&mut out,"kt_kv_leases_free", "Reset KV caches parked in the pool.", s.kv_leases_free as f64);
         push_gauge(&mut out,"kt_kv_leases_peak", "High-water mark of concurrent leases.", s.kv_leases_peak as f64);
-        push_gauge(&mut out,"kt_kv_pooled_bytes", "Heap bytes retained by parked pool caches.", s.kv_pooled_bytes as f64);
         push_gauge(&mut out,"kt_queue_depth", "Requests currently waiting for admission.", self.queued() as f64);
         push_gauge(&mut out,"kt_active_sequences", "Sequences currently admitted (leased caches).", self.active() as f64);
         push_gauge(&mut out,"kt_peak_queue_depth", "Deepest admission queue observed.", s.peak_queue_depth as f64);
@@ -1096,9 +1095,13 @@ impl Server {
         // The request must fit the page pool even with every other
         // sequence preempted, or it could never run to completion
         // (preemption keeps at least one survivor, so a too-big
-        // request would wedge the scheduler, not just fail).
+        // request would wedge the scheduler, not just fail). Admission
+        // reserves the first sampled token's row even at max_new 0.
         let total = self.inner.pool.block_allocator().total_pages();
-        let needed = self.inner.pool.pages_needed(req.prompt.len() + req.max_new);
+        let needed = self
+            .inner
+            .pool
+            .pages_needed(req.prompt.len() + req.max_new.max(1));
         if needed > total {
             return Err(format!(
                 "prompt ({}) + max_new ({}) needs {needed} KV pages but the pool \
@@ -1313,37 +1316,22 @@ fn admit(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<P
         if !active.is_empty() || inner.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if !preempted.is_empty() {
-            // Nothing active yet preempted work cannot resume: the
-            // page pool must be clogged by the prefix index (no lease
-            // holds pages). Dump the index and retry; if a sequence
-            // still cannot fit the empty pool, it never will — fail it
-            // rather than wedge the scheduler.
-            drop(queue);
-            let freed = inner.pool.clear_prefix();
-            resume_preempted(inner, active, preempted);
-            if active.is_empty() && freed == 0 {
-                if let Some(i) = next_resume(preempted) {
-                    let p = preempted.remove(i);
-                    inner.resolve_preempted(
-                        p,
-                        RequestOutcome::Failed {
-                            error: "KV page pool too small to resume preempted sequence"
-                                .into(),
-                        },
-                    );
-                }
-            }
-            continue;
-        }
-        if !queue.is_empty() {
-            // Idle but queue non-empty: foreign leases hold the pool,
-            // or the prefix index holds the allocator's pages. Release
-            // the index (nothing active shares it profitably right
-            // now) and retry rather than spin.
-            drop(queue);
-            inner.pool.clear_prefix();
-            std::thread::yield_now();
+        // Fully idle, yet the next preempted sequence did not get back
+        // in: no lease holds a page and resuming already emptied the
+        // prefix index as far as it helped, so it will never fit — fail
+        // it rather than wedge the scheduler. Submit-time validation
+        // makes this a guard: with no lease out every index page can
+        // be freed, and each request was charged the rows admission
+        // (and so resumption) needs — which is also why a queued
+        // request always gets in here.
+        if let Some(i) = next_resume(preempted) {
+            let p = preempted.remove(i);
+            inner.resolve_preempted(
+                p,
+                RequestOutcome::Failed {
+                    error: "KV page pool too small to resume preempted sequence".into(),
+                },
+            );
             continue;
         }
         inner.wakeup.wait(&mut queue);
@@ -1376,7 +1364,7 @@ fn resume_preempted(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted:
                 // Swap-in: the captured rows restore bit-for-bit into
                 // a fresh lease; the sequence continues exactly where
                 // it stopped.
-                if inner.pool.pages_needed(rows) > inner.pool.free_pages() {
+                if !inner.pool.reclaim_pages(inner.pool.pages_needed(rows)) {
                     return;
                 }
                 let Some(mut lease) = inner.pool.lease() else { return };
@@ -1598,11 +1586,12 @@ fn preempt_seq(inner: &ServerInner, mut seq: ActiveSeq, preempted: &mut Vec<Pree
     });
 }
 
-/// Preempts until the composed plan's KV growth fits in free pages.
-/// Victims go least-urgent-class-first, newest admission first, always
-/// keeping at least one survivor; once down to one sequence the prefix
-/// index is cleared as the last pressure valve. Returns the (re)made
-/// plan for the surviving batch.
+/// Frees pages until the composed plan's KV growth fits. The prefix
+/// index gives pages back first, least-recently-touched leaf first
+/// ([`KvCachePool::reclaim_pages`]); only what it cannot cover preempts
+/// victims — least-urgent-class-first, newest admission first, always
+/// keeping at least one survivor. Returns the (re)made plan for the
+/// surviving batch.
 fn relieve_pressure(
     inner: &ServerInner,
     active: &mut Vec<ActiveSeq>,
@@ -1623,30 +1612,23 @@ fn relieve_pressure(
                 })
             })
             .sum();
-        if needed <= inner.pool.free_pages() {
+        // One survivor still short runs anyway: a genuine overflow
+        // fails the batch, which the submit-time page validation makes
+        // unreachable.
+        if inner.pool.reclaim_pages(needed) || active.len() <= 1 {
             return plan;
         }
-        if active.len() > 1 {
-            let views: Vec<VictimView> = active
-                .iter()
-                .map(|s| VictimView {
-                    priority: s.req.class.priority(),
-                    admit_seq: s.admit_seq,
-                })
-                .collect();
-            let i = preempt::select_victim(&views).expect("active non-empty");
-            let victim = active.remove(i);
-            preempt_seq(inner, victim, preempted);
-            plan = compose(inner, active);
-            continue;
-        }
-        // One survivor and still short: release the prefix index's
-        // page references. If even that is not enough the step runs
-        // anyway — a genuine overflow fails the batch, which the
-        // submit-time page validation makes unreachable.
-        if inner.pool.clear_prefix() == 0 {
-            return plan;
-        }
+        let views: Vec<VictimView> = active
+            .iter()
+            .map(|s| VictimView {
+                priority: s.req.class.priority(),
+                admit_seq: s.admit_seq,
+            })
+            .collect();
+        let i = preempt::select_victim(&views).expect("active non-empty");
+        let victim = active.remove(i);
+        preempt_seq(inner, victim, preempted);
+        plan = compose(inner, active);
     }
 }
 

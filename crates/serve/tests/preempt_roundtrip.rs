@@ -51,8 +51,12 @@ fn prompts() -> Vec<Vec<u32>> {
 }
 
 fn run(cfg: ServerConfig) -> (Vec<Vec<u32>>, kt_core::ServeStats) {
+    run_prompts(cfg, &prompts())
+}
+
+fn run_prompts(cfg: ServerConfig, prompts: &[Vec<u32>]) -> (Vec<Vec<u32>>, kt_core::ServeStats) {
     let server = Server::start(Arc::new(engine(7)), cfg).unwrap();
-    let handles: Vec<_> = prompts()
+    let handles: Vec<_> = prompts
         .iter()
         .map(|p| server.submit(Request::greedy(p, N_NEW)))
         .collect();
@@ -150,4 +154,54 @@ fn warm_prefix_resume_still_deduplicates_recompute() {
     });
     assert_eq!(tokens, reference, "prefix-seeded resume diverged");
     assert!(stats.preempt_recompute > 0, "pool never came under pressure");
+}
+
+#[test]
+fn prefix_index_gives_pages_back_before_anyone_is_preempted() {
+    // Twelve requests share an 8-token hot prefix, two at a time, in a
+    // pool of exactly two full-length sequences. Every finished request
+    // freezes its pages into the prefix index, so the index fills the
+    // pool; the next sequences' growth must come from evicting its
+    // least-recently-touched tails, not from preempting a batchmate —
+    // and the hot prefix, touched by every admission, stays cached.
+    let model = ModelPreset::DeepSeekV3.tiny_config();
+    let hot: Vec<u32> = (0..8).map(|j| j * 11 + 5).collect();
+    let prompts: Vec<Vec<u32>> = (0..12)
+        .map(|i| {
+            hot.iter()
+                .copied()
+                .chain((0..4).map(|j| 100 + i * 4 + j))
+                .collect()
+        })
+        .collect();
+    let pool_pages = 2 * model.n_layers * (12 + N_NEW).div_ceil(PAGE_ROWS);
+    let base = ServerConfig {
+        max_batch: 2,
+        prefill_chunk: 4,
+        step_token_budget: 8,
+        min_prefix_len: 4,
+        ..Default::default()
+    };
+    let (reference, _) = run_prompts(base.clone(), &prompts);
+    let (tokens, stats) = run_prompts(
+        ServerConfig {
+            page_rows: PAGE_ROWS,
+            kv_pool_pages: pool_pages,
+            ..base
+        },
+        &prompts,
+    );
+    assert_eq!(
+        tokens, reference,
+        "the page valve changed the token streams"
+    );
+    assert!(
+        stats.prefix_evictions > 0,
+        "the index never had to give pages back: {stats:?}"
+    );
+    assert_eq!(stats.preempt_swap + stats.preempt_recompute, 0, "{stats:?}");
+    assert!(
+        stats.prefix_hits >= (prompts.len() - base.max_batch) as u64,
+        "hot-prefix hits stopped: {stats:?}"
+    );
 }

@@ -326,6 +326,9 @@ fn stats_text_conforms_to_the_exposition_format() {
         assert_eq!(kind.get(g).map(String::as_str), Some("gauge"), "{g}");
         assert!(samples.iter().any(|s| s.name == g), "{g} sample present");
     }
+    // Parked caches hold no KV state (reset returns every page), so no
+    // gauge reports their bytes.
+    assert!(!kind.contains_key("kt_kv_pooled_bytes"));
     assert_eq!(
         kind.get("kt_preempt_total").map(String::as_str),
         Some("counter")

@@ -8,6 +8,8 @@
 use ktransformers::core::{BatchSeq, EngineConfig, HybridEngine, SchedMode};
 use ktransformers::kernels::dispatch::Backend;
 use ktransformers::model::model::argmax;
+use ktransformers::model::pool::KvCachePool;
+use ktransformers::model::prefix::PrefixCacheConfig;
 use ktransformers::model::{ExecMode, KvCache, ModelPreset};
 use ktransformers::tensor::{Matrix, PrecisionPolicy};
 
@@ -176,6 +178,74 @@ fn chunked_prefill_equals_monolithic_oracle() {
             batch[0].prefill = false;
             let l = e.forward_batch(&mut batch).unwrap().remove(0).unwrap();
             next = oracle.check(&[next], true, &l, &format!("{preset:?} step {step}"));
+        }
+    }
+}
+
+#[test]
+fn prefix_seeded_prefill_equals_cold_oracle() {
+    // Warm = oracle: a lease seeded from a frozen prefix prefills only
+    // its suffix, then decodes, and every logit equals the oracle's over
+    // the whole prompt on a cold cache. The 11-token prefix is shared by
+    // reference at 1-row pages, shared up to row 9 with a row-copied
+    // tail at 3-row pages, and row-copied whole inside one 16-row page.
+    let prefix: Vec<u32> = (0..11).map(|i| (i * 17 + 3) % 250).collect();
+    let prompt: Vec<u32> = prefix.iter().copied().chain([7, 99, 123, 5, 61]).collect();
+    for preset in [ModelPreset::DeepSeekV3, ModelPreset::Qwen2Moe] {
+        let e = engine(
+            preset,
+            EngineConfig {
+                n_deferred: 2,
+                backend: Backend::TiledOnly,
+                seed: 9,
+                ..Default::default()
+            },
+        );
+        for page_rows in [1, 3, 16] {
+            let what = format!("{preset:?} page_rows {page_rows}");
+            let pool = KvCachePool::for_prototype(&e.fresh_cache(), 2)
+                .with_prefix_cache(PrefixCacheConfig {
+                    capacity_bytes: 32 << 20,
+                    min_prefix_len: 4,
+                })
+                .with_paged(4096, page_rows);
+            let (mut donor, _) = pool.lease_for_prompt(&prefix).unwrap();
+            let cache = std::mem::replace(&mut donor.cache, KvCache::new(&[], 0));
+            let mut batch = [BatchSeq::prefill(cache, prefix.clone())];
+            e.forward_batch(&mut batch).unwrap();
+            let [seq] = batch;
+            donor.cache = seq.cache;
+            pool.release_with_prefix(donor, &prefix).unwrap();
+
+            let (mut warm, seeded) = pool.lease_for_prompt(&prompt).unwrap();
+            assert_eq!(seeded, prefix.len(), "{what}");
+            assert_eq!(
+                warm.cache.layer(0).shared_pages(),
+                prefix.len() / page_rows,
+                "{what}"
+            );
+            let cache = std::mem::replace(&mut warm.cache, KvCache::new(&[], 0));
+            let mut batch = [BatchSeq::prefill(cache, prompt[seeded..].to_vec())];
+            let l = e.forward_batch(&mut batch).unwrap().remove(0).unwrap();
+
+            let mut oracle = Oracle::new(&e);
+            let cold = e
+                .model()
+                .forward(&prompt, &mut oracle.cache, ExecMode::Standard, None)
+                .unwrap();
+            let vocab = cold.cols();
+            assert_eq!(
+                bits(l.as_slice()),
+                bits(&cold.as_slice()[seeded * vocab..]),
+                "{what} suffix"
+            );
+            let mut next = argmax(l.row(l.rows() - 1));
+            for step in 0..8 {
+                batch[0].tokens = vec![next];
+                batch[0].prefill = false;
+                let l = e.forward_batch(&mut batch).unwrap().remove(0).unwrap();
+                next = oracle.check(&[next], true, &l, &format!("{what} step {step}"));
+            }
         }
     }
 }
