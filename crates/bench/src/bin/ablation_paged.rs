@@ -11,11 +11,10 @@
 //!   ~`max_seq / rows_used` times denser than the
 //!   `budget / full_cache_bytes` = `FLAT_SLOTS` sequences that
 //!   whole-cache reservation would admit. Its token streams are the
-//!   reference for the pressure arms.
-//! * **pressure** — a pool barely above one full request, forced
-//!   preemption under `AlwaysSwap` and `AlwaysRecompute`: preempt and
-//!   resume round trips must leave the streams bitwise identical to
-//!   the unpressured paged arm.
+//!   reference for the pressure arm.
+//! * **pressure** — a pool barely above one full request forces
+//!   preemption: swap-out and swap-in round trips must leave the
+//!   streams bitwise identical to the unpressured paged arm.
 //! * **warm prefix** — zero-copy page sharing: a primed 384-token
 //!   shared prefix seeds by reference (CoW on the divergent tail), so
 //!   warm TTFT must hold the recorded warm-hit line
@@ -25,7 +24,7 @@
 //! * default — all arms, writes `BENCH_paged.json` (run from the repo
 //!   root).
 //! * `--smoke` — CI gate: the paged arm's lease high-water mark is
-//!   **>= 2x** `FLAT_SLOTS` at equal pool bytes, the preemption arms'
+//!   **>= 2x** `FLAT_SLOTS` at equal pool bytes, the preemption arm's
 //!   streams are bitwise identical to the unpressured run, and a
 //!   single-stream decode guard vs the `BENCH_quant.json` f32 hotpath
 //!   median (0.6x tolerance, the repo-wide guard tolerance).
@@ -35,7 +34,7 @@ use kt_core::{BatchSeq, EngineConfig, HybridEngine, SchedMode};
 use kt_kernels::dispatch::Backend;
 use kt_model::pool::KvCachePool;
 use kt_model::{model::argmax, KvCache, ModelPreset};
-use kt_serve::{PreemptPolicy, Request, Server, ServerConfig};
+use kt_serve::{Request, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -288,57 +287,51 @@ fn main() {
     println!();
     println!("concurrency_gain {density:.1}x at equal KV pool bytes");
 
-    // Pressure arms: a pool barely above one full request forces
+    // Pressure arm: a pool barely above one full request forces
     // preempt/resume round trips; streams must not move.
     section("Forced preemption round trips (pool barely above one request)");
     let n_pressure = 6;
     let largest = model_cfg.n_layers * (PROMPT + MAX_NEW).div_ceil(4);
-    let mut pressure_rows: Vec<Vec<String>> = Vec::new();
-    let mut preempt_counts = [0u64; 2];
-    for (slot, policy) in [PreemptPolicy::AlwaysSwap, PreemptPolicy::AlwaysRecompute]
+    let t0 = Instant::now();
+    let server = Server::start(
+        engine(7),
+        ServerConfig {
+            max_batch: 3,
+            prefill_chunk: 4,
+            step_token_budget: 8,
+            prefix_cache_bytes: 0,
+            page_rows: 4,
+            kv_pool_pages: largest + 1,
+            ..Default::default()
+        },
+    )
+    .expect("valid config");
+    let handles: Vec<_> = prompts()
         .into_iter()
-        .enumerate()
-    {
-        let t0 = Instant::now();
-        let server = Server::start(
-            engine(7),
-            ServerConfig {
-                max_batch: 3,
-                prefill_chunk: 4,
-                step_token_budget: 8,
-                prefix_cache_bytes: 0,
-                page_rows: 4,
-                kv_pool_pages: largest + 1,
-                preempt_policy: policy,
-                ..Default::default()
-            },
-        )
-        .expect("valid config");
-        let handles: Vec<_> = prompts()
-            .into_iter()
-            .take(n_pressure)
-            .map(|p| server.submit(Request::greedy(&p, MAX_NEW)))
-            .collect();
-        for (h, want) in handles.iter().zip(&paged_tokens) {
-            let r = h.wait();
-            assert!(r.is_completed(), "{:?}", r.outcome);
-            assert_eq!(&r.tokens, want, "{policy:?}: preemption changed the stream");
-        }
-        let stats = server.stats();
-        let n = stats.preempt_swap + stats.preempt_recompute;
-        assert!(n > 0, "{policy:?}: pool never came under pressure");
-        assert_eq!(stats.kv_pages_free, stats.kv_pages_total, "page leak");
-        preempt_counts[slot] = n;
-        pressure_rows.push(vec![
-            format!("{policy:?}"),
-            n.to_string(),
-            format!("{:.2}", t0.elapsed().as_secs_f64()),
-        ]);
-        server.shutdown();
+        .take(n_pressure)
+        .map(|p| server.submit(Request::greedy(&p, MAX_NEW)))
+        .collect();
+    for (h, want) in handles.iter().zip(&paged_tokens) {
+        let r = h.wait();
+        assert!(r.is_completed(), "{:?}", r.outcome);
+        assert_eq!(&r.tokens, want, "preemption changed the stream");
     }
-    table(&["Policy", "Preemptions", "Wall (s)"], &pressure_rows);
+    let pressure_wall = t0.elapsed().as_secs_f64();
+    let stats = server.stats();
+    let preemptions = stats.preempt_swap;
+    assert!(preemptions > 0, "pool never came under pressure");
+    assert_eq!(stats.kv_pages_free, stats.kv_pages_total, "page leak");
+    server.shutdown();
+    table(
+        &["Pool pages", "Preemptions", "Wall (s)"],
+        &[vec![
+            (largest + 1).to_string(),
+            preemptions.to_string(),
+            format!("{pressure_wall:.2}"),
+        ]],
+    );
     println!();
-    println!("streams bitwise identical to the unpressured paged arm under both policies");
+    println!("streams bitwise identical to the unpressured paged arm");
 
     // Decode guard: page-table indirection must not tax the hot path.
     section("Single-stream decode guard (paged lease, hotpath methodology)");
@@ -401,8 +394,8 @@ fn main() {
   "concurrency_gain": {density:.1},
   "preemption": {{
     "pool_pages": {tiny_pool},
-    "always_swap_preemptions": {swap_n},
-    "always_recompute_preemptions": {rec_n},
+    "preemptions": {preemptions},
+    "wall_s": {pressure_wall:.2},
     "roundtrip_bitwise_identical": true
   }},
   "warm_prefix": {{
@@ -420,8 +413,6 @@ fn main() {
         rows = PROMPT + MAX_NEW,
         max_seq = model_cfg.max_seq,
         tiny_pool = largest + 1,
-        swap_n = preempt_counts[0],
-        rec_n = preempt_counts[1],
     );
     std::fs::write("BENCH_paged.json", &json).expect("write BENCH_paged.json");
     println!();

@@ -324,7 +324,7 @@ fn dynamic_state(model: &MoeModel, econfig: &EngineConfig) -> Option<DynamicStat
         cost: CostModel {
             calibration: kt_hwsim::Calibration::default(),
             platform: kt_hwsim::Platform::a100_dual_xeon(),
-            flops_per_token: 2.0 * 3.0 * cfg.hidden as f64 * cfg.moe_inter as f64,
+            flops_per_routed_row: 2.0 * 3.0 * cfg.hidden as f64 * cfg.moe_inter as f64,
         },
     })
 }
@@ -381,22 +381,6 @@ impl BatchSeq {
             tokens,
             prefill: true,
             need_logits: true,
-            tag: 0,
-        }
-    }
-
-    /// A replayed decode row: deferral-eligible exactly like
-    /// [`BatchSeq::decode`] — so it rebuilds the same KV bits the
-    /// original decode step wrote — but produces no logits, because
-    /// the token it feeds was sampled and reported before its KV rows
-    /// were dropped. Preemption recovery re-feeds evicted generations
-    /// through this path.
-    pub fn replay(cache: KvCache, token: u32) -> Self {
-        BatchSeq {
-            cache,
-            tokens: vec![token],
-            prefill: false,
-            need_logits: false,
             tag: 0,
         }
     }

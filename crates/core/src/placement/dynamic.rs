@@ -271,7 +271,7 @@ pub struct CostModel {
     /// Simulated platform (CPU spec, GPU spec, PCIe bandwidth).
     pub platform: Platform,
     /// Useful FLOPs per routed token per expert (2·3·hidden·inter).
-    pub flops_per_token: f64,
+    pub flops_per_routed_row: f64,
 }
 
 impl CostModel {
@@ -295,7 +295,7 @@ impl CostModel {
     ) -> ExpertChoice {
         let cost = self.calibration.expert_placement_cost(
             tokens as f64,
-            tokens as f64 * self.flops_per_token,
+            tokens as f64 * self.flops_per_routed_row,
             expert_bytes as f64,
             &self.platform,
         );
@@ -428,7 +428,7 @@ mod tests {
         let cost = CostModel {
             calibration: Calibration::default(),
             platform: Platform::a100_dual_xeon(),
-            flops_per_token: 1.0e6,
+            flops_per_routed_row: 1.0e6,
         };
         let f32_bytes = 1_000_000usize;
         let int4_bytes = f32_bytes / 8;

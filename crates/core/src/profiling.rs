@@ -137,9 +137,11 @@ pub struct ServeStats {
     /// by preemption (maintained by the scheduler, not snapshotted:
     /// swapped rows live outside the allocator).
     pub kv_pages_swapped: u64,
-    /// Sequences preempted with their pages swapped to the host tier.
+    /// Sequences preempted with their pages swapped to the host tier
+    /// (the only preemption mechanism).
     pub preempt_swap: u64,
-    /// Sequences preempted with their pages dropped for recompute.
+    /// Always 0: preemption never drops pages for recompute. Kept
+    /// because the frozen serving benchmark reads and reports it.
     pub preempt_recompute: u64,
     /// Prefix-cache lookups at admission (snapshot of the prefix
     /// cache's counters; see [`ServeStats::set_prefix`]).

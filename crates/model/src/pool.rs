@@ -413,14 +413,16 @@ impl KvCachePool {
     /// at a time and stopping as soon as enough are free. A leaf whose
     /// pages a lease still shares would free nothing and stays cached.
     /// Returns whether `pages` pages are free; `false` means leases
-    /// (alone or together with the index) hold the rest.
+    /// (alone or together with the index) hold the rest. A target out
+    /// of the index's reach — free pages plus every index page no lease
+    /// holds still short — is refused before anything is evicted.
     pub fn reclaim_pages(&self, pages: usize) -> bool {
-        let enough = || self.alloc.free_pages() >= pages;
-        enough()
+        let free = || self.alloc.free_pages();
+        free() >= pages
             || self
                 .prefix
                 .as_ref()
-                .is_some_and(|px| px.evict_until(enough))
+                .is_some_and(|px| px.evict_until(pages, free))
     }
 }
 
@@ -634,6 +636,21 @@ mod tests {
             p.release_with_prefix(lease, &tokens).unwrap();
         }
         assert_eq!(p.free_pages(), 2);
+        // A lease holding the two free pages leaves the index's six as
+        // the whole reach: a seven-page target is refused before any
+        // leaf is evicted for nothing.
+        let mut held = p.lease().unwrap();
+        for t in 0..8 {
+            held.cache
+                .layer_mut(0)
+                .push(&[t as f32; 4], &[t as f32; 4])
+                .unwrap();
+        }
+        assert_eq!(p.free_pages(), 0);
+        assert!(!p.reclaim_pages(7));
+        let s = p.prefix_stats().unwrap();
+        assert_eq!((s.evictions, s.entries), (0, 3), "nothing evicted");
+        p.release(held).unwrap();
         // Touch the oldest entry: the least recently touched leaf is
         // now the 20.. prompt.
         assert!(px.lookup(&prompt(10, 8)).is_some());

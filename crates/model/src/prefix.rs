@@ -49,7 +49,8 @@
 //! lease that needs them, so the index gives pages back one leaf at a
 //! time under pressure instead of being dropped whole. The page valve
 //! passes over leaves whose pages a running lease still shares:
-//! evicting them would return nothing.
+//! evicting them would return nothing. It also evicts nothing at all
+//! when even every page no lease holds could not cover the request.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -397,6 +398,27 @@ impl Node {
 }
 
 impl Inner {
+    /// Every distinct page the index references, keyed by address:
+    /// `(references from index segments, strong count)`. A page may sit
+    /// in several segments (splits share the straddling page), so a
+    /// strong count above the index's own references means a lease or
+    /// an in-flight seeding holds it too.
+    fn page_refs(&self) -> HashMap<usize, (usize, usize)> {
+        fn walk(nodes: &[Node], refs: &mut HashMap<usize, (usize, usize)>) {
+            for n in nodes {
+                for p in n.seg.layers.iter().flat_map(|ls| &ls.pages) {
+                    refs.entry(Arc::as_ptr(p) as usize)
+                        .or_insert((0, Arc::strong_count(p)))
+                        .0 += 1;
+                }
+                walk(&n.children, refs);
+            }
+        }
+        let mut refs = HashMap::new();
+        walk(&self.children, &mut refs);
+        refs
+    }
+
     /// Drops least-recently-touched leaves that pass `evictable` until
     /// `done` holds or no such leaf is left, returning whether `done`
     /// holds. Leaves only: every interior prefix stays valid, and
@@ -621,15 +643,31 @@ impl PrefixCache {
         inner.evict_lru(|_| true, |inner| inner.stats.resident_bytes <= budget);
     }
 
-    /// Drops least-recently-touched leaves until `enough()` holds —
-    /// the page valve: a caller short of pages passes "the allocator has
-    /// N free", and the index gives its pages back one leaf at a time.
-    /// Only leaves whose eviction returns a page are taken: a leaf whose
-    /// pages a running lease (or an in-flight seeding) still shares
-    /// frees nothing and stays cached. Returns whether `enough()` holds
-    /// at the end; `false` means no such leaf was left first.
-    pub(crate) fn evict_until(&self, mut enough: impl FnMut() -> bool) -> bool {
-        self.lock().evict_lru(Node::frees_pages, |_| enough())
+    /// The page valve: drops least-recently-touched leaves until
+    /// `free()` (the allocator's free pages) reaches `pages`, giving the
+    /// index's pages back one leaf at a time. Only leaves whose eviction
+    /// returns a page are taken: a leaf whose pages a running lease (or
+    /// an in-flight seeding) still shares frees nothing and stays
+    /// cached. Returns whether `free() >= pages` at the end.
+    ///
+    /// Before evicting, it counts the distinct index pages no lease
+    /// holds (strong count equal to the index's own references); if
+    /// even those plus `free()` fall short, it returns `false` with
+    /// nothing evicted. The count never under-estimates what eviction
+    /// can free, so no reachable target is refused. It may
+    /// over-estimate (a blocked subtree, a segment pinned by a seeding);
+    /// eviction then runs and stops as it would without the check.
+    pub(crate) fn evict_until(&self, pages: usize, free: impl Fn() -> usize) -> bool {
+        let mut inner = self.lock();
+        let unheld = inner
+            .page_refs()
+            .values()
+            .filter(|&&(in_index, strong)| strong == in_index)
+            .count();
+        if free() + unheld < pages {
+            return false;
+        }
+        inner.evict_lru(Node::frees_pages, |_| free() >= pages)
     }
 
     /// Current counters and occupancy.
@@ -643,23 +681,8 @@ impl PrefixCache {
     /// straddling page), so "shared" means strong references exceed
     /// the index's own occurrence count.
     pub fn shared_pages(&self) -> usize {
-        let inner = self.lock();
-        let mut occurrences: HashMap<usize, (usize, usize)> = HashMap::new();
-        fn walk(nodes: &[Node], occ: &mut HashMap<usize, (usize, usize)>) {
-            for n in nodes {
-                for p in n.seg.layers.iter().flat_map(|ls| &ls.pages) {
-                    let e = occ
-                        .entry(Arc::as_ptr(p) as usize)
-                        .or_insert((0, Arc::strong_count(p)));
-                    e.0 += 1;
-                }
-            }
-            for n in nodes {
-                walk(&n.children, occ);
-            }
-        }
-        walk(&inner.children, &mut occurrences);
-        occurrences
+        self.lock()
+            .page_refs()
             .values()
             .filter(|&&(in_index, strong)| strong > in_index)
             .count()

@@ -88,7 +88,6 @@ pub mod slo;
 
 pub use kt_trace::{Component, RequestBreakdown};
 pub use request::{Request, RequestHandle, RequestOutcome, RequestResult};
-pub use preempt::{PreemptCostModel, PreemptMode, PreemptPolicy};
 pub use server::{Server, ServerConfig};
 pub use slo::{ClassCounters, SloClass, SloPolicy, SloTarget};
 

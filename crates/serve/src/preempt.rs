@@ -1,138 +1,26 @@
-//! Preemption policy for paged KV serving: swap-vs-recompute cost
-//! model and victim selection.
+//! Preemption for paged KV serving: victim selection.
 //!
 //! When a step's planned KV growth needs more pages than the block
-//! allocator has free, the scheduler evicts running sequences until the
-//! plan fits. Two mechanisms exist to take a victim's pages away
-//! without losing its work:
+//! allocator has free (after the prefix index gave back what it can),
+//! the scheduler evicts running sequences until the plan fits.
+//! Preemption is a pause: the victim's KV rows are captured into
+//! host-side [`kt_model::SwappedKv`] buffers (the offloaded tier), its
+//! lease is released, and at resume the rows are restored bit-for-bit
+//! into a fresh lease. The sequence's scheduling state — sampling RNG,
+//! emitted tokens, the pending decode token, prompt progress — is
+//! carried across unchanged, so it continues exactly where it stopped
+//! and its tokens are bitwise identical to an unpreempted run.
 //!
-//! * **Swap**: capture the victim's KV rows into host-side
-//!   [`kt_model::SwappedKv`] buffers (the offloaded tier), release the
-//!   lease, and restore the rows bit-for-bit into a fresh lease at
-//!   resume. Costs one PCIe round trip over the cache bytes.
-//! * **Recompute**: drop the pages outright and re-feed the token
-//!   stream at resume — prompt positions through the chunked-prefill
-//!   path (bitwise identical to monolithic by the chunk invariance
-//!   contract), already-emitted generations as sampling-suppressed
-//!   decode rows, because Expert Deferral is decode-row-only and a
-//!   generation re-fed as prefill would write different KV bits. The
-//!   rebuilt cache is exactly the dropped one. Costs recompute FLOPs
-//!   but zero transfer.
-//!
-//! [`PreemptPolicy::Auto`] picks per victim by comparing the two costs
-//! under a [`PreemptCostModel`] calibrated from the hardware simulator
-//! (same [`Calibration`]/[`Platform`] anchors as the dynamic-placement
-//! `CostModel` in `kt_core::placement`): short sequences recompute
-//! (cheap FLOPs, no transfer), long ones swap (PCIe beats re-running a
-//! long prefill). Either way the resumed sequence's tokens are bitwise
-//! identical to an unpreempted run — preemption is pure scheduling.
+//! There is no second mechanism. Host DRAM is the large tier and CPU
+//! FLOPs the scarce resource (the paper's deployment), and swap costs
+//! one copy of the rows each way where rebuilding them would re-run
+//! the forward.
 //!
 //! Victim *selection* is SLO-class-aware and reuses the admission
 //! ordering of the SLO scheduler: the least urgent class goes first
 //! (highest [`SloClass::priority`] value), newest admission first
 //! within a class — the mirror image of `pick_next`, so the sequences
 //! the scheduler would admit last are preempted first.
-
-use kt_hwsim::{Calibration, Platform};
-
-/// How the scheduler takes pages back from preemption victims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PreemptPolicy {
-    /// Per-victim swap-vs-recompute by the calibrated cost model.
-    #[default]
-    Auto,
-    /// Always swap pages to the host tier (useful for pinning down the
-    /// swap path in tests and ablations).
-    AlwaysSwap,
-    /// Always drop pages and recompute at resume.
-    AlwaysRecompute,
-}
-
-/// The mechanism chosen for one victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PreemptMode {
-    /// Capture rows to host memory; restore at resume.
-    Swap,
-    /// Drop rows; re-prefill the fed tokens at resume.
-    Recompute,
-}
-
-impl PreemptMode {
-    /// Label used by the `kt_preempt_total{mode=...}` metric family.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PreemptMode::Swap => "swap",
-            PreemptMode::Recompute => "recompute",
-        }
-    }
-}
-
-/// Calibrated per-unit costs of the two preemption mechanisms.
-///
-/// Swap moves every KV byte across PCIe twice (out now, back in at
-/// resume); recompute replays prefill on the CPU roofline — the vGPU in
-/// this harness executes kernels on host cores at host speed, the same
-/// reasoning as `kt_core::placement::dynamic::CostModel`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreemptCostModel {
-    /// Seconds to swap one KV byte out and back in.
-    pub swap_s_per_byte: f64,
-    /// Seconds to re-prefill one token at resume.
-    pub recompute_s_per_token: f64,
-}
-
-impl PreemptCostModel {
-    /// Builds the model from the hwsim calibration anchors for the
-    /// paper's server platform. `flops_per_token` is the model's
-    /// forward cost per prefilled token (attention + FFN across all
-    /// layers); [`flops_per_token`] estimates it from the model shape.
-    pub fn calibrated(flops_per_token: f64) -> Self {
-        let cal = Calibration::default();
-        let platform = Platform::a100_dual_xeon();
-        let swap_s_per_byte = 2.0 * cal.pcie_time(1.0, platform.pcie_gbs);
-        let cpu_tflops = cal.kt_avx512_tflops * platform.cpu.sockets as f64;
-        PreemptCostModel {
-            swap_s_per_byte,
-            recompute_s_per_token: flops_per_token / (cpu_tflops * 1e12),
-        }
-    }
-
-    /// Predicted cost of swapping `bytes` of KV out and back.
-    pub fn swap_cost_s(&self, bytes: usize) -> f64 {
-        bytes as f64 * self.swap_s_per_byte
-    }
-
-    /// Predicted cost of re-prefilling `tokens` rows at resume.
-    pub fn recompute_cost_s(&self, tokens: usize) -> f64 {
-        tokens as f64 * self.recompute_s_per_token
-    }
-
-    /// Picks the mechanism for one victim holding `bytes` of KV across
-    /// `tokens` rows.
-    pub fn mode(&self, policy: PreemptPolicy, bytes: usize, tokens: usize) -> PreemptMode {
-        match policy {
-            PreemptPolicy::AlwaysSwap => PreemptMode::Swap,
-            PreemptPolicy::AlwaysRecompute => PreemptMode::Recompute,
-            PreemptPolicy::Auto => {
-                if self.swap_cost_s(bytes) <= self.recompute_cost_s(tokens) {
-                    PreemptMode::Swap
-                } else {
-                    PreemptMode::Recompute
-                }
-            }
-        }
-    }
-}
-
-/// Rough forward FLOPs per prefilled token for a model shape:
-/// per layer, the four attention projections (`4·h²`) plus a
-/// three-matrix gated FFN over the larger intermediate size
-/// (`3·h·inter`), times two FLOPs per multiply-add. Feeds
-/// [`PreemptCostModel::calibrated`]; only the swap-vs-recompute
-/// *ratio* matters, so a shape-level estimate is enough.
-pub fn flops_per_token(n_layers: usize, hidden: usize, inter: usize) -> f64 {
-    n_layers as f64 * 2.0 * (4.0 * hidden as f64 * hidden as f64 + 3.0 * hidden as f64 * inter as f64)
-}
 
 /// What victim selection knows about one active sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,48 +48,6 @@ pub fn select_victim(views: &[VictimView]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn forced_policies_ignore_the_costs() {
-        let m = PreemptCostModel::calibrated(1e9);
-        assert_eq!(m.mode(PreemptPolicy::AlwaysSwap, usize::MAX, 0), PreemptMode::Swap);
-        assert_eq!(
-            m.mode(PreemptPolicy::AlwaysRecompute, 0, usize::MAX),
-            PreemptMode::Recompute
-        );
-    }
-
-    #[test]
-    fn auto_swaps_long_sequences_and_recomputes_short_ones() {
-        // A shape where one token's recompute FLOPs cost more than
-        // swapping its KV bytes: KV rows are tiny next to the weights
-        // they'd re-stream. Roughly the regime of any real MoE model.
-        let m = PreemptCostModel::calibrated(flops_per_token(24, 1024, 4096));
-        let row_bytes = 2 * 1024 * 4;
-        // Per-row swap cost is far below per-row recompute cost, so
-        // Auto swaps at any length with proportional bytes...
-        assert_eq!(
-            m.mode(PreemptPolicy::Auto, 512 * row_bytes, 512),
-            PreemptMode::Swap
-        );
-        // ...and recomputes when the cache is disproportionately fat
-        // for its row count (e.g. most rows already shared with the
-        // prefix index, so recompute re-derives only a few).
-        assert_eq!(
-            m.mode(PreemptPolicy::Auto, 200 * 1024 * 1024, 3),
-            PreemptMode::Recompute
-        );
-    }
-
-    #[test]
-    fn cost_model_anchors_are_sane() {
-        let m = PreemptCostModel::calibrated(flops_per_token(24, 1024, 4096));
-        // PCIe 4.0 x16 at 32 GB/s, both directions.
-        assert!((m.swap_s_per_byte - 2.0 / 32e9).abs() < 1e-15);
-        assert!(m.recompute_s_per_token > 0.0);
-        assert_eq!(m.swap_cost_s(0), 0.0);
-        assert_eq!(m.recompute_cost_s(0), 0.0);
-    }
 
     #[test]
     fn victim_order_is_least_urgent_newest_first() {

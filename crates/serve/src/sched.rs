@@ -38,6 +38,16 @@ pub enum PlanWork {
     },
 }
 
+impl PlanWork {
+    /// Tokens this work feeds — one new KV row each.
+    pub fn tokens(self) -> usize {
+        match self {
+            PlanWork::Decode => 1,
+            PlanWork::Chunk { len, .. } => len,
+        }
+    }
+}
+
 /// Composition knobs (mirrors the relevant [`crate::ServerConfig`]
 /// fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

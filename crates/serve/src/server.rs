@@ -75,7 +75,7 @@ use crate::metrics::{
     push_counter, push_family, push_gauge, push_histogram, push_histogram_samples_seconds,
     push_sample,
 };
-use crate::preempt::{self, PreemptCostModel, PreemptMode, PreemptPolicy, VictimView};
+use crate::preempt::{self, VictimView};
 use crate::request::{Request, RequestHandle, RequestOutcome, RequestResult, RequestSlot};
 use crate::sched::{self, ComposeCfg, PlanWork, SeqView};
 use crate::slo::{self, ClassCounters, SlackInputs, SloClass, SloPolicy};
@@ -116,8 +116,9 @@ pub struct ServerConfig {
     /// needs instead of reserving a whole `max_seq` cache, warm prefix
     /// hits share frozen pages zero-copy (copy-on-write at the first
     /// divergence), and page pressure preempts running sequences
-    /// (swap-or-recompute) instead of failing the step. Outputs are
-    /// bitwise identical at every page size.
+    /// (pausing them with their rows swapped to the host tier) instead
+    /// of failing the step. Outputs are bitwise identical at every page
+    /// size.
     pub page_rows: usize,
     /// Total pages in the block allocator. `0` sizes it
     /// automatically: `max_batch` full-capacity sequences plus an
@@ -125,10 +126,6 @@ pub struct ServerConfig {
     /// admission accounting units — page memory is allocated lazily —
     /// so a generous total costs nothing up front.
     pub kv_pool_pages: usize,
-    /// How page-pressure preemption reclaims a victim's pages: swap to
-    /// the host tier, drop-and-recompute, or per-victim by the
-    /// hwsim-calibrated cost model (the default).
-    pub preempt_policy: PreemptPolicy,
 }
 
 impl Default for ServerConfig {
@@ -142,7 +139,6 @@ impl Default for ServerConfig {
             slo: None,
             page_rows: DEFAULT_PAGE_ROWS,
             kv_pool_pages: 0,
-            preempt_policy: PreemptPolicy::Auto,
         }
     }
 }
@@ -167,47 +163,22 @@ impl Queued {
     }
 }
 
-/// What one active sequence does in the step being composed.
-#[derive(Clone, Copy)]
-enum Work {
-    /// Decode one token (the sequence's next sampled token).
-    Decode(u32),
-    /// Prefill the next `len` prompt tokens; `last` marks the chunk
-    /// that completes the feed (it samples the first token).
-    Chunk { len: usize, last: bool },
-    /// Re-feed one already-emitted generation as a sampling-suppressed
-    /// decode row, rebuilding KV dropped by a recompute preemption.
-    /// Expert Deferral is decode-row-only, so replaying a generation
-    /// as a prefill chunk would write different KV bits; a replay row
-    /// goes through the exact decode path the original token took,
-    /// minus the LM head (its sample was already reported).
-    Replay(u32),
-}
-
-/// A sequence currently in the batch.
-struct ActiveSeq {
+/// One sequence's scheduling state from admission to resolution. It is
+/// the same whether the sequence runs ([`ActiveSeq`], rows in a lease)
+/// or is paused under page pressure ([`PreemptedSeq`], rows on the host
+/// tier): preemption moves the rows and nothing else, so a resumed
+/// sequence continues exactly where it stopped.
+struct SeqState {
     slot: Arc<RequestSlot>,
-    lease: CacheLease,
     req: Request,
     rng: StdRng,
-    /// The token stream this activation feeds: the prompt on first
-    /// admission; the prompt plus already-emitted generations on a
-    /// recompute-resume. Prompt positions rebuild through the same
-    /// chunked prefill (bitwise identical by the chunk invariance
-    /// contract); generation positions replay as sampling-suppressed
-    /// decode rows ([`Work::Replay`]), reproducing the exact bits the
-    /// original decode steps wrote even with Expert Deferral on.
-    feed: Vec<u32>,
-    /// Feed tokens already in the cache (fed by the engine, restored
-    /// from a swap, or seeded from the prefix cache). The sequence
-    /// becomes a decode row once this reaches `feed.len()`.
+    /// Prompt tokens already in the cache (fed by the engine or seeded
+    /// from the prefix cache). The sequence becomes a decode row once
+    /// this reaches `req.prompt.len()`.
     prefilled: usize,
-    /// Sampled-but-not-yet-fed token carried across a preemption: fed
-    /// as a plain decode (no fresh sampling) once `feed` completes.
-    /// `None` outside a recompute-resume.
-    resume_decode: Option<u32>,
-    /// Next token to decode once the feed is fully prefilled.
-    /// `None` before the first sample and after the last one.
+    /// Next token to decode once the prompt is fully prefilled: sampled
+    /// and reported, its row not in the cache yet. `None` before the
+    /// first sample and after the last one.
     next_token: Option<u32>,
     tokens: Vec<u32>,
     metrics: RequestMetrics,
@@ -225,44 +196,22 @@ struct ActiveSeq {
     admit_seq: u64,
 }
 
-impl ActiveSeq {
+impl SeqState {
     /// Whether generation ended (stop token or length) and the slot is
     /// ready to resolve.
     fn is_done(&self) -> bool {
-        self.prefilled == self.feed.len()
-            && self.resume_decode.is_none()
+        self.prefilled == self.req.prompt.len()
             && self.next_token.is_none()
             && !self.tokens.is_empty()
     }
 
+    /// Accounts the outcome, closes the trace and resolves the slot —
+    /// once per admitted request, whichever tier holds its rows.
     fn resolve(mut self, outcome: RequestOutcome, inner: &ServerInner) {
         inner.record_request_hists(&self.metrics);
         let violated = inner.account_outcome(self.req.class, &outcome, &self.metrics);
         if let Some(trace) = self.trace.take() {
             inner.finish_trace(trace, &outcome, violated, &self.metrics, self.tokens.len() as u32);
-        }
-        // Release first so the admission valve reopens before any
-        // waiter reacts to the result. Completed and cancelled caches
-        // hold valid prefix rows (prompt tokens, then fed generations),
-        // so their release path also offers the prefix to the cache; a
-        // failed step may have left the cache mid-write, so it goes
-        // back without an insert (release resets it either way).
-        if matches!(outcome, RequestOutcome::Failed { .. }) {
-            let _ = inner.pool.release(self.lease);
-        } else {
-            // The token stream the cache rows encode: the fed feed
-            // prefix, then generations decoded after the feed (the
-            // feed itself already contains generations re-fed by a
-            // recompute-resume, so those are not double counted).
-            let len = self.lease.cache.seq_len();
-            let from_feed = len.min(self.prefilled);
-            let gen_in_feed = self.feed.len().saturating_sub(self.req.prompt.len());
-            let from_gen =
-                (len - from_feed).min(self.tokens.len().saturating_sub(gen_in_feed));
-            let mut fed: Vec<u32> = Vec::with_capacity(from_feed + from_gen);
-            fed.extend_from_slice(&self.feed[..from_feed]);
-            fed.extend_from_slice(&self.tokens[gen_in_feed..gen_in_feed + from_gen]);
-            let _ = inner.pool.release_with_prefix(self.lease, &fed);
         }
         self.slot.resolve(RequestResult {
             request_id: self.ctx.request_id,
@@ -273,40 +222,55 @@ impl ActiveSeq {
     }
 }
 
-/// How a preempted sequence's KV state comes back at resume.
-enum ResumeState {
-    /// Rows captured to host buffers; restored bit-for-bit into a
-    /// fresh lease.
-    Swapped(SwappedKv),
-    /// Rows dropped; the feed re-prefills through the chunked path.
-    Recompute,
+/// A sequence in the batch: its state and the lease holding its rows.
+struct ActiveSeq {
+    st: SeqState,
+    lease: CacheLease,
 }
 
-/// A sequence evicted from the batch under page pressure, holding no
-/// lease (its pages went back to the allocator). Everything needed to
-/// resume bitwise — sampling RNG, emitted tokens, the pending decode
-/// token, latency metrics, the trace — is carried across.
+impl ActiveSeq {
+    fn resolve(self, outcome: RequestOutcome, inner: &ServerInner) {
+        let ActiveSeq { st, lease } = self;
+        // Release first so the admission valve reopens before any
+        // waiter reacts to the result. Completed and cancelled caches
+        // hold valid prefix rows, so their release path also offers the
+        // prefix to the cache; a failed step may have left the cache
+        // mid-write, so it goes back without an insert (release resets
+        // it either way).
+        if matches!(outcome, RequestOutcome::Failed { .. }) {
+            let _ = inner.pool.release(lease);
+        } else {
+            // The rows encode the prompt's positions, then every
+            // generation fed after it (the pending token has no row).
+            let fed: Vec<u32> = st
+                .req
+                .prompt
+                .iter()
+                .chain(&st.tokens)
+                .copied()
+                .take(lease.cache.seq_len())
+                .collect();
+            let _ = inner.pool.release_with_prefix(lease, &fed);
+        }
+        st.resolve(outcome, inner);
+    }
+}
+
+/// A sequence paused under page pressure: its state and its rows on the
+/// host tier. It holds no lease (its pages went back to the allocator).
 struct PreemptedSeq {
-    slot: Arc<RequestSlot>,
-    req: Request,
-    rng: StdRng,
-    /// Full logical feed at resume: prompt plus every generation whose
-    /// row the cache held (or would have held) before eviction.
-    feed: Vec<u32>,
-    /// Sampled-but-not-fed token to decode once the feed is rebuilt.
-    pending: Option<u32>,
-    tokens: Vec<u32>,
-    metrics: RequestMetrics,
-    admitted_at: Instant,
-    last_token_at: Option<Instant>,
-    ctx: TraceCtx,
-    trace: Option<Box<RequestTrace>>,
-    admit_seq: u64,
-    resume: ResumeState,
-    /// Pages' worth of rows held on the host tier (0 for recompute);
-    /// keeps the `kv_pages_swapped` gauge symmetric across swap-in,
-    /// resolution, and drain.
-    swapped_pages: u64,
+    st: SeqState,
+    swapped: SwappedKv,
+}
+
+impl PreemptedSeq {
+    /// Resolves without resuming (cancelled, drained at shutdown, or
+    /// unresumable): the host copy is dropped and un-accounted from the
+    /// swapped-pages gauge.
+    fn resolve(self, outcome: RequestOutcome, inner: &ServerInner) {
+        inner.stats.lock().kv_pages_swapped -= inner.pool.pages_needed(self.swapped.rows()) as u64;
+        self.st.resolve(outcome, inner);
+    }
 }
 
 /// Server-side latency histograms, fed at request resolution.
@@ -347,10 +311,6 @@ struct ServerInner {
     /// request-id exemplars), fed one sample per component per traced
     /// resolution.
     comp_hists: Mutex<[LogHistogram; N_COMPONENTS]>,
-    /// Swap-vs-recompute pricing for [`PreemptPolicy::Auto`],
-    /// calibrated once at startup from the model shape and the hwsim
-    /// platform anchors.
-    preempt_cost: PreemptCostModel,
     cfg: ServerConfig,
 }
 
@@ -492,27 +452,6 @@ impl ServerInner {
         });
     }
 
-    /// Resolves a preempted sequence without resuming it (cancelled,
-    /// drained at shutdown, or unresumable). It holds no lease; a
-    /// swapped host copy is dropped here and un-accounted from the
-    /// swapped-pages gauge.
-    fn resolve_preempted(&self, mut p: PreemptedSeq, outcome: RequestOutcome) {
-        self.record_request_hists(&p.metrics);
-        let violated = self.account_outcome(p.req.class, &outcome, &p.metrics);
-        if let Some(trace) = p.trace.take() {
-            self.finish_trace(trace, &outcome, violated, &p.metrics, p.tokens.len() as u32);
-        }
-        if p.swapped_pages > 0 {
-            self.stats.lock().kv_pages_swapped -= p.swapped_pages;
-        }
-        p.slot.resolve(RequestResult {
-            request_id: p.ctx.request_id,
-            outcome,
-            tokens: p.tokens,
-            metrics: p.metrics,
-        });
-    }
-
     /// Per-wave service estimate for the slack predictor, read from
     /// the server's own latency histograms: TTFT p50, falling back to
     /// ITL p50, then 0 (an empty history predicts optimistically — the
@@ -649,16 +588,6 @@ impl Server {
             cfg.max_batch * per_seq + prefix_pages
         };
         pool = pool.with_paged(total_pages, cfg.page_rows);
-        // Swap-vs-recompute pricing from the model shape and the hwsim
-        // calibration (same anchors as dynamic placement's CostModel).
-        let preempt_cost = {
-            let mcfg = engine.config();
-            PreemptCostModel::calibrated(preempt::flops_per_token(
-                mcfg.n_layers,
-                mcfg.hidden,
-                mcfg.dense_inter.max(mcfg.moe_inter),
-            ))
-        };
         kt_trace::enable_from_env();
         let inner = Arc::new(ServerInner {
             engine,
@@ -673,7 +602,6 @@ impl Server {
             next_id: AtomicU64::new(1),
             recorder: FlightRecorder::new(),
             comp_hists: Mutex::new(std::array::from_fn(|_| LogHistogram::new())),
-            preempt_cost,
             cfg,
         });
         let loop_inner = Arc::clone(&inner);
@@ -910,20 +838,7 @@ impl Server {
         push_gauge(&mut out, "kt_kv_pages_free", "KV pages currently free in the allocator.", s.kv_pages_free as f64);
         push_gauge(&mut out, "kt_kv_pages_shared", "Allocated KV pages referenced by more than one holder (prefix sharing).", s.kv_pages_shared as f64);
         push_gauge(&mut out, "kt_kv_pages_swapped", "Pages' worth of KV rows swapped out to the host tier by preemption.", s.kv_pages_swapped as f64);
-        {
-            push_family(
-                &mut out,
-                "kt_preempt_total",
-                "counter",
-                "Sequences preempted under KV page pressure, by reclaim mode.",
-            );
-            for (mode, n) in [
-                (PreemptMode::Swap, s.preempt_swap),
-                (PreemptMode::Recompute, s.preempt_recompute),
-            ] {
-                push_sample(&mut out, "kt_preempt_total", &[("mode", mode.as_str())], n);
-            }
-        }
+        push_counter(&mut out, "kt_preempt_total", "Sequences preempted under KV page pressure (rows swapped to the host tier).", s.preempt_swap);
         push_gauge(&mut out,"kt_kv_leases_in_use", "KV caches currently leased to sequences.", s.kv_leases_in_use as f64);
         push_gauge(&mut out,"kt_kv_leases_free", "Reset KV caches parked in the pool.", s.kv_leases_free as f64);
         push_gauge(&mut out,"kt_kv_leases_peak", "High-water mark of concurrent leases.", s.kv_leases_peak as f64);
@@ -1245,9 +1160,8 @@ fn admit(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<P
         // Cancellations among the preempted, same contract.
         let mut i = 0;
         while i < preempted.len() {
-            if preempted[i].slot.cancel_requested() {
-                let p = preempted.remove(i);
-                inner.resolve_preempted(p, RequestOutcome::Cancelled);
+            if preempted[i].st.slot.cancel_requested() {
+                preempted.remove(i).resolve(RequestOutcome::Cancelled, inner);
             } else {
                 i += 1;
             }
@@ -1292,24 +1206,24 @@ fn admit(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<P
                 t
             });
             active.push(ActiveSeq {
-                slot: q.slot,
-                lease,
-                rng: StdRng::seed_from_u64(q.req.seed),
-                feed: q.req.prompt.clone(),
-                req: q.req,
-                prefilled: seeded,
-                resume_decode: None,
-                next_token: None,
-                tokens: Vec::new(),
-                metrics: RequestMetrics {
-                    queue_wait_ns,
-                    ..Default::default()
+                st: SeqState {
+                    slot: q.slot,
+                    rng: StdRng::seed_from_u64(q.req.seed),
+                    req: q.req,
+                    prefilled: seeded,
+                    next_token: None,
+                    tokens: Vec::new(),
+                    metrics: RequestMetrics {
+                        queue_wait_ns,
+                        ..Default::default()
+                    },
+                    admitted_at: Instant::now(),
+                    last_token_at: None,
+                    ctx,
+                    trace,
+                    admit_seq: q.seq_no,
                 },
-                admitted_at: Instant::now(),
-                last_token_at: None,
-                ctx,
-                trace,
-                admit_seq: q.seq_no,
+                lease,
             });
         }
         // Park only when fully idle; otherwise go run a step.
@@ -1317,20 +1231,19 @@ fn admit(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<P
             return;
         }
         // Fully idle, yet the next preempted sequence did not get back
-        // in: no lease holds a page and resuming already emptied the
-        // prefix index as far as it helped, so it will never fit — fail
-        // it rather than wedge the scheduler. Submit-time validation
-        // makes this a guard: with no lease out every index page can
-        // be freed, and each request was charged the rows admission
-        // (and so resumption) needs — which is also why a queued
-        // request always gets in here.
+        // in. With no lease out, every page is free or held only by the
+        // prefix index, so the page valve's reach covered the whole
+        // pool and a refusal means the swapped rows exceed it: fail the
+        // sequence rather than wedge the scheduler. Submit-time
+        // validation makes this a guard — each request was charged the
+        // rows admission (and so resumption) needs, which is also why a
+        // queued request always gets in here.
         if let Some(i) = next_resume(preempted) {
-            let p = preempted.remove(i);
-            inner.resolve_preempted(
-                p,
+            preempted.remove(i).resolve(
                 RequestOutcome::Failed {
                     error: "KV page pool too small to resume preempted sequence".into(),
                 },
+                inner,
             );
             continue;
         }
@@ -1345,114 +1258,46 @@ fn next_resume(preempted: &[PreemptedSeq]) -> Option<usize> {
     preempted
         .iter()
         .enumerate()
-        .min_by_key(|(_, p)| (p.req.class.priority(), p.admit_seq))
+        .min_by_key(|(_, p)| (p.st.req.class.priority(), p.st.admit_seq))
         .map(|(i, _)| i)
 }
 
 /// Resumes preempted sequences while batch slots and pages allow, in
-/// [`next_resume`] order. Stops at the first sequence that does not
-/// fit — resuming a smaller, less urgent one instead would starve it.
+/// [`next_resume`] order: the swapped rows restore bit-for-bit into a
+/// fresh lease and the sequence continues exactly where it stopped.
+/// Stops at the first sequence that does not fit — resuming a smaller,
+/// less urgent one instead would starve it.
 fn resume_preempted(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<PreemptedSeq>) {
     while active.len() < inner.cfg.max_batch {
         let Some(i) = next_resume(preempted) else { return };
-        let swap_rows = match &preempted[i].resume {
-            ResumeState::Swapped(s) => Some(s.rows()),
-            ResumeState::Recompute => None,
-        };
-        let seq = match swap_rows {
-            Some(rows) => {
-                // Swap-in: the captured rows restore bit-for-bit into
-                // a fresh lease; the sequence continues exactly where
-                // it stopped.
-                if !inner.pool.reclaim_pages(inner.pool.pages_needed(rows)) {
-                    return;
-                }
-                let Some(mut lease) = inner.pool.lease() else { return };
-                let p = preempted.remove(i);
-                let ResumeState::Swapped(swapped) = &p.resume else { unreachable!() };
-                {
-                    let _span = kt_trace::span_ab(
-                        SpanKind::KvSwapIn,
-                        p.ctx.tag(),
-                        (swapped.bytes() / 1024).min(u32::MAX as usize) as u32,
-                    );
-                    swapped
-                        .restore(&mut lease.cache)
-                        .expect("swap-in restores into a fresh lease of the same shape");
-                }
-                if p.swapped_pages > 0 {
-                    inner.stats.lock().kv_pages_swapped -= p.swapped_pages;
-                }
-                let prefilled = lease.cache.seq_len();
-                build_resumed(p, lease, prefilled)
-            }
-            None => {
-                // Drop-and-recompute: re-admit the feed. The prefix
-                // cache may seed part of the *prompt* — donor rows
-                // there were prefill-produced like ours, so the bits
-                // match. Generations past the prompt are never seeded:
-                // a donor entry covering them could hold
-                // prefill-produced rows, which differ from our
-                // decode-produced originals under Expert Deferral.
-                // They replay as decode rows instead (Work::Replay).
-                let prompt_len = preempted[i].req.prompt.len();
-                let Some((mut lease, mut seeded)) =
-                    inner.pool.lease_for_prompt(&preempted[i].feed[..prompt_len])
-                else {
-                    return;
-                };
-                if seeded > 0 && inner.engine.validate_cache(&lease.cache).is_err() {
-                    lease.cache.reset();
-                    seeded = 0;
-                }
-                let p = preempted.remove(i);
-                build_resumed(p, lease, seeded)
-            }
-        };
-        active.push(seq);
-    }
-}
-
-/// Rebuilds an [`ActiveSeq`] from a preempted sequence and its fresh
-/// lease. `prefilled` is how many feed rows the cache already holds
-/// (all of them after a swap-in; the seeded prefix after a recompute
-/// re-admission). The pending decode token goes back to `next_token`
-/// when the feed is already complete, or waits in `resume_decode` for
-/// the feed to finish (fed without fresh sampling either way — the
-/// token was already sampled and reported before eviction).
-fn build_resumed(p: PreemptedSeq, lease: CacheLease, prefilled: usize) -> ActiveSeq {
-    let (next_token, resume_decode) = if prefilled == p.feed.len() {
-        (p.pending, None)
-    } else {
-        (None, p.pending)
-    };
-    ActiveSeq {
-        slot: p.slot,
-        lease,
-        req: p.req,
-        rng: p.rng,
-        feed: p.feed,
-        prefilled,
-        resume_decode,
-        next_token,
-        tokens: p.tokens,
-        metrics: p.metrics,
-        admitted_at: p.admitted_at,
-        last_token_at: p.last_token_at,
-        ctx: p.ctx,
-        trace: p.trace,
-        admit_seq: p.admit_seq,
+        let pages = inner.pool.pages_needed(preempted[i].swapped.rows());
+        if !inner.pool.reclaim_pages(pages) {
+            return;
+        }
+        let Some(mut lease) = inner.pool.lease() else { return };
+        let PreemptedSeq { st, swapped } = preempted.remove(i);
+        {
+            let _span = kt_trace::span_ab(
+                SpanKind::KvSwapIn,
+                st.ctx.tag(),
+                (swapped.bytes() / 1024).min(u32::MAX as usize) as u32,
+            );
+            swapped
+                .restore(&mut lease.cache)
+                .expect("swap-in restores into a fresh lease of the same shape");
+        }
+        inner.stats.lock().kv_pages_swapped -= pages as u64;
+        active.push(ActiveSeq { st, lease });
     }
 }
 
 fn retire_cancelled(inner: &ServerInner, active: &mut Vec<ActiveSeq>) {
     let mut i = 0;
     while i < active.len() {
-        if active[i].slot.cancel_requested() {
+        if active[i].st.slot.cancel_requested() {
             // Order-preserving removal keeps the surviving batch
             // composition deterministic.
-            let seq = active.remove(i);
-            seq.resolve(RequestOutcome::Cancelled, inner);
+            active.remove(i).resolve(RequestOutcome::Cancelled, inner);
         } else {
             i += 1;
         }
@@ -1463,27 +1308,27 @@ fn retire_cancelled(inner: &ServerInner, active: &mut Vec<ActiveSeq>) {
 /// [`sched::compose_plan`]: every decode row first (one token each,
 /// always admitted), then pending prefill chunks — in admission order
 /// for FIFO, in (class priority, admission) order with at-risk ITL
-/// throttling under an SLO policy. Returns one `Work` slot per active
+/// throttling under an SLO policy. Returns one slot per active
 /// sequence; `None` idles the sequence this step.
-fn compose(inner: &ServerInner, active: &[ActiveSeq]) -> Vec<Option<Work>> {
+fn compose(inner: &ServerInner, active: &[ActiveSeq]) -> Vec<Option<PlanWork>> {
     let policy = inner.cfg.slo.as_ref();
     let views: Vec<SeqView> = active
         .iter()
-        .map(|seq| {
-            let prompt_remaining = seq.feed.len() - seq.prefilled;
+        .map(|ActiveSeq { st, .. }| {
+            let prompt_remaining = st.req.prompt.len() - st.prefilled;
             // A decode row is at risk when more than half its ITL
             // target has already elapsed since its last token — the
             // next step must stay short or the target is gone.
             let at_risk = policy.is_some_and(|p| {
                 prompt_remaining == 0
-                    && seq.last_token_at.is_some_and(|t| {
+                    && st.last_token_at.is_some_and(|t| {
                         (t.elapsed().as_nanos() as u64).saturating_mul(2)
-                            > p.target(seq.req.class).itl_ns
+                            > p.target(st.req.class).itl_ns
                     })
             });
             SeqView {
                 prompt_remaining,
-                priority: policy.map_or(0, |_| seq.req.class.priority()),
+                priority: policy.map_or(0, |_| st.req.class.priority()),
                 at_risk,
             }
         })
@@ -1494,96 +1339,34 @@ fn compose(inner: &ServerInner, active: &[ActiveSeq]) -> Vec<Option<Work>> {
         priority_aware: policy.is_some(),
     };
     sched::compose_plan(&cfg, &views)
-        .into_iter()
-        .zip(active)
-        .map(|(work, seq)| {
-            work.map(|w| match w {
-                PlanWork::Decode => Work::Decode(
-                    seq.next_token
-                        .expect("active sequence past prefill holds its next token"),
-                ),
-                PlanWork::Chunk { len, .. } => {
-                    // Feed positions past the prompt are generations a
-                    // recompute preemption dropped: they were decode
-                    // rows originally, so they replay one per step as
-                    // decode rows (Work::Replay) — and prompt chunks
-                    // never cross into them.
-                    let bound = seq.req.prompt.len();
-                    if seq.prefilled >= bound {
-                        Work::Replay(seq.feed[seq.prefilled])
-                    } else {
-                        let len = len.min(bound - seq.prefilled);
-                        let last = seq.prefilled + len == seq.feed.len();
-                        Work::Chunk { len, last }
-                    }
-                }
-            })
-        })
-        .collect()
 }
 
-/// Evicts one sequence from the batch under page pressure: picks the
-/// reclaim mode by the cost model (swap bytes vs recompute tokens),
-/// captures the rows for a swap, releases the lease (its uniquely
-/// owned pages return to the allocator), and parks the sequence on the
-/// preempted list with everything needed to resume bitwise.
-fn preempt_seq(inner: &ServerInner, mut seq: ActiveSeq, preempted: &mut Vec<PreemptedSeq>) {
-    let rows = seq.lease.cache.seq_len();
-    let bytes = seq.lease.cache.bytes();
-    let mode = inner.preempt_cost.mode(inner.cfg.preempt_policy, bytes, rows);
-    kt_trace::instant(SpanKind::ServePreempt, seq.ctx.tag(), rows as u32);
-    // The pending token: sampled and reported, but its row is not in
-    // the cache yet. Re-fed as a plain decode after resume.
-    let pending = seq.next_token.take().or(seq.resume_decode.take());
-    // Full logical feed at resume: the prompt plus every generation
-    // the cache logically holds (all emitted tokens except the
-    // pending one). `feed` may currently be mid-rebuild from an
-    // earlier preemption; this reconstruction is invariant to that.
-    let gens = seq.tokens.len() - pending.is_some() as usize;
-    let mut feed = Vec::with_capacity(seq.req.prompt.len() + gens);
-    feed.extend_from_slice(&seq.req.prompt);
-    feed.extend_from_slice(&seq.tokens[..gens]);
-    let (resume, swapped_pages) = match mode {
-        PreemptMode::Swap => {
-            let _span = kt_trace::span_ab(
-                SpanKind::KvSwapOut,
-                seq.ctx.tag(),
-                (bytes / 1024).min(u32::MAX as usize) as u32,
-            );
-            let swapped = SwappedKv::capture(&seq.lease.cache);
-            let pages = inner.pool.pages_needed(rows) as u64;
-            kt_trace::counter_add(CounterKind::PreemptSwap, 1);
-            let mut stats = inner.stats.lock();
-            stats.preempt_swap += 1;
-            stats.kv_pages_swapped += pages;
-            (ResumeState::Swapped(swapped), pages)
-        }
-        PreemptMode::Recompute => {
-            kt_trace::counter_add(CounterKind::PreemptRecompute, 1);
-            inner.stats.lock().preempt_recompute += 1;
-            (ResumeState::Recompute, 0)
-        }
+/// Pauses one sequence under page pressure: captures its rows to the
+/// host tier, releases the lease (its uniquely owned pages return to
+/// the allocator), and parks its unchanged state on the preempted list.
+fn preempt_seq(inner: &ServerInner, seq: ActiveSeq, preempted: &mut Vec<PreemptedSeq>) {
+    let ActiveSeq { st, lease } = seq;
+    let rows = lease.cache.seq_len();
+    kt_trace::instant(SpanKind::ServePreempt, st.ctx.tag(), rows as u32);
+    let swapped = {
+        let _span = kt_trace::span_ab(
+            SpanKind::KvSwapOut,
+            st.ctx.tag(),
+            (lease.cache.bytes() / 1024).min(u32::MAX as usize) as u32,
+        );
+        SwappedKv::capture(&lease.cache)
     };
+    kt_trace::counter_add(CounterKind::PreemptSwap, 1);
+    {
+        let mut stats = inner.stats.lock();
+        stats.preempt_swap += 1;
+        stats.kv_pages_swapped += inner.pool.pages_needed(rows) as u64;
+    }
     // Plain release — NOT release_with_prefix: freezing the victim's
     // rows into the prefix index would keep its pages resident, and
     // the whole point is giving them back.
-    let _ = inner.pool.release(seq.lease);
-    preempted.push(PreemptedSeq {
-        slot: seq.slot,
-        req: seq.req,
-        rng: seq.rng,
-        feed,
-        pending,
-        tokens: seq.tokens,
-        metrics: seq.metrics,
-        admitted_at: seq.admitted_at,
-        last_token_at: seq.last_token_at,
-        ctx: seq.ctx,
-        trace: seq.trace,
-        admit_seq: seq.admit_seq,
-        resume,
-        swapped_pages,
-    });
+    let _ = inner.pool.release(lease);
+    preempted.push(PreemptedSeq { st, swapped });
 }
 
 /// Frees pages until the composed plan's KV growth fits. The prefix
@@ -1596,20 +1379,14 @@ fn relieve_pressure(
     inner: &ServerInner,
     active: &mut Vec<ActiveSeq>,
     preempted: &mut Vec<PreemptedSeq>,
-) -> Vec<Option<Work>> {
+) -> Vec<Option<PlanWork>> {
     let mut plan = compose(inner, active);
     loop {
         let needed: usize = plan
             .iter()
             .zip(active.iter())
             .filter_map(|(work, seq)| {
-                work.map(|w| {
-                    let growth = match w {
-                        Work::Decode(_) | Work::Replay(_) => 1,
-                        Work::Chunk { len, .. } => len,
-                    };
-                    inner.pool.pages_needed_growth(seq.lease.cache.seq_len(), growth)
-                })
+                work.map(|w| inner.pool.pages_needed_growth(seq.lease.cache.seq_len(), w.tokens()))
             })
             .sum();
         // One survivor still short runs anyway: a genuine overflow
@@ -1621,8 +1398,8 @@ fn relieve_pressure(
         let views: Vec<VictimView> = active
             .iter()
             .map(|s| VictimView {
-                priority: s.req.class.priority(),
-                admit_seq: s.admit_seq,
+                priority: s.st.req.class.priority(),
+                admit_seq: s.st.admit_seq,
             })
             .collect();
         let i = preempt::select_victim(&views).expect("active non-empty");
@@ -1636,14 +1413,7 @@ fn relieve_pressure(
 /// post-processes every scheduled sequence.
 fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<PreemptedSeq>) {
     let plan = relieve_pressure(inner, active, preempted);
-    let step_tokens: usize = plan
-        .iter()
-        .flatten()
-        .map(|w| match w {
-            Work::Decode(_) | Work::Replay(_) => 1,
-            Work::Chunk { len, .. } => *len,
-        })
-        .sum();
+    let step_tokens: usize = plan.iter().flatten().map(|w| w.tokens()).sum();
     let scheduled_seqs = plan.iter().flatten().count();
     let _span = kt_trace::span_ab(
         SpanKind::ServeStep,
@@ -1656,26 +1426,25 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
     let mut scheduled: Vec<usize> = Vec::with_capacity(active.len());
     let mut batch: Vec<BatchSeq> = Vec::with_capacity(active.len());
     for (i, (seq, work)) in active.iter_mut().zip(&plan).enumerate() {
-        let Some(work) = work else { continue };
+        let Some(work) = *work else { continue };
+        let st = &seq.st;
         let cache = std::mem::replace(&mut seq.lease.cache, KvCache::new(&[], 0));
-        batch.push(
-            match *work {
-                Work::Decode(t) => BatchSeq::decode(cache, t),
-                Work::Replay(t) => BatchSeq::replay(cache, t),
-                Work::Chunk { len, last } => {
-                    let chunk = seq.feed[seq.prefilled..seq.prefilled + len].to_vec();
-                    // A resumed sequence's final chunk needs no logits:
-                    // its next token was sampled before eviction and
-                    // waits in `resume_decode`.
-                    if last && seq.resume_decode.is_none() {
-                        BatchSeq::prefill(cache, chunk)
-                    } else {
-                        BatchSeq::prefill_chunk(cache, chunk)
-                    }
+        let row = match work {
+            PlanWork::Decode => BatchSeq::decode(
+                cache,
+                st.next_token
+                    .expect("active sequence past prefill holds its next token"),
+            ),
+            PlanWork::Chunk { len, last } => {
+                let chunk = st.req.prompt[st.prefilled..st.prefilled + len].to_vec();
+                if last {
+                    BatchSeq::prefill(cache, chunk)
+                } else {
+                    BatchSeq::prefill_chunk(cache, chunk)
                 }
             }
-            .with_tag(seq.ctx.tag()),
-        );
+        };
+        batch.push(row.with_tag(st.ctx.tag()));
         scheduled.push(i);
     }
     debug_assert!(!batch.is_empty(), "compose schedules at least one sequence");
@@ -1699,28 +1468,22 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
         }
         let (components, cpu_busy_ns) = step_components(&deltas, wall_ns);
         for (seq, work) in active.iter_mut().zip(&plan) {
-            let Some(trace) = seq.trace.as_mut() else { continue };
+            let st = &mut seq.st;
+            let Some(trace) = st.trace.as_mut() else { continue };
             // Scheduled sequences experienced the whole step (batched
             // rows share every phase), so each gets the full step
             // attribution; sequences left out of this step aged a
             // whole step without progress — that wall time is queue
             // wait from their point of view.
             match *work {
-                Some(Work::Chunk { len, last }) => trace.push_step(StepTrace::prefill(
+                Some(PlanWork::Chunk { len, last }) => trace.push_step(StepTrace::prefill(
                     trace.steps_total,
                     start_ns,
                     wall_ns,
                     len as u32,
                     last,
                 )),
-                Some(Work::Replay(_)) => trace.push_step(StepTrace::prefill(
-                    trace.steps_total,
-                    start_ns,
-                    wall_ns,
-                    1,
-                    false,
-                )),
-                Some(Work::Decode(_)) => trace.push_step(StepTrace::decode(
+                Some(PlanWork::Decode) => trace.push_step(StepTrace::decode(
                     trace.steps_total,
                     start_ns,
                     wall_ns,
@@ -1729,7 +1492,7 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
                 )),
                 None => trace.add_idle(wall_ns),
             }
-            seq.ctx.step = trace.steps_total;
+            st.ctx.step = trace.steps_total;
         }
     }
 
@@ -1740,52 +1503,24 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
             // mid-iteration, so no removal happens here; finished
             // sequences are retired in pass 2.
             for (&i, l) in scheduled.iter().zip(logits) {
-                let seq = &mut active[i];
+                let st = &mut active[i].st;
                 match plan[i].expect("scheduled implies planned") {
-                    Work::Chunk { len, last } => {
-                        seq.prefilled += len;
-                        kt_trace::instant(SpanKind::ServePrefillChunk, len as u32, seq.ctx.tag());
+                    PlanWork::Chunk { len, last } => {
+                        st.prefilled += len;
+                        kt_trace::instant(SpanKind::ServePrefillChunk, len as u32, st.ctx.tag());
                         {
                             let mut stats = inner.stats.lock();
                             stats.prefill_chunks += 1;
                             stats.prefill_tokens += len as u64;
                         }
                         if last {
-                            if let Some(t) = seq.resume_decode.take() {
-                                // Feed rebuilt: the pre-eviction sample
-                                // resumes decoding, no fresh sampling.
-                                debug_assert!(l.is_none(), "resume chunk requests no logits");
-                                seq.next_token = Some(t);
-                            } else {
-                                let l = l.expect("final chunk requested logits");
-                                sample_next(inner, seq, l);
-                            }
+                            sample_next(inner, st, l.expect("final chunk requested logits"));
                         } else {
                             debug_assert!(l.is_none(), "mid-chunk produces no logits");
                         }
                     }
-                    Work::Replay(_) => {
-                        debug_assert!(l.is_none(), "replay row requests no logits");
-                        seq.prefilled += 1;
-                        kt_trace::instant(SpanKind::ServePrefillChunk, 1, seq.ctx.tag());
-                        {
-                            let mut stats = inner.stats.lock();
-                            stats.prefill_chunks += 1;
-                            stats.prefill_tokens += 1;
-                        }
-                        if seq.prefilled == seq.feed.len() {
-                            // Feed rebuilt: the pre-eviction sample
-                            // resumes decoding, no fresh sampling.
-                            seq.next_token = Some(
-                                seq.resume_decode
-                                    .take()
-                                    .expect("a replaying sequence parks its pending token"),
-                            );
-                        }
-                    }
-                    Work::Decode(_) => {
-                        let l = l.expect("decode row requested logits");
-                        sample_next(inner, seq, l);
+                    PlanWork::Decode => {
+                        sample_next(inner, st, l.expect("decode row requested logits"));
                     }
                 }
             }
@@ -1794,9 +1529,8 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
             // deterministic function of admission order.
             let mut i = 0;
             while i < active.len() {
-                if active[i].is_done() {
-                    let seq = active.remove(i);
-                    seq.resolve(RequestOutcome::Completed, inner);
+                if active[i].st.is_done() {
+                    active.remove(i).resolve(RequestOutcome::Completed, inner);
                 } else {
                     i += 1;
                 }
@@ -1821,7 +1555,7 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
 
 /// Samples the sequence's next token from the step's logits (last row:
 /// the newest position) and applies stop-token/length policy.
-fn sample_next(inner: &ServerInner, seq: &mut ActiveSeq, l: Matrix) {
+fn sample_next(inner: &ServerInner, seq: &mut SeqState, l: Matrix) {
     let next = seq.req.sampler.sample(l.row(l.rows() - 1), &mut seq.rng);
     // Sampled — hand the logits buffer back to the engine's step arena
     // for the next batch.
@@ -1852,7 +1586,7 @@ fn drain(inner: &ServerInner, active: Vec<ActiveSeq>, preempted: Vec<PreemptedSe
         seq.resolve(RequestOutcome::Cancelled, inner);
     }
     for p in preempted {
-        inner.resolve_preempted(p, RequestOutcome::Cancelled);
+        p.resolve(RequestOutcome::Cancelled, inner);
     }
     let leftovers: Vec<Queued> = inner.queue.lock().drain(..).collect();
     for q in leftovers {

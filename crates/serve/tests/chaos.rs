@@ -14,8 +14,7 @@ use kt_core::{EngineConfig, HybridEngine, SchedMode};
 use kt_inject::Pattern;
 use kt_model::ModelPreset;
 use kt_serve::{
-    PreemptPolicy, Request, RequestHandle, RequestOutcome, Server, ServerConfig, SloClass,
-    SloPolicy, SloTarget,
+    Request, RequestHandle, RequestOutcome, Server, ServerConfig, SloClass, SloPolicy, SloTarget,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -248,8 +247,8 @@ fn overload_with_faults_never_wedges_or_leaks() {
 fn preemption_storm_with_faults_conserves_outcomes_and_pages() {
     // Page-pressure variant: the KV pool holds barely more pages than
     // the single largest request, so a saturated batch preempts
-    // constantly (swap and recompute both, via the Auto cost model)
-    // while the fault injector keeps poisoning steps and a slice of
+    // constantly (swapping victims' rows out and back) while the fault
+    // injector keeps poisoning steps and a slice of
     // requests cancels mid-flight — including while parked on the
     // preempted list. The contract is the same: exactly one outcome
     // per request, only injected faults fail anything, and when the
@@ -293,7 +292,6 @@ fn preemption_storm_with_faults_conserves_outcomes_and_pages() {
             prefix_cache_bytes: 0,
             page_rows: PAGE_ROWS,
             kv_pool_pages: pool_pages,
-            preempt_policy: PreemptPolicy::Auto,
             ..Default::default()
         },
     )

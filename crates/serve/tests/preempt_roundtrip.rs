@@ -1,7 +1,8 @@
 //! Preemption is pure scheduling: a server forced into page-pressure
-//! preemption — swap, recompute, or the cost model's per-victim choice
-//! — must emit token streams bitwise identical to an unpressured run,
-//! complete every request, and hand every page back to the allocator.
+//! preemption — victims paused with their rows swapped to the host tier
+//! and restored at resume — must emit token streams bitwise identical
+//! to an unpressured run, complete every request, and hand every page
+//! back to the allocator.
 //!
 //! The pressured pool is sized just above the largest single request,
 //! so concurrent growth overflows it quickly and sequences bounce
@@ -11,7 +12,7 @@
 use kt_core::{EngineConfig, HybridEngine, SchedMode};
 use kt_kernels::dispatch::Backend;
 use kt_model::ModelPreset;
-use kt_serve::{PreemptPolicy, Request, Server, ServerConfig};
+use kt_serve::{Request, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,16 +52,26 @@ fn prompts() -> Vec<Vec<u32>> {
 }
 
 fn run(cfg: ServerConfig) -> (Vec<Vec<u32>>, kt_core::ServeStats) {
-    run_prompts(cfg, &prompts())
+    run_prompts(cfg, &prompts(), 0)
 }
 
-fn run_prompts(cfg: ServerConfig, prompts: &[Vec<u32>]) -> (Vec<Vec<u32>>, kt_core::ServeStats) {
+/// Runs the first `primed` prompts to completion one at a time, then
+/// submits the rest together.
+fn run_prompts(
+    cfg: ServerConfig,
+    prompts: &[Vec<u32>],
+    primed: usize,
+) -> (Vec<Vec<u32>>, kt_core::ServeStats) {
     let server = Server::start(Arc::new(engine(7)), cfg).unwrap();
-    let handles: Vec<_> = prompts
+    let mut results: Vec<_> = prompts[..primed]
+        .iter()
+        .map(|p| server.submit(Request::greedy(p, N_NEW)).wait())
+        .collect();
+    let handles: Vec<_> = prompts[primed..]
         .iter()
         .map(|p| server.submit(Request::greedy(p, N_NEW)))
         .collect();
-    let results: Vec<_> = handles.iter().map(|h| h.wait()).collect();
+    results.extend(handles.iter().map(|h| h.wait()));
     for (i, r) in results.iter().enumerate() {
         assert!(r.is_completed(), "request {i}: {:?}", r.outcome);
     }
@@ -96,48 +107,44 @@ fn preempted_streams_match_unpressured_run_bitwise() {
     // Reference: auto-sized pool (max_batch full-capacity sequences)
     // never comes under pressure.
     let (reference, ref_stats) = run(base.clone());
-    assert_eq!(ref_stats.preempt_swap + ref_stats.preempt_recompute, 0);
+    assert_eq!(ref_stats.preempt_swap, 0);
 
-    for policy in [
-        PreemptPolicy::AlwaysSwap,
-        PreemptPolicy::AlwaysRecompute,
-        PreemptPolicy::Auto,
-    ] {
-        let (tokens, stats) = run(ServerConfig {
-            page_rows: PAGE_ROWS,
-            kv_pool_pages: pool_pages,
-            preempt_policy: policy,
-            ..base.clone()
-        });
-        assert_eq!(
-            tokens, reference,
-            "{policy:?}: preemption changed the token streams"
-        );
-        let preemptions = stats.preempt_swap + stats.preempt_recompute;
-        assert!(preemptions > 0, "{policy:?}: pool never came under pressure");
-        match policy {
-            PreemptPolicy::AlwaysSwap => assert_eq!(stats.preempt_recompute, 0),
-            PreemptPolicy::AlwaysRecompute => assert_eq!(stats.preempt_swap, 0),
-            PreemptPolicy::Auto => {}
-        }
-        // Every page handed back, nothing stranded in the host tier.
-        assert_eq!(stats.kv_pages_total, pool_pages as u64, "{policy:?}");
-        assert_eq!(stats.kv_pages_free, stats.kv_pages_total, "{policy:?}");
-        assert_eq!(stats.kv_pages_swapped, 0, "{policy:?}");
-        assert_eq!(stats.kv_pages_shared, 0, "{policy:?}");
-    }
+    let (tokens, stats) = run(ServerConfig {
+        page_rows: PAGE_ROWS,
+        kv_pool_pages: pool_pages,
+        ..base
+    });
+    assert_eq!(tokens, reference, "preemption changed the token streams");
+    assert!(stats.preempt_swap > 0, "pool never came under pressure");
+    // Every page handed back, nothing stranded in the host tier.
+    assert_eq!(stats.kv_pages_total, pool_pages as u64);
+    assert_eq!(stats.kv_pages_free, stats.kv_pages_total);
+    assert_eq!(stats.kv_pages_swapped, 0);
+    assert_eq!(stats.kv_pages_shared, 0);
 }
 
 #[test]
-fn warm_prefix_resume_still_deduplicates_recompute() {
-    // A recompute victim whose prompt is in the prefix cache resumes by
-    // seeding shared pages, then re-prefilling only the generated
-    // suffix — the round trip must stay bitwise faithful with sharing
-    // in play (CoW on the divergent tail page).
+fn victim_holding_prefix_shared_pages_swaps_back_bitwise() {
+    // A primer freezes an 8-token hot prefix (two whole pages); every
+    // later admission seeds it by reference, so the victims a tight pool
+    // preempts hold pages they share with the index. Swap-out copies
+    // their rows and drops the references, swap-in restores private
+    // copies: the streams must not move, and the index keeps serving
+    // the hot prefix throughout.
     let model = ModelPreset::DeepSeekV3.tiny_config();
-    let longest = prompts().iter().map(Vec::len).max().unwrap() + N_NEW;
-    let pool_pages = 2 * model.n_layers * longest.div_ceil(PAGE_ROWS);
-
+    let hot: Vec<u32> = (0..8).map(|j| j * 11 + 5).collect();
+    let prompts: Vec<Vec<u32>> = (0..6)
+        .map(|i| {
+            hot.iter()
+                .copied()
+                .chain((0..2 + i % 3).map(|j| 100 + i * 4 + j))
+                .collect()
+        })
+        .collect();
+    // Per layer: the primer's five frozen pages plus three free, so the
+    // first wave of three admits by seeding (one private page each) and
+    // collides as soon as it grows.
+    let pool_pages = model.n_layers * 8;
     let base = ServerConfig {
         max_batch: 3,
         prefill_chunk: 4,
@@ -145,15 +152,22 @@ fn warm_prefix_resume_still_deduplicates_recompute() {
         min_prefix_len: 4,
         ..Default::default()
     };
-    let (reference, _) = run(base.clone());
-    let (tokens, stats) = run(ServerConfig {
-        page_rows: PAGE_ROWS,
-        kv_pool_pages: pool_pages,
-        preempt_policy: PreemptPolicy::AlwaysRecompute,
-        ..base
-    });
-    assert_eq!(tokens, reference, "prefix-seeded resume diverged");
-    assert!(stats.preempt_recompute > 0, "pool never came under pressure");
+    let (reference, _) = run_prompts(base.clone(), &prompts, 1);
+    let (tokens, stats) = run_prompts(
+        ServerConfig {
+            page_rows: PAGE_ROWS,
+            kv_pool_pages: pool_pages,
+            ..base
+        },
+        &prompts,
+        1,
+    );
+    assert_eq!(tokens, reference, "a swapped prefix-sharing victim diverged");
+    assert!(stats.preempt_swap > 0, "pool never came under pressure: {stats:?}");
+    // The first wave (three admissions) seeds from the primer before
+    // anyone grows into the index's pages; later admissions keep hitting.
+    assert!(stats.prefix_hits > 3, "hot-prefix hits stopped: {stats:?}");
+    assert_eq!(stats.kv_pages_swapped, 0, "{stats:?}");
 }
 
 #[test]
@@ -182,7 +196,7 @@ fn prefix_index_gives_pages_back_before_anyone_is_preempted() {
         min_prefix_len: 4,
         ..Default::default()
     };
-    let (reference, _) = run_prompts(base.clone(), &prompts);
+    let (reference, _) = run_prompts(base.clone(), &prompts, 0);
     let (tokens, stats) = run_prompts(
         ServerConfig {
             page_rows: PAGE_ROWS,
@@ -190,6 +204,7 @@ fn prefix_index_gives_pages_back_before_anyone_is_preempted() {
             ..base
         },
         &prompts,
+        0,
     );
     assert_eq!(
         tokens, reference,
@@ -199,7 +214,7 @@ fn prefix_index_gives_pages_back_before_anyone_is_preempted() {
         stats.prefix_evictions > 0,
         "the index never had to give pages back: {stats:?}"
     );
-    assert_eq!(stats.preempt_swap + stats.preempt_recompute, 0, "{stats:?}");
+    assert_eq!(stats.preempt_swap, 0, "{stats:?}");
     assert!(
         stats.prefix_hits >= (prompts.len() - base.max_batch) as u64,
         "hot-prefix hits stopped: {stats:?}"

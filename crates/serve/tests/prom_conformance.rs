@@ -314,9 +314,9 @@ fn stats_text_conforms_to_the_exposition_format() {
     }
 
     // Paged-KV families: the four page gauges and the preemption
-    // counter. Both preempt modes are always exported (zero-valued
-    // when the pool never came under pressure) so dashboards can rate()
-    // them without series appearing mid-flight.
+    // counter. The counter is always exported (zero-valued when the
+    // pool never came under pressure) so dashboards can rate() it
+    // without the series appearing mid-flight.
     for g in [
         "kt_kv_pages_total",
         "kt_kv_pages_free",
@@ -333,11 +333,11 @@ fn stats_text_conforms_to_the_exposition_format() {
         kind.get("kt_preempt_total").map(String::as_str),
         Some("counter")
     );
-    for mode in ["swap", "recompute"] {
-        assert!(
-            samples.iter().any(|s| s.name == "kt_preempt_total"
-                && s.labels.iter().any(|(k, v)| k == "mode" && v == mode)),
-            "kt_preempt_total carries mode={mode}"
-        );
-    }
+    // One mechanism, so one unlabelled series.
+    let preempt: Vec<_> = samples
+        .iter()
+        .filter(|s| s.name == "kt_preempt_total")
+        .collect();
+    assert_eq!(preempt.len(), 1, "one kt_preempt_total series");
+    assert!(preempt[0].labels.is_empty(), "{:?}", preempt[0].labels);
 }

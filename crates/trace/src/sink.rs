@@ -253,15 +253,13 @@ pub enum CounterKind {
     ExpertCacheEvictedBytes,
     /// Sequences preempted by swapping their KV pages out.
     PreemptSwap,
-    /// Sequences preempted by dropping their KV pages for recompute.
-    PreemptRecompute,
     /// Prompt rows seeded by whole-page reference instead of row copy
     /// (the zero-copy half of a paged prefix hit).
     PrefixSharedRows,
 }
 
 /// Number of [`CounterKind`] variants (the counter table's size).
-pub const N_COUNTERS: usize = 15;
+pub const N_COUNTERS: usize = 14;
 
 impl CounterKind {
     /// Every counter, in `repr` order.
@@ -279,7 +277,6 @@ impl CounterKind {
         CounterKind::ExpertCacheMisses,
         CounterKind::ExpertCacheEvictedBytes,
         CounterKind::PreemptSwap,
-        CounterKind::PreemptRecompute,
         CounterKind::PrefixSharedRows,
     ];
 
@@ -299,7 +296,6 @@ impl CounterKind {
             CounterKind::ExpertCacheMisses => "expert_cache.misses",
             CounterKind::ExpertCacheEvictedBytes => "expert_cache.evicted_bytes",
             CounterKind::PreemptSwap => "preempt.swap",
-            CounterKind::PreemptRecompute => "preempt.recompute",
             CounterKind::PrefixSharedRows => "prefix.shared_rows",
         }
     }
