@@ -1,12 +1,9 @@
-//! §3.3 ablation: single-CUDA-Graph decode vs per-op launches — both in
-//! the simulator and on the real engine with injected launch latency.
+//! §3.3 ablation: single-CUDA-Graph decode vs per-op launches, in the
+//! simulator.
 
 use kt_bench::{section, table};
-use kt_core::{EngineConfig, HybridEngine, SchedMode, VgpuConfig};
 use kt_hwsim::experiments::ablation_graph;
 use kt_hwsim::Calibration;
-use kt_model::ModelPreset;
-use std::time::{Duration, Instant};
 
 fn main() {
     section("CUDA Graph ablation (simulated, DS-3 decode)");
@@ -17,43 +14,4 @@ fn main() {
         .collect();
     table(&["Launch mode", "Decode throughput"], &printable);
     println!("Speedup: {:.2}x (paper: up to 1.23x)", rows[1].1 / rows[0].1);
-
-    section("CUDA Graph ablation (real engine, injected 30us launch latency)");
-    let cfg = ModelPreset::DeepSeekV3.tiny_config();
-    let run = |mode: SchedMode| -> (f64, u64, u64) {
-        let engine = HybridEngine::random(
-            &cfg,
-            EngineConfig {
-                n_cpu_workers: 2,
-                mode,
-                vgpu: VgpuConfig {
-                    launch_latency: Duration::from_micros(30),
-                    graph_launch_latency: Duration::from_micros(30),
-                    n_streams: 1,
-                },
-                seed: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let _ = engine.forward(&[1, 2, 3]).unwrap();
-        engine.reset();
-        let _ = engine.forward(&[1, 2, 3]).unwrap();
-        let start = Instant::now();
-        let n = 24;
-        let _ = engine.generate_greedy(&[5], n).unwrap();
-        let el = start.elapsed().as_secs_f64();
-        let stats = engine.launch_stats();
-        (n as f64 / el, stats.kernel_launches + stats.graph_replays, stats.launch_overhead_ns / 1000)
-    };
-    let (sync_tput, sync_launches, sync_ovh) = run(SchedMode::Sync);
-    let (graph_tput, graph_launches, graph_ovh) = run(SchedMode::AsyncGraph);
-    table(
-        &["Mode", "tok/s", "host launches", "launch overhead (us)"],
-        &[
-            vec!["per-op launches".into(), format!("{sync_tput:.1}"), sync_launches.to_string(), sync_ovh.to_string()],
-            vec!["single graph".into(), format!("{graph_tput:.1}"), graph_launches.to_string(), graph_ovh.to_string()],
-        ],
-    );
-    println!("Real-engine speedup: {:.2}x", graph_tput / sync_tput);
 }

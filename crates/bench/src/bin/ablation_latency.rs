@@ -1,23 +1,16 @@
-//! Request-latency view, two levels:
-//!
-//! 1. Hardware-simulated: time-to-first-token (prefill) and end-to-end
-//!    latency for a representative full-scale request, per system —
-//!    the quantities a local-deployment user actually feels.
-//! 2. Measured: p50/p99 TTFT and inter-token-gap percentiles from the
-//!    server's aggregated [`kt_trace::LogHistogram`]s under a
-//!    concurrent workload, printed as a table and as one
-//!    machine-readable JSON line (`latency_percentiles_json ...`).
+//! Request-latency view, hardware-simulated: time-to-first-token
+//! (prefill) and end-to-end latency for a representative full-scale
+//! request, per system — the quantities a local-deployment user
+//! actually feels. Measured serving percentiles are `kt_benchmark`'s
+//! (`ttft_p50_ms`, `serve.ttft_p90_ms`, `serve.itl_tail_ms`).
 
 use kt_bench::{section, table};
-use kt_core::{EngineConfig, HybridEngine, SchedMode};
 use kt_hwsim::policy::{simulate, Phase, SystemPolicy};
 use kt_hwsim::workload::Precision;
 use kt_hwsim::{Calibration, Platform};
 use kt_model::ModelPreset;
-use kt_serve::{Request, Server, ServerConfig};
-use std::sync::Arc;
 
-fn simulated_full_scale() {
+fn main() {
     let cal = Calibration::default();
     let platform = Platform::a100_dual_xeon();
     let cfg = ModelPreset::DeepSeekV3.full_config();
@@ -72,105 +65,4 @@ fn simulated_full_scale() {
     println!();
     println!("KTransformers' prefill advantage dominates TTFT; deferral only");
     println!("improves the decode tail (it is disabled during prefill).");
-}
-
-fn ms(ns: u64) -> f64 {
-    ns as f64 / 1e6
-}
-
-fn measured_serving_percentiles() {
-    const N_REQUESTS: usize = 12;
-    const MAX_NEW: usize = 24;
-    section(&format!(
-        "Measured serving latency percentiles: kt-serve, tiny DS-3, \
-         {N_REQUESTS} concurrent requests x {MAX_NEW} tokens"
-    ));
-    let cfg = ModelPreset::DeepSeekV3.tiny_config();
-    let engine = Arc::new(
-        HybridEngine::random(
-            &cfg,
-            EngineConfig {
-                n_cpu_workers: 2,
-                mode: SchedMode::AsyncGraph,
-                n_deferred: 2,
-                seed: 41,
-                ..Default::default()
-            },
-        )
-        .expect("engine"),
-    );
-    let server = Server::start(
-        engine,
-        ServerConfig {
-            max_batch: 4,
-            prefill_chunk: 8,
-            step_token_budget: 16,
-            // Cold-path latency bench: repeated prompts must not get
-            // warm-seeded from the prefix cache mid-measurement.
-            prefix_cache_bytes: 0,
-            ..Default::default()
-        },
-    )
-    .expect("valid config");
-
-    let handles: Vec<_> = (0..N_REQUESTS)
-        .map(|i| {
-            let prompt: Vec<u32> = (0..(3 + i % 5)).map(|t| ((i + t) % 251) as u32).collect();
-            server.submit(Request::greedy(&prompt, MAX_NEW))
-        })
-        .collect();
-    for h in &handles {
-        let r = h.wait();
-        assert!(r.is_completed(), "{:?}", r.outcome);
-    }
-    // The server aggregates queue-wait / TTFT / inter-token gaps into
-    // log-bucketed histograms as requests resolve — read those instead
-    // of re-collecting raw samples per request.
-    let (queue, ttft, itl) = server.latency_histograms();
-    server.shutdown();
-    assert_eq!(ttft.count() as usize, N_REQUESTS);
-
-    let pcts = |h: &kt_trace::LogHistogram| {
-        [50.0, 99.0].map(|p| ms(h.percentile(p).unwrap_or(0)))
-    };
-    let [q50, q99] = pcts(&queue);
-    let [t50, t99] = pcts(&ttft);
-    let [g50, g99] = pcts(&itl);
-    table(
-        &["Metric", "p50 (ms)", "p99 (ms)", "samples"],
-        &[
-            vec![
-                "queue wait".into(),
-                format!("{q50:.2}"),
-                format!("{q99:.2}"),
-                queue.count().to_string(),
-            ],
-            vec![
-                "TTFT".into(),
-                format!("{t50:.2}"),
-                format!("{t99:.2}"),
-                ttft.count().to_string(),
-            ],
-            vec![
-                "inter-token gap".into(),
-                format!("{g50:.2}"),
-                format!("{g99:.2}"),
-                itl.count().to_string(),
-            ],
-        ],
-    );
-    println!();
-    println!(
-        "latency_percentiles_json {{\"queue_wait_ms\":{{\"p50\":{q50:.3},\"p99\":{q99:.3}}},\
-         \"ttft_ms\":{{\"p50\":{t50:.3},\"p99\":{t99:.3}}},\
-         \"itl_ms\":{{\"p50\":{g50:.3},\"p99\":{g99:.3}}},\
-         \"n_requests\":{},\"n_gap_samples\":{}}}",
-        N_REQUESTS,
-        itl.count()
-    );
-}
-
-fn main() {
-    simulated_full_scale();
-    measured_serving_percentiles();
 }

@@ -10,35 +10,15 @@ fn main() {
     let bins = [
         "table1", "fig3", "fig4", "fig7", "fig10", "fig11", "fig12", "fig14",
         "ablation_numa", "ablation_graph", "ablation_sched", "ablation_multigpu",
-        "ablation_batch", "ablation_kvoffload", "ablation_placement", "ablation_offload",
-        "ablation_latency", "ablation_concurrency", "ablation_trace",
-        "ablation_prefix", "ablation_slo", "ablation_quant", "ablation_paged",
+        "ablation_batch", "ablation_kvoffload", "ablation_offload", "ablation_latency",
         "table2", "fig13",
     ];
-    // ablation_hotpath and ablation_prefill are excluded: they are
-    // timed/artifact-writing runs with their own CI smoke modes.
-    // ablation_trace also has a smoke mode (which additionally gates
-    // flight-recorder capture and attribution coverage) but is cheap
-    // enough to run in full here — its full run also exercises the
-    // flight arm and writes the capture/coverage numbers into
-    // BENCH_trace.json. ablation_prefix,
-    // ablation_slo, ablation_placement and ablation_quant run in smoke
-    // mode under --quick and in full (artifact-writing) mode otherwise.
     let exe = std::env::current_exe().expect("current exe");
     let dir = exe.parent().expect("bin dir");
     for bin in bins {
         let mut cmd = Command::new(dir.join(bin));
         if quick && (bin == "table2" || bin == "fig13") {
             cmd.arg("--quick");
-        }
-        if quick
-            && (bin == "ablation_prefix"
-                || bin == "ablation_slo"
-                || bin == "ablation_placement"
-                || bin == "ablation_quant"
-                || bin == "ablation_paged")
-        {
-            cmd.arg("--smoke");
         }
         let status = cmd.status().unwrap_or_else(|e| panic!("failed to run {bin}: {e}"));
         assert!(status.success(), "{bin} exited with {status}");

@@ -5,9 +5,10 @@
 //! never leak a KV lease (pool occupancy returns to zero), and never
 //! drop a request without exactly one outcome.
 //!
-//! Arrivals come from the shared `kt_bench::workload` generator (the
-//! same one `ablation_slo` uses), so the overload shape is seeded and
-//! reproducible.
+//! Arrivals come from the seeded `kt_bench::workload` generator, so the
+//! overload shape is reproducible. This is the test that drives the
+//! SLO scheduler past capacity: `kt_benchmark`'s `serve_mixed_open`
+//! offers 0.6x, where nothing is shed.
 
 use kt_bench::workload::{assign_classes, offsets_ns, ArrivalPattern};
 use kt_core::{EngineConfig, HybridEngine, SchedMode};

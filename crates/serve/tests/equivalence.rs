@@ -7,7 +7,7 @@
 use kt_core::{EngineConfig, HybridEngine, SchedMode};
 use kt_kernels::dispatch::Backend;
 use kt_model::ModelPreset;
-use kt_serve::{Request, Server, ServerConfig};
+use kt_serve::{Request, Server, ServerConfig, SloClass, SloPolicy, SloTarget};
 use std::sync::Arc;
 
 fn engine(seed: u64) -> HybridEngine {
@@ -59,9 +59,11 @@ fn concurrent_batching_matches_sequential_greedy_exactly() {
 
     // Concurrent: all six submitted up front, batch width 4, so the
     // scheduler mixes prefill and decode and churns membership as
-    // requests finish and queued ones are admitted. Run once with
-    // monolithic prefill and once with a tiny chunk size: the token
-    // streams must match the sequential reference exactly either way.
+    // requests finish and queued ones are admitted. Run with monolithic
+    // prefill, with a tiny chunk size, and under SLO scheduling
+    // (priority admission and class-aware step composition, shedding on,
+    // targets no request can miss): the token streams must match the
+    // sequential reference exactly every time.
     for (label, cfg) in [
         (
             "monolithic",
@@ -81,11 +83,27 @@ fn concurrent_batching_matches_sequential_greedy_exactly() {
                 ..Default::default()
             },
         ),
+        (
+            "slo",
+            ServerConfig {
+                max_batch: 4,
+                prefill_chunk: 2,
+                step_token_budget: 6,
+                slo: Some(SloPolicy {
+                    targets: [SloTarget::from_millis(600_000, 600_000); 3],
+                    shed: true,
+                }),
+                ..Default::default()
+            },
+        ),
     ] {
         let server = Server::start(Arc::new(engine(7)), cfg).unwrap();
+        // Classes round-robin over the prompts; only the SLO config
+        // admits by them.
         let handles: Vec<_> = prompts
             .iter()
-            .map(|p| server.submit(Request::greedy(p, n_new)))
+            .zip(SloClass::ALL.iter().cycle())
+            .map(|(p, &class)| server.submit(Request::greedy(p, n_new).with_class(class)))
             .collect();
         let results: Vec<_> = handles.iter().map(|h| h.wait()).collect();
 

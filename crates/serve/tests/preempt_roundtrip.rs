@@ -8,6 +8,9 @@
 //! so concurrent growth overflows it quickly and sequences bounce
 //! through preempt/resume round trips (including nested ones: a
 //! resumed victim is the newest admission, hence the next victim).
+//! The other side of the same accounting: admission charges only the
+//! pages a sequence grows into, so short requests pack far denser than
+//! whole-cache reservation would allow.
 
 use kt_core::{EngineConfig, HybridEngine, SchedMode};
 use kt_kernels::dispatch::Backend;
@@ -121,6 +124,53 @@ fn preempted_streams_match_unpressured_run_bitwise() {
     assert_eq!(stats.kv_pages_free, stats.kv_pages_total);
     assert_eq!(stats.kv_pages_swapped, 0);
     assert_eq!(stats.kv_pages_shared, 0);
+}
+
+#[test]
+fn paged_admission_packs_short_requests_past_whole_cache_reservation() {
+    // A pool of the bytes of four full `max_seq` caches, in 16-row
+    // pages. Reserving a whole cache per sequence would admit four at a
+    // time; charging the pages a 24 + 16-row request grows into must
+    // keep at least twice that many leases live at once.
+    const FLAT_SLOTS: usize = 4;
+    let page_rows = 16;
+    let model = ModelPreset::DeepSeekV3.tiny_config();
+    let prompts: Vec<Vec<u32>> = (0..32)
+        .map(|r| {
+            (0..24)
+                .map(|j| ((r * 31 + j * 7 + 5) % 251) as u32)
+                .collect()
+        })
+        .collect();
+    let server = Server::start(
+        Arc::new(engine(7)),
+        ServerConfig {
+            max_batch: prompts.len(),
+            prefill_chunk: 32,
+            step_token_budget: 64,
+            prefix_cache_bytes: 0,
+            page_rows,
+            kv_pool_pages: FLAT_SLOTS * model.n_layers * model.max_seq / page_rows,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let handles: Vec<_> = prompts
+        .iter()
+        .map(|p| server.submit(Request::greedy(p, 16)))
+        .collect();
+    for (i, h) in handles.iter().enumerate() {
+        let r = h.wait();
+        assert!(r.is_completed(), "request {i}: {:?}", r.outcome);
+    }
+    let stats = server.stats();
+    server.shutdown();
+    assert!(
+        stats.kv_leases_peak >= 2 * FLAT_SLOTS as u64,
+        "{} concurrent leases at the bytes of {FLAT_SLOTS} whole caches",
+        stats.kv_leases_peak
+    );
+    assert_eq!(stats.preempt_swap, 0, "{stats:?}");
 }
 
 #[test]

@@ -76,8 +76,9 @@ fn expert_cache_bytes(
 /// # Errors
 ///
 /// Returns [`InjectError`] on parse/pattern/registry failures, when
-/// no rule matched a MoE module, or when `n_gpu_experts` is not a
-/// non-negative integer whose budget the routed precision can size.
+/// no rule matched a MoE module, when one of the four kwargs above or
+/// `precision` is present with a value it does not recognise, or when
+/// the `n_gpu_experts` budget overflows.
 pub fn adapt(cfg: &ModelConfig, yaml_rules: &str) -> Result<AdaptedModel, InjectError> {
     let mut tree = ModuleTree::hf_moe_model(
         &class_prefix(cfg),
@@ -105,35 +106,37 @@ pub fn adapt(cfg: &ModelConfig, yaml_rules: &str) -> Result<AdaptedModel, Inject
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     };
-    let backend = kwarg("backend")
-        .and_then(Backend::parse)
-        .unwrap_or_default();
+    // A kwarg that is present must be recognised: a typo is an error
+    // naming the kwarg and its value, never a silent default.
+    let bad = |key: &str, expected: &str, v: &str| {
+        InjectError::rule(format!("{key}: expected {expected}, got {v:?}"))
+    };
+    let backend = match kwarg("backend") {
+        None => Backend::default(),
+        Some(v) => Backend::parse(v)
+            .ok_or_else(|| bad("backend", "hybrid_AMX_AVX512, AMX or AVX512", v))?,
+    };
     // `data_type` quantizes the experts (the historical knob);
     // `precision: "quantized_serving"` selects the full per-role serving
     // preset (routed int4, shared/dense int8, attention + head F32).
     let precision = match kwarg("precision") {
         Some("quantized_serving") => PrecisionPolicy::quantized_serving(16),
-        _ => match kwarg("data_type") {
+        Some(v) => return Err(bad("precision", "quantized_serving", v)),
+        None => match kwarg("data_type") {
+            None | Some("F32") => PrecisionPolicy::default(),
             Some("Int4") => PrecisionPolicy::experts(WeightDtype::Int4 { group: 16 }),
             Some("Int8") => PrecisionPolicy::experts(WeightDtype::Int8 { group: 16 }),
             Some("BF16") => PrecisionPolicy::experts(WeightDtype::Bf16),
-            _ => PrecisionPolicy::default(),
+            Some(v) => return Err(bad("data_type", "F32, BF16, Int8 or Int4", v)),
         },
     };
-    let n_deferred = kwarg("n_deferred_experts")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let expert_cache_bytes = match kwarg("n_gpu_experts") {
-        None => 0,
-        Some(v) => {
-            let k = v.parse().map_err(|_| {
-                InjectError::rule(format!(
-                    "n_gpu_experts: expected a non-negative integer, got {v:?}"
-                ))
-            })?;
-            expert_cache_bytes(cfg, k, precision.routed)?
-        }
+    let count = |key: &str| {
+        kwarg(key).map_or(Ok(0), |v| {
+            v.parse().map_err(|_| bad(key, "a non-negative integer", v))
+        })
     };
+    let n_deferred = count("n_deferred_experts")?;
+    let expert_cache_bytes = expert_cache_bytes(cfg, count("n_gpu_experts")?, precision.routed)?;
 
     Ok(AdaptedModel {
         engine_config: EngineConfig {
@@ -277,6 +280,41 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("n_gpu_experts"));
+    }
+
+    #[test]
+    fn malformed_kwargs_are_errors_naming_the_kwarg() {
+        // A typo in any recognised kwarg must fail loudly instead of
+        // falling back to that kwarg's default.
+        let cfg = ModelPreset::DeepSeekV3.tiny_config();
+        for (key, value, from, to) in [
+            ("backend", "hybird", "\"hybrid_AMX_AVX512\"", "\"hybird\""),
+            ("data_type", "int4", "\"Int8\"", "\"int4\""),
+            ("data_type", "FP8", "\"Int8\"", "\"FP8\""),
+            (
+                "precision",
+                "quantized",
+                "data_type: \"Int8\"",
+                "precision: \"quantized\"",
+            ),
+            (
+                "n_deferred_experts",
+                "two",
+                "n_deferred_experts: 2",
+                "n_deferred_experts: two",
+            ),
+            (
+                "n_deferred_experts",
+                "-1",
+                "n_deferred_experts: 2",
+                "n_deferred_experts: -1",
+            ),
+        ] {
+            let rules = RULES.replace(from, to);
+            assert_ne!(rules, RULES, "{to}");
+            let err = adapt(&cfg, &rules).unwrap_err().to_string();
+            assert!(err.contains(key) && err.contains(value), "{to}: {err}");
+        }
     }
 
     #[test]
