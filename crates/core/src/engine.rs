@@ -192,8 +192,9 @@ struct GpuWorkspace {
     arena: ScratchArena,
     moe: MoeWorkspace,
     /// `ffn_in` Arcs still held by an in-flight deferred task when the
-    /// merge op tried to reclaim them; drained at the next embed, by
-    /// which point every task of the previous step has finished.
+    /// merge op tried to reclaim them; drained by the next MoE layer's
+    /// merge once that deferred task has finished, and at the next embed
+    /// (which catches buffers an errored step left behind).
     pending: Vec<Arc<Matrix>>,
 }
 
@@ -1280,6 +1281,11 @@ impl HybridEngine {
                             spin_until_zero(&shared.imm_pending[li], "immediate experts");
                             if let Some(p) = prev_moe {
                                 spin_until_zero(&shared.def_pending[p], "deferred experts");
+                                // Layer p's deferred task dropped its
+                                // `ffn_in` clone before clearing the
+                                // counter, so the buffer p's merge
+                                // parked is uniquely owned again.
+                                shared.ws_gpu.lock().reclaim_pending();
                             }
                         }
                         let mut st = shared.state.lock();
@@ -1371,8 +1377,8 @@ impl HybridEngine {
                             match Arc::try_unwrap(arc) {
                                 Ok(m) => ws.arena.restore(m),
                                 // This layer's own deferred task may
-                                // still hold a clone; reclaimed at the
-                                // next embed.
+                                // still hold a clone; the next MoE
+                                // layer's merge reclaims it.
                                 Err(arc) => ws.pending.push(arc),
                             }
                         }
@@ -2045,14 +2051,6 @@ mod tests {
         // deployment's vocab makes the LM head a realistic share of the
         // step. `kt_benchmark` reports the same counter as
         // `tensor.arena_allocs_per_step`.
-        //
-        // Known race: a layer's `ffn_in` buffer returns to the arena at
-        // its merge only if no CPU expert task still holds a clone;
-        // otherwise it waits for the next embed. A step where two layers
-        // park their buffer runs one short, a smaller checkout takes the
-        // recycled logits buffer, and the LM head allocates one fresh
-        // 32 KiB logits row. On a shared 2-vCPU host that fails this
-        // test in about one run in seven.
         let mut cfg = ModelPreset::DeepSeekV3.tiny_config();
         cfg.vocab = 8192;
         let e = HybridEngine::random(

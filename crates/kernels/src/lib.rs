@@ -16,6 +16,9 @@
 //! * [`moe`] — the fused MoE operator: Gate+Up projections of all
 //!   activated experts merged into one task batch, Down projections into
 //!   a second, eliminating per-projection synchronization.
+//! * [`attn`] — the attention core (scores, softmax, PV) of both
+//!   attention variants, one fixed-order kernel per SIMD level, bitwise
+//!   equal across levels.
 //! * [`numa`] — NUMA-aware tensor parallelism: every expert weight
 //!   matrix is column-partitioned across socket domains with a
 //!   reduce-scatter-style combine, vs. the Expert-Parallel baseline.
@@ -28,6 +31,7 @@
 //! `kt-hwsim`.
 
 pub mod act;
+pub mod attn;
 pub mod dispatch;
 pub mod error;
 pub mod gemm;

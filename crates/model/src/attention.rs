@@ -23,12 +23,18 @@
 //! The absorption happens on activations, never on weights: `W_UK[h]`
 //! and `W_UV[h]` stay separate packed matrices, applied through the
 //! row-stable `gemm_rowwise`, so quantized weights are never
-//! re-rounded and a row's bits never depend on its batch-mates. That,
-//! plus per-query-row score loops, is what makes chunked prefill (any
-//! split of a prompt into per-step chunks) and prefix seeding bitwise
+//! re-rounded and a row's bits never depend on its batch-mates.
+//!
+//! Scores, softmax and the weighted sum run in one kernel for both
+//! variants, [`kt_kernels::attn::attention`]: up to four heads of a KV
+//! group per loaded KV row, 16-lane partial sums combined by one fixed
+//! tree, and the same bits at every SIMD level. Each output row's bits
+//! depend only on its query row and its own visible prefix. That, with
+//! the row-stable projections, is what makes chunked prefill (any split
+//! of a prompt into per-step chunks) and prefix seeding bitwise
 //! identical to a monolithic prefill.
 
-use kt_kernels::act::softmax_inplace;
+use kt_kernels::attn::{attention, AttnDims};
 use kt_kernels::gemm::gemm_rowwise;
 use kt_kernels::schedule::ThreadPool;
 use kt_tensor::{Matrix, PackedWeights, WeightDtype};
@@ -403,9 +409,9 @@ impl Attention {
             KvProj::Mla { rank, .. } => (1, rank + d, *rank, 1.0 / ((2 * d) as f32).sqrt()),
         };
         // Resolve every visible position's rows once, up front: the
-        // scores loop touches each position `n_heads` times per query
-        // row, and a per-touch lookup would pay a page-table walk every
-        // time.
+        // kernel touches each position once per query row and head
+        // block, and a per-touch lookup would pay a page-table walk
+        // every time.
         let total = cache.len();
         let cache = &*cache;
         let krows: Vec<&[f32]> = (0..total).map(|pos| cache.k_row(pos)).collect();
@@ -414,33 +420,23 @@ impl Attention {
             KvProj::Mla { .. } => krows.iter().map(|k| &k[..vw]).collect(),
         };
 
-        // Scaled dot-product attention with causal masking. The score
-        // buffer is sized once for the longest visible prefix and
-        // sliced per token.
-        let group = self.n_heads / kv_heads;
+        // Scaled dot-product attention with causal masking.
         let mut ctx = Matrix::zeros(t_new, self.n_heads * vw)?;
-        let mut scores_buf = vec![0.0f32; total];
-        for t in 0..t_new {
-            let visible = start + t + 1;
-            let qrow = qk.row(t);
-            let scores = &mut scores_buf[..visible];
-            for h in 0..self.n_heads {
-                let kvh = h / group;
-                let qh = &qrow[h * kw..(h + 1) * kw];
-                for (pos, s) in scores.iter_mut().enumerate() {
-                    let kh = &krows[pos][kvh * kw..(kvh + 1) * kw];
-                    *s = dot(qh, kh) * scale;
-                }
-                softmax_inplace(scores);
-                let out = &mut ctx.row_mut(t)[h * vw..(h + 1) * vw];
-                for (pos, &w) in scores.iter().enumerate() {
-                    let vh = &vrows[pos][kvh * vw..(kvh + 1) * vw];
-                    for (o, &vv) in out.iter_mut().zip(vh) {
-                        *o += w * vv;
-                    }
-                }
-            }
-        }
+        let dims = AttnDims {
+            n_heads: self.n_heads,
+            kv_heads,
+            kw,
+            vw,
+        };
+        attention(
+            qk.as_slice(),
+            &krows,
+            &vrows,
+            dims,
+            scale,
+            start,
+            ctx.as_mut_slice(),
+        );
 
         // MLA's context is a latent per head: apply W_UV[h] once per row.
         let ctx = match &self.kv {
@@ -492,12 +488,6 @@ impl Attention {
     }
 }
 
-/// Strict-order dot product: one reduction order however a prompt is
-/// chunked.
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 /// Columns `lo..lo + width` of `m`, as a matrix of their own.
 fn columns(m: &Matrix, lo: usize, width: usize) -> Result<Matrix, ModelError> {
     let mut out = Matrix::zeros(m.rows(), width)?;
@@ -514,7 +504,11 @@ mod tests {
     use kt_tensor::rng::seeded;
 
     fn rope() -> Rope {
-        Rope::new(16, 128, 10_000.0)
+        rope_for(16)
+    }
+
+    fn rope_for(head_dim: usize) -> Rope {
+        Rope::new(head_dim, 128, 10_000.0)
     }
 
     fn gqa_attn(seed: u64) -> Attention {
@@ -530,12 +524,12 @@ mod tests {
         .unwrap()
     }
 
-    fn mla_attn_with(seed: u64, n_heads: usize, rank: usize) -> Attention {
+    fn mla_attn_with(seed: u64, n_heads: usize, head_dim: usize, rank: usize) -> Attention {
         let mut rng = seeded(seed);
         Attention::random(
             32,
             n_heads,
-            16,
+            head_dim,
             AttentionKind::Mla { kv_lora_rank: rank },
             WeightDtype::F32,
             &mut rng,
@@ -544,7 +538,14 @@ mod tests {
     }
 
     fn mla_attn(seed: u64) -> Attention {
-        mla_attn_with(seed, 4, 8)
+        mla_attn_with(seed, 4, 16, 8)
+    }
+
+    /// `kt_benchmark`'s MLA shape: 4 heads × head_dim 64 × rank 32, so a
+    /// cache row is 96 floats (six full 16-lane chunks, no tail) and the
+    /// value row 32.
+    fn mla_bench_shape(seed: u64) -> Attention {
+        mla_attn_with(seed, 4, 64, 32)
     }
 
     fn cache_with_pages(attn: &Attention, page_rows: usize) -> PagedKvStore {
@@ -681,28 +682,41 @@ mod tests {
 
     #[test]
     fn parallel_pool_matches_serial() {
-        let attn = mla_attn(16);
-        let mut rng = seeded(17);
-        let x = Matrix::random_uniform(5, 32, 1.0, &mut rng).unwrap();
+        // The projections are row-stable on a pool and the attention core
+        // runs serially, so the pool changes no bit: MLA at 1-8 heads and
+        // GQA over 67 rows (more than one 64-row block).
         let rope = rope();
         let pool = kt_kernels::ThreadPool::new(3).unwrap();
-        let mut c1 = cache_for(&attn);
-        let mut c2 = cache_for(&attn);
-        let y1 = attn.forward(&x, &mut c1, &rope, None).unwrap();
-        let y2 = attn.forward(&x, &mut c2, &rope, Some(&pool)).unwrap();
-        let err = y1.relative_error(&y2);
-        assert!(err < 1e-5, "err={err}");
+        let mut rng = seeded(17);
+        let cases = (1..=8)
+            .map(|h| (mla_attn_with(16 + h as u64, h, 16, 8), 5))
+            .chain([(gqa_attn(16), 67)]);
+        for (attn, rows) in cases {
+            let x = Matrix::random_uniform(rows, 32, 1.0, &mut rng).unwrap();
+            let mut c1 = cache_for(&attn);
+            let mut c2 = cache_for(&attn);
+            let y1 = attn.forward(&x, &mut c1, &rope, None).unwrap();
+            let y2 = attn.forward(&x, &mut c2, &rope, Some(&pool)).unwrap();
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&y1),
+                bits(&y2),
+                "{:?} {} heads",
+                attn.kind(),
+                attn.n_heads()
+            );
+        }
     }
 
     #[test]
     fn page_size_is_pure_placement() {
         // Attention over 3-row pages must equal attention over one
         // page holding the whole sequence, bit for bit.
-        for attn in [gqa_attn(21), mla_attn(23)] {
+        for attn in [gqa_attn(21), mla_attn(23), mla_bench_shape(24)] {
             let mut small = cache_with_pages(&attn, 3);
             let mut single = cache_with_pages(&attn, 128);
             let mut rng = seeded(22);
-            let rope = rope();
+            let rope = rope_for(attn.head_dim());
             let prompt = Matrix::random_uniform(6, 32, 1.0, &mut rng).unwrap();
             let a = attn.forward(&prompt, &mut small, &rope, None).unwrap();
             let b = attn.forward(&prompt, &mut single, &rope, None).unwrap();
@@ -802,7 +816,6 @@ mod tests {
     fn mla_absorbed_form_matches_non_absorbed_reference() {
         // The absorbed latent-space attention must compute what MLA
         // means: decoded per-head keys and values, full-head softmax.
-        let rope = rope();
         let rel = |got: &[f32], want: &[f64]| {
             let diff: f64 = got
                 .iter()
@@ -812,13 +825,23 @@ mod tests {
             let norm: f64 = want.iter().map(|w| w * w).sum();
             (diff / norm).sqrt()
         };
-        for (seed, (n_heads, rank)) in [(4, 8), (2, 4), (1, 16), (4, 32)].into_iter().enumerate() {
-            let attn = mla_attn_with(60 + seed as u64, n_heads, rank);
+        // The last shape is the benchmark's: a 96-float row, so the score
+        // kernel runs whole 16-lane chunks; the others end in a tail.
+        let shapes = [
+            (4, 16, 8),
+            (2, 16, 4),
+            (1, 16, 16),
+            (4, 16, 32),
+            (4, 64, 32),
+        ];
+        for (seed, (n_heads, d, rank)) in shapes.into_iter().enumerate() {
+            let attn = mla_attn_with(60 + seed as u64, n_heads, d, rank);
+            let rope = rope_for(d);
             let mut rng = seeded(70 + seed as u64);
             let x = Matrix::random_uniform(9, 32, 1.0, &mut rng).unwrap();
             let want = mla_reference(&attn, &x, &rope);
             for page_rows in [1, 3, 16] {
-                let what = format!("heads {n_heads} rank {rank} pages {page_rows}");
+                let what = format!("heads {n_heads} head_dim {d} rank {rank} pages {page_rows}");
                 // One-shot prefill.
                 let mut cache = cache_with_pages(&attn, page_rows);
                 let y = attn.forward(&x, &mut cache, &rope, None).unwrap();

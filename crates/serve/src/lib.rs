@@ -823,6 +823,9 @@ mod tests {
         vip.cancel();
         let v = vip.wait_timeout(Duration::from_secs(30)).expect("resolves");
         assert_ne!(v.outcome, RequestOutcome::Shed, "interactive is never shed");
+        // Both ledgers count a request before its handle resolves, so
+        // once `busy` resolves neither can move under the reads below.
+        busy.wait_timeout(Duration::from_secs(30)).expect("busy resolves");
         let stats = server.stats();
         assert_eq!(stats.shed, 1);
         let cs = server.class_stats();
