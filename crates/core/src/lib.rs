@@ -15,9 +15,8 @@
 //!   §3.3 describes ("pushes routed-expert tasks into a lock-free
 //!   queue ... background worker threads execute the queued tasks").
 //! * [`placement`] — the placement plan (attention/shared experts/LM
-//!   head on GPU, routed experts on CPU), the §3.1 split, and the
-//!   dynamic expert placement (cost model + VRAM expert cache) that a
-//!   nonzero `EngineConfig::expert_cache_bytes` turns on.
+//!   head on GPU, routed experts on CPU): the §3.1 split, the engine's
+//!   only placement.
 //! * [`engine`] — [`engine::HybridEngine`]: an end-to-end MoE decoder
 //!   wiring the two backends together, with three scheduling modes
 //!   (synchronous baseline, async single-graph, async + Expert
@@ -32,11 +31,8 @@ pub mod profiling;
 pub mod vgpu;
 
 pub use cpu_backend::CpuBackend;
-pub use engine::{
-    BatchSeq, EngineConfig, FaultHook, HybridEngine, RoutingHook, SchedMode, UtilizationReport,
-};
+pub use engine::{BatchSeq, EngineConfig, FaultHook, HybridEngine, SchedMode, UtilizationReport};
 pub use error::EngineError;
-pub use placement::dynamic::{ExpertCache, ExpertCacheStats};
 pub use placement::{DeviceKind, PlacementPlan};
 pub use kt_tensor::ArenaStats;
 // Re-exported so downstream crates (kt-serve's `kt_build_info` gauge)

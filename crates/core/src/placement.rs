@@ -8,8 +8,6 @@ use std::collections::HashMap;
 
 use kt_model::ModelConfig;
 
-pub mod dynamic;
-
 /// Execution device of a module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {

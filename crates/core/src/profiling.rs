@@ -3,11 +3,7 @@
 //! The engine records which routed experts each layer activates
 //! ([`ExpertProfile`]); the serving layer exposes the counts as
 //! `kt_expert_hits_total{layer,expert}`. Placement does not read them:
-//! which experts reach the device is the value-aware expert cache's
-//! decision (`crate::placement::dynamic`), whose outputs are bitwise
-//! identical to the all-CPU split. (An earlier Fiddler-style path that
-//! pinned the profile's hottest experts to the GPU was not bit-identical
-//! and was deleted; see EXPERIMENTS.md.)
+//! every routed expert runs on the CPU (the paper's static split).
 //!
 //! The serving layer records per-request latency ([`RequestMetrics`]:
 //! queue wait, TTFT, inter-token gaps) and aggregate scheduler
@@ -162,28 +158,10 @@ pub struct ServeStats {
     pub prefix_resident_bytes: u64,
     /// Prefix segments currently resident.
     pub prefix_entries: u64,
-    /// Expert-cache lookups that found the expert resident in vGPU
-    /// memory (snapshot of the dynamic-placement expert cache; see
-    /// [`ServeStats::set_expert_cache`]). All zero when the engine
-    /// runs the static split (`expert_cache_bytes == 0`).
-    pub expert_cache_hits: u64,
-    /// Lookups for experts not resident (cold or evicted).
-    pub expert_cache_misses: u64,
-    /// Experts admitted into the cache.
-    pub expert_cache_insertions: u64,
-    /// Experts evicted to make room for higher-value ones.
-    pub expert_cache_evictions: u64,
-    /// Bytes freed by expert eviction.
-    pub expert_cache_evicted_bytes: u64,
-    /// Bytes currently held by resident experts.
-    pub expert_cache_resident_bytes: u64,
-    /// Experts currently resident.
-    pub expert_cache_entries: u64,
     /// Stored bytes of one routed expert's packed weights (gauge; see
     /// [`ServeStats::set_weight_precision`]). Quantized experts show
     /// their post-quantization footprint — the bytes each decode-step
-    /// GEMV streams and each PCIe upload pays. Zero for models without
-    /// routed experts.
+    /// GEMV streams. Zero for models without routed experts.
     pub expert_weight_bytes: u64,
     /// Short name of the routed experts' storage dtype ("f32", "bf16",
     /// "int8", "int4"); empty before the first snapshot.
@@ -268,18 +246,6 @@ impl ServeStats {
         self.prefix_evicted_bytes = s.evicted_bytes;
         self.prefix_resident_bytes = s.resident_bytes;
         self.prefix_entries = s.entries;
-    }
-
-    /// Overwrites the expert-cache counters from an engine snapshot
-    /// (replace, not accumulate, same as [`ServeStats::set_arena`]).
-    pub fn set_expert_cache(&mut self, s: &crate::placement::dynamic::ExpertCacheStats) {
-        self.expert_cache_hits = s.hits;
-        self.expert_cache_misses = s.misses;
-        self.expert_cache_insertions = s.insertions;
-        self.expert_cache_evictions = s.evictions;
-        self.expert_cache_evicted_bytes = s.evicted_bytes;
-        self.expert_cache_resident_bytes = s.resident_bytes;
-        self.expert_cache_entries = s.resident_entries;
     }
 
     /// Overwrites the weight-precision gauges from an engine snapshot
@@ -537,28 +503,5 @@ mod tests {
         assert_eq!(s.kv_pages_free, 24);
         assert_eq!(s.kv_pages_shared, 6);
         assert_eq!(s.kv_pages_swapped, 7, "scheduler-owned gauge untouched");
-    }
-
-    #[test]
-    fn set_expert_cache_overwrites_snapshot() {
-        let mut s = ServeStats::default();
-        let st = crate::placement::dynamic::ExpertCacheStats {
-            hits: 9,
-            misses: 4,
-            insertions: 6,
-            evictions: 2,
-            evicted_bytes: 512,
-            resident_bytes: 1024,
-            resident_entries: 4,
-        };
-        s.set_expert_cache(&st);
-        s.set_expert_cache(&st); // replace, not accumulate
-        assert_eq!(s.expert_cache_hits, 9);
-        assert_eq!(s.expert_cache_misses, 4);
-        assert_eq!(s.expert_cache_insertions, 6);
-        assert_eq!(s.expert_cache_evictions, 2);
-        assert_eq!(s.expert_cache_evicted_bytes, 512);
-        assert_eq!(s.expert_cache_resident_bytes, 1024);
-        assert_eq!(s.expert_cache_entries, 4);
     }
 }

@@ -20,7 +20,7 @@
 //! imbalance factor during prefill (§3.2: dynamic scheduling recovers
 //! up to 1.83x).
 
-use crate::hardware::{CpuSpec, GpuSpec, Platform};
+use crate::hardware::{CpuSpec, GpuSpec};
 
 /// CPU kernel families the systems under study use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -269,68 +269,6 @@ impl Calibration {
     pub fn pcie_time(&self, bytes: f64, pcie_gbs: f64) -> f64 {
         bytes / (pcie_gbs * 1e9)
     }
-
-    /// Calibrated cost split for placing one routed expert's bucket:
-    /// `tokens` rows through an expert of `flops` useful FLOPs and
-    /// `weight_bytes` stored weight bytes. The CPU side uses the hybrid
-    /// kernel dispatch (so AMX tile padding and per-task overhead apply
-    /// exactly as in `cpu_moe_time`); the GPU side is the small-kernel
-    /// roofline plus a PCIe upload term paid only when the expert is
-    /// not already resident in VRAM.
-    pub fn expert_placement_cost(
-        &self,
-        tokens: f64,
-        flops: f64,
-        weight_bytes: f64,
-        platform: &Platform,
-    ) -> ExpertPlacementCost {
-        let op = CpuMoeOp {
-            tokens_per_expert: tokens.max(1.0),
-            n_active_experts: 1.0,
-            flops,
-            bytes: weight_bytes,
-        };
-        let cpu_s = self.cpu_moe_time(
-            CpuKernel::KtHybrid,
-            &op,
-            &platform.cpu,
-            true,
-            true,
-            KernelPhase::Decode,
-        );
-        let large = tokens >= self.amx_m_pad;
-        let gpu_compute_s = self.gpu_op_time(&platform.gpu, flops, weight_bytes, large);
-        let pcie_upload_s = self.pcie_time(weight_bytes, platform.pcie_gbs);
-        ExpertPlacementCost {
-            cpu_s,
-            gpu_compute_s,
-            pcie_upload_s,
-        }
-    }
-}
-
-/// Per-expert placement cost comparison produced by
-/// [`Calibration::expert_placement_cost`], consumed by the dynamic
-/// placement policy in `kt-core`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExpertPlacementCost {
-    /// CPU kernel time (hybrid dispatch, NUMA-aware, dynamic sched).
-    pub cpu_s: f64,
-    /// vGPU compute time for the same bucket.
-    pub gpu_compute_s: f64,
-    /// PCIe upload of the expert's weights (paid when not resident).
-    pub pcie_upload_s: f64,
-}
-
-impl ExpertPlacementCost {
-    /// Total GPU-side cost given current residency.
-    pub fn gpu_total_s(&self, resident: bool) -> f64 {
-        if resident {
-            self.gpu_compute_s
-        } else {
-            self.gpu_compute_s + self.pcie_upload_s
-        }
-    }
 }
 
 #[cfg(test)]
@@ -516,59 +454,6 @@ mod tests {
             KernelPhase::Decode,
         ) + c.python_layer_overhead_s;
         assert!(t > 3.5e-3 && t < 9e-3, "t={t}");
-    }
-
-    #[test]
-    fn expert_placement_cost_resident_vs_cold() {
-        // One DS-3-scale routed expert at decode (1 token): BF16 weights
-        // are ~88 MB, so both sides are memory-bound. A VRAM-resident
-        // expert should win on HBM bandwidth; a cold expert pays a PCIe
-        // upload that dwarfs the CPU kernel time, so one-off activations
-        // stay on CPU.
-        let c = cal();
-        let platform = crate::hardware::Platform::a100_dual_xeon();
-        let per_tok_flops = 2.0 * 3.0 * 7168.0 * 2048.0;
-        let weight_bytes = 3.0 * 7168.0 * 2048.0 * 2.0;
-        let cost = c.expert_placement_cost(1.0, per_tok_flops, weight_bytes, &platform);
-        assert!(cost.cpu_s > 0.0 && cost.gpu_compute_s > 0.0 && cost.pcie_upload_s > 0.0);
-        assert!(
-            cost.gpu_total_s(true) < cost.cpu_s,
-            "resident expert should prefer GPU: gpu={} cpu={}",
-            cost.gpu_total_s(true),
-            cost.cpu_s
-        );
-        assert!(
-            cost.gpu_total_s(false) > cost.cpu_s,
-            "cold expert should prefer CPU: gpu={} cpu={}",
-            cost.gpu_total_s(false),
-            cost.cpu_s
-        );
-        // The upload term is exactly the PCIe transfer of the weights.
-        let up = c.pcie_time(weight_bytes, platform.pcie_gbs);
-        assert!((cost.gpu_total_s(false) - cost.gpu_total_s(true) - up).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expert_placement_cost_tracks_cpu_moe_time() {
-        // The CPU side must be the same roofline as cpu_moe_time with a
-        // single active expert (hybrid dispatch, dynamic scheduling).
-        let c = cal();
-        let platform = crate::hardware::Platform::a100_dual_xeon();
-        for m in [1.0, 4.0, 32.0] {
-            let per_tok_flops = 2.0 * 3.0 * 7168.0 * 2048.0;
-            let weight_bytes = 3.0 * 7168.0 * 2048.0 * 2.0;
-            let op = CpuMoeOp {
-                tokens_per_expert: m,
-                n_active_experts: 1.0,
-                flops: m * per_tok_flops,
-                bytes: weight_bytes,
-            };
-            let direct =
-                c.cpu_moe_time(CpuKernel::KtHybrid, &op, &platform.cpu, true, true, KernelPhase::Decode);
-            let cost =
-                c.expert_placement_cost(m, m * per_tok_flops, weight_bytes, &platform);
-            assert!((cost.cpu_s - direct).abs() < 1e-15, "m={m}");
-        }
     }
 
     #[test]

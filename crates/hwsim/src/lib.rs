@@ -39,7 +39,7 @@ pub mod pipeline;
 pub mod policy;
 pub mod workload;
 
-pub use cost::{Calibration, ExpertPlacementCost};
+pub use cost::Calibration;
 pub use desim::{Segment, SegmentKind, Sim, SimResult, TaskSpec};
 pub use error::SimError;
 pub use hardware::{CpuSpec, GpuSpec, Platform};

@@ -194,93 +194,6 @@ impl MoeRouting {
     }
 }
 
-/// One expert's **unscattered** output from
-/// [`FusedMoE::forward_buckets`]: the down-projected rows plus the
-/// token ids and routing weights needed to scatter them later.
-///
-/// Holding scatter inputs rather than scattered sums lets two devices
-/// (e.g. CPU workers and the vGPU) compute disjoint expert subsets
-/// concurrently and still merge through the canonical serial
-/// scatter-add order ([`scatter_bucket_outs`]) — bitwise identical to
-/// computing every expert on one device. Return the buffers via
-/// [`MoeWorkspace::retire_bucket_out`] when done.
-#[derive(Debug)]
-pub struct BucketOut {
-    /// Expert index within the pool.
-    pub expert: usize,
-    /// Routed token ids, ascending.
-    pub token_ids: Vec<usize>,
-    /// Routing weights, parallel to `token_ids`.
-    pub weights: Vec<f32>,
-    /// Down-projected outputs, `t_e x hidden` (arena-backed).
-    pub d: Matrix,
-}
-
-/// Serially scatter-adds unscattered bucket outputs into `out`, in the
-/// order given: `out[t] += weight * d[row]` per routed token, the exact
-/// loop the serial branch of [`FusedMoE::forward_accumulate_with`]
-/// runs. For bitwise parity with a single-device forward, pass the
-/// outputs sorted ascending by expert index (the order `build_buckets`
-/// visits them).
-///
-/// # Errors
-///
-/// Returns [`KernelError::Shape`] on column mismatches or out-of-range
-/// token ids.
-pub fn scatter_bucket_outs(outs: &[BucketOut], out: &mut Matrix) -> Result<(), KernelError> {
-    for b in outs {
-        if b.d.cols() != out.cols() {
-            return Err(KernelError::shape(format!(
-                "bucket for expert {} has {} cols, out has {}",
-                b.expert,
-                b.d.cols(),
-                out.cols()
-            )));
-        }
-        for (row, (&t, &wgt)) in b.token_ids.iter().zip(&b.weights).enumerate() {
-            if t >= out.rows() {
-                return Err(KernelError::shape(format!(
-                    "bucket for expert {} scatters token {t}, out has {} rows",
-                    b.expert,
-                    out.rows()
-                )));
-            }
-            let src = b.d.row(row);
-            let dst = out.row_mut(t);
-            for (o, s) in dst.iter_mut().zip(src) {
-                *o += wgt * s;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Scatter-adds two ascending, expert-disjoint bucket streams (one per
-/// device) into `out`, interleaved in ascending expert order — the
-/// canonical order of [`scatter_bucket_outs`] over the combined stream,
-/// so the result is bitwise identical to one device computing every
-/// expert.
-///
-/// # Errors
-///
-/// Returns the first [`KernelError::Shape`] [`scatter_bucket_outs`]
-/// hits; buckets after it are not scattered.
-pub fn scatter_bucket_streams(
-    a: &[BucketOut],
-    b: &[BucketOut],
-    out: &mut Matrix,
-) -> Result<(), KernelError> {
-    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
-    while let Some(next) = match (a.peek(), b.peek()) {
-        (Some(x), Some(y)) if y.expert < x.expert => b.next(),
-        (Some(_), _) => a.next(),
-        (None, _) => b.next(),
-    } {
-        scatter_bucket_outs(std::slice::from_ref(next), out)?;
-    }
-    Ok(())
-}
-
 /// Per-expert gathered workspace used inside one forward call.
 struct Bucket {
     expert: usize,
@@ -360,26 +273,6 @@ impl MoeWorkspace {
     /// Allocation/reuse counters of the backing arena.
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
-    }
-
-    /// Returns a [`BucketOut`]'s buffers to this workspace: the output
-    /// matrix to the arena, the id/weight vectors (capacity intact) to
-    /// the gather table. Hand each bucket back to the workspace that
-    /// produced it so per-device working sets stay warm.
-    pub fn retire_bucket_out(&mut self, b: BucketOut) {
-        let BucketOut {
-            expert,
-            mut token_ids,
-            mut weights,
-            d,
-        } = b;
-        token_ids.clear();
-        weights.clear();
-        if let Some(slot) = self.gather.get_mut(expert) {
-            slot.0 = token_ids;
-            slot.1 = weights;
-        }
-        self.arena.restore(d);
     }
 
     /// Fills all pooled buffers with NaN (test hook; see
@@ -651,69 +544,8 @@ impl FusedMoE {
         Ok(())
     }
 
-    /// Computes per-expert **unscattered** outputs for `x` under
-    /// `routing`: the same two fused task batches as
-    /// [`FusedMoE::forward_accumulate_with`] (same kernels, same
-    /// per-bucket kernel class, same task order), stopping before the
-    /// scatter-add. Buckets come back sorted ascending by expert index.
-    ///
-    /// This is the dual-device building block: partition a routing
-    /// table by expert, run each partition on its own device with its
-    /// own workspace, then fold both devices' buckets through one
-    /// [`scatter_bucket_streams`] call — bitwise identical to a
-    /// single-device forward over the unpartitioned routing, because
-    /// each expert's bucket contents and the global scatter order are
-    /// unchanged. Retire each returned bucket to the workspace that
-    /// produced it via [`MoeWorkspace::retire_bucket_out`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::Shape`] on dimension or routing-index
-    /// mismatches.
-    pub fn forward_buckets(
-        &self,
-        x: &Matrix,
-        routing: &MoeRouting,
-        pool: Option<&ThreadPool>,
-        policy: SchedulePolicy,
-        ws: &mut MoeWorkspace,
-    ) -> Result<Vec<BucketOut>, KernelError> {
-        self.validate_forward(x, routing)?;
-        Self::retire_buckets(&mut ws.gather, &mut ws.buckets, &mut ws.arena);
-        if let Err(e) = self.build_buckets(x, routing, ws) {
-            Self::retire_buckets(&mut ws.gather, &mut ws.buckets, &mut ws.arena);
-            return Err(e);
-        }
-        let MoeWorkspace {
-            arena,
-            buckets,
-            descs,
-            ..
-        } = ws;
-        if buckets.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.run_phases(pool, policy, buckets, descs);
-        // Hand the down-projected rows to the caller; the intermediate
-        // scratch (gathered inputs, gate|up, activations) retires now.
-        let outs = buckets
-            .drain(..)
-            .map(|b| {
-                arena.restore(b.x);
-                arena.restore(b.gu);
-                arena.restore(b.h);
-                BucketOut {
-                    expert: b.expert,
-                    token_ids: b.token_ids,
-                    weights: b.weights,
-                    d: b.d,
-                }
-            })
-            .collect();
-        Ok(outs)
-    }
-
-    /// Shape/range checks shared by the forward entry points.
+    /// Shape/range checks of every forward (they all reach
+    /// [`FusedMoE::forward_accumulate_with`]).
     fn validate_forward(&self, x: &Matrix, routing: &MoeRouting) -> Result<(), KernelError> {
         if x.cols() != self.hidden {
             return Err(KernelError::shape(format!(
@@ -1272,37 +1104,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_buckets_plus_scatter_matches_forward_bitwise() {
-        let (_, moe) = setup(8, 32, 48, 40);
-        let mut rng = seeded(41);
-        let x = Matrix::random_uniform(7, 32, 1.0, &mut rng).unwrap();
-        let routing = topk_routing(7, 8, 3, 42);
-        let mut ws = MoeWorkspace::new();
-        let expect = moe
-            .forward_with(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
-            .unwrap();
-        let outs = moe
-            .forward_buckets(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
-            .unwrap();
-        assert!(outs.windows(2).all(|w| w[0].expert < w[1].expert));
-        let mut got = Matrix::zeros(7, 32).unwrap();
-        scatter_bucket_outs(&outs, &mut got).unwrap();
-        assert_eq!(expect.as_slice(), got.as_slice(), "bit-exact");
-        for b in outs {
-            ws.retire_bucket_out(b);
-        }
-        ws.restore(expect);
-        // The workspace is warm and healthy after retirement.
-        let again = moe
-            .forward(&x, &routing, None, SchedulePolicy::Dynamic)
-            .unwrap();
-        let warm = moe
-            .forward_with(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
-            .unwrap();
-        assert_eq!(again.as_slice(), warm.as_slice());
-    }
-
-    #[test]
     fn vector_backend_batch_equals_single_row_forwards_bitwise() {
         // The vector class schedules (bucket, projection, row-block,
         // panel-group) tasks; a token's output must not depend on which
@@ -1333,79 +1134,6 @@ mod tests {
                 }
                 ws.restore(batch);
             }
-        }
-    }
-
-    #[test]
-    fn partitioned_buckets_across_workspaces_match_unpartitioned() {
-        // Split the routing by expert across two workspaces (the
-        // dual-device pattern) — every expert on one side, every expert
-        // on the other, parity, and random splits — then merge the two
-        // streams: must be bitwise identical to the single-workspace
-        // forward over the unsplit routing.
-        use rand::Rng;
-        let (_, moe) = setup(6, 32, 40, 50);
-        let mut rng = seeded(51);
-        let x = Matrix::random_uniform(9, 32, 1.0, &mut rng).unwrap();
-        let routing = topk_routing(9, 6, 3, 52);
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let mut ws = MoeWorkspace::new();
-        let expect = moe
-            .forward_with(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
-            .unwrap();
-
-        let (mut ws_a, mut ws_b) = (MoeWorkspace::new(), MoeWorkspace::new());
-        // Bit e set = expert e runs on side b.
-        let mut masks = vec![0u32, 0b11_1111, 0b10_1010];
-        masks.extend((0..16).map(|_| rng.gen_range(0u32..64)));
-        for mask in masks {
-            let side = |on_b: bool| {
-                MoeRouting::new(
-                    routing
-                        .assignments
-                        .iter()
-                        .map(|a| {
-                            a.iter()
-                                .copied()
-                                .filter(|&(e, _)| (mask >> e & 1 == 1) == on_b)
-                                .collect()
-                        })
-                        .collect(),
-                )
-            };
-            let outs_a = moe
-                .forward_buckets(&x, &side(false), None, SchedulePolicy::Dynamic, &mut ws_a)
-                .unwrap();
-            let outs_b = moe
-                .forward_buckets(&x, &side(true), None, SchedulePolicy::Dynamic, &mut ws_b)
-                .unwrap();
-            let mut got = Matrix::zeros(9, 32).unwrap();
-            scatter_bucket_streams(&outs_a, &outs_b, &mut got).unwrap();
-            assert_eq!(bits(&expect), bits(&got), "split mask {mask:06b}");
-            outs_a.into_iter().for_each(|b| ws_a.retire_bucket_out(b));
-            outs_b.into_iter().for_each(|b| ws_b.retire_bucket_out(b));
-        }
-    }
-
-    #[test]
-    fn scatter_bucket_outs_validates_shapes() {
-        let (_, moe) = setup(4, 16, 24, 60);
-        let mut rng = seeded(61);
-        let x = Matrix::random_uniform(2, 16, 1.0, &mut rng).unwrap();
-        let routing = topk_routing(2, 4, 2, 62);
-        let mut ws = MoeWorkspace::new();
-        let outs = moe
-            .forward_buckets(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
-            .unwrap();
-        // Wrong column count (also through the two-stream merge).
-        let mut narrow = Matrix::zeros(2, 8).unwrap();
-        assert!(scatter_bucket_outs(&outs, &mut narrow).is_err());
-        assert!(scatter_bucket_streams(&[], &outs, &mut narrow).is_err());
-        // Token id out of range.
-        let mut short = Matrix::zeros(1, 16).unwrap();
-        assert!(scatter_bucket_outs(&outs, &mut short).is_err());
-        for b in outs {
-            ws.retire_bucket_out(b);
         }
     }
 

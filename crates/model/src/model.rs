@@ -34,10 +34,9 @@
 //! buffer. An engine prefill is [`ExecMode::Standard`]; a decode row
 //! with `n_deferred` deferred experts is
 //! `Deferred { n_immediate: top_k - min(n_deferred, top_k - 1) }`
-//! (Standard at 0). Pools, the expert cache and the schedule mode are
-//! bitwise neutral; chunking and batching are too while every expert
-//! bucket keeps its kernel class. The root `tests/oracle.rs` gate checks
-//! all of it.
+//! (Standard at 0). Pools and the schedule mode are bitwise neutral;
+//! chunking and batching are too while every expert bucket keeps its
+//! kernel class. The root `tests/oracle.rs` gate checks all of it.
 
 use kt_kernels::dispatch::Backend;
 use kt_kernels::gemm::gemm_rowwise;
@@ -295,20 +294,6 @@ impl MoeModel {
         KvCache::new(&specs, self.cfg.max_seq)
     }
 
-    /// Routes `x` through one MoE layer's router (exposed for
-    /// engine-level scheduling, which needs routing decisions before
-    /// dispatching expert work).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Exec`] if `layer` is not a MoE layer.
-    pub fn route_layer(&self, layer: usize, x: &Matrix) -> Result<MoeRouting, ModelError> {
-        match &self.blocks[layer].ffn {
-            Ffn::Moe { router, .. } => Ok(router.route(x)),
-            Ffn::Dense(_) => Err(ModelError::exec(format!("layer {layer} is dense"))),
-        }
-    }
-
     /// Checks that `tokens` is a non-empty run of in-vocabulary ids.
     ///
     /// # Errors
@@ -515,93 +500,6 @@ impl MoeModel {
         };
         model.check_shapes()?;
         Ok(model)
-    }
-
-    /// Saves to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save_file(&self, path: impl AsRef<std::path::Path>) -> Result<(), ModelError> {
-        let mut f = std::io::BufWriter::new(
-            std::fs::File::create(path)
-                .map_err(|e| ModelError::exec(format!("create checkpoint: {e}")))?,
-        );
-        self.save(&mut f)
-    }
-
-    /// Loads from a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn load_file(path: impl AsRef<std::path::Path>) -> Result<Self, ModelError> {
-        let mut f = std::io::BufReader::new(
-            std::fs::File::open(path)
-                .map_err(|e| ModelError::exec(format!("open checkpoint: {e}")))?,
-        );
-        Self::load(&mut f)
-    }
-
-    /// Teacher-forced perplexity of a token sequence: logits at
-    /// position `t` score token `t + 1`. The standard language-model
-    /// quality metric, usable to compare execution modes (e.g. how much
-    /// Expert Skipping degrades next-token prediction vs Deferral).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Exec`] for sequences shorter than 2 tokens
-    /// or on forward failures.
-    pub fn perplexity(
-        &self,
-        tokens: &[u32],
-        mode: ExecMode,
-        pool: Option<&ThreadPool>,
-    ) -> Result<f64, ModelError> {
-        if tokens.len() < 2 {
-            return Err(ModelError::exec("perplexity needs at least 2 tokens"));
-        }
-        let mut cache = self.new_cache();
-        let logits = self.forward(tokens, &mut cache, mode, pool)?;
-        let mut nll = 0.0f64;
-        for t in 0..tokens.len() - 1 {
-            let row = logits.row(t);
-            let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)) as f64;
-            let logsumexp = max
-                + row
-                    .iter()
-                    .map(|&v| ((v as f64) - max).exp())
-                    .sum::<f64>()
-                    .ln();
-            let target = tokens[t + 1] as usize;
-            nll += logsumexp - row[target] as f64;
-        }
-        Ok((nll / (tokens.len() - 1) as f64).exp())
-    }
-
-    /// Convenience: runs a prompt then greedily decodes `n_new` tokens.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward errors.
-    pub fn generate_greedy(
-        &self,
-        prompt: &[u32],
-        n_new: usize,
-        mode: ExecMode,
-        pool: Option<&ThreadPool>,
-    ) -> Result<Vec<u32>, ModelError> {
-        let mut cache = self.new_cache();
-        let logits = self.forward(prompt, &mut cache, ExecMode::Standard, pool)?;
-        let mut out = Vec::with_capacity(n_new);
-        let mut next = argmax(logits.row(logits.rows() - 1));
-        out.push(next);
-        for _ in 1..n_new {
-            let logits = self.forward(&[next], &mut cache, mode, pool)?;
-            next = argmax(logits.row(0));
-            out.push(next);
-        }
-        Ok(out)
     }
 
     /// Checks every weight's shape against the config: a checkpoint
@@ -839,51 +737,6 @@ mod tests {
             .forward(&[1, 2], &mut c2, ExecMode::Skipped { n_kept: 0 }, None)
             .unwrap();
         assert!(a.relative_error(&b) > 1e-4);
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let model = tiny_model(ModelPreset::DeepSeekV2, 7);
-        let a = model
-            .generate_greedy(&[1, 2, 3], 5, ExecMode::Standard, None)
-            .unwrap();
-        let b = model
-            .generate_greedy(&[1, 2, 3], 5, ExecMode::Standard, None)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 5);
-    }
-
-    #[test]
-    fn perplexity_is_finite_and_mode_sensitive() {
-        let model = tiny_model(ModelPreset::DeepSeekV3, 21);
-        let tokens: Vec<u32> = (0..24).map(|i| (i * 37 + 5) % 256).collect();
-        let std_ppl = model
-            .perplexity(&tokens, ExecMode::Standard, None)
-            .unwrap();
-        assert!(std_ppl.is_finite() && std_ppl > 1.0);
-        // An untrained model should be near the uniform-perplexity
-        // ceiling (vocab = 256) but not above it by much.
-        assert!(std_ppl < 4000.0, "ppl={std_ppl}");
-        // Skipping every expert must not *improve* prediction on
-        // average... but with random weights we only check validity.
-        let skip_ppl = model
-            .perplexity(&tokens, ExecMode::Skipped { n_kept: 0 }, None)
-            .unwrap();
-        assert!(skip_ppl.is_finite() && skip_ppl > 1.0);
-        assert!(model.perplexity(&[1], ExecMode::Standard, None).is_err());
-    }
-
-    #[test]
-    fn route_layer_exposes_moe_routing() {
-        let model = tiny_model(ModelPreset::DeepSeekV3, 8);
-        let cfg = model.config().clone();
-        let x = Matrix::zeros(2, cfg.hidden).unwrap();
-        // Layer 0 is dense for DS-3 tiny (1 dense layer).
-        assert!(model.route_layer(0, &x).is_err());
-        let routing = model.route_layer(1, &x).unwrap();
-        assert_eq!(routing.n_tokens(), 2);
-        assert_eq!(routing.assignments[0].len(), cfg.top_k);
     }
 
     #[test]

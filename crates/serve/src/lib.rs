@@ -361,98 +361,6 @@ mod tests {
         Server::start(engine(7), single_page)
             .expect("page_rows == max_seq is accepted")
             .shutdown();
-        // A nonzero expert cache that cannot hold even one routed
-        // expert is rejected too, naming the engine field.
-        let model = ModelPreset::DeepSeekV3.tiny_config();
-        let tiny_cache = Arc::new(
-            HybridEngine::random(
-                &model,
-                EngineConfig {
-                    n_cpu_workers: 2,
-                    expert_cache_bytes: 1,
-                    seed: 7,
-                    ..Default::default()
-                },
-            )
-            .unwrap(),
-        );
-        let err = Server::start(tiny_cache, ServerConfig::default())
-            .expect_err("undersized expert cache must be rejected");
-        assert!(err.to_string().contains("expert_cache_bytes"), "{err}");
-    }
-
-    #[test]
-    fn dynamic_placement_serves_identical_tokens_and_exposes_cache_stats() {
-        // Same workload on a zero-byte-cache engine (the static split)
-        // and a dynamic-placement engine (identical weights/seed
-        // otherwise): every served token must match, the expert-cache
-        // counters must surface in both ServeStats and the Prometheus
-        // exposition, and afterwards — cache warm — both engines must
-        // still produce the same logits bit for bit.
-        let prompts: Vec<Vec<u32>> = (0..4).map(|i| vec![i + 1, 2 * i + 3, 11]).collect();
-        let serve_all = |server: &Server| -> Vec<Vec<u32>> {
-            prompts
-                .iter()
-                .map(|p| server.submit(Request::greedy(p, 5)))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.wait().tokens)
-                .collect()
-        };
-        // Prefill + 6 greedy decode steps, every logits matrix as raw
-        // bits.
-        let logits_bits = |e: &HybridEngine| -> Vec<Vec<u32>> {
-            e.reset();
-            let mut l = e.forward(&[5, 6, 7]).unwrap();
-            let mut out = Vec::new();
-            for _ in 0..6 {
-                out.push(l.as_slice().iter().map(|v| v.to_bits()).collect());
-                let next = kt_model::model::argmax(l.row(l.rows() - 1));
-                l = e.forward(&[next]).unwrap();
-            }
-            out
-        };
-
-        let static_engine = engine(30);
-        let fifo = Server::start(Arc::clone(&static_engine), cfg(3)).unwrap();
-        let base = serve_all(&fifo);
-        assert_eq!(fifo.stats().expert_cache_hits, 0, "static engine has no cache");
-        fifo.shutdown();
-
-        let model = ModelPreset::DeepSeekV3.tiny_config();
-        let dynamic = Arc::new(
-            HybridEngine::random(
-                &model,
-                EngineConfig {
-                    n_cpu_workers: 2,
-                    mode: SchedMode::AsyncGraph,
-                    n_deferred: 2,
-                    backend: kt_kernels::dispatch::Backend::TiledOnly,
-                    expert_cache_bytes: 48 << 20,
-                    seed: 30,
-                    ..Default::default()
-                },
-            )
-            .unwrap(),
-        );
-        let server = Server::start(Arc::clone(&dynamic), cfg(3)).unwrap();
-        let got = serve_all(&server);
-        assert_eq!(base, got, "dynamic placement must not change any bits");
-        let stats = server.stats();
-        assert!(
-            stats.expert_cache_hits + stats.expert_cache_misses > 0,
-            "cache consulted: {stats:?}"
-        );
-        let text = server.stats_text();
-        assert!(text.contains("kt_expert_cache_hits_total"), "{text}");
-        assert!(text.contains("kt_expert_cache_resident_bytes"), "{text}");
-        assert!(
-            text.contains("kt_expert_hits_total{layer=\""),
-            "per-expert exposition missing:\n{text}"
-        );
-        assert!(text.contains("placement=\"dynamic\""), "{text}");
-        server.shutdown();
-        assert_eq!(logits_bits(&static_engine), logits_bits(&dynamic));
     }
 
     #[test]

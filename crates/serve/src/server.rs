@@ -521,20 +521,6 @@ impl Server {
                 .validate(mcfg.hidden, mcfg.dense_inter, mcfg.moe_inter)
                 .map_err(|e| EngineError::config(e.to_string()))?;
         }
-        // A nonzero expert cache must at least hold one routed expert,
-        // or it can never admit anything and every step pays miss
-        // bookkeeping for a cache that stays empty.
-        {
-            let expert = engine.expert_weight_bytes().unwrap_or(0);
-            let budget = engine.engine_config().expert_cache_bytes;
-            if budget > 0 && budget < expert {
-                return Err(EngineError::config(format!(
-                    "EngineConfig.expert_cache_bytes ({budget}) cannot hold a single \
-                     routed expert ({expert} bytes): the dynamic-placement cache could \
-                     never admit an expert"
-                )));
-            }
-        }
         if let Some(policy) = &cfg.slo {
             for class in SloClass::ALL {
                 let t = policy.target(class);
@@ -685,9 +671,6 @@ impl Server {
             s.set_prefix(&px);
         }
         s.set_pages(&self.inner.pool.page_stats());
-        if let Some(x) = self.inner.engine.expert_cache_stats() {
-            s.set_expert_cache(&x);
-        }
         if let (Some(bytes), Some(dtype)) = (
             self.inner.engine.expert_weight_bytes(),
             self.inner.engine.expert_weight_dtype(),
@@ -743,11 +726,6 @@ impl Server {
         push_counter(&mut out,"kt_prefix_insertions_total", "Prefix segments frozen into the cache.", s.prefix_insertions);
         push_counter(&mut out,"kt_prefix_evictions_total", "Prefix segments evicted, by the byte budget or the page valve.", s.prefix_evictions);
         push_counter(&mut out,"kt_prefix_evicted_bytes_total", "Bytes freed by prefix eviction.", s.prefix_evicted_bytes);
-        push_counter(&mut out,"kt_expert_cache_hits_total", "Expert-cache lookups that found the expert resident on the vGPU.", s.expert_cache_hits);
-        push_counter(&mut out,"kt_expert_cache_misses_total", "Expert-cache lookups for non-resident experts.", s.expert_cache_misses);
-        push_counter(&mut out,"kt_expert_cache_insertions_total", "Experts admitted into the vGPU cache.", s.expert_cache_insertions);
-        push_counter(&mut out,"kt_expert_cache_evictions_total", "Experts evicted for higher-value ones.", s.expert_cache_evictions);
-        push_counter(&mut out,"kt_expert_cache_evicted_bytes_total", "Bytes freed by expert eviction.", s.expert_cache_evicted_bytes);
         // Per-expert gating popularity, label form. Dense (and so far
         // idle) layers are skipped to bound the exposition size.
         {
@@ -814,8 +792,6 @@ impl Server {
         }
         push_gauge(&mut out,"kt_prefix_resident_bytes", "Bytes resident in frozen prefix segments.", s.prefix_resident_bytes as f64);
         push_gauge(&mut out,"kt_prefix_entries", "Prefix segments currently resident.", s.prefix_entries as f64);
-        push_gauge(&mut out,"kt_expert_cache_resident_bytes", "Bytes held by vGPU-resident experts.", s.expert_cache_resident_bytes as f64);
-        push_gauge(&mut out,"kt_expert_cache_entries", "Experts currently vGPU-resident.", s.expert_cache_entries as f64);
         // Weight-precision gauge with the routed experts' storage dtype
         // as a label, so dashboards can key bandwidth/footprint math on
         // the serving precision.
@@ -847,8 +823,8 @@ impl Server {
         push_gauge(&mut out,"kt_peak_queue_depth", "Deepest admission queue observed.", s.peak_queue_depth as f64);
         push_gauge(&mut out,"kt_mean_batch_occupancy", "Mean active sequences per step.", s.mean_occupancy());
         push_gauge(&mut out,"kt_arena_high_water_bytes", "High-water mark of bytes held across step arenas.", s.arena_high_water_bytes as f64);
-        // Build/runtime identity: which binary, commit, kernel ISA
-        // level, and placement policy produced these numbers. Constant
+        // Build/runtime identity: which binary, commit and kernel ISA
+        // level produced these numbers. Constant
         // 1 so dashboards join it onto any other family by instance.
         {
             push_family(
@@ -862,10 +838,6 @@ impl Server {
                 SimdLevel::Avx2Fma => "avx2_fma",
                 SimdLevel::Avx512 => "avx512",
             };
-            let placement = match self.inner.engine.expert_cache_stats() {
-                None => "static",
-                Some(_) => "dynamic",
-            };
             push_sample(
                 &mut out,
                 "kt_build_info",
@@ -873,7 +845,6 @@ impl Server {
                     ("version", env!("CARGO_PKG_VERSION")),
                     ("git_hash", env!("KT_GIT_HASH")),
                     ("simd", simd),
-                    ("placement", placement),
                 ],
                 1,
             );

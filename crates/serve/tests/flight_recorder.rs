@@ -162,7 +162,7 @@ fn violating_requests_are_captured_with_attributed_waterfalls() {
     assert!(text.contains("kt_build_info{version=\""), "{text}");
     assert!(text.contains("git_hash=\""), "{text}");
     assert!(text.contains("simd=\""), "{text}");
-    assert!(text.contains("placement=\"static\""), "{text}");
+    assert!(text.contains("kt_expert_hits_total{layer=\""), "{text}");
     server.shutdown();
 
     // Second phase, same process (the trace sink stays enabled): with

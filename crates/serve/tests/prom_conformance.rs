@@ -305,7 +305,7 @@ fn stats_text_conforms_to_the_exposition_format() {
         .find(|s| s.name == "kt_build_info")
         .expect("build info sample");
     assert_eq!(build.value, 1.0);
-    for label in ["version", "git_hash", "simd", "placement"] {
+    for label in ["version", "git_hash", "simd"] {
         assert!(
             build.labels.iter().any(|(k, v)| k == label && !v.is_empty()),
             "kt_build_info carries {label}: {:?}",

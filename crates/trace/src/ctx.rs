@@ -62,7 +62,7 @@ impl TraceCtx {
 }
 
 /// Number of [`Component`] variants.
-pub const N_COMPONENTS: usize = 10;
+pub const N_COMPONENTS: usize = 9;
 
 /// One named slice of a request's end-to-end latency.
 #[repr(usize)]
@@ -80,12 +80,8 @@ pub enum Component {
     /// CPU routed-expert time the overlap could not hide (the merge
     /// kernel's spin on CPU completion).
     CpuExpert,
-    /// Shared + cache-resident routed experts on the vGPU.
+    /// Shared experts on the vGPU.
     GpuExpert,
-    /// Expert-cache residency/admission bookkeeping (the harness's
-    /// stand-in for PCIe upload wall time — see
-    /// [`SpanKind::PcieUpload`]).
-    PcieUpload,
     /// Scatter-add + deferral flush of expert output.
     Merge,
     /// Final norm + LM head.
@@ -104,7 +100,6 @@ impl Component {
         Component::Gating,
         Component::CpuExpert,
         Component::GpuExpert,
-        Component::PcieUpload,
         Component::Merge,
         Component::LmHead,
         Component::Other,
@@ -119,7 +114,6 @@ impl Component {
             Component::Gating => "gating",
             Component::CpuExpert => "cpu_expert",
             Component::GpuExpert => "gpu_expert",
-            Component::PcieUpload => "pcie_upload",
             Component::Merge => "merge",
             Component::LmHead => "lm_head",
             Component::Other => "other",
@@ -139,13 +133,10 @@ pub fn step_components(deltas: &[u64; N_SPAN_KINDS], wall_ns: u64) -> ([u64; N_C
     let d = |k: SpanKind| deltas[k as usize];
     let mut c = [0u64; N_COMPONENTS];
     c[Component::Attention as usize] = d(SpanKind::Attention);
-    // The dispatch callback nests both gating and the residency pass;
-    // count dispatch once and carve the upload bookkeeping out of it.
-    c[Component::Gating as usize] =
-        d(SpanKind::ExpertDispatch).saturating_sub(d(SpanKind::PcieUpload));
-    c[Component::PcieUpload as usize] = d(SpanKind::PcieUpload);
+    // The dispatch callback nests gating; count dispatch once.
+    c[Component::Gating as usize] = d(SpanKind::ExpertDispatch);
     c[Component::CpuExpert as usize] = d(SpanKind::MergeSpin);
-    c[Component::GpuExpert as usize] = d(SpanKind::SharedExperts) + d(SpanKind::GpuExperts);
+    c[Component::GpuExpert as usize] = d(SpanKind::SharedExperts);
     c[Component::Merge as usize] = d(SpanKind::ScatterAdd) + d(SpanKind::DeferralFlush);
     c[Component::LmHead as usize] = d(SpanKind::LmHead);
     let mapped: u64 = c.iter().sum();
@@ -245,19 +236,17 @@ mod tests {
     fn step_components_sum_to_wall_exactly_when_mapped_fits() {
         let mut d = [0u64; N_SPAN_KINDS];
         d[SpanKind::Attention as usize] = 100;
-        d[SpanKind::ExpertDispatch as usize] = 60; // nests 10ns upload pass
-        d[SpanKind::PcieUpload as usize] = 10;
+        d[SpanKind::ExpertDispatch as usize] = 60; // nests gating
+        d[SpanKind::Gating as usize] = 20;
         d[SpanKind::MergeSpin as usize] = 30;
-        d[SpanKind::SharedExperts as usize] = 20;
-        d[SpanKind::GpuExperts as usize] = 5;
+        d[SpanKind::SharedExperts as usize] = 25;
         d[SpanKind::ScatterAdd as usize] = 15;
         d[SpanKind::DeferralFlush as usize] = 5;
         d[SpanKind::LmHead as usize] = 40;
         d[SpanKind::CpuExpertImmediate as usize] = 500; // overlapped
         let (c, cpu_busy) = step_components(&d, 300);
         assert_eq!(c.iter().sum::<u64>(), 300, "components sum to wall");
-        assert_eq!(c[Component::Gating as usize], 50, "upload carved out of dispatch");
-        assert_eq!(c[Component::PcieUpload as usize], 10);
+        assert_eq!(c[Component::Gating as usize], 60, "gating counted once, inside dispatch");
         assert_eq!(c[Component::CpuExpert as usize], 30, "merge spin is the cpu component");
         assert_eq!(c[Component::GpuExpert as usize], 25);
         assert_eq!(c[Component::Merge as usize], 20);

@@ -106,21 +106,13 @@ pub enum SpanKind {
     /// A resolved request that missed an SLO target (instant; `a` =
     /// SLO class index, `b` = 0 for a TTFT miss, 1 for an ITL miss).
     ServeSloViolation,
-    /// Cache-resident routed experts executing on the vGPU under
-    /// dynamic placement; `a` = layer.
+    /// Never recorded: every routed expert runs on the CPU backend.
+    /// Kept because the frozen serving benchmark sums it.
     GpuExperts,
     /// Per-sequence attention inside the batched attention op, emitted
     /// only for tagged (request-scoped) sequences; `a` = request tag
     /// (low 32 bits of the request id), `b` = layer.
     SeqAttention,
-    /// Residency bookkeeping for the VRAM expert cache inside the
-    /// dispatch callback — the touch/request/split pass that decides
-    /// which experts pay the (modeled) PCIe upload; `a` = layer,
-    /// `b` = non-resident experts admitted this step. In the harness
-    /// the upload itself is a cost-model term with no wall time, so
-    /// this span carries the real bookkeeping cost and reserves the
-    /// attribution slot a real-GPU port would fill with copy time.
-    PcieUpload,
     /// A running sequence preempted by the scheduler under KV page
     /// pressure (instant; `a` = request tag, `b` = pages released).
     ServePreempt,
@@ -133,7 +125,7 @@ pub enum SpanKind {
 }
 
 /// Number of [`SpanKind`] variants (the phase table's size).
-pub const N_SPAN_KINDS: usize = 31;
+pub const N_SPAN_KINDS: usize = 30;
 
 impl SpanKind {
     /// Stable display name (also the Chrome-trace event name).
@@ -166,7 +158,6 @@ impl SpanKind {
             SpanKind::ServeSloViolation => "serve.slo_violation",
             SpanKind::GpuExperts => "engine.gpu_experts",
             SpanKind::SeqAttention => "engine.seq_attention",
-            SpanKind::PcieUpload => "vgpu.pcie_upload",
             SpanKind::ServePreempt => "serve.preempt",
             SpanKind::KvSwapOut => "kv.swap_out",
             SpanKind::KvSwapIn => "kv.swap_in",
@@ -202,7 +193,6 @@ impl SpanKind {
         SpanKind::ServeSloViolation,
         SpanKind::GpuExperts,
         SpanKind::SeqAttention,
-        SpanKind::PcieUpload,
         SpanKind::ServePreempt,
         SpanKind::KvSwapOut,
         SpanKind::KvSwapIn,
@@ -243,14 +233,6 @@ pub enum CounterKind {
     /// Resolved requests with at least one inter-token gap over the
     /// ITL target.
     SloItlViolations,
-    /// Expert activations served from the VRAM expert cache (dynamic
-    /// placement; see `kt_core::placement::dynamic`).
-    ExpertCacheHits,
-    /// Expert activations that ran without a resident copy (CPU
-    /// execution, or a GPU run paying the PCIe upload).
-    ExpertCacheMisses,
-    /// Bytes freed by expert-cache eviction.
-    ExpertCacheEvictedBytes,
     /// Sequences preempted by swapping their KV pages out.
     PreemptSwap,
     /// Prompt rows seeded by whole-page reference instead of row copy
@@ -259,7 +241,7 @@ pub enum CounterKind {
 }
 
 /// Number of [`CounterKind`] variants (the counter table's size).
-pub const N_COUNTERS: usize = 14;
+pub const N_COUNTERS: usize = 11;
 
 impl CounterKind {
     /// Every counter, in `repr` order.
@@ -273,9 +255,6 @@ impl CounterKind {
         CounterKind::SloShed,
         CounterKind::SloTtftViolations,
         CounterKind::SloItlViolations,
-        CounterKind::ExpertCacheHits,
-        CounterKind::ExpertCacheMisses,
-        CounterKind::ExpertCacheEvictedBytes,
         CounterKind::PreemptSwap,
         CounterKind::PrefixSharedRows,
     ];
@@ -292,9 +271,6 @@ impl CounterKind {
             CounterKind::SloShed => "slo.shed",
             CounterKind::SloTtftViolations => "slo.ttft_violations",
             CounterKind::SloItlViolations => "slo.itl_violations",
-            CounterKind::ExpertCacheHits => "expert_cache.hits",
-            CounterKind::ExpertCacheMisses => "expert_cache.misses",
-            CounterKind::ExpertCacheEvictedBytes => "expert_cache.evicted_bytes",
             CounterKind::PreemptSwap => "preempt.swap",
             CounterKind::PrefixSharedRows => "prefix.shared_rows",
         }

@@ -91,52 +91,41 @@ fn batched_decode_equals_per_sequence_oracle() {
     // checked against its own oracle cache. Each prefill is a step of
     // its own, so expert buckets hold the rows the oracle's prefill gives
     // them; a decode batch puts at most three rows in a bucket, below the
-    // hybrid dispatch's crossover. A nonzero expert cache moves experts
-    // to the device without moving a bit.
+    // hybrid dispatch's crossover.
     let prompts: [&[u32]; 3] = [
         &[1, 2, 3],
         &[9, 8, 7, 6, 5],
         &[4, 40, 44, 60, 61, 62, 63, 64],
     ];
     for preset in ModelPreset::all() {
-        for cache_bytes in [0, 4 << 20] {
-            let what = format!("{preset:?} cache {cache_bytes}");
-            let e = engine(
-                preset,
-                EngineConfig {
-                    n_deferred: 2,
-                    precision: PrecisionPolicy::quantized_serving(16),
-                    expert_cache_bytes: cache_bytes,
-                    seed: 5,
-                    ..Default::default()
-                },
-            );
-            let mut oracle: Vec<Oracle> = prompts.iter().map(|_| Oracle::new(&e)).collect();
-            let mut seqs = Vec::new();
-            let mut next = Vec::new();
-            for (s, p) in prompts.iter().enumerate() {
-                let mut one = vec![BatchSeq::prefill(e.fresh_cache(), p.to_vec())];
-                let l = e.forward_batch(&mut one).unwrap().remove(0).unwrap();
-                next.push(oracle[s].check(p, false, &l, &format!("{what} seq {s}")));
-                seqs.append(&mut one);
+        let what = format!("{preset:?}");
+        let e = engine(
+            preset,
+            EngineConfig {
+                n_deferred: 2,
+                precision: PrecisionPolicy::quantized_serving(16),
+                seed: 5,
+                ..Default::default()
+            },
+        );
+        let mut oracle: Vec<Oracle> = prompts.iter().map(|_| Oracle::new(&e)).collect();
+        let mut seqs = Vec::new();
+        let mut next = Vec::new();
+        for (s, p) in prompts.iter().enumerate() {
+            let mut one = vec![BatchSeq::prefill(e.fresh_cache(), p.to_vec())];
+            let l = e.forward_batch(&mut one).unwrap().remove(0).unwrap();
+            next.push(oracle[s].check(p, false, &l, &format!("{what} seq {s}")));
+            seqs.append(&mut one);
+        }
+        for step in 0..6 {
+            for (seq, &t) in seqs.iter_mut().zip(&next) {
+                seq.tokens = vec![t];
+                seq.prefill = false;
             }
-            for step in 0..6 {
-                for (seq, &t) in seqs.iter_mut().zip(&next) {
-                    seq.tokens = vec![t];
-                    seq.prefill = false;
-                }
-                let logits = e.forward_batch(&mut seqs).unwrap();
-                for (s, l) in logits.iter().enumerate() {
-                    let what = format!("{what} seq {s} step {step}");
-                    next[s] = oracle[s].check(&[next[s]], true, l.as_ref().unwrap(), &what);
-                }
-            }
-            if cache_bytes > 0 {
-                let stats = e.expert_cache_stats().expect("nonzero budget has a cache");
-                assert!(
-                    stats.hits + stats.misses > 0,
-                    "{what}: no expert reached the device"
-                );
+            let logits = e.forward_batch(&mut seqs).unwrap();
+            for (s, l) in logits.iter().enumerate() {
+                let what = format!("{what} seq {s} step {step}");
+                next[s] = oracle[s].check(&[next[s]], true, l.as_ref().unwrap(), &what);
             }
         }
     }
