@@ -26,8 +26,6 @@ struct Shared {
     shutdown: AtomicBool,
     /// Tasks that panicked (isolated; the worker survives).
     panicked_tasks: AtomicU64,
-    /// Nanoseconds workers spent executing tasks (all workers summed).
-    busy_ns: AtomicU64,
 }
 
 /// Background worker pool fed by a lock-free queue.
@@ -50,7 +48,6 @@ impl CpuBackend {
             queue: SegQueue::new(),
             shutdown: AtomicBool::new(false),
             panicked_tasks: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
         });
         let workers = (0..n_workers)
             .map(|i| {
@@ -62,11 +59,6 @@ impl CpuBackend {
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CpuBackend { shared, workers })
-    }
-
-    /// Number of workers.
-    pub fn n_workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Enqueues a task (non-blocking, lock-free).
@@ -85,17 +77,6 @@ impl CpuBackend {
     /// count so callers can fail the affected request.
     pub fn panicked_tasks(&self) -> u64 {
         self.shared.panicked_tasks.load(Ordering::Acquire)
-    }
-
-    /// Total nanoseconds workers spent executing tasks (summed across
-    /// workers) — the numerator of CPU-backend utilization.
-    pub fn busy_ns(&self) -> u64 {
-        self.shared.busy_ns.load(Ordering::Acquire)
-    }
-
-    /// Resets the busy-time counter (between measurement windows).
-    pub fn reset_busy(&self) {
-        self.shared.busy_ns.store(0, Ordering::Release);
     }
 }
 
@@ -124,13 +105,9 @@ fn worker_loop(shared: Arc<Shared>) {
             // Isolate task panics: the worker must survive to serve the
             // next request (completion counters of the panicking task
             // are the submitter's responsibility to time out on).
-            let start = std::time::Instant::now();
             if catch_unwind(AssertUnwindSafe(task)).is_err() {
                 shared.panicked_tasks.fetch_add(1, Ordering::Release);
             }
-            shared
-                .busy_ns
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {

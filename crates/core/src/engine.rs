@@ -54,18 +54,6 @@ use crate::vgpu::{GraphHandle, LaunchStats, VgpuConfig, VirtualGpu};
 /// where to break the stream.
 type OpEntry = (bool, Arc<dyn Fn() + Send + Sync>, usize);
 
-/// Measured utilization over a [`HybridEngine::measure_utilization`]
-/// window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UtilizationReport {
-    /// CPU-backend worker utilization (busy time / (wall x workers)).
-    pub cpu_util: f64,
-    /// Virtual-GPU device utilization (op execution time / wall).
-    pub gpu_util: f64,
-    /// Fraction of device busy time spent on launch latency.
-    pub gpu_overhead_frac: f64,
-}
-
 /// Scheduling mode of the decode path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
@@ -624,35 +612,6 @@ impl HybridEngine {
         *self.shared.fault.lock() = None;
     }
 
-    /// Measures real CPU-backend and device utilization over a closure
-    /// (the live-engine analog of Figure 10's accounting): fraction of
-    /// wall time the CPU workers / virtual GPU spent executing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from `work`.
-    pub fn measure_utilization(
-        &self,
-        work: impl FnOnce() -> Result<(), EngineError>,
-    ) -> Result<UtilizationReport, EngineError> {
-        self.cpu.reset_busy();
-        self.vgpu.reset_stats();
-        let start = Instant::now();
-        work()?;
-        let wall = start.elapsed().as_nanos().max(1) as f64;
-        let stats = self.vgpu.stats();
-        Ok(UtilizationReport {
-            cpu_util: self.cpu.busy_ns() as f64 / (wall * self.cpu.n_workers() as f64),
-            gpu_util: stats.busy_ns as f64 / wall,
-            gpu_overhead_frac: if stats.busy_ns + stats.launch_overhead_ns > 0 {
-                stats.launch_overhead_ns as f64
-                    / (stats.busy_ns + stats.launch_overhead_ns) as f64
-            } else {
-                0.0
-            },
-        })
-    }
-
     /// Snapshot of the recorded expert-activation profile.
     pub fn expert_profile(&self) -> ExpertProfile {
         self.shared.profile.lock().clone()
@@ -743,6 +702,7 @@ impl HybridEngine {
             } else {
                 0
             };
+            let n_imm = cfg.top_k - n_def;
 
             // Op: attention (+ dense MLP for dense layers) on the GPU.
             {
@@ -889,31 +849,8 @@ impl HybridEngine {
                         // rows defer (§4.1 — decode-only), so a
                         // mixed prefill/decode batch keeps every
                         // sequence's deferral semantics independent.
-                        // Decode rows split exactly like
-                        // `split_deferred` (weight-sorted, top experts
-                        // immediate); prefill rows pass through
-                        // untouched in routing order.
-                        let any_defer =
-                            n_def > 0 && decode_row.iter().any(|&d| d);
-                        let (imm, def) = if any_defer {
-                            let mut imm_rows =
-                                Vec::with_capacity(routing.assignments.len());
-                            let mut def_rows =
-                                Vec::with_capacity(routing.assignments.len());
-                            for (r, a) in routing.assignments.iter().enumerate() {
-                                if decode_row.get(r).copied().unwrap_or(false) {
-                                    let mut sorted = a.clone();
-                                    sorted.sort_by(|x, y| y.1.total_cmp(&x.1));
-                                    let split =
-                                        a.len().saturating_sub(n_def).min(sorted.len());
-                                    def_rows.push(sorted.split_off(split));
-                                    imm_rows.push(sorted);
-                                } else {
-                                    imm_rows.push(a.clone());
-                                    def_rows.push(Vec::new());
-                                }
-                            }
-                            (MoeRouting::new(imm_rows), MoeRouting::new(def_rows))
+                        let (imm, def) = if n_def > 0 {
+                            routing.split_deferred(n_imm, &decode_row)
                         } else {
                             (routing, MoeRouting::new(Vec::new()))
                         };
@@ -1715,23 +1652,6 @@ mod tests {
         e.reset();
         let b = e.forward(&[1, 2, 3]).unwrap();
         assert_eq!(a.as_slice(), b.as_slice(), "reset gives a clean slate");
-    }
-
-    #[test]
-    fn utilization_report_is_sane() {
-        let e = engine(SchedMode::AsyncGraph, 2, 61);
-        let _ = e.forward(&[1, 2, 3]).unwrap(); // warm up / capture
-        let rep = e
-            .measure_utilization(|| {
-                for _ in 0..8 {
-                    e.forward(&[5])?;
-                }
-                Ok(())
-            })
-            .unwrap();
-        assert!(rep.cpu_util > 0.0 && rep.cpu_util <= 1.0 + 1e-6, "{rep:?}");
-        assert!(rep.gpu_util > 0.0 && rep.gpu_util <= 1.0 + 1e-6, "{rep:?}");
-        assert!((0.0..=1.0).contains(&rep.gpu_overhead_frac));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod profiling;
 pub mod vgpu;
 
 pub use cpu_backend::CpuBackend;
-pub use engine::{BatchSeq, EngineConfig, FaultHook, HybridEngine, SchedMode, UtilizationReport};
+pub use engine::{BatchSeq, EngineConfig, FaultHook, HybridEngine, SchedMode};
 pub use error::EngineError;
 pub use placement::{DeviceKind, PlacementPlan};
 pub use kt_tensor::ArenaStats;

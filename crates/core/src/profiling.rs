@@ -53,6 +53,10 @@ impl RequestMetrics {
 }
 
 /// Aggregate scheduler statistics over a serving session.
+///
+/// The outcome fields (`completed` through `slo_met`) are not counted
+/// here: the server keeps one per-SLO-class ledger and fills them as
+/// sums over its classes when it takes a snapshot.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests that ran to completion.
@@ -158,14 +162,6 @@ pub struct ServeStats {
     pub prefix_resident_bytes: u64,
     /// Prefix segments currently resident.
     pub prefix_entries: u64,
-    /// Stored bytes of one routed expert's packed weights (gauge; see
-    /// [`ServeStats::set_weight_precision`]). Quantized experts show
-    /// their post-quantization footprint — the bytes each decode-step
-    /// GEMV streams. Zero for models without routed experts.
-    pub expert_weight_bytes: u64,
-    /// Short name of the routed experts' storage dtype ("f32", "bf16",
-    /// "int8", "int4"); empty before the first snapshot.
-    pub expert_weight_dtype: String,
 }
 
 impl ServeStats {
@@ -246,13 +242,6 @@ impl ServeStats {
         self.prefix_evicted_bytes = s.evicted_bytes;
         self.prefix_resident_bytes = s.resident_bytes;
         self.prefix_entries = s.entries;
-    }
-
-    /// Overwrites the weight-precision gauges from an engine snapshot
-    /// (replace, not accumulate, same as [`ServeStats::set_arena`]).
-    pub fn set_weight_precision(&mut self, bytes: u64, dtype: &str) {
-        self.expert_weight_bytes = bytes;
-        self.expert_weight_dtype = dtype.to_string();
     }
 }
 

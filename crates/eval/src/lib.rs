@@ -15,7 +15,7 @@
 //!   Standard, **Deferred** (low-score experts' outputs land one block
 //!   later; never at the last block) and **Skipped** (low-score experts
 //!   dropped), mirroring `kt-model`'s `ExecMode` exactly.
-//! * [`train`] — minibatch SGD with manual backprop through top-k
+//! * [`train`](mod@train) — minibatch SGD with manual backprop through top-k
 //!   routing and a Switch-style load-balancing auxiliary loss.
 //! * [`experiments`] — the Table 2 analog (per-model (I+D) configs) and
 //!   the Figure 13 analog (accuracy delta vs number of affected

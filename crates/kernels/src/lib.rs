@@ -23,12 +23,13 @@
 //!   matrix is column-partitioned across socket domains with a
 //!   reduce-scatter-style combine, vs. the Expert-Parallel baseline.
 //!
-//! On this reproduction's hardware there is no AMX unit; the tiled
-//! kernel reproduces the *algorithm* (packed tile-major weights,
-//! L2-sized blocking, register-blocked microkernel, one-pass staging of
-//! inputs) with real AVX-512/AVX2 microkernels ([`simd`]) where the
-//! host supports them, and the AMX performance *model* lives in
-//! `kt-hwsim`.
+//! No kernel here issues AMX instructions, even on a host whose CPU
+//! has the AMX units (`amx_tile`, `amx_int8`, `amx_bf16`): the tiled
+//! kernel is an AVX-512 FMA stand-in that reproduces the *algorithm*
+//! (packed tile-major weights, L2-sized blocking, register-blocked
+//! microkernel, one-pass staging of inputs) with real AVX-512/AVX2
+//! microkernels ([`simd`]) where the host supports them. The AMX
+//! performance *model* lives in `kt-hwsim`.
 
 pub mod act;
 pub mod attn;

@@ -180,15 +180,29 @@ impl MoeRouting {
     /// rank: the `n_immediate` highest-weight experts of each token stay
     /// immediate, the rest are deferred (§4.1: "only the top-2 experts
     /// with the highest routing score ... are immediate experts").
-    pub fn split_deferred(&self, n_immediate: usize) -> (MoeRouting, MoeRouting) {
+    ///
+    /// Only tokens whose `may_defer` entry is true split (the engine
+    /// defers decode rows only); their immediate experts come back
+    /// sorted by weight, ties in routing order. Every other token,
+    /// including any past the end of the mask, stays immediate in
+    /// routing order with nothing deferred.
+    pub fn split_deferred(
+        &self,
+        n_immediate: usize,
+        may_defer: &[bool],
+    ) -> (MoeRouting, MoeRouting) {
         let mut imm = Vec::with_capacity(self.assignments.len());
         let mut def = Vec::with_capacity(self.assignments.len());
-        for a in &self.assignments {
+        for (t, a) in self.assignments.iter().enumerate() {
+            if !may_defer.get(t).copied().unwrap_or(false) {
+                imm.push(a.clone());
+                def.push(Vec::new());
+                continue;
+            }
             let mut sorted: Vec<(usize, f32)> = a.clone();
             sorted.sort_by(|x, y| y.1.total_cmp(&x.1));
-            let split = n_immediate.min(sorted.len());
-            imm.push(sorted[..split].to_vec());
-            def.push(sorted[split..].to_vec());
+            def.push(sorted.split_off(n_immediate.min(sorted.len())));
+            imm.push(sorted);
         }
         (MoeRouting::new(imm), MoeRouting::new(def))
     }
@@ -1022,11 +1036,32 @@ mod tests {
     #[test]
     fn split_deferred_partitions_by_score() {
         let routing = MoeRouting::new(vec![vec![(0, 0.1), (1, 0.9), (2, 0.5)]]);
-        let (imm, def) = routing.split_deferred(2);
+        let (imm, def) = routing.split_deferred(2, &[true]);
         assert_eq!(imm.assignments[0], vec![(1, 0.9), (2, 0.5)]);
         assert_eq!(def.assignments[0], vec![(0, 0.1)]);
         // Immediate + deferred must equal the full computation.
         assert_eq!(imm.n_activations() + def.n_activations(), 3);
+    }
+
+    #[test]
+    fn split_deferred_splits_only_masked_rows() {
+        let row = vec![(3, 0.2), (0, 0.7), (5, 0.2), (1, 0.7)];
+        let routing = MoeRouting::new(vec![row.clone(); 3]);
+        let (imm, def) = routing.split_deferred(3, &[false, true]);
+        // Masked off (and past the mask's end): unchanged, unsorted.
+        for t in [0, 2] {
+            assert_eq!(imm.assignments[t], row);
+            assert!(def.assignments[t].is_empty());
+        }
+        // Masked on: top-3 by weight, ties kept in routing order.
+        assert_eq!(imm.assignments[1], vec![(0, 0.7), (1, 0.7), (3, 0.2)]);
+        assert_eq!(def.assignments[1], vec![(5, 0.2)]);
+        // Nothing to defer once n_immediate covers the row.
+        for n in [4, 9] {
+            let (imm, def) = routing.split_deferred(n, &[true; 3]);
+            assert_eq!(def.n_activations(), 0);
+            assert_eq!(imm.n_activations(), 12);
+        }
     }
 
     #[test]
@@ -1036,7 +1071,7 @@ mod tests {
         let x = Matrix::random_uniform(3, 32, 1.0, &mut rng).unwrap();
         let routing = topk_routing(3, 8, 4, 14);
         let full = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
-        let (imm, def) = routing.split_deferred(2);
+        let (imm, def) = routing.split_deferred(2, &[true; 3]);
         let mut sum = moe.forward(&x, &imm, None, SchedulePolicy::Dynamic).unwrap();
         moe.forward_accumulate(&x, &def, &mut sum, None, SchedulePolicy::Dynamic)
             .unwrap();

@@ -374,12 +374,15 @@ impl MoeModel {
                     let routing = router.route(&ffn_in);
                     let is_last_moe = moe_idx + 1 == n_moe;
                     moe_idx += 1;
+                    let every_row = vec![true; t_new];
                     let (now, later) = match mode {
                         ExecMode::Standard => (routing, None),
                         ExecMode::Deferred { .. } if is_last_moe => (routing, None),
-                        ExecMode::Skipped { n_kept } => (routing.split_deferred(n_kept).0, None),
+                        ExecMode::Skipped { n_kept } => {
+                            (routing.split_deferred(n_kept, &every_row).0, None)
+                        }
                         ExecMode::Deferred { n_immediate } => {
-                            let (imm, def) = routing.split_deferred(n_immediate);
+                            let (imm, def) = routing.split_deferred(n_immediate, &every_row);
                             (imm, Some(def).filter(|d| d.n_activations() > 0))
                         }
                     };

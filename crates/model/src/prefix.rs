@@ -278,8 +278,8 @@ impl PrefixMatch {
 
     /// Seeds one layer (which must be empty): shares the maximal
     /// aligned run of whole pages by reference, then row-copies the
-    /// remaining matched rows. Returns the rows shared by reference.
-    fn seed_layer(&self, layer: usize, store: &mut PagedKvStore) -> Result<usize, ModelError> {
+    /// remaining matched rows.
+    fn seed_layer(&self, layer: usize, store: &mut PagedKvStore) -> Result<(), ModelError> {
         if !store.is_empty() {
             return Err(ModelError::exec(
                 "prefix seeding requires an empty KV store",
@@ -299,7 +299,7 @@ impl PrefixMatch {
             }
             abs += used;
         }
-        Ok(shared_rows)
+        Ok(())
     }
 
     /// Seeds every layer of an empty `cache` from the snapshot chain:
@@ -327,14 +327,9 @@ impl PrefixMatch {
             self.len.min(u32::MAX as usize) as u32,
             n_layers.min(u32::MAX as usize) as u32,
         );
-        let mut shared_rows = 0usize;
         for i in 0..n_layers {
-            shared_rows = self.seed_layer(i, cache.layer_mut(i))?;
+            self.seed_layer(i, cache.layer_mut(i))?;
         }
-        kt_trace::counter_add(
-            kt_trace::CounterKind::PrefixSharedRows,
-            shared_rows as u64,
-        );
         Ok(())
     }
 }
@@ -447,7 +442,6 @@ impl Inner {
         if evicted > 0 {
             self.stats.evictions += evicted;
             self.stats.evicted_bytes += freed as u64;
-            kt_trace::counter_add(kt_trace::CounterKind::PrefixEvictedBytes, freed as u64);
             kt_trace::instant(
                 kt_trace::SpanKind::PrefixEvict,
                 freed.min(u32::MAX as usize) as u32,
@@ -522,7 +516,6 @@ impl PrefixCache {
             cur = &mut cur[ci].children;
         }
         inner.stats.lookups += 1;
-        kt_trace::counter_add(kt_trace::CounterKind::PrefixLookups, 1);
         kt_trace::instant(
             kt_trace::SpanKind::PrefixLookup,
             tokens.len().min(u32::MAX as usize) as u32,
@@ -531,15 +524,12 @@ impl PrefixCache {
         if matched >= self.cfg.min_prefix_len.max(1) {
             inner.stats.hits += 1;
             inner.stats.hit_tokens += matched as u64;
-            kt_trace::counter_add(kt_trace::CounterKind::PrefixHits, 1);
-            kt_trace::counter_add(kt_trace::CounterKind::PrefixHitTokens, matched as u64);
             Some(PrefixMatch {
                 len: matched,
                 parts,
             })
         } else {
             inner.stats.misses += 1;
-            kt_trace::counter_add(kt_trace::CounterKind::PrefixMisses, 1);
             None
         }
     }
@@ -701,9 +691,6 @@ impl PrefixCache {
         inner.stats.evicted_bytes += freed;
         inner.stats.resident_bytes = 0;
         inner.stats.entries = 0;
-        if freed > 0 {
-            kt_trace::counter_add(kt_trace::CounterKind::PrefixEvictedBytes, freed);
-        }
         freed
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! Victim *selection* is SLO-class-aware and reuses the admission
 //! ordering of the SLO scheduler: the least urgent class goes first
-//! (highest [`SloClass::priority`] value), newest admission first
+//! (highest [`crate::SloClass::priority`] value), newest admission first
 //! within a class — the mirror image of `pick_next`, so the sequences
 //! the scheduler would admit last are preempted first.
 

@@ -64,7 +64,7 @@ use kt_model::pool::{CacheLease, KvCachePool};
 use kt_model::prefix::PrefixCacheConfig;
 use kt_tensor::Matrix;
 use kt_trace::{
-    step_components, Component, CounterKind, FlightRecorder, LogHistogram, RequestBreakdown,
+    step_components, Component, FlightRecorder, LogHistogram, RequestBreakdown,
     RequestTrace, SpanKind, StepTrace, TraceCtx, TraceOutcome, N_COMPONENTS, N_SPAN_KINDS,
 };
 use parking_lot::{Condvar, Mutex};
@@ -327,10 +327,12 @@ impl ServerInner {
         h.itl.record_all(m.token_latencies_ns.iter().copied());
     }
 
-    /// Single bookkeeping point for every request resolution: outcome
-    /// counters (aggregate and per class) and, under an SLO policy,
-    /// target-violation accounting. Exactly one outcome per request —
-    /// every resolution path funnels through here once. Returns whether
+    /// Single bookkeeping point for every request resolution: the
+    /// per-class outcome counters and, under an SLO policy,
+    /// target-violation accounting (the aggregate outcome fields of
+    /// [`Server::stats`] are sums over the classes). Exactly one
+    /// outcome per request — every resolution path funnels through
+    /// here once. Returns whether
     /// the request violated either SLO target (this is what freezes its
     /// trace into the flight recorder).
     fn account_outcome(&self, class: SloClass, outcome: &RequestOutcome, m: &RequestMetrics) -> bool {
@@ -352,18 +354,6 @@ impl ServerInner {
             None => (false, false, false),
         };
         {
-            let mut stats = self.stats.lock();
-            match outcome {
-                RequestOutcome::Completed => stats.completed += 1,
-                RequestOutcome::Cancelled => stats.cancelled += 1,
-                RequestOutcome::Shed => stats.shed += 1,
-                RequestOutcome::Failed { .. } => stats.failed += 1,
-            }
-            stats.slo_ttft_violations += ttft_viol as u64;
-            stats.slo_itl_violations += itl_viol as u64;
-            stats.slo_met += met as u64;
-        }
-        {
             let mut cs = self.class_stats.lock();
             let c = &mut cs[class.index()];
             match outcome {
@@ -377,11 +367,9 @@ impl ServerInner {
             c.slo_met += met as u64;
         }
         if ttft_viol {
-            kt_trace::counter_add(CounterKind::SloTtftViolations, 1);
             kt_trace::instant(SpanKind::ServeSloViolation, class.index() as u32, 0);
         }
         if itl_viol {
-            kt_trace::counter_add(CounterKind::SloItlViolations, 1);
             kt_trace::instant(SpanKind::ServeSloViolation, class.index() as u32, 1);
         }
         ttft_viol || itl_viol
@@ -659,11 +647,21 @@ impl Server {
         handle
     }
 
-    /// Snapshot of the aggregate serving statistics, with the engine's
+    /// Snapshot of the aggregate serving statistics: the outcome
+    /// fields summed over [`Server::class_stats`], with the engine's
     /// cumulative step-arena counters and virtual-GPU launch counters
     /// folded in.
     pub fn stats(&self) -> ServeStats {
         let mut s = self.inner.stats.lock().clone();
+        for c in self.class_stats() {
+            s.completed += c.completed;
+            s.cancelled += c.cancelled;
+            s.failed += c.failed;
+            s.shed += c.shed;
+            s.slo_ttft_violations += c.ttft_violations;
+            s.slo_itl_violations += c.itl_violations;
+            s.slo_met += c.slo_met;
+        }
         s.set_arena(&self.inner.engine.workspace_stats());
         s.set_launch(&self.inner.engine.launch_stats());
         s.set_pool(&self.inner.pool.occupancy());
@@ -671,12 +669,6 @@ impl Server {
             s.set_prefix(&px);
         }
         s.set_pages(&self.inner.pool.page_stats());
-        if let (Some(bytes), Some(dtype)) = (
-            self.inner.engine.expert_weight_bytes(),
-            self.inner.engine.expert_weight_dtype(),
-        ) {
-            s.set_weight_precision(bytes as u64, dtype.name());
-        }
         s
     }
 
@@ -690,15 +682,15 @@ impl Server {
     /// Prometheus-style text exposition of the serving metrics:
     /// request/token/step counters, queue and batch gauges, the
     /// engine's arena and virtual-GPU launch counters, the `kt_slo_*`
-    /// SLO counters (shed, violations, per-class outcomes), the
+    /// SLO counters (violations, per-class outcomes), the
     /// `kt_build_info` identity gauge, the queue-wait / TTFT /
     /// inter-token latency histograms (log₂ buckets, cumulative
     /// `_bucket{le=...}` form), and the per-component
     /// `kt_latency_component_seconds` histogram family with worst
     /// request-id exemplars on its buckets. Formatting goes through
-    /// [`crate::metrics`] so every family carries exactly one
-    /// `# HELP`/`# TYPE` pair and label values are escaped. Suitable
-    /// for serving at a `/metrics` endpoint verbatim.
+    /// the crate's `metrics` module so every family carries exactly
+    /// one `# HELP`/`# TYPE` pair and label values are escaped.
+    /// Suitable for serving at a `/metrics` endpoint verbatim.
     pub fn stats_text(&self) -> String {
         let s = self.stats();
         let mut out = String::with_capacity(4096);
@@ -752,7 +744,6 @@ impl Server {
                 }
             }
         }
-        push_counter(&mut out,"kt_slo_shed_total", "Requests shed for negative predicted slack.", s.shed);
         push_counter(&mut out,"kt_slo_ttft_violations_total", "Resolved requests that missed their TTFT target.", s.slo_ttft_violations);
         push_counter(&mut out,"kt_slo_itl_violations_total", "Resolved requests with an inter-token gap over the ITL target.", s.slo_itl_violations);
         push_counter(&mut out,"kt_slo_met_total", "Completed requests that met both SLO targets.", s.slo_met);
@@ -795,7 +786,10 @@ impl Server {
         // Weight-precision gauge with the routed experts' storage dtype
         // as a label, so dashboards can key bandwidth/footprint math on
         // the serving precision.
-        if !s.expert_weight_dtype.is_empty() {
+        if let (Some(bytes), Some(dtype)) = (
+            self.inner.engine.expert_weight_bytes(),
+            self.inner.engine.expert_weight_dtype(),
+        ) {
             push_family(
                 &mut out,
                 "kt_expert_weight_bytes",
@@ -805,8 +799,8 @@ impl Server {
             push_sample(
                 &mut out,
                 "kt_expert_weight_bytes",
-                &[("dtype", &s.expert_weight_dtype)],
-                s.expert_weight_bytes,
+                &[("dtype", dtype.name())],
+                bytes,
             );
         }
         // KV page allocator gauges and preemption counters.
@@ -819,7 +813,6 @@ impl Server {
         push_gauge(&mut out,"kt_kv_leases_free", "Reset KV caches parked in the pool.", s.kv_leases_free as f64);
         push_gauge(&mut out,"kt_kv_leases_peak", "High-water mark of concurrent leases.", s.kv_leases_peak as f64);
         push_gauge(&mut out,"kt_queue_depth", "Requests currently waiting for admission.", self.queued() as f64);
-        push_gauge(&mut out,"kt_active_sequences", "Sequences currently admitted (leased caches).", self.active() as f64);
         push_gauge(&mut out,"kt_peak_queue_depth", "Deepest admission queue observed.", s.peak_queue_depth as f64);
         push_gauge(&mut out,"kt_mean_batch_occupancy", "Mean active sequences per step.", s.mean_occupancy());
         push_gauge(&mut out,"kt_arena_high_water_bytes", "High-water mark of bytes held across step arenas.", s.arena_high_water_bytes as f64);
@@ -1085,7 +1078,6 @@ fn shed_pass(inner: &ServerInner, policy: &SloPolicy, queue: &mut VecDeque<Queue
             waited_ns: q.enqueued_at.elapsed().as_nanos() as u64,
         };
         let slack = slo::slack_ns(policy.target(class), slo::predicted_ttft_ns(&inputs));
-        kt_trace::counter_add(CounterKind::SlackPredictions, 1);
         if slo::shed_decision(policy, class, slack) {
             to_shed.push((i, slack));
         }
@@ -1094,7 +1086,6 @@ fn shed_pass(inner: &ServerInner, policy: &SloPolicy, queue: &mut VecDeque<Queue
     to_shed.sort_unstable_by_key(|s| std::cmp::Reverse(s.0));
     for (i, slack) in to_shed {
         let q = queue.remove(i).expect("index in bounds");
-        kt_trace::counter_add(CounterKind::SloShed, 1);
         kt_trace::instant(
             SpanKind::ServeShed,
             q.req.class.index() as u32,
@@ -1327,7 +1318,6 @@ fn preempt_seq(inner: &ServerInner, seq: ActiveSeq, preempted: &mut Vec<Preempte
         );
         SwappedKv::capture(&lease.cache)
     };
-    kt_trace::counter_add(CounterKind::PreemptSwap, 1);
     {
         let mut stats = inner.stats.lock();
         stats.preempt_swap += 1;

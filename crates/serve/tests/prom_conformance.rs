@@ -329,6 +329,11 @@ fn stats_text_conforms_to_the_exposition_format() {
     // Parked caches hold no KV state (reset returns every page), so no
     // gauge reports their bytes.
     assert!(!kind.contains_key("kt_kv_pooled_bytes"));
+    // Each value is exposed once: shed requests as
+    // `kt_requests_shed_total`, admitted sequences as
+    // `kt_kv_leases_in_use`.
+    assert!(!kind.contains_key("kt_slo_shed_total"));
+    assert!(!kind.contains_key("kt_active_sequences"));
     assert_eq!(
         kind.get("kt_preempt_total").map(String::as_str),
         Some("counter")

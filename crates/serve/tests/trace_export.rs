@@ -59,31 +59,15 @@ fn num_field(line: &str, key: &str, scale_us: bool) -> Option<u64> {
     }
 }
 
-fn parse_chrome(json: &str) -> (HashMap<u64, String>, Vec<Ev>, HashMap<String, u64>) {
+fn parse_chrome(json: &str) -> (HashMap<u64, String>, Vec<Ev>) {
     assert!(json.starts_with("[\n") && json.ends_with("\n]\n"), "JSON array format");
     let mut tracks = HashMap::new();
     let mut events = Vec::new();
-    let mut counters = HashMap::new();
     for raw in json.lines() {
         let line = raw.trim_end_matches(',');
         if line.contains("\"ph\":\"M\"") {
             let tid = num_field(line, "tid", false).expect("metadata tid");
             let name = str_field(line, "name").expect("metadata name field");
-            if name == "kt_counters" {
-                // One flat args object of counter totals:
-                // "args":{"prefix.lookups":3,...}. Slice out the inner
-                // object and parse each "key":value pair.
-                let open = line.find("\"args\":{").expect("metadata args") + "\"args\":{".len();
-                let close = line[open..].find('}').expect("args closes") + open;
-                for pair in line[open..close].split(',') {
-                    let (k, v) = pair.split_once(':').expect("counter pair");
-                    counters.insert(
-                        k.trim_matches('"').to_string(),
-                        v.parse().expect("counter value"),
-                    );
-                }
-                continue;
-            }
             assert_eq!(name, "thread_name");
             // The track's display name lives in args: {"name":"..."}.
             let args_at = line.find("\"args\"").expect("metadata args");
@@ -100,7 +84,7 @@ fn parse_chrome(json: &str) -> (HashMap<u64, String>, Vec<Ev>, HashMap<String, u
             });
         }
     }
-    (tracks, events, counters)
+    (tracks, events)
 }
 
 fn overlaps(a: &Ev, b: &Ev) -> bool {
@@ -140,7 +124,7 @@ fn exported_trace_shows_cpu_expert_overlapping_gpu_stream() {
     server.shutdown();
 
     let json = kt_trace::sink().export_chrome();
-    let (tracks, events, counters) = parse_chrome(&json);
+    let (tracks, events) = parse_chrome(&json);
 
     // Track layout: worker threads (engine device thread, CPU workers,
     // scheduler) plus one named track per vGPU stream.
@@ -202,19 +186,15 @@ fn exported_trace_shows_cpu_expert_overlapping_gpu_stream() {
         "a CPU expert span overlaps a vGPU stream span"
     );
 
-    // Prefix-cache counter totals rode along in the kt_counters
-    // metadata block: three distinct 3-token prompts → three lookups,
-    // all misses (below min_prefix_len), zero hits.
-    assert_eq!(counters.get("prefix.lookups"), Some(&3));
-    assert_eq!(counters.get("prefix.misses"), Some(&3));
-    assert_eq!(counters.get("prefix.hits"), Some(&0));
-
-    // The metrics exposition rode along on the same run.
+    // The metrics exposition rode along on the same run: three
+    // distinct 3-token prompts → three prefix lookups, all misses
+    // (below min_prefix_len), zero hits.
     assert!(stats_text.contains("kt_requests_completed_total 3"));
     assert!(stats_text.contains("kt_gpu_graph_replays_total"));
     assert!(stats_text.contains("kt_request_ttft_ns_bucket{le=\"+Inf\"} 3"));
     assert!(stats_text.contains("kt_prefix_lookups_total 3"));
     assert!(stats_text.contains("kt_prefix_misses_total 3"));
+    assert!(stats_text.contains("kt_prefix_hits_total 0"));
     assert!(stats_text.contains("kt_prefix_insertions_total 3"));
     assert!(stats_text.contains("kt_kv_leases_peak"));
 }

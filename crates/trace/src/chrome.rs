@@ -42,25 +42,6 @@ pub fn chrome_trace(snap: &TraceSnapshot) -> String {
         first = false;
         out.push_str(&line);
     };
-    // Counter totals ride in one metadata event so Perfetto sessions
-    // carry run-level context (prefix-cache hit/miss totals) alongside
-    // the span tracks. Emitted only when something was counted, so a
-    // counter-free snapshot renders exactly as before.
-    if snap.counters.iter().any(|&(_, v)| v > 0) {
-        let args: Vec<String> = snap
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{v}", k.as_str()))
-            .collect();
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"name\":\"kt_counters\",\"pid\":0,\"tid\":0,\
-                 \"args\":{{{}}}}}",
-                args.join(",")
-            ),
-            &mut out,
-        );
-    }
     for (track, name) in &snap.tracks {
         push(
             format!(
@@ -107,7 +88,6 @@ mod tests {
                 b: 0,
             }],
             tracks: vec![(3, "kt-vgpu".to_string())],
-            counters: vec![],
         };
         let json = chrome_trace(&snap);
         assert!(json.starts_with("[\n"));
@@ -133,37 +113,8 @@ mod tests {
         let snap = TraceSnapshot {
             spans: vec![],
             tracks: vec![(1, "we\"ird\\name".to_string())],
-            counters: vec![],
         };
         let json = chrome_trace(&snap);
         assert!(json.contains("we\\\"ird\\\\name"));
-    }
-
-    #[test]
-    fn counter_totals_render_as_one_metadata_event() {
-        use crate::sink::CounterKind;
-        let snap = TraceSnapshot {
-            spans: vec![],
-            tracks: vec![],
-            counters: vec![
-                (CounterKind::PrefixLookups, 7),
-                (CounterKind::PrefixHits, 5),
-                (CounterKind::PrefixEvictedBytes, 0),
-            ],
-        };
-        let json = chrome_trace(&snap);
-        assert!(json.contains(
-            "{\"ph\":\"M\",\"name\":\"kt_counters\",\"pid\":0,\"tid\":0,\
-             \"args\":{\"prefix.lookups\":7,\"prefix.hits\":5,\
-             \"prefix.evicted_bytes\":0}}"
-        ));
-
-        // All-zero counters leave the artifact untouched.
-        let quiet = TraceSnapshot {
-            spans: vec![],
-            tracks: vec![],
-            counters: vec![(CounterKind::PrefixLookups, 0)],
-        };
-        assert_eq!(chrome_trace(&quiet), "[\n\n]\n");
     }
 }

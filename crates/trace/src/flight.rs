@@ -1,6 +1,6 @@
 //! The tail-latency flight recorder: bounded per-request span sets.
 //!
-//! The span rings in [`crate::sink`] are process-wide and overwrite
+//! The span rings in [`sink`](mod@crate::sink) are process-wide and overwrite
 //! oldest-first, so by the time a p99 request resolves, the spans that
 //! explain it may already be gone. The recorder keeps the request view
 //! alive: the scheduler builds a [`RequestTrace`] per in-flight request

@@ -5,7 +5,7 @@
 //! prefill/decode split. This crate provides the instrumentation layer
 //! that makes those decompositions observable in our own runs:
 //!
-//! * [`sink`] — lock-free per-thread span recording behind a global
+//! * [`sink`](mod@sink) — lock-free per-thread span recording behind a global
 //!   enabled flag. A disabled instrumentation point costs one relaxed
 //!   atomic load; an enabled one records into the calling thread's ring
 //!   buffer without locks or allocation. Spans carry a phase
@@ -48,7 +48,7 @@ pub use flight::{
 };
 pub use hist::{Exemplar, LogHistogram};
 pub use sink::{
-    counter_add, disable, enable, enable_from_env, enabled, instant, now_ns, record_on, sink,
-    span, span_ab, stream_track, CounterKind, Ring, Span, SpanGuard, SpanKind, TraceSink,
-    TraceSnapshot, DEFAULT_RING_SPANS, N_COUNTERS, N_SPAN_KINDS, STREAM_TRACK_BASE,
+    disable, enable, enable_from_env, enabled, instant, now_ns, record_on, sink, span, span_ab,
+    stream_track, Ring, Span, SpanGuard, SpanKind, TraceSink, TraceSnapshot, DEFAULT_RING_SPANS,
+    N_SPAN_KINDS, STREAM_TRACK_BASE,
 };

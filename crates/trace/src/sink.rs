@@ -203,80 +203,6 @@ impl SpanKind {
     }
 }
 
-/// Process-wide monotonic counters exported alongside spans.
-///
-/// Counters complement spans: a span records *when* something happened
-/// on a track; a counter accumulates *how much* across the whole run
-/// (prefix-cache hit/miss totals, evicted bytes). Recording is one
-/// relaxed `fetch_add` behind the same [`enabled`] gate as spans, and
-/// totals ride into [`TraceSnapshot::counters`] so the Chrome-trace
-/// metadata block carries them into Perfetto sessions.
-#[repr(usize)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CounterKind {
-    /// Prefix-cache lookups at admission.
-    PrefixLookups = 0,
-    /// Lookups that matched at least `min_prefix_len` tokens.
-    PrefixHits,
-    /// Lookups that matched nothing reusable.
-    PrefixMisses,
-    /// Total prompt tokens served from cached prefixes.
-    PrefixHitTokens,
-    /// Bytes freed by prefix-cache eviction.
-    PrefixEvictedBytes,
-    /// Slack predictions computed by the admission controller.
-    SlackPredictions,
-    /// Queued requests shed by the admission controller.
-    SloShed,
-    /// Resolved requests that missed their TTFT target.
-    SloTtftViolations,
-    /// Resolved requests with at least one inter-token gap over the
-    /// ITL target.
-    SloItlViolations,
-    /// Sequences preempted by swapping their KV pages out.
-    PreemptSwap,
-    /// Prompt rows seeded by whole-page reference instead of row copy
-    /// (the zero-copy half of a paged prefix hit).
-    PrefixSharedRows,
-}
-
-/// Number of [`CounterKind`] variants (the counter table's size).
-pub const N_COUNTERS: usize = 11;
-
-impl CounterKind {
-    /// Every counter, in `repr` order.
-    pub const ALL: [CounterKind; N_COUNTERS] = [
-        CounterKind::PrefixLookups,
-        CounterKind::PrefixHits,
-        CounterKind::PrefixMisses,
-        CounterKind::PrefixHitTokens,
-        CounterKind::PrefixEvictedBytes,
-        CounterKind::SlackPredictions,
-        CounterKind::SloShed,
-        CounterKind::SloTtftViolations,
-        CounterKind::SloItlViolations,
-        CounterKind::PreemptSwap,
-        CounterKind::PrefixSharedRows,
-    ];
-
-    /// Stable display name (also the Chrome-trace metadata key).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CounterKind::PrefixLookups => "prefix.lookups",
-            CounterKind::PrefixHits => "prefix.hits",
-            CounterKind::PrefixMisses => "prefix.misses",
-            CounterKind::PrefixHitTokens => "prefix.hit_tokens",
-            CounterKind::PrefixEvictedBytes => "prefix.evicted_bytes",
-            CounterKind::SlackPredictions => "slo.slack_predictions",
-            CounterKind::SloShed => "slo.shed",
-            CounterKind::SloTtftViolations => "slo.ttft_violations",
-            CounterKind::SloItlViolations => "slo.itl_violations",
-            CounterKind::PreemptSwap => "preempt.swap",
-            CounterKind::PrefixSharedRows => "prefix.shared_rows",
-        }
-    }
-}
-
 /// One recorded span, decoded from a ring slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
@@ -427,8 +353,6 @@ pub struct TraceSnapshot {
     pub spans: Vec<Span>,
     /// `(track id, display name)` pairs, registration order.
     pub tracks: Vec<(u32, String)>,
-    /// Counter totals at snapshot time, [`CounterKind::ALL`] order.
-    pub counters: Vec<(CounterKind, u64)>,
 }
 
 /// The span registry: an enabled flag, the shared timebase, and every
@@ -444,8 +368,6 @@ pub struct TraceSink {
     rings: Mutex<Vec<Arc<Ring>>>,
     /// Names for tracks without a ring of their own (vGPU streams).
     extra_tracks: Mutex<Vec<(u32, String)>>,
-    /// Monotonic counter table, indexed by [`CounterKind`].
-    counters: [AtomicU64; N_COUNTERS],
     /// Cumulative span-kind durations in nanoseconds, indexed by
     /// [`SpanKind`]. Fed by every armed [`SpanGuard`] on drop; readers
     /// difference two [`TraceSink::phase_snapshot`]s around a region to
@@ -469,7 +391,6 @@ impl TraceSink {
             next_thread_track: AtomicU32::new(1),
             rings: Mutex::new(Vec::new()),
             extra_tracks: Mutex::new(Vec::new()),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             phases: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -519,17 +440,6 @@ impl TraceSink {
         }
     }
 
-    /// Adds `delta` to a monotonic counter (one relaxed `fetch_add`).
-    #[inline]
-    pub fn add_counter(&self, kind: CounterKind, delta: u64) {
-        self.counters[kind as usize].fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current total of one counter.
-    pub fn counter(&self, kind: CounterKind) -> u64 {
-        self.counters[kind as usize].load(Ordering::Relaxed)
-    }
-
     /// Adds `dur_ns` to one span kind's cumulative phase time (called
     /// by every armed span guard on drop; one relaxed `fetch_add`).
     #[inline]
@@ -553,8 +463,7 @@ impl TraceSink {
     }
 
     /// Snapshots every ring (skipping slots mid-overwrite) plus the
-    /// track-name table and counter totals. Safe to call while threads
-    /// keep recording.
+    /// track-name table. Safe to call while threads keep recording.
     pub fn snapshot(&self) -> TraceSnapshot {
         let rings: Vec<Arc<Ring>> = self.rings.lock().expect("ring registry").clone();
         let mut spans = Vec::new();
@@ -564,11 +473,7 @@ impl TraceSink {
             tracks.push((ring.track(), ring.name().to_string()));
         }
         tracks.extend(self.extra_tracks.lock().expect("track names").iter().cloned());
-        let counters = CounterKind::ALL
-            .iter()
-            .map(|&k| (k, self.counter(k)))
-            .collect();
-        TraceSnapshot { spans, tracks, counters }
+        TraceSnapshot { spans, tracks }
     }
 
     /// Exports the current snapshot as Chrome-trace JSON (see
@@ -716,17 +621,6 @@ pub fn record_on(track: u32, kind: SpanKind, start_ns: u64, dur_ns: u64, a: u32,
     with_thread_ring(|r| r.record(kind, Some(track), start_ns, dur_ns, a, b));
 }
 
-/// Adds `delta` to a global monotonic counter. Gated on [`enabled`]
-/// like span recording: a disabled run accumulates nothing, so exported
-/// totals describe exactly the traced window.
-#[inline]
-pub fn counter_add(kind: CounterKind, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    sink().add_counter(kind, delta);
-}
-
 /// Nanoseconds since the global sink's epoch.
 #[inline]
 pub fn now_ns() -> u64 {
@@ -784,34 +678,6 @@ mod tests {
             .tracks
             .contains(&(stream_track(1), "vGPU stream 1".to_string())));
         assert!(stream_track(0) > 1_000_000, "reserved range is disjoint");
-    }
-
-    #[test]
-    fn counters_accumulate_and_snapshot_in_declaration_order() {
-        let sink = TraceSink::new();
-        sink.add_counter(CounterKind::PrefixLookups, 3);
-        sink.add_counter(CounterKind::PrefixHits, 2);
-        sink.add_counter(CounterKind::PrefixHitTokens, 170);
-        assert_eq!(sink.counter(CounterKind::PrefixLookups), 3);
-        assert_eq!(sink.counter(CounterKind::PrefixMisses), 0);
-        let snap = sink.snapshot();
-        assert_eq!(snap.counters.len(), N_COUNTERS);
-        let names: Vec<&str> = snap.counters.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            names,
-            CounterKind::ALL.map(CounterKind::as_str).to_vec(),
-            "snapshot preserves declaration order"
-        );
-        let get = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(k, _)| k.as_str() == name)
-                .map(|(_, v)| *v)
-        };
-        assert_eq!(get("prefix.lookups"), Some(3));
-        assert_eq!(get("prefix.hits"), Some(2));
-        assert_eq!(get("prefix.hit_tokens"), Some(170));
-        assert_eq!(get("prefix.evicted_bytes"), Some(0));
     }
 
     #[test]

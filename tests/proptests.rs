@@ -202,7 +202,7 @@ proptest! {
             Backend::HybridAmxAvx512, &mut rng).unwrap();
         let x = Matrix::random_uniform(5, 24, 1.0, &mut rng).unwrap();
         let full = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
-        let (imm, def) = routing.split_deferred(n_imm);
+        let (imm, def) = routing.split_deferred(n_imm, &[true; 5]);
         prop_assert_eq!(imm.n_activations() + def.n_activations(), routing.n_activations());
         let mut sum = moe.forward(&x, &imm, None, SchedulePolicy::Dynamic).unwrap();
         moe.forward_accumulate(&x, &def, &mut sum, None, SchedulePolicy::Dynamic).unwrap();
