@@ -1,15 +1,9 @@
 //! §3.3 / §6.4 ablation: NUMA-aware tensor parallelism vs oblivious
-//! placement, plus the real TensorParallel/ExpertParallel code paths.
+//! placement, simulated (`kt-hwsim`'s two-socket model).
 
 use kt_bench::{section, table};
 use kt_hwsim::experiments::ablation_numa;
 use kt_hwsim::Calibration;
-use kt_kernels::moe::MoeRouting;
-use kt_kernels::numa::{ExpertParallelMoe, NumaTopology, TensorParallelMoe};
-use kt_kernels::dispatch::Backend;
-use kt_kernels::schedule::SchedulePolicy;
-use kt_tensor::rng::seeded;
-use kt_tensor::{Matrix, WeightDtype};
 
 fn main() {
     section("NUMA ablation (simulated, DS-3 decode)");
@@ -21,40 +15,6 @@ fn main() {
     table(&["Placement", "Decode throughput"], &printable);
     let ratio = rows[1].1 / rows[0].1;
     println!("Speedup: {ratio:.2}x (paper: up to 1.63x)");
-
-    section("NUMA placement balance (real kernels, skewed routing)");
-    // Expert Parallelism leaves sockets idle under skewed routing;
-    // Tensor Parallelism balances by construction.
-    let mut rng = seeded(7);
-    let hidden = 64;
-    let inter = 64;
-    let experts: Vec<_> = (0..8)
-        .map(|_| {
-            (
-                Matrix::random_kaiming(inter, hidden, &mut rng).unwrap(),
-                Matrix::random_kaiming(inter, hidden, &mut rng).unwrap(),
-                Matrix::random_kaiming(hidden, inter, &mut rng).unwrap(),
-            )
-        })
-        .collect();
-    let topo = NumaTopology::new(2, 1).unwrap();
-    let ep = ExpertParallelMoe::new(&experts, WeightDtype::F32, Backend::HybridAmxAvx512, topo)
-        .unwrap();
-    let tp = TensorParallelMoe::new(&experts, WeightDtype::F32, Backend::HybridAmxAvx512, topo)
-        .unwrap();
-    // Skewed: all tokens hit experts {0, 2, 4} (socket 0 under
-    // round-robin placement).
-    let routing = MoeRouting::new(vec![vec![(0, 0.5), (2, 0.3), (4, 0.2)]; 16]);
-    let loads = ep.socket_loads(&routing);
-    println!("Expert-parallel socket loads under skew: {loads:?} (imbalanced)");
-    println!("Tensor-parallel splits every expert across sockets: balanced by design.");
-    let x = Matrix::random_uniform(16, hidden, 1.0, &mut rng).unwrap();
-    let a = ep.forward(&x, &routing, SchedulePolicy::Dynamic).unwrap();
-    let b = tp.forward(&x, &routing, SchedulePolicy::Dynamic).unwrap();
-    println!(
-        "Numerical agreement EP vs TP: relative error {:.2e}",
-        a.relative_error(&b)
-    );
     println!();
     println!("Paper reference: NUMA-aware TP up to 1.63x decode speedup; Fiddler's");
     println!("2-socket run only improves a single socket by 16% (6.9ms -> 5.8ms).");

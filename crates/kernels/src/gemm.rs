@@ -165,8 +165,8 @@ fn vector_task(a: &[f32], m: usize, w: &PackedWeights, out: OutPtr, out_cols: us
 }
 
 /// Runs every vector-class task of `a * w^T` (`a`: `m` rows, row-major)
-/// in one pool dispatch — the one task loop behind [`gemv_vector`],
-/// [`gemm_rowwise`] and [`gemm_auto`]'s small-M branch.
+/// in one pool dispatch — the one task loop behind [`gemv_vector`] and
+/// [`gemm_rowwise`].
 fn gemm_vector(
     a: &[f32],
     m: usize,
@@ -323,40 +323,6 @@ pub fn gemv_vector(
     Ok(())
 }
 
-/// Hybrid dispatch: uses the vector kernel when `a.rows()` is at or
-/// below the arithmetic-intensity crossover, the tiled kernel otherwise
-/// (§3.2, Figure 7).
-///
-/// # Examples
-///
-/// ```
-/// use kt_kernels::gemm::gemm_auto;
-/// use kt_tensor::{Matrix, PackedWeights, WeightDtype};
-///
-/// let a = Matrix::from_rows(1, 2, &[1.0, 2.0]).unwrap();
-/// let w = Matrix::from_rows(3, 2, &[1.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
-/// let packed = PackedWeights::pack(&w, WeightDtype::F32).unwrap();
-/// let mut out = Matrix::zeros(1, 3).unwrap();
-/// gemm_auto(&a, &packed, &mut out, None).unwrap();
-/// assert_eq!(out.row(0), &[1.0, 2.0, 3.0]);
-/// ```
-///
-/// # Errors
-///
-/// Propagates shape errors from the selected kernel.
-pub fn gemm_auto(
-    a: &Matrix,
-    w: &PackedWeights,
-    out: &mut Matrix,
-    pool: Option<&ThreadPool>,
-) -> Result<(), KernelError> {
-    if a.rows() <= crate::dispatch::ARI_CROSSOVER {
-        gemm_rowwise(a, w, out, pool)
-    } else {
-        gemm_tiled(a, w, out, pool)
-    }
-}
-
 /// Row-stable GEMM: every output row is computed by the vector kernel
 /// regardless of how many rows the batch holds, so row `i` of `out` is
 /// a function of row `i` of `a` **only** — bit-for-bit independent of
@@ -369,18 +335,20 @@ pub fn gemm_auto(
 /// block's shape, so a row's bits are those of [`gemv_vector`] on that
 /// row alone.
 ///
-/// `gemm_auto` cannot promise this in general: its vector/tiled dispatch
-/// flips at the arithmetic-intensity crossover, and the two kernel
-/// classes only agree bitwise for f32 weights whose `k` fits a single
-/// tiled k-block. Position-dependent computations that must be
-/// invariant under re-chunking (attention projections, the LM head —
-/// the chunked-prefill contract) use this entry point; throughput-bound
-/// batch work (expert FFNs) keeps the hybrid dispatch.
+/// The fused MoE operator's per-expert dispatch
+/// ([`Backend::kernel_for`](crate::dispatch::Backend::kernel_for))
+/// cannot promise this in general: its vector/tiled choice flips at the
+/// arithmetic-intensity crossover, and the two kernel classes only agree
+/// bitwise for f32 weights whose `k` fits a single tiled k-block.
+/// Position-dependent computations that must be invariant under
+/// re-chunking (attention projections, the LM head — the chunked-prefill
+/// contract) use this entry point; throughput-bound batch work (expert
+/// FFNs) keeps the hybrid dispatch.
 ///
 /// # Errors
 ///
-/// Returns [`KernelError::Shape`] on the same mismatches as
-/// [`gemm_auto`].
+/// Returns [`KernelError::Shape`] when `a.cols() != w.k()` or `out` is
+/// not `a.rows() x w.n()`.
 pub fn gemm_rowwise(
     a: &Matrix,
     w: &PackedWeights,
@@ -444,11 +412,6 @@ mod tests {
             gemm_tiled(&a, &w, &mut out, None).unwrap();
             let err = expect.relative_error(&out);
             assert!(err < 1e-4, "tiled {dt:?} m={m} n={n} k={k} err={err}");
-
-            let mut out2 = Matrix::zeros(m, n).unwrap();
-            gemm_auto(&a, &w, &mut out2, None).unwrap();
-            let err2 = expect.relative_error(&out2);
-            assert!(err2 < 1e-4, "auto {dt:?} err={err2}");
         }
     }
 

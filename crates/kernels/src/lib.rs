@@ -11,17 +11,12 @@
 //! * [`schedule`] — worker thread pool with *static* and *dynamic* task
 //!   scheduling; dynamic scheduling is the paper's "lightweight task
 //!   queue" that fixes prefill load imbalance (up to 1.83×).
-//! * [`steal`] — the work-stealing alternative (per-worker deques with
-//!   home affinity for expert co-scheduling), for comparison.
 //! * [`moe`] — the fused MoE operator: Gate+Up projections of all
 //!   activated experts merged into one task batch, Down projections into
 //!   a second, eliminating per-projection synchronization.
 //! * [`attn`] — the attention core (scores, softmax, PV) of both
 //!   attention variants, one fixed-order kernel per SIMD level, bitwise
 //!   equal across levels.
-//! * [`numa`] — NUMA-aware tensor parallelism: every expert weight
-//!   matrix is column-partitioned across socket domains with a
-//!   reduce-scatter-style combine, vs. the Expert-Parallel baseline.
 //!
 //! No kernel here issues AMX instructions, even on a host whose CPU
 //! has the AMX units (`amx_tile`, `amx_int8`, `amx_bf16`): the tiled
@@ -37,16 +32,12 @@ pub mod dispatch;
 pub mod error;
 pub mod gemm;
 pub mod moe;
-pub mod numa;
 pub mod schedule;
 pub mod simd;
-pub mod steal;
 
 pub use dispatch::{select_kernel, KernelClass, ARI_CROSSOVER};
 pub use error::KernelError;
-pub use gemm::{gemm_auto, gemm_tiled, gemv_vector};
+pub use gemm::{gemm_tiled, gemv_vector};
 pub use moe::{ExpertWeights, FusedMoE, MoeRouting, MoeWorkspace};
-pub use numa::{ExpertParallelMoe, NumaTopology, TensorParallelMoe};
 pub use schedule::{SchedulePolicy, ThreadPool};
 pub use simd::{simd_level, SimdLevel};
-pub use steal::run_stealing;

@@ -3,7 +3,7 @@
 use ktransformers::core::{BatchSeq, EngineConfig, HybridEngine, SchedMode};
 use ktransformers::kernels::dispatch::Backend;
 use ktransformers::model::ModelPreset;
-use ktransformers::kernels::gemm::gemm_auto;
+use ktransformers::kernels::gemm::{gemm_rowwise, gemm_tiled};
 use ktransformers::kernels::moe::{ExpertWeights, FusedMoE, MoeRouting};
 use ktransformers::kernels::schedule::SchedulePolicy;
 use ktransformers::tensor::rng::seeded;
@@ -166,10 +166,10 @@ proptest! {
         }
     }
 
-    /// The hybrid-dispatch kernel agrees with the reference matmul for
-    /// random shapes and dtypes.
+    /// Both kernel classes — tiled and vector — agree with the reference
+    /// matmul for random shapes and dtypes.
     #[test]
-    fn gemm_auto_matches_reference(
+    fn gemm_kernels_match_reference(
         m in 1usize..10,
         n in 1usize..40,
         seed in 0u64..1000,
@@ -181,10 +181,16 @@ proptest! {
         for dt in [WeightDtype::F32, WeightDtype::Int8 { group: 32 }] {
             let w = PackedWeights::pack(&wmat, dt).unwrap();
             let expect = a.matmul_wt(&w.unpack()).unwrap();
-            let mut out = Matrix::zeros(m, n).unwrap();
-            gemm_auto(&a, &w, &mut out, None).unwrap();
-            let err = expect.relative_error(&out);
-            prop_assert!(err < 1e-4, "dtype {dt:?} err {err}");
+            let kernels = [
+                ("tiled", gemm_tiled as fn(&_, &_, &mut _, Option<&_>) -> _),
+                ("rowwise", gemm_rowwise),
+            ];
+            for (name, kernel) in kernels {
+                let mut out = Matrix::zeros(m, n).unwrap();
+                kernel(&a, &w, &mut out, None).unwrap();
+                let err = expect.relative_error(&out);
+                prop_assert!(err < 1e-4, "{name} dtype {dt:?} err {err}");
+            }
         }
     }
 
