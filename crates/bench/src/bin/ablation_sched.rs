@@ -1,5 +1,7 @@
 //! §3.2 ablation: dynamic vs static task scheduling under skewed expert
-//! activation (real fused-MoE kernels) plus the simulated impact.
+//! activation — the simulated impact, then the real fused-MoE kernels
+//! on a pool of one lane per host thread, both policies checked against
+//! the serial forward before they are timed.
 
 use kt_bench::{section, table};
 use kt_hwsim::cost::{CpuKernel, CpuMoeOp, KernelPhase};
@@ -11,6 +13,10 @@ use kt_kernels::schedule::{SchedulePolicy, ThreadPool};
 use kt_tensor::rng::seeded;
 use kt_tensor::{Matrix, WeightDtype};
 use std::time::Instant;
+
+/// Timed calls per policy in the real-kernel arm; the figure is their
+/// median.
+const REPS: usize = 201;
 
 fn main() {
     section("Dynamic scheduling ablation (simulated, DS-3 prefill layer)");
@@ -51,27 +57,40 @@ fn main() {
             .collect(),
     );
     let x = Matrix::random_uniform(n_tokens, 64, 1.0, &mut rng).unwrap();
-    let pool = ThreadPool::new(4).unwrap();
-    let time = |policy: SchedulePolicy| {
-        // Warm up, then measure.
-        let _ = moe.forward(&x, &routing, Some(&pool), policy).unwrap();
-        let start = Instant::now();
-        for _ in 0..10 {
-            let _ = moe.forward(&x, &routing, Some(&pool), policy).unwrap();
+    let lanes = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let pool = ThreadPool::new(lanes).unwrap();
+    let policies = [SchedulePolicy::Static, SchedulePolicy::Dynamic];
+    // Both policies must compute exactly the serial forward before
+    // either is timed: a fast but wrong schedule panics here.
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let serial = bits(&moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap());
+    for policy in policies {
+        let got = moe.forward(&x, &routing, Some(&pool), policy).unwrap();
+        assert!(bits(&got) == serial, "{policy:?} differs from the serial forward");
+    }
+    // Median of REPS calls per policy, alternating call by call so both
+    // see the same host noise.
+    let mut ns = [Vec::with_capacity(REPS), Vec::with_capacity(REPS)];
+    for _ in 0..REPS {
+        for (policy, ns) in policies.iter().zip(&mut ns) {
+            let t0 = Instant::now();
+            let _ = moe.forward(&x, &routing, Some(&pool), *policy).unwrap();
+            ns.push(t0.elapsed().as_nanos() as f64);
         }
-        start.elapsed().as_secs_f64() / 10.0
-    };
-    let t_static = time(SchedulePolicy::Static);
-    let t_dynamic = time(SchedulePolicy::Dynamic);
+    }
+    let [t_static, t_dynamic] = ns.map(|mut ns| {
+        ns.sort_by(f64::total_cmp);
+        ns[REPS / 2]
+    });
     table(
-        &["Scheduling", "Fused MoE forward (ms)"],
+        &["Scheduling", "Fused MoE forward (ms, median)"],
         &[
-            vec!["static".into(), format!("{:.3}", t_static * 1e3)],
-            vec!["dynamic".into(), format!("{:.3}", t_dynamic * 1e3)],
+            vec!["static".into(), format!("{:.3}", t_static / 1e6)],
+            vec!["dynamic".into(), format!("{:.3}", t_dynamic / 1e6)],
         ],
     );
     println!(
-        "Real-kernel ratio: {:.2}x (parallel speedups require multi-core hosts)",
+        "Real-kernel ratio: {:.2}x on {lanes} lane(s), median of {REPS} alternating calls",
         t_static / t_dynamic
     );
 }

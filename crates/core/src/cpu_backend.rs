@@ -12,7 +12,7 @@
 
 use crossbeam::queue::SegQueue;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -24,8 +24,6 @@ pub type CpuTask = Box<dyn FnOnce() + Send>;
 struct Shared {
     queue: SegQueue<CpuTask>,
     shutdown: AtomicBool,
-    /// Tasks that panicked (isolated; the worker survives).
-    panicked_tasks: AtomicU64,
 }
 
 /// Background worker pool fed by a lock-free queue.
@@ -47,7 +45,6 @@ impl CpuBackend {
         let shared = Arc::new(Shared {
             queue: SegQueue::new(),
             shutdown: AtomicBool::new(false),
-            panicked_tasks: AtomicU64::new(0),
         });
         let workers = (0..n_workers)
             .map(|i| {
@@ -64,19 +61,6 @@ impl CpuBackend {
     /// Enqueues a task (non-blocking, lock-free).
     pub fn submit(&self, task: CpuTask) {
         self.shared.queue.push(task);
-    }
-
-    /// Tasks currently waiting (approximate).
-    pub fn backlog(&self) -> usize {
-        self.shared.queue.len()
-    }
-
-    /// Number of submitted tasks that panicked. Workers isolate task
-    /// panics and keep serving — a poisoned expert computation must not
-    /// wedge the whole decode pipeline — but the engine surfaces the
-    /// count so callers can fail the affected request.
-    pub fn panicked_tasks(&self) -> u64 {
-        self.shared.panicked_tasks.load(Ordering::Acquire)
     }
 }
 
@@ -103,11 +87,10 @@ fn worker_loop(shared: Arc<Shared>) {
         if let Some(task) = shared.queue.pop() {
             idle_spins = 0;
             // Isolate task panics: the worker must survive to serve the
-            // next request (completion counters of the panicking task
-            // are the submitter's responsibility to time out on).
-            if catch_unwind(AssertUnwindSafe(task)).is_err() {
-                shared.panicked_tasks.fetch_add(1, Ordering::Release);
-            }
+            // next request — a poisoned expert computation must not
+            // wedge the whole decode pipeline (completion counters of
+            // the panicking task are the submitter's responsibility).
+            let _ = catch_unwind(AssertUnwindSafe(task));
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {
@@ -216,24 +199,5 @@ mod tests {
             || done.load(Ordering::Acquire) == 1,
             Duration::from_secs(5)
         ));
-        assert_eq!(backend.panicked_tasks(), 1);
-    }
-
-    #[test]
-    fn backlog_reports_queue_depth() {
-        let backend = CpuBackend::new(1).unwrap();
-        let gate = Arc::new(AtomicUsize::new(0));
-        let g = Arc::clone(&gate);
-        backend.submit(Box::new(move || {
-            while g.load(Ordering::Acquire) == 0 {
-                std::thread::yield_now();
-            }
-        }));
-        for _ in 0..5 {
-            backend.submit(Box::new(|| {}));
-        }
-        assert!(backend.backlog() >= 4);
-        gate.store(1, Ordering::Release);
-        assert!(wait_for(|| backend.backlog() == 0, Duration::from_secs(5)));
     }
 }

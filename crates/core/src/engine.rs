@@ -2,13 +2,19 @@
 //!
 //! Wires the virtual GPU (attention, router, shared experts, merges,
 //! LM head) to the CPU expert backend (routed experts) with the paper's
-//! scheduling structure:
+//! scheduling structure (§3.3):
 //!
-//! * The whole decode step is expressed as a fixed op sequence on one
-//!   stream: `embed → [attn → submit → shared experts → merge]* → head`.
+//! * **One step table.** A forward step is a fixed table of stages,
+//!   built once in [`HybridEngine::from_model`]:
+//!   `embed → [attention → submit → shared experts → merge]* → head`,
+//!   where a dense layer has only its attention stage (which also runs
+//!   its dense MLP). Each stage is one closure, also built once, that
+//!   reads the batch shape from the shared step state, so the same table
+//!   serves every step; one runner checks the step error, opens the
+//!   stage's span and dispatches on the stage's kind.
 //! * `submit` is an in-stream host callback: it routes the token,
 //!   arms per-layer completion counters and pushes expert tasks into
-//!   the lock-free CPU queue (§3.3).
+//!   the lock-free CPU queue.
 //! * `shared experts` runs on the device while the CPU works: every
 //!   routed expert runs on the CPU backend (the paper's static split,
 //!   §3.1).
@@ -17,27 +23,32 @@
 //!   MoE layer, then folds both contributions into the residual stream
 //!   — no host round-trip, which is what lets the entire token fit in
 //!   one captured graph ("CUDA-based spinning").
-//! * Under [`SchedMode::Sync`] every op is launched individually (each
-//!   paying launch latency) with a stream synchronization per layer —
-//!   the baseline the paper's CUDA-Graph optimization is measured
-//!   against. Under [`SchedMode::AsyncGraph`] the sequence is captured
-//!   once and replayed with a single launch per token.
+//! * **Two lowerings of the one table.** Under [`SchedMode::AsyncGraph`]
+//!   the table is captured as one graph at construction and every
+//!   all-decode step replays it with a single launch. Every other step
+//!   launches the stages one by one, each paying launch latency;
+//!   [`SchedMode::Sync`] also synchronizes the stream after each MoE
+//!   layer's merge — the baseline the paper's CUDA-Graph optimization
+//!   is measured against.
 //! * Expert Deferral (§4.1) splits each layer's routed experts into
 //!   immediate and deferred sets; deferred outputs are merged one MoE
 //!   layer later, and never at the final MoE layer. Deferral applies
-//!   only to single-token (decode) forwards, as in the paper.
+//!   only to single-token (decode) rows, as in the paper.
+//! * **The caller owns every KV cache.** [`HybridEngine::forward_batch`]
+//!   moves the batch's caches in for one step and hands them back;
+//!   [`HybridEngine::forward`] is its one-sequence form.
 
 use kt_kernels::dispatch::Backend;
 use kt_kernels::gemm::gemm_rowwise;
 use kt_kernels::moe::{FusedMoE, MoeRouting, MoeWorkspace};
-use kt_kernels::schedule::{SchedulePolicy, ThreadPool};
+use kt_kernels::schedule::SchedulePolicy;
 use kt_kernels::KernelError;
 use kt_model::config::ModelConfig;
 use kt_model::kvcache::KvCache;
 use kt_model::model::{Ffn, MoeModel};
 use kt_tensor::{ArenaStats, Matrix, PrecisionPolicy, ScratchArena};
-use kt_trace::SpanKind;
-use parking_lot::Mutex;
+use kt_trace::{SpanGuard, SpanKind};
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,12 +58,7 @@ use std::time::{Duration, Instant};
 use crate::cpu_backend::CpuBackend;
 use crate::error::EngineError;
 use crate::profiling::ExpertProfile;
-use crate::vgpu::{GraphHandle, LaunchStats, VgpuConfig, VirtualGpu};
-
-/// One schedulable op: `(is_host_func, closure, layer boundary)`.
-/// The layer-boundary marker (`usize::MAX` = none) tells sync mode
-/// where to break the stream.
-type OpEntry = (bool, Arc<dyn Fn() + Send + Sync>, usize);
+use crate::vgpu::{DeviceFn, GraphHandle, LaunchStats, VgpuConfig, VirtualGpu};
 
 /// Scheduling mode of the decode path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +76,7 @@ pub enum SchedMode {
 pub struct EngineConfig {
     /// CPU expert workers.
     pub n_cpu_workers: usize,
-    /// Virtual GPU configuration (launch latencies, streams).
+    /// Virtual GPU configuration (launch latencies).
     pub vgpu: VgpuConfig,
     /// Scheduling mode.
     pub mode: SchedMode,
@@ -107,6 +113,82 @@ impl Default for EngineConfig {
     }
 }
 
+/// What a step-table stage does. The kind alone decides the stage's
+/// span and whether it is launched as a host func or as a kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StageKind {
+    /// Embedding lookup; also the step's workspace turnover point.
+    Embed,
+    /// Attention, plus the dense MLP on a dense layer.
+    Attention,
+    /// Routing and CPU expert submission: the one host func.
+    Submit,
+    /// Shared experts on the device.
+    SharedExperts,
+    /// The spinning merge kernel.
+    Merge,
+    /// Final norm and LM head.
+    LmHead,
+}
+
+impl StageKind {
+    /// The span the runner opens around the stage. The merge has none
+    /// of its own: its spin, scatter-add and deferral flush are spanned
+    /// apart (`MergeSpin`, `ScatterAdd`, `DeferralFlush`), and the
+    /// phase table reads them apart.
+    fn span(self) -> Option<SpanKind> {
+        Some(match self {
+            StageKind::Embed => SpanKind::Embed,
+            StageKind::Attention => SpanKind::Attention,
+            StageKind::Submit => SpanKind::ExpertDispatch,
+            StageKind::SharedExperts => SpanKind::SharedExperts,
+            StageKind::Merge => return None,
+            StageKind::LmHead => SpanKind::LmHead,
+        })
+    }
+}
+
+/// One entry of the step table: a stage kind at a layer (0 for the
+/// embed and head stages).
+#[derive(Debug, Clone, Copy)]
+struct Stage {
+    kind: StageKind,
+    layer: usize,
+}
+
+/// The step table of `cfg`, `2 + n_layers + 3 * n_moe_layers` stages:
+/// `embed → [attention → submit → shared experts → merge]* → head`,
+/// with only the attention stage on a dense layer.
+fn step_table(cfg: &ModelConfig) -> Vec<Stage> {
+    let stage = |kind, layer| Stage { kind, layer };
+    let mut table = vec![stage(StageKind::Embed, 0)];
+    for li in 0..cfg.n_layers {
+        table.push(stage(StageKind::Attention, li));
+        if li >= cfg.n_dense_layers {
+            let moe = [
+                StageKind::Submit,
+                StageKind::SharedExperts,
+                StageKind::Merge,
+            ];
+            table.extend(moe.map(|kind| stage(kind, li)));
+        }
+    }
+    table.push(stage(StageKind::LmHead, 0));
+    table
+}
+
+/// A MoE layer's scheduling constants.
+#[derive(Debug, Clone, Copy)]
+struct LayerPlan {
+    /// Routed experts per row merged by the layer's own merge.
+    n_imm: usize,
+    /// Routed experts per decode row deferred to the next MoE layer's
+    /// merge (0 disables deferral).
+    n_def: usize,
+    /// The MoE layer whose deferred outputs this layer's merge folds in.
+    prev_moe: Option<usize>,
+}
+
 /// Mutable per-step state shared by control, device and worker threads.
 struct StepState {
     /// Tokens for the current forward (set by the control thread):
@@ -120,7 +202,7 @@ struct StepState {
     /// must never fire mid-prompt, or the chunked prefill would drift
     /// from the monolithic one.
     decode_row: Vec<bool>,
-    /// Per sequence (indexed like `seq_rows`): whether the head op
+    /// Per sequence (indexed like `seq_rows`): whether the head stage
     /// computes logits. Non-final prefill chunks skip the LM head.
     need_logits: Vec<bool>,
     /// Per sequence: request-scoped trace tag (0 = untagged; see
@@ -130,22 +212,22 @@ struct StepState {
     /// workspace arena each step, restored at the next embed).
     x: Matrix,
     /// Saved FFN inputs per layer (deferred experts read layer k's
-    /// input while layer k+1 runs). `Arc` so the submit op hands them
-    /// to CPU tasks without a deep copy; the backing buffer returns to
-    /// the device arena once the last holder drops its clone.
+    /// input while layer k+1 runs). `Arc` so the submit stage hands
+    /// them to CPU tasks without a deep copy; the backing buffer returns
+    /// to the device arena once the last holder drops its clone.
     ffn_in: Vec<Option<Arc<Matrix>>>,
     /// Immediate routed-expert outputs per layer (from `ws_imm`).
     imm_out: Vec<Option<Matrix>>,
     /// Deferred routed-expert outputs per layer (from `ws_def`).
     def_out: Vec<Option<Matrix>>,
-    /// Per-sequence KV caches, indexed like `seq_rows`. Outside a
-    /// batched forward this holds exactly the engine-owned default
-    /// cache at index 0 (the single-session legacy path).
+    /// The batch's KV caches, indexed like `seq_rows`: moved in by
+    /// [`HybridEngine::forward_batch`] for one step and handed back
+    /// after it.
     caches: Vec<KvCache>,
     /// Final logits of the step, one matrix per sequence (arena-backed;
     /// callers hand them back via [`HybridEngine::recycle_logits`]).
     logits: Option<Vec<Matrix>>,
-    /// First error raised by any op (checked after each step).
+    /// First error raised by any stage or task (checked after each step).
     error: Option<String>,
 }
 
@@ -157,7 +239,7 @@ struct GpuWorkspace {
     arena: ScratchArena,
     moe: MoeWorkspace,
     /// `ffn_in` Arcs still held by an in-flight deferred task when the
-    /// merge op tried to reclaim them; drained by the next MoE layer's
+    /// merge tried to reclaim them; drained by the next MoE layer's
     /// merge once that deferred task has finished, and at the next embed
     /// (which catches buffers an errored step left behind).
     pending: Vec<Arc<Matrix>>,
@@ -175,17 +257,29 @@ impl GpuWorkspace {
     /// Restores `ffn_in` buffers whose last task-held clone has since
     /// been dropped.
     fn reclaim_pending(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        for arc in pending {
-            match Arc::try_unwrap(arc) {
-                Ok(m) => self.arena.restore(m),
-                Err(arc) => self.pending.push(arc),
-            }
+        for arc in std::mem::take(&mut self.pending) {
+            self.reclaim(arc);
+        }
+    }
+
+    /// Returns a saved FFN input to the arena, or parks it while a
+    /// deferred task still holds a clone.
+    fn reclaim(&mut self, arc: Arc<Matrix>) {
+        match Arc::try_unwrap(arc) {
+            Ok(m) => self.arena.restore(m),
+            Err(arc) => self.pending.push(arc),
         }
     }
 }
 
+/// Everything a stage or a CPU expert task touches: the weights, the
+/// step state and its workspaces.
 struct EngineShared {
+    /// The weights the engine schedules.
+    model: MoeModel,
+    /// Deferred experts per MoE layer during decode
+    /// ([`EngineConfig::n_deferred`]).
+    n_deferred: usize,
     state: Mutex<StepState>,
     /// Outstanding immediate CPU tasks per layer.
     imm_pending: Vec<AtomicUsize>,
@@ -196,9 +290,9 @@ struct EngineShared {
     /// Optional fault injector consulted on the expert-submission
     /// path; returning `true` for a layer path fails that forward.
     fault: Mutex<Option<FaultHook>>,
-    /// Device-thread workspace (embed/attn/shared/head ops).
+    /// Device-thread workspace (embed/attention/shared/head stages).
     ///
-    /// Lock discipline: device ops may take `state` then a workspace
+    /// Lock discipline: device stages may take `state` then a workspace
     /// lock; CPU expert tasks must DROP their workspace lock before
     /// taking `state` (they publish results under `state` only). This
     /// orders every state+workspace acquisition identically, so the
@@ -212,37 +306,442 @@ struct EngineShared {
     ws_def: Mutex<MoeWorkspace>,
 }
 
+/// A fault-injection hook: given a module path such as
+/// `model.layers.3.mlp.experts`, decides whether to inject a failure.
+pub type FaultHook = Arc<dyn Fn(&str) -> bool + Send + Sync>;
+
+/// Every stage and task error is carried as its message.
+fn msg(e: impl std::fmt::Display) -> String {
+    e.to_string()
+}
+
 impl EngineShared {
-    fn new(cfg: &ModelConfig, cache: KvCache) -> Result<Arc<Self>, EngineError> {
+    fn new(model: MoeModel, n_deferred: usize) -> Result<Arc<Self>, EngineError> {
+        let cfg = model.config();
+        let (n_layers, n_experts) = (cfg.n_layers, cfg.n_routed_experts);
+        let counters = || (0..n_layers).map(|_| AtomicUsize::new(0)).collect();
+        let state = StepState {
+            tokens: Vec::new(),
+            seq_rows: Vec::new(),
+            decode_row: Vec::new(),
+            need_logits: Vec::new(),
+            tags: Vec::new(),
+            x: Matrix::zeros(1, cfg.hidden)?,
+            ffn_in: vec![None; n_layers],
+            imm_out: vec![None; n_layers],
+            def_out: vec![None; n_layers],
+            caches: Vec::new(),
+            logits: None,
+            error: None,
+        };
         Ok(Arc::new(EngineShared {
-            state: Mutex::new(StepState {
-                tokens: Vec::new(),
-                seq_rows: Vec::new(),
-                decode_row: Vec::new(),
-                need_logits: Vec::new(),
-                tags: Vec::new(),
-                x: Matrix::zeros(1, cfg.hidden)?,
-                ffn_in: vec![None; cfg.n_layers],
-                imm_out: vec![None; cfg.n_layers],
-                def_out: vec![None; cfg.n_layers],
-                caches: vec![cache],
-                logits: None,
-                error: None,
-            }),
-            imm_pending: (0..cfg.n_layers).map(|_| AtomicUsize::new(0)).collect(),
-            def_pending: (0..cfg.n_layers).map(|_| AtomicUsize::new(0)).collect(),
-            profile: Mutex::new(ExpertProfile::new(cfg.n_layers, cfg.n_routed_experts)),
+            model,
+            n_deferred,
+            state: Mutex::new(state),
+            imm_pending: counters(),
+            def_pending: counters(),
+            profile: Mutex::new(ExpertProfile::new(n_layers, n_experts)),
             fault: Mutex::new(None),
             ws_gpu: Mutex::new(GpuWorkspace::new()),
             ws_imm: Mutex::new(MoeWorkspace::new()),
             ws_def: Mutex::new(MoeWorkspace::new()),
         }))
     }
-}
 
-/// A fault-injection hook: given a module path such as
-/// `model.layers.3.mlp.experts`, decides whether to inject a failure.
-pub type FaultHook = Arc<dyn Fn(&str) -> bool + Send + Sync>;
+    /// MoE layer `li`'s constants. Dense layers lead and every later
+    /// layer is MoE (`MoeModel` guarantees it), so a MoE layer's merge
+    /// folds in the deferred outputs of the layer just before it, and
+    /// the final layer never defers (no later merge would fold them in).
+    fn layer_plan(&self, li: usize) -> LayerPlan {
+        let cfg = self.model.config();
+        let n_def = if li + 1 < cfg.n_layers {
+            self.n_deferred.min(cfg.top_k.saturating_sub(1))
+        } else {
+            0
+        };
+        LayerPlan {
+            n_imm: cfg.top_k - n_def,
+            n_def,
+            prev_moe: (li > cfg.n_dense_layers).then(|| li - 1),
+        }
+    }
+
+    /// The one stage runner: opens the stage's span, skips the stage
+    /// once the step has failed, and dispatches on its kind with the
+    /// state lock held (each stage body releases it as its lock
+    /// discipline needs). A stage's error becomes the step error.
+    fn run_stage(self: &Arc<Self>, cpu: &CpuBackend, stage: Stage) {
+        let li = stage.layer;
+        let mut span = stage
+            .kind
+            .span()
+            .map(|k| kt_trace::span_ab(k, li as u32, 0));
+        let st = self.state.lock();
+        if st.error.is_some() {
+            return;
+        }
+        let result = match stage.kind {
+            StageKind::Embed => self.embed(st),
+            StageKind::Attention => self.attention(st, li),
+            StageKind::Submit => self.submit(st, cpu, li),
+            StageKind::SharedExperts => self.shared_experts(st, li),
+            StageKind::Merge => self.merge(st, li),
+            StageKind::LmHead => self.lm_head(st, span.as_mut()),
+        };
+        if let Err(e) = result {
+            self.state.lock().error.get_or_insert(e);
+        }
+    }
+
+    /// Embedding lookup. Also the step's workspace turnover point: last
+    /// step's residual stream (and any unclaimed logits) go back to the
+    /// arena, and `ffn_in` buffers whose deferred task outlived its
+    /// merge are reclaimed — every task of the previous step has
+    /// drained by now.
+    fn embed(&self, mut guard: MutexGuard<'_, StepState>) -> Result<(), String> {
+        let st = &mut *guard;
+        let mut ws = self.ws_gpu.lock();
+        ws.reclaim_pending();
+        for m in st.logits.take().into_iter().flatten() {
+            ws.arena.restore(m);
+        }
+        let x = ws
+            .arena
+            .checkout(st.tokens.len(), st.x.cols())
+            .map_err(msg)?;
+        ws.arena.restore(std::mem::replace(&mut st.x, x));
+        drop(ws);
+        for (i, &t) in st.tokens.iter().enumerate() {
+            st.x.row_mut(i)
+                .copy_from_slice(self.model.embed().row(t as usize));
+        }
+        Ok(())
+    }
+
+    /// Attention on the device, then the FFN norm: a dense layer runs
+    /// its MLP into the residual, a MoE layer parks the normed FFN input
+    /// in `ffn_in` for its submit.
+    fn attention(&self, mut guard: MutexGuard<'_, StepState>, li: usize) -> Result<(), String> {
+        let layer = &self.model.blocks()[li];
+        let st = &mut *guard;
+        let mut ws = self.ws_gpu.lock();
+        let mut normed = ws.arena.checkout(st.x.rows(), st.x.cols()).map_err(msg)?;
+        layer.attn_norm.forward_into(&st.x, &mut normed);
+        if let Err(e) = self.attend(st, &mut ws.arena, &normed, li) {
+            ws.arena.restore(normed);
+            return Err(e);
+        }
+        // Reuse the normed buffer for the FFN input: the attention
+        // residual is already folded into x.
+        let mut ffn_in = normed;
+        layer.ffn_norm.forward_into(&st.x, &mut ffn_in);
+        let Ffn::Dense(mlp) = &layer.ffn else {
+            st.ffn_in[li] = Some(Arc::new(ffn_in));
+            return Ok(());
+        };
+        let all = MoeRouting::new(vec![vec![(0, 1.0)]; ffn_in.rows()]);
+        let ws = &mut *ws;
+        let r = mlp.forward_accumulate_with(
+            &ffn_in,
+            &all,
+            &mut st.x,
+            None,
+            SchedulePolicy::Dynamic,
+            &mut ws.moe,
+        );
+        ws.arena.restore(ffn_in);
+        r.map_err(msg)
+    }
+
+    /// Each sequence's rows of `normed` attend against its own KV cache;
+    /// the outputs fold into the residual stream.
+    fn attend(
+        &self,
+        st: &mut StepState,
+        arena: &mut ScratchArena,
+        normed: &Matrix,
+        li: usize,
+    ) -> Result<(), String> {
+        let attn = &self.model.blocks()[li].attn;
+        let cols = normed.cols();
+        for (s, &(start, len)) in st.seq_rows.iter().enumerate() {
+            let rows = start * cols..(start + len) * cols;
+            // Request-scoped causal trace: tagged sequences get their
+            // own span so a request's attention time is separable from
+            // the rest of the batch.
+            let tag = st.tags.get(s).copied().unwrap_or(0);
+            let _seq_span =
+                (tag != 0).then(|| kt_trace::span_ab(SpanKind::SeqAttention, tag, li as u32));
+            let mut sub = arena.checkout(len, cols).map_err(msg)?;
+            sub.as_mut_slice()
+                .copy_from_slice(&normed.as_slice()[rows.clone()]);
+            let r = attn.forward(&sub, st.caches[s].layer_mut(li), self.model.rope(), None);
+            arena.restore(sub);
+            add_assign(&mut st.x.as_mut_slice()[rows], r.map_err(msg)?.as_slice());
+        }
+        Ok(())
+    }
+
+    /// Submit — a host callback inside the stream. Routes layer `li`'s
+    /// rows, arms its completion counters and queues its CPU expert
+    /// tasks: the immediate experts, merged by this layer's merge, and
+    /// under Expert Deferral the deferred ones, merged one MoE layer
+    /// later.
+    fn submit(
+        self: &Arc<Self>,
+        st: MutexGuard<'_, StepState>,
+        cpu: &CpuBackend,
+        li: usize,
+    ) -> Result<(), String> {
+        let Ffn::Moe { router, .. } = &self.model.blocks()[li].ffn else {
+            return Ok(());
+        };
+        // Arc clone: the expert tasks share the saved FFN input, no
+        // deep copy.
+        let Some(ffn_in) = st.ffn_in[li].clone() else {
+            return Ok(());
+        };
+        let routing = {
+            let _span = kt_trace::span_ab(SpanKind::Gating, li as u32, 0);
+            router.route(&ffn_in)
+        };
+        let decode_row = st.decode_row.clone();
+        drop(st);
+        // Fault-injection hook (test harness): a registered injector
+        // can fail this layer's expert submission before any task is
+        // queued.
+        let hook = self.fault.lock().clone();
+        if let Some(h) = hook {
+            let path = format!("model.layers.{li}.mlp.experts");
+            if h(&path) {
+                return Err(format!("injected fault at {path}"));
+            }
+        }
+        // Record activation statistics (the per-expert hit counters).
+        self.profile.lock().record(li, &routing);
+
+        // Expert Deferral gates per ROW: only decode rows defer (§4.1 —
+        // decode-only), so a mixed prefill/decode batch keeps every
+        // sequence's deferral semantics independent.
+        let plan = self.layer_plan(li);
+        let (imm, def) = if plan.n_def > 0 {
+            routing.split_deferred(plan.n_imm, &decode_row)
+        } else {
+            (routing, MoeRouting::new(Vec::new()))
+        };
+        let has_def = def.n_activations() > 0;
+
+        // Arm counters BEFORE submitting so the merge kernel can never
+        // observe a stale zero.
+        self.imm_pending[li].store(1, Ordering::Release);
+        if has_def {
+            self.def_pending[li].store(1, Ordering::Release);
+        }
+        let queue = |deferred: bool, ffn_in: Arc<Matrix>, routing: MoeRouting| {
+            let shared = Arc::clone(self);
+            cpu.submit(Box::new(move || {
+                shared.run_experts(deferred, li, ffn_in, routing);
+            }));
+        };
+        queue(false, Arc::clone(&ffn_in), imm);
+        if has_def {
+            queue(true, ffn_in, def);
+        }
+        Ok(())
+    }
+
+    /// Body of every CPU expert task, immediate or deferred: runs
+    /// `routing`'s experts of layer `li` over `ffn_in` under the task's
+    /// own workspace lock — dropped before `state` is taken (see the
+    /// `ws_gpu` lock discipline) — publishes the output (or the step
+    /// error), then clears the layer's pending counter. The counter
+    /// clears even if the kernel panics: a poisoned request must fail,
+    /// not wedge the merge spin. The task's `ffn_in` clone is dropped
+    /// before completion is signalled, so the merge can usually reclaim
+    /// the buffer right away.
+    fn run_experts(&self, deferred: bool, li: usize, ffn_in: Arc<Matrix>, routing: MoeRouting) {
+        let (kind, ws, pending) = if deferred {
+            (
+                SpanKind::CpuExpertDeferred,
+                &self.ws_def,
+                &self.def_pending[li],
+            )
+        } else {
+            (
+                SpanKind::CpuExpertImmediate,
+                &self.ws_imm,
+                &self.imm_pending[li],
+            )
+        };
+        let result = {
+            let _span = kt_trace::span_ab(kind, li as u32, 0);
+            let model = &self.model;
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                routed(model, li)?.forward_with(
+                    &ffn_in,
+                    &routing,
+                    None,
+                    SchedulePolicy::Dynamic,
+                    &mut ws.lock(),
+                )
+            }))
+        };
+        let mut st = self.state.lock();
+        match result {
+            Ok(Ok(out)) if deferred => st.def_out[li] = Some(out),
+            Ok(Ok(out)) => st.imm_out[li] = Some(out),
+            Ok(Err(e)) => st.error = Some(e.to_string()),
+            Err(_) => st.error = Some("expert task panicked".into()),
+        }
+        drop(st);
+        pending.store(0, Ordering::Release);
+    }
+
+    /// Shared experts on the device, overlapping the CPU's routed
+    /// experts, accumulated into the residual.
+    fn shared_experts(
+        &self,
+        mut guard: MutexGuard<'_, StepState>,
+        li: usize,
+    ) -> Result<(), String> {
+        let Ffn::Moe {
+            shared: Some(sh), ..
+        } = &self.model.blocks()[li].ffn
+        else {
+            return Ok(());
+        };
+        let st = &mut *guard;
+        let Some(ffn_in) = st.ffn_in[li].as_deref() else {
+            return Ok(());
+        };
+        let all: Vec<(usize, f32)> = (0..sh.n_experts()).map(|e| (e, 1.0)).collect();
+        let all = MoeRouting::new(vec![all; ffn_in.rows()]);
+        let mut ws = self.ws_gpu.lock();
+        sh.forward_accumulate_with(
+            ffn_in,
+            &all,
+            &mut st.x,
+            None,
+            SchedulePolicy::Dynamic,
+            &mut ws.moe,
+        )
+        .map_err(msg)
+    }
+
+    /// Merge — the spinning kernel. Waits for layer `li`'s immediate
+    /// experts and the previous MoE layer's deferred experts, then folds
+    /// both into the residual stream.
+    fn merge(&self, st: MutexGuard<'_, StepState>, li: usize) -> Result<(), String> {
+        // Spin WITHOUT holding the state lock (workers need it to
+        // publish their results).
+        drop(st);
+        let prev_moe = self.layer_plan(li).prev_moe;
+        {
+            let _span = kt_trace::span_ab(SpanKind::MergeSpin, li as u32, 0);
+            spin_until_zero(&self.imm_pending[li], "immediate experts");
+            if let Some(p) = prev_moe {
+                spin_until_zero(&self.def_pending[p], "deferred experts");
+                // Layer p's deferred task dropped its `ffn_in` clone
+                // before clearing the counter, so the buffer p's merge
+                // parked is uniquely owned again.
+                self.ws_gpu.lock().reclaim_pending();
+            }
+        }
+        let mut st = self.state.lock();
+        let imm = st.imm_out[li].take();
+        if let Some(m) = &imm {
+            let _span = kt_trace::span_ab(SpanKind::ScatterAdd, li as u32, 0);
+            add_assign(st.x.as_mut_slice(), m.as_slice());
+        }
+        let def = prev_moe.and_then(|p| Some((p, st.def_out[p].take()?)));
+        if let Some((p, m)) = &def {
+            let _span = kt_trace::span_ab(SpanKind::DeferralFlush, *p as u32, 0);
+            add_assign(st.x.as_mut_slice(), m.as_slice());
+        }
+        let ffn_in = st.ffn_in[li].take();
+        // Return scratch buffers OUTSIDE the state lock: a CPU task of
+        // the next layer may hold its workspace lock while waiting for
+        // `state`.
+        drop(st);
+        if let Some(m) = imm {
+            self.ws_imm.lock().restore(m);
+        }
+        if let Some((_, m)) = def {
+            self.ws_def.lock().restore(m);
+        }
+        if let Some(arc) = ffn_in {
+            // This layer's own deferred task may still hold a clone;
+            // the next MoE layer's merge reclaims it then.
+            self.ws_gpu.lock().reclaim(arc);
+        }
+        Ok(())
+    }
+
+    /// Final norm + LM head. The head GEMM runs per sequence through the
+    /// row-stable kernel: every position's logits row is a function of
+    /// its residual row only, so sequential decode, batched decode, and
+    /// any chunking of a prefill all produce the same bits. Sequences
+    /// that don't sample this step (non-final prefill chunks) skip the
+    /// head GEMM entirely.
+    fn lm_head(
+        &self,
+        mut guard: MutexGuard<'_, StepState>,
+        span: Option<&mut SpanGuard>,
+    ) -> Result<(), String> {
+        let st = &mut *guard;
+        let mut ws = self.ws_gpu.lock();
+        let mut normed = ws.arena.checkout(st.x.rows(), st.x.cols()).map_err(msg)?;
+        self.model.final_norm().forward_into(&st.x, &mut normed);
+        let mut logits = Vec::with_capacity(st.seq_rows.len());
+        let mut result = Ok(());
+        for (s, &(start, len)) in st.seq_rows.iter().enumerate() {
+            if !st.need_logits.get(s).copied().unwrap_or(true) {
+                continue;
+            }
+            match self.head_rows(&mut ws.arena, &normed, start, len) {
+                Ok(m) => logits.push(m),
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        ws.arena.restore(normed);
+        if let Err(e) = result {
+            for m in logits {
+                ws.arena.restore(m);
+            }
+            return Err(e);
+        }
+        if let Some(span) = span {
+            let rows: usize = logits.iter().map(Matrix::rows).sum();
+            span.set_labels(rows as u32, 0);
+        }
+        st.logits = Some(logits);
+        Ok(())
+    }
+
+    /// Logits of rows `start..start + len` of the normed residual.
+    fn head_rows(
+        &self,
+        arena: &mut ScratchArena,
+        normed: &Matrix,
+        start: usize,
+        len: usize,
+    ) -> Result<Matrix, String> {
+        let cols = normed.cols();
+        let mut sub = arena.checkout(len, cols).map_err(msg)?;
+        sub.as_mut_slice()
+            .copy_from_slice(&normed.as_slice()[start * cols..(start + len) * cols]);
+        let mut out = arena
+            .checkout(len, self.model.config().vocab)
+            .map_err(msg)?;
+        let r = gemm_rowwise(&sub, self.model.lm_head(), &mut out, None);
+        arena.restore(sub);
+        r.map_err(msg)?;
+        Ok(out)
+    }
+}
 
 /// One sequence's slot in a batched forward
 /// ([`HybridEngine::forward_batch`]): its KV cache plus the new tokens
@@ -321,39 +820,21 @@ impl BatchSeq {
 /// The hybrid engine: a scheduler over one [`MoeModel`]'s weights.
 pub struct HybridEngine {
     econfig: EngineConfig,
-    /// Serializes whole forwards: the engine processes one request at a
-    /// time (batch-1 local serving, §6.1); concurrent callers queue
-    /// here instead of corrupting the shared step state.
+    /// Serializes whole forwards: the engine processes one step at a
+    /// time; concurrent callers queue here instead of corrupting the
+    /// shared step state.
     inference_lock: Mutex<()>,
     vgpu: VirtualGpu,
-    cpu: Arc<CpuBackend>,
-    /// Pool for the panel-parallel LM-head GEMM. Sized like the CPU
-    /// backend but clamped to the host's physical parallelism (see
-    /// [`head_pool_lanes`]); the head runs after the final merge, when
-    /// every expert worker is idle, so the two pools never compete.
-    head_pool: Arc<ThreadPool>,
-    /// The weights, shared with the device and worker threads: step ops
-    /// capture this `Arc` plus a layer index.
-    model: Arc<MoeModel>,
     shared: Arc<EngineShared>,
-    decode_graph: Mutex<Option<GraphHandle>>,
+    /// The step table, each stage with its closure (which holds the
+    /// shared state and the CPU backend), built once.
+    stages: Vec<(Stage, DeviceFn)>,
+    /// The step table captured as one graph, replayed by every
+    /// all-decode step (`AsyncGraph` only).
+    graph: Option<GraphHandle>,
 }
 
 const SPIN_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Lane count for the LM-head pool: the CPU-backend worker count,
-/// clamped to the host's physical parallelism. `n_cpu_workers` models
-/// the paper's CPU backend and may legitimately exceed the host cores
-/// (tests, CI); the head GEMM gains nothing from oversubscription and
-/// would pay cross-thread dispatch latency every decode step. A
-/// single-lane pool runs entirely on the calling thread. Outputs are
-/// bitwise identical at any lane count.
-fn head_pool_lanes(n_cpu_workers: usize) -> usize {
-    let host = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    n_cpu_workers.clamp(1, host)
-}
 
 /// Installs the process-wide trace hooks once per process: the
 /// `KT_TRACE` env knob and the bridge that turns arena fresh
@@ -389,44 +870,14 @@ fn spin_until_zero(counter: &AtomicUsize, what: &str) {
     }
 }
 
-/// Body of every CPU expert task, immediate or deferred: records a
-/// `kind` span for layer `li`, runs `compute` under the task's own
-/// workspace lock — dropped before `state` is taken (see the
-/// `EngineShared::ws_gpu` lock discipline) — publishes the output into
-/// `slot` (or the step error), then clears `pending`. The counter
-/// clears even if `compute` panics: a poisoned request must fail, not
-/// wedge the merge spin. `compute` owns the task's `ffn_in` clone, so
-/// the buffer is released before completion is signalled and the merge
-/// op can usually reclaim it right away.
-fn run_expert_task<T>(
-    shared: &EngineShared,
-    kind: SpanKind,
-    li: usize,
-    ws: &Mutex<MoeWorkspace>,
-    pending: &AtomicUsize,
-    slot: impl FnOnce(&mut StepState) -> &mut Option<T>,
-    compute: impl FnOnce(&mut MoeWorkspace) -> Result<T, KernelError>,
-) {
-    let result = {
-        let _span = kt_trace::span_ab(kind, li as u32, 0);
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| compute(&mut ws.lock())))
-    };
-    let mut st = shared.state.lock();
-    match result {
-        Ok(Ok(out)) => *slot(&mut st) = Some(out),
-        Ok(Err(e)) => st.error = Some(e.to_string()),
-        Err(_) => st.error = Some("expert task panicked".into()),
-    }
-    drop(st);
-    pending.store(0, Ordering::Release);
-}
-
 impl HybridEngine {
     /// Builds an engine that schedules `model`'s weights. The model is
     /// moved in, never copied; `econfig.backend` replaces the kernel
     /// backend of every expert pool (a runtime setting), and
     /// `econfig.precision` / `econfig.seed` are not consulted — the
-    /// weights are already drawn and packed.
+    /// weights are already drawn and packed. The step table and its
+    /// closures are built here, and under [`SchedMode::AsyncGraph`] the
+    /// decode graph is captured here too.
     ///
     /// # Errors
     ///
@@ -435,17 +886,33 @@ impl HybridEngine {
     pub fn from_model(mut model: MoeModel, econfig: EngineConfig) -> Result<Self, EngineError> {
         install_trace_hooks();
         model.set_backend(econfig.backend);
-        let shared = EngineShared::new(model.config(), model.new_cache())?;
-        Ok(HybridEngine {
+        let table = step_table(model.config());
+        let shared = EngineShared::new(model, econfig.n_deferred)?;
+        let cpu = Arc::new(CpuBackend::new(econfig.n_cpu_workers)?);
+        let stages = table
+            .into_iter()
+            .map(|stage| {
+                let (shared, cpu) = (Arc::clone(&shared), Arc::clone(&cpu));
+                let f: DeviceFn = Arc::new(move || shared.run_stage(&cpu, stage));
+                (stage, f)
+            })
+            .collect();
+        let mut engine = HybridEngine {
             inference_lock: Mutex::new(()),
             vgpu: VirtualGpu::new(econfig.vgpu)?,
-            cpu: Arc::new(CpuBackend::new(econfig.n_cpu_workers)?),
-            head_pool: Arc::new(ThreadPool::new(head_pool_lanes(econfig.n_cpu_workers))?),
-            model: Arc::new(model),
             shared,
-            decode_graph: Mutex::new(None),
+            stages,
+            graph: None,
             econfig,
-        })
+        };
+        if engine.econfig.mode == SchedMode::AsyncGraph {
+            engine.vgpu.begin_capture()?;
+            for (stage, f) in &engine.stages {
+                engine.launch(*stage, f);
+            }
+            engine.graph = Some(engine.vgpu.end_capture()?);
+        }
+        Ok(engine)
     }
 
     /// Builds an engine over [`MoeModel::random_with`] weights drawn
@@ -464,12 +931,12 @@ impl HybridEngine {
     /// oracle of every logit it serves (see the `kt_model::model`
     /// module doc).
     pub fn model(&self) -> &MoeModel {
-        &self.model
+        &self.shared.model
     }
 
     /// Model configuration.
     pub fn config(&self) -> &ModelConfig {
-        self.model.config()
+        self.shared.model.config()
     }
 
     /// Engine configuration.
@@ -491,7 +958,7 @@ impl HybridEngine {
     ///
     /// Propagates I/O failures.
     pub fn save(&self, w: &mut impl std::io::Write) -> Result<(), EngineError> {
-        Ok(self.model.save(w)?)
+        Ok(self.model().save(w)?)
     }
 
     /// Loads an engine from a [`MoeModel`] checkpoint (written by
@@ -509,9 +976,9 @@ impl HybridEngine {
     }
 
     /// Creates a fresh, empty KV cache sized for this engine (one per
-    /// conversation in a multi-session server).
+    /// conversation).
     pub fn fresh_cache(&self) -> KvCache {
-        self.model.new_cache()
+        self.model().new_cache()
     }
 
     /// Checks that `cache` matches this engine's layout and holds a
@@ -525,7 +992,7 @@ impl HybridEngine {
     /// Returns [`EngineError::Exec`] naming the first violated
     /// invariant.
     pub fn validate_cache(&self, cache: &KvCache) -> Result<(), EngineError> {
-        let blocks = self.model.blocks();
+        let blocks = self.model().blocks();
         if cache.n_layers() != blocks.len() {
             return Err(EngineError::exec(format!(
                 "cache has {} layers, engine has {}",
@@ -561,49 +1028,13 @@ impl HybridEngine {
         Ok(())
     }
 
-    /// Swaps the engine's active KV cache with `cache`, returning the
-    /// previously active one. This is the session-switch primitive of a
-    /// multi-conversation server: check a session's cache in, decode,
-    /// check it back out.
-    pub fn swap_cache(&self, cache: &mut KvCache) {
-        let mut st = self.shared.state.lock();
-        std::mem::swap(&mut st.caches[0], cache);
-    }
-
-    /// Resets the KV cache and launch stats (new conversation).
-    pub fn reset(&self) {
-        let logits = {
-            let mut st = self.shared.state.lock();
-            for cache in &mut st.caches {
-                cache.reset();
-            }
-            st.error = None;
-            st.logits.take()
-        };
-        if let Some(v) = logits {
-            let mut ws = self.shared.ws_gpu.lock();
-            for m in v {
-                ws.arena.restore(m);
-            }
-        }
-        self.vgpu.reset_stats();
-    }
-
-    /// Current cached sequence length.
-    pub fn seq_len(&self) -> usize {
-        self.shared.state.lock().caches[0].seq_len()
-    }
-
     /// Installs a fault injector consulted on the expert-submission
     /// path. The hook receives a module path (e.g.
     /// `model.layers.3.mlp.experts`) once per MoE layer per forward;
     /// returning `true` fails that forward with an injected error
     /// before any expert task is queued. Test harnesses pair this with
     /// `kt-inject` fault patterns to exercise error propagation.
-    pub fn set_fault_injector(
-        &self,
-        hook: impl Fn(&str) -> bool + Send + Sync + 'static,
-    ) {
+    pub fn set_fault_injector(&self, hook: impl Fn(&str) -> bool + Send + Sync + 'static) {
         *self.shared.fault.lock() = Some(Arc::new(hook));
     }
 
@@ -635,534 +1066,39 @@ impl HybridEngine {
 
     /// The first MoE layer's routed-expert pool.
     fn routed_pool(&self) -> Option<&FusedMoE> {
-        self.model.blocks().iter().find_map(|b| b.ffn.routed())
+        self.model().blocks().iter().find_map(|b| b.ffn.routed())
     }
 
-    /// Builds the per-forward op list. Each op is a `Fn` closure over
-    /// the shared state, so the identical list can be launched op-by-op
-    /// (sync mode) or captured once and replayed (graph mode).
+    /// Runs one sequence's forward over `tokens`, appended to `cache`,
+    /// and returns logits for every new position: a one-sequence
+    /// [`HybridEngine::forward_batch`]. The argument order mirrors
+    /// [`MoeModel::forward`], its bitwise oracle.
     ///
-    /// Ops are batch-shape-agnostic: they read `seq_rows`/`decode_row`
-    /// from the step state, so one captured graph serves every
-    /// all-decode batch and Expert Deferral gates itself per row.
-    fn build_ops(&self) -> Vec<OpEntry> {
-        let mut ops: Vec<OpEntry> = Vec::new();
-        let shared = Arc::clone(&self.shared);
-        let model = Arc::clone(&self.model);
-        let cfg = self.model.config();
-        let hidden = cfg.hidden;
-
-        // Op: embedding lookup. Also the step's workspace turnover
-        // point: last step's residual stream (and any unclaimed logits)
-        // go back to the arena, and `ffn_in` buffers whose deferred
-        // task outlived its merge are reclaimed — every task of the
-        // previous step has drained by now.
-        ops.push((
-            false,
-            Arc::new(move || {
-                let _span = kt_trace::span(SpanKind::Embed);
-                let mut st = shared.state.lock();
-                if st.error.is_some() {
-                    return;
-                }
-                let t_new = st.tokens.len();
-                let mut ws = shared.ws_gpu.lock();
-                ws.reclaim_pending();
-                if let Some(v) = st.logits.take() {
-                    for m in v {
-                        ws.arena.restore(m);
-                    }
-                }
-                match ws.arena.checkout(t_new, hidden) {
-                    Ok(x) => {
-                        let old = std::mem::replace(&mut st.x, x);
-                        ws.arena.restore(old);
-                        drop(ws);
-                        let st = &mut *st;
-                        for (i, &t) in st.tokens.iter().enumerate() {
-                            st.x.row_mut(i)
-                                .copy_from_slice(model.embed().row(t as usize));
-                        }
-                    }
-                    Err(e) => st.error = Some(e.to_string()),
-                }
-            }),
-            usize::MAX,
-        ));
-
-        // Dense layers lead and every later layer is MoE (`MoeModel`
-        // guarantees it), so a MoE layer's merge folds in the deferred
-        // outputs of the layer just before it, and the final layer never
-        // defers.
-        for li in 0..cfg.n_layers {
-            let is_moe = li >= cfg.n_dense_layers;
-            let prev_moe = (li > cfg.n_dense_layers).then(|| li - 1);
-            let n_def = if li + 1 < cfg.n_layers {
-                self.econfig.n_deferred.min(cfg.top_k.saturating_sub(1))
-            } else {
-                0
-            };
-            let n_imm = cfg.top_k - n_def;
-
-            // Op: attention (+ dense MLP for dense layers) on the GPU.
-            {
-                let shared = Arc::clone(&self.shared);
-                let model = Arc::clone(&self.model);
-                ops.push((
-                    false,
-                    Arc::new(move || {
-                        let _span = kt_trace::span_ab(SpanKind::Attention, li as u32, 0);
-                        let layer = &model.blocks()[li];
-                        let mut guard = shared.state.lock();
-                        if guard.error.is_some() {
-                            return;
-                        }
-                        let mut ws = shared.ws_gpu.lock();
-                        let mut normed =
-                            match ws.arena.checkout(guard.x.rows(), guard.x.cols()) {
-                                Ok(m) => m,
-                                Err(e) => {
-                                    guard.error = Some(e.to_string());
-                                    return;
-                                }
-                            };
-                        layer.attn_norm.forward_into(&guard.x, &mut normed);
-                        let cols = normed.cols();
-                        // Field-level split borrow: each sequence's rows
-                        // attend against its own KV cache.
-                        let st = &mut *guard;
-                        for (s, &(start, len)) in st.seq_rows.iter().enumerate() {
-                            // Request-scoped causal trace: tagged
-                            // sequences get their own span so a
-                            // request's attention time is separable
-                            // from the rest of the batch.
-                            let tag = st.tags.get(s).copied().unwrap_or(0);
-                            let _seq_span = (tag != 0)
-                                .then(|| kt_trace::span_ab(SpanKind::SeqAttention, tag, li as u32));
-                            let mut sub = match ws.arena.checkout(len, cols) {
-                                Ok(m) => m,
-                                Err(e) => {
-                                    st.error = Some(e.to_string());
-                                    break;
-                                }
-                            };
-                            sub.as_mut_slice().copy_from_slice(
-                                &normed.as_slice()[start * cols..(start + len) * cols],
-                            );
-                            let cache = st.caches[s].layer_mut(li);
-                            let r = layer.attn.forward(&sub, cache, model.rope(), None);
-                            ws.arena.restore(sub);
-                            match r {
-                                Ok(attn_out) => add_assign(
-                                    &mut st.x.as_mut_slice()[start * cols..(start + len) * cols],
-                                    attn_out.as_slice(),
-                                ),
-                                Err(e) => {
-                                    st.error = Some(e.to_string());
-                                    break;
-                                }
-                            }
-                        }
-                        if st.error.is_some() {
-                            ws.arena.restore(normed);
-                            return;
-                        }
-                        // Reuse the normed buffer for the FFN input: the
-                        // attention residual is already folded into x.
-                        let mut ffn_in = normed;
-                        layer.ffn_norm.forward_into(&st.x, &mut ffn_in);
-                        if let Ffn::Dense(mlp) = &layer.ffn {
-                            let t_new = ffn_in.rows();
-                            let all = MoeRouting::new(vec![vec![(0, 1.0)]; t_new]);
-                            let r = mlp.forward_accumulate_with(
-                                &ffn_in,
-                                &all,
-                                &mut st.x,
-                                None,
-                                SchedulePolicy::Dynamic,
-                                &mut ws.moe,
-                            );
-                            ws.arena.restore(ffn_in);
-                            if let Err(e) = r {
-                                st.error = Some(e.to_string());
-                            }
-                        } else {
-                            st.ffn_in[li] = Some(Arc::new(ffn_in));
-                        }
-                    }),
-                    usize::MAX,
-                ));
-            }
-
-            if !is_moe {
-                continue;
-            }
-
-            // Op: submit — a host callback inside the stream. Routes the
-            // token(s), arms counters, enqueues CPU expert tasks.
-            {
-                let shared = Arc::clone(&self.shared);
-                let model = Arc::clone(&self.model);
-                let cpu = Arc::clone(&self.cpu);
-                ops.push((
-                    true,
-                    Arc::new(move || {
-                        let _span = kt_trace::span_ab(SpanKind::ExpertDispatch, li as u32, 0);
-                        let (ffn_in, routing, decode_row) = {
-                            let st = shared.state.lock();
-                            if st.error.is_some() {
-                                return;
-                            }
-                            // Arc clone: the expert tasks share the
-                            // saved FFN input, no deep copy.
-                            let ffn_in = match &st.ffn_in[li] {
-                                Some(m) => Arc::clone(m),
-                                None => return,
-                            };
-                            let Ffn::Moe { router, .. } = &model.blocks()[li].ffn else {
-                                return;
-                            };
-                            let routing = {
-                                let _span =
-                                    kt_trace::span_ab(SpanKind::Gating, li as u32, 0);
-                                router.route(&ffn_in)
-                            };
-                            (ffn_in, routing, st.decode_row.clone())
-                        };
-                        // Fault-injection hook (test harness): a
-                        // registered injector can fail this layer's
-                        // expert submission before any task is queued.
-                        let hook = shared.fault.lock().clone();
-                        if let Some(h) = hook {
-                            let path = format!("model.layers.{li}.mlp.experts");
-                            if h(&path) {
-                                shared.state.lock().error =
-                                    Some(format!("injected fault at {path}"));
-                                return;
-                            }
-                        }
-                        // Record activation statistics (the per-expert
-                        // hit counters).
-                        shared.profile.lock().record(li, &routing);
-
-                        // Expert Deferral gates per ROW: only decode
-                        // rows defer (§4.1 — decode-only), so a
-                        // mixed prefill/decode batch keeps every
-                        // sequence's deferral semantics independent.
-                        let (imm, def) = if n_def > 0 {
-                            routing.split_deferred(n_imm, &decode_row)
-                        } else {
-                            (routing, MoeRouting::new(Vec::new()))
-                        };
-                        let has_def = def.n_activations() > 0;
-
-                        // Arm counters BEFORE submitting so the merge
-                        // kernel can never observe a stale zero.
-                        shared.imm_pending[li].store(1, Ordering::Release);
-                        if has_def {
-                            shared.def_pending[li].store(1, Ordering::Release);
-                        }
-
-                        // Immediate experts (merged by this layer's
-                        // merge op).
-                        {
-                            let shared = Arc::clone(&shared);
-                            let model = Arc::clone(&model);
-                            let ffn_in = Arc::clone(&ffn_in);
-                            cpu.submit(Box::new(move || {
-                                run_expert_task(
-                                    &shared,
-                                    SpanKind::CpuExpertImmediate,
-                                    li,
-                                    &shared.ws_imm,
-                                    &shared.imm_pending[li],
-                                    |st| &mut st.imm_out[li],
-                                    move |ws| {
-                                        routed(&model, li)?.forward_with(
-                                            &ffn_in,
-                                            &imm,
-                                            None,
-                                            SchedulePolicy::Dynamic,
-                                            ws,
-                                        )
-                                    },
-                                );
-                            }));
-                        }
-
-                        // Deferred experts (same input, merged one MoE
-                        // layer later).
-                        if has_def {
-                            let shared = Arc::clone(&shared);
-                            let model = Arc::clone(&model);
-                            cpu.submit(Box::new(move || {
-                                run_expert_task(
-                                    &shared,
-                                    SpanKind::CpuExpertDeferred,
-                                    li,
-                                    &shared.ws_def,
-                                    &shared.def_pending[li],
-                                    |st| &mut st.def_out[li],
-                                    move |ws| {
-                                        routed(&model, li)?.forward_with(
-                                            &ffn_in,
-                                            &def,
-                                            None,
-                                            SchedulePolicy::Dynamic,
-                                            ws,
-                                        )
-                                    },
-                                );
-                            }));
-                        }
-                    }),
-                    usize::MAX,
-                ));
-            }
-
-            // Op: shared experts on the device, overlapping the CPU's
-            // routed experts, accumulated into the residual.
-            {
-                let shared = Arc::clone(&self.shared);
-                let model = Arc::clone(&self.model);
-                ops.push((
-                    false,
-                    Arc::new(move || {
-                        let mut guard = shared.state.lock();
-                        if guard.error.is_some() {
-                            return;
-                        }
-                        let Ffn::Moe { shared: sh, .. } = &model.blocks()[li].ffn else {
-                            return;
-                        };
-                        // Arc clone — shares the buffer with the CPU
-                        // expert tasks, no copy.
-                        let Some(ffn_in) = guard.ffn_in[li].clone() else {
-                            return;
-                        };
-                        let mut ws = shared.ws_gpu.lock();
-                        let st = &mut *guard;
-                        let _span = kt_trace::span_ab(SpanKind::SharedExperts, li as u32, 0);
-                        let Some(sh) = sh else {
-                            return;
-                        };
-                        let all: Vec<(usize, f32)> =
-                            (0..sh.n_experts()).map(|e| (e, 1.0)).collect();
-                        let all = MoeRouting::new(vec![all; ffn_in.rows()]);
-                        if let Err(e) = sh.forward_accumulate_with(
-                            &ffn_in,
-                            &all,
-                            &mut st.x,
-                            None,
-                            SchedulePolicy::Dynamic,
-                            &mut ws.moe,
-                        ) {
-                            st.error = Some(e.to_string());
-                        }
-                    }),
-                    usize::MAX,
-                ));
-            }
-
-            // Op: merge — the spinning kernel. Waits for this layer's
-            // immediate experts and the previous MoE layer's deferred
-            // experts, then folds both into the residual stream.
-            {
-                let shared = Arc::clone(&self.shared);
-                ops.push((
-                    false,
-                    Arc::new(move || {
-                        {
-                            let st = shared.state.lock();
-                            if st.error.is_some() {
-                                return;
-                            }
-                        }
-                        // Spin WITHOUT holding the state lock (workers
-                        // need it to publish their results).
-                        {
-                            let _span = kt_trace::span_ab(SpanKind::MergeSpin, li as u32, 0);
-                            spin_until_zero(&shared.imm_pending[li], "immediate experts");
-                            if let Some(p) = prev_moe {
-                                spin_until_zero(&shared.def_pending[p], "deferred experts");
-                                // Layer p's deferred task dropped its
-                                // `ffn_in` clone before clearing the
-                                // counter, so the buffer p's merge
-                                // parked is uniquely owned again.
-                                shared.ws_gpu.lock().reclaim_pending();
-                            }
-                        }
-                        let mut st = shared.state.lock();
-                        let imm = st.imm_out[li].take();
-                        if let Some(m) = &imm {
-                            let _span = kt_trace::span_ab(SpanKind::ScatterAdd, li as u32, 0);
-                            add_assign(st.x.as_mut_slice(), m.as_slice());
-                        }
-                        let def_m = prev_moe.and_then(|p| st.def_out[p].take());
-                        if let Some(m) = &def_m {
-                            let _span = kt_trace::span_ab(
-                                SpanKind::DeferralFlush,
-                                prev_moe.unwrap_or(0) as u32,
-                                0,
-                            );
-                            add_assign(st.x.as_mut_slice(), m.as_slice());
-                        }
-                        let ffn_arc = st.ffn_in[li].take();
-                        // Return scratch buffers OUTSIDE the state lock:
-                        // a CPU task of the next layer may hold its
-                        // workspace lock while waiting for `state`.
-                        drop(st);
-                        if let Some(m) = imm {
-                            shared.ws_imm.lock().restore(m);
-                        }
-                        if let Some(m) = def_m {
-                            shared.ws_def.lock().restore(m);
-                        }
-                        if let Some(arc) = ffn_arc {
-                            let mut ws = shared.ws_gpu.lock();
-                            match Arc::try_unwrap(arc) {
-                                Ok(m) => ws.arena.restore(m),
-                                // This layer's own deferred task may
-                                // still hold a clone; the next MoE
-                                // layer's merge reclaims it.
-                                Err(arc) => ws.pending.push(arc),
-                            }
-                        }
-                    }),
-                    li,
-                ));
-            }
-        }
-
-        // Op: final norm + LM head. Also absorbs any deferred output of
-        // the last MoE layer (none is produced there by construction).
-        {
-            let shared = Arc::clone(&self.shared);
-            let model = Arc::clone(&self.model);
-            let head_pool = Arc::clone(&self.head_pool);
-            let vocab = cfg.vocab;
-            ops.push((
-                false,
-                Arc::new(move || {
-                    let mut head_span = kt_trace::span(SpanKind::LmHead);
-                    let mut guard = shared.state.lock();
-                    if guard.error.is_some() {
-                        return;
-                    }
-                    // The CPU expert backend is idle here (final merge
-                    // already ran), so the head pool has the machine to
-                    // itself. Panel-parallel execution is bitwise
-                    // identical to serial — each worker owns disjoint
-                    // output columns.
-                    let mut ws = shared.ws_gpu.lock();
-                    let st = &mut *guard;
-                    let per_seq = (|| -> Result<Vec<Matrix>, String> {
-                        let mut normed = ws
-                            .arena
-                            .checkout(st.x.rows(), st.x.cols())
-                            .map_err(|e| e.to_string())?;
-                        model.final_norm().forward_into(&st.x, &mut normed);
-                        let cols = normed.cols();
-                        // The head GEMM runs per sequence through the
-                        // row-stable kernel: every position's logits
-                        // row is a function of its residual row only,
-                        // so sequential decode, batched decode, and any
-                        // chunking of a prefill all produce the same
-                        // bits. Sequences that don't sample this step
-                        // (non-final prefill chunks) skip the head GEMM
-                        // entirely.
-                        let mut out_seqs = Vec::with_capacity(st.seq_rows.len());
-                        let mut result = Ok(());
-                        for (s, &(start, len)) in st.seq_rows.iter().enumerate() {
-                            if !st.need_logits.get(s).copied().unwrap_or(true) {
-                                continue;
-                            }
-                            let r = (|| -> Result<Matrix, String> {
-                                let mut sub = ws
-                                    .arena
-                                    .checkout(len, cols)
-                                    .map_err(|e| e.to_string())?;
-                                sub.as_mut_slice().copy_from_slice(
-                                    &normed.as_slice()
-                                        [start * cols..(start + len) * cols],
-                                );
-                                let mut out = ws
-                                    .arena
-                                    .checkout(len, vocab)
-                                    .map_err(|e| e.to_string())?;
-                                let r = gemm_rowwise(
-                                    &sub,
-                                    model.lm_head(),
-                                    &mut out,
-                                    Some(&head_pool),
-                                );
-                                ws.arena.restore(sub);
-                                r.map_err(|e| e.to_string())?;
-                                Ok(out)
-                            })();
-                            match r {
-                                Ok(out) => out_seqs.push(out),
-                                Err(e) => {
-                                    result = Err(e);
-                                    break;
-                                }
-                            }
-                        }
-                        ws.arena.restore(normed);
-                        if let Err(e) = result {
-                            for m in out_seqs {
-                                ws.arena.restore(m);
-                            }
-                            return Err(e);
-                        }
-                        Ok(out_seqs)
-                    })();
-                    match per_seq {
-                        Ok(logits) => {
-                            let rows: usize = logits.iter().map(Matrix::rows).sum();
-                            head_span.set_labels(rows as u32, 0);
-                            st.logits = Some(logits);
-                        }
-                        Err(e) => {
-                            st.error = Some(e);
-                        }
-                    }
-                }),
-                usize::MAX,
-            ));
-        }
-        ops
-    }
-
-    /// Runs one forward over `tokens` (appended to the cache) and
-    /// returns logits for every new position.
-    ///
-    /// Deferral applies only to single-token forwards past the prompt
-    /// (decode), as in the paper: a forward on an empty cache is the
-    /// prompt's prefill whatever its length, exactly as the serving
-    /// scheduler runs it.
+    /// A single token on a non-empty cache is a decode row (Expert
+    /// Deferral applies, as in the paper); anything else is a prefill —
+    /// a forward on an empty cache is the prompt's prefill whatever its
+    /// length, exactly as the serving scheduler runs it.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Exec`] on invalid tokens or any failure
-    /// raised by device/worker ops.
-    pub fn forward(&self, tokens: &[u32]) -> Result<Matrix, EngineError> {
-        self.model.validate_tokens(tokens)?;
-        // One forward at a time: the step state is per-request.
-        let _serialized = self.inference_lock.lock();
-        let decode;
-        {
-            let mut st = self.shared.state.lock();
-            decode = tokens.len() == 1 && st.caches[0].seq_len() > 0;
-            st.tokens = tokens.to_vec();
-            st.seq_rows = vec![(0, tokens.len())];
-            st.decode_row = vec![decode; tokens.len()];
-            st.need_logits = vec![true];
-            st.tags = vec![0];
-        }
-        let mut per_seq = self.run_step(decode)?;
-        per_seq
+    /// raised by a stage; the cache is handed back either way, possibly
+    /// partially advanced.
+    pub fn forward(&self, tokens: &[u32], cache: &mut KvCache) -> Result<Matrix, EngineError> {
+        let decode = tokens.len() == 1 && cache.seq_len() > 0;
+        let mut seq = [BatchSeq {
+            cache: std::mem::replace(cache, KvCache::new(&[], 0)),
+            tokens: tokens.to_vec(),
+            prefill: !decode,
+            need_logits: true,
+            tag: 0,
+        }];
+        let result = self.forward_batch(&mut seq);
+        let [seq] = seq;
+        *cache = seq.cache;
+        result?
             .pop()
+            .flatten()
             .ok_or_else(|| EngineError::exec("forward produced no logits"))
     }
 
@@ -1182,22 +1118,21 @@ impl HybridEngine {
     ///
     /// Caches are moved into the engine for the step and handed back
     /// before returning — including on error, but a failed step may
-    /// leave caches partially advanced; callers must `reset` a cache
-    /// before reusing it after an error.
+    /// leave caches partially advanced; callers must reset a cache
+    /// ([`KvCache::reset`]) before reusing it after an error.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Exec`] on an empty batch, invalid
-    /// tokens, or any failure raised by device/worker ops.
-    pub fn forward_batch(
-        &self,
-        seqs: &mut [BatchSeq],
-    ) -> Result<Vec<Option<Matrix>>, EngineError> {
+    /// tokens, or any failure raised by a stage.
+    pub fn forward_batch(&self, seqs: &mut [BatchSeq]) -> Result<Vec<Option<Matrix>>, EngineError> {
         if seqs.is_empty() {
-            return Err(EngineError::exec("forward_batch requires at least one sequence"));
+            return Err(EngineError::exec(
+                "forward_batch requires at least one sequence",
+            ));
         }
         for s in seqs.iter() {
-            self.model.validate_tokens(&s.tokens)?;
+            self.model().validate_tokens(&s.tokens)?;
         }
         let _serialized = self.inference_lock.lock();
         let mut seq_rows = Vec::with_capacity(seqs.len());
@@ -1211,38 +1146,58 @@ impl HybridEngine {
             tokens.extend_from_slice(&s.tokens);
         }
         let all_decode = decode_row.iter().all(|&d| d);
-
-        // Move the batch's caches into the step state, stashing the
-        // engine-owned single-session cache meanwhile.
-        let stashed = {
+        {
             let mut st = self.shared.state.lock();
             st.tokens = tokens;
             st.seq_rows = seq_rows;
             st.decode_row = decode_row;
             st.need_logits = need.clone();
             st.tags = seqs.iter().map(|s| s.tag).collect();
-            let incoming: Vec<KvCache> = seqs
+            st.caches = seqs
                 .iter_mut()
                 .map(|s| std::mem::replace(&mut s.cache, KvCache::new(&[], 0)))
                 .collect();
-            std::mem::replace(&mut st.caches, incoming)
-        };
+        }
         let result = self.run_step(all_decode);
         // Hand caches back BEFORE propagating any error: a failed step
         // must not eat the batch's caches.
-        {
-            let mut st = self.shared.state.lock();
-            let outgoing = std::mem::replace(&mut st.caches, stashed);
-            for (slot, cache) in seqs.iter_mut().zip(outgoing) {
-                slot.cache = cache;
-            }
+        let caches = std::mem::take(&mut self.shared.state.lock().caches);
+        for (slot, cache) in seqs.iter_mut().zip(caches) {
+            slot.cache = cache;
         }
-        // The head op produced one logits matrix per logits-requesting
-        // sequence, in batch order; re-align with the skipped slots.
+        // The head stage produced one logits matrix per
+        // logits-requesting sequence, in batch order; re-align with the
+        // skipped slots.
         result.map(|dense| {
             let mut it = dense.into_iter();
-            need.iter().map(|&n| if n { it.next() } else { None }).collect()
+            need.iter()
+                .map(|&n| if n { it.next() } else { None })
+                .collect()
         })
+    }
+
+    /// Launches one stage on the stream: the submit stage as a host
+    /// func, every other stage as a kernel.
+    fn launch(&self, stage: Stage, f: &DeviceFn) {
+        if stage.kind == StageKind::Submit {
+            self.vgpu.launch_host_func(Arc::clone(f));
+        } else {
+            self.vgpu.launch_kernel(Arc::clone(f));
+        }
+    }
+
+    /// The per-stage lowering of the step table: launches every stage
+    /// on its own; under [`SchedMode::Sync`] the stream is synchronized
+    /// after each MoE layer's merge.
+    fn launch_stages(&self) -> Result<(), EngineError> {
+        let sync = self.econfig.mode == SchedMode::Sync;
+        for (stage, f) in &self.stages {
+            self.launch(*stage, f);
+            if sync && stage.kind == StageKind::Merge {
+                self.vgpu.synchronize()?;
+            }
+        }
+        self.vgpu.synchronize()
     }
 
     /// Executes one step over the tokens/spans already staged in the
@@ -1256,61 +1211,32 @@ impl HybridEngine {
             let st = self.shared.state.lock();
             step_span.set_labels(st.tokens.len() as u32, st.seq_rows.len() as u32);
         }
-        let use_graph = all_decode && self.econfig.mode == SchedMode::AsyncGraph;
-        let launch = |is_host: bool, f: &Arc<dyn Fn() + Send + Sync>| {
-            let f = Arc::clone(f);
-            if is_host {
-                self.vgpu.launch_host_func(0, move || f());
-            } else {
-                self.vgpu.launch_kernel(0, move || f());
+        // A stage that panicked comes back as a stream fault: the rest
+        // of the stream was skipped, and the step fails below like any
+        // stage error — the engine stays usable.
+        let device = match &self.graph {
+            // Stages read the batch shape from the step state, so the
+            // one graph serves any all-decode batch.
+            Some(graph) if all_decode => {
+                self.vgpu.launch_graph(graph);
+                self.vgpu.synchronize()
             }
-        };
-        // A device op that panicked comes back as a stream fault: the
-        // rest of its stream was skipped, and the step fails below like
-        // any op error — the engine stays usable.
-        let device = if use_graph {
-            // Capture once, replay every decode step. Ops read the
-            // batch shape from the step state, so the same graph
-            // serves any all-decode batch.
-            let mut graph_slot = self.decode_graph.lock();
-            if graph_slot.is_none() {
-                let ops = self.build_ops();
-                self.vgpu.begin_capture()?;
-                for (is_host, f, _) in &ops {
-                    launch(*is_host, f);
-                }
-                *graph_slot = Some(self.vgpu.end_capture()?);
-            }
-            let graph = graph_slot.as_ref().expect("captured above").clone();
-            drop(graph_slot);
-            self.vgpu.launch_graph(0, &graph);
-            self.vgpu.synchronize(0)
-        } else {
-            // Per-op launches with per-layer synchronization (prefill,
-            // or the sync-mode decode baseline).
-            let ops = self.build_ops();
-            let mut device = Ok(());
-            for (is_host, f, layer_boundary) in &ops {
-                launch(*is_host, f);
-                if *layer_boundary != usize::MAX && self.econfig.mode == SchedMode::Sync {
-                    // The baseline breaks the stream at every layer.
-                    device = self.vgpu.synchronize(0);
-                    if device.is_err() {
-                        break;
-                    }
-                }
-            }
-            device.and(self.vgpu.synchronize(0))
+            _ => self.launch_stages(),
         };
         if let Err(e) = device {
             self.shared.state.lock().error.get_or_insert(e.to_string());
         }
 
-        // Drain: if an op errored mid-stream, the merge kernels skipped
-        // their spin-waits and CPU expert tasks may still be in flight.
-        // Their late counter stores must not release the NEXT forward's
-        // freshly armed counters, so wait them out here.
-        for counter in self.shared.imm_pending.iter().chain(&self.shared.def_pending) {
+        // Drain: if a stage errored mid-stream, the merge kernels
+        // skipped their spin-waits and CPU expert tasks may still be in
+        // flight. Their late counter stores must not release the NEXT
+        // forward's freshly armed counters, so wait them out here.
+        for counter in self
+            .shared
+            .imm_pending
+            .iter()
+            .chain(&self.shared.def_pending)
+        {
             spin_until_zero(counter, "in-flight expert tasks at forward exit");
         }
 
@@ -1338,10 +1264,7 @@ impl HybridEngine {
             }
             let mut ws = self.shared.ws_gpu.lock();
             for arc in ffn {
-                match Arc::try_unwrap(arc) {
-                    Ok(m) => ws.arena.restore(m),
-                    Err(arc) => ws.pending.push(arc),
-                }
+                ws.reclaim(arc);
             }
             for m in logits.into_iter().flatten() {
                 ws.arena.restore(m);
@@ -1379,20 +1302,28 @@ impl HybridEngine {
         all
     }
 
-    /// Prefills a prompt then greedily decodes `n_new` tokens.
+    /// Prefills a prompt on a fresh cache (a new conversation), then
+    /// greedily decodes `n_new` tokens.
     ///
     /// # Errors
     ///
     /// Propagates forward errors.
     pub fn generate_greedy(&self, prompt: &[u32], n_new: usize) -> Result<Vec<u32>, EngineError> {
         let mut rng = StdRng::seed_from_u64(0);
-        self.generate(prompt, n_new, kt_model::sampler::Sampler::Greedy, &mut rng, |_| true)
+        self.generate(
+            prompt,
+            n_new,
+            kt_model::sampler::Sampler::Greedy,
+            &mut rng,
+            |_| true,
+        )
     }
 
-    /// Prefills a prompt, then decodes up to `max_new` tokens with the
-    /// given sampler, invoking `on_token` after every generated token
-    /// (streaming); generation stops early when `on_token` returns
-    /// `false` (client disconnect, stop token, length policy).
+    /// Prefills a prompt on a fresh cache (a new conversation), then
+    /// decodes up to `max_new` tokens with the given sampler, invoking
+    /// `on_token` after every generated token (streaming); generation
+    /// stops early when `on_token` returns `false` (client disconnect,
+    /// stop token, length policy).
     ///
     /// # Errors
     ///
@@ -1405,7 +1336,8 @@ impl HybridEngine {
         rng: &mut StdRng,
         mut on_token: impl FnMut(u32) -> bool,
     ) -> Result<Vec<u32>, EngineError> {
-        let logits = self.forward(prompt)?;
+        let mut cache = self.fresh_cache();
+        let logits = self.forward(prompt, &mut cache)?;
         let mut out = Vec::with_capacity(max_new);
         let mut next = sampler.sample(logits.row(logits.rows() - 1), rng);
         self.recycle_logits(logits);
@@ -1414,7 +1346,7 @@ impl HybridEngine {
             if !on_token(next) || step + 1 == max_new {
                 break;
             }
-            let logits = self.forward(&[next])?;
+            let logits = self.forward(&[next], &mut cache)?;
             next = sampler.sample(logits.row(0), rng);
             self.recycle_logits(logits);
         }
@@ -1471,8 +1403,9 @@ mod tests {
     #[test]
     fn invalid_tokens_are_rejected() {
         let e = engine(SchedMode::Sync, 0, 1);
-        assert!(e.forward(&[]).is_err());
-        assert!(e.forward(&[70_000]).is_err());
+        let mut cache = e.fresh_cache();
+        assert!(e.forward(&[], &mut cache).is_err());
+        assert!(e.forward(&[70_000], &mut cache).is_err());
     }
 
     #[test]
@@ -1482,9 +1415,7 @@ mod tests {
         e.validate_cache(&ok).unwrap();
 
         // A cache the engine has actually advanced still validates.
-        e.swap_cache(&mut ok);
-        let _ = e.forward(&[1, 2, 3]).unwrap();
-        e.swap_cache(&mut ok);
+        let _ = e.forward(&[1, 2, 3], &mut ok).unwrap();
         e.validate_cache(&ok).unwrap();
 
         // Wrong layer count.
@@ -1517,7 +1448,7 @@ mod tests {
     #[test]
     fn forward_produces_finite_logits() {
         let e = engine(SchedMode::Sync, 0, 2);
-        let logits = e.forward(&[1, 2, 3]).unwrap();
+        let logits = e.forward(&[1, 2, 3], &mut e.fresh_cache()).unwrap();
         assert_eq!(logits.rows(), 3);
         assert_eq!(logits.cols(), 256);
         assert!(logits.as_slice().iter().all(|v| v.is_finite()));
@@ -1532,29 +1463,36 @@ mod tests {
         assert_eq!(ga, gb, "scheduling must not change the math");
     }
 
+    /// Length of the step table: embed, one attention stage per layer,
+    /// submit + shared experts + merge per MoE layer, head.
+    fn table_len(cfg: &ModelConfig) -> u64 {
+        (2 + cfg.n_layers + 3 * (cfg.n_layers - cfg.n_dense_layers)) as u64
+    }
+
     #[test]
     fn graph_mode_replays_a_single_graph() {
         let e = engine(SchedMode::AsyncGraph, 0, 3);
+        assert_eq!(step_table(e.config()).len() as u64, table_len(e.config()));
         let _ = e.generate_greedy(&[1, 2], 5).unwrap();
         let stats = e.launch_stats();
-        // 4 decode steps after the first generated token use the graph.
-        assert!(stats.graph_replays >= 4, "{stats:?}");
-        // Per-token launches: graph mode should launch FAR fewer than
-        // ops-per-token times tokens.
-        assert!(
-            stats.graph_replays < stats.graph_ops / 5,
-            "graph replay amortizes launches: {stats:?}"
-        );
+        // The 4 decode steps after the prefill each replay the graph
+        // captured at construction: the whole table, one launch.
+        assert_eq!(stats.graph_replays, 4, "{stats:?}");
+        assert_eq!(stats.graph_ops, 4 * table_len(e.config()), "{stats:?}");
     }
 
     #[test]
     fn sync_mode_launches_every_op() {
         let e = engine(SchedMode::Sync, 0, 3);
+        // A prefill and two decode forwards, each launching every stage.
         let _ = e.generate_greedy(&[1, 2], 3).unwrap();
         let stats = e.launch_stats();
         assert_eq!(stats.graph_replays, 0);
-        // 5 tiny-config layers -> tens of ops per forward.
-        assert!(stats.kernel_launches > 30, "{stats:?}");
+        assert_eq!(
+            stats.kernel_launches + stats.host_funcs,
+            3 * table_len(e.config()),
+            "{stats:?}"
+        );
     }
 
     #[test]
@@ -1562,10 +1500,11 @@ mod tests {
         // n_deferred = 0 must be bit-identical to the standard path.
         let a = engine(SchedMode::AsyncGraph, 0, 11);
         let b = engine(SchedMode::Sync, 0, 11);
-        let la = a.forward(&[3, 4, 5]).unwrap();
-        let lb = b.forward(&[3, 4, 5]).unwrap();
-        let da = a.forward(&[7]).unwrap();
-        let db = b.forward(&[7]).unwrap();
+        let (mut ca, mut cb) = (a.fresh_cache(), b.fresh_cache());
+        let la = a.forward(&[3, 4, 5], &mut ca).unwrap();
+        let lb = b.forward(&[3, 4, 5], &mut cb).unwrap();
+        let da = a.forward(&[7], &mut ca).unwrap();
+        let db = b.forward(&[7], &mut cb).unwrap();
         assert_eq!(la.as_slice(), lb.as_slice());
         assert_eq!(da.as_slice(), db.as_slice());
     }
@@ -1574,14 +1513,15 @@ mod tests {
     fn deferral_changes_decode_but_preserves_shape() {
         let std_e = engine(SchedMode::AsyncGraph, 0, 13);
         let def_e = engine(SchedMode::AsyncGraph, 3, 13);
+        let (mut c_std, mut c_def) = (std_e.fresh_cache(), def_e.fresh_cache());
         // Same prefill (deferral is decode-only).
-        let lp_std = std_e.forward(&[2, 4, 6]).unwrap();
-        let lp_def = def_e.forward(&[2, 4, 6]).unwrap();
+        let lp_std = std_e.forward(&[2, 4, 6], &mut c_std).unwrap();
+        let lp_def = def_e.forward(&[2, 4, 6], &mut c_def).unwrap();
         assert_eq!(lp_std.as_slice(), lp_def.as_slice(), "prefill unaffected");
         // Decode logits differ (deferred contributions land later) but
         // stay close.
-        let d_std = std_e.forward(&[8]).unwrap();
-        let d_def = def_e.forward(&[8]).unwrap();
+        let d_std = std_e.forward(&[8], &mut c_std).unwrap();
+        let d_def = def_e.forward(&[8], &mut c_def).unwrap();
         assert_ne!(d_std.as_slice(), d_def.as_slice());
         let err = d_std.relative_error(&d_def);
         assert!(err < 0.5, "deferral divergence too large: {err}");
@@ -1602,10 +1542,10 @@ mod tests {
     fn incremental_decode_matches_model_semantics() {
         // Full prefill vs prefill + step-by-step decode: bit for bit.
         let e = engine(SchedMode::AsyncGraph, 0, 19);
-        let full = e.forward(&[5, 6, 7, 8]).unwrap();
-        e.reset();
-        let _ = e.forward(&[5, 6, 7]).unwrap();
-        let last = e.forward(&[8]).unwrap();
+        let full = e.forward(&[5, 6, 7, 8], &mut e.fresh_cache()).unwrap();
+        let mut cache = e.fresh_cache();
+        let _ = e.forward(&[5, 6, 7], &mut cache).unwrap();
+        let last = e.forward(&[8], &mut cache).unwrap();
         let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(full.row(3)), bits(last.row(0)));
     }
@@ -1629,12 +1569,12 @@ mod tests {
             )
             .unwrap();
             let model = e.model();
-            let mut cache = model.new_cache();
+            let (mut ours, mut cache) = (e.fresh_cache(), model.new_cache());
             let deferred = ExecMode::Deferred {
                 n_immediate: e.config().top_k - 2,
             };
             for (tok, mode) in [(9u32, ExecMode::Standard), (4, deferred)] {
-                let got = e.forward(&[tok]).unwrap();
+                let got = e.forward(&[tok], &mut ours).unwrap();
                 let want = model.forward(&[tok], &mut cache, mode, None).unwrap();
                 assert_eq!(bits(got.row(0)), bits(want.row(0)), "{preset:?} {mode:?}");
             }
@@ -1644,13 +1584,12 @@ mod tests {
     #[test]
     fn reset_clears_cache() {
         let e = engine(SchedMode::Sync, 0, 23);
-        let _ = e.forward(&[1, 2, 3]).unwrap();
-        assert_eq!(e.seq_len(), 3);
-        e.reset();
-        assert_eq!(e.seq_len(), 0);
-        let a = e.forward(&[1, 2, 3]).unwrap();
-        e.reset();
-        let b = e.forward(&[1, 2, 3]).unwrap();
+        let mut cache = e.fresh_cache();
+        let a = e.forward(&[1, 2, 3], &mut cache).unwrap();
+        assert_eq!(cache.seq_len(), 3);
+        cache.reset();
+        assert_eq!(cache.seq_len(), 0);
+        let b = e.forward(&[1, 2, 3], &mut cache).unwrap();
         assert_eq!(a.as_slice(), b.as_slice(), "reset gives a clean slate");
     }
 
@@ -1674,8 +1613,9 @@ mod tests {
             },
         )
         .unwrap();
-        let step = |tokens: &[u32]| {
-            let l = e.forward(tokens).unwrap();
+        let mut cache = e.fresh_cache();
+        let mut step = |tokens: &[u32]| {
+            let l = e.forward(tokens, &mut cache).unwrap();
             let next = kt_model::model::argmax(l.row(l.rows() - 1));
             e.recycle_logits(l);
             next
@@ -1707,7 +1647,6 @@ mod tests {
         let a = e
             .generate(&[1, 2], 6, Sampler::Temperature(0.8), &mut r1, |_| true)
             .unwrap();
-        e.reset();
         let b = e
             .generate(&[1, 2], 6, Sampler::Temperature(0.8), &mut r2, |_| true)
             .unwrap();
@@ -1734,16 +1673,18 @@ mod tests {
 
     #[test]
     fn concurrent_forwards_are_serialized_safely() {
-        // Two threads hammering the same engine must not corrupt state;
-        // the inference lock serializes whole forwards.
+        // Two threads hammering the same engine, each decoding its own
+        // conversation, must not corrupt state; the inference lock
+        // serializes whole forwards.
         let e = std::sync::Arc::new(engine(SchedMode::AsyncGraph, 2, 91));
-        let _ = e.forward(&[1, 2]).unwrap();
         std::thread::scope(|scope| {
             for t in 0..2u32 {
                 let e = std::sync::Arc::clone(&e);
                 scope.spawn(move || {
+                    let mut cache = e.fresh_cache();
+                    let _ = e.forward(&[1, 2], &mut cache).unwrap();
                     for i in 0..4u32 {
-                        let logits = e.forward(&[(t * 40 + i) % 256]).unwrap();
+                        let logits = e.forward(&[(t * 40 + i) % 256], &mut cache).unwrap();
                         assert!(logits.as_slice().iter().all(|v| v.is_finite()));
                     }
                 });
@@ -1847,13 +1788,11 @@ mod tests {
             let e = engine(mode, 2, 89);
             let want = e.generate_greedy(&[1, 2, 3], 4).unwrap();
             for prompt in [&[1u32, 2][..], &[7][..]] {
-                e.reset();
                 e.set_fault_injector(|_| panic!("hook exploded"));
-                let err = e.forward(prompt).unwrap_err();
+                let err = e.forward(prompt, &mut e.fresh_cache()).unwrap_err();
                 assert!(err.to_string().contains("hook exploded"), "{mode:?}: {err}");
                 e.clear_fault_injector();
             }
-            e.reset();
             assert_eq!(e.generate_greedy(&[1, 2, 3], 4).unwrap(), want, "{mode:?}");
         }
     }
@@ -1866,30 +1805,24 @@ mod tests {
         let prompts: [&[u32]; 2] = [&[1, 2, 3], &[9, 8, 7, 6]];
 
         // Sequential reference.
-        let mut reference = Vec::new();
-        for p in prompts {
-            e.reset();
-            reference.push(e.generate_greedy(p, 6).unwrap());
-        }
+        let reference: Vec<_> = prompts
+            .iter()
+            .map(|p| e.generate_greedy(p, 6).unwrap())
+            .collect();
 
-        // Interleaved: swap caches between every decode step.
-        e.reset();
+        // Interleaved: two caller-held caches, alternating every step.
         let mut caches: Vec<_> = (0..2).map(|_| e.fresh_cache()).collect();
         let mut outputs: Vec<Vec<u32>> = vec![Vec::new(); 2];
         let mut next: Vec<u32> = Vec::new();
-        for (s, p) in prompts.iter().enumerate() {
-            e.swap_cache(&mut caches[s]);
-            let logits = e.forward(p).unwrap();
+        for (p, cache) in prompts.iter().zip(&mut caches) {
+            let logits = e.forward(p, cache).unwrap();
             next.push(kt_model::model::argmax(logits.row(logits.rows() - 1)));
-            e.swap_cache(&mut caches[s]);
         }
         for _ in 0..6 {
             for s in 0..2 {
-                e.swap_cache(&mut caches[s]);
                 outputs[s].push(next[s]);
-                let logits = e.forward(&[next[s]]).unwrap();
+                let logits = e.forward(&[next[s]], &mut caches[s]).unwrap();
                 next[s] = kt_model::model::argmax(logits.row(0));
-                e.swap_cache(&mut caches[s]);
             }
         }
         for s in 0..2 {
@@ -1918,13 +1851,11 @@ mod tests {
         .unwrap();
         let prompts: [&[u32]; 3] = [&[1, 2, 3], &[9, 8], &[4, 5, 6, 7]];
 
-        let mut reference = Vec::new();
-        for p in prompts {
-            e.reset();
-            reference.push(e.generate_greedy(p, 5).unwrap());
-        }
+        let reference: Vec<_> = prompts
+            .iter()
+            .map(|p| e.generate_greedy(p, 5).unwrap())
+            .collect();
 
-        e.reset();
         let mut seqs: Vec<BatchSeq> = prompts
             .iter()
             .map(|p| BatchSeq::prefill(e.fresh_cache(), p.to_vec()))
@@ -1981,13 +1912,13 @@ mod tests {
         .unwrap();
         let prompt: Vec<u32> = (0..13).map(|i| (i * 7 + 1) % 250).collect();
 
-        // Monolithic reference on the engine-owned cache: per-position
-        // logits plus one greedy decode step.
-        e.reset();
-        let mono = e.forward(&prompt).unwrap();
+        // Monolithic reference: per-position logits plus one greedy
+        // decode step.
+        let mut cache = e.fresh_cache();
+        let mono = e.forward(&prompt, &mut cache).unwrap();
         let next = kt_model::model::argmax(mono.row(mono.rows() - 1));
         let mono_next = {
-            let l = e.forward(&[next]).unwrap();
+            let l = e.forward(&[next], &mut cache).unwrap();
             kt_model::model::argmax(l.row(0))
         };
 
@@ -2005,11 +1936,7 @@ mod tests {
                 // bit for bit, at every prompt position.
                 let l = logits[0].as_ref().expect("logits requested");
                 for r in 0..l.rows() {
-                    assert_eq!(
-                        l.row(r),
-                        mono.row(row),
-                        "splits {splits:?}, position {row}"
-                    );
+                    assert_eq!(l.row(r), mono.row(row), "splits {splits:?}, position {row}");
                     row += 1;
                 }
             }
@@ -2019,8 +1946,7 @@ mod tests {
             batch[0].tokens = vec![next];
             batch[0].prefill = false;
             let l = e.forward_batch(&mut batch).unwrap();
-            let chunk_next =
-                kt_model::model::argmax(l[0].as_ref().unwrap().row(0));
+            let chunk_next = kt_model::model::argmax(l[0].as_ref().unwrap().row(0));
             assert_eq!(chunk_next, mono_next, "splits {splits:?} decode");
         }
     }
@@ -2054,11 +1980,13 @@ mod tests {
     fn fault_injector_fails_forward_then_recovers() {
         let e = engine(SchedMode::Sync, 0, 3);
         e.set_fault_injector(|path| path.contains("layers.3"));
-        let err = e.forward(&[1, 2]).unwrap_err();
+        let err = e.forward(&[1, 2], &mut e.fresh_cache()).unwrap_err();
         assert!(err.to_string().contains("injected fault"), "{err}");
         e.clear_fault_injector();
-        e.reset();
-        assert!(e.forward(&[1, 2]).is_ok(), "engine recovers after fault");
+        assert!(
+            e.forward(&[1, 2], &mut e.fresh_cache()).is_ok(),
+            "engine recovers after fault"
+        );
     }
 
     #[test]
@@ -2104,7 +2032,7 @@ mod tests {
     #[test]
     fn profile_records_activations() {
         let e = engine(SchedMode::AsyncGraph, 2, 41);
-        let _ = e.forward(&[1, 2, 3, 4]).unwrap();
+        let _ = e.forward(&[1, 2, 3, 4], &mut e.fresh_cache()).unwrap();
         let profile = e.expert_profile();
         let cfg = e.config().clone();
         // Every MoE layer saw tokens * top_k activations; dense layers none.
@@ -2122,7 +2050,9 @@ mod tests {
     fn quantized_expert_bytes_and_dtype_come_from_packed_weights() {
         // `expert_weight_bytes` reports *stored* (post-quantization)
         // bytes and `expert_weight_dtype` the packed dtype.
-        let f32_bytes = engine(SchedMode::AsyncGraph, 2, 91).expert_weight_bytes().unwrap();
+        let f32_bytes = engine(SchedMode::AsyncGraph, 2, 91)
+            .expert_weight_bytes()
+            .unwrap();
         let q = HybridEngine::random(
             &ModelPreset::DeepSeekV3.tiny_config(),
             EngineConfig {

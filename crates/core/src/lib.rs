@@ -4,10 +4,10 @@
 //! **virtual GPU** so every scheduling mechanism is genuinely exercised
 //! even without CUDA hardware:
 //!
-//! * [`vgpu`] — a device thread with in-order streams, kernel launches
-//!   (with configurable injected launch latency, emulating the 5-16 µs
-//!   costs of Figure 4), `cudaLaunchHostFunc`-style in-stream host
-//!   callbacks, stream synchronization, and **graph capture/replay**:
+//! * [`vgpu`] — a device thread with one in-order stream, kernel
+//!   launches (with configurable injected launch latency, emulating the
+//!   5-16 µs costs of Figure 4), `cudaLaunchHostFunc`-style in-stream
+//!   host callbacks, stream synchronization, and **graph capture/replay**:
 //!   a captured op sequence replays with a single launch, which is how
 //!   the paper fits the whole decode path into one CUDA Graph (§3.3).
 //! * [`cpu_backend`] — the CPU side: a lock-free task queue drained by
@@ -18,10 +18,17 @@
 //!   head on GPU, routed experts on CPU): the §3.1 split, the engine's
 //!   only placement.
 //! * [`engine`] — [`engine::HybridEngine`]: an end-to-end MoE decoder
-//!   wiring the two backends together, with three scheduling modes
-//!   (synchronous baseline, async single-graph, async + Expert
-//!   Deferral) that are numerically equivalent where the paper says
-//!   they are and differ exactly where deferral changes the math.
+//!   wiring the two backends together. Its step is one table of stages
+//!   (`embed → [attention → submit → shared experts → merge]* → head`),
+//!   built once at construction and lowered two ways: captured once as a
+//!   graph that every decode step replays with one launch
+//!   ([`SchedMode::AsyncGraph`]), or launched stage by stage, with a
+//!   stream synchronization per MoE layer under the synchronous
+//!   baseline ([`SchedMode::Sync`]). Both lowerings, with or without
+//!   Expert Deferral, are numerically equivalent where the paper says
+//!   they are and differ exactly where deferral changes the math. The
+//!   engine owns no KV cache: every forward runs over caches its caller
+//!   holds.
 
 pub mod cpu_backend;
 pub mod engine;
@@ -33,11 +40,11 @@ pub mod vgpu;
 pub use cpu_backend::CpuBackend;
 pub use engine::{BatchSeq, EngineConfig, FaultHook, HybridEngine, SchedMode};
 pub use error::EngineError;
-pub use placement::{DeviceKind, PlacementPlan};
 pub use kt_tensor::ArenaStats;
+pub use placement::{DeviceKind, PlacementPlan};
 // Re-exported so downstream crates (kt-serve's `kt_build_info` gauge)
 // can label replicas with the kernel ISA level without a direct
 // kt-kernels dependency.
 pub use kt_kernels::simd::{effective_simd_level, SimdLevel};
-pub use profiling::{percentile_ns, ExpertProfile, RequestMetrics, ServeStats};
-pub use vgpu::{GraphHandle, LaunchStats, StreamId, VgpuConfig, VirtualGpu};
+pub use profiling::{ExpertProfile, RequestMetrics, ServeStats};
+pub use vgpu::{DeviceFn, GraphHandle, LaunchStats, VgpuConfig, VirtualGpu};

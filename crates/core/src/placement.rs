@@ -137,6 +137,9 @@ mod tests {
     fn qwen_has_no_dense_layers() {
         let cfg = ModelPreset::Qwen2Moe.tiny_config();
         let plan = PlacementPlan::for_model(&cfg);
-        assert_eq!(plan.device_of("model.layers.0.mlp.experts"), Some(DeviceKind::Cpu));
+        assert_eq!(
+            plan.device_of("model.layers.0.mlp.experts"),
+            Some(DeviceKind::Cpu)
+        );
     }
 }

@@ -35,21 +35,6 @@ impl RequestMetrics {
             None => 0,
         }
     }
-
-    /// Mean inter-token latency in nanoseconds (`None` with fewer than
-    /// two tokens).
-    pub fn mean_token_latency_ns(&self) -> Option<f64> {
-        if self.token_latencies_ns.is_empty() {
-            return None;
-        }
-        let sum: u64 = self.token_latencies_ns.iter().sum();
-        Some(sum as f64 / self.token_latencies_ns.len() as f64)
-    }
-
-    /// Worst single inter-token latency in nanoseconds.
-    pub fn max_token_latency_ns(&self) -> Option<u64> {
-        self.token_latencies_ns.iter().copied().max()
-    }
 }
 
 /// Aggregate scheduler statistics over a serving session.
@@ -174,15 +159,6 @@ impl ServeStats {
         }
     }
 
-    /// Mean admission-queue depth per step.
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.queue_depth_sum as f64 / self.steps as f64
-        }
-    }
-
     /// Requests resolved one way or another (completion, cancellation,
     /// failure, or shed — every submitted request ends in exactly one).
     pub fn resolved(&self) -> u64 {
@@ -243,25 +219,6 @@ impl ServeStats {
         self.prefix_resident_bytes = s.resident_bytes;
         self.prefix_entries = s.entries;
     }
-}
-
-/// Percentile of a latency sample set by the nearest-rank method
-/// (p in [0, 100]; p=50 is the median, p=100 the maximum). Returns
-/// `None` on an empty sample. Sorts a copy, so callers can pass raw
-/// per-request samples straight from [`RequestMetrics`].
-///
-/// This is the *exact* path: use it when the full sample vector is
-/// already in hand. Streaming aggregation goes through
-/// `kt_trace::LogHistogram`, whose percentile answers within one log₂
-/// bucket of this function's (asserted by a cross-check test below).
-pub fn percentile_ns(samples: &[u64], p: f64) -> Option<u64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
 }
 
 /// Per-layer expert activation counts.
@@ -342,7 +299,6 @@ mod tests {
     fn request_metrics_token_accounting() {
         let none = RequestMetrics::default();
         assert_eq!(none.n_tokens(), 0);
-        assert_eq!(none.mean_token_latency_ns(), None);
 
         let m = RequestMetrics {
             queue_wait_ns: 10,
@@ -350,8 +306,6 @@ mod tests {
             token_latencies_ns: vec![20, 40, 60],
         };
         assert_eq!(m.n_tokens(), 4);
-        assert_eq!(m.mean_token_latency_ns(), Some(40.0));
-        assert_eq!(m.max_token_latency_ns(), Some(60));
     }
 
     #[test]
@@ -360,57 +314,11 @@ mod tests {
         assert_eq!(s.mean_occupancy(), 0.0);
         s.steps = 4;
         s.occupancy_sum = 10;
-        s.queue_depth_sum = 2;
         s.completed = 2;
         s.failed = 1;
         s.shed = 2;
         assert!((s.mean_occupancy() - 2.5).abs() < 1e-12);
-        assert!((s.mean_queue_depth() - 0.5).abs() < 1e-12);
         assert_eq!(s.resolved(), 5, "shed requests count as resolved");
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        assert_eq!(percentile_ns(&[], 50.0), None);
-        assert_eq!(percentile_ns(&[7], 50.0), Some(7));
-        let s = [50, 10, 40, 20, 30];
-        assert_eq!(percentile_ns(&s, 0.0), Some(10));
-        assert_eq!(percentile_ns(&s, 50.0), Some(30));
-        assert_eq!(percentile_ns(&s, 90.0), Some(50));
-        assert_eq!(percentile_ns(&s, 100.0), Some(50));
-        // p99 over 200 samples picks the 198th order statistic.
-        let big: Vec<u64> = (1..=200).collect();
-        assert_eq!(percentile_ns(&big, 99.0), Some(198));
-    }
-
-    #[test]
-    fn histogram_percentile_within_one_bucket_of_exact() {
-        use kt_trace::LogHistogram;
-        // Deterministic pseudo-random latencies spanning ~6 decades.
-        let mut samples: Vec<u64> = Vec::with_capacity(500);
-        let mut x = 0x243F_6A88_85A3_08D3u64;
-        for i in 0..500u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            samples.push(x % (10u64.pow((i % 6) as u32 + 3)));
-        }
-        let mut h = LogHistogram::new();
-        h.record_all(samples.iter().copied());
-        for p in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
-            let exact = percentile_ns(&samples, p).unwrap();
-            let approx = h.percentile(p).unwrap();
-            assert_eq!(
-                LogHistogram::bucket_index(approx),
-                LogHistogram::bucket_index(exact),
-                "p={p}: histogram {approx} vs exact {exact}"
-            );
-        }
-        assert_eq!(
-            h.percentile(100.0),
-            percentile_ns(&samples, 100.0),
-            "the maximum is exact"
-        );
     }
 
     #[test]
@@ -475,7 +383,10 @@ mod tests {
 
     #[test]
     fn set_pages_overwrites_allocator_gauges_but_not_swapped() {
-        let mut s = ServeStats { kv_pages_swapped: 7, ..Default::default() };
+        let mut s = ServeStats {
+            kv_pages_swapped: 7,
+            ..Default::default()
+        };
         let ps = kt_model::paged::PageStats {
             total: 64,
             allocated: 40,

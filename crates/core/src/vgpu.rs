@@ -1,10 +1,10 @@
-//! A virtual GPU device: streams, launches, host callbacks and graphs.
+//! A virtual GPU device: one stream, launches, host callbacks and graphs.
 //!
 //! Reproduces the CUDA execution semantics the paper's scheduler relies
 //! on, with a dedicated device thread standing in for the GPU:
 //!
-//! * **In-order streams** — ops submitted to a stream execute in
-//!   submission order.
+//! * **One in-order stream** — ops execute in submission order. The
+//!   engine's whole step runs on it, so it is the only stream.
 //! * **Kernel launches** — each individually-launched op pays a
 //!   configurable launch latency on the device timeline (16 µs for
 //!   Fiddler's Python path, 5 µs for C++ paths; Figure 4).
@@ -15,7 +15,7 @@
 //!   single launch cost, which is how KTransformers fits the entire
 //!   decode path into one CUDA Graph.
 //! * **Sticky stream faults** — an op that panics is caught on the
-//!   device thread and counted complete; it poisons its stream, whose
+//!   device thread and counted complete; it poisons the stream, whose
 //!   later ops are skipped (and counted complete) until
 //!   [`VirtualGpu::synchronize`] reports the panic as an error. The
 //!   device thread survives, so the stream is usable again afterwards.
@@ -29,8 +29,8 @@ use std::time::Duration;
 
 use crate::error::EngineError;
 
-/// Identifier of an in-order stream.
-pub type StreamId = usize;
+/// A device op's body: a kernel or an in-stream host callback.
+pub type DeviceFn = Arc<dyn Fn() + Send + Sync>;
 
 /// Device configuration.
 #[derive(Debug, Clone, Copy)]
@@ -39,8 +39,6 @@ pub struct VgpuConfig {
     pub launch_latency: Duration,
     /// Latency charged once per graph replay.
     pub graph_launch_latency: Duration,
-    /// Number of streams.
-    pub n_streams: usize,
 }
 
 impl Default for VgpuConfig {
@@ -48,7 +46,6 @@ impl Default for VgpuConfig {
         VgpuConfig {
             launch_latency: Duration::ZERO,
             graph_launch_latency: Duration::ZERO,
-            n_streams: 2,
         }
     }
 }
@@ -56,8 +53,8 @@ impl Default for VgpuConfig {
 /// A device op: a compute kernel or an in-stream host callback.
 #[derive(Clone)]
 enum Op {
-    Kernel(Arc<dyn Fn() + Send + Sync>),
-    HostFunc(Arc<dyn Fn() + Send + Sync>),
+    Kernel(DeviceFn),
+    HostFunc(DeviceFn),
 }
 
 /// A captured, replayable op sequence.
@@ -80,7 +77,9 @@ impl GraphHandle {
 
 impl std::fmt::Debug for GraphHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GraphHandle").field("ops", &self.ops.len()).finish()
+        f.debug_struct("GraphHandle")
+            .field("ops", &self.ops.len())
+            .finish()
     }
 }
 
@@ -102,15 +101,7 @@ pub struct LaunchStats {
     pub busy_ns: u64,
 }
 
-impl LaunchStats {
-    /// Total host-side launches issued.
-    pub fn total_launches(&self) -> u64 {
-        self.kernel_launches + self.graph_replays
-    }
-}
-
 struct QueueItem {
-    stream: StreamId,
     op: Op,
     launch_cost: Duration,
 }
@@ -118,12 +109,12 @@ struct QueueItem {
 #[derive(Default)]
 struct DeviceState {
     queue: VecDeque<QueueItem>,
-    /// Per-stream (submitted, completed) op counts.
-    submitted: Vec<u64>,
-    completed: Vec<u64>,
-    /// Per-stream panic message of the first op that panicked since the
-    /// last `synchronize` (a poisoned stream skips its ops).
-    fault: Vec<Option<String>>,
+    /// Ops submitted to and completed on the stream.
+    submitted: u64,
+    completed: u64,
+    /// Panic message of the first op that panicked since the last
+    /// `synchronize` (a poisoned stream skips its ops).
+    fault: Option<String>,
     shutdown: bool,
 }
 
@@ -153,19 +144,10 @@ impl VirtualGpu {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Config`] when `n_streams` is zero.
+    /// Returns [`EngineError::Config`] when the thread cannot be spawned.
     pub fn new(cfg: VgpuConfig) -> Result<Self, EngineError> {
-        if cfg.n_streams == 0 {
-            return Err(EngineError::config("vgpu requires at least one stream"));
-        }
         let shared = Arc::new(Shared {
-            state: Mutex::new(DeviceState {
-                queue: VecDeque::new(),
-                submitted: vec![0; cfg.n_streams],
-                completed: vec![0; cfg.n_streams],
-                fault: vec![None; cfg.n_streams],
-                shutdown: false,
-            }),
+            state: Mutex::new(DeviceState::default()),
             cv: Condvar::new(),
             done_cv: Condvar::new(),
             kernel_launches: AtomicU64::new(0),
@@ -176,12 +158,9 @@ impl VirtualGpu {
             busy_ns: AtomicU64::new(0),
             capturing: AtomicBool::new(false),
         });
-        // Give each stream its own named trace track so CPU/GPU
-        // overlap renders on separate rows even though all stream ops
-        // execute on the one device thread.
-        for s in 0..cfg.n_streams {
-            kt_trace::sink().name_track(kt_trace::stream_track(s), &format!("vGPU stream {s}"));
-        }
+        // The stream gets its own named trace track, so CPU/GPU overlap
+        // renders on separate rows.
+        kt_trace::sink().name_track(kt_trace::stream_track(0), "vGPU stream 0");
         let worker_shared = Arc::clone(&shared);
         let device_thread = std::thread::Builder::new()
             .name("kt-vgpu".into())
@@ -195,52 +174,34 @@ impl VirtualGpu {
         })
     }
 
-    /// Number of streams.
-    pub fn n_streams(&self) -> usize {
-        self.cfg.n_streams
-    }
-
-    fn enqueue(&self, stream: StreamId, op: Op, launch_cost: Duration) {
-        debug_assert!(stream < self.cfg.n_streams);
+    fn enqueue(&self, op: Op, launch_cost: Duration) {
         let mut st = self.shared.state.lock();
-        st.submitted[stream] += 1;
-        st.queue.push_back(QueueItem {
-            stream,
-            op,
-            launch_cost,
-        });
+        st.submitted += 1;
+        st.queue.push_back(QueueItem { op, launch_cost });
         self.shared.cv.notify_one();
     }
 
-    /// Launches a kernel on `stream`. While capturing, the op is
-    /// recorded instead of executed.
-    pub fn launch_kernel(
-        &self,
-        stream: StreamId,
-        f: impl Fn() + Send + Sync + 'static,
-    ) {
-        let op = Op::Kernel(Arc::new(f));
+    /// Launches a kernel. While capturing, the op is recorded instead
+    /// of executed.
+    pub fn launch_kernel(&self, f: DeviceFn) {
+        let op = Op::Kernel(f);
         if self.shared.capturing.load(Ordering::Acquire) {
             self.capture_buf.lock().push(op);
             return;
         }
         self.shared.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(stream, op, self.cfg.launch_latency);
+        self.enqueue(op, self.cfg.launch_latency);
     }
 
     /// Launches an in-stream host callback (`cudaLaunchHostFunc`).
-    pub fn launch_host_func(
-        &self,
-        stream: StreamId,
-        f: impl Fn() + Send + Sync + 'static,
-    ) {
-        let op = Op::HostFunc(Arc::new(f));
+    pub fn launch_host_func(&self, f: DeviceFn) {
+        let op = Op::HostFunc(f);
         if self.shared.capturing.load(Ordering::Acquire) {
             self.capture_buf.lock().push(op);
             return;
         }
         self.shared.host_funcs.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(stream, op, self.cfg.launch_latency);
+        self.enqueue(op, self.cfg.launch_latency);
     }
 
     /// Begins capturing ops instead of executing them.
@@ -269,16 +230,16 @@ impl VirtualGpu {
         Ok(GraphHandle { ops: Arc::new(ops) })
     }
 
-    /// Replays a captured graph on `stream` with a **single** launch
-    /// cost, regardless of how many ops it contains.
-    pub fn launch_graph(&self, stream: StreamId, graph: &GraphHandle) {
+    /// Replays a captured graph with a **single** launch cost,
+    /// regardless of how many ops it contains.
+    pub fn launch_graph(&self, graph: &GraphHandle) {
         if kt_trace::enabled() {
             kt_trace::record_on(
-                kt_trace::stream_track(stream),
+                kt_trace::stream_track(0),
                 kt_trace::SpanKind::VgpuGraphReplay,
                 kt_trace::now_ns(),
                 0,
-                stream as u32,
+                0,
                 graph.ops.len() as u32,
             );
         }
@@ -298,24 +259,23 @@ impl VirtualGpu {
             if matches!(op, Op::HostFunc(_)) {
                 self.shared.host_funcs.fetch_add(1, Ordering::Relaxed);
             }
-            self.enqueue(stream, op.clone(), cost);
+            self.enqueue(op.clone(), cost);
         }
     }
 
-    /// Blocks until every op submitted to `stream` has executed (or
-    /// been skipped behind a panicked op), then clears the stream's
-    /// fault.
+    /// Blocks until every submitted op has executed (or been skipped
+    /// behind a panicked op), then clears the stream's fault.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Exec`] carrying the panic message when an
-    /// op on `stream` panicked since the last synchronization.
-    pub fn synchronize(&self, stream: StreamId) -> Result<(), EngineError> {
+    /// op panicked since the last synchronization.
+    pub fn synchronize(&self) -> Result<(), EngineError> {
         let mut st = self.shared.state.lock();
-        while st.completed[stream] < st.submitted[stream] {
+        while st.completed < st.submitted {
             self.shared.done_cv.wait(&mut st);
         }
-        match st.fault[stream].take() {
+        match st.fault.take() {
             Some(msg) => Err(EngineError::exec(format!("device op panicked: {msg}"))),
             None => Ok(()),
         }
@@ -331,16 +291,6 @@ impl VirtualGpu {
             launch_overhead_ns: self.shared.launch_overhead_ns.load(Ordering::Relaxed),
             busy_ns: self.shared.busy_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.shared.kernel_launches.store(0, Ordering::Relaxed);
-        self.shared.host_funcs.store(0, Ordering::Relaxed);
-        self.shared.graph_replays.store(0, Ordering::Relaxed);
-        self.shared.graph_ops.store(0, Ordering::Relaxed);
-        self.shared.launch_overhead_ns.store(0, Ordering::Relaxed);
-        self.shared.busy_ns.store(0, Ordering::Relaxed);
     }
 }
 
@@ -360,7 +310,7 @@ impl Drop for VirtualGpu {
 impl std::fmt::Debug for VirtualGpu {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VirtualGpu")
-            .field("n_streams", &self.cfg.n_streams)
+            .field("cfg", &self.cfg)
             .finish_non_exhaustive()
     }
 }
@@ -371,8 +321,7 @@ fn device_loop(shared: Arc<Shared>) {
             let mut st = shared.state.lock();
             loop {
                 if let Some(item) = st.queue.pop_front() {
-                    let poisoned = st.fault[item.stream].is_some();
-                    break (item, poisoned);
+                    break (item, st.fault.is_some());
                 }
                 if st.shutdown {
                     return;
@@ -381,7 +330,7 @@ fn device_loop(shared: Arc<Shared>) {
             }
         };
         let tracing = kt_trace::enabled();
-        let track = kt_trace::stream_track(item.stream);
+        let track = kt_trace::stream_track(0);
         if !item.launch_cost.is_zero() {
             // Simulated launch latency occupies the device timeline.
             shared
@@ -396,7 +345,7 @@ fn device_loop(shared: Arc<Shared>) {
                     kt_trace::SpanKind::VgpuLaunch,
                     t0,
                     t1.saturating_sub(t0),
-                    item.stream as u32,
+                    0,
                     0,
                 );
             }
@@ -420,13 +369,13 @@ fn device_loop(shared: Arc<Shared>) {
                 Op::HostFunc(_) => kt_trace::SpanKind::VgpuHostFunc,
             };
             let t1 = kt_trace::now_ns();
-            kt_trace::record_on(track, kind, t0, t1.saturating_sub(t0), item.stream as u32, 0);
+            kt_trace::record_on(track, kind, t0, t1.saturating_sub(t0), 0, 0);
         }
         let mut st = shared.state.lock();
         if let Some(msg) = panicked {
-            st.fault[item.stream].get_or_insert(msg);
+            st.fault.get_or_insert(msg);
         }
-        st.completed[item.stream] += 1;
+        st.completed += 1;
         shared.done_cv.notify_all();
     }
 }
@@ -458,13 +407,8 @@ mod tests {
         VirtualGpu::new(cfg).unwrap()
     }
 
-    #[test]
-    fn zero_streams_is_rejected() {
-        assert!(VirtualGpu::new(VgpuConfig {
-            n_streams: 0,
-            ..Default::default()
-        })
-        .is_err());
+    fn op(f: impl Fn() + Send + Sync + 'static) -> DeviceFn {
+        Arc::new(f)
     }
 
     #[test]
@@ -473,9 +417,9 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         for i in 0..20 {
             let log = Arc::clone(&log);
-            g.launch_kernel(0, move || log.lock().push(i));
+            g.launch_kernel(op(move || log.lock().push(i)));
         }
-        g.synchronize(0).unwrap();
+        g.synchronize().unwrap();
         assert_eq!(*log.lock(), (0..20).collect::<Vec<_>>());
     }
 
@@ -486,10 +430,10 @@ mod tests {
         let l1 = Arc::clone(&log);
         let l2 = Arc::clone(&log);
         let l3 = Arc::clone(&log);
-        g.launch_kernel(0, move || l1.lock().push("k1"));
-        g.launch_host_func(0, move || l2.lock().push("host"));
-        g.launch_kernel(0, move || l3.lock().push("k2"));
-        g.synchronize(0).unwrap();
+        g.launch_kernel(op(move || l1.lock().push("k1")));
+        g.launch_host_func(op(move || l2.lock().push("host")));
+        g.launch_kernel(op(move || l3.lock().push("k2")));
+        g.synchronize().unwrap();
         assert_eq!(*log.lock(), vec!["k1", "host", "k2"]);
     }
 
@@ -498,11 +442,11 @@ mod tests {
         let g = gpu(VgpuConfig::default());
         let flag = Arc::new(AtomicBool::new(false));
         let f = Arc::clone(&flag);
-        g.launch_kernel(0, move || {
+        g.launch_kernel(op(move || {
             std::thread::sleep(Duration::from_millis(20));
             f.store(true, Ordering::Release);
-        });
-        g.synchronize(0).unwrap();
+        }));
+        g.synchronize().unwrap();
         assert!(flag.load(Ordering::Acquire));
     }
 
@@ -513,24 +457,23 @@ mod tests {
         g.begin_capture().unwrap();
         for _ in 0..5 {
             let c = Arc::clone(&count);
-            g.launch_kernel(0, move || {
+            g.launch_kernel(op(move || {
                 c.fetch_add(1, Ordering::Relaxed);
-            });
+            }));
         }
         let graph = g.end_capture().unwrap();
         assert_eq!(graph.len(), 5);
-        g.synchronize(0).unwrap();
+        g.synchronize().unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 0, "capture must not execute");
 
-        g.launch_graph(0, &graph);
-        g.launch_graph(0, &graph);
-        g.synchronize(0).unwrap();
+        g.launch_graph(&graph);
+        g.launch_graph(&graph);
+        g.synchronize().unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 10);
         let stats = g.stats();
         assert_eq!(stats.graph_replays, 2);
         assert_eq!(stats.graph_ops, 10);
         assert_eq!(stats.kernel_launches, 0);
-        assert_eq!(stats.total_launches(), 2);
     }
 
     #[test]
@@ -548,47 +491,28 @@ mod tests {
         let g = gpu(VgpuConfig {
             launch_latency: lat,
             graph_launch_latency: lat,
-            n_streams: 1,
         });
         // 10 individual launches charge ~10x latency.
         for _ in 0..10 {
-            g.launch_kernel(0, || {});
+            g.launch_kernel(op(|| {}));
         }
-        g.synchronize(0).unwrap();
+        g.synchronize().unwrap();
         let individual = g.stats().launch_overhead_ns;
         assert!(individual >= 10 * 500_000, "individual={individual}");
 
         // The same 10 ops replayed as a graph charge ~1x latency.
-        g.reset_stats();
         g.begin_capture().unwrap();
         for _ in 0..10 {
-            g.launch_kernel(0, || {});
+            g.launch_kernel(op(|| {}));
         }
         let graph = g.end_capture().unwrap();
-        g.launch_graph(0, &graph);
-        g.synchronize(0).unwrap();
-        let graphed = g.stats().launch_overhead_ns;
+        g.launch_graph(&graph);
+        g.synchronize().unwrap();
+        let graphed = g.stats().launch_overhead_ns - individual;
         assert!(
             graphed < individual / 5,
             "graphed={graphed} individual={individual}"
         );
-    }
-
-    #[test]
-    fn two_streams_make_independent_progress() {
-        let g = gpu(VgpuConfig::default());
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h1 = Arc::clone(&hits);
-        let h2 = Arc::clone(&hits);
-        g.launch_kernel(0, move || {
-            h1.fetch_add(1, Ordering::Relaxed);
-        });
-        g.launch_kernel(1, move || {
-            h2.fetch_add(1, Ordering::Relaxed);
-        });
-        g.synchronize(0).unwrap();
-        g.synchronize(1).unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -600,15 +524,15 @@ mod tests {
         let observed = Arc::new(AtomicBool::new(false));
         let f = Arc::clone(&flag);
         let o = Arc::clone(&observed);
-        g.launch_kernel(0, move || {
+        g.launch_kernel(op(move || {
             while !f.load(Ordering::Acquire) {
                 std::hint::spin_loop();
             }
             o.store(true, Ordering::Release);
-        });
+        }));
         std::thread::sleep(Duration::from_millis(10));
         flag.store(true, Ordering::Release);
-        g.synchronize(0).unwrap();
+        g.synchronize().unwrap();
         assert!(observed.load(Ordering::Acquire));
     }
 
@@ -617,37 +541,20 @@ mod tests {
         let g = gpu(VgpuConfig::default());
         let ran = Arc::new(AtomicUsize::new(0));
         let r1 = Arc::clone(&ran);
-        let r2 = Arc::clone(&ran);
-        g.launch_kernel(0, || panic!("bad op"));
-        g.launch_kernel(0, move || {
+        g.launch_kernel(op(|| panic!("bad op")));
+        g.launch_kernel(op(move || {
             r1.fetch_add(1, Ordering::Relaxed);
-        });
-        g.launch_kernel(1, move || {
-            r2.fetch_add(1, Ordering::Relaxed);
-        });
-        let err = g.synchronize(0).unwrap_err();
+        }));
+        let err = g.synchronize().unwrap_err();
         assert!(err.to_string().contains("bad op"), "{err}");
-        g.synchronize(1).unwrap();
-        // Stream 0 skipped the op behind the panic; stream 1 ran its own.
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        // The stream skipped the op behind the panic.
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
         // The device thread survived and the fault was cleared.
-        let r3 = Arc::clone(&ran);
-        g.launch_kernel(0, move || {
-            r3.fetch_add(1, Ordering::Relaxed);
-        });
-        g.synchronize(0).unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn stats_reset_works() {
-        let g = gpu(VgpuConfig::default());
-        g.launch_kernel(0, || {});
-        g.launch_host_func(0, || {});
-        g.synchronize(0).unwrap();
-        assert_eq!(g.stats().kernel_launches, 1);
-        assert_eq!(g.stats().host_funcs, 1);
-        g.reset_stats();
-        assert_eq!(g.stats(), LaunchStats::default());
+        let r2 = Arc::clone(&ran);
+        g.launch_kernel(op(move || {
+            r2.fetch_add(1, Ordering::Relaxed);
+        }));
+        g.synchronize().unwrap();
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
 }

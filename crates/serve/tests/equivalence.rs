@@ -50,10 +50,7 @@ fn concurrent_batching_matches_sequential_greedy_exactly() {
         let e = engine(7);
         prompts
             .iter()
-            .map(|p| {
-                e.reset();
-                e.generate_greedy(p, n_new).unwrap()
-            })
+            .map(|p| e.generate_greedy(p, n_new).unwrap())
             .collect()
     };
 

@@ -306,6 +306,22 @@ mod tests {
     }
 
     #[test]
+    fn tail_accuracy_six_decades() {
+        // Deterministic xorshift latencies, bounded by 10^3 .. 10^8 in
+        // turn: six decades, the low percentiles included.
+        let mut x = 0x243F_6A88_85A3_08D3u64;
+        let samples: Vec<u64> = (0..500u64)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % 10u64.pow((i % 6) as u32 + 3)
+            })
+            .collect();
+        assert_tail_within_one_bucket(&samples, &[0.0, 10.0, 50.0, 90.0, 99.0, 100.0]);
+    }
+
+    #[test]
     fn exemplars_track_bucket_worst_case_and_survive_merge() {
         let mut a = LogHistogram::new();
         a.record_with_exemplar(100, 1);

@@ -24,7 +24,6 @@ fn main() {
                 vgpu: VgpuConfig {
                     launch_latency: Duration::from_micros(5),
                     graph_launch_latency: Duration::from_micros(5),
-                    n_streams: 1,
                 },
                 seed: 9,
                 ..Default::default()
@@ -40,9 +39,9 @@ fn main() {
     println!("deferred  tok/s     KL vs standard  greedy agreement");
     for n_def in [0usize, 1, 2, 3, 4, 5] {
         let engine = build(n_def);
-        // Warm up (captures the decode graph), then time decoding.
+        // Warm up the step workspaces (the decode graph was captured at
+        // construction), then time a new conversation's decoding.
         let _ = engine.generate_greedy(&prompt, 2).expect("warmup");
-        engine.reset();
         let start = Instant::now();
         let logits = collect_decode_logits(&engine, &prompt, n_new);
         let elapsed = start.elapsed().as_secs_f64();
@@ -68,14 +67,15 @@ fn main() {
     println!("residual architecture keeps outputs close — the Figure 10/13 trade.");
 }
 
-/// Prefills `prompt`, decodes `n_new` greedy tokens, returning each
-/// step's logits.
+/// Prefills `prompt` on a fresh cache, decodes `n_new` greedy tokens,
+/// returning each step's logits.
 fn collect_decode_logits(engine: &HybridEngine, prompt: &[u32], n_new: usize) -> Vec<Vec<f32>> {
-    let logits = engine.forward(prompt).expect("prefill");
+    let mut cache = engine.fresh_cache();
+    let logits = engine.forward(prompt, &mut cache).expect("prefill");
     let mut out = Vec::with_capacity(n_new);
     let mut next = ktransformers::model::model::argmax(logits.row(logits.rows() - 1));
     for _ in 0..n_new {
-        let l = engine.forward(&[next]).expect("decode");
+        let l = engine.forward(&[next], &mut cache).expect("decode");
         let row = l.row(0).to_vec();
         next = ktransformers::model::model::argmax(&row);
         out.push(row);

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ktransformers::core::{EngineConfig, HybridEngine, SchedMode};
+use ktransformers::model::model::argmax;
 use ktransformers::model::ModelPreset;
 use ktransformers::tensor::{PrecisionPolicy, WeightDtype};
 
@@ -34,10 +35,19 @@ fn main() {
 
     // 3. Prefill a real text prompt (byte-level tokenizer: the tiny
     //    models use a 256-entry vocabulary, so UTF-8 bytes ARE tokens)
-    //    and decode greedily. The weights are random, so the output is
-    //    gibberish — the point is the full serving path.
+    //    and decode greedily. The conversation's KV cache is ours: the
+    //    engine owns none (`generate_greedy` does the same on a fresh
+    //    cache). The weights are random, so the output is gibberish —
+    //    the point is the full serving path.
     let prompt = ktransformers::model::tokenizer::encode("MoE models are ");
-    let generated = engine.generate_greedy(&prompt, 16).expect("generation");
+    let mut cache = engine.fresh_cache();
+    let logits = engine.forward(&prompt, &mut cache).expect("prefill");
+    let mut generated = vec![argmax(logits.row(logits.rows() - 1))];
+    while generated.len() < 16 {
+        let last = generated[generated.len() - 1];
+        let logits = engine.forward(&[last], &mut cache).expect("decode");
+        generated.push(argmax(logits.row(0)));
+    }
     println!("prompt tokens:    {prompt:?}");
     println!("generated tokens: {generated:?}");
     println!(

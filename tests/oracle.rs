@@ -73,10 +73,11 @@ fn engine_logits_equal_model_forward_bitwise() {
                         },
                     );
                     let mut oracle = Oracle::new(&e);
-                    let l = e.forward(&prompt).unwrap();
+                    let mut cache = e.fresh_cache();
+                    let l = e.forward(&prompt, &mut cache).unwrap();
                     let mut next = oracle.check(&prompt, false, &l, &what);
                     for step in 0..8 {
-                        let l = e.forward(&[next]).unwrap();
+                        let l = e.forward(&[next], &mut cache).unwrap();
                         next = oracle.check(&[next], true, &l, &format!("{what} step {step}"));
                     }
                 }
@@ -149,7 +150,7 @@ fn chunked_prefill_equals_monolithic_oracle() {
             },
         );
         let mut oracle = Oracle::new(&e);
-        let mono = e.forward(&prompt).unwrap();
+        let mono = e.forward(&prompt, &mut e.fresh_cache()).unwrap();
         oracle.check(&prompt, false, &mono, &format!("{preset:?} monolithic"));
         let vocab = mono.cols();
         let mut batch = [BatchSeq::prefill(e.fresh_cache(), Vec::new())];
