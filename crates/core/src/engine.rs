@@ -189,7 +189,8 @@ struct LayerPlan {
     prev_moe: Option<usize>,
 }
 
-/// Mutable per-step state shared by control, device and worker threads.
+/// Mutable per-step state shared by the control thread, which also
+/// drains the stream's stages, and the CPU workers.
 struct StepState {
     /// Tokens for the current forward (set by the control thread):
     /// each sequence's new tokens, concatenated in batch order.
@@ -231,7 +232,7 @@ struct StepState {
     error: Option<String>,
 }
 
-/// Device-thread step workspace: an arena for engine temporaries
+/// Device-stage step workspace: an arena for engine temporaries
 /// (residual stream, normed activations, per-sequence logits) plus a
 /// MoE workspace for device-executed expert GEMMs (dense MLP and
 /// shared experts).
@@ -290,7 +291,7 @@ struct EngineShared {
     /// Optional fault injector consulted on the expert-submission
     /// path; returning `true` for a layer path fails that forward.
     fault: Mutex<Option<FaultHook>>,
-    /// Device-thread workspace (embed/attention/shared/head stages).
+    /// Device-stage workspace (embed/attention/shared/head stages).
     ///
     /// Lock discipline: device stages may take `state` then a workspace
     /// lock; CPU expert tasks must DROP their workspace lock before
@@ -881,8 +882,7 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// Propagates device, worker-pool and workspace construction
-    /// failures.
+    /// Propagates worker-pool and workspace construction failures.
     pub fn from_model(mut model: MoeModel, econfig: EngineConfig) -> Result<Self, EngineError> {
         install_trace_hooks();
         model.set_backend(econfig.backend);
@@ -899,7 +899,7 @@ impl HybridEngine {
             .collect();
         let mut engine = HybridEngine {
             inference_lock: Mutex::new(()),
-            vgpu: VirtualGpu::new(econfig.vgpu)?,
+            vgpu: VirtualGpu::new(econfig.vgpu),
             shared,
             stages,
             graph: None,
@@ -1087,7 +1087,7 @@ impl HybridEngine {
     pub fn forward(&self, tokens: &[u32], cache: &mut KvCache) -> Result<Matrix, EngineError> {
         let decode = tokens.len() == 1 && cache.seq_len() > 0;
         let mut seq = [BatchSeq {
-            cache: std::mem::replace(cache, KvCache::new(&[], 0)),
+            cache: std::mem::take(cache),
             tokens: tokens.to_vec(),
             prefill: !decode,
             need_logits: true,
@@ -1155,7 +1155,7 @@ impl HybridEngine {
             st.tags = seqs.iter().map(|s| s.tag).collect();
             st.caches = seqs
                 .iter_mut()
-                .map(|s| std::mem::replace(&mut s.cache, KvCache::new(&[], 0)))
+                .map(|s| std::mem::take(&mut s.cache))
                 .collect();
         }
         let result = self.run_step(all_decode);
@@ -1734,8 +1734,8 @@ mod tests {
     fn checkpoint_disagreeing_with_its_config_is_rejected() {
         // The stored config is rewritten (same serialized length) over
         // valid weights. Vocab 512 over a 256-row embedding would let
-        // token 300 pass `validate_tokens` and index out of bounds on the
-        // device thread; every mismatch must fail both loaders up front.
+        // token 300 pass `validate_tokens` and index out of bounds in a
+        // stream op; every mismatch must fail both loaders up front.
         let e = engine(SchedMode::Sync, 0, 87);
         let cfg = e.config().clone();
         let mut buf = Vec::new();
@@ -1781,9 +1781,10 @@ mod tests {
 
     #[test]
     fn device_op_panic_fails_the_step_then_recovers() {
-        // A panicking hook runs inside the submit op on the device
-        // thread: the step must fail with the panic's message, not wedge
-        // `synchronize`, and the engine must serve cleanly afterwards.
+        // A panicking hook runs inside the submit op, which the caller's
+        // `synchronize` drains: the step must fail with the panic's
+        // message, not wedge the stream, and the engine must serve
+        // cleanly afterwards.
         for mode in [SchedMode::Sync, SchedMode::AsyncGraph] {
             let e = engine(mode, 2, 89);
             let want = e.generate_greedy(&[1, 2, 3], 4).unwrap();

@@ -4,7 +4,7 @@
 //! **virtual GPU** so every scheduling mechanism is genuinely exercised
 //! even without CUDA hardware:
 //!
-//! * [`vgpu`] — a device thread with one in-order stream, kernel
+//! * [`vgpu`] — one in-order stream drained by its caller, kernel
 //!   launches (with configurable injected launch latency, emulating the
 //!   5-16 µs costs of Figure 4), `cudaLaunchHostFunc`-style in-stream
 //!   host callbacks, stream synchronization, and **graph capture/replay**:

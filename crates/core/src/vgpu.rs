@@ -1,7 +1,11 @@
 //! A virtual GPU device: one stream, launches, host callbacks and graphs.
 //!
 //! Reproduces the CUDA execution semantics the paper's scheduler relies
-//! on, with a dedicated device thread standing in for the GPU:
+//! on. The stream is an in-order queue that the thread waiting on it
+//! drains: launches append and return at once, and
+//! [`VirtualGpu::synchronize`] runs every queued op on the calling
+//! thread. The CPU/GPU overlap of §3.3 comes from the CPU backend's
+//! workers running expert tasks while the caller runs the stream.
 //!
 //! * **One in-order stream** — ops execute in submission order. The
 //!   engine's whole step runs on it, so it is the only stream.
@@ -10,22 +14,20 @@
 //!   Fiddler's Python path, 5 µs for C++ paths; Figure 4).
 //! * **Host functions** — `cudaLaunchHostFunc` analogs: host code that
 //!   runs *inside* the stream, used to hand work to the CPU backend and
-//!   to collect it without breaking the stream (§3.3).
+//!   to collect it without breaking the stream (§3.3). As in CUDA, an
+//!   op must not call back into its own device.
 //! * **Graph capture/replay** — a captured op sequence replays with a
 //!   single launch cost, which is how KTransformers fits the entire
 //!   decode path into one CUDA Graph.
-//! * **Sticky stream faults** — an op that panics is caught on the
-//!   device thread and counted complete; it poisons the stream, whose
-//!   later ops are skipped (and counted complete) until
+//! * **Sticky stream faults** — an op that panics is caught; it poisons
+//!   the rest of the drain, whose later ops are skipped, and
 //!   [`VirtualGpu::synchronize`] reports the panic as an error. The
-//!   device thread survives, so the stream is usable again afterwards.
+//!   stream is usable again afterwards.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::error::EngineError;
 
@@ -101,107 +103,63 @@ pub struct LaunchStats {
     pub busy_ns: u64,
 }
 
-struct QueueItem {
-    op: Op,
-    launch_cost: Duration,
-}
-
 #[derive(Default)]
-struct DeviceState {
-    queue: VecDeque<QueueItem>,
-    /// Ops submitted to and completed on the stream.
-    submitted: u64,
-    completed: u64,
-    /// Panic message of the first op that panicked since the last
-    /// `synchronize` (a poisoned stream skips its ops).
-    fault: Option<String>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<DeviceState>,
-    cv: Condvar,
-    done_cv: Condvar,
-    kernel_launches: AtomicU64,
-    host_funcs: AtomicU64,
-    graph_replays: AtomicU64,
-    graph_ops: AtomicU64,
-    launch_overhead_ns: AtomicU64,
-    busy_ns: AtomicU64,
-    capturing: AtomicBool,
+struct Stream {
+    /// Launched ops, each with the launch latency it pays.
+    queue: VecDeque<(Op, Duration)>,
+    /// Ops recorded by the active capture, if any.
+    capture: Option<Vec<Op>>,
 }
 
 /// The virtual GPU device.
 pub struct VirtualGpu {
-    shared: Arc<Shared>,
     cfg: VgpuConfig,
-    device_thread: Option<JoinHandle<()>>,
-    capture_buf: Mutex<Vec<Op>>,
+    /// Held by `synchronize` for the whole drain, so concurrent callers
+    /// queue behind it and the stream stays in order.
+    stream: Mutex<Stream>,
+    /// Apart from `stream`, so a reader never waits for a drain.
+    stats: Mutex<LaunchStats>,
 }
 
 impl VirtualGpu {
-    /// Spawns the device thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] when the thread cannot be spawned.
-    pub fn new(cfg: VgpuConfig) -> Result<Self, EngineError> {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(DeviceState::default()),
-            cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            kernel_launches: AtomicU64::new(0),
-            host_funcs: AtomicU64::new(0),
-            graph_replays: AtomicU64::new(0),
-            graph_ops: AtomicU64::new(0),
-            launch_overhead_ns: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
-            capturing: AtomicBool::new(false),
-        });
+    /// Creates the device and names its stream's trace track.
+    pub fn new(cfg: VgpuConfig) -> Self {
         // The stream gets its own named trace track, so CPU/GPU overlap
         // renders on separate rows.
         kt_trace::sink().name_track(kt_trace::stream_track(0), "vGPU stream 0");
-        let worker_shared = Arc::clone(&shared);
-        let device_thread = std::thread::Builder::new()
-            .name("kt-vgpu".into())
-            .spawn(move || device_loop(worker_shared))
-            .map_err(|e| EngineError::config(format!("failed to spawn device thread: {e}")))?;
-        Ok(VirtualGpu {
-            shared,
+        VirtualGpu {
             cfg,
-            device_thread: Some(device_thread),
-            capture_buf: Mutex::new(Vec::new()),
-        })
+            stream: Mutex::new(Stream::default()),
+            stats: Mutex::new(LaunchStats::default()),
+        }
     }
 
-    fn enqueue(&self, op: Op, launch_cost: Duration) {
-        let mut st = self.shared.state.lock();
-        st.submitted += 1;
-        st.queue.push_back(QueueItem { op, launch_cost });
-        self.shared.cv.notify_one();
+    /// Queues `op`, or records it while capturing.
+    fn launch(&self, op: Op) {
+        let mut s = self.stream.lock();
+        if let Some(buf) = &mut s.capture {
+            buf.push(op);
+            return;
+        }
+        {
+            let mut stats = self.stats.lock();
+            match op {
+                Op::Kernel(_) => stats.kernel_launches += 1,
+                Op::HostFunc(_) => stats.host_funcs += 1,
+            }
+        }
+        s.queue.push_back((op, self.cfg.launch_latency));
     }
 
     /// Launches a kernel. While capturing, the op is recorded instead
     /// of executed.
     pub fn launch_kernel(&self, f: DeviceFn) {
-        let op = Op::Kernel(f);
-        if self.shared.capturing.load(Ordering::Acquire) {
-            self.capture_buf.lock().push(op);
-            return;
-        }
-        self.shared.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(op, self.cfg.launch_latency);
+        self.launch(Op::Kernel(f));
     }
 
     /// Launches an in-stream host callback (`cudaLaunchHostFunc`).
     pub fn launch_host_func(&self, f: DeviceFn) {
-        let op = Op::HostFunc(f);
-        if self.shared.capturing.load(Ordering::Acquire) {
-            self.capture_buf.lock().push(op);
-            return;
-        }
-        self.shared.host_funcs.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(op, self.cfg.launch_latency);
+        self.launch(Op::HostFunc(f));
     }
 
     /// Begins capturing ops instead of executing them.
@@ -210,10 +168,11 @@ impl VirtualGpu {
     ///
     /// Returns [`EngineError::Exec`] if a capture is already active.
     pub fn begin_capture(&self) -> Result<(), EngineError> {
-        if self.shared.capturing.swap(true, Ordering::AcqRel) {
+        let mut s = self.stream.lock();
+        if s.capture.is_some() {
             return Err(EngineError::exec("capture already in progress"));
         }
-        self.capture_buf.lock().clear();
+        s.capture = Some(Vec::new());
         Ok(())
     }
 
@@ -223,10 +182,12 @@ impl VirtualGpu {
     ///
     /// Returns [`EngineError::Exec`] if no capture is active.
     pub fn end_capture(&self) -> Result<GraphHandle, EngineError> {
-        if !self.shared.capturing.swap(false, Ordering::AcqRel) {
-            return Err(EngineError::exec("no capture in progress"));
-        }
-        let ops = std::mem::take(&mut *self.capture_buf.lock());
+        let ops = self
+            .stream
+            .lock()
+            .capture
+            .take()
+            .ok_or_else(|| EngineError::exec("no capture in progress"))?;
         Ok(GraphHandle { ops: Arc::new(ops) })
     }
 
@@ -243,39 +204,82 @@ impl VirtualGpu {
                 graph.ops.len() as u32,
             );
         }
-        self.shared.graph_replays.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .graph_ops
-            .fetch_add(graph.ops.len() as u64, Ordering::Relaxed);
-        let mut first = true;
-        for op in graph.ops.iter() {
-            let cost = if first {
-                self.cfg.graph_launch_latency
-            } else {
-                Duration::ZERO
-            };
-            first = false;
+        let mut s = self.stream.lock();
+        {
+            let mut stats = self.stats.lock();
+            stats.graph_replays += 1;
+            stats.graph_ops += graph.ops.len() as u64;
             // Host funcs inside graphs are still host funcs for stats.
-            if matches!(op, Op::HostFunc(_)) {
-                self.shared.host_funcs.fetch_add(1, Ordering::Relaxed);
-            }
-            self.enqueue(op.clone(), cost);
+            stats.host_funcs += graph
+                .ops
+                .iter()
+                .filter(|op| matches!(op, Op::HostFunc(_)))
+                .count() as u64;
+        }
+        let mut cost = self.cfg.graph_launch_latency;
+        for op in graph.ops.iter() {
+            s.queue.push_back((op.clone(), std::mem::take(&mut cost)));
         }
     }
 
-    /// Blocks until every submitted op has executed (or been skipped
-    /// behind a panicked op), then clears the stream's fault.
+    /// Runs every queued op, in order, on the calling thread. An op
+    /// that panics poisons the rest of the drain: every later op is
+    /// skipped, and the stream is clean again on return.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Exec`] carrying the panic message when an
-    /// op panicked since the last synchronization.
+    /// op panicked.
     pub fn synchronize(&self) -> Result<(), EngineError> {
-        let mut st = self.shared.state.lock();
-        while st.completed < st.submitted {
-            self.shared.done_cv.wait(&mut st);
+        let mut s = self.stream.lock();
+        let tracing = kt_trace::enabled();
+        let track = kt_trace::stream_track(0);
+        let (mut overhead_ns, mut busy_ns) = (0u64, 0u64);
+        let mut fault = None;
+        while let Some((op, launch_cost)) = s.queue.pop_front() {
+            if fault.is_some() {
+                continue;
+            }
+            if !launch_cost.is_zero() {
+                // Simulated launch latency occupies the device timeline.
+                overhead_ns += launch_cost.as_nanos() as u64;
+                let t0 = if tracing { kt_trace::now_ns() } else { 0 };
+                spin_for(launch_cost);
+                if tracing {
+                    let t1 = kt_trace::now_ns();
+                    kt_trace::record_on(
+                        track,
+                        kt_trace::SpanKind::VgpuLaunch,
+                        t0,
+                        t1.saturating_sub(t0),
+                        0,
+                        0,
+                    );
+                }
+            }
+            let t0 = if tracing { kt_trace::now_ns() } else { 0 };
+            let op_start = Instant::now();
+            let (Op::Kernel(f) | Op::HostFunc(f)) = &op;
+            fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f()))
+                .err()
+                .map(|p| panic_message(&*p));
+            busy_ns += op_start.elapsed().as_nanos() as u64;
+            if tracing {
+                let kind = match op {
+                    Op::Kernel(_) => kt_trace::SpanKind::VgpuKernel,
+                    Op::HostFunc(_) => kt_trace::SpanKind::VgpuHostFunc,
+                };
+                let t1 = kt_trace::now_ns();
+                kt_trace::record_on(track, kind, t0, t1.saturating_sub(t0), 0, 0);
+            }
         }
-        match st.fault.take() {
+        drop(s);
+        {
+            let mut stats = self.stats.lock();
+            stats.launch_overhead_ns += overhead_ns;
+            stats.busy_ns += busy_ns;
+        }
+        match fault {
             Some(msg) => Err(EngineError::exec(format!("device op panicked: {msg}"))),
             None => Ok(()),
         }
@@ -283,27 +287,7 @@ impl VirtualGpu {
 
     /// Launch accounting snapshot.
     pub fn stats(&self) -> LaunchStats {
-        LaunchStats {
-            kernel_launches: self.shared.kernel_launches.load(Ordering::Relaxed),
-            host_funcs: self.shared.host_funcs.load(Ordering::Relaxed),
-            graph_replays: self.shared.graph_replays.load(Ordering::Relaxed),
-            graph_ops: self.shared.graph_ops.load(Ordering::Relaxed),
-            launch_overhead_ns: self.shared.launch_overhead_ns.load(Ordering::Relaxed),
-            busy_ns: self.shared.busy_ns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for VirtualGpu {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.cv.notify_all();
-        }
-        if let Some(h) = self.device_thread.take() {
-            let _ = h.join();
-        }
+        *self.stats.lock()
     }
 }
 
@@ -312,71 +296,6 @@ impl std::fmt::Debug for VirtualGpu {
         f.debug_struct("VirtualGpu")
             .field("cfg", &self.cfg)
             .finish_non_exhaustive()
-    }
-}
-
-fn device_loop(shared: Arc<Shared>) {
-    loop {
-        let (item, poisoned) = {
-            let mut st = shared.state.lock();
-            loop {
-                if let Some(item) = st.queue.pop_front() {
-                    break (item, st.fault.is_some());
-                }
-                if st.shutdown {
-                    return;
-                }
-                shared.cv.wait(&mut st);
-            }
-        };
-        let tracing = kt_trace::enabled();
-        let track = kt_trace::stream_track(0);
-        if !item.launch_cost.is_zero() {
-            // Simulated launch latency occupies the device timeline.
-            shared
-                .launch_overhead_ns
-                .fetch_add(item.launch_cost.as_nanos() as u64, Ordering::Relaxed);
-            let t0 = if tracing { kt_trace::now_ns() } else { 0 };
-            spin_for(item.launch_cost);
-            if tracing {
-                let t1 = kt_trace::now_ns();
-                kt_trace::record_on(
-                    track,
-                    kt_trace::SpanKind::VgpuLaunch,
-                    t0,
-                    t1.saturating_sub(t0),
-                    0,
-                    0,
-                );
-            }
-        }
-        let t0 = if tracing { kt_trace::now_ns() } else { 0 };
-        let op_start = std::time::Instant::now();
-        let panicked = if poisoned {
-            None
-        } else {
-            let (Op::Kernel(f) | Op::HostFunc(f)) = &item.op;
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f()))
-                .err()
-                .map(|p| panic_message(&*p))
-        };
-        shared
-            .busy_ns
-            .fetch_add(op_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if tracing {
-            let kind = match &item.op {
-                Op::Kernel(_) => kt_trace::SpanKind::VgpuKernel,
-                Op::HostFunc(_) => kt_trace::SpanKind::VgpuHostFunc,
-            };
-            let t1 = kt_trace::now_ns();
-            kt_trace::record_on(track, kind, t0, t1.saturating_sub(t0), 0, 0);
-        }
-        let mut st = shared.state.lock();
-        if let Some(msg) = panicked {
-            st.fault.get_or_insert(msg);
-        }
-        st.completed += 1;
-        shared.done_cv.notify_all();
     }
 }
 
@@ -392,7 +311,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Busy-waits for `d` (sleep granularity on Linux is too coarse for
 /// microsecond launch costs).
 fn spin_for(d: Duration) {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     while start.elapsed() < d {
         std::hint::spin_loop();
     }
@@ -401,10 +320,10 @@ fn spin_for(d: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn gpu(cfg: VgpuConfig) -> VirtualGpu {
-        VirtualGpu::new(cfg).unwrap()
+        VirtualGpu::new(cfg)
     }
 
     fn op(f: impl Fn() + Send + Sync + 'static) -> DeviceFn {
@@ -518,7 +437,8 @@ mod tests {
     #[test]
     fn spin_kernel_can_wait_on_host_progress() {
         // The §3.3 pattern: a kernel spins on a flag another thread
-        // sets — the decode graph's "wait for CPU experts" op.
+        // sets — the decode graph's "wait for CPU experts" op. The
+        // flag is set while `synchronize` runs the spinning op.
         let g = gpu(VgpuConfig::default());
         let flag = Arc::new(AtomicBool::new(false));
         let observed = Arc::new(AtomicBool::new(false));
@@ -530,10 +450,42 @@ mod tests {
             }
             o.store(true, Ordering::Release);
         }));
-        std::thread::sleep(Duration::from_millis(10));
-        flag.store(true, Ordering::Release);
+        let setter = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            flag.store(true, Ordering::Release);
+        });
         g.synchronize().unwrap();
+        setter.join().unwrap();
         assert!(observed.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn ops_run_on_the_synchronizing_thread() {
+        let g = gpu(VgpuConfig::default());
+        let ids = Arc::new(Mutex::new(Vec::new()));
+        let record = |ids: &Arc<Mutex<Vec<std::thread::ThreadId>>>| {
+            let ids = Arc::clone(ids);
+            op(move || ids.lock().push(std::thread::current().id()))
+        };
+        g.begin_capture().unwrap();
+        g.launch_kernel(record(&ids));
+        g.launch_host_func(record(&ids));
+        let graph = g.end_capture().unwrap();
+        g.launch_kernel(record(&ids));
+        g.launch_host_func(record(&ids));
+        g.launch_graph(&graph);
+        assert!(ids.lock().is_empty(), "launches only queue");
+        // Drained from a thread other than the launching one.
+        let drainer = std::thread::scope(|s| {
+            s.spawn(|| {
+                g.synchronize().unwrap();
+                std::thread::current().id()
+            })
+            .join()
+            .unwrap()
+        });
+        assert_ne!(drainer, std::thread::current().id());
+        assert_eq!(*ids.lock(), vec![drainer; 4]);
     }
 
     #[test]
@@ -549,7 +501,7 @@ mod tests {
         assert!(err.to_string().contains("bad op"), "{err}");
         // The stream skipped the op behind the panic.
         assert_eq!(ran.load(Ordering::Relaxed), 0);
-        // The device thread survived and the fault was cleared.
+        // The fault was cleared with the drain; the stream runs again.
         let r2 = Arc::clone(&ran);
         g.launch_kernel(op(move || {
             r2.fetch_add(1, Ordering::Relaxed);

@@ -13,8 +13,10 @@ use crate::paged::{BlockAllocator, PagedKvStore, DEFAULT_PAGE_ROWS};
 /// All layers' caches for one sequence.
 ///
 /// Cloning is copy-on-write: the clone references the same pages, and
-/// whichever side writes into a shared page first copies it.
-#[derive(Debug, Clone)]
+/// whichever side writes into a shared page first copies it. The
+/// default cache has no layers and holds nothing — a placeholder for a
+/// slot whose cache is moved out.
+#[derive(Debug, Clone, Default)]
 pub struct KvCache {
     layers: Vec<PagedKvStore>,
 }

@@ -58,7 +58,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use kt_core::{BatchSeq, EngineError, HybridEngine, RequestMetrics, ServeStats, SimdLevel};
-use kt_model::kvcache::KvCache;
 use kt_model::paged::{SwappedKv, DEFAULT_PAGE_ROWS};
 use kt_model::pool::{CacheLease, KvCachePool};
 use kt_model::prefix::PrefixCacheConfig;
@@ -1389,7 +1388,7 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
     for (i, (seq, work)) in active.iter_mut().zip(&plan).enumerate() {
         let Some(work) = *work else { continue };
         let st = &seq.st;
-        let cache = std::mem::replace(&mut seq.lease.cache, KvCache::new(&[], 0));
+        let cache = std::mem::take(&mut seq.lease.cache);
         let row = match work {
             PlanWork::Decode => BatchSeq::decode(
                 cache,
@@ -1418,7 +1417,7 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
     let result = inner.engine.forward_batch(&mut batch);
     // Caches come back even on error; return them to their leases.
     for (&i, slot) in scheduled.iter().zip(batch.iter_mut()) {
-        active[i].lease.cache = std::mem::replace(&mut slot.cache, KvCache::new(&[], 0));
+        active[i].lease.cache = std::mem::take(&mut slot.cache);
     }
     if let Some((start_ns, before)) = attrib {
         let wall_ns = kt_trace::now_ns().saturating_sub(start_ns);

@@ -126,8 +126,8 @@ fn exported_trace_shows_cpu_expert_overlapping_gpu_stream() {
     let json = kt_trace::sink().export_chrome();
     let (tracks, events) = parse_chrome(&json);
 
-    // Track layout: worker threads (engine device thread, CPU workers,
-    // scheduler) plus one named track per vGPU stream.
+    // Track layout: worker threads (CPU workers, the scheduler, which
+    // drains the stream) plus one named track per vGPU stream.
     let cpu_tracks: Vec<u64> = tracks
         .iter()
         .filter(|(_, n)| n.starts_with("kt-cpu-"))

@@ -14,10 +14,10 @@
 //! ([`crate::TraceSink::phase_snapshot`]): the scheduler differences
 //! two snapshots around each `forward_batch` call and maps the
 //! per-[`SpanKind`] deltas through [`step_components`]. Every phase in
-//! the mapping runs serialized on the vGPU device thread, so the
-//! per-step component sum can never exceed the step's wall time; the
-//! [`Component::Other`] slot absorbs the remainder (embed, launch
-//! overhead, inter-op gaps). Summed over a request's steps plus its
+//! the mapping runs serialized on the scheduler thread, which drains
+//! the vGPU stream, so the per-step component sum can never exceed the
+//! step's wall time; the [`Component::Other`] slot absorbs the
+//! remainder (embed, launch overhead, inter-op gaps). Summed over a request's steps plus its
 //! measured queue wait, the breakdown therefore sums to the measured
 //! end-to-end time from below — the tested invariant is
 //! `0.75 ≤ coverage() ≤ 1.05`, with CI gating ≥ 0.9 in aggregate.

@@ -18,7 +18,7 @@
 //! per worker thread in the exported timeline), and a reserved id range
 //! starting at [`STREAM_TRACK_BASE`] maps virtual-GPU streams to their
 //! own tracks, so CPU/GPU overlap is visible even though every stream
-//! op executes on the single device thread.
+//! op executes on the thread that drains the stream.
 
 use std::cell::RefCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
