@@ -90,10 +90,9 @@ pub struct EngineConfig {
     /// (routed int4, shared/dense int8, attention + head F32).
     pub precision: PrecisionPolicy,
     /// CPU kernel backend for expert GEMMs. The default hybrid
-    /// dispatch picks tiled vs vector kernels by bucket size, which
-    /// makes outputs depend (within kernel tolerance) on how many
-    /// tokens share an expert in one step; forcing a single class
-    /// makes batched and sequential decoding bit-identical.
+    /// dispatch picks tiled vs vector kernels by bucket size; the
+    /// choice is scheduling only, so outputs carry the same bits under
+    /// every backend, at every batch and chunk shape.
     pub backend: Backend,
     /// Weight initialization seed.
     pub seed: u64,
@@ -1835,8 +1834,7 @@ mod tests {
     fn batched_decode_matches_sequential_bitwise() {
         // Continuous batching is pure scheduling: N sequences decoded
         // in one batch must emit exactly the tokens each would emit
-        // alone. `TiledOnly` pins the kernel class so bucket sizes
-        // (which vary with batch occupancy) cannot change the math.
+        // alone, on the deployed backend.
         let cfg = ModelPreset::DeepSeekV3.tiny_config();
         let e = HybridEngine::random(
             &cfg,
@@ -1844,7 +1842,6 @@ mod tests {
                 n_cpu_workers: 2,
                 mode: SchedMode::AsyncGraph,
                 n_deferred: 2,
-                backend: Backend::TiledOnly,
                 seed: 101,
                 ..Default::default()
             },
@@ -1895,9 +1892,7 @@ mod tests {
         // Deferral ON: the 1-token chunks exercise the decode-row /
         // prefill-chunk distinction — a chunk of one token must NOT
         // defer experts, or its logits would drift from the monolithic
-        // prefill's. One kernel class pins the expert GEMMs (attention
-        // and the head are row-stable by construction); see the serve
-        // equivalence tests for the same convention.
+        // prefill's.
         let cfg = ModelPreset::DeepSeekV3.tiny_config();
         let e = HybridEngine::random(
             &cfg,
@@ -1905,7 +1900,6 @@ mod tests {
                 n_cpu_workers: 2,
                 mode: SchedMode::Sync,
                 n_deferred: 2,
-                backend: Backend::TiledOnly,
                 seed: 61,
                 ..Default::default()
             },

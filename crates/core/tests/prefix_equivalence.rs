@@ -9,11 +9,9 @@
 //! cover every page size and unaligned prefix per attention kind;
 //! here the full engine runs — routing, shared/routed experts, expert
 //! deferral, the LM head — over both tiny presets (MLA and GQA) and
-//! every expert weight dtype, with `Backend::TiledOnly` so expert
-//! GEMMs are invariant to batch composition.
+//! every expert weight dtype, on the deployed kernel backend.
 
 use kt_core::{BatchSeq, EngineConfig, HybridEngine, SchedMode};
-use kt_kernels::dispatch::Backend;
 use kt_model::prefix::{PrefixCache, PrefixCacheConfig};
 use kt_model::{KvCache, ModelPreset};
 use kt_tensor::{PrecisionPolicy, WeightDtype};
@@ -62,7 +60,6 @@ proptest! {
                 mode: SchedMode::AsyncGraph,
                 n_deferred: 2,
                 precision: PrecisionPolicy::experts(dtype),
-                backend: Backend::TiledOnly,
                 seed,
                 ..Default::default()
             },
@@ -86,8 +83,8 @@ proptest! {
         let cold = engine.forward_batch(&mut cold_batch).unwrap();
         let cold_prefill = cold[0].as_ref().unwrap();
         let cold_decode = cold[1].as_ref().unwrap();
-        let cold_cache = std::mem::replace(&mut cold_batch[0].cache, KvCache::new(&[], 0));
-        let cold_d_cache = std::mem::replace(&mut cold_batch[1].cache, KvCache::new(&[], 0));
+        let cold_cache = std::mem::take(&mut cold_batch[0].cache);
+        let cold_d_cache = std::mem::take(&mut cold_batch[1].cache);
 
         // Freeze the first m positions of the cold cache and seed a
         // fresh lease-alike from the index, exactly as admission does.

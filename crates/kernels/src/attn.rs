@@ -28,8 +28,7 @@
 //! partial sum in one register; AVX2 holds it as two 8-lane halves whose
 //! add is the tree's 16 → 8 step. So **every level is bitwise the scalar
 //! golden** (the non-AVX2 level, which spells the same sequence with
-//! `f32::mul_add`). Unlike the f32 GEMV, whose scalar level rounds the
-//! product separately, there is no level-dependent rounding here.
+//! `f32::mul_add`), as it is for the GEMV and GEMM kernels.
 //!
 //! A row's bits are a function of its query row and the KV rows of its
 //! own visible prefix alone: not of `t_new`, of the rows that share the

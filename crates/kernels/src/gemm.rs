@@ -10,8 +10,9 @@
 //!    ([`KC`] K-steps), stages (dequantizes) the packed weights of the
 //!    block exactly once, and a register-blocked **microkernel**
 //!    processes [`MR`] activation rows at a time against the staged
-//!    panel, accumulating into local tiles before spilling to the
-//!    output.
+//!    panel. Each row tile loads its accumulators from the output
+//!    before a block and stores them back after it, so the FMA chain
+//!    runs on across K blocks.
 //! 3. **Vector class** — a task is one block of up to
 //!    [`simd::BLOCK_ROWS`] activation rows × [`simd::BLOCK_PANELS`]
 //!    adjacent panels, handed to the fused-dequant block kernel of
@@ -24,6 +25,12 @@
 //!    rides in, so [`gemv_vector`], [`gemm_rowwise`] and the fused MoE
 //!    operator's vector tasks all go through the same task loop and an
 //!    M-row call is one pool dispatch.
+//!
+//! Both classes give every output exactly `acc = fma(x[k], w[k], acc)`
+//! in ascending `k` from zero, with the same decoded weights (staging
+//! is bitwise the inline decode). The kernel class and the SIMD level
+//! are therefore scheduling choices: an output has the same bits under
+//! either class, at every level, whatever the batch or chunk shape.
 
 use kt_tensor::{Matrix, PackedWeights, WeightDtype, NR};
 
@@ -183,16 +190,53 @@ fn gemm_vector(
     }
 }
 
+/// Copies the first `valid` lanes at `row` into `tile`. A full panel
+/// moves as one `[f32; NR]`, which compiles to vector moves where a
+/// variable-length copy would call `memcpy` once per row and K block.
+///
+/// # Safety
+///
+/// `row` must be valid for reads of `valid <= NR` floats.
+#[inline(always)]
+unsafe fn load_tile(row: *const f32, valid: usize, tile: &mut [f32; NR]) {
+    // SAFETY: the caller guarantees `valid` readable floats at `row`.
+    unsafe {
+        if valid == NR {
+            *tile = row.cast::<[f32; NR]>().read_unaligned();
+        } else {
+            std::ptr::copy_nonoverlapping(row, tile.as_mut_ptr(), valid);
+        }
+    }
+}
+
+/// Copies the first `valid` lanes of `tile` to `row` ([`load_tile`]'s
+/// inverse).
+///
+/// # Safety
+///
+/// `row` must be valid for writes of `valid <= NR` floats.
+#[inline(always)]
+unsafe fn store_tile(tile: &[f32; NR], valid: usize, row: *mut f32) {
+    // SAFETY: the caller guarantees `valid` writable floats at `row`.
+    unsafe {
+        if valid == NR {
+            row.cast::<[f32; NR]>().write_unaligned(*tile);
+        } else {
+            std::ptr::copy_nonoverlapping(tile.as_ptr(), row, valid);
+        }
+    }
+}
+
 /// Executes one panel task of the tiled GEMM: all M rows, all K blocks,
 /// writing output columns `p*NR .. p*NR+valid`.
-#[allow(clippy::needless_range_loop)] // raw-pointer writes, see SAFETY
 fn panel_task(a: &Matrix, w: &PackedWeights, out: OutPtr, out_cols: usize, p: usize) {
     let m = a.rows();
     let k = a.cols();
     let valid = NR.min(w.n() - p * NR);
     let mut staged = [0.0f32; KC * NR];
 
-    // Accumulators spill into the output; zero our columns first.
+    // The output holds the accumulators between K blocks; zero our
+    // columns first.
     for i in 0..m {
         // SAFETY: `out` points to an `m x out_cols` matrix that outlives
         // this call; this task exclusively owns columns
@@ -212,7 +256,15 @@ fn panel_task(a: &Matrix, w: &PackedWeights, out: OutPtr, out_cols: usize, p: us
         let mut i = 0;
         while i < m {
             let mb = MR.min(m - i);
+            // Each row's tile resumes the FMA chain where the previous K
+            // block left it, so an output sees one ascending-k chain —
+            // the vector class's operation sequence.
             let mut acc = [[0.0f32; NR]; MR];
+            for (r, tile) in acc.iter_mut().enumerate().take(mb) {
+                // SAFETY: exclusive column ownership (see above); row
+                // index `i + r < m` by the loop bounds.
+                unsafe { load_tile(out.0.add((i + r) * out_cols + p * NR), valid, tile) };
+            }
             match mb {
                 4 => microkernel::<4>(
                     [
@@ -249,14 +301,8 @@ fn panel_task(a: &Matrix, w: &PackedWeights, out: OutPtr, out_cols: usize, p: us
                 ),
             }
             for (r, tile) in acc.iter().enumerate().take(mb) {
-                // SAFETY: As above — exclusive column ownership; row
-                // index `i + r < m` by the loop bounds.
-                unsafe {
-                    let row = out.0.add((i + r) * out_cols + p * NR);
-                    for j in 0..valid {
-                        *row.add(j) += tile[j];
-                    }
-                }
+                // SAFETY: As above.
+                unsafe { store_tile(tile, valid, out.0.add((i + r) * out_cols + p * NR)) };
             }
             i += mb;
         }
@@ -335,15 +381,8 @@ pub fn gemv_vector(
 /// block's shape, so a row's bits are those of [`gemv_vector`] on that
 /// row alone.
 ///
-/// The fused MoE operator's per-expert dispatch
-/// ([`Backend::kernel_for`](crate::dispatch::Backend::kernel_for))
-/// cannot promise this in general: its vector/tiled choice flips at the
-/// arithmetic-intensity crossover, and the two kernel classes only agree
-/// bitwise for f32 weights whose `k` fits a single tiled k-block.
-/// Position-dependent computations that must be invariant under
-/// re-chunking (attention projections, the LM head — the chunked-prefill
-/// contract) use this entry point; throughput-bound batch work (expert
-/// FFNs) keeps the hybrid dispatch.
+/// [`gemm_tiled`] gives the same bits (see the module doc); this entry
+/// point is the vector class at every `m`.
 ///
 /// # Errors
 ///
@@ -435,20 +474,44 @@ mod tests {
     }
 
     #[test]
-    fn gemv_matches_tiled_for_single_row() {
+    fn tiled_is_bitwise_rowwise_at_every_level() {
+        // The kernel class and the SIMD level are scheduling: every
+        // output is one ascending-k FMA chain, so the tiled GEMM (K
+        // blocks of KC) gives the vector class's bits at every row
+        // count, K across one to four blocks, every dtype and level —
+        // also against the scalar golden level.
+        use crate::simd::{with_forced_simd_level, SimdLevel};
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let n = 33;
         let mut rng = seeded(8);
-        let k = 128;
-        let n = 48;
-        let a = Matrix::random_uniform(1, k, 1.0, &mut rng).unwrap();
-        let wmat = Matrix::random_uniform(n, k, 1.0, &mut rng).unwrap();
-        for (dt, _) in dtypes() {
-            let w = PackedWeights::pack(&wmat, dt).unwrap();
-            let mut tiled = Matrix::zeros(1, n).unwrap();
-            gemm_tiled(&a, &w, &mut tiled, None).unwrap();
-            let mut y = vec![0.0f32; n];
-            gemv_vector(a.row(0), &w, &mut y, None).unwrap();
-            for (x, t) in y.iter().zip(tiled.row(0)) {
-                assert!((x - t).abs() <= 1e-3 * t.abs().max(1.0), "{dt:?}");
+        for k in [KC, KC + 8, 2 * KC + 8, 4 * KC] {
+            let wmat = Matrix::random_uniform(n, k, 1.0, &mut rng).unwrap();
+            for dt in [
+                WeightDtype::F32,
+                WeightDtype::Bf16,
+                WeightDtype::Int8 { group: 8 },
+                WeightDtype::Int4 { group: 8 },
+            ] {
+                let w = PackedWeights::pack(&wmat, dt).unwrap();
+                for m in [1, 5, 64] {
+                    let a = Matrix::random_uniform(m, k, 1.0, &mut rng).unwrap();
+                    let golden = with_forced_simd_level(SimdLevel::Scalar, || {
+                        let mut out = Matrix::zeros(m, n).unwrap();
+                        gemm_rowwise(&a, &w, &mut out, None).unwrap();
+                        out
+                    });
+                    for level in [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512] {
+                        with_forced_simd_level(level, || {
+                            let mut tiled = Matrix::zeros(m, n).unwrap();
+                            gemm_tiled(&a, &w, &mut tiled, None).unwrap();
+                            let mut rowwise = Matrix::zeros(m, n).unwrap();
+                            gemm_rowwise(&a, &w, &mut rowwise, None).unwrap();
+                            let at = format!("{dt:?} {level:?} m={m} k={k}");
+                            assert_eq!(bits(&tiled), bits(&golden), "tiled, {at}");
+                            assert_eq!(bits(&rowwise), bits(&golden), "rowwise, {at}");
+                        });
+                    }
+                }
             }
         }
     }

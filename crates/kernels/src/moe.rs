@@ -1139,35 +1139,60 @@ mod tests {
     }
 
     #[test]
-    fn vector_backend_batch_equals_single_row_forwards_bitwise() {
-        // The vector class schedules (bucket, projection, row-block,
-        // panel-group) tasks; a token's output must not depend on which
-        // other tokens share its expert's row block. inter = 72 is 5
-        // panels with a 8-lane tail (panel-group tail), and buckets grow
-        // past one row block at the larger M.
-        let (hidden, inter, n_experts, top_k) = (32, 72, 6, 3);
-        for dtype in [WeightDtype::Int4 { group: 8 }, WeightDtype::Int8 { group: 8 }] {
-            let mut rng = seeded(70);
-            let moe =
-                FusedMoE::random(n_experts, hidden, inter, dtype, Backend::VectorOnly, &mut rng)
-                    .unwrap();
-            let mut ws = MoeWorkspace::new();
-            for m in 1..=8 {
-                let x = Matrix::random_uniform(m, hidden, 1.0, &mut rng).unwrap();
-                let routing = topk_routing(m, n_experts, top_k, 71 + m as u64);
-                let batch = moe
-                    .forward_with(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
-                    .unwrap();
-                for t in 0..m {
-                    let xt = Matrix::from_rows(1, hidden, x.row(t)).unwrap();
-                    let rt = MoeRouting::new(vec![routing.assignments[t].clone()]);
-                    let alone = moe
-                        .forward_with(&xt, &rt, None, SchedulePolicy::Dynamic, &mut ws)
+    fn every_backend_gives_batch_rows_the_single_row_bits() {
+        // A token's output must not depend on which other tokens share
+        // its expert's bucket, nor on the kernel class that bucket runs
+        // on. inter = 72 is 5 panels with an 8-lane tail (panel-group
+        // tail); inter = 520 puts the down projection's K across three
+        // tiled K blocks. Buckets grow past one row block and past
+        // ARI_CROSSOVER at the larger M, so the hybrid backend runs both
+        // classes within one batch.
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let backends = [Backend::HybridAmxAvx512, Backend::TiledOnly, Backend::VectorOnly];
+        let (hidden, n_experts, top_k) = (32, 6, 3);
+        for inter in [72, 520] {
+            for dtype in [
+                WeightDtype::F32,
+                WeightDtype::Int4 { group: 8 },
+                WeightDtype::Int8 { group: 8 },
+            ] {
+                let mut rng = seeded(70);
+                let mut moe =
+                    FusedMoE::random(n_experts, hidden, inter, dtype, Backend::default(), &mut rng)
                         .unwrap();
-                    assert_eq!(batch.row(t), alone.row(0), "{dtype:?} M={m} token {t}");
-                    ws.restore(alone);
+                let mut ws = MoeWorkspace::new();
+                for m in [1, 2, 5, 8, 12] {
+                    let x = Matrix::random_uniform(m, hidden, 1.0, &mut rng).unwrap();
+                    let routing = topk_routing(m, n_experts, top_k, 71 + m as u64);
+                    let mut first: Option<Vec<u32>> = None;
+                    for backend in backends {
+                        moe.set_backend(backend);
+                        let batch = moe
+                            .forward_with(&x, &routing, None, SchedulePolicy::Dynamic, &mut ws)
+                            .unwrap();
+                        for t in 0..m {
+                            let xt = Matrix::from_rows(1, hidden, x.row(t)).unwrap();
+                            let rt = MoeRouting::new(vec![routing.assignments[t].clone()]);
+                            let alone = moe
+                                .forward_with(&xt, &rt, None, SchedulePolicy::Dynamic, &mut ws)
+                                .unwrap();
+                            assert_eq!(
+                                bits(batch.row(t)),
+                                bits(alone.row(0)),
+                                "{backend:?} {dtype:?} inter={inter} M={m} token {t}"
+                            );
+                            ws.restore(alone);
+                        }
+                        let got = bits(batch.as_slice());
+                        assert_eq!(
+                            first.get_or_insert_with(|| got.clone()),
+                            &got,
+                            "{backend:?} vs {:?}, {dtype:?} inter={inter} M={m}",
+                            backends[0]
+                        );
+                        ws.restore(batch);
+                    }
                 }
-                ws.restore(batch);
             }
         }
     }

@@ -31,11 +31,7 @@
 //! of the `1 × 1` instantiation, which is bitwise the scalar golden
 //! reference (`gemv_*_scalar`: same widen, same `mul`, and
 //! `f32::mul_add` is correctly rounded like the hardware FMA). Blocking
-//! is scheduling, not numerics. The one exception is f32 at
-//! [`SimdLevel::Scalar`], whose golden ([`microkernel_scalar`]) rounds
-//! the product before the add; f32 results therefore differ between the
-//! scalar and the FMA levels by rounding, and are bitwise identical
-//! between AVX2 and AVX-512.
+//! and the SIMD level are scheduling, not numerics.
 //!
 //! Register budget. AVX-512 has 32 `zmm`: a `4 × 4` block holds 16
 //! accumulators + 4 scale rows + activation broadcasts (foldable into
@@ -129,9 +125,14 @@ pub fn effective_simd_level() -> SimdLevel {
 }
 
 /// Portable scalar microkernel (the golden reference): accumulates `M`
-/// activation rows against one staged K-major panel block.
+/// activation rows against one staged K-major panel block, one
+/// `acc = fma(a[kk], w[kk], acc)` per K-step like every other kernel.
+///
+/// Not inlined: without a target FMA, each `mul_add` is a libm call, and
+/// inlined into [`microkernel`]'s fallback arm they would bloat every
+/// tiled-GEMM caller for a level AVX hosts never run.
 #[allow(clippy::needless_range_loop)] // fixed-trip loops vectorize best
-#[inline]
+#[inline(never)]
 pub fn microkernel_scalar<const M: usize>(
     a: [&[f32]; M],
     staged: &[f32],
@@ -144,7 +145,7 @@ pub fn microkernel_scalar<const M: usize>(
             let ai = a[i][kk];
             let t = &mut acc[i];
             for j in 0..NR {
-                t[j] += ai * wrow[j];
+                t[j] = ai.mul_add(wrow[j], t[j]);
             }
         }
     }
@@ -1220,11 +1221,10 @@ mod tests {
         with_forced_simd_level(level, || microkernel::<M>(a, &staged, kb, &mut got));
         for i in 0..M {
             for j in 0..NR {
-                let e = expect[i][j];
-                let g = got[i][j];
-                // FMA changes rounding; tolerance scales with kb.
-                assert!(
-                    (e - g).abs() <= 1e-5 * (kb as f32) * e.abs().max(1.0),
+                let (e, g) = (expect[i][j], got[i][j]);
+                assert_eq!(
+                    e.to_bits(),
+                    g.to_bits(),
                     "{level:?} M={M} kb={kb} [{i}][{j}]: {e} vs {g}"
                 );
             }

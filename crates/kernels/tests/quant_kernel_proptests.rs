@@ -63,18 +63,10 @@ fn dtype_of(which: usize, group: usize) -> WeightDtype {
 }
 
 /// The single-panel golden for `x` against panel `p`, accumulating into
-/// `acc`: the scalar references of `kt_kernels::simd`, except f32 at
-/// the FMA levels, whose per-lane sequence is `acc = fma(x, w, acc)`
-/// (the f32 scalar microkernel rounds the product first).
-fn golden_panel(packed: &PackedWeights, p: usize, x: &[f32], fma: bool, acc: &mut [f32; NR]) {
+/// `acc`: the scalar references of `kt_kernels::simd`, whose per-lane
+/// sequence is `acc = fma(x, w, acc)` for every dtype.
+fn golden_panel(packed: &PackedWeights, p: usize, x: &[f32], acc: &mut [f32; NR]) {
     match packed.dtype() {
-        WeightDtype::F32 if fma => {
-            for (kk, &xv) in x.iter().enumerate() {
-                for (a, &w) in acc.iter_mut().zip(&packed.panel_f32(p)[kk * NR..]) {
-                    *a = xv.mul_add(w, *a);
-                }
-            }
-        }
         WeightDtype::F32 => {
             microkernel_scalar::<1>([x], packed.panel_f32(p), x.len(), std::array::from_mut(acc))
         }
@@ -151,13 +143,12 @@ proptest! {
                     fill_uniform(&mut rng, tile, 2.0);
                 }
                 for level in LEVELS {
-                    let fma = level.min(simd::simd_level()) != SimdLevel::Scalar;
                     let mut acc = seeds.clone();
                     with_forced_simd_level(level, || block_gemv(&packed, rows, &mut acc));
                     for (r, x) in rows.iter().enumerate() {
                         for p in 0..np {
                             let mut want = seeds[r * np + p];
-                            golden_panel(&packed, p, x, fma, &mut want);
+                            golden_panel(&packed, p, x, &mut want);
                             prop_assert_eq!(
                                 bits(&want), bits(&acc[r * np + p]),
                                 "row {} panel {} of a {}x{} block diverged from the golden at {:?} ({:?})",
@@ -173,7 +164,7 @@ proptest! {
             let reference = unpacked_matvec(&packed, rows[0]);
             for p in 0..np {
                 let mut got = [0.0f32; NR];
-                golden_panel(&packed, p, rows[0], false, &mut got);
+                golden_panel(&packed, p, rows[0], &mut got);
                 for (j, &got) in got.iter().enumerate() {
                     let r = p * NR + j;
                     if r >= packed.n() {

@@ -34,9 +34,9 @@
 //! buffer. An engine prefill is [`ExecMode::Standard`]; a decode row
 //! with `n_deferred` deferred experts is
 //! `Deferred { n_immediate: top_k - min(n_deferred, top_k - 1) }`
-//! (Standard at 0). Pools and the schedule mode are bitwise neutral;
-//! chunking and batching are too while every expert bucket keeps its
-//! kernel class. The root `tests/oracle.rs` gate checks all of it.
+//! (Standard at 0). Pools, the schedule mode, the kernel class and the
+//! SIMD level are bitwise neutral, and so are chunking and batching.
+//! The root `tests/oracle.rs` gate checks all of it.
 
 use kt_kernels::dispatch::Backend;
 use kt_kernels::gemm::gemm_rowwise;

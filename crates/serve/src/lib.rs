@@ -25,10 +25,9 @@
 //!   bit-identical to running [`kt_core::HybridEngine::generate`]
 //!   alone, for *any* chunking — position-dependent projections use a
 //!   row-stable GEMM, so a chunked prefill writes exactly the bits a
-//!   monolithic prefill would (pin a single kernel class — e.g.
-//!   `Backend::TiledOnly` — to keep expert GEMMs
-//!   batch-size-invariant; the default hybrid dispatch is only
-//!   tolerance-level equal).
+//!   monolithic prefill would, and the expert kernel class (and SIMD
+//!   level) is scheduling too: the deployed hybrid dispatch gives the
+//!   same bits at every batch and chunk shape.
 //! * Per-request latency lands in [`kt_core::RequestMetrics`] (queue
 //!   wait, TTFT, inter-token gaps) and aggregate behavior in
 //!   [`kt_core::ServeStats`] (outcome counts, queue depth, batch
@@ -115,9 +114,6 @@ mod tests {
                     n_cpu_workers: 2,
                     mode: SchedMode::AsyncGraph,
                     n_deferred: 2,
-                    // One kernel class keeps tokens bit-identical no
-                    // matter how the batch composition fluctuates.
-                    backend: kt_kernels::dispatch::Backend::TiledOnly,
                     seed,
                     ..Default::default()
                 },
@@ -501,7 +497,6 @@ mod tests {
                 &cfg_model,
                 EngineConfig {
                     n_cpu_workers: 2,
-                    backend: kt_kernels::dispatch::Backend::TiledOnly,
                     precision: PrecisionPolicy::quantized_serving(8),
                     seed: 21,
                     ..Default::default()
@@ -670,7 +665,6 @@ mod tests {
                         launch_latency: Duration::from_micros(200),
                         ..Default::default()
                     },
-                    backend: kt_kernels::dispatch::Backend::TiledOnly,
                     seed: 21,
                     ..Default::default()
                 },

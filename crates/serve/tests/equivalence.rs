@@ -5,7 +5,6 @@
 //! exercised under a mixed, shifting batch.
 
 use kt_core::{EngineConfig, HybridEngine, SchedMode};
-use kt_kernels::dispatch::Backend;
 use kt_model::ModelPreset;
 use kt_serve::{Request, Server, ServerConfig, SloClass, SloPolicy, SloTarget};
 use std::sync::Arc;
@@ -20,11 +19,6 @@ fn engine(seed: u64) -> HybridEngine {
             // Expert Deferral ON: deferral must stay per-sequence
             // under batching.
             n_deferred: 2,
-            // A single kernel class makes expert GEMMs invariant to
-            // how many tokens share a bucket, so batched == sequential
-            // exactly (the default hybrid dispatch is only
-            // tolerance-level equal across batch sizes).
-            backend: Backend::TiledOnly,
             seed,
             ..Default::default()
         },

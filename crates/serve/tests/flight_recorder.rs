@@ -23,7 +23,6 @@ fn engine(seed: u64) -> Arc<HybridEngine> {
                 n_cpu_workers: 2,
                 mode: SchedMode::AsyncGraph,
                 n_deferred: 2,
-                backend: kt_kernels::dispatch::Backend::TiledOnly,
                 seed,
                 ..Default::default()
             },

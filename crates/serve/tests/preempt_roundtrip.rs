@@ -13,7 +13,6 @@
 //! whole-cache reservation would allow.
 
 use kt_core::{EngineConfig, HybridEngine, SchedMode};
-use kt_kernels::dispatch::Backend;
 use kt_model::ModelPreset;
 use kt_serve::{Request, Server, ServerConfig};
 use std::sync::Arc;
@@ -30,10 +29,6 @@ fn engine(seed: u64) -> HybridEngine {
             n_cpu_workers: 2,
             mode: SchedMode::AsyncGraph,
             n_deferred: 2,
-            // Batch-size-invariant expert GEMMs, so streams compare
-            // exactly across different batching histories (same choice
-            // as the equivalence suite).
-            backend: Backend::TiledOnly,
             seed,
             ..Default::default()
         },

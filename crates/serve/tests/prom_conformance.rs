@@ -146,7 +146,6 @@ fn stats_text_conforms_to_the_exposition_format() {
             &cfg,
             EngineConfig {
                 n_cpu_workers: 2,
-                backend: kt_kernels::dispatch::Backend::TiledOnly,
                 seed: 44,
                 ..Default::default()
             },

@@ -102,7 +102,6 @@ fn exported_trace_shows_cpu_expert_overlapping_gpu_stream() {
                 n_cpu_workers: 2,
                 mode: SchedMode::AsyncGraph,
                 n_deferred: 2,
-                backend: kt_kernels::dispatch::Backend::TiledOnly,
                 seed: 21,
                 ..Default::default()
             },

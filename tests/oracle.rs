@@ -6,19 +6,18 @@
 //! the `kt_model::model` module doc states the contract.
 
 use ktransformers::core::{BatchSeq, EngineConfig, HybridEngine, SchedMode};
-use ktransformers::kernels::dispatch::Backend;
 use ktransformers::model::model::argmax;
 use ktransformers::model::pool::KvCachePool;
 use ktransformers::model::prefix::PrefixCacheConfig;
-use ktransformers::model::{ExecMode, KvCache, ModelPreset};
+use ktransformers::model::{ExecMode, KvCache, ModelConfig, ModelPreset};
 use ktransformers::tensor::{Matrix, PrecisionPolicy};
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn engine(preset: ModelPreset, econfig: EngineConfig) -> HybridEngine {
-    HybridEngine::random(&preset.tiny_config(), econfig).expect("engine")
+fn engine(cfg: &ModelConfig, econfig: EngineConfig) -> HybridEngine {
+    HybridEngine::random(cfg, econfig).expect("engine")
 }
 
 /// `MoeModel::forward` on its own cache, over an engine's weights.
@@ -63,7 +62,7 @@ fn engine_logits_equal_model_forward_bitwise() {
                 for mode in [SchedMode::Sync, SchedMode::AsyncGraph] {
                     let what = format!("{preset:?} {precision:?} n_deferred {n_deferred} {mode:?}");
                     let e = engine(
-                        preset,
+                        &preset.tiny_config(),
                         EngineConfig {
                             mode,
                             n_deferred,
@@ -86,38 +85,79 @@ fn engine_logits_equal_model_forward_bitwise() {
     }
 }
 
+/// The served kernel shape at the tiny width: the expert and dense down
+/// projections have bench-moe-256's K = 512, two tiled K blocks, and 8
+/// experts at top-2 put more than `ARI_CROSSOVER` rows in a bucket once
+/// a step holds a few dozen rows, so the default hybrid dispatch runs
+/// the tiled class where a smaller step runs the vector class.
+fn served_shape() -> ModelConfig {
+    ModelConfig {
+        name: "served-shape".into(),
+        moe_inter: 512,
+        dense_inter: 512,
+        n_routed_experts: 8,
+        top_k: 2,
+        n_groups: 1,
+        topk_groups: 1,
+        n_layers: 3,
+        ..ModelPreset::DeepSeekV3.tiny_config()
+    }
+}
+
+/// Every tiny preset at `tiny` precision, then the served shape in f32
+/// and in the serving precision; the flag marks the served shape.
+fn cases(tiny: PrecisionPolicy) -> Vec<(ModelConfig, PrecisionPolicy, bool)> {
+    let presets = ModelPreset::all().map(|p| (p.tiny_config(), tiny, false));
+    let served = [
+        PrecisionPolicy::default(),
+        PrecisionPolicy::quantized_serving(16),
+    ]
+    .map(|precision| (served_shape(), precision, true));
+    presets.into_iter().chain(served).collect()
+}
+
 #[test]
 fn batched_decode_equals_per_sequence_oracle() {
-    // Three sequences at different lengths decode in one batch, each
-    // checked against its own oracle cache. Each prefill is a step of
-    // its own, so expert buckets hold the rows the oracle's prefill gives
-    // them; a decode batch puts at most three rows in a bucket, below the
-    // hybrid dispatch's crossover.
-    let prompts: [&[u32]; 3] = [
-        &[1, 2, 3],
-        &[9, 8, 7, 6, 5],
-        &[4, 40, 44, 60, 61, 62, 63, 64],
-    ];
-    for preset in ModelPreset::all() {
-        let what = format!("{preset:?}");
+    // Sequences at different lengths prefill together in one step, then
+    // decode in one batch, each checked against its own oracle cache,
+    // which runs the sequence alone. At the served shape the batch's
+    // buckets outgrow the crossover that a lone sequence's stay under.
+    for (cfg, precision, served) in cases(PrecisionPolicy::quantized_serving(16)) {
+        let prompts: Vec<Vec<u32>> = if served {
+            (0..8u32)
+                .map(|s| (0..2 + s % 5).map(|i| (s * 13 + i * 7 + 1) % 250).collect())
+                .collect()
+        } else {
+            vec![
+                vec![1, 2, 3],
+                vec![9, 8, 7, 6, 5],
+                vec![4, 40, 44, 60, 61, 62, 63, 64],
+            ]
+        };
+        let what = format!("{} {precision:?}", cfg.name);
         let e = engine(
-            preset,
+            &cfg,
             EngineConfig {
                 n_deferred: 2,
-                precision: PrecisionPolicy::quantized_serving(16),
+                precision,
                 seed: 5,
                 ..Default::default()
             },
         );
         let mut oracle: Vec<Oracle> = prompts.iter().map(|_| Oracle::new(&e)).collect();
-        let mut seqs = Vec::new();
-        let mut next = Vec::new();
-        for (s, p) in prompts.iter().enumerate() {
-            let mut one = vec![BatchSeq::prefill(e.fresh_cache(), p.to_vec())];
-            let l = e.forward_batch(&mut one).unwrap().remove(0).unwrap();
-            next.push(oracle[s].check(p, false, &l, &format!("{what} seq {s}")));
-            seqs.append(&mut one);
-        }
+        let mut seqs: Vec<BatchSeq> = prompts
+            .iter()
+            .map(|p| BatchSeq::prefill(e.fresh_cache(), p.clone()))
+            .collect();
+        let logits = e.forward_batch(&mut seqs).unwrap();
+        let mut next: Vec<u32> = logits
+            .iter()
+            .zip(&prompts)
+            .enumerate()
+            .map(|(s, (l, p))| {
+                oracle[s].check(p, false, l.as_ref().unwrap(), &format!("{what} seq {s}"))
+            })
+            .collect();
         for step in 0..6 {
             for (seq, &t) in seqs.iter_mut().zip(&next) {
                 seq.tokens = vec![t];
@@ -134,32 +174,42 @@ fn batched_decode_equals_per_sequence_oracle() {
 
 #[test]
 fn chunked_prefill_equals_monolithic_oracle() {
-    // A `TiledOnly` engine fed the prompt in {4, 4, 4, 1} chunks (the
-    // last a one-token prefill chunk, which must not defer) matches its
-    // monolithic prefill — itself checked against the oracle's — at every
-    // position, then decodes on the chunk-built cache like the oracle.
-    let prompt: Vec<u32> = (0..13).map(|i| (i * 7 + 1) % 250).collect();
-    for preset in ModelPreset::all() {
+    // An engine fed the prompt in chunks (the last a one-token prefill
+    // chunk, which must not defer) matches its monolithic prefill —
+    // itself checked against the oracle's — at every position, then
+    // decodes on the chunk-built cache like the oracle. The served shape
+    // takes 32 one-row chunks: its monolithic prefill runs the tiled
+    // class, every chunk the vector class.
+    for (cfg, precision, served) in cases(PrecisionPolicy::default()) {
+        let (prompt, chunks): (Vec<u32>, Vec<usize>) = if served {
+            ((0..32).map(|i| (i * 11 + 3) % 250).collect(), vec![1; 32])
+        } else {
+            (
+                (0..13).map(|i| (i * 7 + 1) % 250).collect(),
+                vec![4, 4, 4, 1],
+            )
+        };
+        let what = format!("{} {precision:?}", cfg.name);
         let e = engine(
-            preset,
+            &cfg,
             EngineConfig {
                 n_deferred: 2,
-                backend: Backend::TiledOnly,
+                precision,
                 seed: 7,
                 ..Default::default()
             },
         );
         let mut oracle = Oracle::new(&e);
         let mono = e.forward(&prompt, &mut e.fresh_cache()).unwrap();
-        oracle.check(&prompt, false, &mono, &format!("{preset:?} monolithic"));
+        oracle.check(&prompt, false, &mono, &format!("{what} monolithic"));
         let vocab = mono.cols();
         let mut batch = [BatchSeq::prefill(e.fresh_cache(), Vec::new())];
         let mut row = 0;
-        for n in [4, 4, 4, 1] {
+        for n in chunks {
             batch[0].tokens = prompt[row..row + n].to_vec();
             let l = e.forward_batch(&mut batch).unwrap().remove(0).unwrap();
             let want = &mono.as_slice()[row * vocab..(row + n) * vocab];
-            assert_eq!(bits(l.as_slice()), bits(want), "{preset:?} chunk at {row}");
+            assert_eq!(bits(l.as_slice()), bits(want), "{what} chunk at {row}");
             row += n;
         }
         let mut next = argmax(mono.row(row - 1));
@@ -167,7 +217,7 @@ fn chunked_prefill_equals_monolithic_oracle() {
             batch[0].tokens = vec![next];
             batch[0].prefill = false;
             let l = e.forward_batch(&mut batch).unwrap().remove(0).unwrap();
-            next = oracle.check(&[next], true, &l, &format!("{preset:?} step {step}"));
+            next = oracle.check(&[next], true, &l, &format!("{what} step {step}"));
         }
     }
 }
@@ -183,10 +233,9 @@ fn prefix_seeded_prefill_equals_cold_oracle() {
     let prompt: Vec<u32> = prefix.iter().copied().chain([7, 99, 123, 5, 61]).collect();
     for preset in [ModelPreset::DeepSeekV3, ModelPreset::Qwen2Moe] {
         let e = engine(
-            preset,
+            &preset.tiny_config(),
             EngineConfig {
                 n_deferred: 2,
-                backend: Backend::TiledOnly,
                 seed: 9,
                 ..Default::default()
             },
@@ -200,7 +249,7 @@ fn prefix_seeded_prefill_equals_cold_oracle() {
                 })
                 .with_paged(4096, page_rows);
             let (mut donor, _) = pool.lease_for_prompt(&prefix).unwrap();
-            let cache = std::mem::replace(&mut donor.cache, KvCache::new(&[], 0));
+            let cache = std::mem::take(&mut donor.cache);
             let mut batch = [BatchSeq::prefill(cache, prefix.clone())];
             e.forward_batch(&mut batch).unwrap();
             let [seq] = batch;
@@ -214,7 +263,7 @@ fn prefix_seeded_prefill_equals_cold_oracle() {
                 prefix.len() / page_rows,
                 "{what}"
             );
-            let cache = std::mem::replace(&mut warm.cache, KvCache::new(&[], 0));
+            let cache = std::mem::take(&mut warm.cache);
             let mut batch = [BatchSeq::prefill(cache, prompt[seeded..].to_vec())];
             let l = e.forward_batch(&mut batch).unwrap().remove(0).unwrap();
 

@@ -65,11 +65,8 @@ proptest! {
     /// with a concurrent decode row sharing every step, as the serving
     /// scheduler composes them — produces bitwise the logits and KV
     /// state of a solo monolithic prefill, and the bystander decode
-    /// row's greedy continuation is exactly what it decodes alone.
-    /// (TiledOnly pins one kernel class so expert GEMMs are invariant
-    /// to how many tokens share a step — the serve-equivalence
-    /// convention; position-dependent math is row-stable under any
-    /// backend.)
+    /// row's greedy continuation is exactly what it decodes alone, on
+    /// the deployed kernel backend.
     #[test]
     fn engine_chunked_prefill_with_concurrent_decode_is_bitwise(
         seed in 0u64..500,
@@ -83,7 +80,6 @@ proptest! {
                 n_cpu_workers: 2,
                 mode: SchedMode::Sync,
                 n_deferred: 2,
-                backend: Backend::TiledOnly,
                 seed: 31,
                 ..Default::default()
             },
