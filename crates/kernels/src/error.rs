@@ -46,7 +46,11 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        assert!(KernelError::shape("a.cols != w.k").to_string().contains("a.cols"));
-        assert!(KernelError::config("threads=0").to_string().contains("threads"));
+        assert!(KernelError::shape("a.cols != w.k")
+            .to_string()
+            .contains("a.cols"));
+        assert!(KernelError::config("threads=0")
+            .to_string()
+            .contains("threads"));
     }
 }

@@ -123,7 +123,8 @@ impl ExpertWeights {
     /// Propagates I/O failures.
     pub fn write_to(&self, w: &mut impl std::io::Write) -> Result<(), KernelError> {
         for m in [&self.gate, &self.up, &self.down] {
-            m.write_to(w).map_err(|e| KernelError::config(e.to_string()))?;
+            m.write_to(w)
+                .map_err(|e| KernelError::config(e.to_string()))?;
         }
         Ok(())
     }
@@ -814,9 +815,7 @@ impl FusedMoE {
             0 => Backend::HybridAmxAvx512,
             1 => Backend::TiledOnly,
             2 => Backend::VectorOnly,
-            other => {
-                return Err(KernelError::config(format!("unknown backend tag {other}")))
-            }
+            other => return Err(KernelError::config(format!("unknown backend tag {other}"))),
         };
         let n = kt_tensor::serial::read_len(r, 1 << 20).map_err(io)?;
         let experts = (0..n)
@@ -941,9 +940,7 @@ mod tests {
             let gate = Matrix::random_kaiming(inter, hidden, &mut rng).unwrap();
             let up = Matrix::random_kaiming(inter, hidden, &mut rng).unwrap();
             let down = Matrix::random_kaiming(hidden, inter, &mut rng).unwrap();
-            packed.push(
-                ExpertWeights::from_matrices(&gate, &up, &down, WeightDtype::F32).unwrap(),
-            );
+            packed.push(ExpertWeights::from_matrices(&gate, &up, &down, WeightDtype::F32).unwrap());
             dense.push((gate, up, down));
         }
         let moe = FusedMoE::new(packed, Backend::HybridAmxAvx512).unwrap();
@@ -976,7 +973,9 @@ mod tests {
         let x = Matrix::random_uniform(1, 32, 1.0, &mut rng).unwrap();
         let routing = topk_routing(1, 8, 3, 3);
         let expect = reference_moe(&x, &dense, &routing);
-        let got = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
+        let got = moe
+            .forward(&x, &routing, None, SchedulePolicy::Dynamic)
+            .unwrap();
         let err = expect.relative_error(&got);
         assert!(err < 1e-4, "err={err}");
     }
@@ -988,7 +987,9 @@ mod tests {
         let x = Matrix::random_uniform(17, 32, 1.0, &mut rng).unwrap();
         let routing = topk_routing(17, 6, 2, 6);
         let expect = reference_moe(&x, &dense, &routing);
-        let got = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
+        let got = moe
+            .forward(&x, &routing, None, SchedulePolicy::Dynamic)
+            .unwrap();
         let err = expect.relative_error(&got);
         assert!(err < 1e-4, "err={err}");
     }
@@ -1000,7 +1001,9 @@ mod tests {
         let x = Matrix::random_uniform(9, 32, 1.0, &mut rng).unwrap();
         let routing = topk_routing(9, 8, 4, 9);
         let pool = ThreadPool::new(4).unwrap();
-        let serial = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
+        let serial = moe
+            .forward(&x, &routing, None, SchedulePolicy::Dynamic)
+            .unwrap();
         for policy in [SchedulePolicy::Static, SchedulePolicy::Dynamic] {
             let par = moe.forward(&x, &routing, Some(&pool), policy).unwrap();
             assert_eq!(serial.as_slice(), par.as_slice(), "{policy:?}");
@@ -1028,7 +1031,9 @@ mod tests {
         let x = Matrix::random_uniform(5, hidden, 1.0, &mut rng).unwrap();
         let routing = topk_routing(5, 4, 2, 11);
         let expect = reference_moe(&x, &dense, &routing);
-        let got = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
+        let got = moe
+            .forward(&x, &routing, None, SchedulePolicy::Dynamic)
+            .unwrap();
         let err = expect.relative_error(&got);
         assert!(err < 0.05, "int8 err={err}");
     }
@@ -1070,9 +1075,13 @@ mod tests {
         let mut rng = seeded(13);
         let x = Matrix::random_uniform(3, 32, 1.0, &mut rng).unwrap();
         let routing = topk_routing(3, 8, 4, 14);
-        let full = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
+        let full = moe
+            .forward(&x, &routing, None, SchedulePolicy::Dynamic)
+            .unwrap();
         let (imm, def) = routing.split_deferred(2, &[true; 3]);
-        let mut sum = moe.forward(&x, &imm, None, SchedulePolicy::Dynamic).unwrap();
+        let mut sum = moe
+            .forward(&x, &imm, None, SchedulePolicy::Dynamic)
+            .unwrap();
         moe.forward_accumulate(&x, &def, &mut sum, None, SchedulePolicy::Dynamic)
             .unwrap();
         let err = full.relative_error(&sum);
@@ -1085,7 +1094,9 @@ mod tests {
         let mut rng = seeded(16);
         let x = Matrix::random_uniform(2, 16, 1.0, &mut rng).unwrap();
         let routing = MoeRouting::new(vec![vec![], vec![]]);
-        let out = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
+        let out = moe
+            .forward(&x, &routing, None, SchedulePolicy::Dynamic)
+            .unwrap();
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -1103,7 +1114,9 @@ mod tests {
         // Wrong hidden dim.
         let bad = Matrix::zeros(2, 8).unwrap();
         let r = MoeRouting::new(vec![vec![], vec![]]);
-        assert!(moe.forward(&bad, &r, None, SchedulePolicy::Dynamic).is_err());
+        assert!(moe
+            .forward(&bad, &r, None, SchedulePolicy::Dynamic)
+            .is_err());
     }
 
     #[test]
@@ -1127,7 +1140,9 @@ mod tests {
         let mut rng = seeded(31);
         let x = Matrix::random_uniform(3, 32, 1.0, &mut rng).unwrap();
         let routing = topk_routing(3, 4, 2, 32);
-        let a = moe.forward(&x, &routing, None, SchedulePolicy::Dynamic).unwrap();
+        let a = moe
+            .forward(&x, &routing, None, SchedulePolicy::Dynamic)
+            .unwrap();
         let b = loaded
             .forward(&x, &routing, None, SchedulePolicy::Dynamic)
             .unwrap();
@@ -1148,7 +1163,11 @@ mod tests {
         // ARI_CROSSOVER at the larger M, so the hybrid backend runs both
         // classes within one batch.
         let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let backends = [Backend::HybridAmxAvx512, Backend::TiledOnly, Backend::VectorOnly];
+        let backends = [
+            Backend::HybridAmxAvx512,
+            Backend::TiledOnly,
+            Backend::VectorOnly,
+        ];
         let (hidden, n_experts, top_k) = (32, 6, 3);
         for inter in [72, 520] {
             for dtype in [
@@ -1157,9 +1176,15 @@ mod tests {
                 WeightDtype::Int8 { group: 8 },
             ] {
                 let mut rng = seeded(70);
-                let mut moe =
-                    FusedMoE::random(n_experts, hidden, inter, dtype, Backend::default(), &mut rng)
-                        .unwrap();
+                let mut moe = FusedMoE::random(
+                    n_experts,
+                    hidden,
+                    inter,
+                    dtype,
+                    Backend::default(),
+                    &mut rng,
+                )
+                .unwrap();
                 let mut ws = MoeWorkspace::new();
                 for m in [1, 2, 5, 8, 12] {
                     let x = Matrix::random_uniform(m, hidden, 1.0, &mut rng).unwrap();

@@ -121,7 +121,9 @@ pub fn effective_simd_level() -> SimdLevel {
     if FORCE_SCOPES.load(Ordering::Relaxed) == 0 {
         return detected;
     }
-    FORCED_LEVEL.with(|c| c.get()).map_or(detected, |l| l.min(detected))
+    FORCED_LEVEL
+        .with(|c| c.get())
+        .map_or(detected, |l| l.min(detected))
 }
 
 /// Portable scalar microkernel (the golden reference): accumulates `M`
@@ -166,7 +168,6 @@ pub fn microkernel_scalar<const M: usize>(
 // AVX2 and AVX-512 paths agree bit for bit, whatever the block shape.
 // ---------------------------------------------------------------------
 
-
 /// Scalar golden reference: fused-dequant GEMV over one BF16 panel.
 #[allow(clippy::needless_range_loop)]
 pub fn gemv_bf16_scalar(x: &[f32], panel: &[Bf16], acc: &mut [f32; NR]) {
@@ -181,7 +182,13 @@ pub fn gemv_bf16_scalar(x: &[f32], panel: &[Bf16], acc: &mut [f32; NR]) {
 
 /// Scalar golden reference: fused-dequant GEMV over one Int8 panel.
 #[allow(clippy::needless_range_loop)]
-pub fn gemv_int8_scalar(x: &[f32], bytes: &[u8], scales: &[f32], group: usize, acc: &mut [f32; NR]) {
+pub fn gemv_int8_scalar(
+    x: &[f32],
+    bytes: &[u8],
+    scales: &[f32],
+    group: usize,
+    acc: &mut [f32; NR],
+) {
     debug_assert!(bytes.len() >= x.len() * NR);
     for (kk, &xv) in x.iter().enumerate() {
         let srow = &scales[(kk / group) * NR..(kk / group) * NR + NR];
@@ -196,7 +203,13 @@ pub fn gemv_int8_scalar(x: &[f32], bytes: &[u8], scales: &[f32], group: usize, a
 /// Scalar golden reference: fused-dequant GEMV over one Int4 panel
 /// (two codes per byte: low nibble = even `kk`, high nibble = odd).
 #[allow(clippy::needless_range_loop)]
-pub fn gemv_int4_scalar(x: &[f32], bytes: &[u8], scales: &[f32], group: usize, acc: &mut [f32; NR]) {
+pub fn gemv_int4_scalar(
+    x: &[f32],
+    bytes: &[u8],
+    scales: &[f32],
+    group: usize,
+    acc: &mut [f32; NR],
+) {
     debug_assert!(bytes.len() >= x.len().div_ceil(2) * NR);
     for (kk, &xv) in x.iter().enumerate() {
         let srow = &scales[(kk / group) * NR..(kk / group) * NR + NR];
@@ -1038,7 +1051,10 @@ pub fn stage_bf16(panel: &[Bf16], k0: usize, k1: usize, buf: &mut [f32]) {
         unsafe { stage_bf16_avx2(panel, k0, k1, buf) };
         return;
     }
-    for (dst, src) in buf[..(k1 - k0) * NR].iter_mut().zip(&panel[k0 * NR..k1 * NR]) {
+    for (dst, src) in buf[..(k1 - k0) * NR]
+        .iter_mut()
+        .zip(&panel[k0 * NR..k1 * NR])
+    {
         *dst = src.to_f32();
     }
 }
@@ -1070,7 +1086,14 @@ unsafe fn stage_bf16_avx2(panel: &[Bf16], k0: usize, k1: usize, buf: &mut [f32])
 
 /// Dequantizes Int8 K-steps `k0..k1` into `buf` (K-major, NR lanes).
 #[allow(clippy::needless_range_loop)]
-pub fn stage_int8(bytes: &[u8], scales: &[f32], group: usize, k0: usize, k1: usize, buf: &mut [f32]) {
+pub fn stage_int8(
+    bytes: &[u8],
+    scales: &[f32],
+    group: usize,
+    k0: usize,
+    k1: usize,
+    buf: &mut [f32],
+) {
     debug_assert!(buf.len() >= (k1 - k0) * NR);
     #[cfg(target_arch = "x86_64")]
     if effective_simd_level() >= SimdLevel::Avx2Fma {
@@ -1120,7 +1143,14 @@ unsafe fn stage_int8_avx2(
 
 /// Dequantizes Int4 K-steps `k0..k1` into `buf` (K-major, NR lanes).
 #[allow(clippy::needless_range_loop)]
-pub fn stage_int4(bytes: &[u8], scales: &[f32], group: usize, k0: usize, k1: usize, buf: &mut [f32]) {
+pub fn stage_int4(
+    bytes: &[u8],
+    scales: &[f32],
+    group: usize,
+    k0: usize,
+    k1: usize,
+    buf: &mut [f32],
+) {
     debug_assert!(buf.len() >= (k1 - k0) * NR);
     #[cfg(target_arch = "x86_64")]
     if effective_simd_level() >= SimdLevel::Avx2Fma {
@@ -1181,7 +1211,10 @@ unsafe fn stage_int4_avx2(
             };
             let slo = _mm256_loadu_ps(sp.add((kk / group) * NR));
             let shi = _mm256_loadu_ps(sp.add((kk / group) * NR + 8));
-            _mm256_storeu_ps(dp.add((kk - k0) * NR), _mm256_mul_ps(_mm256_cvtepi32_ps(clo), slo));
+            _mm256_storeu_ps(
+                dp.add((kk - k0) * NR),
+                _mm256_mul_ps(_mm256_cvtepi32_ps(clo), slo),
+            );
             _mm256_storeu_ps(
                 dp.add((kk - k0) * NR + 8),
                 _mm256_mul_ps(_mm256_cvtepi32_ps(chi), shi),
@@ -1398,7 +1431,9 @@ mod tests {
                     stage_int8(&bytes, &scales, group, k0, k1, &mut got)
                 });
                 assert!(
-                    want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    want.iter()
+                        .zip(&got)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "stage_int8 {level:?} [{k0},{k1})"
                 );
             }
@@ -1418,13 +1453,19 @@ mod tests {
                     stage_int4(&bytes, &scales, group, k0, k1, &mut got4)
                 });
                 assert!(
-                    want4.iter().zip(&got4).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    want4
+                        .iter()
+                        .zip(&got4)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "stage_int4 {level:?} [{k0},{k1})"
                 );
                 let mut gotb = vec![f32::NAN; (k1 - k0) * NR];
                 with_forced_simd_level(level, || stage_bf16(&panel, k0, k1, &mut gotb));
                 assert!(
-                    wantb.iter().zip(&gotb).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    wantb
+                        .iter()
+                        .zip(&gotb)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "stage_bf16 {level:?} [{k0},{k1})"
                 );
             }

@@ -68,9 +68,7 @@ fn one_token_to_all_experts_matches_serial() {
     let moe = pool_of_experts(23);
     let mut rng = seeded(24);
     let x = Matrix::random_uniform(1, HIDDEN, 1.0, &mut rng).unwrap();
-    let weights: Vec<(usize, f32)> = (0..N_EXPERTS)
-        .map(|e| (e, 0.1 + 0.15 * e as f32))
-        .collect();
+    let weights: Vec<(usize, f32)> = (0..N_EXPERTS).map(|e| (e, 0.1 + 0.15 * e as f32)).collect();
     let routing = MoeRouting::new(vec![weights]);
     assert_bitwise_parallel(&moe, &x, &routing, "one→all");
 }
