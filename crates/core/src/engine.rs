@@ -89,10 +89,10 @@ pub struct EngineConfig {
     /// [`PrecisionPolicy::quantized_serving`] for the serving preset
     /// (routed int4, shared/dense int8, attention + head F32).
     pub precision: PrecisionPolicy,
-    /// CPU kernel backend for expert GEMMs. The default hybrid
-    /// dispatch picks tiled vs vector kernels by bucket size; the
-    /// choice is scheduling only, so outputs carry the same bits under
-    /// every backend, at every batch and chunk shape.
+    /// CPU kernel backend for expert GEMMs, [`Backend::default`] (the
+    /// vector class, the faster one on this crate's kernels) unless set.
+    /// The choice is scheduling only, so outputs carry the same bits
+    /// under every backend, at every batch and chunk shape.
     pub backend: Backend,
     /// Weight initialization seed.
     pub seed: u64,
@@ -106,7 +106,7 @@ impl Default for EngineConfig {
             mode: SchedMode::AsyncGraph,
             n_deferred: 0,
             precision: PrecisionPolicy::default(),
-            backend: Backend::HybridAmxAvx512,
+            backend: Backend::default(),
             seed: 0,
         }
     }
@@ -233,11 +233,14 @@ struct StepState {
 
 /// Device-stage step workspace: an arena for engine temporaries
 /// (residual stream, normed activations, per-sequence logits) plus a
-/// MoE workspace for device-executed expert GEMMs (dense MLP and
-/// shared experts).
+/// MoE workspace and routing for device-executed expert GEMMs (dense
+/// MLP and shared experts).
 struct GpuWorkspace {
     arena: ScratchArena,
     moe: MoeWorkspace,
+    /// The dense MLP's and the shared experts' routing: every row to
+    /// every expert at weight 1. Grow-only (see [`AllExperts`]).
+    all: AllExperts,
     /// `ffn_in` Arcs still held by an in-flight deferred task when the
     /// merge tried to reclaim them; drained by the next MoE layer's
     /// merge once that deferred task has finished, and at the next embed
@@ -250,6 +253,7 @@ impl GpuWorkspace {
         GpuWorkspace {
             arena: ScratchArena::new(),
             moe: MoeWorkspace::new(),
+            all: AllExperts::default(),
             pending: Vec::new(),
         }
     }
@@ -269,6 +273,35 @@ impl GpuWorkspace {
             Ok(m) => self.arena.restore(m),
             Err(arc) => self.pending.push(arc),
         }
+    }
+}
+
+/// A routing that sends every row to every expert at weight 1, kept
+/// across steps: rows past the step's are parked, not freed, and a row
+/// is rewritten only when the expert count changes, so a steady step
+/// allocates nothing for it.
+#[derive(Default)]
+struct AllExperts {
+    routing: MoeRouting,
+    /// Row lists beyond the current row count, for the next larger step.
+    parked: Vec<Vec<(usize, f32)>>,
+}
+
+impl AllExperts {
+    /// The routing for `rows` rows over experts `0..n_experts`.
+    fn get(&mut self, rows: usize, n_experts: usize) -> &MoeRouting {
+        let a = &mut self.routing.assignments;
+        if a.len() > rows {
+            self.parked.extend(a.drain(rows..));
+        }
+        while a.len() < rows {
+            a.push(self.parked.pop().unwrap_or_default());
+        }
+        for row in a.iter_mut().filter(|row| row.len() != n_experts) {
+            row.clear();
+            row.extend((0..n_experts).map(|e| (e, 1.0)));
+        }
+        &self.routing
     }
 }
 
@@ -439,11 +472,10 @@ impl EngineShared {
             st.ffn_in[li] = Some(Arc::new(ffn_in));
             return Ok(());
         };
-        let all = MoeRouting::new(vec![vec![(0, 1.0)]; ffn_in.rows()]);
         let ws = &mut *ws;
         let r = mlp.forward_accumulate_with(
             &ffn_in,
-            &all,
+            ws.all.get(ffn_in.rows(), 1),
             &mut st.x,
             None,
             SchedulePolicy::Dynamic,
@@ -614,12 +646,11 @@ impl EngineShared {
         let Some(ffn_in) = st.ffn_in[li].as_deref() else {
             return Ok(());
         };
-        let all: Vec<(usize, f32)> = (0..sh.n_experts()).map(|e| (e, 1.0)).collect();
-        let all = MoeRouting::new(vec![all; ffn_in.rows()]);
         let mut ws = self.ws_gpu.lock();
+        let ws = &mut *ws;
         sh.forward_accumulate_with(
             ffn_in,
-            &all,
+            ws.all.get(ffn_in.rows(), sh.n_experts()),
             &mut st.x,
             None,
             SchedulePolicy::Dynamic,

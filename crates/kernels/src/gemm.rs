@@ -14,17 +14,22 @@
 //!    before a block and stores them back after it, so the FMA chain
 //!    runs on across K blocks.
 //! 3. **Vector class** — a task is one block of up to
-//!    [`simd::BLOCK_ROWS`] activation rows × [`simd::BLOCK_PANELS`]
-//!    adjacent panels, handed to the fused-dequant block kernel of
+//!    [`simd::BLOCK_ROWS`] (8) activation rows × [`simd::BLOCK_PANELS`]
+//!    (4) adjacent panels, handed to the fused-dequant block kernel of
 //!    [`crate::simd`]: the packed bytes are decoded inline per K-step
-//!    with no staging or M-padding, once for all rows of the block, and
-//!    every (row, panel) pair has its own accumulator. This is the
-//!    paper's "lightweight AVX-512 kernel fully compatible with the AMX
-//!    memory layout", which wins whenever tokens-per-expert is small
-//!    (Figure 7). A row's output bits do not depend on the block it
-//!    rides in, so [`gemv_vector`], [`gemm_rowwise`] and the fused MoE
-//!    operator's vector tasks all go through the same task loop and an
-//!    M-row call is one pool dispatch.
+//!    with no staging or M-padding, once for all rows of the block (the
+//!    AVX-512 level runs a full 8-row task as two `8 × 2` register
+//!    blocks, and a shorter one as `4 × 4` blocks), and every (row,
+//!    panel) pair has its own accumulator. This is the paper's
+//!    "lightweight AVX-512 kernel fully compatible with the AMX memory
+//!    layout", which wins whenever tokens-per-expert is small
+//!    (Figure 7); on this crate's stand-in tiled kernel it wins at every
+//!    bucket size the served model produces, so it is the default class
+//!    ([`crate::dispatch::Backend::default`]). A row's output bits do
+//!    not depend on the block it rides in, so [`gemv_vector`],
+//!    [`gemm_rowwise`] and the fused MoE operator's vector tasks all go
+//!    through the same task loop and an M-row call is one pool
+//!    dispatch.
 //!
 //! Both classes give every output exactly `acc = fma(x[k], w[k], acc)`
 //! in ascending `k` from zero, with the same decoded weights (staging
@@ -493,7 +498,7 @@ mod tests {
                 WeightDtype::Int4 { group: 8 },
             ] {
                 let w = PackedWeights::pack(&wmat, dt).unwrap();
-                for m in [1, 5, 64] {
+                for m in [1, 5, 8, 12, 16, 64] {
                     let a = Matrix::random_uniform(m, k, 1.0, &mut rng).unwrap();
                     let golden = with_forced_simd_level(SimdLevel::Scalar, || {
                         let mut out = Matrix::zeros(m, n).unwrap();
@@ -538,29 +543,35 @@ mod tests {
 
     #[test]
     fn rowwise_is_batch_invariant_bitwise() {
-        // The whole point of `gemm_rowwise`: row i of a 13-row batch
-        // carries exactly the bits of the same row computed alone, for
-        // every dtype — including the multi-k-block and quantized cases
-        // where gemv and tiled kernels legitimately disagree.
+        // The whole point of `gemm_rowwise`: row i of a batch carries
+        // exactly the bits of the same row computed alone, for every
+        // dtype and multiple K blocks. An 8-row batch is one full
+        // `BLOCK_ROWS` task (the `8 x 2` register block at AVX-512); a
+        // 13-row batch is one such task plus a 5-row tail (`4 x 4` and
+        // a single row), while a row alone runs the `1 x 4` block.
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let mut rng = seeded(11);
-        let m = 13;
         let n = 48;
         let k = 2 * KC + 64;
-        let a = Matrix::random_uniform(m, k, 1.0, &mut rng).unwrap();
-        let wmat = Matrix::random_uniform(n, k, 1.0, &mut rng).unwrap();
-        for (dt, _) in dtypes() {
-            let w = PackedWeights::pack(&wmat, dt).unwrap();
-            let mut batch = Matrix::zeros(m, n).unwrap();
-            gemm_rowwise(&a, &w, &mut batch, None).unwrap();
-            // Against each row alone, and against direct gemv.
-            for i in 0..m {
-                let one = Matrix::from_rows(1, k, a.row(i)).unwrap();
-                let mut alone = Matrix::zeros(1, n).unwrap();
-                gemm_rowwise(&one, &w, &mut alone, None).unwrap();
-                assert_eq!(batch.row(i), alone.row(0), "{dt:?} row {i}");
-                let mut y = vec![0.0f32; n];
-                gemv_vector(a.row(i), &w, &mut y, None).unwrap();
-                assert_eq!(batch.row(i), &y[..], "{dt:?} row {i} vs gemv");
+        assert_eq!(BLOCK_ROWS, 8);
+        for m in [BLOCK_ROWS, 13] {
+            let a = Matrix::random_uniform(m, k, 1.0, &mut rng).unwrap();
+            let wmat = Matrix::random_uniform(n, k, 1.0, &mut rng).unwrap();
+            for (dt, _) in dtypes() {
+                let w = PackedWeights::pack(&wmat, dt).unwrap();
+                let mut batch = Matrix::zeros(m, n).unwrap();
+                gemm_rowwise(&a, &w, &mut batch, None).unwrap();
+                // Against each row alone, and against direct gemv.
+                for i in 0..m {
+                    let one = Matrix::from_rows(1, k, a.row(i)).unwrap();
+                    let mut alone = Matrix::zeros(1, n).unwrap();
+                    gemm_rowwise(&one, &w, &mut alone, None).unwrap();
+                    let at = format!("{dt:?} row {i} of {m}");
+                    assert_eq!(bits(batch.row(i)), bits(alone.row(0)), "{at}");
+                    let mut y = vec![0.0f32; n];
+                    gemv_vector(a.row(i), &w, &mut y, None).unwrap();
+                    assert_eq!(bits(batch.row(i)), bits(&y), "{at} vs gemv");
+                }
             }
         }
     }

@@ -33,15 +33,26 @@
 //! `f32::mul_add` is correctly rounded like the hardware FMA). Blocking
 //! and the SIMD level are scheduling, not numerics.
 //!
-//! Register budget. AVX-512 has 32 `zmm`: a `4 × 4` block holds 16
-//! accumulators + 4 scale rows + activation broadcasts (foldable into
-//! the FMA as memory operands) + 2–3 decode temporaries. AVX2 has 16
-//! `ymm` and needs two per panel row, so its largest block is `2 × 2`
-//! (8 accumulators + 4 scale halves + 2 broadcasts + temporaries). The
-//! dispatching entry points ([`gemv_f32`], [`gemv_bf16`], [`gemv_int8`],
-//! [`gemv_int4`]) accept any block and cut it into the running level's
-//! shapes; [`BLOCK_ROWS`] × [`BLOCK_PANELS`] is the block the callers in
-//! [`crate::gemm`] use as their task granule.
+//! Register budget. AVX-512 has 32 `zmm` and takes two shapes, each
+//! with 16 accumulators:
+//!
+//! * **`8 × 2`**, while 8 or more rows of the block remain: 16
+//!   accumulators + 2 scale rows + activation broadcasts (foldable into
+//!   the FMA as memory operands) + 2–3 decode temporaries. Each decoded
+//!   weight vector feeds 8 rows, so a prefill bucket decodes every
+//!   int4/int8 weight once per 8 rows.
+//! * **`4 × 4`** (or fewer rows), for blocks and tails below 8 rows: 16
+//!   accumulators + 4 scale rows + broadcasts + temporaries. A 1-row
+//!   decode task still has 4 independent chains; an `8 × 2` cut of it
+//!   would have 2 and be latency-bound.
+//!
+//! AVX2 has 16 `ymm` and needs two per panel row, so its largest block
+//! is `2 × 2` (8 accumulators + 4 scale halves + 2 broadcasts +
+//! temporaries). The dispatching entry points ([`gemv_f32`],
+//! [`gemv_bf16`], [`gemv_int8`], [`gemv_int4`]) accept any block and cut
+//! it into the running level's shapes; [`BLOCK_ROWS`] × [`BLOCK_PANELS`]
+//! (8 × 4) is the block the callers in [`crate::gemm`] use as their task
+//! granule.
 //!
 //! The tiled GEMM's register-blocked [`microkernel`] is the f32 block
 //! kernel at `P = 1` over a staged panel.
@@ -805,33 +816,46 @@ pub unsafe fn gemv_int4_avx2<const R: usize, const P: usize>(
 
 /// Activation rows per block the callers in [`crate::gemm`] hand to the
 /// dispatching kernels: the most any level takes in one kernel call.
-pub const BLOCK_ROWS: usize = 4;
+pub const BLOCK_ROWS: usize = 8;
 
 /// Adjacent panels per block, likewise.
 pub const BLOCK_PANELS: usize = 4;
 
 /// Calls `f(r0, rows, p0, panels)` for every sub-block of an
-/// `nr x np` block, cut to a level's register budget: row chunks of at
-/// most `rmax`, panel chunks of exactly `pmax` and single panels for
-/// the tail — the shapes [`dispatch_block`] instantiates.
+/// `nr x np` block, cut to a level's register budget: `shape(left)`
+/// gives the height and panel width of the row chunk that starts with
+/// `left` rows to go; its panels run in chunks of that width and single
+/// panels for the tail — the shapes [`dispatch_block`] instantiates.
 #[cfg(target_arch = "x86_64")]
 fn sub_blocks(
     nr: usize,
     np: usize,
-    rmax: usize,
-    pmax: usize,
+    shape: impl Fn(usize) -> (usize, usize),
     mut f: impl FnMut(usize, usize, usize, usize),
 ) {
-    let mut p0 = 0;
-    while p0 < np {
-        let pb = if np - p0 >= pmax { pmax } else { 1 };
-        let mut r0 = 0;
-        while r0 < nr {
-            let rb = rmax.min(nr - r0);
+    let mut r0 = 0;
+    while r0 < nr {
+        let (rb, pmax) = shape(nr - r0);
+        let mut p0 = 0;
+        while p0 < np {
+            let pb = if np - p0 >= pmax { pmax } else { 1 };
             f(r0, rb, p0, pb);
-            r0 += rb;
+            p0 += pb;
         }
-        p0 += pb;
+        r0 += rb;
+    }
+}
+
+/// AVX-512 sub-block shape for a row chunk with `left` rows to go:
+/// `8 x 2` while 8 rows remain (each decoded weight vector feeds 8
+/// rows), else up to `4 x 4` (fewer rows need more panels for 16
+/// independent chains).
+#[cfg(target_arch = "x86_64")]
+fn avx512_shape(left: usize) -> (usize, usize) {
+    if left >= 8 {
+        (8, 2)
+    } else {
+        (left.min(4), 4)
     }
 }
 
@@ -848,8 +872,9 @@ macro_rules! block_call {
 }
 
 /// Runs the `x.len() x $np` block `$acc` at the effective SIMD level.
-/// The AVX arms cut it into their register shapes — AVX-512 up to
-/// 4 rows x (4 panels | 1 tail panel), AVX2 up to 2 x (2 | 1) — and call
+/// The AVX arms cut it into their register shapes — AVX-512 8 rows x
+/// (2 panels | 1 tail panel) while 8 rows remain, then up to 4 x (4 | 1);
+/// AVX2 up to 2 x (2 | 1) — and call
 /// `$avx512` / `$avx2` with `x`, the per-panel slices `$panels` (each
 /// offset to the sub-block), the `$extra` arguments, and the sub-block's
 /// first tile with row stride `$np`. The scalar level evaluates
@@ -861,19 +886,20 @@ macro_rules! dispatch_block {
      |$row:ident, $p:ident, $tile:ident| $golden:expr) => {
         match effective_simd_level() {
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512 => sub_blocks($x.len(), $np, 4, 4, |r0, rb, p0, pb| {
+            SimdLevel::Avx512 => sub_blocks($x.len(), $np, avx512_shape, |r0, rb, p0, pb| {
                 // SAFETY: the level never exceeds the runtime-detected
                 // features; the caller asserted the slice lengths.
                 unsafe {
                     block_call!(
-                        $avx512 [(1, 1), (2, 1), (3, 1), (4, 1), (1, 4), (2, 4), (3, 4), (4, 4)]
+                        $avx512 [(1, 1), (2, 1), (3, 1), (4, 1), (8, 1),
+                                 (1, 4), (2, 4), (3, 4), (4, 4), (8, 2)]
                         (rb, pb)
                         (&$x[r0..], $(&$panels[p0..],)+ $($extra,)* &mut $acc[r0 * $np + p0..], $np)
                     )
                 }
             }),
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2Fma => sub_blocks($x.len(), $np, 2, 2, |r0, rb, p0, pb| {
+            SimdLevel::Avx2Fma => sub_blocks($x.len(), $np, |left| (left.min(2), 2), |r0, rb, p0, pb| {
                 // SAFETY: As above.
                 unsafe {
                     block_call!(

@@ -109,9 +109,10 @@ proptest! {
 
     /// Every (row, panel) output of the block kernel, for every dtype,
     /// at every SIMD level and for every block shape, is exactly the
-    /// single-panel scalar golden's bytes: 1-4 rows, 1-10 panels
-    /// (multiples of the panel block and not, so full blocks and tail
-    /// instantiations both run), `n` not a multiple of NR, all group
+    /// single-panel scalar golden's bytes: 1-12 rows (the `8 x 2` block
+    /// at 8, the 5-7 and 9-12 row tails), 1-10 panels (multiples of the
+    /// panel block and not, so full blocks and tail instantiations both
+    /// run), `n` not a multiple of NR, all group
     /// sizes, reduction lengths and seeded non-zero accumulators; and
     /// the golden tracks the unpacked-weight matvec within
     /// quantization-free rounding error.
@@ -125,7 +126,7 @@ proptest! {
         let group = [8usize, 16, 32][group_sel];
         let k = group * mult;
         let mut rng = seeded(seed ^ 0x5eed);
-        let mut rows = vec![vec![0.0f32; k]; 4];
+        let mut rows = vec![vec![0.0f32; k]; 12];
         for x in &mut rows {
             fill_uniform(&mut rng, x, 1.0);
         }
@@ -136,7 +137,7 @@ proptest! {
             let (packed, _x) = packed_fixture(n, k, dtype, seed);
             let np = packed.n_panels();
 
-            for n_rows in 1..=4 {
+            for n_rows in 1..=12 {
                 let rows = &rows[..n_rows];
                 let mut seeds = vec![[0.0f32; NR]; n_rows * np];
                 for tile in &mut seeds {

@@ -186,7 +186,7 @@ impl MoeModel {
             let ffn = if layer < cfg.n_dense_layers {
                 let dense =
                     ExpertWeights::random(cfg.hidden, cfg.dense_inter, precision.dense, &mut rng)?;
-                Ffn::Dense(FusedMoE::new(vec![dense], Backend::HybridAmxAvx512)?)
+                Ffn::Dense(FusedMoE::new(vec![dense], Backend::default())?)
             } else {
                 let router = Router::random(gate_config(cfg), cfg.hidden, &mut rng)?;
                 let shared = if cfg.n_shared_experts > 0 {
@@ -200,7 +200,7 @@ impl MoeModel {
                             )
                         })
                         .collect::<Result<Vec<_>, _>>()?;
-                    Some(FusedMoE::new(experts, Backend::HybridAmxAvx512)?)
+                    Some(FusedMoE::new(experts, Backend::default())?)
                 } else {
                     None
                 };
@@ -212,7 +212,7 @@ impl MoeModel {
                 Ffn::Moe {
                     router,
                     shared,
-                    routed: FusedMoE::new(experts, Backend::HybridAmxAvx512)?,
+                    routed: FusedMoE::new(experts, Backend::default())?,
                 }
             };
             blocks.push(Block {
