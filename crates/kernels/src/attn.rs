@@ -19,14 +19,15 @@
 //!   fixed pairwise sum 16 → 8 → 4 → 2 → 1: `a[j] + a[j + w]` for
 //!   `w` = 8, 4, 2, 1.
 //! * **Softmax.** [`softmax_inplace`] over the `(row, head)` score row:
-//!   exact max, `f32::exp`, sum in ascending position, one divide each.
+//!   exact max, [`crate::act::exp`], sum in ascending position, one
+//!   divide each.
 //! * **PV.** Every output lane runs `o = fma(w[pos], v[pos][i], o)` from
 //!   `+0` in ascending position.
 //!
-//! Each step is a correctly rounded IEEE operation (or the same libm
-//! `exp` call) in an order no level changes. AVX-512 holds a 16-lane
-//! partial sum in one register; AVX2 holds it as two 8-lane halves whose
-//! add is the tree's 16 → 8 step. So **every level is bitwise the scalar
+//! Each step is a correctly rounded IEEE operation (`act::exp` is a
+//! fixed sequence of them, vectorised bitwise) in an order no level
+//! changes. AVX-512 holds a 16-lane partial sum in one register; AVX2
+//! holds it as two 8-lane halves whose add is the tree's 16 → 8 step. So **every level is bitwise the scalar
 //! golden** (the non-AVX2 level, which spells the same sequence with
 //! `f32::mul_add`), as it is for the GEMV and GEMM kernels.
 //!

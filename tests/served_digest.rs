@@ -20,7 +20,7 @@ use ktransformers::model::{ModelConfig, ModelPreset};
 use ktransformers::tensor::PrecisionPolicy;
 
 /// Digest of every logit the fixed run serves.
-const DIGEST: u64 = 0xe79c_124f_d354_5b43;
+const DIGEST: u64 = 0x6ec8_91e2_b46b_f876;
 
 /// The run's greedy tokens: one from the prefill, one per decode step.
 const TOKENS: [u32; 17] = [
