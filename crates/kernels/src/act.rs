@@ -23,8 +23,8 @@
 //! overflow give `+∞`, NaN stays NaN. Elsewhere the relative error
 //! against f64 `exp` is at most 2 ulp (a unit test sweeps `[-87, 88]`).
 //!
-//! [`silu`], [`sigmoid`], [`swiglu_combine`] and [`softmax_inplace`] are
-//! built on it. The slice functions vectorise only the elementwise
+//! [`silu`], [`sigmoid`], [`swiglu_combine`], [`sigmoid_inplace`] and
+//! [`softmax_inplace`] are built on it. The slice functions vectorise only the elementwise
 //! `exp`; the softmax sum stays serial in ascending position, so the
 //! attention kernel's fixed order holds.
 
@@ -60,8 +60,24 @@ fn pow2(e: i32) -> f32 {
 
 /// The exponential, as the scalar golden of the module's fixed
 /// sequence (see the module doc for the steps and the edge contract).
+///
+/// At the AVX2 and AVX-512 levels the same sequence runs compiled with
+/// the FMA and SSE4.1 instructions; without them each `mul_add` and the
+/// rounding are library calls, about 7× slower. The operations, and so
+/// the bits, are the same.
 #[inline]
 pub fn exp(x: f32) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if effective_simd_level() >= SimdLevel::Avx2Fma {
+        // SAFETY: the level never exceeds the runtime-detected features.
+        return unsafe { x86::exp_fma(x) };
+    }
+    exp_seq(x)
+}
+
+/// The body of [`exp`], inlined into each instruction-set variant.
+#[inline(always)]
+fn exp_seq(x: f32) -> f32 {
     if x.is_nan() {
         return x;
     }
@@ -100,6 +116,17 @@ pub fn exp_inplace(v: &mut [f32]) {
 mod x86 {
     use super::{EXP_POLY, LN2_HI, LN2_LO, X_HI, X_LO};
     use std::arch::x86_64::*;
+
+    /// [`super::exp`] compiled with FMA (and the SSE4.1 rounding AVX2
+    /// implies).
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure AVX2 and FMA are available.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn exp_fma(x: f32) -> f32 {
+        super::exp_seq(x)
+    }
 
     /// [`super::exp`] on 16 lanes.
     #[target_feature(enable = "avx512f")]
@@ -240,6 +267,18 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + exp(-x))
 }
 
+/// `v[i] = sigmoid(v[i])` for every element, the `exp` through
+/// [`exp_inplace`]; bitwise [`sigmoid`].
+pub fn sigmoid_inplace(v: &mut [f32]) {
+    for x in v.iter_mut() {
+        *x = -*x;
+    }
+    exp_inplace(v);
+    for x in v.iter_mut() {
+        *x = 1.0 / (1.0 + *x);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,11 +384,14 @@ mod tests {
             .collect();
         xs.extend(edges());
         xs.push(1.0);
-        let want: Vec<f32> = xs.iter().map(|&x| exp(x)).collect();
+        let exp_all = |xs: &[f32]| xs.iter().map(|&x| exp(x)).collect::<Vec<_>>();
+        let want = with_forced_simd_level(SimdLevel::Scalar, || exp_all(&xs));
         for level in LEVELS {
             if simd_level() < level {
                 continue;
             }
+            let scalar = with_forced_simd_level(level, || exp_all(&xs));
+            assert!(bits(&want) == bits(&scalar), "exp at {level:?}");
             let mut got = xs.clone();
             with_forced_simd_level(level, || exp_inplace(&mut got));
             assert!(bits(&want) == bits(&got), "exp_inplace at {level:?}");
@@ -360,20 +402,27 @@ mod tests {
     }
 
     #[test]
-    fn swiglu_and_softmax_are_bitwise_the_scalar_golden_at_every_level() {
+    fn slice_functions_are_bitwise_the_scalar_golden_at_every_level() {
         let mut rng = kt_tensor::rng::seeded(3);
         for n in [1usize, 7, 16, 37, 512] {
             let mut gate = vec![0.0f32; n];
             let mut up = vec![0.0f32; n];
             kt_tensor::rng::fill_uniform(&mut rng, &mut gate, 12.0);
             kt_tensor::rng::fill_uniform(&mut rng, &mut up, 2.0);
-            let want: Vec<f32> = gate.iter().zip(&up).map(|(&g, &u)| silu(g) * u).collect();
             let mut scores = gate.clone();
             scores[0] = f32::NEG_INFINITY;
-            let max = scores.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-            let e: Vec<f32> = scores.iter().map(|&x| exp(x - max)).collect();
-            let sum = e.iter().fold(0.0f32, |s, &x| s + x);
-            let want_soft: Vec<f32> = e.iter().map(|&x| x / sum).collect();
+            let (want, want_sig, want_soft) = with_forced_simd_level(SimdLevel::Scalar, || {
+                let want: Vec<f32> = gate.iter().zip(&up).map(|(&g, &u)| silu(g) * u).collect();
+                let want_sig: Vec<f32> = gate.iter().map(|&g| sigmoid(g)).collect();
+                let max = scores.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+                let e: Vec<f32> = scores.iter().map(|&x| exp(x - max)).collect();
+                let sum = e.iter().fold(0.0f32, |s, &x| s + x);
+                (
+                    want,
+                    want_sig,
+                    e.iter().map(|&x| x / sum).collect::<Vec<_>>(),
+                )
+            });
             for level in LEVELS {
                 if simd_level() < level {
                     continue;
@@ -381,6 +430,9 @@ mod tests {
                 let mut got = vec![f32::NAN; n];
                 with_forced_simd_level(level, || swiglu_combine(&gate, &up, &mut got));
                 assert_eq!(bits(&want), bits(&got), "swiglu n={n} {level:?}");
+                let mut sig = gate.clone();
+                with_forced_simd_level(level, || sigmoid_inplace(&mut sig));
+                assert_eq!(bits(&want_sig), bits(&sig), "sigmoid n={n} {level:?}");
                 let mut soft = scores.clone();
                 with_forced_simd_level(level, || softmax_inplace(&mut soft));
                 assert_eq!(bits(&want_soft), bits(&soft), "softmax n={n} {level:?}");

@@ -9,7 +9,7 @@
 //! over the surviving experts.
 
 use kt_kernels::moe::MoeRouting;
-use kt_kernels::act::{sigmoid, softmax_inplace};
+use kt_kernels::act::{sigmoid_inplace, softmax_inplace};
 use kt_tensor::Matrix;
 use rand::rngs::StdRng;
 
@@ -190,11 +190,7 @@ impl Router {
             .collect();
         match self.cfg.score {
             ScoreFunc::Softmax => softmax_inplace(&mut s),
-            ScoreFunc::Sigmoid => {
-                for v in &mut s {
-                    *v = sigmoid(*v);
-                }
-            }
+            ScoreFunc::Sigmoid => sigmoid_inplace(&mut s),
         }
         s
     }
