@@ -873,8 +873,8 @@ macro_rules! block_call {
 
 /// Runs the `x.len() x $np` block `$acc` at the effective SIMD level.
 /// The AVX arms cut it into their register shapes — AVX-512 8 rows x
-/// (2 panels | 1 tail panel) while 8 rows remain, then up to 4 x (4 | 1);
-/// AVX2 up to 2 x (2 | 1) — and call
+/// (2 panels | 1 tail panel) while 8 rows remain, then up to 4 x
+/// (4 | 1); AVX2 up to 2 x (2 | 1) — and call
 /// `$avx512` / `$avx2` with `x`, the per-panel slices `$panels` (each
 /// offset to the sub-block), the `$extra` arguments, and the sub-block's
 /// first tile with row stride `$np`. The scalar level evaluates

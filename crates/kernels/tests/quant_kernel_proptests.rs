@@ -143,15 +143,19 @@ proptest! {
                 for tile in &mut seeds {
                     fill_uniform(&mut rng, tile, 2.0);
                 }
+                let mut want = seeds.clone();
+                for (r, x) in rows.iter().enumerate() {
+                    for p in 0..np {
+                        golden_panel(&packed, p, x, &mut want[r * np + p]);
+                    }
+                }
                 for level in LEVELS {
                     let mut acc = seeds.clone();
                     with_forced_simd_level(level, || block_gemv(&packed, rows, &mut acc));
-                    for (r, x) in rows.iter().enumerate() {
+                    for r in 0..n_rows {
                         for p in 0..np {
-                            let mut want = seeds[r * np + p];
-                            golden_panel(&packed, p, x, &mut want);
                             prop_assert_eq!(
-                                bits(&want), bits(&acc[r * np + p]),
+                                bits(&want[r * np + p]), bits(&acc[r * np + p]),
                                 "row {} panel {} of a {}x{} block diverged from the golden at {:?} ({:?})",
                                 r, p, n_rows, np, level, dtype
                             );

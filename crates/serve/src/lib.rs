@@ -26,8 +26,8 @@
 //!   alone, for *any* chunking — position-dependent projections use a
 //!   row-stable GEMM, so a chunked prefill writes exactly the bits a
 //!   monolithic prefill would, and the expert kernel class (and SIMD
-//!   level) is scheduling too: the deployed hybrid dispatch gives the
-//!   same bits at every batch and chunk shape.
+//!   level) is scheduling too: every kernel backend gives the same
+//!   bits at every batch and chunk shape.
 //! * Per-request latency lands in [`kt_core::RequestMetrics`] (queue
 //!   wait, TTFT, inter-token gaps) and aggregate behavior in
 //!   [`kt_core::ServeStats`] (outcome counts, queue depth, batch

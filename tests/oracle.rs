@@ -88,8 +88,9 @@ fn engine_logits_equal_model_forward_bitwise() {
 /// The served kernel shape at the tiny width: the expert and dense down
 /// projections have bench-moe-256's K = 512, two tiled K blocks, and 8
 /// experts at top-2 put more than `ARI_CROSSOVER` rows in a bucket once
-/// a step holds a few dozen rows, so the default hybrid dispatch runs
-/// the tiled class where a smaller step runs the vector class.
+/// a step holds a few dozen rows, where the hybrid dispatch would switch
+/// to the tiled class. The default backend runs the vector class at
+/// every bucket; `tests/served_digest.rs` runs all three backends.
 fn served_shape() -> ModelConfig {
     ModelConfig {
         name: "served-shape".into(),
