@@ -12,7 +12,7 @@
 //! 1. `n = round_ties_even(x · log2 e)`;
 //! 2. `r = fma(-n, LN2_HI, x)`, then `r = fma(-n, LN2_LO, r)` — a
 //!    two-step Cody–Waite reduction, `|r| ≲ ln 2 / 2`;
-//! 3. `p` = Horner in `fma` over the [`EXP_POLY`] coefficients, then
+//! 3. `p` = Horner in `fma` over the `EXP_POLY` coefficients, then
 //!    `y = fma(p, r·r, r) + 1`;
 //! 4. `y · 2^h · 2^(n-h)` with `h = n >> 1`: both factors are normal
 //!    powers of two, so the first product is exact and the second rounds
@@ -43,7 +43,7 @@ const X_HI: f32 = 89.0;
 /// Coefficients, highest degree first, of `P` in
 /// `exp(r) ≈ 1 + r + r²·P(r)` on `|r| ≤ ln 2 / 2` (the Cephes `expf`
 /// minimax fit).
-pub const EXP_POLY: [f32; 6] = [
+const EXP_POLY: [f32; 6] = [
     1.987_569_1e-4,
     1.398_199_9e-3,
     8.333_452e-3,
