@@ -4,8 +4,6 @@
 //! paper's reference numbers where the paper states them, so
 //! `EXPERIMENTS.md` can be assembled directly from the output.
 
-pub mod workload;
-
 use kt_hwsim::experiments::NamedSeries;
 use kt_hwsim::{Segment, SegmentKind, SimResult};
 

@@ -1,16 +1,19 @@
-//! The CPU expert backend: lock-free queue + background workers.
+//! The CPU expert backend: a task queue + background workers.
 //!
 //! §3.3: "A CPU control thread then (i) pushes routed-expert tasks into
 //! a lock-free queue and (ii) launches GPU kernels for the shared
 //! experts. Background worker threads execute the queued tasks in
-//! parallel."
+//! parallel." Here the queue is a mutex-guarded `VecDeque`: the lock is
+//! held only for one push or pop, and a step queues at most two tasks
+//! per MoE layer (immediate and deferred experts).
 //!
 //! Tasks are arbitrary closures; completion is communicated through
 //! caller-owned atomic counters so the GPU-side merge kernel can spin
 //! on them without any host synchronization (the single-CUDA-Graph
 //! requirement).
 
-use crossbeam::queue::SegQueue;
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,11 +25,11 @@ use crate::error::EngineError;
 pub type CpuTask = Box<dyn FnOnce() + Send>;
 
 struct Shared {
-    queue: SegQueue<CpuTask>,
+    queue: Mutex<VecDeque<CpuTask>>,
     shutdown: AtomicBool,
 }
 
-/// Background worker pool fed by a lock-free queue.
+/// Background worker pool fed by a FIFO task queue.
 pub struct CpuBackend {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -43,7 +46,7 @@ impl CpuBackend {
             return Err(EngineError::config("cpu backend requires >= 1 worker"));
         }
         let shared = Arc::new(Shared {
-            queue: SegQueue::new(),
+            queue: Mutex::new(VecDeque::new()),
             shutdown: AtomicBool::new(false),
         });
         let workers = (0..n_workers)
@@ -58,9 +61,9 @@ impl CpuBackend {
         Ok(CpuBackend { shared, workers })
     }
 
-    /// Enqueues a task (non-blocking, lock-free).
+    /// Enqueues a task; never waits for a worker.
     pub fn submit(&self, task: CpuTask) {
-        self.shared.queue.push(task);
+        self.shared.queue.lock().push_back(task);
     }
 }
 
@@ -84,7 +87,9 @@ impl std::fmt::Debug for CpuBackend {
 fn worker_loop(shared: Arc<Shared>) {
     let mut idle_spins = 0u32;
     loop {
-        if let Some(task) = shared.queue.pop() {
+        // A statement of its own, so the lock drops before the task runs.
+        let task = shared.queue.lock().pop_front();
+        if let Some(task) = task {
             idle_spins = 0;
             // Isolate task panics: the worker must survive to serve the
             // next request — a poisoned expert computation must not

@@ -14,7 +14,7 @@
 //!   stage's span and dispatches on the stage's kind.
 //! * `submit` is an in-stream host callback: it routes the token,
 //!   arms per-layer completion counters and pushes expert tasks into
-//!   the lock-free CPU queue.
+//!   the CPU backend's task queue.
 //! * `shared experts` runs on the device while the CPU works: every
 //!   routed expert runs on the CPU backend (the paper's static split,
 //!   §3.1).

@@ -25,12 +25,10 @@
 pub mod experiments;
 pub mod metrics;
 pub mod net;
-pub mod persist;
 pub mod tasks;
 pub mod train;
 
 pub use metrics::{accuracy, kl_divergence, top1_agreement};
 pub use net::{EvalMode, MoeNet, NetConfig};
-pub use persist::{load_file, save_file, PersistError};
 pub use tasks::{Task, TaskKind};
 pub use train::{train, TrainConfig};

@@ -13,6 +13,7 @@
 //! final block never defers) and [`EvalMode::Skipped`] (those experts
 //! are dropped), matching `kt_model::ExecMode` semantics exactly.
 
+use kt_kernels::act::softmax_inplace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -123,18 +124,6 @@ pub(crate) fn matvec_t_acc(m: &[f32], x: &[f32], y: &mut [f32], a: f32) {
     }
 }
 
-pub(crate) fn softmax(v: &mut [f32]) {
-    let max = v.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-    let mut sum = 0.0;
-    for x in v.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
-    }
-    for x in v.iter_mut() {
-        *x /= sum;
-    }
-}
-
 /// RMS-normalizes `x` into a fresh vector, returning `(normed, rms)`.
 ///
 /// Blocks consume the *normalized* stream (pre-norm, as transformers
@@ -231,7 +220,7 @@ impl MoeNet {
     pub(crate) fn gate_probs(&self, block: &MoeBlock, x: &[f32]) -> Vec<f32> {
         let mut s = vec![0.0f32; self.cfg.n_experts];
         matvec_acc(&block.gate, x, &mut s, 1.0);
-        softmax(&mut s);
+        softmax_inplace(&mut s);
         s
     }
 

@@ -6,11 +6,12 @@
 //! gate toward balanced expert usage — small MoEs otherwise collapse
 //! onto a couple of experts and the deferral study becomes degenerate.
 
+use kt_kernels::act::softmax_inplace;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::net::{matvec_acc, matvec_t_acc, rms_norm, rms_norm_backward, softmax, topk_indices, MoeNet};
+use crate::net::{matvec_acc, matvec_t_acc, rms_norm, rms_norm_backward, topk_indices, MoeNet};
 use crate::tasks::Task;
 
 /// Training hyperparameters.
@@ -134,7 +135,7 @@ fn forward_cached(net: &MoeNet, input: &[f32]) -> Caches {
 
     let mut logits = vec![0.0f32; cfg.n_classes];
     matvec_acc(&net.head_w, &x, &mut logits, 1.0);
-    softmax(&mut logits);
+    softmax_inplace(&mut logits);
     Caches {
         xs,
         norms,

@@ -14,10 +14,9 @@
 //!   from a shared atomic counter (the lightweight task queue), so a
 //!   worker that finishes early immediately steals remaining work.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use crossbeam::sync::WaitGroup;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -38,16 +37,20 @@ type TaskFn = dyn Fn(usize) + Sync;
 struct Job {
     /// Erased pointer to the caller's closure.
     ///
-    /// Validity: `ThreadPool::run` does not return until every worker
-    /// has dropped its `WaitGroup` guard, which happens strictly after
-    /// the last use of this pointer, so the pointee outlives all uses.
+    /// Validity: `ThreadPool::run` neither returns nor unwinds until
+    /// every job it built has been dropped (see `_done`), and a job is
+    /// dropped strictly after the last use of this pointer, so the
+    /// pointee outlives all uses.
     f: *const TaskFn,
     n_tasks: usize,
     next: Arc<AtomicUsize>,
     /// Static range for this worker (`None` under dynamic scheduling).
     range: Option<(usize, usize)>,
     panicked: Arc<AtomicBool>,
-    wg: WaitGroup,
+    /// This job's hold on its run's completion rendezvous: `run` waits
+    /// until every clone of the run's sender has dropped. Nothing is
+    /// ever sent on it.
+    _done: Sender<()>,
 }
 
 // SAFETY: The raw closure pointer is only dereferenced while the caller
@@ -79,7 +82,7 @@ impl ThreadPool {
         let mut workers = Vec::new();
         let mut senders = Vec::new();
         for i in 0..n_threads.saturating_sub(1) {
-            let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
+            let (tx, rx) = channel::<Job>();
             senders.push(tx);
             workers.push(
                 std::thread::Builder::new()
@@ -104,9 +107,15 @@ impl ThreadPool {
     /// `i in 0..n_tasks`, distributed over all lanes according to
     /// `policy`. Blocks until all tasks complete.
     ///
+    /// Several threads may call `run` on one pool at once: each worker
+    /// takes its jobs in arrival order, and each call waits only for
+    /// its own jobs.
+    ///
     /// # Panics
     ///
-    /// Re-raises (as a panic) if any task panicked on a worker thread.
+    /// Re-raises (as a panic) if any task panicked on a worker thread,
+    /// and panics if a worker thread has exited; either way only once
+    /// no worker can still call `f`.
     pub fn run<F>(&self, n_tasks: usize, policy: SchedulePolicy, f: F)
     where
         F: Fn(usize) + Sync,
@@ -117,14 +126,18 @@ impl ThreadPool {
         let f_ref: &(dyn Fn(usize) + Sync) = &f;
         // SAFETY: We erase the lifetime of `f_ref` (fat-pointer
         // transmute to the `'static`-bounded alias). The pointer is used
-        // only by jobs whose `WaitGroup` guards we wait on below before
-        // returning, so `f` strictly outlives every dereference.
+        // only by jobs holding a clone of `done`; below, nothing between
+        // here and the rendezvous can unwind (lane 0's tasks run under
+        // `catch_unwind`, a failed send hands its job back to be
+        // dropped), and the rendezvous waits for every clone to drop,
+        // so `f` strictly outlives every dereference.
         let f_ptr: *const TaskFn =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), &TaskFn>(f_ref) };
 
         let next = Arc::new(AtomicUsize::new(0));
         let panicked = Arc::new(AtomicBool::new(false));
-        let wg = WaitGroup::new();
+        let (done, all_done) = channel::<()>();
+        let mut lost_worker = false;
         let lanes = self.n_threads;
 
         // Dispatch to workers (lanes 1..n); lane 0 is this thread.
@@ -140,9 +153,11 @@ impl ThreadPool {
                 next: Arc::clone(&next),
                 range,
                 panicked: Arc::clone(&panicked),
-                wg: wg.clone(),
+                _done: done.clone(),
             };
-            tx.send(job).expect("worker thread exited unexpectedly");
+            // A send fails only if the worker has exited; the job comes
+            // back in the error and drops here, unrun.
+            lost_worker |= tx.send(job).is_err();
         }
 
         // Participate from the calling thread as lane 0.
@@ -152,7 +167,11 @@ impl ThreadPool {
         };
         execute_tasks(f_ref, n_tasks, &next, my_range, &panicked);
 
-        wg.wait();
+        // Rendezvous: `recv` errs once the last clone of `done` drops,
+        // and nothing is ever sent, so it returns exactly then.
+        drop(done);
+        let _ = all_done.recv();
+        assert!(!lost_worker, "worker thread exited unexpectedly");
         if panicked.load(Ordering::Acquire) {
             panic!("a pool task panicked");
         }
@@ -188,11 +207,11 @@ impl std::fmt::Debug for ThreadPool {
 
 fn worker_loop(rx: Receiver<Job>) {
     while let Ok(job) = rx.recv() {
-        // SAFETY: See `Job::f` — the caller blocks until `job.wg` is
-        // dropped, keeping the closure alive for the duration.
+        // SAFETY: See `Job::f` — the caller blocks until `job` (with
+        // its `_done`) is dropped, keeping the closure alive meanwhile.
         let f: &TaskFn = unsafe { &*job.f };
         execute_tasks(f, job.n_tasks, &job.next, job.range, &job.panicked);
-        drop(job.wg);
+        drop(job);
     }
 }
 
@@ -315,6 +334,54 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    #[test]
+    fn concurrent_runs_share_one_pool() {
+        // Two callers drive one pool at once; each run must call every
+        // task of its own job exactly once and return, so after run r a
+        // caller's counters all read r + 1.
+        let pool = ThreadPool::new(3).unwrap();
+        for policy in [SchedulePolicy::Static, SchedulePolicy::Dynamic] {
+            let n = 97;
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                        for r in 1..=20u64 {
+                            pool.run(n, policy, |i| {
+                                counts[i].fetch_add(1, Ordering::Relaxed);
+                            });
+                            assert!(
+                                counts.iter().all(|c| c.load(Ordering::Relaxed) == r),
+                                "policy={policy:?} run={r}"
+                            );
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn failed_dispatch_waits_for_dispatched_jobs_then_panics() {
+        // Worker 1's channel is swapped for one whose receiver is gone,
+        // so its dispatch fails; worker 1 sees its old channel close and
+        // exits. `run` must still wait for worker 2's job before it
+        // panics: under dynamic scheduling worker 2 and lane 0 run
+        // every task, all of them before `run` unwinds.
+        let mut pool = ThreadPool::new(3).unwrap();
+        pool.senders[0] = channel().0;
+        let n = 64;
+        let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_dynamic(n, |i| {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            });
+        }));
+        assert!(result.is_err(), "a lost worker must fail the run");
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

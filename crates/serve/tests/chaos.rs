@@ -5,18 +5,19 @@
 //! never leak a KV lease (pool occupancy returns to zero), and never
 //! drop a request without exactly one outcome.
 //!
-//! Arrivals come from the seeded `kt_bench::workload` generator, so the
+//! Arrivals come from the seeded bursty generator below, so the
 //! overload shape is reproducible. This is the test that drives the
 //! SLO scheduler past capacity: `kt_benchmark`'s `serve_mixed_open`
 //! offers 0.6x, where nothing is shed.
 
-use kt_bench::workload::{assign_classes, offsets_ns, ArrivalPattern};
 use kt_core::{EngineConfig, HybridEngine, SchedMode};
 use kt_inject::Pattern;
 use kt_model::ModelPreset;
 use kt_serve::{
     Request, RequestHandle, RequestOutcome, Server, ServerConfig, SloClass, SloPolicy, SloTarget,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,6 +25,64 @@ use std::time::{Duration, Instant};
 const N_REQUESTS: usize = 120;
 const MAX_BATCH: usize = 4;
 const RESOLVE_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// `n` open-loop arrival offsets in nanoseconds from the run start,
+/// sorted, with a long-run rate of `rate_per_s`: burst *heads* arrive
+/// as a Poisson process at `rate_per_s / burst`, and each head brings
+/// `burst` requests jittered uniformly within `spread_ns`.
+/// Deterministic in its arguments.
+fn bursty_offsets_ns(rate_per_s: f64, burst: usize, spread_ns: u64, seed: u64, n: usize) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x6b74_776f_726b_6c64); // "ktworkld"
+    let mut out: Vec<u64> = Vec::with_capacity(n);
+    let burst = burst.max(1);
+    let head_rate = rate_per_s / burst as f64;
+    let mut head = 0u64;
+    while out.len() < n {
+        head = head.saturating_add(exp_gap_ns(&mut rng, head_rate));
+        for _ in 0..burst.min(n - out.len()) {
+            let jitter = if spread_ns > 0 {
+                rng.gen_range(0..spread_ns)
+            } else {
+                0
+            };
+            out.push(head.saturating_add(jitter));
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Exponential inter-arrival gap for a Poisson process at
+/// `rate_per_s`, in nanoseconds (inverse-CDF sampling).
+fn exp_gap_ns(rng: &mut StdRng, rate_per_s: f64) -> u64 {
+    assert!(rate_per_s > 0.0, "arrival rate must be positive");
+    let u: f64 = rng.gen_range(0.0..1.0);
+    // -ln(1-u)/λ seconds; 1-u is in (0, 1] so the log is finite.
+    let gap_s = -(1.0 - u).ln() / rate_per_s;
+    (gap_s * 1e9) as u64
+}
+
+/// Assigns each of `n` requests a class index, sampled independently
+/// with probability proportional to `weights`. Deterministic in
+/// `(seed, n, weights)`.
+fn assign_classes(seed: u64, n: usize, weights: &[f64]) -> Vec<usize> {
+    assert!(!weights.is_empty(), "at least one class weight");
+    let total: f64 = weights.iter().sum();
+    assert!(total > 0.0, "weights must sum to a positive value");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x6b74_636c_6173_7365); // "ktclasse"
+    (0..n)
+        .map(|_| {
+            let mut x: f64 = rng.gen_range(0.0..total);
+            for (i, w) in weights.iter().enumerate() {
+                if x < *w {
+                    return i;
+                }
+                x -= w;
+            }
+            weights.len() - 1
+        })
+        .collect()
+}
 
 fn request_for(i: usize, class: SloClass) -> Request {
     let (prompt_len, max_new) = match class {
@@ -124,15 +183,7 @@ fn overload_with_faults_never_wedges_or_leaks() {
         let _ = h.wait_timeout(RESOLVE_TIMEOUT).expect("warmup resolves");
     }
 
-    let offs = offsets_ns(
-        &ArrivalPattern::Bursty {
-            rate_per_s: 2.0 * rate_sat,
-            burst: 6,
-            spread_ns: 500_000,
-        },
-        41,
-        N_REQUESTS,
-    );
+    let offs = bursty_offsets_ns(2.0 * rate_sat, 6, 500_000, 41, N_REQUESTS);
     let start = Instant::now();
     let handles: Vec<RequestHandle> = offs
         .iter()

@@ -1,10 +1,11 @@
 //! Module injection walkthrough: adapt a stock DeepSeek-V3 module tree
-//! with the paper's Listing-1 YAML configuration, then build the
-//! placement plan the engine uses.
+//! with the paper's Listing-1 YAML configuration, then read the §3.1
+//! CPU/GPU split off the injected tree.
 //!
 //! Run with: `cargo run --release --example inject_config`
 
-use ktransformers::core::placement::PlacementPlan;
+use std::collections::BTreeMap;
+
 use ktransformers::inject::{inject, ModuleTree, OperatorRegistry};
 use ktransformers::model::ModelPreset;
 
@@ -68,11 +69,10 @@ fn main() {
         }
     }
 
-    // The same split expressed as a placement plan.
-    let plan = PlacementPlan::for_model(&cfg);
-    println!(
-        "placement plan: {} modules on GPU, {} (routed expert lists) on CPU",
-        plan.count(ktransformers::core::DeviceKind::Gpu),
-        plan.count(ktransformers::core::DeviceKind::Cpu)
-    );
+    // The §3.1 split, read off the injected tree ("meta" = unplaced).
+    let mut per_device: BTreeMap<String, usize> = BTreeMap::new();
+    tree.walk(&mut |node| *per_device.entry(node.device.clone()).or_default() += 1);
+    for (device, count) in &per_device {
+        println!("split: {count} modules on {device}");
+    }
 }
