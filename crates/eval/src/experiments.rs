@@ -113,7 +113,12 @@ pub struct Table2Row {
 }
 
 /// Trains one analog on one task and returns (net, task).
-fn trained_net(analog: &ModelAnalog, kind: TaskKind, budget: &EvalBudget, seed: u64) -> (MoeNet, Task) {
+fn trained_net(
+    analog: &ModelAnalog,
+    kind: TaskKind,
+    budget: &EvalBudget,
+    seed: u64,
+) -> (MoeNet, Task) {
     let dim = 16;
     let task = Task::generate(kind, dim, budget.n_train, budget.n_test, seed);
     let mut net = MoeNet::random(analog.net_config(dim, task.n_classes), seed ^ 0xA5A5);
@@ -131,11 +136,7 @@ fn trained_net(analog: &ModelAnalog, kind: TaskKind, budget: &EvalBudget, seed: 
 
 /// Table 2 analog: accuracy with and without Expert Deferral, per model
 /// analog, over `tasks`.
-pub fn table2_analog(
-    tasks: &[TaskKind],
-    budget: &EvalBudget,
-    seed: u64,
-) -> Vec<Table2Row> {
+pub fn table2_analog(tasks: &[TaskKind], budget: &EvalBudget, seed: u64) -> Vec<Table2Row> {
     let mut rows = Vec::new();
     for analog in ModelAnalog::all() {
         let mut base_scores = Vec::new();
@@ -144,9 +145,8 @@ pub fn table2_analog(
             let (net, task) = trained_net(&analog, kind, budget, seed + ti as u64);
             base_scores.push(accuracy(&net, &task.test, EvalMode::Standard) * 100.0);
             let (imm, _d) = analog.paper_split;
-            defer_scores.push(
-                accuracy(&net, &task.test, EvalMode::Deferred { n_immediate: imm }) * 100.0,
-            );
+            defer_scores
+                .push(accuracy(&net, &task.test, EvalMode::Deferred { n_immediate: imm }) * 100.0);
         }
         rows.push(Table2Row {
             model: analog.name,
@@ -177,11 +177,7 @@ pub struct Fig13Point {
 
 /// Figure 13 analog on the DS-3 analog (top-8): sweep affected experts,
 /// compare Deferral against Skipping, averaged over `tasks`.
-pub fn fig13_analog(
-    tasks: &[TaskKind],
-    budget: &EvalBudget,
-    seed: u64,
-) -> Vec<Fig13Point> {
+pub fn fig13_analog(tasks: &[TaskKind], budget: &EvalBudget, seed: u64) -> Vec<Fig13Point> {
     let analog = ModelAnalog::all()[0];
     // Train once per task; evaluate all configurations on the same nets.
     let trained: Vec<(MoeNet, Task)> = tasks
@@ -200,7 +196,13 @@ pub fn fig13_analog(
             let mut d_sum = 0.0;
             let mut s_sum = 0.0;
             for ((net, task), &base) in trained.iter().zip(&baselines) {
-                let d = accuracy(net, &task.test, EvalMode::Deferred { n_immediate: n_keep });
+                let d = accuracy(
+                    net,
+                    &task.test,
+                    EvalMode::Deferred {
+                        n_immediate: n_keep,
+                    },
+                );
                 let s = accuracy(net, &task.test, EvalMode::Skipped { n_kept: n_keep });
                 if base > 0.0 {
                     d_sum += (d - base) / base * 100.0;
@@ -254,8 +256,9 @@ pub fn divergence_study(
         let mut ag_s = 0usize;
         let mut count = 0usize;
         for p in 0..n_prompts {
-            let prompt: Vec<u32> =
-                (0..6).map(|i| (seed as u32 + p as u32 * 37 + i * 11) % 256).collect();
+            let prompt: Vec<u32> = (0..6)
+                .map(|i| (seed as u32 + p as u32 * 37 + i * 11) % 256)
+                .collect();
             let run = |mode: ExecMode| -> Result<Vec<f32>, kt_model::ModelError> {
                 let mut cache = model.new_cache();
                 let _ = model.forward(&prompt, &mut cache, ExecMode::Standard, None)?;
@@ -263,7 +266,9 @@ pub fn divergence_study(
                 Ok(logits.row(0).to_vec())
             };
             let std_l = run(ExecMode::Standard)?;
-            let def_l = run(ExecMode::Deferred { n_immediate: n_keep })?;
+            let def_l = run(ExecMode::Deferred {
+                n_immediate: n_keep,
+            })?;
             let skip_l = run(ExecMode::Skipped { n_kept: n_keep })?;
             kl_d += kl_divergence(&std_l, &def_l);
             kl_s += kl_divergence(&std_l, &skip_l);
@@ -325,8 +330,9 @@ pub fn quant_divergence_study(
         let mut kl = 0.0;
         let mut agree = 0usize;
         for p in 0..n_prompts {
-            let prompt: Vec<u32> =
-                (0..6).map(|i| (seed as u32 + p as u32 * 37 + i * 11) % 256).collect();
+            let prompt: Vec<u32> = (0..6)
+                .map(|i| (seed as u32 + p as u32 * 37 + i * 11) % 256)
+                .collect();
             let f32_l = decode_logits(&reference, &prompt)?;
             let q_l = decode_logits(&model, &prompt)?;
             kl += kl_divergence(&f32_l, &q_l);
@@ -462,8 +468,8 @@ mod tests {
     fn fig13_deferral_beats_skipping_at_high_affected_counts() {
         let points = fig13_analog(&[TaskKind::Blobs], &EvalBudget::quick(), 13);
         assert_eq!(points.len(), 7); // affected = 1..=7
-        // At 6 affected experts (the paper's configuration), skipping
-        // must hurt much more than deferral.
+                                     // At 6 affected experts (the paper's configuration), skipping
+                                     // must hurt much more than deferral.
         let p6 = &points[5];
         assert_eq!(p6.affected, 6);
         assert!(
@@ -552,7 +558,7 @@ mod tests {
     fn divergence_study_shows_deferral_closer() {
         let rows = divergence_study(3, 17).unwrap();
         assert_eq!(rows.len(), 7); // tiny DS-3 top-8
-        // Averaged over affected counts, deferral's KL must be lower.
+                                   // Averaged over affected counts, deferral's KL must be lower.
         let mean_d: f64 = rows.iter().map(|r| r.kl_deferral).sum::<f64>() / rows.len() as f64;
         let mean_s: f64 = rows.iter().map(|r| r.kl_skipping).sum::<f64>() / rows.len() as f64;
         assert!(mean_d < mean_s, "KL deferral {mean_d} vs skipping {mean_s}");

@@ -25,7 +25,12 @@ pub enum TaskKind {
 impl TaskKind {
     /// All task families.
     pub fn all() -> [TaskKind; 4] {
-        [TaskKind::Blobs, TaskKind::Xor, TaskKind::ModSum, TaskKind::Bands]
+        [
+            TaskKind::Blobs,
+            TaskKind::Xor,
+            TaskKind::ModSum,
+            TaskKind::Bands,
+        ]
     }
 
     /// Display name.
@@ -90,7 +95,9 @@ fn center(class: usize, dim: usize) -> Vec<f32> {
     (0..dim)
         .map(|i| {
             h ^= (i as u64).wrapping_mul(0x2545F4914F6CDD1D);
-            h = h.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            h = h
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (((h >> 33) as f32 / (1u64 << 31) as f32) - 1.0) * 2.0
         })
         .collect()
@@ -101,10 +108,7 @@ fn sample(kind: TaskKind, dim: usize, n_classes: usize, rng: &mut StdRng) -> (Ve
         TaskKind::Blobs => {
             let class = rng.gen_range(0..n_classes);
             let c = center(class, dim);
-            let x = c
-                .iter()
-                .map(|&v| v + rng.gen_range(-0.6f32..0.6))
-                .collect();
+            let x = c.iter().map(|&v| v + rng.gen_range(-0.6f32..0.6)).collect();
             (x, class)
         }
         TaskKind::Xor => {

@@ -217,7 +217,11 @@ fn backward(net: &MoeNet, input: &[f32], label: usize, balance_coef: f32, g: &mu
         }
         // Softmax backward: ds = p * (dp - sum_j dp_j p_j).
         let dot: f32 = dp.iter().zip(p.iter()).map(|(a, b)| a * b).sum();
-        let ds: Vec<f32> = p.iter().zip(&dp).map(|(&pi, &di)| pi * (di - dot)).collect();
+        let ds: Vec<f32> = p
+            .iter()
+            .zip(&dp)
+            .map(|(&pi, &di)| pi * (di - dot))
+            .collect();
         for (r, &dsv) in ds.iter().enumerate() {
             let row = &mut g.gate[bi][r * cfg.dim..(r + 1) * cfg.dim];
             for (gr, xv) in row.iter_mut().zip(n_in) {
@@ -437,7 +441,9 @@ mod tests {
         let ha = train(&mut a, &task, &TrainConfig::default());
         let hb = train(&mut b, &task, &TrainConfig::default());
         assert_eq!(ha, hb);
-        assert_eq!(a.forward(&task.test[0].0, EvalMode::Standard),
-                   b.forward(&task.test[0].0, EvalMode::Standard));
+        assert_eq!(
+            a.forward(&task.test[0].0, EvalMode::Standard),
+            b.forward(&task.test[0].0, EvalMode::Standard)
+        );
     }
 }

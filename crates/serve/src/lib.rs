@@ -79,8 +79,8 @@
 //! ```
 
 mod metrics;
-mod request;
 pub mod preempt;
+mod request;
 pub mod sched;
 mod server;
 pub mod slo;
@@ -174,7 +174,11 @@ mod tests {
             "{:?}",
             stuck.outcome
         );
-        assert_eq!(server.stats().steps, 0, "refused before it reached the engine");
+        assert_eq!(
+            server.stats().steps,
+            0,
+            "refused before it reached the engine"
+        );
         let fits = server.submit(Request::greedy(&[1, 2, 3], 2)).wait();
         assert!(fits.is_completed(), "{:?}", fits.outcome);
         server.shutdown();
@@ -201,7 +205,10 @@ mod tests {
         req.stop_token = Some(9);
         let result = server.submit(req).wait();
         assert!(result.is_completed(), "{:?}", result.outcome);
-        assert!(result.tokens.is_empty(), "nothing to generate past the stop");
+        assert!(
+            result.tokens.is_empty(),
+            "nothing to generate past the stop"
+        );
         let stats = server.stats();
         assert_eq!(stats.completed, 1);
         // Resolved at submission: the engine never ran a step for it.
@@ -213,7 +220,10 @@ mod tests {
         mid.stop_token = Some(9);
         let r = server.submit(mid).wait();
         assert!(r.is_completed());
-        assert!(!r.tokens.is_empty(), "mid-prompt stop token still generates");
+        assert!(
+            !r.tokens.is_empty(),
+            "mid-prompt stop token still generates"
+        );
         server.shutdown();
     }
 
@@ -233,7 +243,11 @@ mod tests {
         .unwrap();
         let cold = cold_server.submit(Request::greedy(&prompt, n_new)).wait();
         assert!(cold.is_completed());
-        assert_eq!(cold_server.stats().prefix_lookups, 0, "prefix cache disabled");
+        assert_eq!(
+            cold_server.stats().prefix_lookups,
+            0,
+            "prefix cache disabled"
+        );
         cold_server.shutdown();
 
         // Same weights, prefix cache on: first request misses and
@@ -244,7 +258,10 @@ mod tests {
         assert!(first.is_completed());
         let second = server.submit(Request::greedy(&prompt, n_new)).wait();
         assert!(second.is_completed());
-        assert_eq!(first.tokens, cold.tokens, "cold path unchanged by the cache");
+        assert_eq!(
+            first.tokens, cold.tokens,
+            "cold path unchanged by the cache"
+        );
         assert_eq!(second.tokens, cold.tokens, "warm path is bitwise-identical");
 
         let stats = server.stats();
@@ -391,7 +408,10 @@ mod tests {
         .unwrap();
         let chunked = server.submit(Request::greedy(&prompt, 8)).wait();
         assert!(chunked.is_completed());
-        assert_eq!(chunked.tokens, mono.tokens, "chunking must not change output");
+        assert_eq!(
+            chunked.tokens, mono.tokens,
+            "chunking must not change output"
+        );
         let stats = server.stats();
         assert_eq!(stats.prefill_chunks, 5);
         assert_eq!(stats.prefill_tokens, prompt.len() as u64);
@@ -441,7 +461,10 @@ mod tests {
                 assert!((done as usize) < prompt.len(), "prefill outran the test");
                 break;
             }
-            assert!(std::time::Instant::now() < deadline, "prefill never started");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "prefill never started"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
         handle.cancel();
@@ -576,7 +599,10 @@ mod tests {
     #[test]
     fn slo_config_rejects_unmeetable_targets() {
         let mut zero = SloPolicy::default();
-        zero.targets[SloClass::Standard.index()] = SloTarget { ttft_ns: 0, itl_ns: 0 };
+        zero.targets[SloClass::Standard.index()] = SloTarget {
+            ttft_ns: 0,
+            itl_ns: 0,
+        };
         let err = Server::start(
             engine(20),
             ServerConfig {
@@ -703,7 +729,9 @@ mod tests {
         let busy = server.submit(Request::greedy(&prompt, 8));
         let doomed = server.submit(Request::greedy(&[3, 4], 4).with_class(SloClass::Batch));
         let vip = server.submit(Request::greedy(&[5, 6], 4).with_class(SloClass::Interactive));
-        let d = doomed.wait_timeout(Duration::from_secs(30)).expect("shed resolves");
+        let d = doomed
+            .wait_timeout(Duration::from_secs(30))
+            .expect("shed resolves");
         assert_eq!(d.outcome, RequestOutcome::Shed);
         assert!(d.tokens.is_empty(), "shed before admission, no tokens");
         assert!(d.metrics.queue_wait_ns > 0, "queue wait still measured");
@@ -713,7 +741,10 @@ mod tests {
             assert_ne!(v.outcome, RequestOutcome::Shed, "interactive is never shed");
         }
         let text = server.stats_text();
-        assert!(text.contains("kt_requests_shed_total 1"), "missing shed counter:\n{text}");
+        assert!(
+            text.contains("kt_requests_shed_total 1"),
+            "missing shed counter:\n{text}"
+        );
         assert!(
             text.contains("kt_slo_class_shed_total{class=\"batch\"} 1"),
             "missing per-class shed counter:\n{text}"
@@ -724,7 +755,8 @@ mod tests {
         assert_ne!(v.outcome, RequestOutcome::Shed, "interactive is never shed");
         // The ledger counts a request before its handle resolves, so
         // once `busy` resolves it cannot move under the reads below.
-        busy.wait_timeout(Duration::from_secs(30)).expect("busy resolves");
+        busy.wait_timeout(Duration::from_secs(30))
+            .expect("busy resolves");
         let stats = server.stats();
         assert_eq!(stats.shed, 1);
         let cs = server.class_stats();

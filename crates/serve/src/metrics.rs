@@ -161,7 +161,10 @@ mod tests {
     #[test]
     fn label_block_forms() {
         assert_eq!(label_block(&[]), "");
-        assert_eq!(label_block(&[("class", "interactive")]), "{class=\"interactive\"}");
+        assert_eq!(
+            label_block(&[("class", "interactive")]),
+            "{class=\"interactive\"}"
+        );
         assert_eq!(
             label_block(&[("a", "x\"y"), ("b", "2")]),
             "{a=\"x\\\"y\",b=\"2\"}"

@@ -51,7 +51,10 @@ mod tests {
 
     #[test]
     fn victim_order_is_least_urgent_newest_first() {
-        let v = |priority, admit_seq| VictimView { priority, admit_seq };
+        let v = |priority, admit_seq| VictimView {
+            priority,
+            admit_seq,
+        };
         assert_eq!(select_victim(&[]), None);
         // Class order beats admission order.
         assert_eq!(select_victim(&[v(0, 9), v(2, 1), v(1, 5)]), Some(1));

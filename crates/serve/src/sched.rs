@@ -158,11 +158,19 @@ mod tests {
     use super::*;
 
     fn decode(at_risk: bool) -> SeqView {
-        SeqView { prompt_remaining: 0, priority: 0, at_risk }
+        SeqView {
+            prompt_remaining: 0,
+            priority: 0,
+            at_risk,
+        }
     }
 
     fn prefill(remaining: usize, priority: usize) -> SeqView {
-        SeqView { prompt_remaining: remaining, priority, at_risk: false }
+        SeqView {
+            prompt_remaining: remaining,
+            priority,
+            at_risk: false,
+        }
     }
 
     const FIFO: ComposeCfg = ComposeCfg {
@@ -170,7 +178,10 @@ mod tests {
         step_token_budget: 16,
         priority_aware: false,
     };
-    const SLO: ComposeCfg = ComposeCfg { priority_aware: true, ..FIFO };
+    const SLO: ComposeCfg = ComposeCfg {
+        priority_aware: true,
+        ..FIFO
+    };
 
     #[test]
     fn decode_rows_always_scheduled() {
@@ -188,8 +199,20 @@ mod tests {
         // chunk of 8, second gets the remaining 6.
         let seqs = [decode(false), prefill(20, 2), decode(false), prefill(20, 0)];
         let plan = compose_plan(&FIFO, &seqs);
-        assert_eq!(plan[1], Some(PlanWork::Chunk { len: 8, last: false }));
-        assert_eq!(plan[3], Some(PlanWork::Chunk { len: 6, last: false }));
+        assert_eq!(
+            plan[1],
+            Some(PlanWork::Chunk {
+                len: 8,
+                last: false
+            })
+        );
+        assert_eq!(
+            plan[3],
+            Some(PlanWork::Chunk {
+                len: 6,
+                last: false
+            })
+        );
     }
 
     #[test]
@@ -198,8 +221,20 @@ mod tests {
         // later) takes the full chunk first.
         let seqs = [decode(false), prefill(20, 2), decode(false), prefill(20, 0)];
         let plan = compose_plan(&SLO, &seqs);
-        assert_eq!(plan[3], Some(PlanWork::Chunk { len: 8, last: false }));
-        assert_eq!(plan[1], Some(PlanWork::Chunk { len: 6, last: false }));
+        assert_eq!(
+            plan[3],
+            Some(PlanWork::Chunk {
+                len: 8,
+                last: false
+            })
+        );
+        assert_eq!(
+            plan[1],
+            Some(PlanWork::Chunk {
+                len: 6,
+                last: false
+            })
+        );
     }
 
     #[test]
@@ -224,18 +259,34 @@ mod tests {
             })
             .sum();
         assert_eq!(prefill_tokens, 8, "one chunk rides along: {plan:?}");
-        assert_eq!(plan[1], Some(PlanWork::Chunk { len: 8, last: false }));
+        assert_eq!(
+            plan[1],
+            Some(PlanWork::Chunk {
+                len: 8,
+                last: false
+            })
+        );
         assert_eq!(plan[3], None);
     }
 
     #[test]
     fn anti_starvation_grant_survives_decode_saturation() {
-        let cfg = ComposeCfg { prefill_chunk: 4, step_token_budget: 2, priority_aware: true };
+        let cfg = ComposeCfg {
+            prefill_chunk: 4,
+            step_token_budget: 2,
+            priority_aware: true,
+        };
         let seqs = [decode(false), decode(false), prefill(10, 2), prefill(10, 1)];
         let plan = compose_plan(&cfg, &seqs);
         // Budget exhausted by decode, yet the most urgent prompt still
         // advances one chunk.
-        assert_eq!(plan[3], Some(PlanWork::Chunk { len: 4, last: false }));
+        assert_eq!(
+            plan[3],
+            Some(PlanWork::Chunk {
+                len: 4,
+                last: false
+            })
+        );
         assert_eq!(plan[2], None);
     }
 

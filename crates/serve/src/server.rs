@@ -63,8 +63,8 @@ use kt_model::pool::{CacheLease, KvCachePool};
 use kt_model::prefix::PrefixCacheConfig;
 use kt_tensor::Matrix;
 use kt_trace::{
-    step_components, Component, FlightRecorder, LogHistogram, RequestBreakdown,
-    RequestTrace, SpanKind, StepTrace, TraceCtx, TraceOutcome, N_COMPONENTS, N_SPAN_KINDS,
+    step_components, Component, FlightRecorder, LogHistogram, RequestBreakdown, RequestTrace,
+    SpanKind, StepTrace, TraceCtx, TraceOutcome, N_COMPONENTS, N_SPAN_KINDS,
 };
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
@@ -210,7 +210,13 @@ impl SeqState {
         inner.record_request_hists(&self.metrics);
         let violated = inner.account_outcome(self.req.class, &outcome, &self.metrics);
         if let Some(trace) = self.trace.take() {
-            inner.finish_trace(trace, &outcome, violated, &self.metrics, self.tokens.len() as u32);
+            inner.finish_trace(
+                trace,
+                &outcome,
+                violated,
+                &self.metrics,
+                self.tokens.len() as u32,
+            );
         }
         self.slot.resolve(RequestResult {
             request_id: self.ctx.request_id,
@@ -334,7 +340,12 @@ impl ServerInner {
     /// here once. Returns whether
     /// the request violated either SLO target (this is what freezes its
     /// trace into the flight recorder).
-    fn account_outcome(&self, class: SloClass, outcome: &RequestOutcome, m: &RequestMetrics) -> bool {
+    fn account_outcome(
+        &self,
+        class: SloClass,
+        outcome: &RequestOutcome,
+        m: &RequestMetrics,
+    ) -> bool {
         // Violations are judged for any request that produced the
         // relevant samples, whatever its outcome; `slo_met` only for
         // completions (a cancelled request that was fast is not
@@ -476,10 +487,14 @@ impl Server {
     /// do not divide the model dimensions) instead of papering over it.
     pub fn start(engine: Arc<HybridEngine>, cfg: ServerConfig) -> Result<Server, EngineError> {
         if cfg.max_batch == 0 {
-            return Err(EngineError::config("ServerConfig.max_batch must be nonzero"));
+            return Err(EngineError::config(
+                "ServerConfig.max_batch must be nonzero",
+            ));
         }
         if cfg.prefill_chunk == 0 {
-            return Err(EngineError::config("ServerConfig.prefill_chunk must be nonzero"));
+            return Err(EngineError::config(
+                "ServerConfig.prefill_chunk must be nonzero",
+            ));
         }
         if cfg.step_token_budget < cfg.prefill_chunk {
             return Err(EngineError::config(format!(
@@ -488,7 +503,9 @@ impl Server {
             )));
         }
         if cfg.min_prefix_len == 0 {
-            return Err(EngineError::config("ServerConfig.min_prefix_len must be nonzero"));
+            return Err(EngineError::config(
+                "ServerConfig.min_prefix_len must be nonzero",
+            ));
         }
         let max_seq = engine.config().max_seq;
         if cfg.page_rows == 0 || cfg.page_rows > max_seq {
@@ -545,7 +562,11 @@ impl Server {
             // page references, so index residency competes with
             // leases for the allocator). Pages are lazily
             // materialized, so generosity here reserves no memory.
-            let capacity = if fresh.n_layers() > 0 { fresh.layer(0).capacity() } else { 0 };
+            let capacity = if fresh.n_layers() > 0 {
+                fresh.layer(0).capacity()
+            } else {
+                0
+            };
             let per_seq = fresh.n_layers() * capacity.div_ceil(cfg.page_rows);
             let min_row_bytes = (0..fresh.n_layers())
                 .map(|i| {
@@ -603,7 +624,9 @@ impl Server {
             // Never queued: counters only, no queue-wait sample.
             self.inner.account_outcome(
                 req.class,
-                &RequestOutcome::Failed { error: error.clone() },
+                &RequestOutcome::Failed {
+                    error: error.clone(),
+                },
                 &RequestMetrics::default(),
             );
             slot.resolve(RequestResult {
@@ -693,30 +716,150 @@ impl Server {
     pub fn stats_text(&self) -> String {
         let s = self.stats();
         let mut out = String::with_capacity(4096);
-        push_counter(&mut out, "kt_requests_completed_total", "Requests that ran to completion.", s.completed);
-        push_counter(&mut out,"kt_requests_cancelled_total", "Requests cancelled by their client.", s.cancelled);
-        push_counter(&mut out,"kt_requests_failed_total", "Requests that failed with an engine error.", s.failed);
-        push_counter(&mut out,"kt_requests_shed_total", "Requests shed by the admission controller.", s.shed);
-        push_counter(&mut out,"kt_tokens_generated_total", "Tokens emitted across all requests.", s.tokens_generated);
-        push_counter(&mut out,"kt_steps_total", "Continuous-batching steps executed.", s.steps);
-        push_counter(&mut out,"kt_prefill_chunks_total", "Prefill chunks executed.", s.prefill_chunks);
-        push_counter(&mut out,"kt_prefill_tokens_total", "Prompt tokens fed through prefill chunks.", s.prefill_tokens);
-        push_counter(&mut out,"kt_gpu_kernel_launches_total", "Kernels launched individually on the virtual GPU.", s.gpu_kernel_launches);
-        push_counter(&mut out,"kt_gpu_host_funcs_total", "Host-function callbacks executed in-stream.", s.gpu_host_funcs);
-        push_counter(&mut out,"kt_gpu_graph_replays_total", "Graph replays (one launch each).", s.gpu_graph_replays);
-        push_counter(&mut out,"kt_gpu_graph_ops_total", "Ops executed via graph replay.", s.gpu_graph_ops);
-        push_counter(&mut out,"kt_gpu_launch_overhead_ns_total", "Simulated launch latency charged on the device.", s.gpu_launch_overhead_ns);
-        push_counter(&mut out,"kt_gpu_busy_ns_total", "Nanoseconds the device spent executing ops.", s.gpu_busy_ns);
-        push_counter(&mut out,"kt_arena_allocations_total", "Fresh heap allocations performed by the step arenas.", s.arena_allocations);
-        push_counter(&mut out,"kt_arena_bytes_allocated_total", "Bytes served by fresh heap allocations.", s.arena_bytes_allocated);
-        push_counter(&mut out,"kt_arena_bytes_served_total", "Bytes served by reusing an existing arena buffer.", s.arena_bytes_served);
-        push_counter(&mut out,"kt_prefix_lookups_total", "Prefix-cache lookups at admission.", s.prefix_lookups);
-        push_counter(&mut out,"kt_prefix_hits_total", "Lookups that matched a reusable prefix.", s.prefix_hits);
-        push_counter(&mut out,"kt_prefix_misses_total", "Lookups that matched nothing reusable.", s.prefix_misses);
-        push_counter(&mut out,"kt_prefix_hit_tokens_total", "Prompt tokens seeded from cached prefixes instead of prefilled.", s.prefix_hit_tokens);
-        push_counter(&mut out,"kt_prefix_insertions_total", "Prefix segments frozen into the cache.", s.prefix_insertions);
-        push_counter(&mut out,"kt_prefix_evictions_total", "Prefix segments evicted, by the byte budget or the page valve.", s.prefix_evictions);
-        push_counter(&mut out,"kt_prefix_evicted_bytes_total", "Bytes freed by prefix eviction.", s.prefix_evicted_bytes);
+        push_counter(
+            &mut out,
+            "kt_requests_completed_total",
+            "Requests that ran to completion.",
+            s.completed,
+        );
+        push_counter(
+            &mut out,
+            "kt_requests_cancelled_total",
+            "Requests cancelled by their client.",
+            s.cancelled,
+        );
+        push_counter(
+            &mut out,
+            "kt_requests_failed_total",
+            "Requests that failed with an engine error.",
+            s.failed,
+        );
+        push_counter(
+            &mut out,
+            "kt_requests_shed_total",
+            "Requests shed by the admission controller.",
+            s.shed,
+        );
+        push_counter(
+            &mut out,
+            "kt_tokens_generated_total",
+            "Tokens emitted across all requests.",
+            s.tokens_generated,
+        );
+        push_counter(
+            &mut out,
+            "kt_steps_total",
+            "Continuous-batching steps executed.",
+            s.steps,
+        );
+        push_counter(
+            &mut out,
+            "kt_prefill_chunks_total",
+            "Prefill chunks executed.",
+            s.prefill_chunks,
+        );
+        push_counter(
+            &mut out,
+            "kt_prefill_tokens_total",
+            "Prompt tokens fed through prefill chunks.",
+            s.prefill_tokens,
+        );
+        push_counter(
+            &mut out,
+            "kt_gpu_kernel_launches_total",
+            "Kernels launched individually on the virtual GPU.",
+            s.gpu_kernel_launches,
+        );
+        push_counter(
+            &mut out,
+            "kt_gpu_host_funcs_total",
+            "Host-function callbacks executed in-stream.",
+            s.gpu_host_funcs,
+        );
+        push_counter(
+            &mut out,
+            "kt_gpu_graph_replays_total",
+            "Graph replays (one launch each).",
+            s.gpu_graph_replays,
+        );
+        push_counter(
+            &mut out,
+            "kt_gpu_graph_ops_total",
+            "Ops executed via graph replay.",
+            s.gpu_graph_ops,
+        );
+        push_counter(
+            &mut out,
+            "kt_gpu_launch_overhead_ns_total",
+            "Simulated launch latency charged on the device.",
+            s.gpu_launch_overhead_ns,
+        );
+        push_counter(
+            &mut out,
+            "kt_gpu_busy_ns_total",
+            "Nanoseconds the device spent executing ops.",
+            s.gpu_busy_ns,
+        );
+        push_counter(
+            &mut out,
+            "kt_arena_allocations_total",
+            "Fresh heap allocations performed by the step arenas.",
+            s.arena_allocations,
+        );
+        push_counter(
+            &mut out,
+            "kt_arena_bytes_allocated_total",
+            "Bytes served by fresh heap allocations.",
+            s.arena_bytes_allocated,
+        );
+        push_counter(
+            &mut out,
+            "kt_arena_bytes_served_total",
+            "Bytes served by reusing an existing arena buffer.",
+            s.arena_bytes_served,
+        );
+        push_counter(
+            &mut out,
+            "kt_prefix_lookups_total",
+            "Prefix-cache lookups at admission.",
+            s.prefix_lookups,
+        );
+        push_counter(
+            &mut out,
+            "kt_prefix_hits_total",
+            "Lookups that matched a reusable prefix.",
+            s.prefix_hits,
+        );
+        push_counter(
+            &mut out,
+            "kt_prefix_misses_total",
+            "Lookups that matched nothing reusable.",
+            s.prefix_misses,
+        );
+        push_counter(
+            &mut out,
+            "kt_prefix_hit_tokens_total",
+            "Prompt tokens seeded from cached prefixes instead of prefilled.",
+            s.prefix_hit_tokens,
+        );
+        push_counter(
+            &mut out,
+            "kt_prefix_insertions_total",
+            "Prefix segments frozen into the cache.",
+            s.prefix_insertions,
+        );
+        push_counter(
+            &mut out,
+            "kt_prefix_evictions_total",
+            "Prefix segments evicted, by the byte budget or the page valve.",
+            s.prefix_evictions,
+        );
+        push_counter(
+            &mut out,
+            "kt_prefix_evicted_bytes_total",
+            "Bytes freed by prefix eviction.",
+            s.prefix_evicted_bytes,
+        );
         // Per-expert gating popularity, label form. Dense (and so far
         // idle) layers are skipped to bound the exposition size.
         {
@@ -743,9 +886,24 @@ impl Server {
                 }
             }
         }
-        push_counter(&mut out,"kt_slo_ttft_violations_total", "Resolved requests that missed their TTFT target.", s.slo_ttft_violations);
-        push_counter(&mut out,"kt_slo_itl_violations_total", "Resolved requests with an inter-token gap over the ITL target.", s.slo_itl_violations);
-        push_counter(&mut out,"kt_slo_met_total", "Completed requests that met both SLO targets.", s.slo_met);
+        push_counter(
+            &mut out,
+            "kt_slo_ttft_violations_total",
+            "Resolved requests that missed their TTFT target.",
+            s.slo_ttft_violations,
+        );
+        push_counter(
+            &mut out,
+            "kt_slo_itl_violations_total",
+            "Resolved requests with an inter-token gap over the ITL target.",
+            s.slo_itl_violations,
+        );
+        push_counter(
+            &mut out,
+            "kt_slo_met_total",
+            "Completed requests that met both SLO targets.",
+            s.slo_met,
+        );
         // Per-class outcome counters, Prometheus label form.
         let cs = self.class_stats();
         for (name, help, pick) in [
@@ -780,8 +938,18 @@ impl Server {
                 );
             }
         }
-        push_gauge(&mut out,"kt_prefix_resident_bytes", "Bytes resident in frozen prefix segments.", s.prefix_resident_bytes as f64);
-        push_gauge(&mut out,"kt_prefix_entries", "Prefix segments currently resident.", s.prefix_entries as f64);
+        push_gauge(
+            &mut out,
+            "kt_prefix_resident_bytes",
+            "Bytes resident in frozen prefix segments.",
+            s.prefix_resident_bytes as f64,
+        );
+        push_gauge(
+            &mut out,
+            "kt_prefix_entries",
+            "Prefix segments currently resident.",
+            s.prefix_entries as f64,
+        );
         // Weight-precision gauge with the routed experts' storage dtype
         // as a label, so dashboards can key bandwidth/footprint math on
         // the serving precision.
@@ -803,18 +971,78 @@ impl Server {
             );
         }
         // KV page allocator gauges and preemption counters.
-        push_gauge(&mut out, "kt_kv_pages_total", "KV pages the block allocator can hand out in total.", s.kv_pages_total as f64);
-        push_gauge(&mut out, "kt_kv_pages_free", "KV pages currently free in the allocator.", s.kv_pages_free as f64);
-        push_gauge(&mut out, "kt_kv_pages_shared", "Allocated KV pages referenced by more than one holder (prefix sharing).", s.kv_pages_shared as f64);
-        push_gauge(&mut out, "kt_kv_pages_swapped", "Pages' worth of KV rows swapped out to the host tier by preemption.", s.kv_pages_swapped as f64);
-        push_counter(&mut out, "kt_preempt_total", "Sequences preempted under KV page pressure (rows swapped to the host tier).", s.preempt_swap);
-        push_gauge(&mut out,"kt_kv_leases_in_use", "KV caches currently leased to sequences.", s.kv_leases_in_use as f64);
-        push_gauge(&mut out,"kt_kv_leases_free", "Reset KV caches parked in the pool.", s.kv_leases_free as f64);
-        push_gauge(&mut out,"kt_kv_leases_peak", "High-water mark of concurrent leases.", s.kv_leases_peak as f64);
-        push_gauge(&mut out,"kt_queue_depth", "Requests currently waiting for admission.", self.queued() as f64);
-        push_gauge(&mut out,"kt_peak_queue_depth", "Deepest admission queue observed.", s.peak_queue_depth as f64);
-        push_gauge(&mut out,"kt_mean_batch_occupancy", "Mean active sequences per step.", s.mean_occupancy());
-        push_gauge(&mut out,"kt_arena_high_water_bytes", "High-water mark of bytes held across step arenas.", s.arena_high_water_bytes as f64);
+        push_gauge(
+            &mut out,
+            "kt_kv_pages_total",
+            "KV pages the block allocator can hand out in total.",
+            s.kv_pages_total as f64,
+        );
+        push_gauge(
+            &mut out,
+            "kt_kv_pages_free",
+            "KV pages currently free in the allocator.",
+            s.kv_pages_free as f64,
+        );
+        push_gauge(
+            &mut out,
+            "kt_kv_pages_shared",
+            "Allocated KV pages referenced by more than one holder (prefix sharing).",
+            s.kv_pages_shared as f64,
+        );
+        push_gauge(
+            &mut out,
+            "kt_kv_pages_swapped",
+            "Pages' worth of KV rows swapped out to the host tier by preemption.",
+            s.kv_pages_swapped as f64,
+        );
+        push_counter(
+            &mut out,
+            "kt_preempt_total",
+            "Sequences preempted under KV page pressure (rows swapped to the host tier).",
+            s.preempt_swap,
+        );
+        push_gauge(
+            &mut out,
+            "kt_kv_leases_in_use",
+            "KV caches currently leased to sequences.",
+            s.kv_leases_in_use as f64,
+        );
+        push_gauge(
+            &mut out,
+            "kt_kv_leases_free",
+            "Reset KV caches parked in the pool.",
+            s.kv_leases_free as f64,
+        );
+        push_gauge(
+            &mut out,
+            "kt_kv_leases_peak",
+            "High-water mark of concurrent leases.",
+            s.kv_leases_peak as f64,
+        );
+        push_gauge(
+            &mut out,
+            "kt_queue_depth",
+            "Requests currently waiting for admission.",
+            self.queued() as f64,
+        );
+        push_gauge(
+            &mut out,
+            "kt_peak_queue_depth",
+            "Deepest admission queue observed.",
+            s.peak_queue_depth as f64,
+        );
+        push_gauge(
+            &mut out,
+            "kt_mean_batch_occupancy",
+            "Mean active sequences per step.",
+            s.mean_occupancy(),
+        );
+        push_gauge(
+            &mut out,
+            "kt_arena_high_water_bytes",
+            "High-water mark of bytes held across step arenas.",
+            s.arena_high_water_bytes as f64,
+        );
         // Build/runtime identity: which binary, commit and kernel ISA
         // level produced these numbers. Constant
         // 1 so dashboards join it onto any other family by instance.
@@ -1051,7 +1279,12 @@ fn scheduler_loop(inner: &ServerInner) {
 /// Sheds queued requests whose predicted slack is negative (policy
 /// permitting). Runs inside the admission loop, before leases are
 /// taken, so shed requests never touch the pool or the engine.
-fn shed_pass(inner: &ServerInner, policy: &SloPolicy, queue: &mut VecDeque<Queued>, active_len: usize) {
+fn shed_pass(
+    inner: &ServerInner,
+    policy: &SloPolicy,
+    queue: &mut VecDeque<Queued>,
+    active_len: usize,
+) {
     if !policy.shed || queue.is_empty() {
         return;
     }
@@ -1122,7 +1355,9 @@ fn admit(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<P
         let mut i = 0;
         while i < preempted.len() {
             if preempted[i].st.slot.cancel_requested() {
-                preempted.remove(i).resolve(RequestOutcome::Cancelled, inner);
+                preempted
+                    .remove(i)
+                    .resolve(RequestOutcome::Cancelled, inner);
             } else {
                 i += 1;
             }
@@ -1137,7 +1372,8 @@ fn admit(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<P
                 .map(|q| (q.req.class.priority(), q.seq_no))
                 .collect();
             let pick = sched::pick_next(&keys, priority_aware).expect("queue non-empty");
-            let Some((mut lease, mut seeded)) = inner.pool.lease_for_prompt(&queue[pick].req.prompt)
+            let Some((mut lease, mut seeded)) =
+                inner.pool.lease_for_prompt(&queue[pick].req.prompt)
             else {
                 break;
             };
@@ -1228,14 +1464,22 @@ fn next_resume(preempted: &[PreemptedSeq]) -> Option<usize> {
 /// fresh lease and the sequence continues exactly where it stopped.
 /// Stops at the first sequence that does not fit — resuming a smaller,
 /// less urgent one instead would starve it.
-fn resume_preempted(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<PreemptedSeq>) {
+fn resume_preempted(
+    inner: &ServerInner,
+    active: &mut Vec<ActiveSeq>,
+    preempted: &mut Vec<PreemptedSeq>,
+) {
     while active.len() < inner.cfg.max_batch {
-        let Some(i) = next_resume(preempted) else { return };
+        let Some(i) = next_resume(preempted) else {
+            return;
+        };
         let pages = inner.pool.pages_needed(preempted[i].swapped.rows());
         if !inner.pool.reclaim_pages(pages) {
             return;
         }
-        let Some(mut lease) = inner.pool.lease() else { return };
+        let Some(mut lease) = inner.pool.lease() else {
+            return;
+        };
         let PreemptedSeq { st, swapped } = preempted.remove(i);
         {
             let _span = kt_trace::span_ab(
@@ -1346,7 +1590,11 @@ fn relieve_pressure(
             .iter()
             .zip(active.iter())
             .filter_map(|(work, seq)| {
-                work.map(|w| inner.pool.pages_needed_growth(seq.lease.cache.seq_len(), w.tokens()))
+                work.map(|w| {
+                    inner
+                        .pool
+                        .pages_needed_growth(seq.lease.cache.seq_len(), w.tokens())
+                })
             })
             .sum();
         // One survivor still short runs anyway: a genuine overflow
@@ -1412,8 +1660,8 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
     // Attribution snapshots bracket the forward: the per-kind phase
     // deltas across it, mapped through `step_components`, decompose
     // this step's wall time for every traced request riding in it.
-    let attrib = kt_trace::enabled()
-        .then(|| (kt_trace::now_ns(), kt_trace::sink().phase_snapshot()));
+    let attrib =
+        kt_trace::enabled().then(|| (kt_trace::now_ns(), kt_trace::sink().phase_snapshot()));
     let result = inner.engine.forward_batch(&mut batch);
     // Caches come back even on error; return them to their leases.
     for (&i, slot) in scheduled.iter().zip(batch.iter_mut()) {
@@ -1429,7 +1677,9 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
         let (components, cpu_busy_ns) = step_components(&deltas, wall_ns);
         for (seq, work) in active.iter_mut().zip(&plan) {
             let st = &mut seq.st;
-            let Some(trace) = st.trace.as_mut() else { continue };
+            let Some(trace) = st.trace.as_mut() else {
+                continue;
+            };
             // Scheduled sequences experienced the whole step (batched
             // rows share every phase), so each gets the full step
             // attribution; sequences left out of this step aged a
@@ -1537,7 +1787,11 @@ fn sample_next(inner: &ServerInner, seq: &mut SeqState, l: Matrix) {
 
     let hit_stop = seq.req.stop_token == Some(next);
     let hit_len = seq.tokens.len() >= seq.req.max_new;
-    seq.next_token = if hit_stop || hit_len { None } else { Some(next) };
+    seq.next_token = if hit_stop || hit_len {
+        None
+    } else {
+        Some(next)
+    };
 }
 
 /// Resolves everything left at shutdown as cancelled.

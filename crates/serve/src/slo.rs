@@ -234,10 +234,17 @@ mod tests {
         let free = SlackInputs { active: 3, ..base };
         assert_eq!(predicted_ttft_ns(&free), 7 + 100);
         // Eight queued ahead of a saturated batch of 4: two more waves.
-        let deep = SlackInputs { queued_ahead: 8, ..base };
+        let deep = SlackInputs {
+            queued_ahead: 8,
+            ..base
+        };
         assert_eq!(predicted_ttft_ns(&deep), 7 + 4 * 100);
         // No history yet: optimistic zero-cost prediction.
-        let blind = SlackInputs { service_estimate_ns: 0, queued_ahead: 100, ..base };
+        let blind = SlackInputs {
+            service_estimate_ns: 0,
+            queued_ahead: 100,
+            ..base
+        };
         assert_eq!(predicted_ttft_ns(&blind), 7);
     }
 
@@ -255,13 +262,19 @@ mod tests {
         assert!(!shed_decision(&policy, SloClass::Batch, 0));
         assert!(!shed_decision(&policy, SloClass::Batch, 1));
         // Shedding disabled never sheds.
-        let no_shed = SloPolicy { shed: false, ..SloPolicy::default() };
+        let no_shed = SloPolicy {
+            shed: false,
+            ..SloPolicy::default()
+        };
         assert!(!shed_decision(&no_shed, SloClass::Batch, i64::MIN));
     }
 
     #[test]
     fn saturating_slack_on_huge_values() {
-        let t = SloTarget { ttft_ns: u64::MAX, itl_ns: 1 };
+        let t = SloTarget {
+            ttft_ns: u64::MAX,
+            itl_ns: 1,
+        };
         assert!(slack_ns(t, 0) > 0);
         assert!(slack_ns(t, u64::MAX) == 0);
     }

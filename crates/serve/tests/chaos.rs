@@ -31,7 +31,13 @@ const RESOLVE_TIMEOUT: Duration = Duration::from_secs(120);
 /// as a Poisson process at `rate_per_s / burst`, and each head brings
 /// `burst` requests jittered uniformly within `spread_ns`.
 /// Deterministic in its arguments.
-fn bursty_offsets_ns(rate_per_s: f64, burst: usize, spread_ns: u64, seed: u64, n: usize) -> Vec<u64> {
+fn bursty_offsets_ns(
+    rate_per_s: f64,
+    burst: usize,
+    spread_ns: u64,
+    seed: u64,
+    n: usize,
+) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6b74_776f_726b_6c64); // "ktworkld"
     let mut out: Vec<u64> = Vec::with_capacity(n);
     let burst = burst.max(1);
@@ -145,7 +151,9 @@ fn overload_with_faults_never_wedges_or_leaks() {
         .map(|i| calib.submit(request_for(i, classes[i])))
         .collect();
     for h in probes {
-        let _ = h.wait_timeout(RESOLVE_TIMEOUT).expect("calibration resolves");
+        let _ = h
+            .wait_timeout(RESOLVE_TIMEOUT)
+            .expect("calibration resolves");
     }
     let wall = t0.elapsed();
     calib.shutdown();
@@ -267,7 +275,10 @@ fn overload_with_faults_never_wedges_or_leaks() {
     );
     assert!(failed > 0, "no injected fault ever struck a request");
     assert!(completed > 0, "nothing completed under chaos");
-    assert!(shed > 0, "2x overload with tight targets must shed something");
+    assert!(
+        shed > 0,
+        "2x overload with tight targets must shed something"
+    );
 
     // No KV-lease leak: once everything resolved, pool occupancy is
     // back to zero and the queue is empty.

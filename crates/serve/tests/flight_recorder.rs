@@ -38,7 +38,10 @@ fn violating_requests_are_captured_with_attributed_waterfalls() {
     // request is served, completes, violates, and must end up frozen
     // in the flight recorder without any manual capture step.
     let policy = SloPolicy {
-        targets: [SloTarget { ttft_ns: 1, itl_ns: 1 }; 3],
+        targets: [SloTarget {
+            ttft_ns: 1,
+            itl_ns: 1,
+        }; 3],
         shed: false,
     };
     let server = Server::start(
@@ -130,9 +133,15 @@ fn violating_requests_are_captured_with_attributed_waterfalls() {
         .filter(|l| l.contains("\"ph\":\"X\"") && l.contains(&id_label))
         .count();
     assert!(spans > 0 && spans == with_id, "every span carries the id");
-    assert!(json.contains("SLO-VIOLATED"), "track name flags the violation");
     assert!(
-        json.contains(&format!("\"tid\":{}", kt_trace::REQUEST_TRACK_BASE + id as u32)),
+        json.contains("SLO-VIOLATED"),
+        "track name flags the violation"
+    );
+    assert!(
+        json.contains(&format!(
+            "\"tid\":{}",
+            kt_trace::REQUEST_TRACK_BASE + id as u32
+        )),
         "request renders on its reserved track"
     );
     // The combined captured export holds all frozen waterfalls.
@@ -157,7 +166,10 @@ fn violating_requests_are_captured_with_attributed_waterfalls() {
             "component {c} missing in:\n{text}"
         );
     }
-    assert!(text.contains("# {request_id=\""), "bucket exemplars attached:\n{text}");
+    assert!(
+        text.contains("# {request_id=\""),
+        "bucket exemplars attached:\n{text}"
+    );
     assert!(text.contains("kt_build_info{version=\""), "{text}");
     assert!(text.contains("git_hash=\""), "{text}");
     assert!(text.contains("simd=\""), "{text}");
@@ -182,7 +194,10 @@ fn violating_requests_are_captured_with_attributed_waterfalls() {
     assert!(server.captured_request_ids().is_empty(), "nothing froze");
     let b = server.breakdown(id).expect("recent ring retains it");
     assert!(b.measured_ttft_ns.is_some());
-    assert!(!server.recent_breakdowns().is_empty(), "recent ring populated");
+    assert!(
+        !server.recent_breakdowns().is_empty(),
+        "recent ring populated"
+    );
     assert!(server.export_request_trace(id).is_some());
     assert!(server.breakdown(id + 1000).is_none(), "unknown id");
     server.shutdown();

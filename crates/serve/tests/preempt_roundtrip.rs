@@ -207,8 +207,14 @@ fn victim_holding_prefix_shared_pages_swaps_back_bitwise() {
         &prompts,
         1,
     );
-    assert_eq!(tokens, reference, "a swapped prefix-sharing victim diverged");
-    assert!(stats.preempt_swap > 0, "pool never came under pressure: {stats:?}");
+    assert_eq!(
+        tokens, reference,
+        "a swapped prefix-sharing victim diverged"
+    );
+    assert!(
+        stats.preempt_swap > 0,
+        "pool never came under pressure: {stats:?}"
+    );
     // The first wave (three admissions) seeds from the primer before
     // anyone grows into the index's pages; later admissions keep hitting.
     assert!(stats.prefix_hits > 3, "hot-prefix hits stopped: {stats:?}");

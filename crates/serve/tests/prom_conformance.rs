@@ -59,7 +59,10 @@ fn parse_sample(line: &str) -> Sample {
     let (name, labels) = match series.find('{') {
         Some(open) => {
             assert!(series.ends_with('}'), "label block closes: {line}");
-            (&series[..open], parse_labels(&series[open + 1..series.len() - 1], line))
+            (
+                &series[..open],
+                parse_labels(&series[open + 1..series.len() - 1], line),
+            )
         }
         None => (series, Vec::new()),
     };
@@ -110,7 +113,9 @@ fn parse_labels(block: &str, line: &str) -> Vec<(String, String)> {
     let mut labels = Vec::new();
     let mut rest = block;
     while !rest.is_empty() {
-        let eq = rest.find("=\"").unwrap_or_else(|| panic!("label has =\" in: {line}"));
+        let eq = rest
+            .find("=\"")
+            .unwrap_or_else(|| panic!("label has =\" in: {line}"));
         let name = &rest[..eq];
         assert!(valid_name(name), "label name {name:?} valid in: {line}");
         // Find the closing quote, skipping escapes.
@@ -156,7 +161,10 @@ fn stats_text_conforms_to_the_exposition_format() {
     // SLO counters and freezing traces so the exemplar-bearing
     // component histograms are non-empty.
     let policy = SloPolicy {
-        targets: [SloTarget { ttft_ns: 1, itl_ns: 1 }; 3],
+        targets: [SloTarget {
+            ttft_ns: 1,
+            itl_ns: 1,
+        }; 3],
         shed: false,
     };
     let server = Server::start(
@@ -235,7 +243,11 @@ fn stats_text_conforms_to_the_exposition_format() {
             .get(family)
             .unwrap_or_else(|| panic!("sample {} has a declared family", s.name));
         if family == s.name.as_str() {
-            assert_ne!(k, "histogram", "histogram families only emit suffixed samples: {}", s.name);
+            assert_ne!(
+                k, "histogram",
+                "histogram families only emit suffixed samples: {}",
+                s.name
+            );
         }
         if s.exemplar {
             assert!(
@@ -262,7 +274,10 @@ fn stats_text_conforms_to_the_exposition_format() {
                 .expect("bucket has le");
             // Cumulative: counts never decrease along a series.
             let prev = seen.entry(series_key.clone()).or_insert(0);
-            assert!(s.value as u64 >= *prev, "cumulative buckets for {series_key}");
+            assert!(
+                s.value as u64 >= *prev,
+                "cumulative buckets for {series_key}"
+            );
             *prev = s.value as u64;
             if le == "+Inf" {
                 seen.insert(format!("{series_key}|inf"), s.value as u64);
@@ -306,7 +321,10 @@ fn stats_text_conforms_to_the_exposition_format() {
     assert_eq!(build.value, 1.0);
     for label in ["version", "git_hash", "simd"] {
         assert!(
-            build.labels.iter().any(|(k, v)| k == label && !v.is_empty()),
+            build
+                .labels
+                .iter()
+                .any(|(k, v)| k == label && !v.is_empty()),
             "kt_build_info carries {label}: {:?}",
             build.labels
         );

@@ -6,9 +6,7 @@
 
 use kt_core::{EngineConfig, HybridEngine, SchedMode, VgpuConfig};
 use kt_model::ModelPreset;
-use kt_serve::{
-    Request, RequestOutcome, Server, ServerConfig, SloClass, SloPolicy, SloTarget,
-};
+use kt_serve::{Request, RequestOutcome, Server, ServerConfig, SloClass, SloPolicy, SloTarget};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -114,7 +112,10 @@ fn cancellation_under_shedding_pressure_is_cancelled_not_shed() {
     // The lease went back at the step boundary; nothing leaked.
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.active() != 0 {
-        assert!(Instant::now() < deadline, "mid-prefill cancel leaked its lease");
+        assert!(
+            Instant::now() < deadline,
+            "mid-prefill cancel leaked its lease"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -139,8 +140,16 @@ fn cancellation_under_shedding_pressure_is_cancelled_not_shed() {
     assert_eq!(stats.shed, 1, "{stats:?}");
     assert_eq!(stats.cancelled, 2, "{stats:?}");
     let cs = server.class_stats();
-    assert_eq!(cs[SloClass::Standard.index()].cancelled, 1, "the queued victim");
-    assert_eq!(cs[SloClass::Interactive.index()].cancelled, 1, "the mid-prefill busy");
+    assert_eq!(
+        cs[SloClass::Standard.index()].cancelled,
+        1,
+        "the queued victim"
+    );
+    assert_eq!(
+        cs[SloClass::Interactive.index()].cancelled,
+        1,
+        "the mid-prefill busy"
+    );
     assert_eq!(cs[SloClass::Batch.index()].shed, 1);
     server.shutdown();
 }

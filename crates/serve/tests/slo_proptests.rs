@@ -37,12 +37,10 @@ fn seq_strategy() -> impl Strategy<Value = SeqView> {
 /// Server-valid composition configs: nonzero chunk, budget at least one
 /// chunk (mirrors `Server::start` validation).
 fn cfg_strategy() -> impl Strategy<Value = ComposeCfg> {
-    (1usize..16, 0usize..120, any::<bool>()).prop_map(|(chunk, extra, priority_aware)| {
-        ComposeCfg {
-            prefill_chunk: chunk,
-            step_token_budget: chunk + extra,
-            priority_aware,
-        }
+    (1usize..16, 0usize..120, any::<bool>()).prop_map(|(chunk, extra, priority_aware)| ComposeCfg {
+        prefill_chunk: chunk,
+        step_token_budget: chunk + extra,
+        priority_aware,
     })
 }
 

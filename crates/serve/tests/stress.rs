@@ -70,21 +70,16 @@ fn stress_with_cancellations_and_expert_faults() {
                     let prompt: Vec<u32> = (0..rng.gen_range(1usize..5))
                         .map(|_| rng.gen_range(0u32..256))
                         .collect();
-                    let handle =
-                        server.submit(Request::greedy(&prompt, rng.gen_range(1usize..12)));
+                    let handle = server.submit(Request::greedy(&prompt, rng.gen_range(1usize..12)));
                     // Roughly a third of requests get cancelled at a
                     // random point in their lifetime.
                     if rng.gen_bool(0.33) {
-                        std::thread::sleep(Duration::from_micros(
-                            rng.gen_range(0u64..2000),
-                        ));
+                        std::thread::sleep(Duration::from_micros(rng.gen_range(0u64..2000)));
                         handle.cancel();
                     }
                     let result = handle
                         .wait_timeout(RESOLVE_TIMEOUT)
-                        .unwrap_or_else(|| {
-                            panic!("client {client} request {r} did not resolve")
-                        });
+                        .unwrap_or_else(|| panic!("client {client} request {r} did not resolve"));
                     match result.outcome {
                         RequestOutcome::Completed => {
                             assert!(!result.tokens.is_empty());

@@ -60,7 +60,10 @@ fn num_field(line: &str, key: &str, scale_us: bool) -> Option<u64> {
 }
 
 fn parse_chrome(json: &str) -> (HashMap<u64, String>, Vec<Ev>) {
-    assert!(json.starts_with("[\n") && json.ends_with("\n]\n"), "JSON array format");
+    assert!(
+        json.starts_with("[\n") && json.ends_with("\n]\n"),
+        "JSON array format"
+    );
     let mut tracks = HashMap::new();
     let mut events = Vec::new();
     for raw in json.lines() {
@@ -108,10 +111,13 @@ fn exported_trace_shows_cpu_expert_overlapping_gpu_stream() {
         )
         .unwrap(),
     );
-    let server = Server::start(engine, ServerConfig {
-        max_batch: 4,
-        ..Default::default()
-    })
+    let server = Server::start(
+        engine,
+        ServerConfig {
+            max_batch: 4,
+            ..Default::default()
+        },
+    )
     .unwrap();
     let handles: Vec<_> = (0..3)
         .map(|i| server.submit(Request::greedy(&[i + 1, 2 * i + 5, 3], 16)))
@@ -132,13 +138,19 @@ fn exported_trace_shows_cpu_expert_overlapping_gpu_stream() {
         .filter(|(_, n)| n.starts_with("kt-cpu-"))
         .map(|(&t, _)| t)
         .collect();
-    assert!(!cpu_tracks.is_empty(), "CPU worker tracks present: {tracks:?}");
+    assert!(
+        !cpu_tracks.is_empty(),
+        "CPU worker tracks present: {tracks:?}"
+    );
     let stream_tracks: Vec<u64> = tracks
         .iter()
         .filter(|(_, n)| n.starts_with("vGPU stream "))
         .map(|(&t, _)| t)
         .collect();
-    assert!(!stream_tracks.is_empty(), "stream tracks present: {tracks:?}");
+    assert!(
+        !stream_tracks.is_empty(),
+        "stream tracks present: {tracks:?}"
+    );
     for &t in &stream_tracks {
         assert!(
             t >= u64::from(kt_trace::STREAM_TRACK_BASE),
@@ -152,7 +164,12 @@ fn exported_trace_shows_cpu_expert_overlapping_gpu_stream() {
         "graph replays recorded"
     );
     // Engine phases and scheduler steps made it into the trace.
-    for required in ["engine.step", "engine.attention", "serve.step", "vgpu.kernel"] {
+    for required in [
+        "engine.step",
+        "engine.attention",
+        "serve.step",
+        "vgpu.kernel",
+    ] {
         assert!(
             events.iter().any(|e| e.name == required),
             "span kind {required} present"
