@@ -282,7 +282,10 @@ impl ModelConfig {
     /// Parameters activated per decoded token on the CPU side:
     /// `top_k` routed experts per MoE layer.
     pub fn active_cpu_params_per_token(&self) -> u64 {
-        self.n_moe_layers() as u64 * self.top_k as u64 * 3 * self.hidden as u64
+        self.n_moe_layers() as u64
+            * self.top_k as u64
+            * 3
+            * self.hidden as u64
             * self.moe_inter as u64
     }
 }
@@ -457,8 +460,16 @@ mod tests {
         assert_eq!(c.n_routed_experts, 256);
         assert_eq!(c.top_k, 8);
         // Table 1: total 671B, GPU 17B, CPU 654B.
-        assert!((billions(c.cpu_params()) - 654.0).abs() < 10.0, "{}", billions(c.cpu_params()));
-        assert!((billions(c.gpu_params()) - 17.0).abs() < 3.0, "{}", billions(c.gpu_params()));
+        assert!(
+            (billions(c.cpu_params()) - 654.0).abs() < 10.0,
+            "{}",
+            billions(c.cpu_params())
+        );
+        assert!(
+            (billions(c.gpu_params()) - 17.0).abs() < 3.0,
+            "{}",
+            billions(c.gpu_params())
+        );
         assert!((billions(c.total_params()) - 671.0).abs() < 12.0);
     }
 
@@ -468,8 +479,16 @@ mod tests {
         assert_eq!(c.n_moe_layers(), 59);
         assert_eq!(c.n_routed_experts, 160);
         assert_eq!(c.top_k, 6);
-        assert!((billions(c.cpu_params()) - 223.0).abs() < 6.0, "{}", billions(c.cpu_params()));
-        assert!((billions(c.gpu_params()) - 13.0).abs() < 3.0, "{}", billions(c.gpu_params()));
+        assert!(
+            (billions(c.cpu_params()) - 223.0).abs() < 6.0,
+            "{}",
+            billions(c.cpu_params())
+        );
+        assert!(
+            (billions(c.gpu_params()) - 13.0).abs() < 3.0,
+            "{}",
+            billions(c.gpu_params())
+        );
         assert!((billions(c.total_params()) - 236.0).abs() < 8.0);
     }
 
@@ -479,8 +498,16 @@ mod tests {
         assert_eq!(c.n_moe_layers(), 28);
         assert_eq!(c.n_routed_experts, 64);
         assert_eq!(c.top_k, 8);
-        assert!((billions(c.cpu_params()) - 49.0).abs() < 3.0, "{}", billions(c.cpu_params()));
-        assert!((billions(c.gpu_params()) - 8.0).abs() < 3.0, "{}", billions(c.gpu_params()));
+        assert!(
+            (billions(c.cpu_params()) - 49.0).abs() < 3.0,
+            "{}",
+            billions(c.cpu_params())
+        );
+        assert!(
+            (billions(c.gpu_params()) - 8.0).abs() < 3.0,
+            "{}",
+            billions(c.gpu_params())
+        );
         assert!((billions(c.total_params()) - 57.0).abs() < 5.0);
     }
 

@@ -8,8 +8,8 @@
 //! scores, the best `topk_groups` groups survive, and top-k is taken
 //! over the surviving experts.
 
-use kt_kernels::moe::MoeRouting;
 use kt_kernels::act::{sigmoid_inplace, softmax_inplace};
+use kt_kernels::moe::MoeRouting;
 use kt_tensor::Matrix;
 use rand::rngs::StdRng;
 
@@ -179,14 +179,7 @@ impl Router {
     /// Raw expert scores for one token (after the scoring function).
     pub fn scores(&self, x: &[f32]) -> Vec<f32> {
         let mut s: Vec<f32> = (0..self.cfg.n_experts)
-            .map(|e| {
-                self.w
-                    .row(e)
-                    .iter()
-                    .zip(x)
-                    .map(|(w, v)| w * v)
-                    .sum::<f32>()
-            })
+            .map(|e| self.w.row(e).iter().zip(x).map(|(w, v)| w * v).sum::<f32>())
             .collect();
         match self.cfg.score {
             ScoreFunc::Softmax => softmax_inplace(&mut s),
@@ -364,8 +357,7 @@ mod tests {
     #[test]
     fn serialization_round_trips() {
         let mut rng = seeded(41);
-        let router =
-            Router::random(cfg(16, 4, 4, 2, ScoreFunc::Sigmoid), 24, &mut rng).unwrap();
+        let router = Router::random(cfg(16, 4, 4, 2, ScoreFunc::Sigmoid), 24, &mut rng).unwrap();
         let mut buf = Vec::new();
         router.write_to(&mut buf).unwrap();
         let loaded = Router::read_from(&mut buf.as_slice()).unwrap();
@@ -382,8 +374,7 @@ mod tests {
         for e in 0..4 {
             w.set(e, e, 10.0);
         }
-        let router =
-            Router::from_weights(cfg(4, 2, 1, 1, ScoreFunc::Softmax), w).unwrap();
+        let router = Router::from_weights(cfg(4, 2, 1, 1, ScoreFunc::Softmax), w).unwrap();
         let picks = router.route_row(&[0.0, 5.0, 0.0, 3.0]);
         assert_eq!(picks[0].0, 1);
         assert_eq!(picks[1].0, 3);

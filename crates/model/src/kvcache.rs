@@ -149,8 +149,9 @@ mod tests {
                 })
                 .collect()
         };
-        let snapshot: Vec<Vec<u32>> =
-            (0..original.seq_len()).map(|pos| bits(&original, pos)).collect();
+        let snapshot: Vec<Vec<u32>> = (0..original.seq_len())
+            .map(|pos| bits(&original, pos))
+            .collect();
 
         let mut clone = original.clone();
         assert_eq!(clone.pages_owned(), 0, "every page starts shared");

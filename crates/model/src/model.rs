@@ -286,11 +286,7 @@ impl MoeModel {
 
     /// Creates a KV cache sized for this model.
     pub fn new_cache(&self) -> KvCache {
-        let specs: Vec<(usize, usize)> = self
-            .blocks
-            .iter()
-            .map(|b| b.attn.cache_spec())
-            .collect();
+        let specs: Vec<(usize, usize)> = self.blocks.iter().map(|b| b.attn.cache_spec()).collect();
         KvCache::new(&specs, self.cfg.max_seq)
     }
 
@@ -333,7 +329,11 @@ impl MoeModel {
             x.row_mut(i).copy_from_slice(self.embed.row(t as usize));
         }
 
-        let n_moe = self.blocks.iter().filter(|b| matches!(b.ffn, Ffn::Moe { .. })).count();
+        let n_moe = self
+            .blocks
+            .iter()
+            .filter(|b| matches!(b.ffn, Ffn::Moe { .. }))
+            .count();
         let mut moe_idx = 0usize;
         // Deferred contribution from the previous MoE layer, to be added
         // into this layer's output (R^def_{k-1}(I_{k-1}) in §4.1).
@@ -364,7 +364,13 @@ impl MoeModel {
                         let all: Vec<(usize, f32)> =
                             (0..sh.n_experts()).map(|e| (e, 1.0)).collect();
                         let all = MoeRouting::new(vec![all; t_new]);
-                        sh.forward_accumulate(&ffn_in, &all, &mut x, pool, SchedulePolicy::Dynamic)?;
+                        sh.forward_accumulate(
+                            &ffn_in,
+                            &all,
+                            &mut x,
+                            pool,
+                            SchedulePolicy::Dynamic,
+                        )?;
                     }
 
                     // This layer's routed experts (`now`) and, under
@@ -630,7 +636,10 @@ mod tests {
                 .unwrap();
             assert_eq!(logits.rows(), 4);
             assert_eq!(logits.cols(), 256);
-            assert!(logits.as_slice().iter().all(|v| v.is_finite()), "{preset:?}");
+            assert!(
+                logits.as_slice().iter().all(|v| v.is_finite()),
+                "{preset:?}"
+            );
         }
     }
 
@@ -680,7 +689,12 @@ mod tests {
             .unwrap();
         let k = model.config().top_k;
         let def_logits = model
-            .forward(&tokens, &mut c2, ExecMode::Deferred { n_immediate: k }, None)
+            .forward(
+                &tokens,
+                &mut c2,
+                ExecMode::Deferred { n_immediate: k },
+                None,
+            )
             .unwrap();
         assert_eq!(bits(std_logits.as_slice()), bits(def_logits.as_slice()));
     }
@@ -747,8 +761,7 @@ mod tests {
         // Quantized experts included: the packed payloads serialize
         // verbatim, so outputs are identical after reload.
         let cfg = ModelPreset::DeepSeekV3.tiny_config();
-        let model =
-            MoeModel::random(&cfg, WeightDtype::Int8 { group: 16 }, 77).unwrap();
+        let model = MoeModel::random(&cfg, WeightDtype::Int8 { group: 16 }, 77).unwrap();
         let mut buf = Vec::new();
         model.save(&mut buf).unwrap();
         let loaded = MoeModel::load(&mut buf.as_slice()).unwrap();

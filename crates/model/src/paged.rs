@@ -592,7 +592,12 @@ mod tests {
     fn push_and_read_round_trip_across_pages() {
         let alloc = BlockAllocator::new(64);
         let mut s = PagedKvStore::new(3, 2, 40, 4, &alloc);
-        let row = |pos: usize| ([pos as f32, pos as f32 * 2.0, 0.5], [pos as f32 * 10.0, 1.0]);
+        let row = |pos: usize| {
+            (
+                [pos as f32, pos as f32 * 2.0, 0.5],
+                [pos as f32 * 10.0, 1.0],
+            )
+        };
         for pos in 0..23 {
             let (k, v) = row(pos);
             s.push(&k, &v).unwrap();
@@ -702,14 +707,21 @@ mod tests {
                 .layer_mut(0)
                 .push(&[pos as f32, 0.25, -1.0], &[pos as f32; 2])
                 .unwrap();
-            cache.layer_mut(1).push(&[pos as f32 * 3.0; 4], &[]).unwrap();
+            cache
+                .layer_mut(1)
+                .push(&[pos as f32 * 3.0; 4], &[])
+                .unwrap();
         }
         let swapped = SwappedKv::capture(&cache);
         assert_eq!(swapped.rows(), 11);
         assert_eq!(swapped.bytes(), 11 * (3 + 2 + 4) * 4);
         let reference = cache.clone();
         cache.reset();
-        assert_eq!(alloc.allocated_pages() % 3, 0, "reference clone keeps pages");
+        assert_eq!(
+            alloc.allocated_pages() % 3,
+            0,
+            "reference clone keeps pages"
+        );
         let mut restored = KvCache::new_paged(&[(3, 2), (4, 0)], 64, &alloc, 4);
         swapped.restore(&mut restored).unwrap();
         for i in 0..2 {
@@ -718,7 +730,10 @@ mod tests {
                 assert_eq!(restored.layer(i).v_row(pos), reference.layer(i).v_row(pos));
             }
         }
-        assert!(swapped.restore(&mut restored).is_err(), "non-empty rejected");
+        assert!(
+            swapped.restore(&mut restored).is_err(),
+            "non-empty rejected"
+        );
     }
 
     #[test]

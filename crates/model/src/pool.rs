@@ -463,11 +463,7 @@ mod tests {
     fn released_caches_are_recycled_reset() {
         let p = pool(1);
         let mut lease = p.lease().unwrap();
-        lease
-            .cache
-            .layer_mut(0)
-            .push(&[1.0; 4], &[2.0; 4])
-            .unwrap();
+        lease.cache.layer_mut(0).push(&[1.0; 4], &[2.0; 4]).unwrap();
         assert_eq!(p.page_stats().allocated, 1);
         p.release(lease).unwrap();
         assert_eq!(p.pooled(), 1);
@@ -514,7 +510,11 @@ mod tests {
         let mut foreign = p2.lease().unwrap();
         assert_eq!(own.id(), foreign.id(), "ids collide across pools");
         own.cache.layer_mut(0).push(&[1.0; 4], &[2.0; 4]).unwrap();
-        foreign.cache.layer_mut(0).push(&[3.0; 4], &[4.0; 4]).unwrap();
+        foreign
+            .cache
+            .layer_mut(0)
+            .push(&[3.0; 4], &[4.0; 4])
+            .unwrap();
         assert!(p1.release(foreign).is_err());
         let occ = p1.occupancy();
         assert_eq!((occ.in_use, occ.free, occ.constructed), (1, 0, 1));
@@ -682,7 +682,10 @@ mod tests {
         assert!(!p.reclaim_pages(8));
         assert_eq!(p.prefix_stats().unwrap().evictions, 2);
         assert_eq!(p.free_pages(), 6);
-        assert!(px.lookup(&prompt(30, 8)).is_some(), "a shared leaf survives");
+        assert!(
+            px.lookup(&prompt(30, 8)).is_some(),
+            "a shared leaf survives"
+        );
         p.release(warm).unwrap();
         p.release(cold).unwrap();
         // Once no lease shares it, the same leaf gives its pages back.
@@ -705,7 +708,11 @@ mod tests {
         let frozen: Vec<u32> = (0..24).collect();
         let (mut lease, _) = p.lease_for_prompt(&frozen).unwrap();
         for &t in &frozen {
-            lease.cache.layer_mut(0).push(&[t as f32; 4], &[t as f32; 4]).unwrap();
+            lease
+                .cache
+                .layer_mut(0)
+                .push(&[t as f32; 4], &[t as f32; 4])
+                .unwrap();
         }
         p.release_with_prefix(lease, &frozen).unwrap();
         assert_eq!(p.free_pages(), 2);

@@ -150,7 +150,11 @@ pub struct Segment {
 impl Segment {
     fn from_layers(layers: Vec<LayerSeg>, rows: usize) -> Segment {
         let bytes = layers.iter().map(LayerSeg::bytes).sum();
-        Segment { layers, rows, bytes }
+        Segment {
+            layers,
+            rows,
+            bytes,
+        }
     }
 
     /// Freezes positions `start..end` of every layer of `cache` by

@@ -21,7 +21,10 @@ impl Rope {
     ///
     /// Panics if `head_dim` is odd or zero.
     pub fn new(head_dim: usize, max_seq: usize, theta: f32) -> Self {
-        assert!(head_dim >= 2 && head_dim.is_multiple_of(2), "head_dim must be even");
+        assert!(
+            head_dim >= 2 && head_dim.is_multiple_of(2),
+            "head_dim must be even"
+        );
         let half = head_dim / 2;
         let mut cos = vec![0.0f32; max_seq * half];
         let mut sin = vec![0.0f32; max_seq * half];

@@ -20,9 +20,9 @@
 use kt_model::attention::Attention;
 use kt_model::config::AttentionKind;
 use kt_model::paged::{BlockAllocator, PagedKvStore};
-use kt_model::KvCache;
 use kt_model::prefix::{PrefixCache, PrefixCacheConfig};
 use kt_model::rope::Rope;
+use kt_model::KvCache;
 use kt_tensor::rng::seeded;
 use kt_tensor::{Matrix, WeightDtype};
 use proptest::prelude::*;
