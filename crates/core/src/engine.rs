@@ -202,9 +202,9 @@ struct StepState {
     /// must never fire mid-prompt, or the chunked prefill would drift
     /// from the monolithic one.
     decode_row: Vec<bool>,
-    /// Per sequence (indexed like `seq_rows`): whether the head stage
-    /// computes logits. Non-final prefill chunks skip the LM head.
-    need_logits: Vec<bool>,
+    /// Per sequence (indexed like `seq_rows`): which rows the head stage
+    /// computes logits for.
+    logit_rows: Vec<LogitRows>,
     /// Per sequence: request-scoped trace tag (0 = untagged; see
     /// [`BatchSeq::tag`]).
     tags: Vec<u32>,
@@ -224,9 +224,10 @@ struct StepState {
     /// [`HybridEngine::forward_batch`] for one step and handed back
     /// after it.
     caches: Vec<KvCache>,
-    /// Final logits of the step, one matrix per sequence (arena-backed;
-    /// callers hand them back via [`HybridEngine::recycle_logits`]).
-    logits: Option<Vec<Matrix>>,
+    /// Final logits of the step, one slot per sequence (`None` for a
+    /// sequence that asked for none; arena-backed, callers hand them
+    /// back via [`HybridEngine::recycle_logits`]).
+    logits: Option<Vec<Option<Matrix>>>,
     /// First error raised by any stage or task (checked after each step).
     error: Option<String>,
 }
@@ -357,7 +358,7 @@ impl EngineShared {
             tokens: Vec::new(),
             seq_rows: Vec::new(),
             decode_row: Vec::new(),
-            need_logits: Vec::new(),
+            logit_rows: Vec::new(),
             tags: Vec::new(),
             x: Matrix::zeros(1, cfg.hidden)?,
             ffn_in: vec![None; n_layers],
@@ -435,7 +436,7 @@ impl EngineShared {
         let st = &mut *guard;
         let mut ws = self.ws_gpu.lock();
         ws.reclaim_pending();
-        for m in st.logits.take().into_iter().flatten() {
+        for m in st.logits.take().into_iter().flatten().flatten() {
             ws.arena.restore(m);
         }
         let x = ws
@@ -460,9 +461,19 @@ impl EngineShared {
         let mut ws = self.ws_gpu.lock();
         let mut normed = ws.arena.checkout(st.x.rows(), st.x.cols()).map_err(msg)?;
         layer.attn_norm.forward_into(&st.x, &mut normed);
-        if let Err(e) = self.attend(st, &mut ws.arena, &normed, li) {
-            ws.arena.restore(normed);
-            return Err(e);
+        // One call over the whole batch: each sequence's rows attend
+        // against its own cache, every projection runs once.
+        let caches = st.caches.iter_mut().map(|c| c.layer_mut(li));
+        let rope = self.model.rope();
+        match layer
+            .attn
+            .forward_batch(&normed, &st.seq_rows, &st.tags, caches, rope, None)
+        {
+            Ok(out) => add_assign(st.x.as_mut_slice(), out.as_slice()),
+            Err(e) => {
+                ws.arena.restore(normed);
+                return Err(msg(e));
+            }
         }
         // Reuse the normed buffer for the FFN input: the attention
         // residual is already folded into x.
@@ -483,35 +494,6 @@ impl EngineShared {
         );
         ws.arena.restore(ffn_in);
         r.map_err(msg)
-    }
-
-    /// Each sequence's rows of `normed` attend against its own KV cache;
-    /// the outputs fold into the residual stream.
-    fn attend(
-        &self,
-        st: &mut StepState,
-        arena: &mut ScratchArena,
-        normed: &Matrix,
-        li: usize,
-    ) -> Result<(), String> {
-        let attn = &self.model.blocks()[li].attn;
-        let cols = normed.cols();
-        for (s, &(start, len)) in st.seq_rows.iter().enumerate() {
-            let rows = start * cols..(start + len) * cols;
-            // Request-scoped causal trace: tagged sequences get their
-            // own span so a request's attention time is separable from
-            // the rest of the batch.
-            let tag = st.tags.get(s).copied().unwrap_or(0);
-            let _seq_span =
-                (tag != 0).then(|| kt_trace::span_ab(SpanKind::SeqAttention, tag, li as u32));
-            let mut sub = arena.checkout(len, cols).map_err(msg)?;
-            sub.as_mut_slice()
-                .copy_from_slice(&normed.as_slice()[rows.clone()]);
-            let r = attn.forward(&sub, st.caches[s].layer_mut(li), self.model.rope(), None);
-            arena.restore(sub);
-            add_assign(&mut st.x.as_mut_slice()[rows], r.map_err(msg)?.as_slice());
-        }
-        Ok(())
     }
 
     /// Submit — a host callback inside the stream. Routes layer `li`'s
@@ -537,7 +519,13 @@ impl EngineShared {
             let _span = kt_trace::span_ab(SpanKind::Gating, li as u32, 0);
             router.route(&ffn_in)
         };
-        let decode_row = st.decode_row.clone();
+        // Expert Deferral gates per ROW: only decode rows defer (§4.1 —
+        // decode-only), so a mixed prefill/decode batch keeps every
+        // sequence's deferral semantics independent. The split reads
+        // the step's decode rows under the state lock, so nothing is
+        // copied out of it.
+        let plan = self.layer_plan(li);
+        let split = (plan.n_def > 0).then(|| routing.split_deferred(plan.n_imm, &st.decode_row));
         drop(st);
         // Fault-injection hook (test harness): a registered injector
         // can fail this layer's expert submission before any task is
@@ -551,16 +539,7 @@ impl EngineShared {
         }
         // Record activation statistics (the per-expert hit counters).
         self.profile.lock().record(li, &routing);
-
-        // Expert Deferral gates per ROW: only decode rows defer (§4.1 —
-        // decode-only), so a mixed prefill/decode batch keeps every
-        // sequence's deferral semantics independent.
-        let plan = self.layer_plan(li);
-        let (imm, def) = if plan.n_def > 0 {
-            routing.split_deferred(plan.n_imm, &decode_row)
-        } else {
-            (routing, MoeRouting::new(Vec::new()))
-        };
+        let (imm, def) = split.unwrap_or_else(|| (routing, MoeRouting::new(Vec::new())));
         let has_def = def.n_activations() > 0;
 
         // Arm counters BEFORE submitting so the merge kernel can never
@@ -708,70 +687,94 @@ impl EngineShared {
         Ok(())
     }
 
-    /// Final norm + LM head. The head GEMM runs per sequence through the
-    /// row-stable kernel: every position's logits row is a function of
-    /// its residual row only, so sequential decode, batched decode, and
-    /// any chunking of a prefill all produce the same bits. Sequences
-    /// that don't sample this step (non-final prefill chunks) skip the
-    /// head GEMM entirely.
+    /// Final norm + LM head over every row that samples, in batch
+    /// order: one norm pass and one `gemm_rowwise` for the whole step,
+    /// whose rows are then split into one logits matrix per sequence
+    /// ([`LogitRows`] picks each sequence's rows). The kernel is
+    /// row-stable at every row count, so a row's logits are a function
+    /// of its residual row only: sequential decode, batched decode, any
+    /// chunking of a prefill and any choice of rows give the same bits.
     fn lm_head(
         &self,
         mut guard: MutexGuard<'_, StepState>,
         span: Option<&mut SpanGuard>,
     ) -> Result<(), String> {
         let st = &mut *guard;
-        let mut ws = self.ws_gpu.lock();
-        let mut normed = ws.arena.checkout(st.x.rows(), st.x.cols()).map_err(msg)?;
-        self.model.final_norm().forward_into(&st.x, &mut normed);
-        let mut logits = Vec::with_capacity(st.seq_rows.len());
-        let mut result = Ok(());
-        for (s, &(start, len)) in st.seq_rows.iter().enumerate() {
-            if !st.need_logits.get(s).copied().unwrap_or(true) {
-                continue;
+        let sampled = |s: usize| -> std::ops::Range<usize> {
+            let (start, len) = st.seq_rows[s];
+            match st.logit_rows[s] {
+                LogitRows::None => start..start,
+                LogitRows::Last => start + len - 1..start + len,
+                LogitRows::All => start..start + len,
             }
-            match self.head_rows(&mut ws.arena, &normed, start, len) {
-                Ok(m) => logits.push(m),
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
+        };
+        let n_seqs = st.seq_rows.len();
+        let rows: usize = (0..n_seqs).map(|s| sampled(s).len()).sum();
+        if let Some(span) = span {
+            span.set_labels(rows as u32, 0);
         }
-        ws.arena.restore(normed);
+        let mut logits = Vec::with_capacity(n_seqs);
+        if rows == 0 {
+            logits.resize_with(n_seqs, || None);
+            st.logits = Some(logits);
+            return Ok(());
+        }
+        let vocab = self.model.config().vocab;
+        let mut ws = self.ws_gpu.lock();
+        let arena = &mut ws.arena;
+        let mut normed = arena.checkout(rows, st.x.cols()).map_err(msg)?;
+        let norm = self.model.final_norm();
+        for (r, t) in (0..n_seqs).flat_map(sampled).enumerate() {
+            norm.forward_row(st.x.row(t), normed.row_mut(r));
+        }
+        let mut all = match arena.checkout(rows, vocab) {
+            Ok(m) => m,
+            Err(e) => {
+                arena.restore(normed);
+                return Err(msg(e));
+            }
+        };
+        let result = gemm_rowwise(&normed, self.model.lm_head(), &mut all, None).map_err(msg);
+        arena.restore(normed);
+        let mut r = 0;
+        let result = result.and_then(|()| {
+            for s in 0..n_seqs {
+                let n = sampled(s).len();
+                if n == 0 {
+                    logits.push(None);
+                    continue;
+                }
+                let mut m = arena.checkout(n, vocab).map_err(msg)?;
+                m.as_mut_slice()
+                    .copy_from_slice(&all.as_slice()[r * vocab..(r + n) * vocab]);
+                logits.push(Some(m));
+                r += n;
+            }
+            Ok(())
+        });
+        arena.restore(all);
         if let Err(e) = result {
-            for m in logits {
-                ws.arena.restore(m);
+            for m in logits.into_iter().flatten() {
+                arena.restore(m);
             }
             return Err(e);
-        }
-        if let Some(span) = span {
-            let rows: usize = logits.iter().map(Matrix::rows).sum();
-            span.set_labels(rows as u32, 0);
         }
         st.logits = Some(logits);
         Ok(())
     }
+}
 
-    /// Logits of rows `start..start + len` of the normed residual.
-    fn head_rows(
-        &self,
-        arena: &mut ScratchArena,
-        normed: &Matrix,
-        start: usize,
-        len: usize,
-    ) -> Result<Matrix, String> {
-        let cols = normed.cols();
-        let mut sub = arena.checkout(len, cols).map_err(msg)?;
-        sub.as_mut_slice()
-            .copy_from_slice(&normed.as_slice()[start * cols..(start + len) * cols]);
-        let mut out = arena
-            .checkout(len, self.model.config().vocab)
-            .map_err(msg)?;
-        let r = gemm_rowwise(&sub, self.model.lm_head(), &mut out, None);
-        arena.restore(sub);
-        r.map_err(msg)?;
-        Ok(out)
-    }
+/// Which of a sequence's new rows get logits in a step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogitRows {
+    /// No rows: nothing samples mid-prompt, so a non-final prefill
+    /// chunk skips the LM head.
+    None,
+    /// The newest position's row only: all a sampler reads.
+    Last,
+    /// One row per new token, for callers that read every position
+    /// (oracle comparisons, [`HybridEngine::forward`]).
+    All,
 }
 
 /// One sequence's slot in a batched forward
@@ -791,54 +794,53 @@ pub struct BatchSeq {
     /// decode row only when this is `false`; multi-token steps are
     /// prefill regardless.
     pub prefill: bool,
-    /// Whether the step should produce logits for this sequence.
-    /// Non-final prefill chunks set this to `false` — nothing samples
-    /// mid-prompt, so the per-position LM-head GEMM is skipped and
-    /// [`HybridEngine::forward_batch`] returns `None` in this
-    /// sequence's slot.
-    pub need_logits: bool,
+    /// Which rows the step returns logits for. With
+    /// [`LogitRows::None`] [`HybridEngine::forward_batch`] returns
+    /// `None` in this sequence's slot; otherwise a matrix of one row
+    /// ([`LogitRows::Last`]) or one row per new token
+    /// ([`LogitRows::All`]).
+    pub logits: LogitRows,
     /// Request-scoped trace tag (`kt_trace::TraceCtx::tag()`; 0 =
     /// untagged). When tracing is on, tagged sequences get a
     /// per-sequence `engine.seq_attention` span labeled
-    /// `a = tag, b = layer`, correlating engine work back to the
+    /// `a = tag, b = rows`, correlating engine work back to the
     /// serving request that caused it.
     pub tag: u32,
 }
 
 impl BatchSeq {
-    /// A decode row: one sampled token, deferral-eligible, logits
-    /// returned.
-    pub fn decode(cache: KvCache, token: u32) -> Self {
+    fn new(cache: KvCache, tokens: Vec<u32>, prefill: bool, logits: LogitRows) -> Self {
         BatchSeq {
             cache,
-            tokens: vec![token],
-            prefill: false,
-            need_logits: true,
+            tokens,
+            prefill,
+            logits,
             tag: 0,
         }
+    }
+
+    /// A decode row: one sampled token, deferral-eligible, its logits
+    /// row returned.
+    pub fn decode(cache: KvCache, token: u32) -> Self {
+        Self::new(cache, vec![token], false, LogitRows::Last)
     }
 
     /// A whole prompt — or the final chunk of one: prefill rows, with
     /// logits returned for every new position.
     pub fn prefill(cache: KvCache, tokens: Vec<u32>) -> Self {
-        BatchSeq {
-            cache,
-            tokens,
-            prefill: true,
-            need_logits: true,
-            tag: 0,
-        }
+        Self::new(cache, tokens, true, LogitRows::All)
+    }
+
+    /// The final chunk of a prompt as a server runs it: prefill rows,
+    /// with logits returned for the last position only (the one that
+    /// samples the first generated token).
+    pub fn prefill_last(cache: KvCache, tokens: Vec<u32>) -> Self {
+        Self::new(cache, tokens, true, LogitRows::Last)
     }
 
     /// A non-final prompt chunk: prefill rows, no logits produced.
     pub fn prefill_chunk(cache: KvCache, tokens: Vec<u32>) -> Self {
-        BatchSeq {
-            cache,
-            tokens,
-            prefill: true,
-            need_logits: false,
-            tag: 0,
-        }
+        Self::new(cache, tokens, true, LogitRows::None)
     }
 
     /// Attaches a request-scoped trace tag (builder-style).
@@ -1116,13 +1118,12 @@ impl HybridEngine {
     /// partially advanced.
     pub fn forward(&self, tokens: &[u32], cache: &mut KvCache) -> Result<Matrix, EngineError> {
         let decode = tokens.len() == 1 && cache.seq_len() > 0;
-        let mut seq = [BatchSeq {
-            cache: std::mem::take(cache),
-            tokens: tokens.to_vec(),
-            prefill: !decode,
-            need_logits: true,
-            tag: 0,
-        }];
+        let mut seq = [BatchSeq::new(
+            std::mem::take(cache),
+            tokens.to_vec(),
+            !decode,
+            LogitRows::All,
+        )];
         let result = self.forward_batch(&mut seq);
         let [seq] = seq;
         *cache = seq.cache;
@@ -1134,17 +1135,19 @@ impl HybridEngine {
 
     /// Runs one continuously-batched forward: every sequence's new
     /// tokens are appended to its own KV cache and processed in a
-    /// single step — attention per sequence, expert FFNs across the
-    /// whole batch. Single-token non-prefill sequences are decode rows
+    /// single step. Every projection, the expert FFNs and the LM head
+    /// run once across the whole batch; only each sequence's RoPE,
+    /// cache append and attention core run per sequence. Single-token
+    /// non-prefill sequences are decode rows
     /// (Expert Deferral applies per row); prefill sequences append
     /// prompt positions — a whole prompt, or one chunk of it per step
     /// (see [`BatchSeq::prefill_chunk`]). Chunking is invariant: any
     /// split of a prompt into chunks produces bitwise-identical KV
     /// state and logits to a monolithic prefill.
     ///
-    /// The returned logits are split per sequence, one matrix each with
-    /// one row per new token — `None` for sequences that declined
-    /// logits (non-final prefill chunks).
+    /// The returned logits are split per sequence, one slot each, with
+    /// the rows its [`BatchSeq::logits`] asked for — `None` for
+    /// [`LogitRows::None`] (non-final prefill chunks).
     ///
     /// Caches are moved into the engine for the step and handed back
     /// before returning — including on error, but a failed step may
@@ -1165,45 +1168,35 @@ impl HybridEngine {
             self.model().validate_tokens(&s.tokens)?;
         }
         let _serialized = self.inference_lock.lock();
-        let mut seq_rows = Vec::with_capacity(seqs.len());
-        let mut decode_row = Vec::new();
-        let mut tokens = Vec::new();
-        let need: Vec<bool> = seqs.iter().map(|s| s.need_logits).collect();
-        for s in seqs.iter() {
-            seq_rows.push((tokens.len(), s.tokens.len()));
-            let is_decode = !s.prefill && s.tokens.len() == 1;
-            decode_row.extend(std::iter::repeat_n(is_decode, s.tokens.len()));
-            tokens.extend_from_slice(&s.tokens);
-        }
-        let all_decode = decode_row.iter().all(|&d| d);
-        {
-            let mut st = self.shared.state.lock();
-            st.tokens = tokens;
-            st.seq_rows = seq_rows;
-            st.decode_row = decode_row;
-            st.need_logits = need.clone();
-            st.tags = seqs.iter().map(|s| s.tag).collect();
-            st.caches = seqs
-                .iter_mut()
-                .map(|s| std::mem::take(&mut s.cache))
-                .collect();
-        }
+        let all_decode = {
+            // The step's vectors are cleared and refilled, not rebuilt.
+            let mut guard = self.shared.state.lock();
+            let st = &mut *guard;
+            st.tokens.clear();
+            st.seq_rows.clear();
+            st.decode_row.clear();
+            st.logit_rows.clear();
+            st.tags.clear();
+            for s in seqs.iter_mut() {
+                st.seq_rows.push((st.tokens.len(), s.tokens.len()));
+                let is_decode = !s.prefill && s.tokens.len() == 1;
+                st.decode_row
+                    .extend(std::iter::repeat_n(is_decode, s.tokens.len()));
+                st.tokens.extend_from_slice(&s.tokens);
+                st.logit_rows.push(s.logits);
+                st.tags.push(s.tag);
+                st.caches.push(std::mem::take(&mut s.cache));
+            }
+            st.decode_row.iter().all(|&d| d)
+        };
         let result = self.run_step(all_decode);
         // Hand caches back BEFORE propagating any error: a failed step
         // must not eat the batch's caches.
-        let caches = std::mem::take(&mut self.shared.state.lock().caches);
-        for (slot, cache) in seqs.iter_mut().zip(caches) {
+        let mut st = self.shared.state.lock();
+        for (slot, cache) in seqs.iter_mut().zip(st.caches.drain(..)) {
             slot.cache = cache;
         }
-        // The head stage produced one logits matrix per
-        // logits-requesting sequence, in batch order; re-align with the
-        // skipped slots.
-        result.map(|dense| {
-            let mut it = dense.into_iter();
-            need.iter()
-                .map(|&n| if n { it.next() } else { None })
-                .collect()
-        })
+        result
     }
 
     /// Launches one stage on the stream: the submit stage as a host
@@ -1232,10 +1225,10 @@ impl HybridEngine {
 
     /// Executes one step over the tokens/spans already staged in the
     /// step state. Callers must hold the inference lock. Returns one
-    /// logits matrix per sequence (in `seq_rows` order); callers should
-    /// hand them back via [`HybridEngine::recycle_logits`] once sampled
-    /// so the arena can reuse them.
-    fn run_step(&self, all_decode: bool) -> Result<Vec<Matrix>, EngineError> {
+    /// logits slot per sequence (in `seq_rows` order); callers should
+    /// hand the matrices back via [`HybridEngine::recycle_logits`] once
+    /// sampled so the arena can reuse them.
+    fn run_step(&self, all_decode: bool) -> Result<Vec<Option<Matrix>>, EngineError> {
         let mut step_span = kt_trace::span(SpanKind::EngineStep);
         if kt_trace::enabled() {
             let st = self.shared.state.lock();
@@ -1296,7 +1289,7 @@ impl HybridEngine {
             for arc in ffn {
                 ws.reclaim(arc);
             }
-            for m in logits.into_iter().flatten() {
+            for m in logits.into_iter().flatten().flatten() {
                 ws.arena.restore(m);
             }
             return Err(EngineError::exec(e));

@@ -36,7 +36,7 @@ pub mod profiling;
 pub mod vgpu;
 
 pub use cpu_backend::CpuBackend;
-pub use engine::{BatchSeq, EngineConfig, FaultHook, HybridEngine, SchedMode};
+pub use engine::{BatchSeq, EngineConfig, FaultHook, HybridEngine, LogitRows, SchedMode};
 pub use error::EngineError;
 pub use kt_tensor::ArenaStats;
 // Re-exported so downstream crates (kt-serve's `kt_build_info` gauge)

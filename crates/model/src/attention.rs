@@ -317,7 +317,8 @@ impl Attention {
         }
     }
 
-    /// Causal attention over `x` (new tokens) given the layer cache.
+    /// Causal attention over `x` (new tokens) given the layer cache: a
+    /// one-sequence [`Attention::forward_batch`].
     ///
     /// Token `t` of `x` has absolute position `cache.len() + t` at entry;
     /// all new tokens are appended to the cache.
@@ -333,6 +334,41 @@ impl Attention {
         rope: &Rope,
         pool: Option<&ThreadPool>,
     ) -> Result<Matrix, ModelError> {
+        self.forward_batch(x, &[(0, x.rows())], &[], [cache], rope, pool)
+    }
+
+    /// Causal attention for a batch of sequences whose new rows are
+    /// stacked in `x`. Sequence `s` owns rows `spans[s] = (start, len)`
+    /// (the spans tile `x` in order) and the `s`-th cache of `caches`;
+    /// its row `t` has absolute position `cache.len() + t` at entry, and
+    /// all its rows are appended to that cache.
+    ///
+    /// Every projection runs once over all rows of the batch: `wq`, the
+    /// KV projections, MLA's per-head `W_UK` and `W_UV` absorptions and
+    /// `wo`. Only RoPE, the cache append and the attention kernel run
+    /// per sequence. The projections are row-stable, so every output row
+    /// and cache row has the bits its sequence's own
+    /// [`Attention::forward`] gives it.
+    ///
+    /// `tags` holds request trace tags per sequence (missing or 0 =
+    /// untagged). With tracing on, a tagged sequence's per-sequence work
+    /// runs inside an `engine.seq_attention` span labeled with its tag
+    /// and row count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Exec`] on shape mismatches, spans that do
+    /// not tile `x`, fewer caches than spans, or cache overflow. A
+    /// failed call may leave the caches partially advanced.
+    pub fn forward_batch<'c>(
+        &self,
+        x: &Matrix,
+        spans: &[(usize, usize)],
+        tags: &[u32],
+        caches: impl IntoIterator<Item = &'c mut PagedKvStore>,
+        rope: &Rope,
+        pool: Option<&ThreadPool>,
+    ) -> Result<Matrix, ModelError> {
         if x.cols() != self.hidden {
             return Err(ModelError::exec(format!(
                 "attention input has {} cols, expected {}",
@@ -343,60 +379,71 @@ impl Attention {
         if rope.head_dim() != self.head_dim {
             return Err(ModelError::exec("RoPE table head_dim mismatch"));
         }
-        let t_new = x.rows();
-        let start = cache.len();
+        let rows = x.rows();
+        let mut end = 0;
+        for &(start, len) in spans {
+            if start != end {
+                return Err(ModelError::exec(format!(
+                    "attention span starts at row {start}, expected {end}"
+                )));
+            }
+            end += len;
+        }
+        if end != rows {
+            return Err(ModelError::exec(format!(
+                "attention spans cover {end} of {rows} rows"
+            )));
+        }
         let d = self.head_dim;
         let qdim = self.n_heads * d;
 
-        let mut q = Matrix::zeros(t_new, self.wq.n())?;
+        let mut q = Matrix::zeros(rows, self.wq.n())?;
         gemm_rowwise(x, &self.wq, &mut q, pool)?;
 
-        // Rope the new positions, append their cache rows, and build
-        // `qk`: each head's query in the coordinates of a cached key row.
-        let qk = match &self.kv {
+        // Batch-wide: `keys`, the cache row each position appends
+        // (before RoPE), the values beside them (GQA only), and `qk`,
+        // each head's query in the coordinates of a cached key row. A
+        // key row is `lead` unroped floats followed by its RoPE heads;
+        // a `qk` head ends in its `d` RoPE floats.
+        let (mut qk, mut keys, values, lead) = match &self.kv {
             KvProj::Gqa { wk, wv, kv_heads } => {
                 let kvdim = kv_heads * d;
-                let mut k = Matrix::zeros(t_new, kvdim)?;
-                let mut v = Matrix::zeros(t_new, kvdim)?;
+                let mut k = Matrix::zeros(rows, kvdim)?;
+                let mut v = Matrix::zeros(rows, kvdim)?;
                 gemm_rowwise(x, wk, &mut k, pool)?;
                 gemm_rowwise(x, wv, &mut v, pool)?;
-                for t in 0..t_new {
-                    rope.apply_multihead(q.row_mut(t), start + t);
-                    rope.apply_multihead(k.row_mut(t), start + t);
-                    cache.push(k.row(t), v.row(t))?;
-                }
-                q
+                (q, k, Some(v), 0)
             }
             KvProj::Mla {
                 wa, wkr, wkb, rank, ..
             } => {
-                let mut c = Matrix::zeros(t_new, *rank)?;
-                let mut k_rope = Matrix::zeros(t_new, d)?;
+                let rank = *rank;
+                let mut c = Matrix::zeros(rows, rank)?;
+                let mut k_rope = Matrix::zeros(rows, d)?;
                 gemm_rowwise(x, wa, &mut c, pool)?;
                 gemm_rowwise(x, wkr, &mut k_rope, pool)?;
-                let mut row = vec![0.0f32; rank + d];
-                for t in 0..t_new {
-                    for head in q.row_mut(t).chunks_mut(2 * d) {
-                        rope.apply(&mut head[d..], start + t);
-                    }
-                    rope.apply(k_rope.row_mut(t), start + t);
-                    row[..*rank].copy_from_slice(c.row(t));
-                    row[*rank..].copy_from_slice(k_rope.row(t));
-                    cache.push(&row, &[])?;
+                // The cache row is [c ; k_rope].
+                let kw = rank + d;
+                let mut keys = Matrix::zeros(rows, kw)?;
+                for t in 0..rows {
+                    let dst = keys.row_mut(t);
+                    dst[..rank].copy_from_slice(c.row(t));
+                    dst[rank..].copy_from_slice(k_rope.row(t));
                 }
                 // Absorb W_UK: head h's query is [W_UK[h]ᵀ q_nope ; q_rope].
-                let kw = rank + d;
-                let mut qk = Matrix::zeros(t_new, self.n_heads * kw)?;
+                let mut qk = Matrix::zeros(rows, self.n_heads * kw)?;
+                let mut q_nope = Matrix::zeros(rows, d)?;
+                let mut q_lat = Matrix::zeros(rows, rank)?;
                 for (h, wkb) in wkb.iter().enumerate() {
-                    let mut q_lat = Matrix::zeros(t_new, *rank)?;
-                    gemm_rowwise(&columns(&q, 2 * h * d, d)?, wkb, &mut q_lat, pool)?;
-                    for t in 0..t_new {
+                    copy_columns(&q, 2 * h * d, &mut q_nope);
+                    gemm_rowwise(&q_nope, wkb, &mut q_lat, pool)?;
+                    for t in 0..rows {
                         let dst = &mut qk.row_mut(t)[h * kw..(h + 1) * kw];
-                        dst[..*rank].copy_from_slice(q_lat.row(t));
-                        dst[*rank..].copy_from_slice(&q.row(t)[(2 * h + 1) * d..(2 * h + 2) * d]);
+                        dst[..rank].copy_from_slice(q_lat.row(t));
+                        dst[rank..].copy_from_slice(&q.row(t)[(2 * h + 1) * d..(2 * h + 2) * d]);
                     }
                 }
-                qk
+                (qk, keys, None, rank)
             }
         };
 
@@ -408,45 +455,68 @@ impl Attention {
             KvProj::Gqa { kv_heads, .. } => (*kv_heads, d, d, 1.0 / (d as f32).sqrt()),
             KvProj::Mla { rank, .. } => (1, rank + d, *rank, 1.0 / ((2 * d) as f32).sqrt()),
         };
-        // Resolve every visible position's rows once, up front: the
-        // kernel touches each position once per query row and head
-        // block, and a per-touch lookup would pay a page-table walk
-        // every time.
-        let total = cache.len();
-        let cache = &*cache;
-        let krows: Vec<&[f32]> = (0..total).map(|pos| cache.k_row(pos)).collect();
-        let vrows: Vec<&[f32]> = match &self.kv {
-            KvProj::Gqa { .. } => (0..total).map(|pos| cache.v_row(pos)).collect(),
-            KvProj::Mla { .. } => krows.iter().map(|k| &k[..vw]).collect(),
-        };
-
-        // Scaled dot-product attention with causal masking.
-        let mut ctx = Matrix::zeros(t_new, self.n_heads * vw)?;
         let dims = AttnDims {
             n_heads: self.n_heads,
             kv_heads,
             kw,
             vw,
         };
-        attention(
-            qk.as_slice(),
-            &krows,
-            &vrows,
-            dims,
-            scale,
-            start,
-            ctx.as_mut_slice(),
-        );
+        let (qw, cw) = (self.n_heads * kw, self.n_heads * vw);
+        let mut ctx = Matrix::zeros(rows, cw)?;
+        // Every visible position's rows, resolved once per sequence: the
+        // kernel touches each position once per query row and head
+        // block, and a per-touch lookup would pay a page-table walk
+        // every time. One pair of vectors serves every sequence.
+        let (mut krows, mut vrows): (Vec<&[f32]>, Vec<&[f32]>) = (Vec::new(), Vec::new());
+        let mut caches = caches.into_iter();
+        for (s, &(start, len)) in spans.iter().enumerate() {
+            let cache = caches
+                .next()
+                .ok_or_else(|| ModelError::exec(format!("no KV cache for attention span {s}")))?;
+            let tag = tags.get(s).copied().unwrap_or(0);
+            let _span = (tag != 0)
+                .then(|| kt_trace::span_ab(kt_trace::SpanKind::SeqAttention, tag, len as u32));
+            // Rope the new positions and append their cache rows.
+            let pos0 = cache.len();
+            for t in start..start + len {
+                let pos = pos0 + t - start;
+                for head in qk.row_mut(t).chunks_mut(kw) {
+                    rope.apply(&mut head[kw - d..], pos);
+                }
+                rope.apply_multihead(&mut keys.row_mut(t)[lead..], pos);
+                let v = values.as_ref().map_or(&[][..], |v| v.row(t));
+                cache.push(keys.row(t), v)?;
+            }
+            let cache: &PagedKvStore = cache;
+            krows.clear();
+            krows.extend((0..cache.len()).map(|pos| cache.k_row(pos)));
+            vrows.clear();
+            match values {
+                Some(_) => vrows.extend((0..cache.len()).map(|pos| cache.v_row(pos))),
+                None => vrows.extend(krows.iter().map(|k| &k[..vw])),
+            }
+            attention(
+                &qk.as_slice()[start * qw..(start + len) * qw],
+                &krows,
+                &vrows,
+                dims,
+                scale,
+                pos0,
+                &mut ctx.as_mut_slice()[start * cw..(start + len) * cw],
+            );
+        }
 
         // MLA's context is a latent per head: apply W_UV[h] once per row.
         let ctx = match &self.kv {
             KvProj::Gqa { .. } => ctx,
             KvProj::Mla { wvb, .. } => {
-                let mut heads = Matrix::zeros(t_new, qdim)?;
-                let mut out = Matrix::zeros(t_new, d)?;
+                let mut heads = Matrix::zeros(rows, qdim)?;
+                let mut lat = Matrix::zeros(rows, vw)?;
+                let mut out = Matrix::zeros(rows, d)?;
                 for (h, wvb) in wvb.iter().enumerate() {
-                    gemm_rowwise(&columns(&ctx, h * vw, vw)?, wvb, &mut out, pool)?;
-                    for t in 0..t_new {
+                    copy_columns(&ctx, h * vw, &mut lat);
+                    gemm_rowwise(&lat, wvb, &mut out, pool)?;
+                    for t in 0..rows {
                         heads.row_mut(t)[h * d..(h + 1) * d].copy_from_slice(out.row(t));
                     }
                 }
@@ -455,7 +525,7 @@ impl Attention {
         };
 
         // Output projection.
-        let mut out = Matrix::zeros(t_new, self.hidden)?;
+        let mut out = Matrix::zeros(rows, self.hidden)?;
         gemm_rowwise(&ctx, &self.wo, &mut out, pool)?;
         Ok(out)
     }
@@ -488,13 +558,12 @@ impl Attention {
     }
 }
 
-/// Columns `lo..lo + width` of `m`, as a matrix of their own.
-fn columns(m: &Matrix, lo: usize, width: usize) -> Result<Matrix, ModelError> {
-    let mut out = Matrix::zeros(m.rows(), width)?;
+/// Copies columns `lo..lo + out.cols()` of `m` into `out`.
+fn copy_columns(m: &Matrix, lo: usize, out: &mut Matrix) {
+    let width = out.cols();
     for t in 0..m.rows() {
         out.row_mut(t).copy_from_slice(&m.row(t)[lo..lo + width]);
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -729,6 +798,83 @@ mod tests {
             }
             assert_eq!(small.pages().len(), 4);
             assert_eq!(single.pages().len(), 1);
+        }
+    }
+
+    #[test]
+    fn batched_forward_is_bitwise_per_sequence() {
+        // Ragged spans over caches of different lengths and page sizes,
+        // one-row pages included: every output row and every cache row
+        // equals what each sequence's own `forward` produces.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // (rows this step, positions already cached, page rows)
+        let seqs = [(1, 7, 1), (16, 0, 3), (1, 12, 16), (5, 4, 1)];
+        for attn in [gqa_attn(41), mla_attn(42), mla_bench_shape(43)] {
+            let what = format!("{:?} head_dim {}", attn.kind(), attn.head_dim());
+            let rope = rope_for(attn.head_dim());
+            let mut rng = seeded(44);
+            let mut alone = Vec::new();
+            let mut batched = Vec::new();
+            for &(_, cached, page_rows) in &seqs {
+                let mut a = cache_with_pages(&attn, page_rows);
+                let mut b = cache_with_pages(&attn, page_rows);
+                if cached > 0 {
+                    let prompt = Matrix::random_uniform(cached, 32, 1.0, &mut rng).unwrap();
+                    attn.forward(&prompt, &mut a, &rope, None).unwrap();
+                    attn.forward(&prompt, &mut b, &rope, None).unwrap();
+                }
+                alone.push(a);
+                batched.push(b);
+            }
+            let rows: usize = seqs.iter().map(|s| s.0).sum();
+            let x = Matrix::random_uniform(rows, 32, 1.0, &mut rng).unwrap();
+            let mut spans = Vec::new();
+            for &(len, ..) in &seqs {
+                let start = spans.last().map_or(0, |&(s, l)| s + l);
+                spans.push((start, len));
+            }
+            let y = attn
+                .forward_batch(&x, &spans, &[], batched.iter_mut(), &rope, None)
+                .unwrap();
+            for (s, &(start, len)) in spans.iter().enumerate() {
+                let xs = Matrix::from_rows(len, 32, &x.as_slice()[start * 32..(start + len) * 32])
+                    .unwrap();
+                let want = attn.forward(&xs, &mut alone[s], &rope, None).unwrap();
+                for t in 0..len {
+                    assert_eq!(
+                        bits(y.row(start + t)),
+                        bits(want.row(t)),
+                        "{what} seq {s} row {t}"
+                    );
+                }
+                let (a, b) = (&alone[s], &batched[s]);
+                assert_eq!(a.len(), b.len(), "{what} seq {s}");
+                for pos in 0..a.len() {
+                    assert_eq!(
+                        bits(a.k_row(pos)),
+                        bits(b.k_row(pos)),
+                        "{what} seq {s} k {pos}"
+                    );
+                    assert_eq!(
+                        bits(a.v_row(pos)),
+                        bits(b.v_row(pos)),
+                        "{what} seq {s} v {pos}"
+                    );
+                }
+            }
+            // Spans must tile the rows, and every span needs a cache.
+            let short = [(0, rows - 1)];
+            let gap = [(1, rows - 1)];
+            for bad in [&short[..], &gap[..]] {
+                let mut caches: Vec<_> = (0..bad.len()).map(|_| cache_for(&attn)).collect();
+                assert!(attn
+                    .forward_batch(&x, bad, &[], caches.iter_mut(), &rope, None)
+                    .is_err());
+            }
+            let mut one = cache_for(&attn);
+            assert!(attn
+                .forward_batch(&x, &spans, &[], [&mut one], &rope, None)
+                .is_err());
         }
     }
 

@@ -1646,7 +1646,8 @@ fn step(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<Pr
             PlanWork::Chunk { len, last } => {
                 let chunk = st.req.prompt[st.prefilled..st.prefilled + len].to_vec();
                 if last {
-                    BatchSeq::prefill(cache, chunk)
+                    // Only the newest position samples.
+                    BatchSeq::prefill_last(cache, chunk)
                 } else {
                     BatchSeq::prefill_chunk(cache, chunk)
                 }

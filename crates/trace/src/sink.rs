@@ -109,9 +109,11 @@ pub enum SpanKind {
     /// Never recorded: every routed expert runs on the CPU backend.
     /// Kept because the frozen serving benchmark sums it.
     GpuExperts,
-    /// Per-sequence attention inside the batched attention op, emitted
-    /// only for tagged (request-scoped) sequences; `a` = request tag
-    /// (low 32 bits of the request id), `b` = layer.
+    /// A sequence's own share of the batched attention op (RoPE, cache
+    /// append, attention kernel), emitted only for tagged
+    /// (request-scoped) sequences and nested in its layer's
+    /// `engine.attention` span; `a` = request tag (low 32 bits of the
+    /// request id), `b` = the sequence's rows in the step.
     SeqAttention,
     /// A running sequence preempted by the scheduler under KV page
     /// pressure (instant; `a` = request tag, `b` = pages released).

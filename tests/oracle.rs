@@ -289,3 +289,78 @@ fn prefix_seeded_prefill_equals_cold_oracle() {
         }
     }
 }
+
+#[test]
+fn served_step_returns_only_the_rows_that_sample() {
+    // One step shaped like a served one: decode rows, a mid-prompt chunk
+    // and two final chunks (a whole prompt, and the tail of a prompt
+    // whose first chunk ran a step earlier). Each final chunk returns
+    // exactly one row, equal to the last row of that prompt's all-rows
+    // prefill; each decode row equals the sequence decoded alone; the
+    // mid chunk returns nothing, and its cache finishes the prompt like
+    // a monolithic prefill.
+    for (cfg, precision, _) in cases(PrecisionPolicy::default())
+        .into_iter()
+        .filter(|c| c.2)
+    {
+        let what = format!("{} {precision:?}", cfg.name);
+        let e = engine(
+            &cfg,
+            EngineConfig {
+                n_deferred: 2,
+                precision,
+                seed: 11,
+                ..Default::default()
+            },
+        );
+        let prompt =
+            |s: u32, n: u32| -> Vec<u32> { (0..n).map(|i| (s * 31 + i * 7 + 2) % 250).collect() };
+        let last_row = |p: &[u32]| {
+            let l = e.forward(p, &mut e.fresh_cache()).unwrap();
+            bits(l.row(l.rows() - 1))
+        };
+        let mut decoding: Vec<(KvCache, u32)> = (0..2)
+            .map(|s| {
+                let mut cache = e.fresh_cache();
+                let l = e.forward(&prompt(s, 5 + s), &mut cache).unwrap();
+                (cache, argmax(l.row(l.rows() - 1)))
+            })
+            .collect();
+        let (split, whole, mid) = (prompt(2, 20), prompt(3, 9), prompt(4, 30));
+        let mut first = [BatchSeq::prefill_chunk(
+            e.fresh_cache(),
+            split[..12].to_vec(),
+        )];
+        assert!(e.forward_batch(&mut first).unwrap()[0].is_none(), "{what}");
+        let [first] = first;
+
+        let mut batch = [
+            BatchSeq::decode(decoding[0].0.clone(), decoding[0].1),
+            BatchSeq::prefill_chunk(e.fresh_cache(), mid[..16].to_vec()),
+            BatchSeq::prefill_last(first.cache, split[12..].to_vec()),
+            BatchSeq::decode(decoding[1].0.clone(), decoding[1].1),
+            BatchSeq::prefill_last(e.fresh_cache(), whole.clone()),
+        ];
+        let logits = e.forward_batch(&mut batch).unwrap();
+        for (s, (cache, next)) in [0, 3].into_iter().zip(&mut decoding) {
+            let alone = e.forward(&[*next], cache).unwrap();
+            let got = logits[s].as_ref().unwrap();
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(alone.as_slice()),
+                "{what} decode slot {s}"
+            );
+        }
+        assert!(logits[1].is_none(), "{what} mid chunk");
+        for (s, p) in [(2, &split), (4, &whole)] {
+            let l = logits[s].as_ref().unwrap();
+            assert_eq!(l.rows(), 1, "{what} final chunk slot {s}");
+            assert_eq!(bits(l.row(0)), last_row(p), "{what} final chunk slot {s}");
+        }
+
+        let mid_cache = std::mem::take(&mut batch[1].cache);
+        let mut rest = [BatchSeq::prefill_last(mid_cache, mid[16..].to_vec())];
+        let l = e.forward_batch(&mut rest).unwrap().remove(0).unwrap();
+        assert_eq!(bits(l.row(0)), last_row(&mid), "{what} mid chunk's prompt");
+    }
+}
