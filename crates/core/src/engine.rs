@@ -1359,10 +1359,14 @@ impl HybridEngine {
         rng: &mut StdRng,
         mut on_token: impl FnMut(u32) -> bool,
     ) -> Result<Vec<u32>, EngineError> {
-        let mut cache = self.fresh_cache();
-        let logits = self.forward(prompt, &mut cache)?;
+        // The prompt's prefill computes logits for its last row only:
+        // that is all the first sample reads.
+        let mut seq = [BatchSeq::prefill_last(self.fresh_cache(), prompt.to_vec())];
+        let logits = self.forward_batch(&mut seq)?.pop().flatten();
+        let [BatchSeq { mut cache, .. }] = seq;
+        let logits = logits.ok_or_else(|| EngineError::exec("prefill produced no logits"))?;
         let mut out = Vec::with_capacity(max_new);
-        let mut next = sampler.sample(logits.row(logits.rows() - 1), rng);
+        let mut next = sampler.sample(logits.row(0), rng);
         self.recycle_logits(logits);
         for step in 0..max_new {
             out.push(next);
