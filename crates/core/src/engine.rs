@@ -727,38 +727,24 @@ impl EngineShared {
         for (r, t) in (0..n_seqs).flat_map(sampled).enumerate() {
             norm.forward_row(st.x.row(t), normed.row_mut(r));
         }
-        let mut all = match arena.checkout(rows, vocab) {
-            Ok(m) => m,
-            Err(e) => {
-                arena.restore(normed);
-                return Err(msg(e));
-            }
-        };
-        let result = gemm_rowwise(&normed, self.model.lm_head(), &mut all, None).map_err(msg);
+        let mut all = arena.checkout(rows, vocab).map_err(msg)?;
+        gemm_rowwise(&normed, self.model.lm_head(), &mut all, None).map_err(msg)?;
         arena.restore(normed);
         let mut r = 0;
-        let result = result.and_then(|()| {
-            for s in 0..n_seqs {
-                let n = sampled(s).len();
-                if n == 0 {
-                    logits.push(None);
-                    continue;
-                }
+        for s in 0..n_seqs {
+            let n = sampled(s).len();
+            let m = if n == 0 {
+                None
+            } else {
                 let mut m = arena.checkout(n, vocab).map_err(msg)?;
                 m.as_mut_slice()
                     .copy_from_slice(&all.as_slice()[r * vocab..(r + n) * vocab]);
-                logits.push(Some(m));
                 r += n;
-            }
-            Ok(())
-        });
-        arena.restore(all);
-        if let Err(e) = result {
-            for m in logits.into_iter().flatten() {
-                arena.restore(m);
-            }
-            return Err(e);
+                Some(m)
+            };
+            logits.push(m);
         }
+        arena.restore(all);
         st.logits = Some(logits);
         Ok(())
     }
